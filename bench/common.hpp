@@ -26,10 +26,9 @@ struct NamedConfig {
 /// Metric extracted from a finished run for the table cells.
 using Metric = std::function<double(const stats::SimStats&)>;
 
-inline uint64_t default_max_insts() {
-  const uint64_t env = sim::env_max_insts();
-  return env != 0 ? env : 30000;
-}
+/// CFIR_MAX_INSTS, or 30000 when it is unset or empty. An explicit 0
+/// reaches RunSpec::max_insts as 0: every cell runs to HALT.
+inline uint64_t default_max_insts() { return sim::env_max_insts(30000); }
 
 /// CFIR_JSON=1 makes every bench also emit one machine-readable line per
 /// grid point (workload, config, full stats::to_json blob) after the table.

@@ -46,9 +46,8 @@ int main(int argc, char** argv) {
   std::printf("%s under %s:\n  %s\n\n", wl.c_str(), cfg.label().c_str(),
               workloads::describe(wl).c_str());
   sim::Simulator sim(cfg, workloads::build(wl, sim::env_scale()));
-  const stats::SimStats st = sim.run(sim::env_max_insts() != 0
-                                         ? sim::env_max_insts()
-                                         : 200000);
+  const uint64_t max_insts = sim::env_max_insts(200000);
+  const stats::SimStats st = sim.run(max_insts == 0 ? UINT64_MAX : max_insts);
   std::printf("%s\n", st.to_string().c_str());
   return 0;
 }

@@ -1,12 +1,13 @@
 #include "branch/gshare.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace cfir::branch {
 
 Gshare::Gshare(uint32_t entries, uint32_t history_bits) {
   assert(entries > 0 && (entries & (entries - 1)) == 0);
-  table_.assign(entries, 2);  // weakly taken
+  table_.assign(entries, kWeaklyTaken);
   mask_ = entries - 1;
   history_mask_ = history_bits >= 64 ? ~uint64_t{0}
                                      : ((uint64_t{1} << history_bits) - 1);
@@ -53,17 +54,23 @@ uint64_t Gshare::debug_digest() const {
 
 void Gshare::serialize(util::ByteWriter& out) const {
   out.u32(static_cast<uint32_t>(table_.size()));
-  out.bytes(table_.data(), table_.size());
   out.u64(history_);
+  util::write_sparse(out, table_, [](uint8_t c) { return c != kWeaklyTaken; },
+                     [&out](uint8_t c) { out.u8(c); });
 }
 
 void Gshare::deserialize(util::ByteReader& in) {
-  const uint32_t n = in.u32();
-  if (n != table_.size()) {
-    throw std::runtime_error("Gshare: warm-state table size mismatch");
+  if (in.u32() != table_.size()) {
+    throw util::GeometryMismatch("Gshare: warm-state table size mismatch");
   }
-  in.bytes(table_.data(), table_.size());
   history_ = in.u64() & history_mask_;
+  std::fill(table_.begin(), table_.end(), kWeaklyTaken);
+  util::read_sparse(in, table_, "Gshare", [&in](uint8_t& c) {
+    c = in.u8();
+    if (c > 3) {
+      throw std::runtime_error("Gshare: warm-state counter out of range");
+    }
+  });
 }
 
 }  // namespace cfir::branch

@@ -53,6 +53,9 @@ class Gshare : public util::Warmable {
   }
 
  private:
+  /// Reset value of every counter; warm state lists only the others.
+  static constexpr uint8_t kWeaklyTaken = 2;
+
   [[nodiscard]] uint32_t index(uint64_t pc, uint64_t history) const;
 
   std::vector<uint8_t> table_;  ///< 2-bit saturating counters

@@ -1,6 +1,7 @@
 #include "branch/mbs.hpp"
 #include <cstddef>
 
+#include <algorithm>
 #include <cassert>
 
 namespace cfir::branch {
@@ -72,30 +73,36 @@ uint64_t MbsTable::debug_digest() const {
 }
 
 void MbsTable::serialize(util::ByteWriter& out) const {
+  // Entries are only ever allocated, never invalidated, so every invalid
+  // entry still holds its constructed default: only valid ones are listed.
   out.u32(sets_);
   out.u32(ways_);
   out.u64(stamp_);
-  for (const Entry& e : entries_) {
-    out.u64(e.tag);
-    out.u8(e.counter);
-    out.boolean(e.last_taken);
-    out.boolean(e.valid);
-    out.u64(e.lru);
-  }
+  util::write_sparse(out, entries_, [](const Entry& e) { return e.valid; },
+                     [&out](const Entry& e) {
+                       out.u64(e.tag);
+                       out.u8(e.counter);
+                       out.boolean(e.last_taken);
+                       out.u64(e.lru);
+                     });
 }
 
 void MbsTable::deserialize(util::ByteReader& in) {
   if (in.u32() != sets_ || in.u32() != ways_) {
-    throw std::runtime_error("MbsTable: warm-state geometry mismatch");
+    throw util::GeometryMismatch("MbsTable: warm-state geometry mismatch");
   }
   stamp_ = in.u64();
-  for (Entry& e : entries_) {
+  std::fill(entries_.begin(), entries_.end(), Entry{});
+  util::read_sparse(in, entries_, "MbsTable", [&in](Entry& e) {
     e.tag = in.u64();
     e.counter = in.u8();
+    if (e.counter > kMax) {
+      throw std::runtime_error("MbsTable: warm-state counter out of range");
+    }
     e.last_taken = in.boolean();
-    e.valid = in.boolean();
+    e.valid = true;
     e.lru = in.u64();
-  }
+  });
 }
 
 uint64_t MbsTable::storage_bytes() const {

@@ -1,5 +1,6 @@
 #include "ci/stride_predictor.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace cfir::ci {
@@ -101,36 +102,44 @@ uint64_t StridePredictor::debug_digest() const {
 }
 
 void StridePredictor::serialize(util::ByteWriter& out) const {
+  // Entries are only ever allocated, never invalidated, so every invalid
+  // entry still holds its constructed default: only valid ones are listed.
   out.u32(sets_);
   out.u32(ways_);
   out.u64(stamp_);
-  for (const Entry& e : entries_) {
-    out.u64(e.tag);
-    out.boolean(e.valid);
-    out.u64(e.last_addr);
-    out.i64(e.stride);
-    out.u8(e.confidence);
-    out.boolean(e.s_flag);
-    out.u64(e.origin_branch_pc);
-    out.u64(e.lru);
-  }
+  util::write_sparse(out, entries_, [](const Entry& e) { return e.valid; },
+                     [&out](const Entry& e) {
+                       out.u64(e.tag);
+                       out.u64(e.last_addr);
+                       out.i64(e.stride);
+                       out.u8(e.confidence);
+                       out.boolean(e.s_flag);
+                       out.u64(e.origin_branch_pc);
+                       out.u64(e.lru);
+                     });
 }
 
 void StridePredictor::deserialize(util::ByteReader& in) {
   if (in.u32() != sets_ || in.u32() != ways_) {
-    throw std::runtime_error("StridePredictor: warm-state geometry mismatch");
+    throw util::GeometryMismatch(
+        "StridePredictor: warm-state geometry mismatch");
   }
   stamp_ = in.u64();
-  for (Entry& e : entries_) {
+  std::fill(entries_.begin(), entries_.end(), Entry{});
+  util::read_sparse(in, entries_, "StridePredictor", [&in](Entry& e) {
     e.tag = in.u64();
-    e.valid = in.boolean();
+    e.valid = true;
     e.last_addr = in.u64();
     e.stride = in.i64();
     e.confidence = in.u8();
+    if (e.confidence > 3) {
+      throw std::runtime_error(
+          "StridePredictor: warm-state confidence out of range");
+    }
     e.s_flag = in.boolean();
     e.origin_branch_pc = in.u64();
     e.lru = in.u64();
-  }
+  });
 }
 
 uint64_t StridePredictor::storage_bytes() const {

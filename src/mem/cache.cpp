@@ -146,30 +146,33 @@ uint64_t Cache::debug_digest() const {
 void Cache::serialize(util::ByteWriter& out) const {
   // Full-fidelity state (LRU included) so a restored warmer continues
   // exactly where the serializing one stopped; in-flight fills and stats
-  // are timing/measurement state and never part of warm state.
+  // are timing/measurement state and never part of warm state. A cache
+  // never invalidates a line, so every invalid line still holds its
+  // constructed default and only valid ones are listed.
   out.u32(num_sets_);
   out.u32(config_.assoc);
   out.u64(use_stamp_);
-  for (const Line& l : lines_) {
-    out.u64(l.tag);
-    out.boolean(l.valid);
-    out.boolean(l.dirty);
-    out.u64(l.lru);
-  }
+  util::write_sparse(out, lines_, [](const Line& l) { return l.valid; },
+                     [&out](const Line& l) {
+                       out.u64(l.tag);
+                       out.boolean(l.dirty);
+                       out.u64(l.lru);
+                     });
 }
 
 void Cache::deserialize(util::ByteReader& in) {
   if (in.u32() != num_sets_ || in.u32() != config_.assoc) {
-    throw std::runtime_error("Cache: warm-state geometry mismatch (" +
-                             config_.name + ")");
+    throw util::GeometryMismatch("Cache: warm-state geometry mismatch (" +
+                                 config_.name + ")");
   }
   use_stamp_ = in.u64();
-  for (Line& l : lines_) {
+  std::fill(lines_.begin(), lines_.end(), Line{});
+  util::read_sparse(in, lines_, "Cache", [&in](Line& l) {
     l.tag = in.u64();
-    l.valid = in.boolean();
+    l.valid = true;
     l.dirty = in.boolean();
     l.lru = in.u64();
-  }
+  });
   inflight_fills_.clear();
 }
 

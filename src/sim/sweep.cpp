@@ -32,7 +32,9 @@ uint32_t env_scale() {
   return static_cast<uint32_t>(env_u64("CFIR_SCALE", 1));
 }
 int env_threads() { return static_cast<int>(env_u64("CFIR_THREADS", 0)); }
-uint64_t env_max_insts() { return env_u64("CFIR_MAX_INSTS", 0); }
+uint64_t env_max_insts(uint64_t unset) {
+  return env_u64("CFIR_MAX_INSTS", unset);
+}
 uint32_t env_intervals() {
   return static_cast<uint32_t>(env_u64("CFIR_INTERVALS", 1));
 }

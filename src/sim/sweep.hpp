@@ -109,7 +109,9 @@ void parallel_for(size_t n, const std::function<void(size_t)>& fn,
 /// Environment knobs shared by the bench binaries.
 [[nodiscard]] uint32_t env_scale();      ///< CFIR_SCALE, default 1
 [[nodiscard]] int env_threads();         ///< CFIR_THREADS, default 0 (auto)
-[[nodiscard]] uint64_t env_max_insts();  ///< CFIR_MAX_INSTS, default 0
+/// CFIR_MAX_INSTS, or `unset` when the variable is unset or empty, so a
+/// caller can tell "no cap asked for" from an explicit 0 (run to HALT).
+[[nodiscard]] uint64_t env_max_insts(uint64_t unset = 0);
 [[nodiscard]] uint32_t env_intervals();  ///< CFIR_INTERVALS, default 1
 /// CFIR_SAMPLE_MODE ("uniform" | "cluster"), default uniform; anything
 /// else throws so typos fail loudly instead of silently running uniform.

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "sim/sweep.hpp"
 #include "trace/blob.hpp"
 #include "trace/errors.hpp"
 #include "util/warmable.hpp"
@@ -430,14 +431,18 @@ IntervalPlan plan_from_manifest(const ShardManifest& manifest,
   plan.boundaries.reserve(manifest.intervals.size());
   plan.lengths.reserve(manifest.intervals.size());
   plan.weights.reserve(manifest.intervals.size());
-  plan.checkpoints.reserve(manifest.intervals.size());
   for (const ShardManifest::IntervalRef& iv : manifest.intervals) {
     plan.boundaries.push_back(iv.start);
     plan.lengths.push_back(iv.length);
     plan.weights.push_back(iv.weight);
-    plan.checkpoints.push_back(
-        Checkpoint::load(resolve(manifest_path, iv.checkpoint_file)));
   }
+  // Each checkpoint file is an independent read + CRC + page decode, so
+  // they load side by side on the shared pool.
+  plan.checkpoints.resize(manifest.intervals.size());
+  sim::parallel_for(plan.checkpoints.size(), [&](size_t i) {
+    plan.checkpoints[i] = Checkpoint::load(
+        resolve(manifest_path, manifest.intervals[i].checkpoint_file));
+  });
   return plan;
 }
 

@@ -166,7 +166,7 @@ ShardManifest write_manifest(const IntervalPlan& plan,
 
 /// Rebuilds a runnable IntervalPlan from a manifest (either version),
 /// loading every referenced checkpoint relative to the manifest's
-/// directory. Cluster diagnostics (cluster_of, bic_by_k) are not stored
+/// directory, in parallel on the shared pool. Cluster diagnostics (cluster_of, bic_by_k) are not stored
 /// and come back empty.
 [[nodiscard]] IntervalPlan plan_from_manifest(const ShardManifest& manifest,
                                               const std::string&

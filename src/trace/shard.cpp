@@ -363,6 +363,13 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   // executes unbounded so the core retires HALT and reports `halted` like
   // a monolithic run — even when the window is empty (a program that
   // halts at instruction 0).
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Histogram& unit_hist = reg.histogram("shard.unit_us");
+  obs::Histogram& restore_hist = reg.histogram("shard.restore_us");
+  obs::Histogram& install_hist = reg.histogram("shard.install_us");
+  obs::Histogram& detail_hist = reg.histogram("shard.detail_us");
+  obs::Counter& detail_units = reg.counter("shard.detail_units");
+  obs::Counter& detail_insts = reg.counter("shard.detail_insts");
   sim::parallel_for(
       mine.size() * nc,
       [&](size_t p) {
@@ -383,6 +390,8 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
           sim = std::make_unique<sim::Simulator>(config, program,
                                                  plan.checkpoints[i]);
         }
+        const uint64_t restored_us = unit_clock.elapsed_us();
+        uint64_t installed_us = restored_us;
         if (functional) {
           const std::vector<uint8_t>& blob =
               !configs[c].warm.empty()
@@ -398,9 +407,8 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                 "selection?");
           }
           obs::Span warm_span("warming", static_cast<uint64_t>(i));
-          FunctionalWarmer warmer(config, program);
-          warmer.deserialize_state(blob);
-          warmer.apply_to(*sim);
+          install_warm_state(blob, *sim);
+          installed_us = unit_clock.elapsed_us();
         }
         stats::SimStats warm_stats;
         if (interval.warmup > 0) {
@@ -427,10 +435,12 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         // by exactly one worker (this unit's), so no lock is needed.
         const uint64_t unit_us = unit_clock.elapsed_us();
         interval.wall_us[c] = unit_us;
-        obs::Registry& reg = obs::Registry::instance();
-        reg.histogram("shard.unit_us").observe(unit_us);
-        reg.counter("shard.detail_units").increment();
-        reg.counter("shard.detail_insts").add(s.committed + interval.warmup);
+        unit_hist.observe(unit_us);
+        restore_hist.observe(restored_us);
+        if (functional) install_hist.observe(installed_us - restored_us);
+        detail_hist.observe(unit_us - installed_us);
+        detail_units.increment();
+        detail_insts.add(s.committed + interval.warmup);
         if (progress.enabled()) {
           telemetry.detailed_insts.fetch_add(s.committed + interval.warmup,
                                              std::memory_order_relaxed);

@@ -10,14 +10,85 @@
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "trace/batch_reader.hpp"
+#include "trace/errors.hpp"
 #include "util/warmable.hpp"
 
 namespace cfir::trace {
 
 namespace {
-/// Blob header guarding against feeding a warm-state blob into a warmer
-/// built from a different configuration.
-constexpr uint32_t kWarmStateMagic = 0x314D5257;  // "WRM1"
+/// Warm-state blob magics (docs/trace-format.md "Warm-state blob"): the
+/// sparse WRM2 layout, and the dense WRM1 layout it replaced, which is
+/// recognised only to be rejected.
+constexpr uint32_t kWarmStateMagic = 0x324D5257;       // "WRM2"
+constexpr uint32_t kDenseWarmStateMagic = 0x314D5257;  // "WRM1"
+/// magic + policy + warmed + last_fetch_line.
+constexpr size_t kWarmHeaderBytes = 4 + 1 + 8 + 8;
+
+/// The ci and vect policies train the stride predictor, and only their
+/// cores carry one (in a CiMechanism), so only their blobs hold its
+/// section.
+bool trains_stride(core::Policy policy) {
+  return policy == core::Policy::kCi || policy == core::Policy::kVect;
+}
+
+/// Where one blob's sections decode to: a FunctionalWarmer's own
+/// components, or a Simulator's.
+struct WarmTargets {
+  branch::Gshare& gshare;
+  branch::MbsTable& mbs;
+  branch::ReturnAddressStack& ras;
+  ci::StridePredictor* stride;  ///< non-null exactly when trains_stride()
+  mem::CacheHierarchy& hier;
+};
+
+struct WarmPosition {
+  uint64_t warmed = 0;
+  uint64_t last_fetch_line = 0;
+};
+
+/// The one WRM2 decoder behind FunctionalWarmer::deserialize_state and
+/// install_warm_state: checks the header against `policy`, decodes every
+/// section into `to`, and maps each failure onto the typed file errors.
+WarmPosition decode_warm_state(const std::vector<uint8_t>& blob,
+                               core::Policy policy, const WarmTargets& to) {
+  if (blob.size() < kWarmHeaderBytes) {
+    throw CorruptFileError("warm-state blob: truncated header");
+  }
+  util::ByteReader in(blob);
+  const uint32_t magic = in.u32();
+  if (magic == kDenseWarmStateMagic) {
+    throw VersionError(
+        "warm-state blob: the dense WRM1 layout is no longer read; re-plan "
+        "to capture WRM2 warm state");
+  }
+  if (magic != kWarmStateMagic) {
+    throw BadMagicError("warm-state blob: bad magic (not a WRM2 blob)");
+  }
+  if (in.u8() != static_cast<uint8_t>(policy)) {
+    throw ConfigMismatchError(
+        "warm-state blob: captured under a different policy");
+  }
+  WarmPosition pos;
+  pos.warmed = in.u64();
+  pos.last_fetch_line = in.u64();
+  try {
+    to.gshare.deserialize(in);
+    to.mbs.deserialize(in);
+    to.ras.deserialize(in);
+    if (to.stride != nullptr) to.stride->deserialize(in);
+    to.hier.deserialize(in);
+  } catch (const util::GeometryMismatch& e) {
+    throw ConfigMismatchError(std::string("warm-state blob: ") + e.what());
+  } catch (const std::exception& e) {
+    // Truncation (ByteReader underflow), or a count, slot or counter out
+    // of range.
+    throw CorruptFileError(std::string("warm-state blob: ") + e.what());
+  }
+  if (!in.done()) {
+    throw CorruptFileError("warm-state blob: trailing bytes");
+  }
+  return pos;
+}
 
 /// Engine-path fan-out batch: one default trace block's worth of
 /// records, so the engine-fed and trace-fed pipelines see the same
@@ -168,7 +239,7 @@ void FunctionalWarmer::on_record(const TraceRecord& rec) {
       break;
     case RecordKind::kLoad:
       hier_.warm_data(rec.addr, /*is_write=*/false);
-      if (policy_ == core::Policy::kCi || policy_ == core::Policy::kVect) {
+      if (trains_stride(policy_)) {
         stride_.train(rec.pc, rec.addr);
         if (policy_ == core::Policy::kVect) {
           // The vect policy's commit rule (ci/mechanism.cpp on_commit):
@@ -274,34 +345,36 @@ std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
   gshare_.serialize(out);
   mbs_.serialize(out);
   ras_.serialize(out);
-  stride_.serialize(out);
+  if (trains_stride(policy_)) stride_.serialize(out);
   hier_.serialize(out);
+  static obs::Counter& snapshot_bytes =
+      obs::Registry::instance().counter("warming.snapshot_bytes");
+  snapshot_bytes.add(out.data().size());
   return out.take();
 }
 
 void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
-  util::ByteReader in(blob);
-  if (in.u32() != kWarmStateMagic) {
-    throw std::runtime_error("FunctionalWarmer: bad warm-state magic");
-  }
-  if (in.u8() != static_cast<uint8_t>(policy_)) {
-    throw std::runtime_error("FunctionalWarmer: warm-state policy mismatch");
-  }
-  warmed_ = in.u64();
-  last_fetch_line_ = in.u64();
+  const WarmPosition pos = decode_warm_state(
+      blob, policy_,
+      {gshare_, mbs_, ras_, trains_stride(policy_) ? &stride_ : nullptr,
+       hier_});
+  warmed_ = pos.warmed;
+  last_fetch_line_ = pos.last_fetch_line;
   // Drop any live engine: it sits at the pre-restore position, and the
   // next advance_to() must resume from warmed_ (ensure_engine fast-skips
   // the restored prefix).
   engine_.reset();
   engine_mem_.reset();
-  gshare_.deserialize(in);
-  mbs_.deserialize(in);
-  ras_.deserialize(in);
-  stride_.deserialize(in);
-  hier_.deserialize(in);
-  if (!in.done()) {
-    throw std::runtime_error("FunctionalWarmer: trailing warm-state bytes");
-  }
+}
+
+void install_warm_state(const std::vector<uint8_t>& blob,
+                        sim::Simulator& sim) {
+  core::Core& core = sim.core();
+  ci::CiMechanism* mech = sim.ci_mechanism();
+  decode_warm_state(blob, core.config().policy,
+                    {core.gshare(), core.mbs(), core.ras(),
+                     mech != nullptr ? &mech->stride_predictor() : nullptr,
+                     core.hierarchy()});
 }
 
 std::vector<std::vector<uint8_t>> capture_warm_states(

@@ -13,9 +13,11 @@
 // detailed run's commit-path training leaves behind (tests/
 // test_functional_warming.cpp locks this in per component); apply_to()
 // then copies that state into a freshly constructed Simulator before its
-// first cycle. Warm state also serializes to an opaque blob so it can ride
-// inside CFIRCKP2 checkpoints (trace/checkpoint.hpp) and warmed intervals
-// stay shardable across machines.
+// first cycle. Warm state also serializes to a sparse blob (WRM2: only the
+// entries that left their reset value, docs/trace-format.md) so it can
+// ride inside CFIRCKP2 checkpoints and .cfirwarm sidecars and warmed
+// intervals stay shardable across machines; install_warm_state() decodes
+// such a blob straight into a fresh Simulator.
 #pragma once
 
 #include <cstdint>
@@ -115,8 +117,14 @@ class FunctionalWarmer {
   /// predictor transfers only when the policy has a CiMechanism.
   void apply_to(sim::Simulator& sim) const;
 
-  /// Opaque warm-state blob (components + a geometry signature + position).
-  /// deserialize() rejects blobs from differently configured warmers.
+  /// The sparse WRM2 warm-state blob (docs/trace-format.md "Warm-state
+  /// blob"): policy, position, and each component's geometry plus only
+  /// its non-default entries. deserialize_state() restores it exactly and
+  /// throws the typed errors of trace/errors.hpp: ConfigMismatchError for
+  /// a blob of another policy or geometry, VersionError for the retired
+  /// dense WRM1 layout, BadMagicError for a non-warm-state blob, and
+  /// CorruptFileError for truncation, trailing bytes or an entry count,
+  /// slot or counter out of range.
   [[nodiscard]] std::vector<uint8_t> serialize_state() const;
   void deserialize_state(const std::vector<uint8_t>& blob);
 
@@ -148,6 +156,14 @@ class FunctionalWarmer {
   std::unique_ptr<isa::FunctionalEngine> engine_;
   void ensure_engine();
 };
+
+/// Decodes a FunctionalWarmer::serialize_state() blob straight into the
+/// components of `sim`, which must be freshly constructed from a config
+/// with the blob's policy and geometry and not yet run. Leaves `sim` as
+/// deserialize_state() + apply_to() would, without building a warmer or
+/// copying its tables (run_shard's per-unit path). Same checks, same
+/// typed errors as deserialize_state().
+void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 
 /// One streaming engine pass capturing the serialized warm state at
 /// each target instruction count (`targets` must be non-decreasing —

@@ -4,9 +4,10 @@
 //   - report a deterministic digest of its table contents (differential
 //     tests compare a functionally warmed instance against one trained by
 //     detailed execution of the same committed prefix), and
-//   - serialize / deserialize its state as an opaque little-endian byte
-//     blob (trace::Checkpoint version 2 carries these blobs so warmed
-//     intervals can be shipped between machines).
+//   - serialize / deserialize its state as one little-endian section of
+//     the sparse WRM2 warm-state blob (docs/trace-format.md "Warm-state
+//     blob"), which CFIRCKP2 checkpoints and .cfirwarm sidecars carry so
+//     warmed intervals can be shipped between machines.
 // The commit-order update methods themselves stay non-virtual on each
 // component (warm paths are hot); this interface only standardizes the
 // state-capture surface.
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace cfir::util {
@@ -28,6 +30,17 @@ class ByteWriter {
   void i64(int64_t v) { raw(&v, sizeof(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(const uint8_t* data, size_t n) { raw(data, n); }
+
+  /// Appends a zero u32 and returns its offset, for a count that is known
+  /// only once the entries after it are written (see patch_u32).
+  [[nodiscard]] size_t placeholder_u32() {
+    const size_t at = buf_.size();
+    u32(0);
+    return at;
+  }
+  void patch_u32(size_t at, uint32_t v) {
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
+  }
 
   [[nodiscard]] const std::vector<uint8_t>& data() const { return buf_; }
   [[nodiscard]] std::vector<uint8_t> take() { return std::move(buf_); }
@@ -107,10 +120,64 @@ class Digest {
   uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
+/// Thrown by Warmable::deserialize when the blob was written for another
+/// table geometry. Everything else a decoder rejects (truncation, a count
+/// or slot out of range) is a plain std::runtime_error.
+class GeometryMismatch : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Writes the sparse entry list of a table-backed component: a u32 count,
+/// then, for each entry `keep` selects, its u32 table slot (ascending)
+/// followed by the fields `write_fields` appends. Components keep exactly
+/// the entries that differ from the table's constructed default.
+template <typename Entry, typename Keep, typename WriteFields>
+void write_sparse(ByteWriter& out, const std::vector<Entry>& table, Keep keep,
+                  WriteFields write_fields) {
+  const size_t count_at = out.placeholder_u32();
+  uint32_t count = 0;
+  for (size_t slot = 0; slot < table.size(); ++slot) {
+    if (!keep(table[slot])) continue;
+    out.u32(static_cast<uint32_t>(slot));
+    write_fields(table[slot]);
+    ++count;
+  }
+  out.patch_u32(count_at, count);
+}
+
+/// Reads a write_sparse list into `table`, which the caller has reset to
+/// its constructed default; `read_fields` decodes each listed entry in
+/// place. Throws std::runtime_error naming `what` on a count above the
+/// table size or a slot that is past the end or not above the previous
+/// one, so a corrupt blob can neither write outside the table nor set a
+/// slot twice.
+template <typename Entry, typename ReadFields>
+void read_sparse(ByteReader& in, std::vector<Entry>& table, const char* what,
+                 ReadFields read_fields) {
+  const uint32_t count = in.u32();
+  if (count > table.size()) {
+    throw std::runtime_error(std::string(what) + ": warm-state entry count " +
+                             std::to_string(count) + " exceeds " +
+                             std::to_string(table.size()) + " table slots");
+  }
+  size_t min_slot = 0;
+  for (uint32_t k = 0; k < count; ++k) {
+    const uint32_t slot = in.u32();
+    if (slot < min_slot || slot >= table.size()) {
+      throw std::runtime_error(std::string(what) + ": warm-state slot " +
+                               std::to_string(slot) +
+                               " out of range or order");
+    }
+    read_fields(table[slot]);
+    min_slot = size_t{slot} + 1;
+  }
+}
+
 /// The interface proper. `deserialize` must reject blobs whose embedded
 /// geometry (table sizes etc.) does not match the component's configured
-/// geometry — warm state is only transferable between identically
-/// configured instances.
+/// geometry with GeometryMismatch — warm state is only transferable
+/// between identically configured instances.
 struct Warmable {
   virtual ~Warmable() = default;
   [[nodiscard]] virtual uint64_t debug_digest() const = 0;

@@ -5,7 +5,9 @@
 // differential suite proves the two bit-identical, so this guard measures
 // pure host-side scheduling cost). Skipped on Debug builds and under
 // sanitizers, where instrumentation swamps the data-structure costs the
-// guard measures.
+// guard measures. A wall-clock guard: registered only with
+// -DCFIR_PERF_TESTS=ON (ctest label `perf`) and run on its own, never
+// inside a parallel ctest.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -4,6 +4,8 @@
 // prints the full picture; this test keeps the speedup from silently
 // regressing). Skipped on Debug builds and under sanitizers, where
 // instrumentation flattens the dispatch-cost difference the guard measures.
+// A wall-clock guard: registered only with -DCFIR_PERF_TESTS=ON (ctest
+// label `perf`) and run on its own, never inside a parallel ctest.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -29,6 +29,7 @@
 #include "isa/assembler.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
+#include "trace/errors.hpp"
 #include "trace/sampling.hpp"
 #include "trace/shard.hpp"
 #include "util/warmable.hpp"
@@ -250,16 +251,16 @@ TEST(FunctionalWarming, DeserializeRejectsMismatchedGeometry) {
   small_cfg.gshare_entries = 1024;
   FunctionalWarmer small(small_cfg, program);
   EXPECT_THROW(small.deserialize_state(big.serialize_state()),
-               std::runtime_error);
+               ConfigMismatchError);
   // Policy family must match too (stride tables only exist under ci/vect).
   FunctionalWarmer scal_warmer(sim::presets::scal(2, 256), program);
   EXPECT_THROW(scal_warmer.deserialize_state(big.serialize_state()),
-               std::runtime_error);
+               ConfigMismatchError);
   // Truncated blob fails loudly.
   std::vector<uint8_t> blob = big.serialize_state();
   blob.resize(blob.size() / 2);
   FunctionalWarmer other(sim::presets::ci(2, 512), program);
-  EXPECT_THROW(other.deserialize_state(blob), std::runtime_error);
+  EXPECT_THROW(other.deserialize_state(blob), CorruptFileError);
 }
 
 TEST(FunctionalWarming, AdvanceToAfterDeserializeResumesWithoutRetraining) {

@@ -244,6 +244,30 @@ TEST(ObsTracer, SampledRunStatsBitIdenticalWithTracingOn) {
   EXPECT_EQ(off.warmed_insts, on.warmed_insts);
 }
 
+TEST(ObsMetrics, ShardUnitsReportTheirParts) {
+  // Every detailed unit splits its wall into restore, install (functional
+  // warming only) and detail histograms; warm snapshots count their bytes.
+  Registry& reg = Registry::instance();
+  const isa::Program program = workloads::build("gzip", 1);
+  const trace::IntervalPlan plan = trace::plan_intervals(
+      program, 4, 60000, 0, trace::WarmMode::kFunctional, 0);
+  const auto count = [&](const char* name) {
+    return reg.histogram(name).count();
+  };
+  const uint64_t units0 = count("shard.unit_us");
+  const uint64_t restore0 = count("shard.restore_us");
+  const uint64_t install0 = count("shard.install_us");
+  const uint64_t detail0 = count("shard.detail_us");
+  const uint64_t bytes0 = reg.counter("warming.snapshot_bytes").value();
+  (void)trace::sampled_run(sim::presets::ci(2, 512), program, plan, 2);
+  const uint64_t units = count("shard.unit_us") - units0;
+  EXPECT_GT(units, 0u);
+  EXPECT_EQ(count("shard.restore_us") - restore0, units);
+  EXPECT_EQ(count("shard.install_us") - install0, units);
+  EXPECT_EQ(count("shard.detail_us") - detail0, units);
+  EXPECT_GT(reg.counter("warming.snapshot_bytes").value(), bytes0);
+}
+
 // ---------------------------------------------------------------------------
 // Heartbeats
 // ---------------------------------------------------------------------------

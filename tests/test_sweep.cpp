@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "../bench/common.hpp"
 #include "sim/pool.hpp"
 #include "sim/presets.hpp"
 
@@ -236,6 +237,20 @@ TEST(Sweep, EnvWarmJobsParses) {
   EXPECT_EQ(env_warm_jobs(), 4);
   ASSERT_EQ(unsetenv("CFIR_WARM_JOBS"), 0);
   EXPECT_EQ(env_warm_jobs(), 0);
+}
+
+TEST(Sweep, BenchMaxInstsDefaultsOnlyWhenUnset) {
+  // README: CFIR_MAX_INSTS=0 runs every bench cell to HALT (RunSpec
+  // max_insts 0); only an unset or empty variable means the 30k default.
+  ASSERT_EQ(unsetenv("CFIR_MAX_INSTS"), 0);
+  EXPECT_EQ(bench::default_max_insts(), 30000u);
+  ASSERT_EQ(setenv("CFIR_MAX_INSTS", "", 1), 0);
+  EXPECT_EQ(bench::default_max_insts(), 30000u);
+  ASSERT_EQ(setenv("CFIR_MAX_INSTS", "0", 1), 0);
+  EXPECT_EQ(bench::default_max_insts(), 0u);
+  ASSERT_EQ(setenv("CFIR_MAX_INSTS", "5000", 1), 0);
+  EXPECT_EQ(bench::default_max_insts(), 5000u);
+  ASSERT_EQ(unsetenv("CFIR_MAX_INSTS"), 0);
 }
 
 TEST(Sweep, EnvShardParsesSpec) {

@@ -1,11 +1,13 @@
 // Throughput regression guard for the pipelined warming path: on an
 // optimized build with at least 4 hardware threads, the block-parallel
-// 8-config grid capture (jobs = auto) must warm at least 2x as fast as
+// 8-config grid capture (jobs = auto) must warm at least 1.5x as fast as
 // the sequential reference path (bench/micro_warming prints the full
 // picture; this test keeps the speedup from silently regressing).
 // Skipped on Debug builds and under sanitizers, where instrumentation
 // and lock overhead flatten the parallelism the guard measures, and on
-// hosts too narrow for the fan-out to pay off.
+// hosts too narrow for the fan-out to pay off. A wall-clock guard:
+// registered only with -DCFIR_PERF_TESTS=ON (ctest label `perf`) and run
+// on its own, never inside a parallel ctest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,7 +64,7 @@ double best_us(const std::vector<core::CoreConfig>& configs,
   return best;
 }
 
-TEST(WarmingBench, PipelinedGridAtLeast2xSequential) {
+TEST(WarmingBench, PipelinedGridAtLeast1_5xSequential) {
   if (!kOptimized || kSanitized) {
     GTEST_SKIP() << "throughput guard needs an optimized, uninstrumented "
                     "build (Debug or sanitizer detected)";
@@ -105,7 +107,7 @@ TEST(WarmingBench, PipelinedGridAtLeast2xSequential) {
   ASSERT_GT(pipe_us, 0.0);
   const double speedup = seq_us / pipe_us;
   RecordProperty("speedup", std::to_string(speedup));
-  EXPECT_GE(speedup, 2.0) << "pipelined 8-config warming only " << speedup
+  EXPECT_GE(speedup, 1.5) << "pipelined 8-config warming only " << speedup
                           << "x the sequential reference path";
 }
 
