@@ -114,6 +114,28 @@ inline void dump_telemetry_json(const std::vector<sim::RunOutcome>& outcomes) {
               obs::Registry::instance().to_json().c_str());
 }
 
+/// The grid point (`workload`, `nc`) with the run length, scale, sampling
+/// and shard knobs read from the environment — the one spec builder every
+/// figure uses, so all of them honour the same CFIR_* knobs.
+inline sim::RunSpec env_spec(const std::string& workload,
+                             const NamedConfig& nc) {
+  sim::RunSpec s;
+  s.workload = workload;
+  s.config_name = nc.name;
+  s.config = nc.config;
+  s.max_insts = default_max_insts();
+  s.scale = sim::env_scale();
+  s.intervals = sim::env_intervals();
+  s.sample_mode = sim::env_sample_mode();
+  s.warmup = sim::env_warmup();
+  s.warm_mode = sim::env_warm_mode();
+  s.detail_len = sim::env_detail_len();
+  const trace::ShardSelection shard = sim::env_shard();
+  s.shard_index = shard.index;
+  s.shard_count = shard.count;
+  return s;
+}
+
 /// Runs all workloads under all configs and prints one row per workload and
 /// one column per config. When `harmonic_summary` is set, appends the INT
 /// row (harmonic mean — only meaningful for IPC-like metrics; use
@@ -131,23 +153,7 @@ inline void run_figure(const std::string& title,
 
   std::vector<sim::RunSpec> specs;
   for (const std::string& wl : workload_names) {
-    for (const NamedConfig& nc : configs) {
-      sim::RunSpec s;
-      s.workload = wl;
-      s.config_name = nc.name;
-      s.config = nc.config;
-      s.max_insts = max_insts;
-      s.scale = scale;
-      s.intervals = intervals;
-      s.sample_mode = sim::env_sample_mode();
-      s.warmup = sim::env_warmup();
-      s.warm_mode = sim::env_warm_mode();
-      s.detail_len = sim::env_detail_len();
-      const trace::ShardSelection shard = sim::env_shard();
-      s.shard_index = shard.index;
-      s.shard_count = shard.count;
-      specs.push_back(std::move(s));
-    }
+    for (const NamedConfig& nc : configs) specs.push_back(env_spec(wl, nc));
   }
   sim::SweepSavings savings;
   const auto outcomes = sim::run_all(specs, sim::env_threads(), &savings);
@@ -200,7 +206,6 @@ inline void run_register_sweep(
     const std::function<std::vector<NamedConfig>(uint32_t regs)>& make_configs,
     int precision = 2) {
   obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
-  const uint32_t scale = sim::env_scale();
   const uint64_t max_insts = default_max_insts();
   const auto regs_sweep = sim::presets::register_sweep();
   const auto& wls = workloads::names();
@@ -213,23 +218,7 @@ inline void run_register_sweep(
   std::vector<sim::RunSpec> specs;
   for (const uint32_t regs : regs_sweep) {
     for (const NamedConfig& nc : make_configs(regs)) {
-      for (const std::string& wl : wls) {
-        sim::RunSpec s;
-        s.workload = wl;
-        s.config_name = nc.name;
-        s.config = nc.config;
-        s.max_insts = max_insts;
-        s.scale = scale;
-        s.intervals = sim::env_intervals();
-        s.sample_mode = sim::env_sample_mode();
-        s.warmup = sim::env_warmup();
-        s.warm_mode = sim::env_warm_mode();
-        s.detail_len = sim::env_detail_len();
-        const trace::ShardSelection shard = sim::env_shard();
-        s.shard_index = shard.index;
-        s.shard_count = shard.count;
-        specs.push_back(std::move(s));
-      }
+      for (const std::string& wl : wls) specs.push_back(env_spec(wl, nc));
     }
   }
   sim::SweepSavings savings;

@@ -1,24 +1,18 @@
-// Functional-warming throughput: capture_warm_states_grid's sequential
-// reference path (jobs=1) versus the pipelined block-parallel path
-// (jobs=0 = auto), trace-fed from a recorded CFIRTRC2 file — the shape
-// the shard runner's warm-gap pass uses. Two grid widths:
+// Functional-warming throughput: capture_warm_states_grid trace-fed from
+// a recorded CFIRTRC2 file — the shape the shard runner's warm-gap pass
+// uses. Two grid widths:
 //
-//   1-config   the single-config sampling path; pipelining can only
+//   1-config   the single-config sampling path; the pipeline can only
 //              overlap block decode with the one warmer's training
 //   8-config   the grid-sharding path; decode overlaps with training
 //              AND the eight configs' warmers train in parallel, one
 //              task per config per batch
 //
-// Prints a table (million warmed insts/sec per cell, plus pipelined/
-// sequential speedups) and, under CFIR_JSON=1, one machine-readable
-// line per (configs, mode) cell with `warm_insts_per_sec` — the figure
-// tests/test_warming_bench.cpp guards (>= 2x for the 8-config grid on
-// an optimized build with >= 4 hardware threads).
-//
-// Bit-identity between the two paths is NOT this bench's job — it is
-// locked separately in tests/test_warming_pipeline.cpp. Here both
-// paths' blob bytes are folded into a checksum anyway, as a cheap
-// tripwire and to keep the serialization work observable.
+// Prints a table (million warmed insts/sec per grid width) and, under
+// CFIR_JSON=1, one machine-readable line per width with
+// `warm_insts_per_sec`. The capture runs on the shared pool, so
+// CFIR_THREADS sets its parallelism. Bit-identity of the captured blobs
+// is locked separately in tests/test_warming_pipeline.cpp.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -29,6 +23,7 @@
 #include "common.hpp"
 #include "core/config.hpp"
 #include "obs/metrics.hpp"
+#include "sim/pool.hpp"
 #include "sim/presets.hpp"
 #include "trace/trace.hpp"
 #include "trace/warming.hpp"
@@ -41,7 +36,6 @@ using namespace cfir;
 struct Cell {
   uint64_t insts = 0;   ///< committed records streamed per capture pass
   double best_us = 0.0;
-  uint64_t blob_bytes = 0;
   [[nodiscard]] double warm_insts_per_sec() const {
     return best_us > 0.0 ? static_cast<double>(insts) * 1e6 / best_us : 0.0;
   }
@@ -51,33 +45,27 @@ struct Cell {
 /// time so every sample pays block decode); keeps the best wall time.
 Cell run_capture(const std::vector<core::CoreConfig>& configs,
                  const isa::Program& program, const std::string& trace_path,
-                 const std::vector<uint64_t>& targets, int jobs,
-                 int repeats) {
+                 const std::vector<uint64_t>& targets, int repeats) {
   Cell cell;
   cell.best_us = 1e18;
   for (int r = 0; r < repeats; ++r) {
     trace::TraceReader reader(trace_path);
     cell.insts = reader.record_count();
     const obs::Stopwatch clock;
-    const auto blobs =
-        trace::capture_warm_states_grid(configs, program, reader, targets,
-                                        jobs);
+    (void)trace::capture_warm_states_grid(configs, program, reader, targets);
     const double us = static_cast<double>(clock.elapsed_us());
     cell.best_us = std::min(cell.best_us, us);
-    cell.blob_bytes = 0;
-    for (const auto& per_config : blobs)
-      for (const auto& blob : per_config) cell.blob_bytes += blob.size();
   }
   return cell;
 }
 
 void emit_json(const std::string& workload, size_t n_configs,
-               const char* mode, const Cell& cell) {
+               const Cell& cell) {
   if (!bench::json_requested()) return;
   std::printf("{\"bench\":\"micro_warming\",\"workload\":\"%s\","
-              "\"configs\":%zu,\"mode\":\"%s\",\"insts\":%llu,"
-              "\"wall_us\":%.1f,\"warm_insts_per_sec\":%.1f}\n",
-              workload.c_str(), n_configs, mode,
+              "\"configs\":%zu,\"insts\":%llu,\"wall_us\":%.1f,"
+              "\"warm_insts_per_sec\":%.1f}\n",
+              workload.c_str(), n_configs,
               static_cast<unsigned long long>(cell.insts), cell.best_us,
               cell.warm_insts_per_sec());
 }
@@ -101,8 +89,7 @@ int main() {
   trace::TraceMeta meta;
   meta.workload = workload;
   meta.scale = scale;
-  trace::record_interpreter(program, path, meta, cap,
-                            trace::TraceFormat::kV2);
+  trace::record_interpreter(program, path, meta, cap);
 
   uint64_t total = 0;
   {
@@ -121,27 +108,17 @@ int main() {
       sim::presets::ci_window(2, 512), sim::presets::vect(2, 512)};
 
   std::printf("trace-fed warm capture, Mi warmed insts/s "
-              "(%s scale %u, %llu records, 8 targets, best of %d)\n",
+              "(%s scale %u, %llu records, 8 targets, best of %d, "
+              "%d pool threads)\n",
               workload.c_str(), scale,
-              static_cast<unsigned long long>(total), repeats);
-  std::printf("%-9s | %10s %10s %8s\n", "grid", "seq", "pipelined",
-              "speedup");
-
+              static_cast<unsigned long long>(total), repeats,
+              sim::ThreadPool::shared().size());
   for (const auto* entry : {&one, &grid}) {
     const std::vector<core::CoreConfig>& configs = *entry;
-    const Cell seq =
-        run_capture(configs, program, path, targets, /*jobs=*/1, repeats);
-    const Cell pipe =
-        run_capture(configs, program, path, targets, /*jobs=*/0, repeats);
-    if (seq.blob_bytes != pipe.blob_bytes)
-      std::fprintf(stderr, "blob byte totals diverged (%llu vs %llu)?\n",
-                   static_cast<unsigned long long>(seq.blob_bytes),
-                   static_cast<unsigned long long>(pipe.blob_bytes));
-    std::printf("%zu-config | %10.2f %10.2f %7.2fx\n", configs.size(),
-                seq.warm_insts_per_sec() / 1e6,
-                pipe.warm_insts_per_sec() / 1e6, seq.best_us / pipe.best_us);
-    emit_json(workload, configs.size(), "sequential", seq);
-    emit_json(workload, configs.size(), "pipelined", pipe);
+    const Cell cell = run_capture(configs, program, path, targets, repeats);
+    std::printf("%zu-config | %10.2f\n", configs.size(),
+                cell.warm_insts_per_sec() / 1e6);
+    emit_json(workload, configs.size(), cell);
   }
 
   std::remove(path.c_str());

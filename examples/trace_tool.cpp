@@ -110,13 +110,9 @@ int usage() {
       "                         [--out=file (default <stem>.shard<i>of<N>"
       ".cfirshd)]\n"
       "                         [--trace=<trace-file> (stream deferred\n"
-      "                         warming gaps from the recorded trace —\n"
-      "                         a CFIRTRC2 file is read per block index,\n"
-      "                         so a shard decodes only its intervals'\n"
-      "                         blocks)]\n"
-      "                         [--warm-jobs=W (pipelined warm-capture\n"
-      "                         parallelism: 0 auto, 1 sequential; blobs\n"
-      "                         and stats bit-identical at any W)]\n"
+      "                         warming gaps from the recorded trace,\n"
+      "                         read per block index, so a shard decodes\n"
+      "                         only its intervals' blocks)]\n"
       "                         [--scrub-wall (zero wall-clock telemetry\n"
       "                         in the blob for byte-diffable output)]\n"
       "       trace_tool merge  <manifest> <shard-file>... [--per-phase]\n"
@@ -127,20 +123,18 @@ int usage() {
       "env: CFIR_TRACE_DIR (output dir), CFIR_THREADS (sample/run-shard),\n"
       "     CFIR_ENGINE=cached|switch (functional engine for record/plan/\n"
       "     warming passes; identical output bytes, cached is ~3-4x faster),\n"
-      "     CFIR_TRACE_FORMAT=v1|v2 (trace writer format, default v2 —\n"
-      "     columnar seekable CFIRTRC2; v1 is the row-oriented oracle),\n"
-      "     CFIR_WARM_JOBS (pipelined warming cap; --warm-jobs overrides),\n"
-      "     CFIR_STRICT_BLOBS (reject legacy footer-less blobs),\n"
       "     CFIR_TRACE=<file> (same as --trace-out),\n"
       "     CFIR_PROGRESS=1|stderr (.cfirprog heartbeats)\n"
+      "files: traces are CFIRTRC2, manifests CFIRMAN2, shard results\n"
+      "      CFIRSHD2 v3; retired formats exit 4, a missing CRC footer 6\n"
       "exit: 2 usage, 3 bad magic, 4 bad version, 5 config-hash mismatch,\n"
       "      6 corrupt file, 1 other\n");
   return 2;
 }
 
 /// The core configuration sampling subcommands default to when no
-/// --config/--configs flag names one — one definition so plan, run-shard
-/// and sample can never drift apart.
+/// --config/--configs flag names one — one definition so plan and sample
+/// can never drift apart.
 core::CoreConfig tool_config() { return sim::presets::ci(2, 512); }
 
 std::string default_path(const std::string& workload, uint32_t scale) {
@@ -175,7 +169,7 @@ int cmd_record(int argc, char** argv) {
 /// artifact files, so a farmed directory is inspectable without merging.
 int manifest_info(const std::string& path) {
   const trace::ShardManifest m = trace::ShardManifest::load(path);
-  std::printf("manifest: %s  version: %u\n", path.c_str(), m.version);
+  std::printf("manifest: %s\n", path.c_str());
   std::printf("workload: %s  scale: %u  mode: %s  warm_mode: %s\n",
               m.workload.c_str(), m.scale,
               m.mode == trace::SampleMode::kCluster ? "cluster" : "uniform",
@@ -187,10 +181,8 @@ int manifest_info(const std::string& path) {
   std::printf("configs: %zu\n", m.configs.size());
   for (size_t c = 0; c < m.configs.size(); ++c) {
     const auto& cp = m.configs[c];
-    std::printf("  [%zu] %s  hash 0x%016llx%s\n", c,
-                cp.name.empty() ? "(executor-supplied)" : cp.name.c_str(),
-                static_cast<unsigned long long>(cp.config_hash),
-                cp.embedded ? "" : "  (not embedded)");
+    std::printf("  [%zu] %s  hash 0x%016llx\n", c, cp.name.c_str(),
+                static_cast<unsigned long long>(cp.config_hash));
   }
   std::printf("intervals: %zu\n", m.intervals.size());
   for (size_t i = 0; i < m.intervals.size(); ++i) {
@@ -210,14 +202,14 @@ int manifest_info(const std::string& path) {
 int cmd_info(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string path = argv[0];
-  // Sniff the magic so one `info` verb serves every artifact kind.
+  // Sniff the magic so one `info` verb serves every artifact kind. The
+  // version digit is left out, so a retired manifest reaches the manifest
+  // loader and is rejected as such.
   {
-    char magic[8] = {};
+    char magic[7] = {};
     std::ifstream in(path, std::ios::binary);
     in.read(magic, sizeof(magic));
-    if (in &&
-        (std::memcmp(magic, trace::kManifestMagic, sizeof(magic)) == 0 ||
-         std::memcmp(magic, trace::kManifestMagicV2, sizeof(magic)) == 0)) {
+    if (in && std::memcmp(magic, trace::kManifestMagicV2, sizeof(magic)) == 0) {
       return manifest_info(path);
     }
   }
@@ -234,27 +226,25 @@ int cmd_info(int argc, char** argv) {
     if (in) file_bytes = static_cast<uint64_t>(in.tellg());
   }
   std::printf("format: v%u  file: %llu bytes  (%.3f B/inst)\n",
-              reader.format_version(),
+              trace::kTraceVersionV2,
               static_cast<unsigned long long>(file_bytes),
               reader.record_count() == 0
                   ? 0.0
                   : static_cast<double>(file_bytes) /
                         static_cast<double>(reader.record_count()));
-  if (reader.format_version() >= trace::kTraceVersionV2) {
-    std::printf("blocks: %zu  block_len: %u\n", reader.block_count(),
-                reader.block_len());
-    const std::array<uint64_t, trace::kTraceV2Columns> cols =
-        reader.column_bytes();
-    uint64_t payload = 0;
-    std::printf("columns:");
-    for (size_t c = 0; c < cols.size(); ++c) {
-      payload += cols[c];
-      std::printf(" %s=%llu", trace::trace_v2_column_name(c),
-                  static_cast<unsigned long long>(cols[c]));
-    }
-    std::printf("  (payload %llu bytes)\n",
-                static_cast<unsigned long long>(payload));
+  std::printf("blocks: %zu  block_len: %u\n", reader.block_count(),
+              reader.block_len());
+  const std::array<uint64_t, trace::kTraceV2Columns> cols =
+      reader.column_bytes();
+  uint64_t payload = 0;
+  std::printf("columns:");
+  for (size_t c = 0; c < cols.size(); ++c) {
+    payload += cols[c];
+    std::printf(" %s=%llu", trace::trace_v2_column_name(c),
+                static_cast<unsigned long long>(cols[c]));
   }
+  std::printf("  (payload %llu bytes)\n",
+              static_cast<unsigned long long>(payload));
 
   uint64_t branches = 0, taken = 0, loads = 0, stores = 0;
   trace::TraceRecord rec;
@@ -512,7 +502,7 @@ int cmd_plan(int argc, char** argv) {
   // --no-warm defers that capture to execute time instead (ConfigBinding
   // documents empty warm as exactly this contract): each shard streams
   // only its own gaps, best paired with `run-shard --trace=` on a
-  // CFIRTRC2 trace so the stream is block-seeked, not re-executed.
+  // recorded trace so the stream is block-seeked, not re-executed.
   std::vector<trace::ConfigBinding> bindings;
   if (args.no_warm) {
     bindings.reserve(args.configs.size());
@@ -560,14 +550,11 @@ int cmd_run_shard(int argc, char** argv) {
   std::string warm_trace;
   trace::ShardSelection shard;
   int jobs = 0;
-  int warm_jobs = -1;  // -1 = CFIR_WARM_JOBS / auto
   bool scrub_wall = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--trace=", 0) == 0) {
       warm_trace = arg.substr(8);
-    } else if (arg.rfind("--warm-jobs=", 0) == 0) {
-      warm_jobs = static_cast<int>(std::strtol(arg.c_str() + 12, nullptr, 10));
     } else if (arg == "--scrub-wall") {
       scrub_wall = true;
     } else if (arg.rfind("--shard=", 0) == 0) {
@@ -625,36 +612,18 @@ int cmd_run_shard(int argc, char** argv) {
                                       obs::progress_stderr_requested());
   }
 
-  trace::ShardResult result;
-  if (manifest.version >= 2) {
-    // The configs travel in the manifest; refuse a manifest directory
-    // whose reloaded checkpoints no longer match its interval schedule.
-    trace::verify_manifest_plan(manifest, plan);
-    // `shard` limits the warm-sidecar reads to this worker's intervals.
-    const std::vector<trace::ConfigBinding> bindings =
-        trace::bindings_from_manifest(manifest, manifest_path, shard);
-    result = trace::run_shard(bindings, program, plan, shard, jobs,
-                              manifest.plan_hash, warm_trace, warm_jobs);
-  } else {
-    // v1: the config is executor-supplied. Refuse to execute under a
-    // config the plan was not made for — a shard simulated under the
-    // wrong core would silently skew the merged result.
-    trace::verify_manifest_config(manifest, tool_config(), plan);
-    // Same call the single-config run_shard overload makes, with the
-    // warm-trace routing threaded through.
-    trace::ConfigBinding binding;
-    binding.name = tool_config().label();
-    binding.config = tool_config();
-    binding.config_hash = manifest.plan_hash;
-    result = trace::run_shard(std::vector<trace::ConfigBinding>{binding},
-                              program, plan, shard, jobs, manifest.plan_hash,
-                              warm_trace, warm_jobs);
-  }
+  // The configs travel in the manifest; refuse a manifest directory whose
+  // reloaded checkpoints no longer match its interval schedule.
+  trace::verify_manifest_plan(manifest, plan);
+  // `shard` limits the warm-sidecar reads to this worker's intervals.
+  const std::vector<trace::ConfigBinding> bindings =
+      trace::bindings_from_manifest(manifest, manifest_path, shard);
+  trace::ShardResult result = trace::run_shard(
+      bindings, program, plan, shard, jobs, manifest.plan_hash, warm_trace);
   if (scrub_wall) {
     // Zero the host wall-clock telemetry riding in the blob (the only
     // nondeterministic fields), so two runs of the same shard byte-diff
-    // clean — the CI determinism smoke compares --warm-jobs=1 against
-    // --warm-jobs=8 this way.
+    // clean.
     result.warm_wall_us = 0;
     for (auto& iv : result.intervals) {
       iv.wall_us.assign(result.configs.size(), 0);

@@ -144,7 +144,7 @@ struct CoreConfig {
 // from the struct fails to compile.
 //
 // The expansion order and encodings reproduce the pre-X-macro digest()
-// byte-for-byte, so config hashes (and the v1 manifests that embed them)
+// byte-for-byte, so config hashes (and the manifests that record them)
 // are unchanged.
 #define CFIR_CORECONFIG_FIELDS(X)       \
   X(u32, fetch_width)                   \

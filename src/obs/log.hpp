@@ -4,11 +4,10 @@
 // byte-diffed by CI.
 //
 // Every message has a `key`; each key prints at most `limit` times per
-// process (default 1 — "warn once" semantics, as the legacy footer-less
-// blob warning had). The first call past the limit prints a one-line
-// "further '<key>' messages suppressed" notice so readers know the
-// stream is incomplete; later calls are counted but silent. Counts are
-// queryable for tests (`log_emitted`, `log_seen`).
+// process (default 1 — "warn once" semantics). The first call past the
+// limit prints a one-line "further '<key>' messages suppressed" notice so
+// readers know the stream is incomplete; later calls are counted but
+// silent. Counts are queryable for tests (`log_emitted`, `log_seen`).
 #pragma once
 
 #include <cstdint>

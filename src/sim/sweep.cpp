@@ -59,8 +59,6 @@ trace::WarmMode env_warm_mode() {
 
 uint64_t env_detail_len() { return env_u64("CFIR_DETAIL_LEN", 0); }
 
-int env_warm_jobs() { return static_cast<int>(env_u64("CFIR_WARM_JOBS", 0)); }
-
 isa::EngineKind env_engine_kind() { return isa::engine_kind_from_env(); }
 
 trace::ShardSelection env_shard() {

@@ -121,12 +121,6 @@ void parallel_for(size_t n, const std::function<void(size_t)>& fn,
 /// detailed; typos throw (see trace::parse_warm_mode).
 [[nodiscard]] trace::WarmMode env_warm_mode();
 [[nodiscard]] uint64_t env_detail_len();  ///< CFIR_DETAIL_LEN, default 0
-/// CFIR_WARM_JOBS, default 0: parallelism cap for the pipelined warming
-/// path (trace/warming.hpp). 0 = auto (CFIR_THREADS / hardware
-/// concurrency), 1 = the sequential reference path, N = at most N
-/// threads across decode prefetch and per-config fan-out. Results are
-/// bit-identical at every setting; the knob trades threads for wall.
-[[nodiscard]] int env_warm_jobs();
 /// CFIR_ENGINE ("switch" | "cached"), default cached: which functional
 /// engine the planning/warming/capture passes run on. The trace layer
 /// reads the knob itself at engine construction; this accessor exists so

@@ -191,7 +191,7 @@ struct SimStats {
 /// Byte serialization of one SimStats block (every X-macro counter in
 /// declaration order, then `halted`, then `regs_in_use_max` — all
 /// little-endian via util::ByteWriter). This is the payload format of the
-/// per-interval stats inside CFIRSHD1 shard-result blobs
+/// per-interval stats inside CFIRSHD2 shard-result blobs
 /// (trace/shard.hpp), so shards computed on one machine deserialize
 /// bit-identically on another.
 void serialize(const SimStats& s, util::ByteWriter& out);

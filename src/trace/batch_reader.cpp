@@ -13,20 +13,18 @@ namespace {
 /// buffered waves stay at a few dozen MB even at the default 64Ki-record
 /// block capacity.
 constexpr size_t kWaveBlocks = 16;
-/// Records per sequential-fallback (CFIRTRC1) batch: one default block's
-/// worth, so v1 and v2 feeds see similar batch granularity.
-constexpr size_t kSequentialBatch = kTraceBlockLen;
 }  // namespace
 
-BlockBatchReader::BlockBatchReader(TraceReader& reader, uint64_t limit,
-                                   int jobs)
+BlockBatchReader::BlockBatchReader(TraceReader& reader, uint64_t limit)
     : reader_(reader),
       limit_(std::min(limit, reader.record_count())),
-      jobs_(std::max(jobs, 1)),
-      wave_blocks_(std::max<size_t>(kWaveBlocks,
-                                    static_cast<size_t>(std::max(jobs, 1)))),
-      v2_(reader.block_count() > 0) {
-  if (v2_ && jobs_ > 1 && limit_ > 0) {
+      threads_(sim::ThreadPool::shared().size()),
+      // A 1-worker pool has no lane to decode ahead on, so each batch is
+      // one block, trained on while it is still in cache.
+      wave_blocks_(threads_ > 1
+                       ? std::max(kWaveBlocks, static_cast<size_t>(threads_))
+                       : 1) {
+  if (threads_ > 1 && limit_ > 0) {
     prefetching_ = true;
     prefetcher_ = std::thread([this] { produce(); });
   }
@@ -55,11 +53,11 @@ BlockBatchReader::Batch BlockBatchReader::decode_wave() {
   if (count == 0) return out;
   out.blocks.resize(count);
   const size_t first = next_block_;
-  // Wave decode on the shared pool: `jobs_ - 1` helpers plus this thread,
-  // so the whole pipeline honors the CFIR_WARM_JOBS cap per stage.
+  // Wave decode on the shared pool: `threads_ - 1` helpers plus this thread,
+  // so each stage of the pipeline runs on at most the pool's size.
   sim::ThreadPool::shared().run(
       count, [&](size_t i) { out.blocks[i] = reader_.decode_block(first + i); },
-      jobs_ - 1);
+      threads_ - 1);
   next_block_ += count;
   // Trim the final block to the record limit (the wave never includes a
   // block whose first record is past it).
@@ -71,22 +69,6 @@ BlockBatchReader::Batch BlockBatchReader::decode_wave() {
     pos += blk.size();
   }
   next_record_ = pos;
-  return out;
-}
-
-BlockBatchReader::Batch BlockBatchReader::read_sequential() {
-  Batch out;
-  out.first_record = next_record_;
-  if (next_record_ >= limit_) return out;
-  const size_t want = static_cast<size_t>(
-      std::min<uint64_t>(kSequentialBatch, limit_ - next_record_));
-  std::vector<TraceRecord> records;
-  records.reserve(want);
-  TraceRecord rec;
-  while (records.size() < want && reader_.next(rec)) records.push_back(rec);
-  if (records.empty()) return out;
-  next_record_ += records.size();
-  out.blocks.push_back(std::move(records));
   return out;
 }
 
@@ -115,12 +97,10 @@ bool BlockBatchReader::next_batch(Batch& out) {
   if (done_) return false;
   obs::Registry& reg = obs::Registry::instance();
   if (!prefetching_) {
-    // Sequential fallback (v1 source, jobs <= 1, or empty limit): the
-    // whole decode is consumer stall, so it all lands in the counter —
-    // which is exactly what makes the pipelined path's near-zero wait
-    // legible next to it.
+    // No prefetch thread (1-worker pool, or empty limit): the whole decode
+    // is consumer stall, so it all lands in the counter.
     const obs::Stopwatch wait;
-    out = v2_ ? decode_wave() : read_sequential();
+    out = decode_wave();
     reg.counter("warming.decode_wait_us").add(wait.elapsed_us());
     done_ = out.blocks.empty();
     return !done_;

@@ -11,12 +11,12 @@
 // `warming.decode_wait_us` counter; 0 means decode never sat on the
 // warming critical path.
 //
-// CFIRTRC1 sources have no block index, so they fall back to sequential
-// reads on the consumer thread (fixed-size batches, no prefetch thread)
-// — same batch interface, no overlap. Record order is the stream order
-// in every mode, and the set of blocks decoded for a record limit L is
-// exactly the set a sequential read of [0, L) touches, so
-// `trace.blocks_read` accounting is unchanged.
+// The pipeline's parallelism is the shared pool's size: each wave decodes
+// on the pool's workers plus the calling thread, and a 1-worker pool runs
+// every decode synchronously inside next_batch with no prefetch thread.
+// Record order is the stream order either way, and the set of blocks
+// decoded for a record limit L is exactly the set a sequential read of
+// [0, L) touches, so `trace.blocks_read` accounting is unchanged.
 #pragma once
 
 #include <condition_variable>
@@ -50,11 +50,8 @@ class BlockBatchReader {
 
   /// `limit` caps the delivered records (clamped to the trace length —
   /// a shortfall surfaces as early end-of-stream, which the warming
-  /// layer turns into its truncated-trace error). `jobs` is the
-  /// pipeline's parallelism cap: each wave decodes on up to `jobs`
-  /// threads, and `jobs` <= 1 disables the prefetch thread entirely
-  /// (every decode runs synchronously inside next_batch).
-  BlockBatchReader(TraceReader& reader, uint64_t limit, int jobs);
+  /// layer turns into its truncated-trace error).
+  BlockBatchReader(TraceReader& reader, uint64_t limit);
   ~BlockBatchReader();
   BlockBatchReader(const BlockBatchReader&) = delete;
   BlockBatchReader& operator=(const BlockBatchReader&) = delete;
@@ -66,14 +63,12 @@ class BlockBatchReader {
 
  private:
   [[nodiscard]] Batch decode_wave();  ///< cursor-advancing wave decode
-  [[nodiscard]] Batch read_sequential();  ///< v1 fallback batch
-  void produce();                         ///< prefetch-thread main
+  void produce();                     ///< prefetch-thread main
 
   TraceReader& reader_;
   uint64_t limit_;
-  int jobs_;
+  int threads_;  ///< threads per wave decode: the shared pool's size
   size_t wave_blocks_;
-  bool v2_;
   bool done_ = false;  ///< consumer saw end-of-stream (or the error)
 
   // Decode cursor. Owned by the prefetch thread when prefetching, by

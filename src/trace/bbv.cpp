@@ -57,33 +57,26 @@ BbvSet BbvBuilder::finish() {
 
 BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
   BbvBuilder builder(interval_len);
-  // On a CFIRTRC2 trace, fan the block decodes (CRC + column expansion —
-  // the expensive part) out on the memoized sim::ThreadPool behind
-  // parallel_for, in bounded waves so memory stays at a few blocks per
-  // worker — the pool persists across waves, so a 1000-block trace pays
-  // zero thread spawns here instead of one set per 32-block wave. The
-  // records are then fed to the builder strictly in stream order: leader
-  // discovery order defines the BBV dimension numbering, so the vectors
-  // stay bit-identical to a sequential read.
+  // Fan the block decodes (CRC + column expansion — the expensive part)
+  // out on the memoized sim::ThreadPool behind parallel_for, in bounded
+  // waves so memory stays at a few blocks per worker — the pool persists
+  // across waves, so a 1000-block trace pays zero thread spawns here
+  // instead of one set per 32-block wave. The records are then fed to the
+  // builder strictly in stream order: leader discovery order defines the
+  // BBV dimension numbering, so the vectors stay bit-identical to a
+  // sequential read.
+  constexpr size_t kWave = 32;
   const size_t n_blocks = reader.block_count();
-  if (n_blocks > 1) {
-    constexpr size_t kWave = 32;
-    std::vector<std::vector<TraceRecord>> decoded(std::min(kWave, n_blocks));
-    for (size_t start = 0; start < n_blocks; start += kWave) {
-      const size_t n = std::min(kWave, n_blocks - start);
-      sim::parallel_for(
-          n, [&](size_t i) { decoded[i] = reader.decode_block(start + i); });
-      for (size_t i = 0; i < n; ++i) {
-        for (const TraceRecord& rec : decoded[i]) {
-          builder.step(rec.pc, rec.kind == RecordKind::kBranch);
-        }
+  std::vector<std::vector<TraceRecord>> decoded(std::min(kWave, n_blocks));
+  for (size_t start = 0; start < n_blocks; start += kWave) {
+    const size_t n = std::min(kWave, n_blocks - start);
+    sim::parallel_for(
+        n, [&](size_t i) { decoded[i] = reader.decode_block(start + i); });
+    for (size_t i = 0; i < n; ++i) {
+      for (const TraceRecord& rec : decoded[i]) {
+        builder.step(rec.pc, rec.kind == RecordKind::kBranch);
       }
     }
-    return builder.finish();
-  }
-  TraceRecord rec;
-  while (reader.next(rec)) {
-    builder.step(rec.pc, rec.kind == RecordKind::kBranch);
   }
   return builder.finish();
 }

@@ -15,7 +15,7 @@
 // weighting SimPoint uses.
 //
 // The same builder runs from either capture source and yields bitwise
-// identical vectors: a stored CFIRTRC1 trace (bbv_from_trace) or a live
+// identical vectors: a stored CFIRTRC2 trace (bbv_from_trace) or a live
 // reference-interpreter pass (bbv_from_program). Equality holds because
 // both sources present the same committed stream (tests/test_bbv_cluster
 // locks this in).
@@ -71,7 +71,7 @@ class BbvBuilder {
   uint32_t cur_dim_ = 0;  ///< dimension of the block being executed
 };
 
-/// Walks a CFIRTRC1 trace (no record consumed yet) and builds the BBVs.
+/// Decodes every block of a recorded trace and builds the BBVs.
 [[nodiscard]] BbvSet bbv_from_trace(TraceReader& reader,
                                     uint64_t interval_len);
 

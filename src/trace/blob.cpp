@@ -1,45 +1,15 @@
 #include "trace/blob.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
-#include "obs/log.hpp"
 #include "trace/errors.hpp"
 #include "util/crc32.hpp"
 
 namespace cfir::trace {
 
 namespace {
-
-/// CFIR_STRICT_BLOBS=1 turns legacy footer-less blobs from a warning into
-/// a hard CorruptFileError — for fleets where every artifact is known to
-/// be post-CRC and a missing footer can only mean truncation.
-bool strict_blobs() {
-  const char* v = std::getenv("CFIR_STRICT_BLOBS");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-/// A pre-CRC CFIRTRC1/CFIRCKP blob was accepted without integrity
-/// checking: warn once per process through the rate-limited obs::log
-/// channel (the first file names the problem; a directory of old blobs
-/// should not flood stderr, and CFIR_JSON stdout stays clean either way),
-/// or reject under CFIR_STRICT_BLOBS=1.
-void note_legacy_blob(const char* what, const std::string& path) {
-  if (strict_blobs()) {
-    throw CorruptFileError(
-        std::string(what) + ": " + path +
-        " has no CRC footer (legacy pre-CRC blob) and CFIR_STRICT_BLOBS=1 "
-        "rejects footer-less files — re-record the artifact to add the "
-        "footer");
-  }
-  obs::log(obs::LogLevel::kWarn, "legacy-blob",
-           std::string(what) + " " + path +
-               " has no CRC footer (legacy pre-CRC blob); loading without "
-               "integrity checking. Re-record it to add the footer, or set "
-               "CFIR_STRICT_BLOBS=1 to reject such files.");
-}
 
 /// Opens `path` positioned at the end and returns its size; rejects
 /// anything that is not a readable regular file (tellg returns -1 for
@@ -117,21 +87,15 @@ void write_blob_file(const std::string& path,
   if (!out) throw std::runtime_error("blob: write failed for " + path);
 }
 
-std::vector<uint8_t> read_blob_file(const std::string& path, const char* what,
-                                    bool require_footer) {
+std::vector<uint8_t> read_blob_file(const std::string& path,
+                                    const char* what) {
   std::vector<uint8_t> bytes = read_whole_file(path, what);
-  const bool has_footer =
-      bytes.size() >= kCrcFooterBytes &&
+  if (bytes.size() < kCrcFooterBytes ||
       std::memcmp(bytes.data() + bytes.size() - kCrcFooterBytes,
-                  kCrcFooterMagic, sizeof(kCrcFooterMagic)) == 0;
-  if (!has_footer) {
-    if (require_footer) {
-      throw CorruptFileError(std::string(what) +
-                             ": missing CRC footer (truncated file?) in " +
-                             path);
-    }
-    note_legacy_blob(what, path);
-    return bytes;  // legacy pre-footer file
+                  kCrcFooterMagic, sizeof(kCrcFooterMagic)) != 0) {
+    throw CorruptFileError(std::string(what) +
+                           ": missing CRC footer (truncated file?) in " +
+                           path);
   }
   const size_t payload_size = bytes.size() - kCrcFooterBytes;
   uint32_t stored = 0;
@@ -157,37 +121,6 @@ void append_crc_footer(const std::string& path) {
   append_footer_bytes(out, crc);
   out.close();
   if (!out) throw std::runtime_error("blob: write failed for " + path);
-}
-
-void verify_crc_footer(const std::string& path, const char* what) {
-  std::streamoff size = 0;
-  std::ifstream in = open_sized(path, what, size);
-  if (static_cast<uint64_t>(size) < kCrcFooterBytes) {
-    note_legacy_blob(what, path);
-    return;
-  }
-  const uint64_t payload_size =
-      static_cast<uint64_t>(size) - kCrcFooterBytes;
-
-  char footer[kCrcFooterBytes];
-  in.seekg(static_cast<std::streamoff>(payload_size));
-  in.read(footer, sizeof(footer));
-  if (!in) {
-    throw CorruptFileError(std::string(what) + ": read failed for " + path);
-  }
-  if (std::memcmp(footer, kCrcFooterMagic, sizeof(kCrcFooterMagic)) != 0) {
-    note_legacy_blob(what, path);
-    return;  // legacy pre-footer file
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, footer + sizeof(kCrcFooterMagic), sizeof(stored));
-
-  in.seekg(0);
-  if (stored != crc_of_stream(in, payload_size, path, what)) {
-    throw CorruptFileError(std::string(what) +
-                           ": CRC mismatch (corrupt or truncated file) in " +
-                           path);
-  }
 }
 
 void put_string(util::ByteWriter& out, const std::string& s) {

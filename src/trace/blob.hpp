@@ -6,11 +6,8 @@
 //
 // Readers verify the footer before any payload byte is decoded, so a
 // truncated or bit-flipped file fails loudly (CorruptFileError) instead of
-// decoding into garbage. The formats that existed before the footer
-// (CFIRTRC1, CFIRCKP1/2) accept footer-less files for backward
-// compatibility — their own structural checks still bound the damage — but
-// always write the footer; the formats born with it (CFIRMAN1, CFIRSHD1)
-// require it.
+// decoding into garbage. Every format requires the footer: a file without
+// one is treated as truncated.
 #pragma once
 
 #include <cstdint>
@@ -29,25 +26,16 @@ void write_blob_file(const std::string& path,
                      const std::vector<uint8_t>& payload);
 
 /// Reads `path` and verifies the CRC footer, returning the payload without
-/// it. With `require_footer`, a file lacking the footer throws
-/// CorruptFileError; without, it is returned whole (legacy pre-footer
-/// file). A present-but-wrong CRC always throws. `what` names the format
-/// in error messages ("Checkpoint", "ShardManifest", ...).
+/// it. A missing footer or a wrong CRC throws CorruptFileError. `what`
+/// names the format in error messages ("Checkpoint", "ShardManifest", ...).
 [[nodiscard]] std::vector<uint8_t> read_blob_file(const std::string& path,
-                                                  const char* what,
-                                                  bool require_footer);
+                                                  const char* what);
 
 /// Appends the CRC footer to an existing footer-less file — for writers
 /// that stream their payload and patch the header afterwards
 /// (TraceWriter::finish), where the checksum can only be computed once the
 /// bytes are final. Checksums in fixed-size chunks; never buffers the file.
 void append_crc_footer(const std::string& path);
-
-/// Verifies the CRC footer of `path` without returning (or buffering) the
-/// payload — for readers that stream the file themselves (TraceReader).
-/// Checksums in fixed-size chunks. Footer-less legacy files pass; a
-/// present-but-wrong CRC throws CorruptFileError.
-void verify_crc_footer(const std::string& path, const char* what);
 
 /// The length-prefixed string encoding shared by every trace blob format
 /// (u32 byte count + bytes): one definition so the manifest and shard

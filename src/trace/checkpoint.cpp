@@ -10,12 +10,17 @@
 #include "obs/tracer.hpp"
 #include "trace/blob.hpp"
 #include "trace/errors.hpp"
-#include "trace/io.hpp"
 #include "util/warmable.hpp"
 
 namespace cfir::trace {
 
 namespace {
+
+/// Little-endian on every supported host: the raw bytes of `v`.
+template <typename T>
+void put_raw(std::ostream& s, const T& v) {
+  s.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
 
 bool all_zero(const uint8_t* data, size_t n) {
   for (size_t i = 0; i < n; ++i) {
@@ -47,15 +52,15 @@ void Checkpoint::save(const std::string& path, bool include_warm) const {
   if (!out) throw std::runtime_error("Checkpoint: cannot open " + path);
   if (with_warm) {
     out.write(kCheckpointMagicV2, sizeof(kCheckpointMagicV2));
-    io::put_raw(out, kCheckpointVersionWarm);
+    put_raw(out, kCheckpointVersionWarm);
   } else {
     out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-    io::put_raw(out, kCheckpointVersion);
+    put_raw(out, kCheckpointVersion);
   }
-  io::put_raw(out, uint32_t{0});  // reserved
-  io::put_raw(out, pc);
-  io::put_raw(out, executed);
-  for (const uint64_t r : regs) io::put_raw(out, r);
+  put_raw(out, uint32_t{0});  // reserved
+  put_raw(out, pc);
+  put_raw(out, executed);
+  for (const uint64_t r : regs) put_raw(out, r);
 
   std::vector<std::pair<uint64_t, const uint8_t*>> pages;
   memory.for_each_page([&](uint64_t base_addr, const uint8_t* data) {
@@ -63,14 +68,14 @@ void Checkpoint::save(const std::string& path, bool include_warm) const {
       pages.emplace_back(base_addr, data);
     }
   });
-  io::put_raw(out, static_cast<uint64_t>(pages.size()));
+  put_raw(out, static_cast<uint64_t>(pages.size()));
   for (const auto& [base_addr, data] : pages) {
-    io::put_raw(out, base_addr);
+    put_raw(out, base_addr);
     out.write(reinterpret_cast<const char*>(data),
               mem::MainMemory::kPageSize);
   }
   if (with_warm) {
-    io::put_raw(out, static_cast<uint64_t>(warm.size()));
+    put_raw(out, static_cast<uint64_t>(warm.size()));
     out.write(reinterpret_cast<const char*>(warm.data()),
               static_cast<std::streamsize>(warm.size()));
   }
@@ -85,8 +90,7 @@ void Checkpoint::save(const std::string& path, bool include_warm) const {
 Checkpoint Checkpoint::load(const std::string& path) {
   obs::Span span("checkpoint.load");
   const obs::Stopwatch clock;
-  const std::vector<uint8_t> bytes =
-      read_blob_file(path, "Checkpoint", /*require_footer=*/false);
+  const std::vector<uint8_t> bytes = read_blob_file(path, "Checkpoint");
   if (bytes.size() < sizeof(kCheckpointMagic)) {
     throw CorruptFileError("Checkpoint: truncated file " + path);
   }

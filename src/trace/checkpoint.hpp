@@ -21,8 +21,7 @@
 // both versions.
 //
 // Either version ends with the shared CRC-32 footer (trace/blob.hpp), so a
-// truncated or bit-flipped checkpoint is rejected at load. Footer-less
-// files written before the footer existed still load.
+// truncated or bit-flipped checkpoint is rejected at load.
 #pragma once
 
 #include <array>

@@ -15,6 +15,10 @@ namespace cfir::trace {
 
 namespace {
 
+/// Magic of the retired single-config layout, recognised only to reject it.
+constexpr char kRetiredManifestMagic[8] = {'C', 'F', 'I', 'R',
+                                           'M', 'A', 'N', '1'};
+
 /// Directory part of `path` ("" when it has none), used to resolve the
 /// relative checkpoint / warm-sidecar file names.
 std::string dir_of(const std::string& path) {
@@ -67,36 +71,6 @@ uint64_t blob_content_digest(const std::vector<uint8_t>& blob) {
   return d.value();
 }
 
-void check_plan_shape(const IntervalPlan& plan, const char* who) {
-  const size_t k = plan.boundaries.size();
-  if (plan.lengths.size() != k || plan.weights.size() != k ||
-      plan.checkpoints.size() != k) {
-    throw std::runtime_error(std::string(who) + ": malformed plan");
-  }
-}
-
-/// The shared header + interval skeleton of both write_manifest overloads.
-ShardManifest manifest_skeleton(const IntervalPlan& plan,
-                                const std::string& workload,
-                                uint32_t scale) {
-  ShardManifest m;
-  m.workload = workload;
-  m.scale = scale;
-  m.mode = plan.mode;
-  m.warm_mode = plan.warm_mode;
-  m.warmup = plan.warmup;
-  m.total_insts = plan.total_insts;
-  m.interval_len = plan.interval_len;
-  m.ran_to_halt = plan.ran_to_halt;
-  m.intervals.resize(plan.boundaries.size());
-  for (size_t i = 0; i < plan.boundaries.size(); ++i) {
-    m.intervals[i].start = plan.boundaries[i];
-    m.intervals[i].length = plan.lengths[i];
-    m.intervals[i].weight = plan.weights[i];
-  }
-  return m;
-}
-
 }  // namespace
 
 std::string path_stem(const std::string& path) {
@@ -110,40 +84,7 @@ std::string path_stem(const std::string& path) {
 }
 
 std::vector<uint8_t> ShardManifest::serialize() const {
-  if (version != 1 && version != kManifestVersion) {
-    throw std::runtime_error("ShardManifest: cannot serialize version " +
-                             std::to_string(version));
-  }
   util::ByteWriter out;
-  if (version == 1) {
-    // Legacy layout, byte-for-byte: one combined config hash, no embedded
-    // configs, no warm sidecars.
-    if (configs.size() != 1) {
-      throw std::runtime_error(
-          "ShardManifest: a v1 manifest carries exactly one config point");
-    }
-    for (const char c : kManifestMagic) out.u8(static_cast<uint8_t>(c));
-    out.u32(1);
-    out.u32(0);  // reserved
-    out.u64(plan_hash);
-    out.u8(static_cast<uint8_t>(mode));
-    out.u8(static_cast<uint8_t>(warm_mode));
-    out.u64(warmup);
-    out.u64(total_insts);
-    out.u64(interval_len);
-    out.boolean(ran_to_halt);
-    out.u32(scale);
-    put_string(out, workload);
-    out.u32(static_cast<uint32_t>(intervals.size()));
-    for (const IntervalRef& iv : intervals) {
-      out.u64(iv.start);
-      out.u64(iv.length);
-      out.u64(std::bit_cast<uint64_t>(iv.weight));
-      put_string(out, iv.checkpoint_file);
-    }
-    return out.take();
-  }
-
   for (const char c : kManifestMagicV2) out.u8(static_cast<uint8_t>(c));
   out.u32(kManifestVersion);
   out.u32(0);  // reserved
@@ -181,28 +122,29 @@ std::vector<uint8_t> ShardManifest::serialize() const {
 
 ShardManifest ShardManifest::deserialize(
     const std::vector<uint8_t>& payload) {
-  const bool v1 =
-      payload.size() >= sizeof(kManifestMagic) &&
-      std::memcmp(payload.data(), kManifestMagic, sizeof(kManifestMagic)) ==
-          0;
-  const bool v2 = payload.size() >= sizeof(kManifestMagicV2) &&
-                  std::memcmp(payload.data(), kManifestMagicV2,
-                              sizeof(kManifestMagicV2)) == 0;
-  if (!v1 && !v2) {
+  if (payload.size() < sizeof(kManifestMagicV2) ||
+      std::memcmp(payload.data(), kManifestMagicV2,
+                  sizeof(kManifestMagicV2)) != 0) {
+    if (payload.size() >= sizeof(kRetiredManifestMagic) &&
+        std::memcmp(payload.data(), kRetiredManifestMagic,
+                    sizeof(kRetiredManifestMagic)) == 0) {
+      throw VersionError(
+          "ShardManifest: the single-config CFIRMAN1 layout is no longer "
+          "read; re-plan to write a CFIRMAN2 manifest");
+    }
     throw BadMagicError("ShardManifest: bad magic (not a CFIRMAN file)");
   }
   try {
-    util::ByteReader in(payload.data() + sizeof(kManifestMagic),
-                        payload.size() - sizeof(kManifestMagic));
+    util::ByteReader in(payload.data() + sizeof(kManifestMagicV2),
+                        payload.size() - sizeof(kManifestMagicV2));
     const uint32_t version = in.u32();
-    if (version != (v1 ? 1u : kManifestVersion)) {
+    if (version != kManifestVersion) {
       throw VersionError("ShardManifest: unsupported version " +
                          std::to_string(version));
     }
     (void)in.u32();  // reserved
 
     ShardManifest m;
-    m.version = version;
     m.plan_hash = in.u64();
     m.mode = static_cast<SampleMode>(in.u8());
     m.warm_mode = static_cast<WarmMode>(in.u8());
@@ -212,39 +154,28 @@ ShardManifest ShardManifest::deserialize(
     m.ran_to_halt = in.boolean();
     m.scale = in.u32();
     m.workload = get_string(in, "ShardManifest workload name");
-    if (v1) {
-      // A v1 manifest is a 1-config manifest whose combined hash doubles
-      // as the (only) config point's hash; the config itself is not
-      // embedded and must come from the executor (verify_manifest_config).
-      ConfigPoint cp;
-      cp.config_hash = m.plan_hash;
-      m.configs.push_back(std::move(cp));
-    } else {
-      const uint32_t nc = in.u32();
-      if (nc == 0 || nc > 4096) {
+    const uint32_t nc = in.u32();
+    if (nc == 0 || nc > 4096) {
+      throw CorruptFileError("ShardManifest: corrupt config point count " +
+                             std::to_string(nc));
+    }
+    m.configs.resize(nc);
+    for (ConfigPoint& cp : m.configs) {
+      cp.name = get_string(in, "ShardManifest config name");
+      cp.config_hash = in.u64();
+      const uint32_t cfg_len = in.u32();
+      if (cfg_len > 4096 || cfg_len > in.remaining()) {
         throw CorruptFileError(
-            "ShardManifest: corrupt config point count " +
-            std::to_string(nc));
+            "ShardManifest: corrupt embedded config length " +
+            std::to_string(cfg_len));
       }
-      m.configs.resize(nc);
-      for (ConfigPoint& cp : m.configs) {
-        cp.name = get_string(in, "ShardManifest config name");
-        cp.config_hash = in.u64();
-        const uint32_t cfg_len = in.u32();
-        if (cfg_len > 4096 || cfg_len > in.remaining()) {
-          throw CorruptFileError(
-              "ShardManifest: corrupt embedded config length " +
-              std::to_string(cfg_len));
-        }
-        std::vector<uint8_t> cfg_bytes(cfg_len);
-        in.bytes(cfg_bytes.data(), cfg_len);
-        util::ByteReader cfg(cfg_bytes);
-        cp.config = core::CoreConfig::deserialize(cfg);
-        if (!cfg.done()) {
-          throw CorruptFileError(
-              "ShardManifest: trailing bytes after embedded config");
-        }
-        cp.embedded = true;
+      std::vector<uint8_t> cfg_bytes(cfg_len);
+      in.bytes(cfg_bytes.data(), cfg_len);
+      util::ByteReader cfg(cfg_bytes);
+      cp.config = core::CoreConfig::deserialize(cfg);
+      if (!cfg.done()) {
+        throw CorruptFileError(
+            "ShardManifest: trailing bytes after embedded config");
       }
     }
     const uint32_t n = in.u32();
@@ -254,11 +185,9 @@ ShardManifest ShardManifest::deserialize(
       iv.length = in.u64();
       iv.weight = std::bit_cast<double>(in.u64());
       iv.checkpoint_file = get_string(in, "ShardManifest checkpoint file name");
-      if (!v1) {
-        iv.warm_files.resize(m.configs.size());
-        for (std::string& wf : iv.warm_files) {
-          wf = get_string(in, "ShardManifest warm sidecar file name");
-        }
+      iv.warm_files.resize(m.configs.size());
+      for (std::string& wf : iv.warm_files) {
+        wf = get_string(in, "ShardManifest warm sidecar file name");
       }
     }
     if (!in.done()) {
@@ -279,16 +208,14 @@ void ShardManifest::save(const std::string& path) const {
 }
 
 ShardManifest ShardManifest::load(const std::string& path) {
-  return deserialize(
-      read_blob_file(path, "ShardManifest", /*require_footer=*/true));
+  return deserialize(read_blob_file(path, "ShardManifest"));
 }
 
-namespace {
-
-/// The plan-structure fields, mixed in the exact order the v1 combined
-/// hash used, so plan_config_hash stays byte-compatible with PR 4.
-void mix_plan_structure(util::Digest& d, const std::string& workload,
-                        uint32_t scale, const IntervalPlan& plan) {
+uint64_t plan_structure_hash(const std::string& workload, uint32_t scale,
+                             const IntervalPlan& plan) {
+  util::Digest d;
+  // A fixed leading tag: part of the hash every existing manifest carries.
+  d.u64(0x43464952'504C414Eull);  // "CFIR" "PLAN"
   d.u32(static_cast<uint32_t>(workload.size()));
   d.bytes(reinterpret_cast<const uint8_t*>(workload.data()),
           workload.size());
@@ -305,58 +232,18 @@ void mix_plan_structure(util::Digest& d, const std::string& workload,
     d.u64(plan.lengths[i]);
     d.u64(std::bit_cast<uint64_t>(plan.weights[i]));
   }
-}
-
-}  // namespace
-
-uint64_t plan_config_hash(const core::CoreConfig& config,
-                          const std::string& workload, uint32_t scale,
-                          const IntervalPlan& plan) {
-  util::Digest d;
-  d.u64(config.digest());
-  mix_plan_structure(d, workload, scale, plan);
   return d.value();
-}
-
-uint64_t plan_structure_hash(const std::string& workload, uint32_t scale,
-                             const IntervalPlan& plan) {
-  util::Digest d;
-  // A fixed tag in the config slot keeps structure hashes from colliding
-  // with v1 combined hashes over the same plan.
-  d.u64(0x43464952'504C414Eull);  // "CFIR" "PLAN"
-  mix_plan_structure(d, workload, scale, plan);
-  return d.value();
-}
-
-ShardManifest write_manifest(const IntervalPlan& plan,
-                             const core::CoreConfig& config,
-                             const std::string& workload, uint32_t scale,
-                             const std::string& manifest_path) {
-  check_plan_shape(plan, "write_manifest");
-  ShardManifest m = manifest_skeleton(plan, workload, scale);
-  m.version = 1;
-  m.plan_hash = plan_config_hash(config, workload, scale, plan);
-  ShardManifest::ConfigPoint cp;
-  cp.name = config.label();
-  cp.config_hash = m.plan_hash;
-  m.configs.push_back(std::move(cp));
-
-  const std::string stem = path_stem(manifest_path);
-  for (size_t i = 0; i < plan.checkpoints.size(); ++i) {
-    const std::string ck_path =
-        stem + ".ck" + std::to_string(i) + ".cfirckpt";
-    plan.checkpoints[i].save(ck_path);
-    m.intervals[i].checkpoint_file = basename_of(ck_path);
-  }
-  m.save(manifest_path);
-  return m;
 }
 
 ShardManifest write_manifest(const IntervalPlan& plan,
                              const std::vector<ConfigBinding>& bindings,
                              const std::string& workload, uint32_t scale,
                              const std::string& manifest_path) {
-  check_plan_shape(plan, "write_manifest");
+  const size_t k = plan.boundaries.size();
+  if (plan.lengths.size() != k || plan.weights.size() != k ||
+      plan.checkpoints.size() != k) {
+    throw std::runtime_error("write_manifest: malformed plan");
+  }
   if (bindings.empty()) {
     throw std::runtime_error("write_manifest: no config bindings");
   }
@@ -367,15 +254,28 @@ ShardManifest write_manifest(const IntervalPlan& plan,
           "' carries warm state for a different interval count");
     }
   }
-  ShardManifest m = manifest_skeleton(plan, workload, scale);
+  ShardManifest m;
+  m.workload = workload;
+  m.scale = scale;
   m.plan_hash = plan_structure_hash(workload, scale, plan);
+  m.mode = plan.mode;
+  m.warm_mode = plan.warm_mode;
+  m.warmup = plan.warmup;
+  m.total_insts = plan.total_insts;
+  m.interval_len = plan.interval_len;
+  m.ran_to_halt = plan.ran_to_halt;
+  m.intervals.resize(k);
+  for (size_t i = 0; i < k; ++i) {
+    m.intervals[i].start = plan.boundaries[i];
+    m.intervals[i].length = plan.lengths[i];
+    m.intervals[i].weight = plan.weights[i];
+  }
   m.configs.reserve(bindings.size());
   for (const ConfigBinding& b : bindings) {
     ShardManifest::ConfigPoint cp;
     cp.name = b.name.empty() ? b.config.label() : b.name;
     cp.config_hash = b.config_hash != 0 ? b.config_hash : b.config.digest();
     cp.config = b.config;
-    cp.embedded = true;
     m.configs.push_back(std::move(cp));
   }
 
@@ -449,11 +349,6 @@ IntervalPlan plan_from_manifest(const ShardManifest& manifest,
 std::vector<ConfigBinding> bindings_from_manifest(
     const ShardManifest& manifest, const std::string& manifest_path,
     ShardSelection shard) {
-  if (manifest.version < 2) {
-    throw VersionError(
-        "ShardManifest: a v1 manifest does not embed its config — supply "
-        "it to the executor and verify with verify_manifest_config");
-  }
   std::vector<ConfigBinding> bindings;
   bindings.reserve(manifest.configs.size());
   for (size_t c = 0; c < manifest.configs.size(); ++c) {
@@ -482,28 +377,12 @@ std::vector<ConfigBinding> bindings_from_manifest(
               "' has warm state for only some intervals");
         }
         b.warm[i] = read_blob_file(resolve(manifest_path, iv.warm_files[c]),
-                                   "WarmState", /*require_footer=*/true);
+                                   "WarmState");
       }
     }
     bindings.push_back(std::move(b));
   }
   return bindings;
-}
-
-void verify_manifest_config(const ShardManifest& manifest,
-                            const core::CoreConfig& config,
-                            const IntervalPlan& plan) {
-  const uint64_t expected =
-      plan_config_hash(config, manifest.workload, manifest.scale, plan);
-  if (expected != manifest.plan_hash) {
-    throw ConfigMismatchError(
-        "ShardManifest: config hash mismatch — the manifest was planned "
-        "for a different core config or plan (manifest has " +
-        hex64(manifest.plan_hash) + ", this run computes " +
-        hex64(expected) +
-        "); re-plan with the current config or run with the one the "
-        "manifest was made for");
-  }
 }
 
 void verify_manifest_plan(const ShardManifest& manifest,

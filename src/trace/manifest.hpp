@@ -48,10 +48,8 @@
 //   | "CRC1" | u32 crc32
 // All file names are relative to the manifest's directory, so a manifest,
 // its checkpoints and its warm sidecars move between machines as one
-// directory. Version-1 files ("CFIRMAN1", one combined config hash, warm
-// state embedded in CFIRCKP2 checkpoints) still load, as a 1-config
-// manifest whose config point is not embedded (the executor must supply
-// the config and verify it via verify_manifest_config, as before).
+// directory. The retired single-config "CFIRMAN1" layout is recognised
+// only to be rejected (VersionError).
 #pragma once
 
 #include <cstdint>
@@ -64,8 +62,6 @@
 
 namespace cfir::trace {
 
-inline constexpr char kManifestMagic[8] = {'C', 'F', 'I', 'R',
-                                           'M', 'A', 'N', '1'};
 inline constexpr char kManifestMagicV2[8] = {'C', 'F', 'I', 'R',
                                              'M', 'A', 'N', '2'};
 inline constexpr uint32_t kManifestVersion = 2;
@@ -79,15 +75,9 @@ inline constexpr uint32_t kManifestVersion = 2;
 [[nodiscard]] std::string path_stem(const std::string& path);
 
 struct ShardManifest {
-  /// 2 for manifests this build writes; 1 when loaded from (or to be
-  /// written as) a legacy CFIRMAN1 file. serialize() honours it, so
-  /// loaded v1 manifests round-trip byte-identically.
-  uint32_t version = kManifestVersion;
   std::string workload;  ///< cfir::workloads name — rebuilds the program
   uint32_t scale = 1;
-  /// v2: plan_structure_hash (config-independent). v1: the legacy
-  /// combined plan_config_hash.
-  uint64_t plan_hash = 0;
+  uint64_t plan_hash = 0;  ///< plan_structure_hash (config-independent)
   SampleMode mode = SampleMode::kUniform;
   WarmMode warm_mode = WarmMode::kDetailed;
   uint64_t warmup = 0;
@@ -98,9 +88,8 @@ struct ShardManifest {
   /// One config point of the grid this manifest farms.
   struct ConfigPoint {
     std::string name;          ///< column label (CoreConfig::label())
-    uint64_t config_hash = 0;  ///< v2: CoreConfig::digest(); v1: plan_hash
-    core::CoreConfig config;   ///< meaningful only when `embedded`
-    bool embedded = false;     ///< v2: config bytes travel in the manifest
+    uint64_t config_hash = 0;  ///< CoreConfig::digest()
+    core::CoreConfig config;
   };
   std::vector<ConfigPoint> configs;
 
@@ -109,16 +98,14 @@ struct ShardManifest {
     uint64_t length = 0;  ///< measured instructions
     double weight = 1.0;  ///< population this interval stands in for
     std::string checkpoint_file;  ///< relative to the manifest's directory
-    /// v2: one warm-sidecar file name per config point (in `configs`
-    /// order; empty string = no warm state). Empty vector on v1 manifests
-    /// (warm state rides inside the CFIRCKP2 checkpoint there).
+    /// One warm-sidecar file name per config point (in `configs` order;
+    /// empty string = no warm state).
     std::vector<std::string> warm_files;
   };
   std::vector<IntervalRef> intervals;
 
   /// Payload bytes (no CRC footer). Deterministic: serialize ∘ deserialize
-  /// is the identity on the bytes for either version (fuzz-locked in
-  /// tests/test_shard.cpp).
+  /// is the identity on the bytes (fuzz-locked in tests/test_shard.cpp).
   [[nodiscard]] std::vector<uint8_t> serialize() const;
   [[nodiscard]] static ShardManifest deserialize(
       const std::vector<uint8_t>& payload);
@@ -127,32 +114,13 @@ struct ShardManifest {
   [[nodiscard]] static ShardManifest load(const std::string& path);
 };
 
-/// The legacy v1 combined hash: CoreConfig::digest() + workload identity +
-/// the plan's structure (mode, warm mode, boundaries, lengths, weights).
-/// Everything that had to agree for two v1 shard results to be mergeable.
-/// Unchanged byte-for-byte from PR 4, so v1 manifests written by older
-/// builds still verify.
-[[nodiscard]] uint64_t plan_config_hash(const core::CoreConfig& config,
-                                        const std::string& workload,
-                                        uint32_t scale,
-                                        const IntervalPlan& plan);
-
-/// The config-independent half of the v1 hash: workload identity + plan
-/// structure only. Two manifests share this iff their checkpoints and
+/// Workload identity + plan structure (mode, warm mode, boundaries,
+/// lengths, weights). Two manifests share this iff their checkpoints and
 /// interval schedules are interchangeable — which is exactly what lets one
 /// checkpoint set serve every config of a grid.
 [[nodiscard]] uint64_t plan_structure_hash(const std::string& workload,
                                            uint32_t scale,
                                            const IntervalPlan& plan);
-
-/// Plan layer driver, single config (legacy v1 format): writes `plan` as a
-/// CFIRMAN1 manifest plus one checkpoint blob per interval next to it
-/// (named `<stem>.ck<i>.cfirckpt`, warm state embedded as CFIRCKP2 when
-/// attached), and returns the manifest.
-ShardManifest write_manifest(const IntervalPlan& plan,
-                             const core::CoreConfig& config,
-                             const std::string& workload, uint32_t scale,
-                             const std::string& manifest_path);
 
 /// Plan layer driver, config grid (CFIRMAN2): writes `plan` as one
 /// manifest, one **cold** architectural checkpoint per interval (shared by
@@ -164,36 +132,25 @@ ShardManifest write_manifest(const IntervalPlan& plan,
                              const std::string& workload, uint32_t scale,
                              const std::string& manifest_path);
 
-/// Rebuilds a runnable IntervalPlan from a manifest (either version),
-/// loading every referenced checkpoint relative to the manifest's
-/// directory, in parallel on the shared pool. Cluster diagnostics (cluster_of, bic_by_k) are not stored
-/// and come back empty.
+/// Rebuilds a runnable IntervalPlan from a manifest, loading every
+/// referenced checkpoint relative to the manifest's directory, in parallel
+/// on the shared pool. Cluster diagnostics (cluster_of, bic_by_k) are not
+/// stored and come back empty.
 [[nodiscard]] IntervalPlan plan_from_manifest(const ShardManifest& manifest,
                                               const std::string&
                                                   manifest_path);
 
-/// Rebuilds the config bindings of a v2 manifest, loading each
-/// (interval, config) warm sidecar relative to the manifest's directory.
-/// `shard` (default: the whole plan) limits the sidecar reads to the
-/// intervals that shard executes — a worker of an N-shard farm reads 1/N
-/// of the warm blobs, and the skipped intervals' slots stay empty (which
-/// run_shard never touches for uncovered intervals). Throws VersionError
-/// on v1 manifests (their single config is not embedded — the executor
-/// supplies it and calls verify_manifest_config).
+/// Rebuilds the config bindings of a manifest, loading each (interval,
+/// config) warm sidecar relative to the manifest's directory. `shard`
+/// (default: the whole plan) limits the sidecar reads to the intervals
+/// that shard executes — a worker of an N-shard farm reads 1/N of the warm
+/// blobs, and the skipped intervals' slots stay empty (which run_shard
+/// never touches for uncovered intervals).
 [[nodiscard]] std::vector<ConfigBinding> bindings_from_manifest(
     const ShardManifest& manifest, const std::string& manifest_path,
     ShardSelection shard = {});
 
-/// v1 manifests: recomputes the combined hash for (`config`, the
-/// manifest's workload, the reloaded `plan`) and throws
-/// ConfigMismatchError when it differs from the manifest's — i.e. the
-/// caller is about to execute or merge under a different experiment point
-/// than the plan was made for.
-void verify_manifest_config(const ShardManifest& manifest,
-                            const core::CoreConfig& config,
-                            const IntervalPlan& plan);
-
-/// v2 manifests: recomputes plan_structure_hash for `plan` (throws
+/// Recomputes plan_structure_hash for `plan` (throws
 /// ConfigMismatchError on mismatch — a plan from some other planning run)
 /// and validates that every checkpoint sits at the instruction position
 /// the schedule demands (throws CorruptFileError otherwise — a wrong or

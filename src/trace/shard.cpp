@@ -20,6 +20,12 @@
 
 namespace cfir::trace {
 
+namespace {
+/// Magic of the retired single-column layout, recognised only to reject it.
+constexpr char kRetiredShardMagic[8] = {'C', 'F', 'I', 'R',
+                                        'S', 'H', 'D', '1'};
+}  // namespace
+
 ShardSelection parse_shard(std::string_view spec) {
   const size_t slash = spec.find('/');
   if (slash == std::string_view::npos || slash == 0 ||
@@ -92,27 +98,26 @@ std::vector<uint8_t> ShardResult::serialize() const {
 }
 
 ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
-  const bool v1 =
-      payload.size() >= sizeof(kShardMagic) &&
-      std::memcmp(payload.data(), kShardMagic, sizeof(kShardMagic)) == 0;
-  const bool v2 =
-      payload.size() >= sizeof(kShardMagicV2) &&
-      std::memcmp(payload.data(), kShardMagicV2, sizeof(kShardMagicV2)) == 0;
-  if (!v1 && !v2) {
+  if (payload.size() < sizeof(kShardMagicV2) ||
+      std::memcmp(payload.data(), kShardMagicV2, sizeof(kShardMagicV2)) !=
+          0) {
+    if (payload.size() >= sizeof(kRetiredShardMagic) &&
+        std::memcmp(payload.data(), kRetiredShardMagic,
+                    sizeof(kRetiredShardMagic)) == 0) {
+      throw VersionError(
+          "ShardResult: the CFIRSHD1 layout is no longer read; re-run the "
+          "shard");
+    }
     throw BadMagicError("ShardResult: bad magic (not a CFIRSHD file)");
   }
   try {
-    util::ByteReader in(payload.data() + sizeof(kShardMagic),
-                        payload.size() - sizeof(kShardMagic));
+    util::ByteReader in(payload.data() + sizeof(kShardMagicV2),
+                        payload.size() - sizeof(kShardMagicV2));
     const uint32_t version = in.u32();
-    const bool versioned_ok =
-        v1 ? version == 1u
-           : (version >= kShardVersionNoWall && version <= kShardVersion);
-    if (!versioned_ok) {
+    if (version != kShardVersion) {
       throw VersionError("ShardResult: unsupported version " +
                          std::to_string(version));
     }
-    const bool has_wall = !v1 && version >= 3u;
     (void)in.u32();  // reserved
 
     ShardResult r;
@@ -122,26 +127,18 @@ ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
     r.plan_intervals = in.u32();
     r.total_insts = in.u64();
     r.ran_to_halt = in.boolean();
-    if (v1) {
-      // v1: one implicit config column; its hash was the combined
-      // manifest config hash and detailed_insts preceded warmed_insts.
-      const uint64_t detailed = in.u64();
-      r.warmed_insts = in.u64();
-      r.configs.push_back({std::string(), r.plan_hash, detailed});
-    } else {
-      r.warmed_insts = in.u64();
-      if (has_wall) r.warm_wall_us = in.u64();
-      const uint32_t nc = in.u32();
-      if (nc == 0 || nc > 4096) {
-        throw CorruptFileError("ShardResult: corrupt config column count " +
-                               std::to_string(nc));
-      }
-      r.configs.resize(nc);
-      for (ConfigColumn& cc : r.configs) {
-        cc.name = get_string(in, "ShardResult config name");
-        cc.config_hash = in.u64();
-        cc.detailed_insts = in.u64();
-      }
+    r.warmed_insts = in.u64();
+    r.warm_wall_us = in.u64();
+    const uint32_t nc = in.u32();
+    if (nc == 0 || nc > 4096) {
+      throw CorruptFileError("ShardResult: corrupt config column count " +
+                             std::to_string(nc));
+    }
+    r.configs.resize(nc);
+    for (ConfigColumn& cc : r.configs) {
+      cc.name = get_string(in, "ShardResult config name");
+      cc.config_hash = in.u64();
+      cc.detailed_insts = in.u64();
     }
     const uint32_t n = in.u32();
     r.intervals.resize(n);
@@ -155,10 +152,8 @@ ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
       for (size_t c = 0; c < r.configs.size(); ++c) {
         iv.stats.push_back(stats::deserialize_stats(in));
       }
-      iv.wall_us.assign(r.configs.size(), 0);
-      if (has_wall) {
-        for (uint64_t& w : iv.wall_us) w = in.u64();
-      }
+      iv.wall_us.resize(r.configs.size());
+      for (uint64_t& w : iv.wall_us) w = in.u64();
     }
     if (!in.done()) {
       throw CorruptFileError("ShardResult: trailing bytes after intervals");
@@ -178,8 +173,7 @@ void ShardResult::save(const std::string& path) const {
 }
 
 ShardResult ShardResult::load(const std::string& path) {
-  return deserialize(
-      read_blob_file(path, "ShardResult", /*require_footer=*/true));
+  return deserialize(read_blob_file(path, "ShardResult"));
 }
 
 namespace {
@@ -223,7 +217,7 @@ struct ShardTelemetry {
 ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                       const isa::Program& program, const IntervalPlan& plan,
                       ShardSelection shard, int threads, uint64_t plan_hash,
-                      const std::string& warm_trace, int warm_jobs) {
+                      const std::string& warm_trace) {
   const size_t k = plan.boundaries.size();
   if (plan.lengths.size() != k || plan.weights.size() != k ||
       plan.checkpoints.size() != k) {
@@ -291,14 +285,14 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
 
   // Functional warm state, per config: prefer the binding's per-interval
   // blobs (bind_configs / CFIRMAN2 sidecars), then warm state attached to
-  // the plan's checkpoints (CFIRCKP2 / v1 manifest round trip — geometry
-  // checked on restore), and stream the committed prefixes of THIS shard's
-  // intervals for whatever is left — ONE pass fanning the records out to
-  // every remaining config's warmer, because the committed stream is
-  // config-independent. A subset capture matches the full one bit for bit
-  // (warm state at instruction N does not depend on which other snapshots
-  // the pass takes). `warmed_insts` records the coverage once, however
-  // many configs shared the stream.
+  // the plan's checkpoints (CFIRCKP2 — geometry checked on restore), and
+  // stream the committed prefixes of THIS shard's intervals for whatever
+  // is left — ONE pass fanning the records out to every remaining
+  // config's warmer, because the committed stream is config-independent.
+  // A subset capture matches the full one bit for bit (warm state at
+  // instruction N does not depend on which other snapshots the pass
+  // takes). `warmed_insts` records the coverage once, however many
+  // configs shared the stream.
   const bool functional = warm_mode_has_functional_prefix(plan.warm_mode);
   std::vector<int> capture_slot(nc, -1);  // index into `captured`
   std::vector<std::vector<std::vector<uint8_t>>> captured;  // [slot][j]
@@ -339,10 +333,9 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         // intervals the shard owns — and the blobs still match the
         // engine pass bit for bit (same record stream).
         TraceReader reader(warm_trace);
-        captured =
-            capture_warm_states_grid(need, program, reader, targets, warm_jobs);
+        captured = capture_warm_states_grid(need, program, reader, targets);
       } else {
-        captured = capture_warm_states_grid(need, program, targets, warm_jobs);
+        captured = capture_warm_states_grid(need, program, targets);
       }
       result.warm_wall_us = warm_clock.elapsed_us();
       obs::Registry::instance()
@@ -466,14 +459,12 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
 
 ShardResult run_shard(const core::CoreConfig& config,
                       const isa::Program& program, const IntervalPlan& plan,
-                      ShardSelection shard, int threads,
-                      uint64_t config_hash) {
+                      ShardSelection shard, int threads) {
   ConfigBinding binding;
   binding.name = config.label();
   binding.config = config;
-  binding.config_hash = config_hash;  // 0 -> digest, else the legacy hash
   return run_shard(std::vector<ConfigBinding>{std::move(binding)}, program,
-                   plan, shard, threads, config_hash);
+                   plan, shard, threads);
 }
 
 MergedGrid merge_shard_grid(const std::vector<ShardResult>& shards) {

@@ -38,10 +38,8 @@
 // The v3 wall fields are host telemetry riding next to the simulated
 // stats — merge surfaces them (`merge --per-phase`) but they never enter
 // SimStats, so merged results stay bit-identical to pre-telemetry runs.
-// Version-2 files (no wall fields — they load as zeros) and version-1
-// files ("CFIRSHD1", one implicit config column whose hash was the
-// manifest's combined config hash) still load; save() always writes
-// version 3 under the "CFIRSHD2" magic.
+// The retired "CFIRSHD1" magic and "CFIRSHD2" versions other than 3 are
+// recognised only to be rejected (VersionError).
 #pragma once
 
 #include <cstdint>
@@ -56,14 +54,9 @@
 
 namespace cfir::trace {
 
-inline constexpr char kShardMagic[8] = {'C', 'F', 'I', 'R',
-                                        'S', 'H', 'D', '1'};
 inline constexpr char kShardMagicV2[8] = {'C', 'F', 'I', 'R',
                                           'S', 'H', 'D', '2'};
 inline constexpr uint32_t kShardVersion = 3;
-/// Oldest "CFIRSHD2"-magic version load() still accepts (v2 blobs predate
-/// the wall-time telemetry fields, which deserialize as zeros).
-inline constexpr uint32_t kShardVersionNoWall = 2;
 
 /// Shard `index` of `count`: the intervals whose plan index ≡ index
 /// (mod count). The default selection {0, 1} is the whole plan.
@@ -81,9 +74,8 @@ struct ShardSelection {
 [[nodiscard]] ShardSelection parse_shard(std::string_view spec);
 
 struct ShardResult {
-  /// Stamped from the manifest (0 in-process): the plan-structure hash for
-  /// v2 manifests, the combined config hash for legacy v1 ones. Merge
-  /// rejects mixtures either way.
+  /// Stamped from the manifest (0 in-process): its plan-structure hash.
+  /// Merge rejects mixtures.
   uint64_t plan_hash = 0;
   uint32_t shard_index = 0;
   uint32_t shard_count = 1;
@@ -95,7 +87,7 @@ struct ShardResult {
   /// amortization the grid path exists for (locked in tests/test_shard.cpp).
   uint64_t warmed_insts = 0;
   /// Host wall-clock of the shared warm-capture pass (telemetry; 0 when
-  /// warm state came precomputed or from a pre-v3 blob).
+  /// warm state came precomputed).
   uint64_t warm_wall_us = 0;
 
   /// One config column of the grid this shard executed.
@@ -116,8 +108,8 @@ struct ShardResult {
     /// column, in `configs` order.
     std::vector<stats::SimStats> stats;
     /// Host wall-clock of each column's detail simulation of this
-    /// interval (telemetry), in `configs` order. Empty (= all zero) on
-    /// results loaded from pre-v3 blobs; serialize treats empty as zeros.
+    /// interval (telemetry), in `configs` order. serialize writes zeros
+    /// for an empty vector (callers scrub telemetry that way).
     std::vector<uint64_t> wall_us;
   };
   std::vector<Interval> intervals;
@@ -147,28 +139,21 @@ struct ShardResult {
 /// of re-executing — on a CFIRTRC2 trace the shard then decodes only the
 /// blocks covering its own intervals + warming gaps (O(intervals), not
 /// O(prefix); observable via the `trace.blocks_read` counter), with blobs
-/// bit-identical to the engine pass. `warm_jobs` caps the pipelined
-/// warm-capture path (trace/warming.hpp capture_warm_states_grid):
-/// -1 reads CFIR_WARM_JOBS, 0 = auto, 1 = the sequential reference path
-/// — blobs, stats and merged grids are bit-identical at every setting.
+/// bit-identical to the engine pass.
 [[nodiscard]] ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                                     const isa::Program& program,
                                     const IntervalPlan& plan,
                                     ShardSelection shard = {},
                                     int threads = 0,
                                     uint64_t plan_hash = 0,
-                                    const std::string& warm_trace = {},
-                                    int warm_jobs = -1);
+                                    const std::string& warm_trace = {});
 
-/// Single-config convenience: one binding named by the config's label,
-/// with `config_hash` (when non-zero) stamped as both the plan hash and
-/// the column hash — the legacy v1-manifest contract.
+/// Single-config convenience: one binding named by the config's label.
 [[nodiscard]] ShardResult run_shard(const core::CoreConfig& config,
                                     const isa::Program& program,
                                     const IntervalPlan& plan,
                                     ShardSelection shard = {},
-                                    int threads = 0,
-                                    uint64_t config_hash = 0);
+                                    int threads = 0);
 
 /// One config column of a merged grid: the per-interval + aggregate run
 /// this config would have produced single-config (bit-identical to it).

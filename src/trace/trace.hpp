@@ -8,45 +8,25 @@
 // re-executes the reference interpreter under trace verification, so a
 // stored trace doubles as an architectural regression artifact.
 //
-// Format, version 1 (all integers little-endian):
+// Format "CFIRTRC2" (docs/trace-format.md has the byte-level layout,
+// src/trace/trace_v2.hpp the codec): a header carrying the workload
+// identity, record count, final architectural registers and memory
+// digest, then the record stream split into fixed-capacity blocks whose
+// fields are stored as independently coded columns. Each block carries
+// the coder state it starts from plus its own CRC-32 footer, and the file
+// ends in a CRC-protected block index mapping record ranges to file
+// offsets, so TraceReader::seek_to lands on a block boundary and decodes
+// only from there.
 //
-//   header:  magic "CFIRTRC1" | u32 version | u32 reserved
-//            | u64 record_count | u64 base_pc | u64 final_digest
-//            | 64 x u64 final architectural registers
-//            | u32 scale | u32 name_len | name bytes
-//   records: one per retired instruction —
-//            tag byte: bits 0-1 kind (0 plain, 1 branch, 2 load, 3 store)
-//                      bit  2   branch taken
-//                      bits 3-4 log2(access bytes) for loads/stores
-//            zigzag-varint pc delta from the *predicted* pc
-//              (previous pc + 4; sequential code costs 1 byte)
-//            branch: zigzag-varint delta of actual next pc from pc + 4
-//            load/store: zigzag-varint address delta from the previous
-//              memory access address
-//
-// `record_count`, `final_digest` and the final registers are patched into
+// The record count, final registers and memory digest are patched into
 // the header by TraceWriter::finish, so a trace file is self-validating:
-// replay can check the reconstructed architectural state without re-running
-// the original simulation. finish() then appends the shared CRC-32 footer
-// (trace/blob.hpp), verified by TraceReader at open; footer-less files
-// written before the footer existed still load.
-//
-// Format, version 2 ("CFIRTRC2", the default writer format): the same
-// header (block capacity in the v1 reserved slot), then the record stream
-// split into fixed-capacity blocks whose fields are stored as
-// independently coded columns — each block carries the coder state it
-// starts from plus its own CRC-32 footer, and the file ends in a
-// CRC-protected block index mapping record ranges to file offsets, so
-// TraceReader::seek_to lands on a block boundary and decodes only from
-// there. Roughly 3-4x smaller than v1 and random-access; full byte-level
-// layout in docs/trace-format.md and src/trace/trace_v2.hpp. Both
-// versions load through the same TraceReader. The `CFIR_TRACE_FORMAT`
-// env knob (v1|v2) selects the default writer format.
+// replay can check the reconstructed architectural state without
+// re-running the original simulation. The retired row-oriented
+// "CFIRTRC1" format is recognised only to be rejected (VersionError).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,9 +37,6 @@
 
 namespace cfir::trace {
 
-inline constexpr char kTraceMagic[8] = {'C', 'F', 'I', 'R',
-                                        'T', 'R', 'C', '1'};
-inline constexpr uint32_t kTraceVersion = 1;
 inline constexpr char kTraceMagicV2[8] = {'C', 'F', 'I', 'R',
                                           'T', 'R', 'C', '2'};
 inline constexpr uint32_t kTraceVersionV2 = 2;
@@ -73,16 +50,6 @@ inline constexpr size_t kTraceV2Columns = 11;
 /// record_count value written at open and replaced by finish(); a file
 /// still carrying it was interrupted mid-recording and is rejected.
 inline constexpr uint64_t kUnfinishedRecordCount = UINT64_MAX;
-
-/// On-disk trace format selector for writers.
-enum class TraceFormat : uint8_t {
-  kV1 = 1,  ///< row-oriented CFIRTRC1 (the oracle / legacy path)
-  kV2 = 2,  ///< columnar seekable CFIRTRC2
-};
-
-/// Writer format from `CFIR_TRACE_FORMAT` ("v1" or "v2"); unset/empty
-/// means v2. Anything else throws, so a typo cannot silently fall back.
-[[nodiscard]] TraceFormat trace_format_from_env();
 
 namespace v2 {
 struct FileView;
@@ -144,11 +111,8 @@ struct TraceMeta {
 class TraceWriter {
  public:
   /// Creates/truncates `path` and writes the header (counts zeroed).
-  /// `format` defaults to the CFIR_TRACE_FORMAT knob (v2 when unset);
-  /// `block_len` is the CFIRTRC2 block capacity (0 = kTraceBlockLen,
-  /// ignored for v1).
+  /// `block_len` is the block capacity in records (0 = kTraceBlockLen).
   TraceWriter(const std::string& path, const TraceMeta& meta,
-              TraceFormat format = trace_format_from_env(),
               uint32_t block_len = 0);
   ~TraceWriter();
   TraceWriter(const TraceWriter&) = delete;
@@ -157,111 +121,83 @@ class TraceWriter {
   void append(const TraceRecord& rec);
 
   /// Patches record count, final registers and memory digest into the
-  /// header and closes the file. Idempotent.
+  /// header, appends the block index and the CRC footer, and closes the
+  /// file. Idempotent.
   void finish(const std::array<uint64_t, isa::kNumLogicalRegs>& final_regs,
               uint64_t final_digest);
 
   [[nodiscard]] uint64_t records() const { return records_; }
-  [[nodiscard]] TraceFormat format() const { return format_; }
 
  private:
-  void put_varint(uint64_t v);
-
-  TraceFormat format_;
-  std::unique_ptr<v2::BlockWriter> v2_;  ///< set iff format_ == kV2
-  std::ofstream out_;
-  std::string path_;  ///< finish() re-reads the file to append the CRC footer
+  std::unique_ptr<v2::BlockWriter> blocks_;
   uint64_t records_ = 0;
-  uint64_t prev_pc_ = 0;  ///< pc of the previous record
-  bool have_prev_ = false;
-  uint64_t base_pc_ = 0;
-  uint64_t last_addr_ = 0;
   bool finished_ = false;
 };
 
-/// Reads both trace formats behind one interface: the leading magic picks
-/// the codec at open. v1 streams records off disk; v2 buffers the file,
-/// validates only the header + block index, and decodes blocks on demand
-/// (CRC-checked per block), which is what makes seek_to cheap.
+/// Reads a CFIRTRC2 trace: buffers the file, validates only the header +
+/// block index at open, and decodes blocks on demand (CRC-checked per
+/// block), which is what makes seek_to cheap.
 class TraceReader {
  public:
   /// Opens and validates the header; throws the typed trace/errors.hpp
-  /// classes on a bad magic / version / corrupt or truncated file.
+  /// classes on a bad magic / retired or unknown version / corrupt or
+  /// truncated file.
   explicit TraceReader(const std::string& path);
   ~TraceReader();
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
 
-  [[nodiscard]] const TraceMeta& meta() const { return meta_; }
-  [[nodiscard]] uint64_t record_count() const { return record_count_; }
-  [[nodiscard]] uint64_t final_digest() const { return final_digest_; }
+  [[nodiscard]] const TraceMeta& meta() const;
+  [[nodiscard]] uint64_t record_count() const;
+  [[nodiscard]] uint64_t final_digest() const;
   [[nodiscard]] const std::array<uint64_t, isa::kNumLogicalRegs>&
-  final_regs() const {
-    return final_regs_;
-  }
+  final_regs() const;
 
   /// Reads the next record; returns false at end of stream.
   bool next(TraceRecord& out);
 
-  /// On-disk format version of the open file (1 or 2).
-  [[nodiscard]] uint32_t format_version() const { return version_; }
   /// Index of the record the next next() call returns.
   [[nodiscard]] uint64_t position() const { return read_; }
 
   /// Repositions the stream so the next next() returns record
   /// `inst_index`. `inst_index == record_count()` is a valid end-of-stream
-  /// position; anything past it throws std::out_of_range. O(1) + one
-  /// block decode for v2 (lands on the covering block boundary); for v1
-  /// it falls back to sequential decode (rewinding first when behind), so
-  /// the interface stays format-agnostic.
+  /// position; anything past it throws std::out_of_range. O(1); the next
+  /// next() decodes the covering block.
   void seek_to(uint64_t inst_index);
 
-  /// CFIRTRC2 block geometry: count of blocks in the file and the block
-  /// capacity from the header. A v1 file reports 0 for both.
+  /// Block geometry: count of blocks in the file and the block capacity
+  /// from the header.
   [[nodiscard]] size_t block_count() const;
   [[nodiscard]] uint32_t block_len() const;
-  /// First record index of block `b` (v2 only).
+  /// First record index of block `b`.
   [[nodiscard]] uint64_t block_first_record(size_t b) const;
-  /// Decodes block `b` after verifying its CRC (v2 only; throws on v1).
-  /// Pure and thread-safe — bbv_from_trace fans block decodes out on the
-  /// sim::parallel_for pool. Each call counts one `trace.blocks_read`.
+  /// Decodes block `b` after verifying its CRC. Pure and thread-safe —
+  /// bbv_from_trace fans block decodes out on the sim::parallel_for pool.
+  /// Each call counts one `trace.blocks_read`.
   [[nodiscard]] std::vector<TraceRecord> decode_block(size_t b) const;
   /// Per-column compressed payload bytes summed over all blocks
-  /// (trace_tool info; v2 only — zeros for v1).
+  /// (trace_tool info).
   [[nodiscard]] std::array<uint64_t, kTraceV2Columns> column_bytes() const;
 
  private:
-  [[nodiscard]] uint64_t get_varint();
   void drain_telemetry();
 
-  std::ifstream in_;
-  std::unique_ptr<v2::FileView> v2_;  ///< set iff version_ == 2
-  uint32_t version_ = 1;
-  TraceMeta meta_;
-  uint64_t record_count_ = 0;
-  uint64_t final_digest_ = 0;
-  std::array<uint64_t, isa::kNumLogicalRegs> final_regs_{};
+  std::unique_ptr<v2::FileView> file_;
   uint64_t read_ = 0;
-  std::streamoff data_start_ = 0;  ///< v1: first record byte (for rewinds)
-  uint64_t prev_pc_ = 0;
-  bool have_prev_ = false;
-  uint64_t last_addr_ = 0;
-  std::vector<TraceRecord> block_cache_;  ///< v2: decoded current block
-  size_t cur_block_ = SIZE_MAX;           ///< v2: which block is cached
+  std::vector<TraceRecord> block_cache_;  ///< decoded current block
+  size_t cur_block_ = SIZE_MAX;           ///< which block is cached
   int64_t open_us_ = 0;     ///< decode-throughput telemetry epoch
   bool telemetry_done_ = false;
 };
 
 /// Runs the reference interpreter over `program` (fresh memory, data image
 /// applied), recording every retired instruction to `path`. Stops at HALT
-/// or after `max_insts`. Returns the final architectural state. `format`
-/// and `block_len` pass through to TraceWriter.
+/// or after `max_insts`. Returns the final architectural state.
+/// `block_len` passes through to TraceWriter.
 isa::InterpResult record_interpreter(const isa::Program& program,
                                      const std::string& path,
                                      const TraceMeta& meta,
                                      uint64_t max_insts = UINT64_MAX,
-                                     TraceFormat format =
-                                         trace_format_from_env(),
                                      uint32_t block_len = 0);
 
 /// Trace-driven re-execution: replays `program` on the interpreter while

@@ -13,6 +13,9 @@ namespace cfir::trace::v2 {
 namespace {
 
 constexpr char kIndexMagic[8] = {'C', 'F', 'I', 'R', 'I', 'D', 'X', '2'};
+/// Magic of the retired row-oriented format, recognised only to reject it.
+constexpr char kRetiredTraceMagic[8] = {'C', 'F', 'I', 'R',
+                                        'T', 'R', 'C', '1'};
 
 /// Fixed part of a block: u32 record count, five u64 coder bases, and the
 /// eleven u32 per-column payload lengths.
@@ -294,8 +297,7 @@ class VarintCursor {
   size_t pos_ = 0;
 };
 
-/// Serializes the CFIRTRC2 header (identical field layout to CFIRTRC1;
-/// the v1 reserved u32 holds the block capacity).
+/// Serializes the CFIRTRC2 header.
 std::vector<uint8_t> encode_header(const TraceMeta& meta, uint32_t block_len,
                                    uint64_t record_count,
                                    uint64_t final_digest,
@@ -334,12 +336,17 @@ FileView open_file(const std::string& path) {
     if (!in) corrupt("short read of " + path);
   }
   const std::vector<uint8_t>& b = f.bytes;
+  if (b.size() < 8 || std::memcmp(b.data(), kTraceMagicV2, 8) != 0) {
+    if (b.size() >= 8 && std::memcmp(b.data(), kRetiredTraceMagic, 8) == 0) {
+      throw VersionError(
+          "TraceReader: the row-oriented CFIRTRC1 format is no longer read; "
+          "re-record " + path + " as CFIRTRC2");
+    }
+    throw BadMagicError("TraceReader: bad magic in " + path);
+  }
   constexpr size_t kFixedHeader =
       8 + 4 + 4 + 8 + 8 + 8 + 8 * isa::kNumLogicalRegs + 4 + 4;
   if (b.size() < kFixedHeader) corrupt("truncated header in " + path);
-  if (std::memcmp(b.data(), kTraceMagicV2, 8) != 0) {
-    throw BadMagicError("TraceReader: bad magic in " + path);
-  }
   const uint32_t version = rd_u32(b.data() + 8);
   if (version != kTraceVersionV2) {
     throw VersionError("TraceReader: unsupported version " +
@@ -581,8 +588,7 @@ BlockWriter::BlockWriter(const std::string& path, const TraceMeta& meta,
   }
   pending_.reserve(block_len_);
   // Sentinel header; finish() rewrites it with the real counts. An
-  // unfinished file keeps the sentinel, so readers reject it exactly like
-  // an unfinished v1 trace.
+  // unfinished file keeps the sentinel, so readers reject it.
   const std::vector<uint8_t> hdr =
       encode_header(meta_, block_len_, kUnfinishedRecordCount, 0, {});
   out_.write(reinterpret_cast<const char*>(hdr.data()),
@@ -729,8 +735,8 @@ void BlockWriter::finish(
              static_cast<std::streamsize>(hdr.size()));
   out_.close();
   if (!out_) throw std::runtime_error("TraceWriter: write failed");
-  // Standard whole-file footer last, so blob-level tools (read_blob_file,
-  // strict-mode audits) see a well-formed CRC1 blob.
+  // Standard whole-file footer last, so blob-level tools (read_blob_file)
+  // see a well-formed CRC1 blob.
   append_crc_footer(path_);
 }
 

@@ -56,9 +56,9 @@ struct FileView {
 };
 
 /// Opens and validates `path` as CFIRTRC2. Throws BadMagicError /
-/// VersionError / CorruptFileError per the trace/errors.hpp contract;
-/// an unfinished file (sentinel record count) throws std::runtime_error
-/// exactly like the v1 reader.
+/// VersionError (also for the retired CFIRTRC1 magic) / CorruptFileError
+/// per the trace/errors.hpp contract; an unfinished file (sentinel record
+/// count) throws std::runtime_error.
 [[nodiscard]] FileView open_file(const std::string& path);
 
 /// Decodes block `b` after verifying its CRC footer (CorruptFileError on

@@ -8,7 +8,6 @@
 #include "obs/tracer.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "trace/batch_reader.hpp"
 #include "trace/errors.hpp"
 #include "util/warmable.hpp"
@@ -95,13 +94,10 @@ WarmPosition decode_warm_state(const std::vector<uint8_t>& blob,
 /// batch granularity.
 constexpr size_t kEngineBatch = kTraceBlockLen;
 
-/// jobs < 0 → CFIR_WARM_JOBS; <= 0 → auto (the shared pool's size, i.e.
-/// CFIR_THREADS / hardware concurrency); 1 = sequential reference path.
-int resolve_warm_jobs(int jobs) {
-  if (jobs < 0) jobs = sim::env_warm_jobs();
-  if (jobs <= 0) jobs = sim::ThreadPool::shared().size();
-  return std::max(jobs, 1);
-}
+/// Pool workers one fan-out may borrow: with the calling thread, a batch
+/// runs on at most the shared pool's size (CFIR_THREADS / hardware
+/// concurrency) — so a 1-worker pool trains every config on the caller.
+int fan_out_helpers() { return sim::ThreadPool::shared().size() - 1; }
 
 void check_targets_sorted(const std::vector<uint64_t>& targets) {
   for (size_t i = 1; i < targets.size(); ++i) {
@@ -135,8 +131,8 @@ std::vector<std::unique_ptr<FunctionalWarmer>> make_warmers(
 /// threaded) warmer and serializing snapshot blobs for the targets that
 /// land inside the span — so serialization happens off the decode
 /// thread, inside the task that owns the warmer. Targets are consumed
-/// when `pos` reaches them BEFORE the record at `pos` trains, exactly
-/// like the sequential loop; a target equal to the batch's end position
+/// when `pos` reaches them BEFORE the record at `pos` trains, so a blob
+/// covers exactly [0, target); a target equal to the batch's end position
 /// is deliberately left to the next batch (or the caller's
 /// finalization), keeping the consumption point unambiguous. Returns
 /// the target index the caller should resume from.
@@ -144,8 +140,7 @@ size_t feed_batch_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
                        const std::vector<std::vector<TraceRecord>>& blocks,
                        uint64_t first_record, size_t records,
                        const std::vector<uint64_t>& targets, size_t ti,
-                       std::vector<std::vector<std::vector<uint8_t>>>& out,
-                       int jobs) {
+                       std::vector<std::vector<std::vector<uint8_t>>>& out) {
   obs::Registry& reg = obs::Registry::instance();
   const obs::Stopwatch feed_clock;
   const size_t nt = targets.size();
@@ -165,7 +160,7 @@ size_t feed_batch_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
           }
         }
       },
-      jobs - 1);
+      fan_out_helpers());
   reg.counter("warming.feed_us").add(feed_clock.elapsed_us());
   reg.counter("warming.batches").add(1);
   const uint64_t end = first_record + records;
@@ -177,8 +172,7 @@ size_t feed_batch_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
 /// stream position — in parallel across configs.
 void snapshot_tail_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
                         const std::vector<uint64_t>& targets, size_t ti,
-                        std::vector<std::vector<std::vector<uint8_t>>>& out,
-                        int jobs) {
+                        std::vector<std::vector<std::vector<uint8_t>>>& out) {
   if (ti >= targets.size()) return;
   sim::ThreadPool::shared().run(
       warmers.size(),
@@ -187,7 +181,7 @@ void snapshot_tail_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
           out[c][t] = warmers[c]->serialize_state();
         }
       },
-      jobs - 1);
+      fan_out_helpers());
 }
 }  // namespace
 
@@ -401,51 +395,13 @@ std::vector<std::vector<uint8_t>> capture_warm_states(
 }
 
 namespace {
-/// Sequential engine-fed grid capture: the pre-pipeline reference path
-/// (jobs == 1), kept verbatim as the oracle the pipelined path is
-/// differential-tested against.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine_sequential(
+/// Engine-fed grid capture: the engine streams block-sized record batches
+/// into a buffer, then each batch trains all configs in parallel via
+/// feed_batch_grid. A program that halts before the last target
+/// snapshots the remaining targets at its final state.
+std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine(
     const std::vector<core::CoreConfig>& configs, const isa::Program& program,
     const std::vector<uint64_t>& targets) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-
-  // One functional-engine pass; the sink delivers the same TraceRecord
-  // stream FunctionalWarmer::advance_to feeds itself, so the fanned-out
-  // blobs match solo captures bit for bit.
-  mem::MainMemory memory;
-  isa::load_data_image(program, memory);
-  isa::FunctionalEngine engine(program, memory);
-  engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      const TraceRecord rec = to_trace_record(ev[i]);
-      for (auto& warmer : warmers) warmer->on_record(rec);
-    }
-  });
-
-  std::vector<std::vector<std::vector<uint8_t>>> out(configs.size());
-  for (auto& per_config : out) per_config.reserve(targets.size());
-  for (const uint64_t target : targets) {
-    engine.run_to(target);
-    for (size_t c = 0; c < warmers.size(); ++c) {
-      out[c].push_back(warmers[c]->serialize_state());
-    }
-  }
-  // The streamed prefix is counted once however many configs fanned out —
-  // the same convention ShardResult::warmed_insts uses.
-  obs::Registry::instance().counter("warming.insts").add(engine.executed());
-  return out;
-}
-
-/// Pipelined engine-fed grid capture: the engine streams block-sized
-/// record batches into a buffer (an engine can't decode ahead of itself,
-/// so this is the documented sequential-decode fallback), then each
-/// batch trains all configs in parallel via feed_batch_grid. A program
-/// that halts before the last target snapshots the remaining targets at
-/// its final state, exactly like the sequential engine path.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine_pipelined(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets, int jobs) {
   std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
       make_warmers(configs, program);
   std::vector<std::vector<std::vector<uint8_t>>> out(
@@ -473,53 +429,22 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine_pipelined(
     reg.counter("warming.decode_wait_us").add(decode_clock.elapsed_us());
     if (batch.empty()) break;  // program halted before the last target
     const size_t records = batch.size();
-    ti = feed_batch_grid(warmers, blocks, pos, records, targets, ti, out,
-                         jobs);
+    ti = feed_batch_grid(warmers, blocks, pos, records, targets, ti, out);
     pos += records;
   }
-  snapshot_tail_grid(warmers, targets, ti, out, jobs);
+  snapshot_tail_grid(warmers, targets, ti, out);
+  // The streamed prefix is counted once however many configs fanned out —
+  // the same convention ShardResult::warmed_insts uses.
   reg.counter("warming.insts").add(pos);
   return out;
 }
 
-/// Sequential trace-fed grid capture (jobs == 1 oracle).
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace_sequential(
+/// Trace-fed grid capture: BlockBatchReader wave-decodes upcoming blocks
+/// concurrently with the per-config fan-out (double buffered), so decode
+/// never sits on the warmers' critical path.
+std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace(
     const std::vector<core::CoreConfig>& configs, const isa::Program& program,
     TraceReader& reader, const std::vector<uint64_t>& targets) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-
-  // The stored records ARE the engine's event stream (the recorder used
-  // the same sink), so fanning them out trains byte-identical state — but
-  // a CFIRTRC2 reader only decodes the blocks covering [0, last target).
-  std::vector<std::vector<std::vector<uint8_t>>> out(configs.size());
-  for (auto& per_config : out) per_config.reserve(targets.size());
-  reader.seek_to(0);
-  uint64_t pos = 0;
-  TraceRecord rec;
-  for (size_t t = 0; t < targets.size(); ++t) {
-    const uint64_t target = targets[t];
-    while (pos < target) {
-      if (!reader.next(rec)) {
-        throw_trace_truncated(pos, target, t, targets.size());
-      }
-      for (auto& warmer : warmers) warmer->on_record(rec);
-      ++pos;
-    }
-    for (size_t c = 0; c < warmers.size(); ++c) {
-      out[c].push_back(warmers[c]->serialize_state());
-    }
-  }
-  obs::Registry::instance().counter("warming.insts").add(pos);
-  return out;
-}
-
-/// Pipelined trace-fed grid capture: BlockBatchReader wave-decodes
-/// upcoming blocks concurrently with the per-config fan-out (double
-/// buffered), so decode never sits on the warmers' critical path.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace_pipelined(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    TraceReader& reader, const std::vector<uint64_t>& targets, int jobs) {
   std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
       make_warmers(configs, program);
   std::vector<std::vector<std::vector<uint8_t>>> out(
@@ -529,12 +454,12 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace_pipelined(
   uint64_t pos = 0;
   size_t ti = 0;
   {
-    BlockBatchReader batches(reader, limit, jobs);
+    BlockBatchReader batches(reader, limit);
     BlockBatchReader::Batch batch;
     while (batches.next_batch(batch)) {
       const size_t records = batch.records();
       ti = feed_batch_grid(warmers, batch.blocks, batch.first_record, records,
-                           targets, ti, out, jobs);
+                           targets, ti, out);
       pos = batch.first_record + records;
     }
   }
@@ -548,7 +473,7 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace_pipelined(
   if (reachable < targets.size()) {
     throw_trace_truncated(pos, targets[reachable], reachable, targets.size());
   }
-  snapshot_tail_grid(warmers, targets, ti, out, jobs);
+  snapshot_tail_grid(warmers, targets, ti, out);
   obs::Registry::instance().counter("warming.insts").add(pos);
   return out;
 }
@@ -556,18 +481,14 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace_pipelined(
 
 std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
     const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets, int jobs) {
+    const std::vector<uint64_t>& targets) {
   if (configs.empty()) {
     throw std::runtime_error("capture_warm_states_grid: no configs");
   }
   check_targets_sorted(targets);
-  jobs = resolve_warm_jobs(jobs);
   obs::Span span("warming.capture", targets.size());
   const obs::Stopwatch clock;
-  auto out = jobs <= 1
-                 ? capture_grid_engine_sequential(configs, program, targets)
-                 : capture_grid_engine_pipelined(configs, program, targets,
-                                                 jobs);
+  auto out = capture_grid_engine(configs, program, targets);
   obs::Registry::instance()
       .histogram("warming.capture_us")
       .observe(clock.elapsed_us());
@@ -576,18 +497,14 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
 
 std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
     const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    TraceReader& reader, const std::vector<uint64_t>& targets, int jobs) {
+    TraceReader& reader, const std::vector<uint64_t>& targets) {
   if (configs.empty()) {
     throw std::runtime_error("capture_warm_states_grid: no configs");
   }
   check_targets_sorted(targets);
-  jobs = resolve_warm_jobs(jobs);
   obs::Span span("warming.capture", targets.size());
   const obs::Stopwatch clock;
-  auto out = jobs <= 1 ? capture_grid_trace_sequential(configs, program,
-                                                       reader, targets)
-                       : capture_grid_trace_pipelined(configs, program,
-                                                      reader, targets, jobs);
+  auto out = capture_grid_trace(configs, program, reader, targets);
   obs::Registry::instance()
       .histogram("warming.capture_us")
       .observe(clock.elapsed_us());

@@ -80,8 +80,8 @@ class FunctionalWarmer {
                    isa::EngineKind engine_kind = isa::engine_kind_from_env());
 
   /// Feeds one committed instruction, in commit order. Callers replaying a
-  /// stored CFIRTRC1 trace drive this directly; advance_to() drives it from
-  /// the built-in functional engine.
+  /// stored trace drive this directly; advance_to() drives it from the
+  /// built-in functional engine.
   void on_record(const TraceRecord& rec);
 
   /// Streams committed instructions from the warmer's current position up
@@ -181,35 +181,32 @@ void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 /// each blob is bit-identical to the one a solo capture_warm_states pass
 /// under that config produces (same records, same training calls).
 ///
-/// `jobs` caps the pipelined fan-out (docs/sampling.md "Pipelined
-/// warming"): the engine decodes the stream in block-sized batches and
-/// each batch trains the N configs' warmers in parallel, one task per
+/// The capture is pipelined (docs/sampling.md "Pipelined warming"): the
+/// engine emits the stream in block-sized batches and each batch trains
+/// the N configs' warmers in parallel on the shared pool, one task per
 /// config, snapshot blobs serialized inside those tasks. Every warmer
 /// still sees the identical record stream in order on a single thread,
-/// so the blobs are bit-identical at every setting (ctest-locked).
-/// jobs < 0 reads CFIR_WARM_JOBS (sim::env_warm_jobs), 0 means auto
-/// (CFIR_THREADS / hardware concurrency) and 1 forces the sequential
-/// reference path.
+/// so the blobs do not depend on the pool's size. A program that halts
+/// before the last target snapshots the remaining targets at its final
+/// state.
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
 capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
                          const isa::Program& program,
-                         const std::vector<uint64_t>& targets, int jobs = -1);
+                         const std::vector<uint64_t>& targets);
 
 /// Trace-fed variant: streams the committed records out of `reader`
 /// instead of re-executing the program, reading only the blocks covering
-/// [0, targets.back()) on a CFIRTRC2 file. Blobs are bit-identical to
-/// the engine-pass variant because the recorded stream is the same event
-/// stream. Throws if the trace ends before the last target. With
-/// `jobs` > 1 (resolution as above) this is the fully pipelined path: a
-/// BlockBatchReader (trace/batch_reader.hpp) wave-decodes upcoming
-/// CFIRTRC2 blocks concurrently with the per-config fan-out, so column
-/// decode + LZ never sits on the warmers' critical path (CFIRTRC1
-/// sources fall back to sequential decode, keeping the parallel
-/// fan-out). Overlap is observable via the warming.decode_wait_us /
+/// [0, targets.back()). Blobs are bit-identical to the engine-pass
+/// variant because the recorded stream is the same event stream, and to
+/// FunctionalWarmer::advance_on_trace. Throws if the trace ends before
+/// the last target. A BlockBatchReader (trace/batch_reader.hpp)
+/// wave-decodes upcoming blocks concurrently with the per-config fan-out,
+/// so column decode + LZ never sits on the warmers' critical path.
+/// Overlap is observable via the warming.decode_wait_us /
 /// warming.feed_us / warming.batches counters.
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
 capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
                          const isa::Program& program, TraceReader& reader,
-                         const std::vector<uint64_t>& targets, int jobs = -1);
+                         const std::vector<uint64_t>& targets);
 
 }  // namespace cfir::trace

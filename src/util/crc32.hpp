@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte ranges.
 // Used as the integrity footer of every binary artifact the trace subsystem
-// writes (CFIRTRC1 / CFIRCKP / CFIRMAN1 / CFIRSHD1 — see
+// writes (CFIRTRC2 / CFIRCKP / CFIRMAN2 / CFIRSHD2 / warm sidecars — see
 // docs/trace-format.md "CRC footer"): a truncated or bit-flipped file is
 // rejected at open instead of decoding into garbage. The incremental form
 // (`seed` is a previous call's return value) lets callers checksum a file

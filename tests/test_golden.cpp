@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -114,8 +113,7 @@ void record_parser(const std::string& path) {
   TraceMeta meta;
   meta.workload = "parser";
   meta.scale = 2;
-  (void)record_interpreter(workloads::build("parser", 2), path, meta,
-                           UINT64_MAX, TraceFormat::kV2);
+  (void)record_interpreter(workloads::build("parser", 2), path, meta);
 }
 
 std::vector<core::CoreConfig> golden_grid() {
@@ -133,7 +131,7 @@ TEST(Golden, RecordedTraceBytes) {
   meta.workload = "figure1";
   (void)record_interpreter(cfir::testing::figure1_program(64),
                            dir.file("figure1.cfirtrace"), meta, UINT64_MAX,
-                           TraceFormat::kV2, /*block_len=*/4);
+                           /*block_len=*/4);
   EXPECT_EQ(file_digest(dir.file("figure1.cfirtrace")),
             0xd5498d83cac5452bull);
 }
@@ -209,8 +207,7 @@ TEST(Golden, TwoShardRunFromSidecarsAndFromTrace) {
   TraceMeta meta;
   meta.workload = "bzip2";
   meta.scale = 2;
-  (void)record_interpreter(g.program, trace_path, meta, UINT64_MAX,
-                           TraceFormat::kV2);
+  (void)record_interpreter(g.program, trace_path, meta);
 
   // Sidecar-warmed: warm state bound at plan time. Trace-warmed: a plan
   // with no warm sidecars whose shards stream their gaps from the trace.

@@ -14,14 +14,18 @@
 //    acceptance matrix covers bzip2/parser/twolf s8 under functional
 //    warming for a 3-point register grid — while the shared streaming
 //    pass keeps grid warming cost within 1.1x of a single config's;
-//  - legacy v1 manifests still load (as 1-config manifests) and verify;
 //  - mismatched plans/configs and incomplete/duplicate shard sets are
-//    rejected at merge time instead of silently skewing the aggregate.
+//    rejected at merge time instead of silently skewing the aggregate;
+//  - retired layouts (CFIRTRC1, CFIRMAN1, CFIRSHD1, CFIRSHD2 v2) fail
+//    with VersionError, and every format rejects a file whose CRC footer
+//    was cut off with CorruptFileError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <random>
 #include <string>
 #include <utility>
@@ -34,6 +38,7 @@
 #include "trace/manifest.hpp"
 #include "trace/sampling.hpp"
 #include "trace/shard.hpp"
+#include "trace/trace.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cfir::trace {
@@ -50,15 +55,10 @@ class TempFile {
   std::string path_;
 };
 
-/// A manifest written by either write_manifest overload plus its
-/// checkpoint blobs and warm sidecars, all removed on destruction.
+/// A manifest written by write_manifest plus its checkpoint blobs and
+/// warm sidecars, all removed on destruction.
 class TempManifest {
  public:
-  TempManifest(const IntervalPlan& plan, const core::CoreConfig& config,
-               const std::string& workload, uint32_t scale,
-               const std::string& tag)
-      : path_(::testing::TempDir() + "cfir_man_" + tag + ".cfirman"),
-        manifest_(write_manifest(plan, config, workload, scale, path_)) {}
   TempManifest(const IntervalPlan& plan,
                const std::vector<ConfigBinding>& bindings,
                const std::string& workload, uint32_t scale,
@@ -111,7 +111,6 @@ ShardManifest random_manifest(uint64_t seed) {
     m.configs[c].name = "cfg" + std::to_string(c);
     m.configs[c].config_hash = gen();
     m.configs[c].config = random_config(gen);
-    m.configs[c].embedded = true;
   }
   const size_t n = gen() % 8;
   m.intervals.resize(n);
@@ -177,14 +176,12 @@ TEST(ShardManifestBlob, FuzzSerializeDeserializeReserializeStable) {
     const ShardManifest m = random_manifest(seed);
     const std::vector<uint8_t> first = m.serialize();
     const ShardManifest loaded = ShardManifest::deserialize(first);
-    EXPECT_EQ(loaded.version, kManifestVersion) << "seed " << seed;
     EXPECT_EQ(loaded.workload, m.workload) << "seed " << seed;
     EXPECT_EQ(loaded.plan_hash, m.plan_hash) << "seed " << seed;
     ASSERT_EQ(loaded.configs.size(), m.configs.size()) << "seed " << seed;
     for (size_t c = 0; c < m.configs.size(); ++c) {
       EXPECT_EQ(loaded.configs[c].name, m.configs[c].name);
       EXPECT_EQ(loaded.configs[c].config_hash, m.configs[c].config_hash);
-      EXPECT_TRUE(loaded.configs[c].embedded);
       EXPECT_EQ(loaded.configs[c].config.digest(),
                 m.configs[c].config.digest())
           << "seed " << seed << " config " << c;
@@ -193,43 +190,6 @@ TEST(ShardManifestBlob, FuzzSerializeDeserializeReserializeStable) {
         << "seed " << seed;
     EXPECT_EQ(loaded.serialize(), first) << "seed " << seed;
   }
-}
-
-TEST(ShardManifestBlob, V1LayoutRoundTripsByteStable) {
-  // A ShardManifest loaded from a legacy CFIRMAN1 file keeps version 1 and
-  // re-serializes to the same bytes — v1 artifacts survive tooling passes.
-  std::mt19937_64 gen(11);
-  ShardManifest m;
-  m.version = 1;
-  m.workload = "bzip2";
-  m.scale = 8;
-  m.plan_hash = gen();
-  m.mode = SampleMode::kCluster;
-  m.warm_mode = WarmMode::kFunctional;
-  m.warmup = 300;
-  m.total_insts = gen();
-  m.interval_len = 1000;
-  m.ran_to_halt = true;
-  ShardManifest::ConfigPoint cp;
-  cp.config_hash = m.plan_hash;
-  m.configs.push_back(cp);
-  m.intervals.resize(3);
-  for (size_t i = 0; i < 3; ++i) {
-    m.intervals[i].start = gen();
-    m.intervals[i].length = gen();
-    m.intervals[i].weight = static_cast<double>(gen() % 100) / 4.0;
-    m.intervals[i].checkpoint_file = "ck" + std::to_string(i) + ".cfirckpt";
-  }
-  const std::vector<uint8_t> first = m.serialize();
-  ASSERT_GE(first.size(), 8u);
-  EXPECT_EQ(std::string(first.begin(), first.begin() + 8), "CFIRMAN1");
-  const ShardManifest loaded = ShardManifest::deserialize(first);
-  EXPECT_EQ(loaded.version, 1u);
-  ASSERT_EQ(loaded.configs.size(), 1u);
-  EXPECT_EQ(loaded.configs[0].config_hash, m.plan_hash);
-  EXPECT_FALSE(loaded.configs[0].embedded);
-  EXPECT_TRUE(loaded.intervals[0].warm_files.empty());
-  EXPECT_EQ(loaded.serialize(), first);
 }
 
 TEST(ShardManifestBlob, FileRoundTripVerifiesCrc) {
@@ -306,55 +266,6 @@ TEST(ShardResultBlob, FuzzSerializeDeserializeReserializeStable) {
   }
 }
 
-// A version-2 blob (pre wall-telemetry) must still load, with every wall
-// field zero: hosts in a farm upgrade at different times, and the merged
-// SimStats never depended on the wall fields anyway.
-TEST(ShardResultBlob, Version2BlobLoadsWithZeroWallFields) {
-  const ShardResult r = random_shard_result(7);
-  util::ByteWriter out;
-  for (const char c : kShardMagicV2) out.u8(static_cast<uint8_t>(c));
-  out.u32(kShardVersionNoWall);
-  out.u32(0);  // reserved
-  out.u64(r.plan_hash);
-  out.u32(r.shard_index);
-  out.u32(r.shard_count);
-  out.u32(r.plan_intervals);
-  out.u64(r.total_insts);
-  out.boolean(r.ran_to_halt);
-  out.u64(r.warmed_insts);
-  // v2 layout: no warm_wall_us here.
-  out.u32(static_cast<uint32_t>(r.configs.size()));
-  for (const auto& cc : r.configs) {
-    put_string(out, cc.name);
-    out.u64(cc.config_hash);
-    out.u64(cc.detailed_insts);
-  }
-  out.u32(static_cast<uint32_t>(r.intervals.size()));
-  for (const auto& iv : r.intervals) {
-    out.u32(iv.plan_index);
-    out.u64(iv.start_inst);
-    out.u64(iv.length);
-    out.u64(iv.warmup);
-    out.u64(std::bit_cast<uint64_t>(iv.weight));
-    for (const stats::SimStats& st : iv.stats) stats::serialize(st, out);
-    // v2 layout: no per-(interval, config) wall_us here.
-  }
-
-  const ShardResult loaded = ShardResult::deserialize(out.take());
-  EXPECT_EQ(loaded.plan_hash, r.plan_hash);
-  EXPECT_EQ(loaded.warmed_insts, r.warmed_insts);
-  EXPECT_EQ(loaded.warm_wall_us, 0u);
-  ASSERT_EQ(loaded.intervals.size(), r.intervals.size());
-  for (size_t i = 0; i < r.intervals.size(); ++i) {
-    ASSERT_EQ(loaded.intervals[i].wall_us.size(), r.configs.size());
-    for (const uint64_t w : loaded.intervals[i].wall_us) EXPECT_EQ(w, 0u);
-    for (size_t c = 0; c < r.configs.size(); ++c) {
-      EXPECT_EQ(stats::to_json(loaded.intervals[i].stats[c]),
-                stats::to_json(r.intervals[i].stats[c]));
-    }
-  }
-}
-
 TEST(ShardResultBlob, WrongKindAndVersionRejected) {
   const ShardResult r = random_shard_result(3);
   std::vector<uint8_t> payload = r.serialize();
@@ -364,10 +275,10 @@ TEST(ShardResultBlob, WrongKindAndVersionRejected) {
   std::vector<uint8_t> vers = payload;
   vers[8] = 99;
   EXPECT_THROW((void)ShardResult::deserialize(vers), VersionError);
-  // A CFIRSHD1 magic claiming version 2 is inconsistent, and vice versa.
-  std::vector<uint8_t> mixed = payload;
-  mixed[7] = '1';
-  EXPECT_THROW((void)ShardResult::deserialize(mixed), VersionError);
+  // The retired CFIRSHD1 magic is a version error, not a foreign file.
+  std::vector<uint8_t> retired = payload;
+  retired[7] = '1';
+  EXPECT_THROW((void)ShardResult::deserialize(retired), VersionError);
   payload.resize(payload.size() / 2);
   EXPECT_THROW((void)ShardResult::deserialize(payload), CorruptFileError);
 }
@@ -456,53 +367,6 @@ TEST(ShardedRun, SerializedShardsMergeBitIdentical) {
     shards.push_back(ShardResult::load(file.path()));
   }
   expect_same_run(merge_shard_results(shards), reference, "wire");
-}
-
-TEST(ShardedRun, V1ManifestRoundTripRunsBitIdentical) {
-  // Legacy plan layer to disk and back: a plan reloaded from a v1 manifest
-  // (warm state riding in the CFIRCKP2 checkpoints, config supplied by the
-  // executor) must reproduce the in-memory plan's sampled run exactly, and
-  // the combined config hash must accept the planning config and reject
-  // others — the "v1 manifests still load" contract.
-  const core::CoreConfig config = sim::presets::ci(2, 512);
-  const isa::Program program = workloads::build("twolf", 1);
-
-  ClusterPlanOptions opts;
-  opts.n_intervals = 8;
-  opts.max_k = 3;
-  opts.warm_mode = WarmMode::kHybrid;
-  opts.warmup = 300;
-  opts.detail_len = 1500;
-  opts.max_insts = 40000;
-  IntervalPlan plan = plan_cluster_intervals(program, opts);
-  attach_warm_states(plan, config, program);
-  const SampledRun reference = sampled_run(config, program, plan);
-
-  TempManifest tm(plan, config, "twolf", 1, "roundtrip");
-  EXPECT_EQ(tm.manifest().version, 1u);
-  const ShardManifest manifest = ShardManifest::load(tm.path());
-  EXPECT_EQ(manifest.version, 1u);
-  EXPECT_EQ(manifest.plan_hash, tm.manifest().plan_hash);
-  ASSERT_EQ(manifest.configs.size(), 1u);
-  EXPECT_FALSE(manifest.configs[0].embedded);
-  EXPECT_THROW((void)bindings_from_manifest(manifest, tm.path()),
-               VersionError);
-
-  const IntervalPlan reloaded = plan_from_manifest(manifest, tm.path());
-  verify_manifest_config(manifest, config, reloaded);  // must not throw
-
-  core::CoreConfig other = config;
-  other.num_phys_regs = 256;
-  EXPECT_THROW(verify_manifest_config(manifest, other, reloaded),
-               ConfigMismatchError);
-
-  std::vector<ShardResult> shards;
-  for (uint32_t i = 0; i < 2; ++i) {
-    shards.push_back(run_shard(config, program, reloaded,
-                               ShardSelection{i, 2}, /*threads=*/0,
-                               manifest.plan_hash));
-  }
-  expect_same_run(merge_shard_results(shards), reference, "manifest");
 }
 
 TEST(ShardedRun, MergeRejectsIncompleteDuplicateAndMismatched) {
@@ -662,12 +526,11 @@ void expect_grid_acceptance(const std::string& workload) {
 
   TempManifest tm(plan, bindings, workload, 8, "grid_" + workload);
   const ShardManifest manifest = ShardManifest::load(tm.path());
-  EXPECT_EQ(manifest.version, kManifestVersion);
   ASSERT_EQ(manifest.configs.size(), points.size());
   for (size_t c = 0; c < points.size(); ++c) {
     EXPECT_EQ(manifest.configs[c].name, points[c].first);
     EXPECT_EQ(manifest.configs[c].config_hash, points[c].second.digest());
-    EXPECT_TRUE(manifest.configs[c].embedded);
+    EXPECT_EQ(manifest.configs[c].config.digest(), points[c].second.digest());
   }
 
   const IntervalPlan reloaded = plan_from_manifest(manifest, tm.path());
@@ -699,6 +562,98 @@ void expect_grid_acceptance(const std::string& workload) {
 TEST(GridAcceptance, Bzip2S8Functional) { expect_grid_acceptance("bzip2"); }
 TEST(GridAcceptance, ParserS8Functional) { expect_grid_acceptance("parser"); }
 TEST(GridAcceptance, TwolfS8Functional) { expect_grid_acceptance("twolf"); }
+
+// ---------------------------------------------------------------------------
+// Retired layouts and cut CRC footers: typed failures, never a silent load
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// `magic` followed by `version` (u32) and zero padding.
+std::vector<uint8_t> header_only(const char* magic, uint32_t version) {
+  util::ByteWriter out;
+  for (int i = 0; i < 8; ++i) out.u8(static_cast<uint8_t>(magic[i]));
+  out.u32(version);
+  for (int i = 0; i < 64; ++i) out.u8(0);
+  return out.take();
+}
+
+TEST(RetiredFormats, EveryRetiredLayoutThrowsVersionError) {
+  // Nothing writes these layouts anymore; a file carrying one is named as
+  // a version problem (trace_tool exit 4), not decoded and not mistaken
+  // for a foreign file.
+  TempFile file("retired");
+
+  write_bytes(file.path(), header_only("CFIRTRC1", 1));
+  EXPECT_THROW(TraceReader{file.path()}, VersionError);
+
+  write_blob_file(file.path(), header_only("CFIRMAN1", 1));
+  EXPECT_THROW((void)ShardManifest::load(file.path()), VersionError);
+
+  write_blob_file(file.path(), header_only("CFIRSHD1", 1));
+  EXPECT_THROW((void)ShardResult::load(file.path()), VersionError);
+
+  // CFIRSHD2 version 2 (no wall-clock fields): a real v3 payload with the
+  // version word rewritten.
+  std::vector<uint8_t> v2 = random_shard_result(5).serialize();
+  v2[8] = 2;
+  write_blob_file(file.path(), v2);
+  EXPECT_THROW((void)ShardResult::load(file.path()), VersionError);
+}
+
+TEST(CrcFooter, CutFooterThrowsCorruptFileErrorOnEveryFormat) {
+  // Each artifact kind loads whole; with its 8-byte CRC footer cut off it
+  // must fail as CorruptFileError (trace_tool exit 6) — a truncated file
+  // is never loaded without its integrity check.
+  const isa::Program program = workloads::build("bzip2", 1);
+  const IntervalPlan plan =
+      plan_intervals(program, 2, /*max_insts=*/20000, /*warmup=*/0,
+                     WarmMode::kFunctional, /*detail_len=*/1000);
+  std::vector<std::pair<std::string, core::CoreConfig>> points = {
+      {"ci", sim::presets::ci(2, 512)}};
+  TempManifest tm(plan, bind_configs(plan, points, program), "bzip2", 1,
+                  "cutfooter");
+  const std::string dir =
+      tm.path().substr(0, tm.path().find_last_of('/') + 1);
+  const ShardManifest& m = tm.manifest();
+  ASSERT_FALSE(m.intervals[0].warm_files[0].empty());
+
+  TempFile trace("cutfooter_trace");
+  TraceMeta meta;
+  meta.workload = "bzip2";
+  (void)record_interpreter(program, trace.path(), meta, 20000);
+  TempFile result("cutfooter_result");
+  run_shard(points[0].second, program, plan).save(result.path());
+
+  const std::vector<std::pair<std::string, std::function<void()>>> files = {
+      {tm.path(), [&] { (void)ShardManifest::load(tm.path()); }},
+      {dir + m.intervals[0].checkpoint_file,
+       [&] { (void)Checkpoint::load(dir + m.intervals[0].checkpoint_file); }},
+      {dir + m.intervals[0].warm_files[0],
+       [&] { (void)bindings_from_manifest(m, tm.path()); }},
+      {trace.path(), [&] { (void)TraceReader(trace.path()); }},
+      {result.path(), [&] { (void)ShardResult::load(result.path()); }},
+  };
+  for (const auto& [path, load] : files) {
+    EXPECT_NO_THROW(load()) << path;
+    const std::vector<uint8_t> whole = file_bytes(path);
+    ASSERT_GT(whole.size(), kCrcFooterBytes) << path;
+    write_bytes(path, std::vector<uint8_t>(whole.begin(),
+                                           whole.end() - kCrcFooterBytes));
+    EXPECT_THROW(load(), CorruptFileError) << path;
+    write_bytes(path, whole);
+  }
+}
 
 }  // namespace
 }  // namespace cfir::trace

@@ -232,13 +232,6 @@ TEST(Pool, MaxWorkersBoundsConcurrency) {
   EXPECT_GE(high.load(), 1);
 }
 
-TEST(Sweep, EnvWarmJobsParses) {
-  ASSERT_EQ(setenv("CFIR_WARM_JOBS", "4", 1), 0);
-  EXPECT_EQ(env_warm_jobs(), 4);
-  ASSERT_EQ(unsetenv("CFIR_WARM_JOBS"), 0);
-  EXPECT_EQ(env_warm_jobs(), 0);
-}
-
 TEST(Sweep, BenchMaxInstsDefaultsOnlyWhenUnset) {
   // README: CFIR_MAX_INSTS=0 runs every bench cell to HALT (RunSpec
   // max_insts 0); only an unset or empty variable means the 30k default.

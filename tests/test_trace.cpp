@@ -106,17 +106,21 @@ TEST(TraceFormat, RoundTripEqualsLiveStream) {
 }
 
 TEST(TraceFormat, CrcFooterRejectsBitFlips) {
-  // Every finished trace carries the CRC-32 footer; a single flipped
-  // payload byte must be rejected at open, before any record decodes.
+  // Every finished trace carries per-block CRCs plus the whole-file CRC
+  // footer; a single flipped payload byte must be rejected before the
+  // corrupted records are handed out.
   const isa::Program program = cfir::testing::figure1_program(64, 50, 5);
   TempFile file("crcflip");
   TraceMeta meta;
   meta.workload = "figure1";
-  // v1 relies on the whole-file CRC verified at open; CFIRTRC2 localizes
-  // integrity per block/index (tests/test_trace_v2.cpp), so pin to v1.
-  (void)record_interpreter(program, file.path(), meta, UINT64_MAX,
-                           TraceFormat::kV1);
-  EXPECT_NO_THROW(TraceReader{file.path()});
+  (void)record_interpreter(program, file.path(), meta);
+  const auto drain = [&] {
+    TraceReader reader(file.path());
+    TraceRecord rec;
+    while (reader.next(rec)) {
+    }
+  };
+  EXPECT_NO_THROW(drain());
 
   std::vector<uint8_t> bytes = file_bytes(file.path());
   bytes[bytes.size() / 2] ^= 0x40;  // mid-stream, away from the footer
@@ -125,58 +129,7 @@ TEST(TraceFormat, CrcFooterRejectsBitFlips) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_THROW(TraceReader{file.path()}, CorruptFileError);
-}
-
-TEST(TraceFormat, LegacyFooterlessFileStillLoads) {
-  // Files written before the CRC footer existed end right after the last
-  // record; stripping the footer must leave a loadable (legacy) file.
-  const isa::Program program = cfir::testing::figure1_program(64, 50, 6);
-  TempFile file("legacy");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  // Footer-less files are a v1-era artifact; CFIRTRC2 has carried the
-  // footer from day one, so the legacy path is pinned to the v1 writer.
-  const isa::InterpResult r = record_interpreter(
-      program, file.path(), meta, UINT64_MAX, TraceFormat::kV1);
-
-  std::vector<uint8_t> bytes = file_bytes(file.path());
-  bytes.resize(bytes.size() - 8);  // drop "CRC1" + u32
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  TraceReader reader(file.path());
-  EXPECT_EQ(reader.record_count(), r.executed);
-  TraceRecord rec;
-  uint64_t n = 0;
-  while (reader.next(rec)) ++n;
-  EXPECT_EQ(n, r.executed);
-}
-
-TEST(TraceFormat, StrictBlobsRejectsLegacyFooterlessFiles) {
-  // CFIR_STRICT_BLOBS=1 turns the one-time legacy warning into a hard
-  // CorruptFileError — a fleet of post-CRC artifacts treats a missing
-  // footer as truncation, not as age.
-  const isa::Program program = cfir::testing::figure1_program(64, 50, 7);
-  TempFile file("strict");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  (void)record_interpreter(program, file.path(), meta, UINT64_MAX,
-                           TraceFormat::kV1);
-
-  std::vector<uint8_t> bytes = file_bytes(file.path());
-  bytes.resize(bytes.size() - 8);  // drop "CRC1" + u32
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  ASSERT_EQ(setenv("CFIR_STRICT_BLOBS", "1", 1), 0);
-  EXPECT_THROW(TraceReader{file.path()}, CorruptFileError);
-  ASSERT_EQ(unsetenv("CFIR_STRICT_BLOBS"), 0);
-  EXPECT_NO_THROW(TraceReader{file.path()});
+  EXPECT_THROW(drain(), CorruptFileError);
 }
 
 TEST(TraceFormat, RandomProgramsRoundTrip) {
@@ -279,9 +232,7 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
   // The varint/delta codec must reproduce *arbitrary* record streams, not
   // just streams the interpreter can emit: adversarial pc jumps (large
   // positive and negative deltas), address swings across the whole 64-bit
-  // space, and every kind/size combination. Both writers must survive it:
-  // the row-oriented v1 codec and the columnar CFIRTRC2 one.
-  for (const TraceFormat format : {TraceFormat::kV1, TraceFormat::kV2}) {
+  // space, and every kind/size combination.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     std::mt19937_64 gen(seed);
     std::vector<TraceRecord> records;
@@ -315,9 +266,9 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
     TraceMeta meta;
     meta.workload = "fuzz";
     meta.base_pc = records.front().pc;
-    // A deliberately odd, small block capacity so the v2 stream spans
-    // several blocks with ragged coder-base snapshots (v1 ignores it).
-    TraceWriter writer(file.path(), meta, format, 257);
+    // A deliberately odd, small block capacity so the stream spans
+    // several blocks with ragged coder-base snapshots.
+    TraceWriter writer(file.path(), meta, 257);
     for (const TraceRecord& rec : records) writer.append(rec);
     std::array<uint64_t, isa::kNumLogicalRegs> regs{};
     for (auto& r : regs) r = gen();
@@ -334,7 +285,6 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
       ASSERT_EQ(rec, records[i]) << "seed " << seed << " record " << i;
     }
     EXPECT_FALSE(reader.next(rec));
-  }
   }
 }
 

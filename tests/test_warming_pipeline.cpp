@@ -1,31 +1,31 @@
 // Bit-identity wall for the pipelined block-parallel warming path
 // (docs/sampling.md "Pipelined warming"): capture_warm_states_grid must
-// produce byte-identical warm blobs under every (source x jobs) setting —
-// the engine pass, a CFIRTRC1 trace and a CFIRTRC2 trace, each at
-// jobs = 1 (the sequential reference path), an explicit cap of 2, and
-// 0 (auto) — because each warmer always sees the identical record stream
-// in order on a single thread. Also locked here:
+// produce the byte-identical warm blobs of its per-config references —
+// capture_warm_states for the engine source and a solo
+// FunctionalWarmer::advance_on_trace for the trace source — because each
+// warmer always sees the identical record stream in order on a single
+// thread. Also locked here:
 //
-//  - a 4-record tiny-block CFIRTRC2 stress (every batch spans many block
-//    boundaries; targets at 0, duplicated, mid-block and at end-of-trace);
-//  - run_shard grids byte-equal across warm_jobs settings after scrubbing
+//  - targets at 0, duplicated, mid-block and at end-of-trace, and engine
+//    targets past HALT;
+//  - a 4-record tiny-block trace (every batch spans many block
+//    boundaries);
+//  - run_shard grids byte-equal whether warm state comes from bound
+//    sidecar blobs, the engine pass or a recorded trace, after scrubbing
 //    the (intentionally nondeterministic) wall-clock telemetry;
 //  - truncated traces name the offending warm target and interval, both
 //    in FunctionalWarmer::advance_on_trace and in the grid capture;
-//  - the CFIR_WARM_JOBS knob switches paths observably (warming.batches);
 //  - WarmingPipelineS8: the same matrix on bzip2 s8 (excluded from the
 //    sanitizer CI job alongside TraceV2S8 — same exclusion pattern).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "helpers.hpp"
-#include "obs/metrics.hpp"
 #include "sim/presets.hpp"
 #include "trace/sampling.hpp"
 #include "trace/shard.hpp"
@@ -53,9 +53,37 @@ using Blobs = std::vector<std::vector<std::vector<uint8_t>>>;
 Blobs capture_from(const std::string& trace_path,
                    const std::vector<core::CoreConfig>& configs,
                    const isa::Program& program,
-                   const std::vector<uint64_t>& targets, int jobs) {
+                   const std::vector<uint64_t>& targets) {
   TraceReader reader(trace_path);
-  return capture_warm_states_grid(configs, program, reader, targets, jobs);
+  return capture_warm_states_grid(configs, program, reader, targets);
+}
+
+/// Engine-source reference: one capture_warm_states pass per config.
+Blobs solo_engine(const std::vector<core::CoreConfig>& configs,
+                  const isa::Program& program,
+                  const std::vector<uint64_t>& targets) {
+  Blobs out;
+  for (const core::CoreConfig& config : configs) {
+    out.push_back(capture_warm_states(config, program, targets));
+  }
+  return out;
+}
+
+/// Trace-source reference: one warmer per config advanced on the trace.
+Blobs solo_trace(const std::string& trace_path,
+                 const std::vector<core::CoreConfig>& configs,
+                 const isa::Program& program,
+                 const std::vector<uint64_t>& targets) {
+  Blobs out(configs.size());
+  for (size_t c = 0; c < configs.size(); ++c) {
+    TraceReader reader(trace_path);
+    FunctionalWarmer warmer(configs[c], program);
+    for (const uint64_t target : targets) {
+      warmer.advance_on_trace(reader, target);
+      out[c].push_back(warmer.serialize_state());
+    }
+  }
+  return out;
 }
 
 /// Wall-clock telemetry is host-dependent by design; zero it so shard
@@ -69,79 +97,59 @@ ShardResult scrub_wall(ShardResult r) {
 
 TEST(WarmingPipeline, BlobsBitIdenticalAcrossSourcesAndJobs) {
   const isa::Program program = cfir::testing::figure1_program(512);
-  TempFile v1("v1"), v2("v2");
+  TempFile file("trace");
   TraceMeta meta;
   meta.workload = "figure1";
-  const isa::InterpResult r1 =
-      record_interpreter(program, v1.path(), meta, UINT64_MAX,
-                         TraceFormat::kV1);
-  const isa::InterpResult r2 =
-      record_interpreter(program, v2.path(), meta, UINT64_MAX,
-                         TraceFormat::kV2);
-  ASSERT_EQ(r1.executed, r2.executed);
-  const uint64_t total = r1.executed;
+  const uint64_t total =
+      record_interpreter(program, file.path(), meta, UINT64_MAX, 256)
+          .executed;
 
   const std::vector<core::CoreConfig> configs = {
       sim::presets::scal(2, 256), sim::presets::ci(2, 512),
       sim::presets::wb(2, 256)};
   // Targets at 0 (cold snapshot before any record), back to back
-  // duplicates, mid-stream and exactly at end-of-trace.
+  // duplicates, mid-block and exactly at end-of-trace.
   const std::vector<uint64_t> targets = {0,         1,         total / 3,
                                          total / 3, total / 2, total - 1,
                                          total};
 
-  const Blobs oracle =
-      capture_warm_states_grid(configs, program, targets, /*jobs=*/1);
-  ASSERT_EQ(oracle.size(), configs.size());
-  for (const auto& per_config : oracle) {
+  const Blobs engine = solo_engine(configs, program, targets);
+  ASSERT_EQ(engine.size(), configs.size());
+  for (const auto& per_config : engine) {
     ASSERT_EQ(per_config.size(), targets.size());
   }
   // Cold and warm snapshots must actually differ, or the whole matrix
   // below would pass vacuously on empty blobs.
-  EXPECT_NE(oracle[0][0], oracle[0][4]);
-  EXPECT_EQ(oracle[0][2], oracle[0][3]);  // duplicate target, same state
+  EXPECT_NE(engine[0][0], engine[0][4]);
+  EXPECT_EQ(engine[0][2], engine[0][3]);  // duplicate target, same state
 
-  for (const int jobs : {1, 2, 0}) {
-    EXPECT_EQ(oracle, capture_warm_states_grid(configs, program, targets,
-                                               jobs))
-        << "engine jobs=" << jobs;
-    EXPECT_EQ(oracle, capture_from(v1.path(), configs, program, targets,
-                                   jobs))
-        << "v1 jobs=" << jobs;
-    EXPECT_EQ(oracle, capture_from(v2.path(), configs, program, targets,
-                                   jobs))
-        << "v2 jobs=" << jobs;
-  }
+  EXPECT_EQ(engine, capture_warm_states_grid(configs, program, targets));
+  EXPECT_EQ(engine, solo_trace(file.path(), configs, program, targets));
+  EXPECT_EQ(engine, capture_from(file.path(), configs, program, targets));
 }
 
 TEST(WarmingPipeline, EngineHaltBeforeLastTargetMatchesSequential) {
   // The engine source snapshots targets past HALT at the final state
-  // instead of throwing (a plan may legitimately overshoot); sequential
-  // and pipelined must agree on that tail behavior too.
+  // instead of throwing (a plan may legitimately overshoot), exactly like
+  // a solo warmer's advance_to.
   const isa::Program program = cfir::testing::figure1_program(128);
   const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256)};
   const std::vector<uint64_t> targets = {100, 1u << 20, 1u << 21};
-  const Blobs oracle =
-      capture_warm_states_grid(configs, program, targets, /*jobs=*/1);
-  EXPECT_EQ(oracle[0][1], oracle[0][2]);  // both clamp to the halt state
-  for (const int jobs : {2, 0}) {
-    EXPECT_EQ(oracle,
-              capture_warm_states_grid(configs, program, targets, jobs))
-        << "jobs=" << jobs;
-  }
+  const Blobs reference = solo_engine(configs, program, targets);
+  EXPECT_EQ(reference[0][1], reference[0][2]);  // both clamp to the halt
+  EXPECT_EQ(reference, capture_warm_states_grid(configs, program, targets));
 }
 
 TEST(WarmingPipeline, TinyBlockStress) {
-  // 4-record CFIRTRC2 blocks: every wave spans dozens of block
-  // boundaries, and batch boundaries land mid-target-run. The decoded
-  // stream (and therefore every blob) must still match the engine oracle.
+  // 4-record blocks: every wave spans dozens of block boundaries, and
+  // batch boundaries land mid-target-run. The decoded stream (and
+  // therefore every blob) must still match both references.
   const isa::Program program = cfir::testing::figure1_program(64);
   TempFile tiny("tiny");
   TraceMeta meta;
   meta.workload = "figure1";
   const isa::InterpResult r = record_interpreter(
-      program, tiny.path(), meta, UINT64_MAX, TraceFormat::kV2,
-      /*block_len=*/4);
+      program, tiny.path(), meta, UINT64_MAX, /*block_len=*/4);
   const uint64_t total = r.executed;
   ASSERT_GT(total, uint64_t{16});
   {
@@ -153,13 +161,9 @@ TEST(WarmingPipeline, TinyBlockStress) {
   const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256),
                                                  sim::presets::scal(2, 256)};
   const std::vector<uint64_t> targets = {0, 3, 4, 5, 9, 9, total};
-  const Blobs oracle =
-      capture_warm_states_grid(configs, program, targets, /*jobs=*/1);
-  for (const int jobs : {1, 2, 0}) {
-    EXPECT_EQ(oracle, capture_from(tiny.path(), configs, program, targets,
-                                   jobs))
-        << "jobs=" << jobs;
-  }
+  const Blobs grid = capture_from(tiny.path(), configs, program, targets);
+  EXPECT_EQ(grid, solo_trace(tiny.path(), configs, program, targets));
+  EXPECT_EQ(grid, solo_engine(configs, program, targets));
 }
 
 TEST(WarmingPipeline, TruncatedTraceErrorNamesTargetAndInterval) {
@@ -167,21 +171,17 @@ TEST(WarmingPipeline, TruncatedTraceErrorNamesTargetAndInterval) {
   TempFile cut("cut");
   TraceMeta meta;
   meta.workload = "figure1";
-  record_interpreter(program, cut.path(), meta, /*max_insts=*/100,
-                     TraceFormat::kV2);
+  record_interpreter(program, cut.path(), meta, /*max_insts=*/100);
   const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256)};
-  const std::vector<uint64_t> targets = {50, 150};
-  for (const int jobs : {1, 2}) {
-    try {
-      (void)capture_from(cut.path(), configs, program, targets, jobs);
-      FAIL() << "truncated trace accepted (jobs=" << jobs << ")";
-    } catch (const std::runtime_error& e) {
-      const std::string msg = e.what();
-      EXPECT_NE(msg.find("trace ends at 100 records"), std::string::npos)
-          << msg;
-      EXPECT_NE(msg.find("warm target 150"), std::string::npos) << msg;
-      EXPECT_NE(msg.find("(interval 1 of 2)"), std::string::npos) << msg;
-    }
+  try {
+    (void)capture_from(cut.path(), configs, program, {50, 150});
+    FAIL() << "truncated trace accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("trace ends at 100 records"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("warm target 150"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(interval 1 of 2)"), std::string::npos) << msg;
   }
 }
 
@@ -190,8 +190,7 @@ TEST(WarmingPipeline, AdvanceOnTraceErrorCarriesContext) {
   TempFile cut("adv");
   TraceMeta meta;
   meta.workload = "figure1";
-  record_interpreter(program, cut.path(), meta, /*max_insts=*/100,
-                     TraceFormat::kV2);
+  record_interpreter(program, cut.path(), meta, /*max_insts=*/100);
   FunctionalWarmer warmer(sim::presets::ci(2, 256), program);
   TraceReader reader(cut.path());
   try {
@@ -206,73 +205,38 @@ TEST(WarmingPipeline, AdvanceOnTraceErrorCarriesContext) {
   }
 }
 
-TEST(WarmingPipeline, WarmJobsKnobSwitchesPathObservably) {
-  const isa::Program program = cfir::testing::figure1_program(256);
-  TempFile file("knob");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  const isa::InterpResult r = record_interpreter(
-      program, file.path(), meta, UINT64_MAX, TraceFormat::kV2);
-  const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256)};
-  const std::vector<uint64_t> targets = {r.executed / 2, r.executed};
-  obs::Counter& batches =
-      obs::Registry::instance().counter("warming.batches");
-
-  // Explicit jobs argument: the sequential path never touches the batch
-  // counter, the pipelined path counts every fed batch.
-  uint64_t before = batches.value();
-  (void)capture_from(file.path(), configs, program, targets, /*jobs=*/1);
-  EXPECT_EQ(batches.value(), before);
-  before = batches.value();
-  (void)capture_from(file.path(), configs, program, targets, /*jobs=*/2);
-  EXPECT_GT(batches.value(), before);
-
-  // jobs = -1 defers to CFIR_WARM_JOBS.
-  ASSERT_EQ(setenv("CFIR_WARM_JOBS", "2", 1), 0);
-  before = batches.value();
-  (void)capture_from(file.path(), configs, program, targets, /*jobs=*/-1);
-  EXPECT_GT(batches.value(), before);
-  ASSERT_EQ(setenv("CFIR_WARM_JOBS", "1", 1), 0);
-  before = batches.value();
-  (void)capture_from(file.path(), configs, program, targets, /*jobs=*/-1);
-  EXPECT_EQ(batches.value(), before);
-  ASSERT_EQ(unsetenv("CFIR_WARM_JOBS"), 0);
-}
-
 TEST(WarmingPipeline, RunShardGridBitIdenticalAcrossWarmJobs) {
   const isa::Program program = cfir::testing::figure1_program(512);
   TempFile file("shard");
   TraceMeta meta;
   meta.workload = "figure1";
-  record_interpreter(program, file.path(), meta, UINT64_MAX,
-                     TraceFormat::kV2);
+  record_interpreter(program, file.path(), meta);
 
   const IntervalPlan plan =
       plan_intervals(program, 4, 0, 0, WarmMode::kFunctional, 500);
-  std::vector<ConfigBinding> bindings(2);
-  bindings[0].config = sim::presets::ci(2, 256);
-  bindings[1].config = sim::presets::scal(2, 256);
-  for (auto& b : bindings) {
-    b.name = b.config.label();
-    b.config_hash = b.config.digest();
+  const std::vector<std::pair<std::string, core::CoreConfig>> points = {
+      {"ci", sim::presets::ci(2, 256)}, {"scal", sim::presets::scal(2, 256)}};
+  const std::vector<ConfigBinding> bound = bind_configs(plan, points, program);
+  std::vector<ConfigBinding> deferred = bound;
+  for (auto& b : deferred) b.warm.clear();
+
+  // Warm state bound up front (one solo capture per geometry), captured at
+  // execute time from the engine, or streamed from the recorded trace,
+  // under one or two detail threads: byte-equal CFIRSHD2 payloads once
+  // the wall telemetry is scrubbed.
+  const auto reference =
+      scrub_wall(run_shard(bound, program, plan, {0, 1}, 1)).serialize();
+  for (const int threads : {1, 2}) {
+    EXPECT_EQ(reference,
+              scrub_wall(run_shard(deferred, program, plan, {0, 1}, threads))
+                  .serialize())
+        << "engine, threads=" << threads;
+    EXPECT_EQ(reference,
+              scrub_wall(run_shard(deferred, program, plan, {0, 1}, threads,
+                                   0, file.path()))
+                  .serialize())
+        << "trace, threads=" << threads;
   }
-
-  // Engine-warmed and trace-warmed shards, warm_jobs 1 vs 8: byte-equal
-  // CFIRSHD2 payloads once the wall telemetry is scrubbed.
-  const auto seq_eng = scrub_wall(
-      run_shard(bindings, program, plan, {0, 1}, 2, 0, {}, /*warm_jobs=*/1));
-  const auto pipe_eng = scrub_wall(
-      run_shard(bindings, program, plan, {0, 1}, 2, 0, {}, /*warm_jobs=*/8));
-  EXPECT_EQ(seq_eng.serialize(), pipe_eng.serialize());
-
-  const auto seq_trc = scrub_wall(run_shard(bindings, program, plan, {0, 1},
-                                            2, 0, file.path(),
-                                            /*warm_jobs=*/1));
-  const auto pipe_trc = scrub_wall(run_shard(bindings, program, plan, {0, 1},
-                                             2, 0, file.path(),
-                                             /*warm_jobs=*/8));
-  EXPECT_EQ(seq_trc.serialize(), pipe_trc.serialize());
-  EXPECT_EQ(seq_eng.serialize(), seq_trc.serialize());
 }
 
 // ---------------------------------------------------------------------------
@@ -287,13 +251,9 @@ TEST(WarmingPipelineS8, GridMatrixOnBzip2) {
   TraceMeta meta;
   meta.workload = "bzip2";
   meta.scale = 8;
-  record_interpreter(program, file.path(), meta, /*max_insts=*/200'000,
-                     TraceFormat::kV2);
-  uint64_t total = 0;
-  {
-    TraceReader reader(file.path());
-    total = reader.record_count();
-  }
+  const uint64_t total =
+      record_interpreter(program, file.path(), meta, /*max_insts=*/200'000)
+          .executed;
   ASSERT_GT(total, uint64_t{50'000});  // capped at 200k or ran to halt
 
   const std::vector<core::CoreConfig> configs = {
@@ -302,16 +262,12 @@ TEST(WarmingPipelineS8, GridMatrixOnBzip2) {
   std::vector<uint64_t> targets;
   for (uint64_t i = 1; i <= 5; ++i) targets.push_back(total * i / 5);
 
-  const Blobs oracle =
-      capture_from(file.path(), configs, program, targets, /*jobs=*/1);
-  for (const int jobs : {2, 0}) {
-    EXPECT_EQ(oracle, capture_from(file.path(), configs, program, targets,
-                                   jobs))
-        << "jobs=" << jobs;
-  }
+  const Blobs grid = capture_from(file.path(), configs, program, targets);
+  EXPECT_EQ(grid, solo_engine(configs, program, targets));
+  EXPECT_EQ(grid, solo_trace(file.path(), configs, program, targets));
 
-  // Sharded grid over the recorded trace, merged: warm_jobs must never
-  // leak into the merged stats either.
+  // Sharded grid over the recorded trace: trace-fed warming must never
+  // leak into the shard stats either.
   const IntervalPlan plan =
       plan_intervals(program, 3, total, 0, WarmMode::kFunctional, 2000);
   std::vector<ConfigBinding> bindings(2);
@@ -322,13 +278,11 @@ TEST(WarmingPipelineS8, GridMatrixOnBzip2) {
     b.config_hash = b.config.digest();
   }
   for (const uint32_t shard : {0u, 1u}) {
-    const auto seq = scrub_wall(run_shard(bindings, program, plan,
-                                          {shard, 2}, 2, 0, file.path(),
-                                          /*warm_jobs=*/1));
-    const auto pipe = scrub_wall(run_shard(bindings, program, plan,
-                                           {shard, 2}, 2, 0, file.path(),
-                                           /*warm_jobs=*/8));
-    EXPECT_EQ(seq.serialize(), pipe.serialize()) << "shard " << shard;
+    const auto engine =
+        scrub_wall(run_shard(bindings, program, plan, {shard, 2}, 2));
+    const auto traced = scrub_wall(
+        run_shard(bindings, program, plan, {shard, 2}, 2, 0, file.path()));
+    EXPECT_EQ(engine.serialize(), traced.serialize()) << "shard " << shard;
   }
 }
 
