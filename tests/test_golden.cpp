@@ -7,6 +7,14 @@
 // even one that keeps every in-process differential test green — fails
 // here. A deliberate format change updates the literal in the same change
 // and says why.
+//
+// The detailed core's cycle-level behaviour is pinned the same way: the
+// serialized SimStats and cycle count of every (program, config) cell of a
+// matrix that stresses each scheduler structure, and the scrubbed
+// run_shard payload of every (workload, warm mode) cell of a sampled grid.
+// Under the sanitizer build these runs double as the memory-safety stress
+// of the calendar ring, the intrusive ready/stall lists and the pooled
+// waiter nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +26,7 @@
 
 #include "helpers.hpp"
 #include "sim/presets.hpp"
+#include "sim/simulator.hpp"
 #include "trace/bbv.hpp"
 #include "trace/manifest.hpp"
 #include "trace/sampling.hpp"
@@ -248,6 +257,104 @@ TEST(Golden, TwoShardRunFromSidecarsAndFromTrace) {
     EXPECT_EQ(stats_digest(merged.configs[1].run.aggregate),
               0x25dd71f3845c7ddcull)
         << "from_trace=" << from_trace;
+  }
+}
+
+/// The detailed-core config matrix. Each column stresses different
+/// scheduler structures: one memory port (stalled-load retries), the CI
+/// mechanism (the replica engine rides the same cycle loop), and a
+/// 1K-entry ROB (calendar wrap-around and long stall lists).
+const char* const kCoreConfigNames[] = {"scal1p", "ci2p", "wide1p"};
+
+std::vector<core::CoreConfig> core_matrix() {
+  core::CoreConfig wide = sim::presets::scal(1, 2048);
+  wide.rob_size = 1024;
+  wide.lsq_size = 512;
+  return {sim::presets::scal(1, 256), sim::presets::ci(2, 256), wide};
+}
+
+/// Serialized SimStats plus the cycle count of one plain detailed run.
+uint64_t core_run_digest(const core::CoreConfig& config,
+                         const isa::Program& program, uint64_t max_insts) {
+  sim::Simulator sim(config, program);
+  const stats::SimStats st = sim.run(max_insts);
+  util::Digest d;
+  d.u64(stats_digest(st));
+  d.u64(st.cycles);
+  return d.value();
+}
+
+TEST(Golden, DetailedCoreKernels) {
+  const char* const kernels[] = {"bzip2", "parser", "twolf"};
+  // Rows: workloads at scale 8; columns: kCoreConfigNames; 120,000 commits.
+  const uint64_t expected[3][3] = {
+      {0x82e08d0eeec91d2dull, 0x7dc2c43647462fd6ull, 0x0533d3f57822e934ull},
+      {0x148f665fb38371edull, 0xb49cb593f9d1dcbfull, 0x9084f13fca41cd52ull},
+      {0xd2098969530a9d96ull, 0xebdfbed701a1dc5dull, 0xa8afb241e75dc837ull},
+  };
+  const std::vector<core::CoreConfig> configs = core_matrix();
+  for (size_t w = 0; w < 3; ++w) {
+    const isa::Program program = workloads::build(kernels[w], 8);
+    for (size_t c = 0; c < configs.size(); ++c) {
+      EXPECT_EQ(core_run_digest(configs[c], program, 120000), expected[w][c])
+          << kernels[w] << "/" << kCoreConfigNames[c];
+    }
+  }
+}
+
+/// Random programs reach squash and retry interleavings the curated
+/// kernels may not: wakeups of squashed slots, stale calendar events, LSQ
+/// squashes that must invalidate the stalled-load retry gate.
+TEST(Golden, DetailedCoreRandomPrograms) {
+  // Rows: testing::random_program(1..6); columns: kCoreConfigNames;
+  // 60,000 commits.
+  const uint64_t expected[6][3] = {
+      {0x1c18fd68fb26fc0aull, 0xc8f70bf74bd9c4abull, 0x1c18fd68fb26fc0aull},
+      {0x29e95fc9ade96fa8ull, 0x1a857f44f85c879dull, 0x29e95fc9ade96fa8ull},
+      {0xb31f94ab5689a846ull, 0xb637c425a9476b1dull, 0xb31f94ab5689a846ull},
+      {0x00d76458cfd7336cull, 0xdbf299a8ab73eed0ull, 0x00d76458cfd7336cull},
+      {0xf70403d8060fb177ull, 0x86f8ffe9a1208956ull, 0xf70403d8060fb177ull},
+      {0xbc749df73a7920f3ull, 0x43b760cd8fcca6efull, 0xbc749df73a7920f3ull},
+  };
+  const std::vector<core::CoreConfig> configs = core_matrix();
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const isa::Program program = cfir::testing::random_program(seed);
+    for (size_t c = 0; c < configs.size(); ++c) {
+      EXPECT_EQ(core_run_digest(configs[c], program, 60000),
+                expected[seed - 1][c])
+          << "seed " << seed << "/" << kCoreConfigNames[c];
+    }
+  }
+}
+
+/// The sampled grid path a sharded experiment takes: plan, bind two
+/// configs, run_shard. The scrubbed payload holds every per-interval
+/// stats block and warm count of the grid.
+TEST(Golden, DetailedCoreShardGridAcrossWarmModes) {
+  const char* const kernels[] = {"bzip2", "parser", "twolf"};
+  const WarmMode modes[] = {WarmMode::kDetailed, WarmMode::kFunctional,
+                            WarmMode::kHybrid};
+  const char* const mode_names[] = {"detailed", "functional", "hybrid"};
+  // Rows: workloads at scale 8; columns: modes.
+  const uint64_t expected[3][3] = {
+      {0x1dfa485a9a599fe1ull, 0xfd904f28bab1e855ull, 0x958127ebeba1fc73ull},
+      {0xdad9ee8943fd599cull, 0x471d8aacb15bc63eull, 0xfefce5a0d0484af9ull},
+      {0x72f9d1e203596f5bull, 0x85ac84fdb178525full, 0x536d7d7b4b207aa5ull},
+  };
+  const std::vector<std::pair<std::string, core::CoreConfig>> points = {
+      {"scal1p", sim::presets::scal(1, 256)},
+      {"ci2p", sim::presets::ci(2, 256)},
+  };
+  for (size_t w = 0; w < 3; ++w) {
+    const isa::Program program = workloads::build(kernels[w], 8);
+    for (size_t m = 0; m < 3; ++m) {
+      const IntervalPlan plan =
+          plan_intervals(program, 2, 120000, 5000, modes[m]);
+      const ShardResult r =
+          run_shard(bind_configs(plan, points, program), program, plan);
+      EXPECT_EQ(digest_of(scrubbed_bytes(r)), expected[w][m])
+          << kernels[w] << "/" << mode_names[m];
+    }
   }
 }
 
