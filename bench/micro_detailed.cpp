@@ -1,23 +1,13 @@
-// Detailed-core throughput: the calendar-queue/intrusive-list scheduler
-// (CFIR_CORE_SCHED=fast, the default) versus the heap/sort reference
-// scheduler (=ref) that serves as its differential oracle — the two are
-// bit-identical in simulated results (tests/test_core_sched_differential),
-// so this bench measures pure host-side scheduling cost.
-//
-// Runs each workload kernel at scale 8 under a plain superscalar config,
-// the paper's CI mechanism (whose replica engine rides the same core
-// loop), and a wide-window stress point (1K-entry ROB) where
-// the reference scheduler's per-cycle sort and retry-polling costs
-// dominate. Repetitions alternate ref/fast so host noise hits both
-// schedulers alike; each cell keeps its best wall time. Prints a table
-// (million committed insts/sec per scheduler plus speedup) and, under
-// CFIR_JSON=1, one machine-readable line per (workload, config, sched)
-// cell with `detailed_insts_per_sec` — tests/test_detailed_bench.cpp
-// guards the speedup on optimized builds.
+// Detailed-core throughput. Runs each workload kernel at scale 8 under a
+// plain superscalar config, the paper's CI mechanism (whose replica engine
+// rides the same core loop), and a wide-window stress point (1K-entry ROB)
+// where the scheduler's stall lists and calendar ring run longest. Each
+// cell keeps its best wall time over a few runs. Prints a table of million
+// committed insts/sec and, under CFIR_JSON=1, one machine-readable line
+// per (workload, config) cell with `detailed_insts_per_sec`.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -39,28 +29,24 @@ struct Cell {
   }
 };
 
-/// One detailed run to the commit budget on a fresh Simulator; the
-/// scheduler is selected via the same env knob users reach for,
-/// exercising sched_mode_from_env() too.
+/// One detailed run to the commit budget on a fresh Simulator.
 double run_once(const core::CoreConfig& config, const isa::Program& program,
-                const char* sched, uint64_t max_insts, uint64_t& insts_out) {
-  setenv("CFIR_CORE_SCHED", sched, 1);
+                uint64_t max_insts, uint64_t& insts_out) {
   sim::Simulator sim(config, program);
   const obs::Stopwatch clock;
   const stats::SimStats st = sim.run(max_insts);
   const double us = static_cast<double>(clock.elapsed_us());
-  unsetenv("CFIR_CORE_SCHED");
   insts_out = st.committed;
   return us;
 }
 
 void emit_json(const std::string& workload, const char* config,
-               const char* sched, const Cell& cell) {
+               const Cell& cell) {
   if (!bench::json_requested()) return;
   std::printf("{\"bench\":\"micro_detailed\",\"workload\":\"%s\","
-              "\"config\":\"%s\",\"sched\":\"%s\",\"insts\":%llu,"
+              "\"config\":\"%s\",\"insts\":%llu,"
               "\"wall_us\":%.1f,\"detailed_insts_per_sec\":%.1f}\n",
-              workload.c_str(), config, sched,
+              workload.c_str(), config,
               static_cast<unsigned long long>(cell.insts), cell.best_us,
               cell.insts_per_sec());
 }
@@ -86,29 +72,23 @@ int main() {
       {"wide1p", wide_window_config()},
   };
 
-  std::printf("detailed core throughput, Mi/s "
-              "(scale %u, %llu commits, best of %d interleaved runs)\n",
+  std::printf("detailed core throughput "
+              "(scale %u, %llu commits, best of %d runs)\n",
               scale, static_cast<unsigned long long>(budget), repeats);
-  std::printf("%-8s %-7s %9s | %8s %8s %8s\n", "workload", "config", "insts",
-              "ref", "fast", "speedup");
+  std::printf("%-8s %-7s %9s | %8s\n", "workload", "config", "insts", "Mi/s");
 
   for (const std::string& name : kernels) {
     const isa::Program program = workloads::build(name, scale);
     for (const auto& [cfg_name, config] : configs) {
-      Cell ref, fast;
+      Cell cell;
       for (int r = 0; r < repeats; ++r) {
-        ref.best_us = std::min(
-            ref.best_us, run_once(config, program, "ref", budget, ref.insts));
-        fast.best_us =
-            std::min(fast.best_us,
-                     run_once(config, program, "fast", budget, fast.insts));
+        cell.best_us = std::min(cell.best_us,
+                                run_once(config, program, budget, cell.insts));
       }
-      std::printf("%-8s %-7s %9llu | %8.3f %8.3f %7.2fx\n", name.c_str(),
-                  cfg_name, static_cast<unsigned long long>(fast.insts),
-                  ref.insts_per_sec() / 1e6, fast.insts_per_sec() / 1e6,
-                  ref.best_us / fast.best_us);
-      emit_json(name, cfg_name, "ref", ref);
-      emit_json(name, cfg_name, "fast", fast);
+      std::printf("%-8s %-7s %9llu | %8.3f\n", name.c_str(), cfg_name,
+                  static_cast<unsigned long long>(cell.insts),
+                  cell.insts_per_sec() / 1e6);
+      emit_json(name, cfg_name, cell);
     }
   }
   return 0;

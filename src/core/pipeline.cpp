@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -11,31 +10,12 @@ namespace cfir::core {
 
 using isa::Opcode;
 
-const char* sched_mode_name(SchedMode mode) {
-  switch (mode) {
-    case SchedMode::kRef: return "ref";
-    case SchedMode::kFast: return "fast";
-  }
-  return "?";
-}
-
-SchedMode sched_mode_from_env() {
-  const char* v = std::getenv("CFIR_CORE_SCHED");
-  if (v == nullptr || *v == '\0' || std::string_view(v) == "fast") {
-    return SchedMode::kFast;
-  }
-  if (std::string_view(v) == "ref") return SchedMode::kRef;
-  throw std::runtime_error("CFIR_CORE_SCHED must be 'fast' or 'ref', got '" +
-                           std::string(v) + "'");
-}
-
 Core::Core(const CoreConfig& config, const isa::Program& program,
-           mem::MainMemory& memory, Mechanism* mechanism, SchedMode sched)
+           mem::MainMemory& memory, Mechanism* mechanism)
     : cfg_(config),
       program_(program),
       mem_(memory),
       mech_(mechanism),
-      sched_(sched),
       hierarchy_(config.memory),
       gshare_(config.gshare_entries, config.gshare_history_bits),
       mbs_(config.mbs_sets, config.mbs_ways),
@@ -46,26 +26,22 @@ Core::Core(const CoreConfig& config, const isa::Program& program,
     throw std::runtime_error("num_phys_regs too small for the logical file");
   }
   rob_.resize(cfg_.rob_size);
-  reg_waiters_.resize(cfg_.num_phys_regs);
-  if (sched_ == SchedMode::kFast) {
-    cal_.resize(kCalBuckets);
-    smem_next_.assign(cfg_.rob_size, kUnlinked);
-    smem_prev_.assign(cfg_.rob_size, kUnlinked);
-    smem_gate_epoch_.assign(cfg_.rob_size, 0);
-    smem_gate_port_.assign(cfg_.rob_size, 0);
-    reg_wait_head_.assign(cfg_.num_phys_regs, -1);
-    reg_wait_tail_.assign(cfg_.num_phys_regs, -1);
-    // Live line-buffer entries are at most (window + 1 cycles of history)
-    // x (<= cache_ports inserts/cycle); size the ring 2x that so a live
-    // line can never be overwritten (bit-identity with the ref map).
-    uint32_t ring = 64;
-    const uint32_t need =
-        static_cast<uint32_t>(kLineBufferWindow + 2) *
-        std::max<uint32_t>(1, cfg_.cache_ports) * 2;
-    while (ring < need) ring <<= 1;
-    line_ring_.assign(ring, LineSlot{});
-    line_ring_mask_ = ring - 1;
-  }
+  cal_.resize(kCalBuckets);
+  smem_next_.assign(cfg_.rob_size, kUnlinked);
+  smem_prev_.assign(cfg_.rob_size, kUnlinked);
+  smem_gate_epoch_.assign(cfg_.rob_size, 0);
+  smem_gate_port_.assign(cfg_.rob_size, 0);
+  reg_wait_head_.assign(cfg_.num_phys_regs, -1);
+  reg_wait_tail_.assign(cfg_.num_phys_regs, -1);
+  // Live line-buffer entries are at most (window + 1 cycles of history)
+  // x (<= cache_ports inserts/cycle); size the ring 2x that so a lookup
+  // always sees every live entry.
+  uint32_t ring = 64;
+  const uint32_t need = static_cast<uint32_t>(kLineBufferWindow + 2) *
+                        std::max<uint32_t>(1, cfg_.cache_ports) * 2;
+  while (ring < need) ring <<= 1;
+  line_ring_.assign(ring, LineSlot{});
+  line_ring_mask_ = ring - 1;
   obs::Registry& reg = obs::Registry::instance();
   obs_cycles_ = &reg.counter("core.cycles");
   obs_flushes_ = &reg.counter("core.flushes");
@@ -92,69 +68,46 @@ void Core::set_arch_state(
   fetch_pc_ = pc;
 }
 
-bool Core::slot_live(uint32_t slot, uint64_t seq) const {
-  if (rob_count_ == 0) return false;
-  const uint32_t size = static_cast<uint32_t>(rob_.size());
-  const uint32_t idx = (slot + size - rob_head_) % size;
-  return idx < rob_count_ && rob_[slot].seq == seq;
-}
-
 uint32_t Core::rob_tail_slot() const {
   return (rob_head_ + rob_count_) % static_cast<uint32_t>(rob_.size());
 }
 
 void Core::schedule_completion(uint32_t slot, uint64_t seq, uint64_t when) {
-  if (sched_ == SchedMode::kFast) {
-    // Almost every event lands within the ring horizon; the rare deeper
-    // latency parks in the overflow vector and migrates during drain.
-    if (when - cycle_ < kCalBuckets) {
-      cal_[when & (kCalBuckets - 1)].push_back({when, seq, slot});
-      // A zero-latency completion scheduled after this cycle's drain (the
-      // copy-issue path) must re-open its time slot.
-      if (when < cal_next_drain_) cal_next_drain_ = when;
-    } else {
-      cal_overflow_.push_back({when, seq, slot});
-    }
-    return;
+  // Almost every event lands within the ring horizon; the rare deeper
+  // latency parks in the overflow vector and migrates during drain.
+  if (when - cycle_ < kCalBuckets) {
+    cal_[when & (kCalBuckets - 1)].push_back({when, seq, slot});
+    // A zero-latency completion scheduled after this cycle's drain (the
+    // copy-issue path) must re-open its time slot.
+    if (when < cal_next_drain_) cal_next_drain_ = when;
+  } else {
+    cal_overflow_.push_back({when, seq, slot});
   }
-  events_.push({when, seq, slot});
 }
 
 void Core::add_waiter(int phys, uint32_t slot, uint64_t seq) {
-  if (sched_ == SchedMode::kFast) {
-    int32_t n;
-    if (waiter_free_ >= 0) {
-      n = waiter_free_;
-      waiter_free_ = waiter_pool_[static_cast<size_t>(n)].next;
-    } else {
-      n = static_cast<int32_t>(waiter_pool_.size());
-      waiter_pool_.push_back({});
-    }
-    WaiterNode& node = waiter_pool_[static_cast<size_t>(n)];
-    node.seq = seq;
-    node.slot = slot;
-    node.next = -1;
-    const size_t p = static_cast<size_t>(phys);
-    if (reg_wait_tail_[p] >= 0) {
-      waiter_pool_[static_cast<size_t>(reg_wait_tail_[p])].next = n;
-    } else {
-      reg_wait_head_[p] = n;
-    }
-    reg_wait_tail_[p] = n;
-    return;
+  int32_t n;
+  if (waiter_free_ >= 0) {
+    n = waiter_free_;
+    waiter_free_ = waiter_pool_[static_cast<size_t>(n)].next;
+  } else {
+    n = static_cast<int32_t>(waiter_pool_.size());
+    waiter_pool_.push_back({});
   }
-  reg_waiters_[static_cast<size_t>(phys)].push_back({slot, seq});
+  WaiterNode& node = waiter_pool_[static_cast<size_t>(n)];
+  node.seq = seq;
+  node.slot = slot;
+  node.next = -1;
+  const size_t p = static_cast<size_t>(phys);
+  if (reg_wait_tail_[p] >= 0) {
+    waiter_pool_[static_cast<size_t>(reg_wait_tail_[p])].next = n;
+  } else {
+    reg_wait_head_[p] = n;
+  }
+  reg_wait_tail_[p] = n;
 }
 
 void Core::ready_push(uint64_t seq, uint32_t slot) {
-  if (sched_ == SchedMode::kFast) {
-    ready_list_push(seq, slot);
-    return;
-  }
-  ready_q_.push({seq, slot});
-}
-
-void Core::ready_list_push(uint64_t seq, uint32_t slot) {
   int32_t n;
   if (ready_free_ >= 0) {
     n = ready_free_;
@@ -205,7 +158,7 @@ void Core::ready_list_push(uint64_t seq, uint32_t slot) {
   }
 }
 
-void Core::ready_list_unlink(int32_t n) {
+void Core::ready_unlink(int32_t n) {
   ReadyNode& node = ready_pool_[static_cast<size_t>(n)];
   if (node.prev >= 0) {
     ready_pool_[static_cast<size_t>(node.prev)].next = node.next;
@@ -265,34 +218,17 @@ void Core::smem_unlink(uint32_t slot) {
 }
 
 void Core::wake_reg(int phys) {
-  if (sched_ == SchedMode::kFast) {
-    // Detach the chain first (the ref path's move-then-clear): waiters
-    // added during the walk start a fresh chain woken next time.
-    int32_t n = reg_wait_head_[static_cast<size_t>(phys)];
-    if (n < 0) return;
-    reg_wait_head_[static_cast<size_t>(phys)] = -1;
-    reg_wait_tail_[static_cast<size_t>(phys)] = -1;
-    while (n >= 0) {
-      const WaiterNode w = waiter_pool_[static_cast<size_t>(n)];
-      waiter_pool_[static_cast<size_t>(n)].next = waiter_free_;
-      waiter_free_ = n;
-      n = w.next;
-      if (!slot_live_fast(w.slot, w.seq)) continue;
-      DynInst& di = at(w.slot);
-      if (di.completed || di.issued) continue;
-      if (di.mech.reused && !di.mech.via_copy) {
-        schedule_completion(w.slot, w.seq, cycle_ + 1);
-      } else if (di.pending_ops > 0) {
-        if (--di.pending_ops == 0) ready_push(w.seq, w.slot);
-      }
-    }
-    return;
-  }
-  auto& ws = reg_waiters_[static_cast<size_t>(phys)];
-  if (ws.empty()) return;
-  std::vector<Waiter> pending = std::move(ws);
-  ws.clear();
-  for (const Waiter& w : pending) {
+  // Detach the chain first: waiters added during the walk start a fresh
+  // chain woken next time.
+  int32_t n = reg_wait_head_[static_cast<size_t>(phys)];
+  if (n < 0) return;
+  reg_wait_head_[static_cast<size_t>(phys)] = -1;
+  reg_wait_tail_[static_cast<size_t>(phys)] = -1;
+  while (n >= 0) {
+    const WaiterNode w = waiter_pool_[static_cast<size_t>(n)];
+    waiter_pool_[static_cast<size_t>(n)].next = waiter_free_;
+    waiter_free_ = n;
+    n = w.next;
     if (!slot_live(w.slot, w.seq)) continue;
     DynInst& di = at(w.slot);
     if (di.completed || di.issued) continue;
@@ -309,9 +245,7 @@ void Core::wake_reg(int phys) {
 void Core::replica_written(int phys) { wake_reg(phys); }
 
 void Core::wake_copy(uint32_t rob_slot, uint64_t seq) {
-  const bool live = sched_ == SchedMode::kFast ? slot_live_fast(rob_slot, seq)
-                                               : slot_live(rob_slot, seq);
-  if (!live) return;
+  if (!slot_live(rob_slot, seq)) return;
   DynInst& di = at(rob_slot);
   if (di.pending_ops > 0 && --di.pending_ops == 0) {
     ready_push(seq, rob_slot);
@@ -319,61 +253,36 @@ void Core::wake_copy(uint32_t rob_slot, uint64_t seq) {
 }
 
 bool Core::line_buffer_lookup(uint64_t line, uint32_t& latency_out) {
-  if (sched_ == SchedMode::kFast) {
-    // Newest-first: the most recent insert for a line is the map's
-    // overwrite. Entries are inserted in cycle order, so the first expired
-    // entry ends the search (everything older is expired too, and expired
-    // entries always miss).
-    const uint32_t size = static_cast<uint32_t>(line_ring_.size());
-    const uint32_t valid = static_cast<uint32_t>(
-        std::min<uint64_t>(line_ring_fill_, size));
-    for (uint32_t k = 0; k < valid; ++k) {
-      LineSlot& ls = line_ring_[(line_ring_pos_ - 1 - k) & line_ring_mask_];
-      if (cycle_ > ls.expire_cycle) break;
-      if (ls.line != line) continue;
-      if (ls.uses >= cfg_.wide_bus_loads_per_access) return false;
-      ++ls.uses;
-      ++stats_.loads_piggybacked;
-      latency_out = ls.ready_cycle > cycle_
-                        ? static_cast<uint32_t>(ls.ready_cycle - cycle_)
-                        : 1;
-      return true;
-    }
-    return false;
+  // Newest-first: the most recent insert for a line shadows older ones.
+  // Entries are inserted in cycle order, so the first expired entry ends
+  // the search (everything older is expired too, and expired entries
+  // always miss).
+  const uint32_t size = static_cast<uint32_t>(line_ring_.size());
+  const uint32_t valid =
+      static_cast<uint32_t>(std::min<uint64_t>(line_ring_fill_, size));
+  for (uint32_t k = 0; k < valid; ++k) {
+    LineSlot& ls = line_ring_[(line_ring_pos_ - 1 - k) & line_ring_mask_];
+    if (cycle_ > ls.expire_cycle) break;
+    if (ls.line != line) continue;
+    if (ls.uses >= cfg_.wide_bus_loads_per_access) return false;
+    ++ls.uses;
+    ++stats_.loads_piggybacked;
+    latency_out = ls.ready_cycle > cycle_
+                      ? static_cast<uint32_t>(ls.ready_cycle - cycle_)
+                      : 1;
+    return true;
   }
-  const auto it = line_buffer_.find(line);
-  if (it == line_buffer_.end()) return false;
-  LineAccess& la = it->second;
-  if (cycle_ > la.expire_cycle || la.uses >= cfg_.wide_bus_loads_per_access) {
-    return false;
-  }
-  ++la.uses;
-  ++stats_.loads_piggybacked;
-  latency_out = la.ready_cycle > cycle_
-                    ? static_cast<uint32_t>(la.ready_cycle - cycle_)
-                    : 1;
-  return true;
+  return false;
 }
 
 void Core::line_buffer_insert(uint64_t line, uint32_t latency) {
-  if (sched_ == SchedMode::kFast) {
-    LineSlot& ls = line_ring_[line_ring_pos_ & line_ring_mask_];
-    ++line_ring_pos_;
-    if (line_ring_fill_ < line_ring_.size()) ++line_ring_fill_;
-    ls.line = line;
-    ls.ready_cycle = cycle_ + latency;
-    ls.expire_cycle = cycle_ + kLineBufferWindow;
-    ls.uses = 1;
-    return;
-  }
-  if (line_buffer_.size() > 32) {
-    for (auto it = line_buffer_.begin(); it != line_buffer_.end();) {
-      it = it->second.expire_cycle < cycle_ ? line_buffer_.erase(it)
-                                            : std::next(it);
-    }
-  }
-  line_buffer_[line] =
-      LineAccess{cycle_ + latency, 1, cycle_ + kLineBufferWindow};
+  LineSlot& ls = line_ring_[line_ring_pos_ & line_ring_mask_];
+  ++line_ring_pos_;
+  if (line_ring_fill_ < line_ring_.size()) ++line_ring_fill_;
+  ls.line = line;
+  ls.ready_cycle = cycle_ + latency;
+  ls.expire_cycle = cycle_ + kLineBufferWindow;
+  ls.uses = 1;
 }
 
 bool Core::try_replica_load_access(uint64_t addr, uint32_t& latency_out) {
@@ -564,88 +473,11 @@ void Core::dispatch(DynInst di) {
 // Issue / execute.
 // ---------------------------------------------------------------------------
 void Core::issue_stage() {
-  if (sched_ == SchedMode::kFast) {
-    issue_stage_fast();
-  } else {
-    issue_stage_ref();
-  }
-}
-
-void Core::issue_stage_ref() {
   uint32_t slots = cfg_.issue_width;
 
   // Memory operations that stalled on disambiguation retry first (they are
-  // the oldest by construction).
-  if (!stalled_mem_.empty()) {
-    std::sort(stalled_mem_.begin(), stalled_mem_.end());
-    std::vector<std::pair<uint64_t, uint32_t>> still;
-    size_t i = 0;
-    for (; i < stalled_mem_.size(); ++i) {
-      const auto [seq, slot] = stalled_mem_[i];
-      if (slots == 0) break;
-      if (!slot_live(slot, seq)) continue;
-      DynInst& di = at(slot);
-      if (di.issued || di.completed || di.pending_ops > 0) continue;
-      if (try_issue(slot)) {
-        --slots;
-      } else {
-        still.emplace_back(seq, slot);
-      }
-    }
-    for (; i < stalled_mem_.size(); ++i) still.push_back(stalled_mem_[i]);
-    stalled_mem_ = std::move(still);
-  }
-
-  // Main select loop: oldest-ready-first with lazy invalidation.
-  std::vector<std::pair<uint64_t, uint32_t>> retry;
-  uint32_t inspected = 0;
-  const uint32_t inspect_limit = cfg_.issue_width * 4;
-  while (slots > 0 && !ready_q_.empty() && inspected < inspect_limit) {
-    const auto [seq, slot] = ready_q_.top();
-    ready_q_.pop();
-    ++inspected;
-    if (!slot_live(slot, seq)) continue;
-    DynInst& di = at(slot);
-    if (di.issued || di.completed || di.pending_ops > 0) continue;
-    if (di.mech.reused && di.mech.via_copy) {
-      uint32_t lat = 0;
-      uint64_t value = 0;
-      if (mech_->try_issue_copy(di, cycle_, lat, value)) {
-        di.issued = true;
-        di.result = value;
-        schedule_completion(slot, seq, cycle_ + lat);
-        --slots;
-      } else {
-        retry.emplace_back(seq, slot);
-      }
-      continue;
-    }
-    if (try_issue(slot)) {
-      --slots;
-    } else if (di.is_load || di.is_store) {
-      stalled_mem_.emplace_back(seq, slot);
-    } else {
-      retry.emplace_back(seq, slot);
-    }
-  }
-  for (const auto& p : retry) ready_q_.push(p);
-
-  // Leftover bandwidth goes to the replica engine (section 2.4.1: lower
-  // priority than the main thread).
-  if (mech_ != nullptr) {
-    CycleResources res{slots, fu_.simple_int_left(), fu_.muldiv_left(),
-                       fu_.mem_ports_left()};
-    mech_->issue_cycle(cycle_, res);
-  }
-}
-
-void Core::issue_stage_fast() {
-  uint32_t slots = cfg_.issue_width;
-
-  // Stalled memory retries: the intrusive list is already seq-sorted and
-  // all-live, so this walk visits exactly the entries the ref path's
-  // sort-filter-rebuild visits, in the same order, and stopping at
-  // slots == 0 retains the tail in place.
+  // the oldest by construction). The list is seq-sorted and all-live;
+  // entries past the last free issue slot keep their place.
   int32_t s = smem_head_;
   while (s >= 0) {
     if (slots == 0) break;
@@ -657,9 +489,8 @@ void Core::issue_stage_fast() {
     } else if (smem_gate_epoch_[slot] == lsq_store_epoch_ &&
                (!smem_gate_port_[slot] ||
                 (!cfg_.wide_bus && fu_.mem_ports_left() == 0))) {
-      // Provably refused again (see the gate's invariant in the header):
-      // skipping replays neither the address recomputation nor the LSQ
-      // scans, and a refused ref attempt consumed no issue slots either.
+      // Provably refused again (see the gate's invariant in the header),
+      // and a refused attempt takes no issue slot, so skip the replay.
     } else if (try_issue(slot)) {
       smem_unlink(slot);
       --slots;
@@ -670,10 +501,9 @@ void Core::issue_stage_fast() {
     s = next;
   }
 
-  // Main select loop: the seq-sorted ready list yields the heap's pop
-  // order; stale nodes (squashed slots) are dropped on inspection and
-  // consume select bandwidth exactly like the heap's stale pops; retried
-  // entries keep their position instead of the pop/re-push round trip.
+  // Main select loop: oldest-ready-first over the seq-sorted ready list.
+  // Stale nodes (squashed slots) are dropped on inspection but still count
+  // against the inspect limit; refused entries keep their place.
   uint32_t inspected = 0;
   const uint32_t inspect_limit = cfg_.issue_width * 4;
   int32_t n = ready_head_;
@@ -682,14 +512,14 @@ void Core::issue_stage_fast() {
     const uint64_t seq = ready_pool_[static_cast<size_t>(n)].seq;
     const uint32_t slot = ready_pool_[static_cast<size_t>(n)].slot;
     ++inspected;
-    if (!slot_live_fast(slot, seq)) {
-      ready_list_unlink(n);
+    if (!slot_live(slot, seq)) {
+      ready_unlink(n);
       n = next;
       continue;
     }
     DynInst& di = at(slot);
     if (di.issued || di.completed || di.pending_ops > 0) {
-      ready_list_unlink(n);
+      ready_unlink(n);
       n = next;
       continue;
     }
@@ -700,17 +530,17 @@ void Core::issue_stage_fast() {
         di.issued = true;
         di.result = value;
         schedule_completion(slot, seq, cycle_ + lat);
-        ready_list_unlink(n);
+        ready_unlink(n);
         --slots;
       }
       n = next;
       continue;
     }
     if (try_issue(slot)) {
-      ready_list_unlink(n);
+      ready_unlink(n);
       --slots;
     } else if (di.is_load || di.is_store) {
-      ready_list_unlink(n);
+      ready_unlink(n);
       smem_insert(slot, seq);
       smem_gate_epoch_[slot] = lsq_store_epoch_;
       smem_gate_port_[slot] = mem_fail_port_;
@@ -824,23 +654,6 @@ void Core::execute(DynInst& di, uint32_t slot, uint32_t latency) {
 // Writeback: completion events, branch resolution, recovery.
 // ---------------------------------------------------------------------------
 void Core::writeback_stage() {
-  if (sched_ == SchedMode::kFast) {
-    writeback_stage_fast();
-  } else {
-    writeback_stage_ref();
-  }
-}
-
-void Core::writeback_stage_ref() {
-  while (!events_.empty() && events_.top().when <= cycle_) {
-    const Event ev = events_.top();
-    events_.pop();
-    if (!slot_live(ev.slot, ev.seq)) continue;
-    complete(ev.slot);
-  }
-}
-
-void Core::writeback_stage_fast() {
   // Migrate overflow events whose due time entered the ring horizon.
   if (!cal_overflow_.empty()) {
     size_t keep = 0;
@@ -854,10 +667,10 @@ void Core::writeback_stage_fast() {
     }
     cal_overflow_.resize(keep);
   }
-  // Drain every not-yet-drained time slot <= cycle_ in (when, seq) order —
-  // exactly the heap's pop order. Normally this is the single bucket for
-  // cycle_; a zero-latency event pushed after its slot drained reopens it
-  // (cal_next_drain_ rollback in schedule_completion).
+  // Drain every not-yet-drained time slot <= cycle_ in (when, seq) order.
+  // Normally this is the single bucket for cycle_; a zero-latency event
+  // pushed after its slot drained reopens it (cal_next_drain_ rollback in
+  // schedule_completion).
   for (uint64_t t = cal_next_drain_; t <= cycle_; ++t) {
     std::vector<Event>& bucket = cal_[t & (kCalBuckets - 1)];
     if (bucket.empty()) continue;
@@ -874,7 +687,7 @@ void Core::writeback_stage_fast() {
     std::sort(cal_scratch_.begin(), cal_scratch_.end(),
               [](const Event& a, const Event& b) { return a.seq < b.seq; });
     for (const Event& ev : cal_scratch_) {
-      if (!slot_live_fast(ev.slot, ev.seq)) continue;
+      if (!slot_live(ev.slot, ev.seq)) continue;
       complete(ev.slot);
     }
   }
@@ -944,7 +757,7 @@ void Core::squash_younger(uint64_t seq_keep) {
       if (di.pd >= 0 && !di.mech.pd_from_replica) regfile_.free_reg(di.pd);
     }
     ++stats_.squashed;
-    if (sched_ == SchedMode::kFast) smem_unlink(slot);
+    smem_unlink(slot);
     di.seq = 0;  // kill pending events/waiters pointing at this slot
     --rob_count_;
   }

@@ -6,31 +6,19 @@
 // extends; the control-independence machinery attaches through the
 // Mechanism hook interface (core/types.hpp).
 //
-// Two schedulers implement the identical cycle-by-cycle semantics
-// (docs/architecture.md "Detailed core scheduler"; CFIR_CORE_SCHED knob):
-//
-//   fast  flat, allocation-free structures — a cycle-bucketed calendar
-//         ring for completion events, intrusive seq-sorted lists for the
-//         ready and stalled-memory sets, a free-listed waiter pool, and a
-//         small insertion-ordered ring for the wide-bus line buffers.
-//         The default.
-//   ref   the original containers (std::priority_queue wakeup heap,
-//         per-cycle std::sort + rebuild of the stalled list, per-register
-//         waiter vectors, std::unordered_map line buffers), kept verbatim
-//         as the differential oracle.
-//
-// Every SimStats field, cycle count and commit record is bit-identical
-// between the two (tests/test_core_sched_differential.cpp) — fast differs
-// only in host cost (bench/micro_detailed, guarded >=1.5x in
-// tests/test_detailed_bench.cpp).
+// The scheduler (docs/architecture.md "Detailed core scheduler") uses flat
+// structures that allocate nothing per cycle once warm: a cycle-bucketed
+// calendar ring for completion events, intrusive seq-sorted lists for the
+// ready and stalled-memory sets, a free-listed waiter pool, and a small
+// insertion-ordered ring for the wide-bus line buffers. The Golden.
+// DetailedCore* tests (tests/test_golden.cpp) pin its SimStats and cycle
+// counts; bench/micro_detailed measures its throughput.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "branch/gshare.hpp"
@@ -54,18 +42,6 @@ class Histogram;
 
 namespace cfir::core {
 
-/// Which scheduler backs the detailed core's cycle loop.
-enum class SchedMode : uint8_t {
-  kRef = 0,   ///< original heap/map/vector structures (oracle)
-  kFast = 1,  ///< calendar ring + intrusive lists + pools (default)
-};
-
-[[nodiscard]] const char* sched_mode_name(SchedMode mode);
-/// Reads `CFIR_CORE_SCHED` ("fast" | "ref"; unset/empty = fast). Throws on
-/// typos so a misspelled knob fails loudly instead of silently running the
-/// wrong scheduler.
-[[nodiscard]] SchedMode sched_mode_from_env();
-
 /// One architecturally committed instruction, as delivered to the batched
 /// commit observer. Carries exactly what downstream consumers (the trace
 /// recorder, tests) rebuild their records from; field semantics match the
@@ -85,11 +61,9 @@ struct CommitRecord {
 class Core {
  public:
   /// `mechanism` may be null (plain superscalar). `memory` must already hold
-  /// the program's data image. `sched` selects the hot-loop scheduler; the
-  /// default reads the CFIR_CORE_SCHED environment knob.
+  /// the program's data image.
   Core(const CoreConfig& config, const isa::Program& program,
-       mem::MainMemory& memory, Mechanism* mechanism,
-       SchedMode sched = sched_mode_from_env());
+       mem::MainMemory& memory, Mechanism* mechanism);
 
   /// Runs until `max_commits` instructions commit, HALT commits, or the
   /// program runs off its image. Throws std::runtime_error on deadlock
@@ -101,7 +75,6 @@ class Core {
 
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] uint64_t cycle() const { return cycle_; }
-  [[nodiscard]] SchedMode sched_mode() const { return sched_; }
   [[nodiscard]] const stats::SimStats& stats() const { return stats_; }
   [[nodiscard]] stats::SimStats& stats() { return stats_; }
 
@@ -168,13 +141,6 @@ class Core {
     uint64_t when;
     uint64_t seq;
     uint32_t slot;
-    bool operator>(const Event& o) const {
-      return when != o.when ? when > o.when : seq > o.seq;
-    }
-  };
-  struct Waiter {
-    uint32_t slot;
-    uint64_t seq;
   };
 
   // Stages (executed in this order each cycle).
@@ -183,21 +149,13 @@ class Core {
   void issue_stage();
   void fetch_stage();
 
-  // Scheduler-specific halves of writeback/issue (ref kept verbatim).
-  void writeback_stage_ref();
-  void writeback_stage_fast();
-  void issue_stage_ref();
-  void issue_stage_fast();
-
   // Helpers.
   [[nodiscard]] DynInst& at(uint32_t slot) { return rob_[slot]; }
-  [[nodiscard]] bool slot_live(uint32_t slot, uint64_t seq) const;
-  /// Fast-scheduler liveness: equivalent to slot_live for the seqs stored
-  /// in events/waiters/ready nodes (always >= 1; next_seq_ starts at 1).
-  /// Commit and squash both zero rob_[slot].seq before a slot leaves the
-  /// window and seqs are never reused, so the seq match alone decides —
-  /// skipping slot_live's ring-index modulo on the hottest validations.
-  [[nodiscard]] bool slot_live_fast(uint32_t slot, uint64_t seq) const {
+  /// Whether the (slot, seq) an event, waiter or ready node recorded still
+  /// names a live instruction. Recorded seqs are >= 1 (next_seq_ starts at
+  /// 1) and never reused, and commit and squash both zero rob_[slot].seq
+  /// before a slot leaves the window, so the seq match alone decides.
+  [[nodiscard]] bool slot_live(uint32_t slot, uint64_t seq) const {
     return rob_[slot].seq == seq;
   }
   [[nodiscard]] uint32_t rob_tail_slot() const;
@@ -210,8 +168,6 @@ class Core {
   void schedule_completion(uint32_t slot, uint64_t seq, uint64_t when);
   void add_waiter(int phys, uint32_t slot, uint64_t seq);
   void wake_reg(int phys);
-  /// Pushes (seq, slot) into the ready set of the active scheduler.
-  void ready_push(uint64_t seq, uint32_t slot);
   /// Squashes everything strictly younger than `seq` and redirects fetch.
   void recover_to(uint64_t seq, uint64_t new_fetch_pc, uint64_t resume_delay);
   void squash_younger(uint64_t seq);
@@ -226,7 +182,6 @@ class Core {
   const isa::Program& program_;
   mem::MainMemory& mem_;
   Mechanism* mech_;
-  SchedMode sched_;
   mem::CacheHierarchy hierarchy_;
   branch::Gshare gshare_;
   branch::ReturnAddressStack ras_;
@@ -242,33 +197,22 @@ class Core {
   uint32_t rob_head_ = 0;
   uint32_t rob_count_ = 0;
 
-  // --- wakeup/select (ref scheduler) ----------------------------------------
-  std::vector<std::vector<Waiter>> reg_waiters_;  ///< per physical register
-  using ReadyQueue =
-      std::priority_queue<std::pair<uint64_t, uint32_t>,
-                          std::vector<std::pair<uint64_t, uint32_t>>,
-                          std::greater<>>;
-  ReadyQueue ready_q_;                    ///< (seq, slot), lazy-validated
-  std::vector<std::pair<uint64_t, uint32_t>> stalled_mem_;  ///< LSQ retries
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
-
-  // --- wakeup/select (fast scheduler) ---------------------------------------
+  // --- wakeup/select ---------------------------------------------------------
   // Completion events live in a cycle-bucketed calendar ring: bucket
   // (when & mask) holds the events due at `when` (latencies are bounded by
   // CoreConfig; anything beyond the ring horizon parks in cal_overflow_
-  // and migrates as the horizon advances). Draining time T pops exactly
-  // the heap's (when==T) events in ascending seq order.
+  // and migrates as the horizon advances). Draining time T completes the
+  // events due at T in ascending seq order.
   static constexpr uint32_t kCalBuckets = 256;  // power of two
   std::vector<std::vector<Event>> cal_;
   std::vector<Event> cal_overflow_;
   std::vector<Event> cal_scratch_;
   uint64_t cal_next_drain_ = 0;
 
-  // The ready set is a seq-sorted doubly-linked list of pooled nodes with
-  // the SAME lazy-invalidation semantics as the ref heap: squashed entries
-  // stay until inspected (and consume select bandwidth exactly like the
-  // heap's stale pops), retried entries keep their position instead of a
-  // pop/re-push round trip.
+  // The ready set is a seq-sorted doubly-linked list of pooled nodes that
+  // select walks oldest first. Invalidation is lazy: a squashed entry stays
+  // until select inspects it, and every inspection, stale or not, counts
+  // against the per-cycle inspect limit. A refused entry keeps its place.
   struct ReadyNode {
     uint64_t seq = 0;
     uint32_t slot = 0;
@@ -279,12 +223,12 @@ class Core {
   int32_t ready_free_ = -1;
   int32_t ready_head_ = -1;
   int32_t ready_tail_ = -1;
-  void ready_list_push(uint64_t seq, uint32_t slot);
-  void ready_list_unlink(int32_t node);
+  void ready_push(uint64_t seq, uint32_t slot);
+  void ready_unlink(int32_t node);
 
   // Stalled memory ops thread an intrusive seq-sorted list through ROB
-  // slots (a slot is in the list at most once; squash unlinks eagerly, so
-  // entries are always live — the invisible part of the ref semantics).
+  // slots. A slot is in the list at most once, and squash unlinks eagerly,
+  // so every listed entry is live and rob_[slot].seq is its sort key.
   std::vector<int32_t> smem_next_;
   std::vector<int32_t> smem_prev_;
   int32_t smem_head_ = -1;
@@ -293,7 +237,7 @@ class Core {
   void smem_insert(uint32_t slot, uint64_t seq);
   void smem_unlink(uint32_t slot);
 
-  // Retry gating for stalled loads (fast scheduler): a refused issue_mem
+  // Retry gating for stalled loads: a refused issue_mem
   // attempt has no side effects beyond recomputing the (fixed) address, and
   // its outcome depends only on the LSQ's store population — disambiguation
   // and forwarding consult older stores exclusively — plus, for the
@@ -309,8 +253,8 @@ class Core {
   std::vector<uint8_t> smem_gate_port_;
 
   // Register waiters draw nodes from one free-listed pool; each physical
-  // register keeps a FIFO chain (append at tail, detach-then-walk on wake —
-  // the same move-then-clear discipline as the ref vectors).
+  // register keeps a FIFO chain. A wake detaches the whole chain before
+  // walking it, so waiters added during the walk wait for the next wake.
   struct WaiterNode {
     uint64_t seq = 0;
     uint32_t slot = 0;
@@ -325,21 +269,14 @@ class Core {
   // A wide access reads the whole line into a short-lived buffer; up to
   // cfg.wide_bus_loads_per_access loads can be served from it (section
   // 2.4.5) within a small window, without extra cache accesses or ports.
-  struct LineAccess {
-    uint64_t ready_cycle;
-    uint32_t uses;
-    uint64_t expire_cycle;
-  };
-  std::unordered_map<uint64_t, LineAccess> line_buffer_;  ///< ref scheduler
+  // The buffers form a small insertion-ordered ring searched newest-first,
+  // so a line's newest insert shadows older ones. Aging is lazy: insert
+  // order is cycle order, so the search stops at the first expired entry.
+  // Sized so a live entry (<= window+1 cycles old, <= cache_ports
+  // inserts/cycle) is never overwritten while live.
   static constexpr uint64_t kLineBufferWindow = 8;
   bool line_buffer_lookup(uint64_t line, uint32_t& latency_out);
   void line_buffer_insert(uint64_t line, uint32_t latency);
-
-  // Fast scheduler: a small insertion-ordered ring searched newest-first
-  // (the newest entry for a line IS the map's overwrite), aged lazily — the
-  // search early-exits at the first expired entry because insert order is
-  // cycle order. Sized so a live entry (<= window+1 cycles old, <=
-  // cache_ports inserts/cycle) can never be overwritten while live.
   struct LineSlot {
     uint64_t line = ~uint64_t{0};
     uint64_t ready_cycle = 0;

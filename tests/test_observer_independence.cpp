@@ -1,17 +1,16 @@
 // Observer independence: attaching commit observers (a TraceWriter via
 // Simulator::attach_trace, or a raw on_commit_span callback) must not
 // perturb the simulation — same serialized SimStats, same cycle count,
-// same committed stream, with and without observers, under both
-// schedulers. The fast scheduler batches commit records into a span
-// buffer instead of invoking a per-commit std::function, so this pins
-// down the contract that batching is pure plumbing: observers see every
-// committed instruction exactly once, in order, and the simulated result
-// never depends on whether anyone is watching.
+// same committed stream, with and without observers. The core batches
+// commit records into a span buffer instead of invoking a per-commit
+// std::function, so this pins down the contract that batching is pure
+// plumbing: observers see every committed instruction exactly once, in
+// order, and the simulated result never depends on whether anyone is
+// watching.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,12 +28,6 @@
 
 namespace cfir {
 namespace {
-
-class ScopedSched {
- public:
-  explicit ScopedSched(const char* mode) { setenv("CFIR_CORE_SCHED", mode, 1); }
-  ~ScopedSched() { unsetenv("CFIR_CORE_SCHED"); }
-};
 
 class TempFile {
  public:
@@ -65,10 +58,8 @@ struct Observed {
 enum class Observe { kNone, kSpan, kTrace };
 
 [[nodiscard]] Observed run(const core::CoreConfig& config,
-                           const isa::Program& program, const char* sched,
-                           Observe observe, uint64_t max_insts,
-                           const std::string& tag) {
-  ScopedSched scoped(sched);
+                           const isa::Program& program, Observe observe,
+                           uint64_t max_insts, const std::string& tag) {
   sim::Simulator sim(config, program);
   Observed out;
   TempFile file(tag);
@@ -101,45 +92,40 @@ TEST(ObserverIndependence, StatsIdenticalWithAndWithoutObservers) {
       {"scal1p", sim::presets::scal(1, 256)},
       {"ci2p", sim::presets::ci(2, 256)},
   };
-  for (const char* sched : {"ref", "fast"}) {
-    for (const std::string& name : {"bzip2", "twolf"}) {
-      const isa::Program program = workloads::build(name, 4);
-      for (const auto& [cfg_name, config] : configs) {
-        const std::string tag = name + "_" + cfg_name + "_" + sched;
-        const Observed bare =
-            run(config, program, sched, Observe::kNone, 40000, tag + "_b");
-        const Observed span =
-            run(config, program, sched, Observe::kSpan, 40000, tag + "_s");
-        const Observed traced =
-            run(config, program, sched, Observe::kTrace, 40000, tag + "_t");
-        EXPECT_EQ(bare.stats, span.stats) << tag;
-        EXPECT_EQ(bare.stats, traced.stats) << tag;
-        EXPECT_EQ(bare.cycles, span.cycles) << tag;
-        EXPECT_EQ(bare.cycles, traced.cycles) << tag;
-        // The span observer saw the whole committed stream, exactly once.
-        EXPECT_EQ(span.pcs.size(), span.committed) << tag;
-      }
+  for (const std::string& name : {"bzip2", "twolf"}) {
+    const isa::Program program = workloads::build(name, 4);
+    for (const auto& [cfg_name, config] : configs) {
+      const std::string tag = name + "_" + cfg_name;
+      const Observed bare =
+          run(config, program, Observe::kNone, 40000, tag + "_b");
+      const Observed span =
+          run(config, program, Observe::kSpan, 40000, tag + "_s");
+      const Observed traced =
+          run(config, program, Observe::kTrace, 40000, tag + "_t");
+      EXPECT_EQ(bare.stats, span.stats) << tag;
+      EXPECT_EQ(bare.stats, traced.stats) << tag;
+      EXPECT_EQ(bare.cycles, span.cycles) << tag;
+      EXPECT_EQ(bare.cycles, traced.cycles) << tag;
+      // The span observer saw the whole committed stream, exactly once.
+      EXPECT_EQ(span.pcs.size(), span.committed) << tag;
     }
   }
 }
 
-/// Random programs under both schedulers: the batched commit buffer
-/// drains on squashes, watchdog flushes, and halt paths that curated
-/// kernels rarely hit.
+/// Random programs: the batched commit buffer drains on squashes,
+/// watchdog flushes, and halt paths that curated kernels rarely hit.
 TEST(ObserverIndependence, RandomProgramsIdentical) {
   for (uint64_t seed = 10; seed < 14; ++seed) {
     const isa::Program program = testing::random_program(seed);
     const core::CoreConfig config = sim::presets::scal(1, 256);
-    for (const char* sched : {"ref", "fast"}) {
-      const std::string tag = "rand" + std::to_string(seed) + "_" + sched;
-      const Observed bare =
-          run(config, program, sched, Observe::kNone, 30000, tag + "_b");
-      const Observed span =
-          run(config, program, sched, Observe::kSpan, 30000, tag + "_s");
-      EXPECT_EQ(bare.stats, span.stats) << tag;
-      EXPECT_EQ(bare.cycles, span.cycles) << tag;
-      EXPECT_EQ(span.pcs.size(), span.committed) << tag;
-    }
+    const std::string tag = "rand" + std::to_string(seed);
+    const Observed bare =
+        run(config, program, Observe::kNone, 30000, tag + "_b");
+    const Observed span =
+        run(config, program, Observe::kSpan, 30000, tag + "_s");
+    EXPECT_EQ(bare.stats, span.stats) << tag;
+    EXPECT_EQ(bare.cycles, span.cycles) << tag;
+    EXPECT_EQ(span.pcs.size(), span.committed) << tag;
   }
 }
 
