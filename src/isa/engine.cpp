@@ -6,16 +6,9 @@
 
 #include "obs/metrics.hpp"
 
-// Threaded (computed-goto) dispatch needs the GNU "labels as values"
-// extension; both toolchains this repo targets have it. The fallback is a
-// dense switch over the pre-decoded handler id — the compiler lowers it to
-// the same jump table a function-pointer table would reach through, minus
-// the indirect-call overhead.
-#if defined(__GNUC__) || defined(__clang__)
-#define CFIR_ENGINE_THREADED 1
-#else
-#define CFIR_ENGINE_THREADED 0
-#endif
+// Threaded (computed-goto) dispatch uses the GNU "labels as values"
+// extension, which both toolchains this repo builds with (GCC, Clang)
+// provide.
 
 namespace cfir::isa {
 
@@ -184,7 +177,6 @@ enter_block:
     }                                                                        \
   } while (0)
 
-#if CFIR_ENGINE_THREADED
   // Handler addresses indexed by Opcode value — decode-time handler
   // selection, threaded per-op dispatch (each handler jumps straight to the
   // next op's handler; no central loop branch).
@@ -392,64 +384,6 @@ h_halt:
 #undef CFIR_NEXT
 #undef CFIR_CUR_PC
 
-#else  // !CFIR_ENGINE_THREADED — portable dense-switch dispatch
-  for (;;) {
-    switch (u->op) {
-      case Opcode::kNop:
-        CFIR_EMIT_PLAIN();
-        break;
-      case Opcode::kHalt:
-        nxt = pc;
-        goto exit_halt;
-      case Opcode::kJmp:
-        nxt = static_cast<uint64_t>(u->imm);
-        CFIR_EMIT_PLAIN();
-        ++u;
-        goto exit_taken;
-      case Opcode::kCall:
-        regs[kLinkReg] = pc + kInstBytes;
-        nxt = static_cast<uint64_t>(u->imm);
-        CFIR_EMIT_PLAIN();
-        ++u;
-        goto exit_taken;
-      case Opcode::kRet:
-        nxt = regs[u->rs1];
-        CFIR_EMIT_PLAIN();
-        ++u;
-        goto exit_indirect;
-      default:
-        if (is_cond_branch(u->op)) {
-          btaken = eval_branch(u->op, regs[u->rs1], regs[u->rs2]);
-          nxt = btaken ? static_cast<uint64_t>(u->imm) : pc + kInstBytes;
-          if constexpr (Collect) {
-            *ev++ = StepEvent{pc, nxt, 0, EventKind::kBranch, btaken, 0};
-          }
-          ++u;
-          if (btaken) goto exit_taken;
-          goto exit_fall;
-        } else if (is_load(u->op)) {
-          const uint64_t addr = regs[u->rs1] + static_cast<uint64_t>(u->imm);
-          regs[u->rd] = load(addr, u->bytes);
-          if constexpr (Collect) {
-            *ev++ = StepEvent{pc, 0, addr, EventKind::kLoad, false, u->bytes};
-          }
-        } else if (is_store(u->op)) {
-          const uint64_t addr = regs[u->rs1] + static_cast<uint64_t>(u->imm);
-          store(addr, regs[u->rs2], u->bytes);
-          if constexpr (Collect) {
-            *ev++ = StepEvent{pc, 0, addr, EventKind::kStore, false, u->bytes};
-          }
-        } else {
-          regs[u->rd] = eval_alu(u->op, regs[u->rs1], regs[u->rs2], u->imm);
-          CFIR_EMIT_PLAIN();
-        }
-        break;
-    }
-    if (++u == end) goto fall_out;
-    pc += kInstBytes;
-  }
-#endif
-
 // Block-exit bookkeeping shared by every edge: retire the consumed slice
 // and flush its event span before chaining or returning.
 #define CFIR_BLOCK_DONE()                                                    \
@@ -468,7 +402,7 @@ h_halt:
 fall_out:
   // Ran off the end: budget cut, decode cap, or image edge. The successor
   // is the next sequential slot; computed from the micro-op index because
-  // the no-collect threaded path does not maintain `pc`.
+  // the no-collect path does not maintain `pc`.
   nxt = blk->entry_pc + static_cast<uint64_t>(u - begin) * kInstBytes;
   if (truncated) goto exit_budget;
   goto exit_fall;
@@ -526,9 +460,7 @@ exit_budget:
 // edge that needs its first decode, budget expiry, HALT, or the PC leaving
 // the image; hot chained edges never leave exec_chain.
 template <bool Collect>
-#if defined(__GNUC__) || defined(__clang__)
 __attribute__((flatten))
-#endif
 uint64_t FastEngine::run_loop(uint64_t target) {
   const uint64_t start = executed_;
   int32_t bi = lookup_or_decode(pc_);

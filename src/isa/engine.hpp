@@ -9,9 +9,8 @@
 // `FastEngine` removes all four: each basic block is decoded ONCE into a
 // flat cached array of pre-resolved micro-ops (operands, immediates and
 // branch targets pre-extracted; handler selected at decode time), executed
-// with computed-goto threaded dispatch where the compiler supports it (a
-// dense-switch jump table otherwise), with direct block→block chaining for
-// fall-through and taken edges so the entry-PC hash map is off the hot
+// with computed-goto threaded dispatch, with direct block→block chaining
+// for fall-through and taken edges so the entry-PC hash map is off the hot
 // path after the first visit.
 //
 // Observer batching contract (see docs/functional-engine.md): instead of
