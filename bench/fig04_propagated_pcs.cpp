@@ -21,19 +21,7 @@ int main() {
   // propagated (SpecInt2000: ~1.7).
   std::vector<sim::RunSpec> specs;
   for (const std::string& wl : workloads::names()) {
-    sim::RunSpec s;
-    s.workload = wl;
-    s.config_name = "4PC";
-    s.config = sim::presets::ci(2, 256);
-    s.config.stridedpc_per_entry = 4;
-    s.max_insts = default_max_insts();
-    s.scale = sim::env_scale();
-    s.intervals = sim::env_intervals();
-    s.sample_mode = sim::env_sample_mode();
-    s.warmup = sim::env_warmup();
-    s.warm_mode = sim::env_warm_mode();
-    s.detail_len = sim::env_detail_len();
-    specs.push_back(std::move(s));
+    specs.push_back(env_spec(wl, configs.back()));  // 4PC
   }
   const auto out = sim::run_all(specs, sim::env_threads());
   double num = 0, den = 0;

@@ -8,23 +8,10 @@ int main() {
   using namespace cfir;
   using namespace cfir::bench;
   obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
-  const uint32_t scale = sim::env_scale();
-  const uint64_t max_insts = default_max_insts();
-
+  const NamedConfig ci2p{"ci2p", sim::presets::ci(2, 512)};
   std::vector<sim::RunSpec> specs;
   for (const std::string& wl : workloads::names()) {
-    sim::RunSpec s;
-    s.workload = wl;
-    s.config_name = "ci2p";
-    s.config = sim::presets::ci(2, 512);
-    s.max_insts = max_insts;
-    s.scale = scale;
-    s.intervals = sim::env_intervals();
-    s.sample_mode = sim::env_sample_mode();
-    s.warmup = sim::env_warmup();
-    s.warm_mode = sim::env_warm_mode();
-    s.detail_len = sim::env_detail_len();
-    specs.push_back(std::move(s));
+    specs.push_back(env_spec(wl, ci2p));
   }
   const auto out = sim::run_all(specs, sim::env_threads());
 

@@ -9,25 +9,14 @@ int main() {
   using namespace cfir;
   using namespace cfir::bench;
   obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
-  const uint64_t max_insts = default_max_insts();
-  const uint32_t scale = sim::env_scale();
 
   std::vector<sim::RunOutcome> all;
   for (const uint32_t reps : {2u, 4u}) {
+    const NamedConfig nc{std::to_string(reps) + "rep",
+                         sim::presets::ci(2, 256, reps)};
     std::vector<sim::RunSpec> specs;
     for (const std::string& wl : workloads::names()) {
-      sim::RunSpec s;
-      s.workload = wl;
-      s.config_name = std::to_string(reps) + "rep";
-      s.config = sim::presets::ci(2, 256, reps);
-      s.max_insts = max_insts;
-      s.scale = scale;
-      s.intervals = sim::env_intervals();
-      s.sample_mode = sim::env_sample_mode();
-      s.warmup = sim::env_warmup();
-      s.warm_mode = sim::env_warm_mode();
-      s.detail_len = sim::env_detail_len();
-      specs.push_back(std::move(s));
+      specs.push_back(env_spec(wl, nc));
     }
     const auto out = sim::run_all(specs, sim::env_threads());
     stats::Table table(

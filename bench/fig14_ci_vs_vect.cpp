@@ -18,24 +18,12 @@ int main() {
       });
 
   // Waste comparison at the paper's operating point.
-  const uint64_t max_insts = default_max_insts();
   std::vector<sim::RunSpec> specs;
-  for (const char* mode : {"ci", "vect"}) {
+  for (const NamedConfig& nc :
+       {NamedConfig{"ci", sim::presets::ci(2, sim::presets::kInfRegs)},
+        NamedConfig{"vect", sim::presets::vect(2, sim::presets::kInfRegs)}}) {
     for (const std::string& wl : workloads::names()) {
-      sim::RunSpec s;
-      s.workload = wl;
-      s.config_name = mode;
-      s.config = std::string(mode) == "ci"
-                     ? sim::presets::ci(2, sim::presets::kInfRegs)
-                     : sim::presets::vect(2, sim::presets::kInfRegs);
-      s.max_insts = max_insts;
-      s.scale = sim::env_scale();
-      s.intervals = sim::env_intervals();
-      s.sample_mode = sim::env_sample_mode();
-      s.warmup = sim::env_warmup();
-      s.warm_mode = sim::env_warm_mode();
-      s.detail_len = sim::env_detail_len();
-      specs.push_back(std::move(s));
+      specs.push_back(env_spec(wl, nc));
     }
   }
   const auto out = sim::run_all(specs, sim::env_threads());

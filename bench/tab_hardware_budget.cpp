@@ -36,24 +36,13 @@ int main() {
 
   // --- register pressure with/without DAEC (section 2.4.2) -----------------
   obs::init_from_env();  // CFIR_TRACE=<file> flight-records the sweep
-  const uint64_t max_insts = default_max_insts();
-  const uint32_t scale = sim::env_scale();
   std::vector<sim::RunSpec> specs;
   for (const bool daec : {false, true}) {
+    NamedConfig nc{daec ? "daec" : "nodaec",
+                   sim::presets::ci(2, sim::presets::kInfRegs)};
+    if (!daec) nc.config.daec_threshold = UINT32_MAX;
     for (const std::string& wl : workloads::names()) {
-      sim::RunSpec s;
-      s.workload = wl;
-      s.config_name = daec ? "daec" : "nodaec";
-      s.config = sim::presets::ci(2, sim::presets::kInfRegs);
-      if (!daec) s.config.daec_threshold = UINT32_MAX;
-      s.max_insts = max_insts;
-      s.scale = scale;
-      s.intervals = sim::env_intervals();
-      s.sample_mode = sim::env_sample_mode();
-      s.warmup = sim::env_warmup();
-      s.warm_mode = sim::env_warm_mode();
-      s.detail_len = sim::env_detail_len();
-      specs.push_back(std::move(s));
+      specs.push_back(env_spec(wl, nc));
     }
   }
   const auto out = sim::run_all(specs, sim::env_threads());
