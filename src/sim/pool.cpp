@@ -1,21 +1,16 @@
 #include "sim/pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 
 #include "obs/tracer.hpp"
+#include "sim/sweep.hpp"
 
 namespace cfir::sim {
 
 namespace {
 int resolve_threads(int threads) {
-  if (threads <= 0) {
-    const char* v = std::getenv("CFIR_THREADS");
-    if (v != nullptr && *v != '\0') {
-      threads = static_cast<int>(std::strtol(v, nullptr, 10));
-    }
-  }
+  if (threads <= 0) threads = env_threads();
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
   }

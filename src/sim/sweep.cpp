@@ -1,8 +1,11 @@
 #include "sim/sweep.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -21,23 +24,39 @@
 namespace cfir::sim {
 
 namespace {
-uint64_t env_u64(const char* name, uint64_t dflt) {
+/// The numeric knob `name`, or `dflt` when it is unset or empty. Anything
+/// but a whole decimal string no larger than `max` throws, naming the knob
+/// and the value.
+uint64_t env_u64(const char* name, uint64_t dflt,
+                 uint64_t max = std::numeric_limits<uint64_t>::max()) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return dflt;
-  return std::strtoull(v, nullptr, 10);
+  const char* end = v + std::strlen(v);
+  uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    throw std::runtime_error(std::string(name) +
+                             " must be a whole decimal number no larger than " +
+                             std::to_string(max) + ", got '" + v + "'");
+  }
+  return value;
+}
+
+uint32_t env_u32(const char* name, uint32_t dflt) {
+  return static_cast<uint32_t>(
+      env_u64(name, dflt, std::numeric_limits<uint32_t>::max()));
 }
 }  // namespace
 
-uint32_t env_scale() {
-  return static_cast<uint32_t>(env_u64("CFIR_SCALE", 1));
+uint32_t env_scale() { return env_u32("CFIR_SCALE", 1); }
+int env_threads() {
+  return static_cast<int>(
+      env_u64("CFIR_THREADS", 0, std::numeric_limits<int>::max()));
 }
-int env_threads() { return static_cast<int>(env_u64("CFIR_THREADS", 0)); }
 uint64_t env_max_insts(uint64_t unset) {
   return env_u64("CFIR_MAX_INSTS", unset);
 }
-uint32_t env_intervals() {
-  return static_cast<uint32_t>(env_u64("CFIR_INTERVALS", 1));
-}
+uint32_t env_intervals() { return env_u32("CFIR_INTERVALS", 1); }
 
 trace::SampleMode env_sample_mode() {
   const char* v = std::getenv("CFIR_SAMPLE_MODE");

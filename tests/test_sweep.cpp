@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "../bench/common.hpp"
@@ -255,6 +257,49 @@ TEST(Sweep, EnvShardParsesSpec) {
   EXPECT_THROW((void)env_shard(), std::runtime_error);
   ASSERT_EQ(unsetenv("CFIR_SHARD"), 0);
   EXPECT_EQ(env_shard().count, 1u);
+}
+
+TEST(Sweep, NumericKnobsRejectMalformedValues) {
+  // A numeric knob takes only a whole decimal string that fits its type;
+  // anything else throws naming the knob and the value.
+  struct Knob {
+    const char* name;
+    std::function<uint64_t()> read;
+    const char* too_big;
+  };
+  const Knob knobs[] = {
+      {"CFIR_MAX_INSTS", [] { return env_max_insts(); },
+       "18446744073709551616"},
+      {"CFIR_WARMUP", [] { return env_warmup(); }, "18446744073709551616"},
+      {"CFIR_DETAIL_LEN", [] { return env_detail_len(); },
+       "18446744073709551616"},
+      {"CFIR_SCALE", [] { return uint64_t{env_scale()}; }, "4294967296"},
+      {"CFIR_INTERVALS", [] { return uint64_t{env_intervals()}; },
+       "4294967296"},
+      {"CFIR_THREADS", [] { return static_cast<uint64_t>(env_threads()); },
+       "2147483648"},
+  };
+  for (const Knob& k : knobs) {
+    ASSERT_EQ(setenv(k.name, "42", 1), 0);
+    EXPECT_EQ(k.read(), 42u) << k.name;
+    for (const std::string bad :
+         {"1e5", "4k", "2x", "abc", "-1", "+3", " 7", k.too_big}) {
+      ASSERT_EQ(setenv(k.name, bad.c_str(), 1), 0);
+      try {
+        (void)k.read();
+        ADD_FAILURE() << k.name << "='" << bad << "' was accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(k.name), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+      }
+    }
+    ASSERT_EQ(unsetenv(k.name), 0);
+  }
+  // The thread pool sizes itself through the same parser.
+  ASSERT_EQ(setenv("CFIR_THREADS", "4k", 1), 0);
+  EXPECT_THROW(ThreadPool pool(0), std::runtime_error);
+  ASSERT_EQ(unsetenv("CFIR_THREADS"), 0);
 }
 
 }  // namespace
