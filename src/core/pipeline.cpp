@@ -252,7 +252,7 @@ void Core::wake_copy(uint32_t rob_slot, uint64_t seq) {
   }
 }
 
-bool Core::line_buffer_lookup(uint64_t line, uint32_t& latency_out) {
+bool Core::line_ring_lookup(uint64_t line, uint32_t& latency_out) {
   // Newest-first: the most recent insert for a line shadows older ones.
   // Entries are inserted in cycle order, so the first expired entry ends
   // the search (everything older is expired too, and expired entries
@@ -275,7 +275,7 @@ bool Core::line_buffer_lookup(uint64_t line, uint32_t& latency_out) {
   return false;
 }
 
-void Core::line_buffer_insert(uint64_t line, uint32_t latency) {
+void Core::line_ring_insert(uint64_t line, uint32_t latency) {
   LineSlot& ls = line_ring_[line_ring_pos_ & line_ring_mask_];
   ++line_ring_pos_;
   if (line_ring_fill_ < line_ring_.size()) ++line_ring_fill_;
@@ -287,12 +287,12 @@ void Core::line_buffer_insert(uint64_t line, uint32_t latency) {
 
 bool Core::try_replica_load_access(uint64_t addr, uint32_t& latency_out) {
   const uint64_t line = addr / cfg_.memory.l1d.line_bytes;
-  if (cfg_.wide_bus && line_buffer_lookup(line, latency_out)) return true;
+  if (cfg_.wide_bus && line_ring_lookup(line, latency_out)) return true;
   if (!fu_.try_reserve_mem_port()) return false;
   const uint32_t lat = hierarchy_.access_data(addr, false, cycle_);
   if (cfg_.wide_bus) {
     ++stats_.wide_accesses;
-    line_buffer_insert(line, lat);
+    line_ring_insert(line, lat);
   }
   latency_out = lat;
   return true;
@@ -628,13 +628,13 @@ bool Core::issue_mem(DynInst& di) {
   // Cache access with optional wide-bus line-buffer piggybacking.
   const uint64_t line = di.mem_addr / cfg_.memory.l1d.line_bytes;
   uint32_t lat = 0;
-  if (cfg_.wide_bus && line_buffer_lookup(line, lat)) {
+  if (cfg_.wide_bus && line_ring_lookup(line, lat)) {
     // Served from a recent wide access: no port, no new cache access.
   } else if (fu_.try_reserve_mem_port()) {
     lat = hierarchy_.access_data(di.mem_addr, false, cycle_);
     if (cfg_.wide_bus) {
       ++stats_.wide_accesses;
-      line_buffer_insert(line, lat);
+      line_ring_insert(line, lat);
     }
   } else {
     mem_fail_port_ = true;

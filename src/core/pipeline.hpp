@@ -10,8 +10,8 @@
 // structures that allocate nothing per cycle once warm: a cycle-bucketed
 // calendar ring for completion events, intrusive seq-sorted lists for the
 // ready and stalled-memory sets, a free-listed waiter pool, and a small
-// insertion-ordered ring for the wide-bus line buffers. The Golden.
-// DetailedCore* tests (tests/test_golden.cpp) pin its SimStats and cycle
+// insertion-ordered ring for the wide-bus line buffers.
+// Golden.DetailedCore* (tests/test_golden.cpp) pins its SimStats and cycle
 // counts; bench/micro_detailed measures its throughput.
 #pragma once
 
@@ -275,8 +275,8 @@ class Core {
   // Sized so a live entry (<= window+1 cycles old, <= cache_ports
   // inserts/cycle) is never overwritten while live.
   static constexpr uint64_t kLineBufferWindow = 8;
-  bool line_buffer_lookup(uint64_t line, uint32_t& latency_out);
-  void line_buffer_insert(uint64_t line, uint32_t latency);
+  bool line_ring_lookup(uint64_t line, uint32_t& latency_out);
+  void line_ring_insert(uint64_t line, uint32_t latency);
   struct LineSlot {
     uint64_t line = ~uint64_t{0};
     uint64_t ready_cycle = 0;
