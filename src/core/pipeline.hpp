@@ -237,11 +237,11 @@ class Core {
   void smem_insert(uint32_t slot, uint64_t seq);
   void smem_unlink(uint32_t slot);
 
-  // Retry gating for stalled loads: a refused issue_mem
-  // attempt has no side effects beyond recomputing the (fixed) address, and
-  // its outcome depends only on the LSQ's store population — disambiguation
-  // and forwarding consult older stores exclusively — plus, for the
-  // port-starved case, data-port availability. lsq_store_epoch_ bumps
+  // Retry gating for stalled loads: a refused issue_mem attempt has no side
+  // effects beyond recomputing the (fixed) address, and its outcome depends
+  // only on the LSQ's store population — disambiguation and forwarding
+  // consult older stores exclusively — plus, for the port-starved case,
+  // data-port availability. lsq_store_epoch_ bumps
   // whenever a store issues (addr+value become known) or leaves the LSQ
   // (commit or squash); a stalled load whose recorded epoch is current is
   // provably refused again and is skipped without replaying the attempt.
