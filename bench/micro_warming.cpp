@@ -1,18 +1,24 @@
-// Functional-warming throughput: capture_warm_states_grid trace-fed from
-// a recorded CFIRTRC2 file — the shape the shard runner's warm-gap pass
-// uses. Two grid widths:
+// Functional-warming throughput of capture_warm_states_grid from both
+// record sources:
+//
+//   trace    fed from a recorded CFIRTRC2 file — the shape of
+//            `run-shard --trace`; block decode is prefetched on the pool
+//   engine   fed by the functional engine in kEngineBatch-record batches
+//            (trace/warming.cpp) — the shape of sim::run_all's sampled
+//            grid and every in-process run_shard
+//
+// and two grid widths each:
 //
 //   1-config   the single-config sampling path; the pipeline can only
-//              overlap block decode with the one warmer's training
-//   8-config   the grid-sharding path; decode overlaps with training
-//              AND the eight configs' warmers train in parallel, one
-//              task per config per batch
+//              overlap record production with the one warmer's training
+//   8-config   the grid-sharding path; the eight configs' warmers train
+//              in parallel, one task per config per batch
 //
-// Prints a table (million warmed insts/sec per grid width) and, under
-// CFIR_JSON=1, one machine-readable line per width with
-// `warm_insts_per_sec`. The capture runs on the shared pool, so
-// CFIR_THREADS sets its parallelism. Bit-identity of the captured blobs
-// is locked separately in tests/test_warming_pipeline.cpp.
+// Prints a table (million warmed insts/sec per source and grid width)
+// and, under CFIR_JSON=1, one machine-readable line per row with
+// `source` and `warm_insts_per_sec`. The capture runs on the shared pool,
+// so CFIR_THREADS sets its parallelism. Bit-identity of the captured
+// blobs is locked separately in tests/test_warming_pipeline.cpp.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -41,31 +47,37 @@ struct Cell {
   }
 };
 
-/// One full trace-fed grid capture per repetition (fresh TraceReader each
-/// time so every sample pays block decode); keeps the best wall time.
+/// One full grid capture per repetition, keeping the best wall time. The
+/// trace source opens a fresh TraceReader each time so every sample pays
+/// block decode; an empty `trace_path` selects the engine source.
 Cell run_capture(const std::vector<core::CoreConfig>& configs,
                  const isa::Program& program, const std::string& trace_path,
                  const std::vector<uint64_t>& targets, int repeats) {
   Cell cell;
+  cell.insts = targets.back();
   cell.best_us = 1e18;
   for (int r = 0; r < repeats; ++r) {
-    trace::TraceReader reader(trace_path);
-    cell.insts = reader.record_count();
     const obs::Stopwatch clock;
-    (void)trace::capture_warm_states_grid(configs, program, reader, targets);
+    if (trace_path.empty()) {
+      (void)trace::capture_warm_states_grid(configs, program, targets);
+    } else {
+      trace::TraceReader reader(trace_path);
+      (void)trace::capture_warm_states_grid(configs, program, reader,
+                                            targets);
+    }
     const double us = static_cast<double>(clock.elapsed_us());
     cell.best_us = std::min(cell.best_us, us);
   }
   return cell;
 }
 
-void emit_json(const std::string& workload, size_t n_configs,
-               const Cell& cell) {
+void emit_json(const std::string& workload, const char* source,
+               size_t n_configs, const Cell& cell) {
   if (!bench::json_requested()) return;
   std::printf("{\"bench\":\"micro_warming\",\"workload\":\"%s\","
-              "\"configs\":%zu,\"insts\":%llu,\"wall_us\":%.1f,"
-              "\"warm_insts_per_sec\":%.1f}\n",
-              workload.c_str(), n_configs,
+              "\"source\":\"%s\",\"configs\":%zu,\"insts\":%llu,"
+              "\"wall_us\":%.1f,\"warm_insts_per_sec\":%.1f}\n",
+              workload.c_str(), source, n_configs,
               static_cast<unsigned long long>(cell.insts), cell.best_us,
               cell.warm_insts_per_sec());
 }
@@ -107,18 +119,23 @@ int main() {
       sim::presets::ci(2, 256),       sim::presets::ci(2, 512),
       sim::presets::ci_window(2, 512), sim::presets::vect(2, 512)};
 
-  std::printf("trace-fed warm capture, Mi warmed insts/s "
+  std::printf("warm capture, Mi warmed insts/s "
               "(%s scale %u, %llu records, 8 targets, best of %d, "
               "%d pool threads)\n",
               workload.c_str(), scale,
               static_cast<unsigned long long>(total), repeats,
               sim::ThreadPool::shared().size());
-  for (const auto* entry : {&one, &grid}) {
-    const std::vector<core::CoreConfig>& configs = *entry;
-    const Cell cell = run_capture(configs, program, path, targets, repeats);
-    std::printf("%zu-config | %10.2f\n", configs.size(),
-                cell.warm_insts_per_sec() / 1e6);
-    emit_json(workload, configs.size(), cell);
+  for (const char* source : {"trace", "engine"}) {
+    const std::string source_path =
+        std::string(source) == "trace" ? path : std::string();
+    for (const auto* entry : {&one, &grid}) {
+      const std::vector<core::CoreConfig>& configs = *entry;
+      const Cell cell =
+          run_capture(configs, program, source_path, targets, repeats);
+      std::printf("%-6s %zu-config | %10.2f\n", source, configs.size(),
+                  cell.warm_insts_per_sec() / 1e6);
+      emit_json(workload, source, configs.size(), cell);
+    }
   }
 
   std::remove(path.c_str());

@@ -56,10 +56,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -78,6 +79,7 @@
 #include "trace/sampling.hpp"
 #include "trace/shard.hpp"
 #include "trace/trace.hpp"
+#include "util/parse.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -132,6 +134,23 @@ int usage() {
   return 2;
 }
 
+/// A malformed argument: main prints it and the usage text, exit 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The numeric argument `what`: a whole decimal that fits T (the parser
+/// behind the CFIR_* knobs), or a UsageError naming it.
+template <typename T>
+T number(const char* what, std::string_view text) {
+  try {
+    return static_cast<T>(
+        util::parse_decimal(what, text, std::numeric_limits<T>::max()));
+  } catch (const std::runtime_error& e) {
+    throw UsageError(e.what());
+  }
+}
+
 /// The core configuration sampling subcommands default to when no
 /// --config/--configs flag names one — one definition so plan and sample
 /// can never drift apart.
@@ -145,10 +164,9 @@ std::string default_path(const std::string& workload, uint32_t scale) {
 int cmd_record(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string workload = argv[0];
-  const uint32_t scale =
-      argc > 1 ? static_cast<uint32_t>(std::strtoul(argv[1], nullptr, 10)) : 1;
+  const uint32_t scale = argc > 1 ? number<uint32_t>("scale", argv[1]) : 1;
   const uint64_t max_insts =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : UINT64_MAX;
+      argc > 2 ? number<uint64_t>("max_insts", argv[2]) : UINT64_MAX;
 
   const isa::Program program = workloads::build(workload, scale);
   trace::TraceMeta meta;
@@ -287,11 +305,10 @@ int cmd_replay(int argc, char** argv) {
 
 int cmd_phases(int argc, char** argv) {
   if (argc < 1) return usage();
-  trace::TraceReader reader(argv[0]);
   const uint32_t n_intervals =
-      argc > 1 ? static_cast<uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 32;
+      argc > 1 ? number<uint32_t>("n_intervals", argv[1]) : 32;
   if (n_intervals == 0) return usage();
+  trace::TraceReader reader(argv[0]);
 
   // Interval length from the header's record count, so `phases` needs no
   // workload rebuild — it only walks the stored stream.
@@ -375,7 +392,7 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
     if (arg.rfind("--warm-mode=", 0) == 0) {
       out.warm_mode = trace::parse_warm_mode(arg.substr(12));
     } else if (arg.rfind("--detail=", 0) == 0) {
-      out.detail_len = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      out.detail_len = number<uint64_t>("--detail", arg.substr(9));
     } else if (arg.rfind("--mode=", 0) == 0) {
       const std::string v = arg.substr(7);
       if (v == "uniform") {
@@ -386,10 +403,9 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
         return false;
       }
     } else if (arg.rfind("--warmup=", 0) == 0) {
-      out.warmup = std::strtoull(arg.c_str() + 9, nullptr, 10);
+      out.warmup = number<uint64_t>("--warmup", arg.substr(9));
     } else if (arg.rfind("--max-k=", 0) == 0) {
-      out.max_k = static_cast<uint32_t>(
-          std::strtoul(arg.c_str() + 8, nullptr, 10));
+      out.max_k = number<uint32_t>("--max-k", arg.substr(8));
     } else if (arg.rfind("--config=", 0) == 0) {
       if (!parse_config_list(arg.substr(9), out)) return false;
     } else if (arg.rfind("--configs=", 0) == 0) {
@@ -404,12 +420,9 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
   }
   if (pos.size() < 2) return false;
   out.workload = pos[0];
-  out.k = static_cast<uint32_t>(std::strtoul(pos[1].c_str(), nullptr, 10));
-  if (pos.size() > 2) {
-    out.scale =
-        static_cast<uint32_t>(std::strtoul(pos[2].c_str(), nullptr, 10));
-  }
-  if (pos.size() > 3) out.max_insts = std::strtoull(pos[3].c_str(), nullptr, 10);
+  out.k = number<uint32_t>("k", pos[1]);
+  if (pos.size() > 2) out.scale = number<uint32_t>("scale", pos[2]);
+  if (pos.size() > 3) out.max_insts = number<uint64_t>("max_insts", pos[3]);
   if (out.configs.empty()) {
     out.configs.emplace_back(tool_config().label(), tool_config());
   }
@@ -567,7 +580,7 @@ int cmd_run_shard(int argc, char** argv) {
         return usage();
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = static_cast<int>(std::strtol(arg.c_str() + 7, nullptr, 10));
+      jobs = number<int>("--jobs", arg.substr(7));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--", 0) == 0) {
@@ -771,7 +784,7 @@ int cmd_watch(int argc, char** argv) {
     if (arg == "--once") {
       once = true;
     } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      interval_ms = std::strtol(arg.c_str() + 14, nullptr, 10);
+      interval_ms = number<long>("--interval-ms", arg.substr(14));
       if (interval_ms < 50) interval_ms = 50;
     } else if (arg.rfind("--", 0) == 0) {
       return usage();
@@ -884,6 +897,9 @@ int main(int argc, char** argv) {
     if (cmd == "run-shard") return cmd_run_shard(argc - 2, argv + 2);
     if (cmd == "merge") return cmd_merge(argc - 2, argv + 2);
     if (cmd == "watch") return cmd_watch(argc - 2, argv + 2);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "trace_tool %s: %s\n", cmd.c_str(), e.what());
+    return usage();
   } catch (const trace::BadMagicError& e) {
     std::fprintf(stderr, "trace_tool %s: %s\n", cmd.c_str(), e.what());
     return 3;

@@ -5,12 +5,12 @@
 //   $ ./example_workload_explorer bzip2 ci 512    # workload, policy, regs
 //     policies: scal | wb | ci | ci-iw | vect | ci-h
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <exception>
 
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "util/parse.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cfir;
@@ -28,8 +28,16 @@ int main(int argc, char** argv) {
   }
   const std::string wl = argv[1];
   const std::string policy = argc > 2 ? argv[2] : "ci";
-  const uint32_t regs =
-      argc > 3 ? static_cast<uint32_t>(std::atoi(argv[3])) : 512;
+  uint32_t regs = 512;
+  if (argc > 3) {
+    try {
+      regs = static_cast<uint32_t>(
+          util::parse_decimal("regs", argv[3], UINT32_MAX));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
+  }
 
   core::CoreConfig cfg;
   if (policy == "scal") cfg = sim::presets::scal(1, regs);

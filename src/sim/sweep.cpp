@@ -1,13 +1,9 @@
 #include "sim/sweep.hpp"
 
-#include <atomic>
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,6 +15,7 @@
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "trace/sampling.hpp"
+#include "util/parse.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cfir::sim {
@@ -26,25 +23,34 @@ namespace cfir::sim {
 namespace {
 /// The numeric knob `name`, or `dflt` when it is unset or empty. Anything
 /// but a whole decimal string no larger than `max` throws, naming the knob
-/// and the value.
+/// and the value (util::parse_decimal).
 uint64_t env_u64(const char* name, uint64_t dflt,
                  uint64_t max = std::numeric_limits<uint64_t>::max()) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return dflt;
-  const char* end = v + std::strlen(v);
-  uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(v, end, value);
-  if (ec != std::errc() || ptr != end || value > max) {
-    throw std::runtime_error(std::string(name) +
-                             " must be a whole decimal number no larger than " +
-                             std::to_string(max) + ", got '" + v + "'");
-  }
-  return value;
+  return util::parse_decimal(name, v, max);
 }
 
 uint32_t env_u32(const char* name, uint32_t dflt) {
   return static_cast<uint32_t>(
       env_u64(name, dflt, std::numeric_limits<uint32_t>::max()));
+}
+
+/// The interval plan a sampled spec asks for. It reads only the plan
+/// knobs, never the core config, so every spec of one plan key gets the
+/// same plan.
+trace::IntervalPlan plan_for(const RunSpec& spec, const isa::Program& program) {
+  if (spec.sample_mode == trace::SampleMode::kCluster) {
+    trace::ClusterPlanOptions opts;
+    opts.n_intervals = spec.intervals;
+    opts.warmup = spec.warmup;
+    opts.warm_mode = spec.warm_mode;
+    opts.detail_len = spec.detail_len;
+    opts.max_insts = spec.max_insts;
+    return trace::plan_cluster_intervals(program, opts);
+  }
+  return trace::plan_intervals(program, spec.intervals, spec.max_insts,
+                               spec.warmup, spec.warm_mode, spec.detail_len);
 }
 }  // namespace
 
@@ -120,63 +126,6 @@ void parallel_for(size_t n, const std::function<void(size_t)>& fn,
 std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
                                 int threads, SweepSavings* savings) {
   obs::Span run_all_span("run_all", specs.size());
-  // Interval plans depend only on (workload, scale, cap, k), never on the
-  // core config, so capture each unique plan once up front (interpreter
-  // passes are ~50x cheaper than detailed simulation) and share it across
-  // the config columns of the grid. Unique plans are independent, so they
-  // build on the pool too.
-  using PlanKey = std::tuple<std::string, uint32_t, uint64_t, uint32_t,
-                             uint8_t, uint64_t, uint8_t, uint64_t>;
-  const auto plan_key = [](const RunSpec& spec) {
-    return PlanKey{spec.workload,
-                   spec.scale,
-                   spec.max_insts,
-                   spec.intervals,
-                   static_cast<uint8_t>(spec.sample_mode),
-                   spec.warmup,
-                   static_cast<uint8_t>(spec.warm_mode),
-                   spec.detail_len};
-  };
-  std::map<PlanKey, trace::IntervalPlan> plans;
-  for (const RunSpec& spec : specs) {
-    if (spec.intervals <= 1) continue;
-    plans.try_emplace(plan_key(spec));
-  }
-  {
-    std::vector<std::pair<const PlanKey, trace::IntervalPlan>*> slots;
-    slots.reserve(plans.size());
-    for (auto& entry : plans) slots.push_back(&entry);
-    parallel_for(
-        slots.size(),
-        [&](size_t i) {
-          const auto& [workload, scale, max_insts, intervals, mode, warmup,
-                       warm_mode, detail_len] = slots[i]->first;
-          obs::Span plan_span("plan", i);
-          try {
-            const isa::Program program = workloads::build(workload, scale);
-            if (static_cast<trace::SampleMode>(mode) ==
-                trace::SampleMode::kCluster) {
-              trace::ClusterPlanOptions opts;
-              opts.n_intervals = intervals;
-              opts.warmup = warmup;
-              opts.warm_mode = static_cast<trace::WarmMode>(warm_mode);
-              opts.detail_len = detail_len;
-              opts.max_insts = max_insts;
-              slots[i]->second = trace::plan_cluster_intervals(program, opts);
-            } else {
-              slots[i]->second = trace::plan_intervals(
-                  program, intervals, max_insts, warmup,
-                  static_cast<trace::WarmMode>(warm_mode), detail_len);
-            }
-          } catch (const std::exception& e) {
-            throw std::runtime_error("interval planning for '" + workload +
-                                     "' (scale " + std::to_string(scale) +
-                                     ") failed: " + e.what());
-          }
-        },
-        threads);
-  }
-
   std::vector<RunOutcome> out(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) out[i].spec = specs[i];
 
@@ -214,79 +163,130 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
       },
       threads);
 
-  // Sampled grid points sharing one plan (and one shard selection) execute
-  // as a single multi-config run_shard: every config column rides the same
-  // checkpoints and, under functional warming, the same streamed gaps —
-  // the whole point of the config-independent plan / per-config binding
-  // split (docs/sharding.md). Each group saturates the pool internally
-  // over (interval × config) pairs; columns are bit-identical to running
-  // each spec alone.
-  std::map<std::tuple<PlanKey, uint32_t, uint32_t>, std::vector<size_t>>
-      groups;
+  // Sampled grid points: interval plans depend only on (workload, scale,
+  // cap, plan knobs), never on the core config, so specs sharing a plan
+  // key share one plan, and within it specs sharing a shard selection
+  // execute as a single multi-config run_shard — every config column
+  // rides the same checkpoints and, under functional warming, the same
+  // streamed gaps (the config-independent plan / per-config binding split
+  // of docs/sharding.md). Columns are bit-identical to running each spec
+  // alone.
+  using PlanKey = std::tuple<std::string, uint32_t, uint64_t, uint32_t,
+                             uint8_t, uint64_t, uint8_t, uint64_t>;
+  using Groups = std::map<std::pair<uint32_t, uint32_t>, std::vector<size_t>>;
+  std::map<PlanKey, Groups> by_plan;
   for (size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].intervals <= 1) continue;
-    groups[{plan_key(specs[i]), specs[i].shard_index,
-            std::max<uint32_t>(1, specs[i].shard_count)}]
-        .push_back(i);
+    const RunSpec& spec = specs[i];
+    if (spec.intervals <= 1) continue;
+    by_plan[{spec.workload, spec.scale, spec.max_insts, spec.intervals,
+           static_cast<uint8_t>(spec.sample_mode), spec.warmup,
+           static_cast<uint8_t>(spec.warm_mode), spec.detail_len}]
+         [{spec.shard_index, std::max<uint32_t>(1, spec.shard_count)}]
+             .push_back(i);
   }
+  std::vector<const std::pair<const PlanKey, Groups>*> chains;
+  chains.reserve(by_plan.size());
+  for (const auto& entry : by_plan) chains.push_back(&entry);
+
+  // One pool task per plan runs its whole chain: build the program once,
+  // plan it, then run_shard every group of the plan. Chains of different
+  // kernels overlap, and each run_shard's unit batch and warm fan-out nest
+  // on the same pool, picking up workers as other chains finish. Every
+  // task writes only its own members' outcomes and its own tally slot, so
+  // no result depends on the schedule.
+  struct Tally {
+    uint64_t checkpoints = 0;
+    std::vector<uint64_t> warmed_insts;  ///< per group, in group order
+  };
+  std::vector<Tally> tallies(chains.size());
+  obs::Histogram& chain_hist =
+      obs::Registry::instance().histogram("sweep.chain_us");
+  parallel_for(
+      chains.size(),
+      [&](size_t p) {
+        const obs::Stopwatch chain_clock;
+        const Groups& groups = chains[p]->second;
+        const RunSpec& first = specs[groups.begin()->second.front()];
+        isa::Program program;
+        trace::IntervalPlan plan;
+        {
+          obs::Span plan_span("plan", p);
+          try {
+            program = workloads::build(first.workload, first.scale);
+            plan = plan_for(first, program);
+          } catch (const std::exception& e) {
+            throw std::runtime_error("interval planning for '" +
+                                     first.workload + "' (scale " +
+                                     std::to_string(first.scale) +
+                                     ") failed: " + e.what());
+          }
+        }
+        tallies[p].checkpoints = plan.checkpoints.size();
+        for (const auto& [shard_key, members] : groups) {
+          const RunSpec& lead = specs[members.front()];
+          try {
+            const trace::ShardSelection shard{shard_key.first,
+                                              shard_key.second};
+            std::vector<trace::ConfigBinding> bindings;
+            bindings.reserve(members.size());
+            for (const size_t i : members) {
+              trace::ConfigBinding b;
+              b.name = specs[i].config_name;
+              b.config = specs[i].config;
+              bindings.push_back(std::move(b));
+            }
+            const trace::ShardResult result =
+                trace::run_shard(bindings, program, plan, shard, threads);
+            for (size_t c = 0; c < members.size(); ++c) {
+              RunOutcome& o = out[members[c]];
+              std::vector<stats::WeightedStats> parts;
+              parts.reserve(result.intervals.size());
+              o.phases.reserve(result.intervals.size());
+              for (const trace::ShardResult::Interval& iv : result.intervals) {
+                parts.push_back({iv.stats[c], iv.weight});
+                const uint64_t wall_us =
+                    iv.wall_us.empty() ? 0 : iv.wall_us[c];
+                o.phases.push_back({iv.start_inst, iv.length, iv.weight,
+                                    iv.stats[c],
+                                    static_cast<double>(wall_us) / 1000.0});
+                o.wall_ms += static_cast<double>(wall_us) / 1000.0;
+              }
+              o.detailed_insts = result.configs[c].detailed_insts;
+              o.stats = stats::merge_shards(parts);
+              if (shard.count == 1) {
+                // Complete coverage: report `halted` like a monolithic run
+                // even when no representative window contains HALT.
+                o.stats.halted = o.stats.halted || result.ran_to_halt;
+              }
+            }
+            tallies[p].warmed_insts.push_back(result.warmed_insts);
+          } catch (const std::exception& e) {
+            throw std::runtime_error(
+                std::string("run '") + lead.workload + "/" +
+                lead.config_name + "' (shared plan, " +
+                std::to_string(members.size()) +
+                " config columns) failed: " + e.what());
+          }
+        }
+        chain_hist.observe(chain_clock.elapsed_us());
+      },
+      threads);
+
   if (savings != nullptr) {
     *savings = SweepSavings{};
-    savings->plans = plans.size();
-    for (const auto& [key, plan] : plans) {
-      savings->checkpoints += plan.checkpoints.size();
-    }
-  }
-  for (const auto& [key, members] : groups) {
-    const RunSpec& lead = specs[members.front()];
-    try {
-      const trace::IntervalPlan& plan = plans.at(std::get<0>(key));
-      const trace::ShardSelection shard{std::get<1>(key), std::get<2>(key)};
-      const isa::Program program =
-          workloads::build(lead.workload, lead.scale);
-      std::vector<trace::ConfigBinding> bindings;
-      bindings.reserve(members.size());
-      for (const size_t i : members) {
-        trace::ConfigBinding b;
-        b.name = specs[i].config_name;
-        b.config = specs[i].config;
-        bindings.push_back(std::move(b));
+    savings->plans = chains.size();
+    for (size_t p = 0; p < chains.size(); ++p) {
+      const Tally& tally = tallies[p];
+      savings->checkpoints += tally.checkpoints;
+      size_t g = 0;
+      for (const auto& [shard_key, members] : chains[p]->second) {
+        const uint64_t columns = members.size();
+        savings->sampled_points += columns;
+        savings->checkpoints_per_column += tally.checkpoints * columns;
+        savings->warmed_insts += tally.warmed_insts[g];
+        savings->warmed_insts_per_column += tally.warmed_insts[g] * columns;
+        ++g;
       }
-      const trace::ShardResult result =
-          trace::run_shard(bindings, program, plan, shard, threads);
-      for (size_t c = 0; c < members.size(); ++c) {
-        RunOutcome& o = out[members[c]];
-        std::vector<stats::WeightedStats> parts;
-        parts.reserve(result.intervals.size());
-        o.phases.reserve(result.intervals.size());
-        for (const trace::ShardResult::Interval& iv : result.intervals) {
-          parts.push_back({iv.stats[c], iv.weight});
-          const uint64_t wall_us = iv.wall_us.empty() ? 0 : iv.wall_us[c];
-          o.phases.push_back({iv.start_inst, iv.length, iv.weight,
-                              iv.stats[c],
-                              static_cast<double>(wall_us) / 1000.0});
-          o.wall_ms += static_cast<double>(wall_us) / 1000.0;
-        }
-        o.detailed_insts = result.configs[c].detailed_insts;
-        o.stats = stats::merge_shards(parts);
-        if (shard.count == 1) {
-          // Complete coverage: report `halted` like a monolithic run even
-          // when no representative window contains HALT.
-          o.stats.halted = o.stats.halted || result.ran_to_halt;
-        }
-      }
-      if (savings != nullptr) {
-        savings->sampled_points += members.size();
-        savings->checkpoints_per_column +=
-            plan.checkpoints.size() * members.size();
-        savings->warmed_insts += result.warmed_insts;
-        savings->warmed_insts_per_column +=
-            result.warmed_insts * members.size();
-      }
-    } catch (const std::exception& e) {
-      throw std::runtime_error(
-          std::string("run '") + lead.workload + "/" + lead.config_name +
-          "' (shared plan, " + std::to_string(members.size()) +
-          " config columns) failed: " + e.what());
     }
   }
   return out;

@@ -86,12 +86,15 @@ struct SweepSavings {
 /// Runs every spec (order preserved in the result). `threads` <= 0 picks
 /// CFIR_THREADS or the hardware concurrency. Specs with `intervals > 1`
 /// run through the checkpointed interval sampler: specs sharing one plan
-/// (same workload/scale/cap/plan knobs) execute as ONE multi-config
-/// trace::run_shard — the plan and its checkpoints are config-independent
-/// and each functional-warming gap streams once for the whole column
-/// group — and report the merged aggregate stats per column, bit-identical
-/// to running each column alone. `savings`, when non-null, receives the
-/// shared-plan accounting.
+/// (same workload/scale/cap/plan knobs) and shard selection execute as ONE
+/// multi-config trace::run_shard — the plan and its checkpoints are
+/// config-independent and each functional-warming gap streams once for the
+/// whole column group — and report the merged aggregate stats per column,
+/// bit-identical to running each column alone. Each distinct plan is one
+/// pool task that builds the program, plans it and runs its groups, so the
+/// chains of different kernels overlap; run_shard's own batches nest on
+/// the same pool. No result depends on the thread count or the schedule.
+/// `savings`, when non-null, receives the shared-plan accounting.
 [[nodiscard]] std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
                                               int threads = 0,
                                               SweepSavings* savings = nullptr);

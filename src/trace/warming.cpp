@@ -89,10 +89,14 @@ WarmPosition decode_warm_state(const std::vector<uint8_t>& blob,
   return pos;
 }
 
-/// Engine-path fan-out batch: one default trace block's worth of
-/// records, so the engine-fed and trace-fed pipelines see the same
-/// batch granularity.
-constexpr size_t kEngineBatch = kTraceBlockLen;
+/// Engine-path fan-out batch: 16Ki records (640 KiB of TraceRecords), a
+/// quarter of a default trace block. sim::run_all runs one capture per
+/// plan chain concurrently, so up to one per pool thread is in flight; at
+/// a whole 64Ki-record block each buffer was 2.6 MB, and four of them
+/// raised a sampled grid's peak RSS by about a third. Alone, a 16Ki
+/// capture runs within noise of a 64Ki one (bench/micro_warming's engine
+/// rows), while 4Ki batches pay for their extra fan-out rounds.
+constexpr size_t kEngineBatch = 16 * 1024;
 
 /// Pool workers one fan-out may borrow: with the calling thread, a batch
 /// runs on at most the shared pool's size (CFIR_THREADS / hardware

@@ -11,8 +11,12 @@
 #include <thread>
 
 #include "../bench/common.hpp"
+#include "obs/metrics.hpp"
 #include "sim/pool.hpp"
 #include "sim/presets.hpp"
+#include "stats/stats.hpp"
+#include "util/parse.hpp"
+#include "util/warmable.hpp"
 
 namespace cfir::sim {
 namespace {
@@ -181,6 +185,85 @@ TEST(Sweep, SharedPlanGridMatchesPerColumnRunsAndReportsSavings) {
   }
 }
 
+TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
+  // run_all runs each plan's plan -> warm -> detail chain as one pool task,
+  // with run_shard's batches nested on the same pool, so chains of
+  // different kernels interleave differently at every thread count. No
+  // outcome, phase or savings field may depend on that schedule. twolf
+  // runs as a 0/2 + 1/2 shard pair: two groups sharing one plan.
+  std::vector<RunSpec> grid;
+  for (const char* wl : {"bzip2", "gap", "parser", "twolf"}) {
+    for (const char* config : {"ci:2:128", "ci:2:512", "vect:2:512"}) {
+      RunSpec s;
+      s.workload = wl;
+      s.config_name = config;
+      s.config = presets::from_spec(config);
+      s.max_insts = 0;
+      s.intervals = 8;
+      s.sample_mode = trace::SampleMode::kCluster;
+      s.warm_mode = trace::WarmMode::kFunctional;
+      s.detail_len = 500;
+      if (std::string(wl) == "twolf") {
+        s.shard_count = 2;
+        for (const uint32_t index : {0u, 1u}) {
+          s.shard_index = index;
+          grid.push_back(s);
+        }
+      } else {
+        grid.push_back(std::move(s));
+      }
+    }
+  }
+  const size_t plans = 4;
+  const auto stats_bytes = [](const stats::SimStats& s) {
+    util::ByteWriter w;
+    stats::serialize(s, w);
+    return w.take();
+  };
+  obs::Histogram& chains =
+      obs::Registry::instance().histogram("sweep.chain_us");
+
+  SweepSavings savings[2];
+  std::vector<RunOutcome> outs[2];
+  for (const int t : {0, 1}) {
+    const uint64_t chains_before = chains.count();
+    outs[t] = run_all(grid, t == 0 ? 1 : 4, &savings[t]);
+    EXPECT_EQ(chains.count() - chains_before, plans) << "threads run " << t;
+  }
+  const std::vector<RunOutcome>& one = outs[0];
+  const std::vector<RunOutcome>& four = outs[1];
+  ASSERT_EQ(one.size(), grid.size());
+  ASSERT_EQ(four.size(), grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const std::string cell = grid[i].workload + "/" + grid[i].config_name +
+                             " shard " + std::to_string(grid[i].shard_index);
+    EXPECT_GT(one[i].stats.committed, 0u) << cell;
+    EXPECT_EQ(stats_bytes(one[i].stats), stats_bytes(four[i].stats)) << cell;
+    EXPECT_EQ(one[i].detailed_insts, four[i].detailed_insts) << cell;
+    ASSERT_EQ(one[i].phases.size(), four[i].phases.size()) << cell;
+    for (size_t ph = 0; ph < one[i].phases.size(); ++ph) {
+      const PhaseOutcome& a = one[i].phases[ph];
+      const PhaseOutcome& b = four[i].phases[ph];
+      EXPECT_EQ(a.start_inst, b.start_inst) << cell << " phase " << ph;
+      EXPECT_EQ(a.length, b.length) << cell << " phase " << ph;
+      EXPECT_EQ(a.weight, b.weight) << cell << " phase " << ph;
+      EXPECT_EQ(stats_bytes(a.stats), stats_bytes(b.stats))
+          << cell << " phase " << ph;
+    }
+  }
+  EXPECT_EQ(savings[0].sampled_points, grid.size());
+  EXPECT_EQ(savings[0].plans, plans);
+  EXPECT_GT(savings[0].warmed_insts, 0u);
+  EXPECT_EQ(savings[0].sampled_points, savings[1].sampled_points);
+  EXPECT_EQ(savings[0].plans, savings[1].plans);
+  EXPECT_EQ(savings[0].checkpoints, savings[1].checkpoints);
+  EXPECT_EQ(savings[0].checkpoints_per_column,
+            savings[1].checkpoints_per_column);
+  EXPECT_EQ(savings[0].warmed_insts, savings[1].warmed_insts);
+  EXPECT_EQ(savings[0].warmed_insts_per_column,
+            savings[1].warmed_insts_per_column);
+}
+
 // The memoized worker pool behind parallel_for and the warming pipeline:
 // batches submitted concurrently from independent threads must each run
 // every index exactly once (the pool multiplexes its workers across the
@@ -257,6 +340,29 @@ TEST(Sweep, EnvShardParsesSpec) {
   EXPECT_THROW((void)env_shard(), std::runtime_error);
   ASSERT_EQ(unsetenv("CFIR_SHARD"), 0);
   EXPECT_EQ(env_shard().count, 1u);
+}
+
+TEST(ParseDecimal, AcceptsOnlyWholeDecimalsThatFit) {
+  // The one numeric parser behind the CFIR_* knobs and the tools' numeric
+  // arguments: digits only, within `max`, or an error naming the argument
+  // and the text.
+  EXPECT_EQ(util::parse_decimal("n", "0"), 0u);
+  EXPECT_EQ(util::parse_decimal("n", "42"), 42u);
+  EXPECT_EQ(util::parse_decimal("n", "007"), 7u);
+  EXPECT_EQ(util::parse_decimal("n", "18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(util::parse_decimal("n", "255", 255), 255u);
+  for (const std::string bad :
+       {"", "1e3", "2k", "4x", "-1", "+3", " 7", "7 ", "0x10", "1.5",
+        "18446744073709551616", "256"}) {
+    try {
+      (void)util::parse_decimal("--jobs", bad, 255);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--jobs"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Sweep, NumericKnobsRejectMalformedValues) {
