@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -125,9 +126,9 @@ int main() {
               workload.c_str(), scale,
               static_cast<unsigned long long>(total), repeats,
               sim::ThreadPool::shared().size());
-  for (const char* source : {"trace", "engine"}) {
-    const std::string source_path =
-        std::string(source) == "trace" ? path : std::string();
+  const std::pair<const char*, std::string> sources[] = {{"trace", path},
+                                                         {"engine", ""}};
+  for (const auto& [source, source_path] : sources) {
     for (const auto* entry : {&one, &grid}) {
       const std::vector<core::CoreConfig>& configs = *entry;
       const Cell cell =

@@ -178,11 +178,16 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
   for (size_t i = 0; i < specs.size(); ++i) {
     const RunSpec& spec = specs[i];
     if (spec.intervals <= 1) continue;
-    by_plan[{spec.workload, spec.scale, spec.max_insts, spec.intervals,
-           static_cast<uint8_t>(spec.sample_mode), spec.warmup,
-           static_cast<uint8_t>(spec.warm_mode), spec.detail_len}]
-         [{spec.shard_index, std::max<uint32_t>(1, spec.shard_count)}]
-             .push_back(i);
+    const PlanKey key{spec.workload,
+                      spec.scale,
+                      spec.max_insts,
+                      spec.intervals,
+                      static_cast<uint8_t>(spec.sample_mode),
+                      spec.warmup,
+                      static_cast<uint8_t>(spec.warm_mode),
+                      spec.detail_len};
+    by_plan[key][{spec.shard_index, std::max<uint32_t>(1, spec.shard_count)}]
+        .push_back(i);
   }
   std::vector<const std::pair<const PlanKey, Groups>*> chains;
   chains.reserve(by_plan.size());
