@@ -262,15 +262,27 @@ TEST(Golden, TwoShardRunFromSidecarsAndFromTrace) {
 
 /// The detailed-core config matrix. Each column stresses different
 /// scheduler structures: one memory port (stalled-load retries), the CI
-/// mechanism (the replica engine rides the same cycle loop), and a
-/// 1K-entry ROB (calendar wrap-around and long stall lists).
-const char* const kCoreConfigNames[] = {"scal1p", "ci2p", "wide1p"};
+/// mechanism (the replica engine rides the same cycle loop), a 1K-entry
+/// ROB (calendar wrap-around and long stall lists), the vect baseline,
+/// the speculative data memory (copy micro-ops and their waiters), the
+/// squash-reuse baseline, and ci at the "infinite" register point (an
+/// 8K-entry ROB).
+const char* const kCoreConfigNames[] = {"scal1p", "ci2p",   "wide1p",
+                                        "vect2p", "cih2p",  "ciiw2p",
+                                        "ci2p-inf"};
+constexpr size_t kCoreConfigs = std::size(kCoreConfigNames);
 
 std::vector<core::CoreConfig> core_matrix() {
   core::CoreConfig wide = sim::presets::scal(1, 2048);
   wide.rob_size = 1024;
   wide.lsq_size = 512;
-  return {sim::presets::scal(1, 256), sim::presets::ci(2, 256), wide};
+  return {sim::presets::scal(1, 256),
+          sim::presets::ci(2, 256),
+          wide,
+          sim::presets::vect(2, 256),
+          sim::presets::ci_specmem(2, 512, 256),
+          sim::presets::ci_window(2, 256),
+          sim::presets::ci(2, sim::presets::kInfRegs)};
 }
 
 /// Serialized SimStats plus the cycle count of one plain detailed run.
@@ -287,12 +299,19 @@ uint64_t core_run_digest(const core::CoreConfig& config,
 TEST(Golden, DetailedCoreKernels) {
   const char* const kernels[] = {"bzip2", "parser", "twolf"};
   // Rows: workloads at scale 8; columns: kCoreConfigNames; 120,000 commits.
-  const uint64_t expected[3][3] = {
-      {0x82e08d0eeec91d2dull, 0x7dc2c43647462fd6ull, 0x0533d3f57822e934ull},
-      {0x148f665fb38371edull, 0xb49cb593f9d1dcbfull, 0x9084f13fca41cd52ull},
-      {0xd2098969530a9d96ull, 0xebdfbed701a1dc5dull, 0xa8afb241e75dc837ull},
+  const uint64_t expected[3][kCoreConfigs] = {
+      {0x82e08d0eeec91d2dull, 0x7dc2c43647462fd6ull, 0x0533d3f57822e934ull,
+       0x7e9a73d52a8de773ull, 0x348e94399170cc89ull,
+       0x93435f1eda348848ull, 0x6597b2cf1cf512b2ull},
+      {0x148f665fb38371edull, 0xb49cb593f9d1dcbfull, 0x9084f13fca41cd52ull,
+       0xe24c20882dfc2708ull, 0xf9044dfb8bc5b8c6ull,
+       0xd977a9a3bb4b9989ull, 0x4f94bc0695ac26fcull},
+      {0xd2098969530a9d96ull, 0xebdfbed701a1dc5dull, 0xa8afb241e75dc837ull,
+       0xf1a5d7804629ac16ull, 0x30164d7cb78f3e71ull,
+       0xf41f71ca9d477012ull, 0x1ce86c64085837dfull},
   };
   const std::vector<core::CoreConfig> configs = core_matrix();
+  ASSERT_EQ(configs.size(), kCoreConfigs);
   for (size_t w = 0; w < 3; ++w) {
     const isa::Program program = workloads::build(kernels[w], 8);
     for (size_t c = 0; c < configs.size(); ++c) {
@@ -308,15 +327,28 @@ TEST(Golden, DetailedCoreKernels) {
 TEST(Golden, DetailedCoreRandomPrograms) {
   // Rows: testing::random_program(1..6); columns: kCoreConfigNames;
   // 60,000 commits.
-  const uint64_t expected[6][3] = {
-      {0x1c18fd68fb26fc0aull, 0xc8f70bf74bd9c4abull, 0x1c18fd68fb26fc0aull},
-      {0x29e95fc9ade96fa8ull, 0x1a857f44f85c879dull, 0x29e95fc9ade96fa8ull},
-      {0xb31f94ab5689a846ull, 0xb637c425a9476b1dull, 0xb31f94ab5689a846ull},
-      {0x00d76458cfd7336cull, 0xdbf299a8ab73eed0ull, 0x00d76458cfd7336cull},
-      {0xf70403d8060fb177ull, 0x86f8ffe9a1208956ull, 0xf70403d8060fb177ull},
-      {0xbc749df73a7920f3ull, 0x43b760cd8fcca6efull, 0xbc749df73a7920f3ull},
+  const uint64_t expected[6][kCoreConfigs] = {
+      {0x1c18fd68fb26fc0aull, 0xc8f70bf74bd9c4abull, 0x1c18fd68fb26fc0aull,
+       0xc8f70bf74bd9c4abull, 0xc8f70bf74bd9c4abull,
+       0xfe130fbcbd02c4e4ull, 0xc8f70bf74bd9c4abull},
+      {0x29e95fc9ade96fa8ull, 0x1a857f44f85c879dull, 0x29e95fc9ade96fa8ull,
+       0x53a66cb09411742eull, 0x1a857f44f85c879dull,
+       0xfd52619be90782acull, 0x1a857f44f85c879dull},
+      {0xb31f94ab5689a846ull, 0xb637c425a9476b1dull, 0xb31f94ab5689a846ull,
+       0xa3e630b0811299e4ull, 0xb637c425a9476b1dull,
+       0xd301c1a8e0d2b046ull, 0xb637c425a9476b1dull},
+      {0x00d76458cfd7336cull, 0xdbf299a8ab73eed0ull, 0x00d76458cfd7336cull,
+       0xd757a86da6e7def8ull, 0xdbf299a8ab73eed0ull,
+       0xbdf1a87fde4be48eull, 0xdbf299a8ab73eed0ull},
+      {0xf70403d8060fb177ull, 0x86f8ffe9a1208956ull, 0xf70403d8060fb177ull,
+       0x86f8ffe9a1208956ull, 0x86f8ffe9a1208956ull,
+       0x6de28836a7e8c351ull, 0x86f8ffe9a1208956ull},
+      {0xbc749df73a7920f3ull, 0x43b760cd8fcca6efull, 0xbc749df73a7920f3ull,
+       0x43b760cd8fcca6efull, 0x43b760cd8fcca6efull,
+       0x579fb2536395347cull, 0x43b760cd8fcca6efull},
   };
   const std::vector<core::CoreConfig> configs = core_matrix();
+  ASSERT_EQ(configs.size(), kCoreConfigs);
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     const isa::Program program = cfir::testing::random_program(seed);
     for (size_t c = 0; c < configs.size(); ++c) {
