@@ -5,6 +5,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <stdexcept>
+#include <string_view>
+
+#include "util/parse.hpp"
 
 namespace cfir::obs {
 
@@ -101,12 +105,17 @@ bool Heartbeat::parse(const std::string& line, Heartbeat* out) {
   if (!find_string(line, "phase", &hb.phase)) return false;
   std::string shard;
   if (find_string(line, "shard", &shard)) {
-    const size_t slash = shard.find('/');
-    if (slash == std::string::npos) return false;
-    hb.shard_index =
-        static_cast<uint32_t>(std::strtoul(shard.c_str(), nullptr, 10));
-    hb.shard_count = static_cast<uint32_t>(
-        std::strtoul(shard.c_str() + slash + 1, nullptr, 10));
+    const std::string_view text(shard);
+    const size_t slash = text.find('/');
+    if (slash == std::string_view::npos) return false;
+    try {
+      hb.shard_index = static_cast<uint32_t>(util::parse_decimal(
+          "shard index", text.substr(0, slash), UINT32_MAX));
+      hb.shard_count = static_cast<uint32_t>(util::parse_decimal(
+          "shard count", text.substr(slash + 1), UINT32_MAX));
+    } catch (const std::runtime_error&) {
+      return false;
+    }
     if (hb.shard_count == 0) return false;
   }
   (void)find_i64(line, "t_ms", &hb.t_ms);

@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "util/parse.hpp"
+
 namespace cfir::sim::presets {
 
 std::vector<uint32_t> register_sweep() {
@@ -94,14 +96,13 @@ core::CoreConfig from_spec(std::string_view spec) {
 
   std::vector<uint32_t> nums;
   for (size_t i = 1; i < parts.size(); ++i) {
-    size_t used = 0;
-    unsigned long v = 0;
+    uint64_t v = 0;
     try {
-      v = std::stoul(parts[i], &used);
-    } catch (const std::logic_error&) {
+      v = util::parse_decimal("config field", parts[i]);
+    } catch (const std::runtime_error&) {
       return fail("'" + parts[i] + "' is not a number");
     }
-    if (used != parts[i].size() || v == 0 || v > UINT32_MAX) {
+    if (v == 0 || v > UINT32_MAX) {
       return fail("'" + parts[i] + "' is not a positive 32-bit number");
     }
     nums.push_back(static_cast<uint32_t>(v));

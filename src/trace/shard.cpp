@@ -16,6 +16,7 @@
 #include "trace/blob.hpp"
 #include "trace/errors.hpp"
 #include "trace/warming.hpp"
+#include "util/parse.hpp"
 #include "util/warmable.hpp"
 
 namespace cfir::trace {
@@ -27,24 +28,23 @@ constexpr char kRetiredShardMagic[8] = {'C', 'F', 'I', 'R',
 }  // namespace
 
 ShardSelection parse_shard(std::string_view spec) {
+  const auto malformed = [&] {
+    return std::runtime_error("parse_shard: expected 'i/N', got '" +
+                              std::string(spec) + "'");
+  };
   const size_t slash = spec.find('/');
   if (slash == std::string_view::npos || slash == 0 ||
       slash + 1 >= spec.size()) {
-    throw std::runtime_error("parse_shard: expected 'i/N', got '" +
-                             std::string(spec) + "'");
+    throw malformed();
   }
   ShardSelection sel;
-  size_t pos = 0;
   try {
-    sel.index = static_cast<uint32_t>(
-        std::stoul(std::string(spec.substr(0, slash)), &pos));
-    if (pos != slash) throw std::invalid_argument("trailing");
-    sel.count = static_cast<uint32_t>(
-        std::stoul(std::string(spec.substr(slash + 1)), &pos));
-    if (pos != spec.size() - slash - 1) throw std::invalid_argument("trail");
-  } catch (const std::logic_error&) {
-    throw std::runtime_error("parse_shard: expected 'i/N', got '" +
-                             std::string(spec) + "'");
+    sel.index = static_cast<uint32_t>(util::parse_decimal(
+        "shard index", spec.substr(0, slash), UINT32_MAX));
+    sel.count = static_cast<uint32_t>(util::parse_decimal(
+        "shard count", spec.substr(slash + 1), UINT32_MAX));
+  } catch (const std::runtime_error&) {
+    throw malformed();
   }
   if (sel.count == 0 || sel.index >= sel.count) {
     throw std::runtime_error("parse_shard: shard index " +

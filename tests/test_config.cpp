@@ -138,6 +138,12 @@ TEST(PresetSpec, ParsesFamiliesAndRejectsGarbage) {
   EXPECT_THROW((void)sim::presets::from_spec("ci:two:512"),
                std::runtime_error);
   EXPECT_THROW((void)sim::presets::from_spec("ci:2:0"), std::runtime_error);
+  EXPECT_THROW((void)sim::presets::from_spec("ci: 2:512"),
+               std::runtime_error);
+  EXPECT_THROW((void)sim::presets::from_spec("ci:+2:512"),
+               std::runtime_error);
+  EXPECT_THROW((void)sim::presets::from_spec("ci:2:4294967808"),
+               std::runtime_error);
   EXPECT_THROW((void)sim::presets::from_spec("scal:1:256:4"),
                std::runtime_error);
 }

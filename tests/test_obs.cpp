@@ -309,6 +309,18 @@ TEST(ObsProgress, ParseRejectsTornAndForeignLines) {
   EXPECT_FALSE(Heartbeat::parse("{\"phase\":\"detail\"}", &hb));  // no tag
   EXPECT_FALSE(Heartbeat::parse("{\"cfirprog\":1,\"phase\":\"de", &hb));
   EXPECT_FALSE(Heartbeat::parse("not json at all", &hb));
+  // A malformed shard field rejects the record instead of reading 0/2.
+  for (const char* shard : {"x/2", "1/x", "+1/2", " 1/2", "1/4294967298"}) {
+    EXPECT_FALSE(Heartbeat::parse(
+        std::string("{\"cfirprog\":1,\"phase\":\"detail\",\"shard\":\"") +
+            shard + "\"}",
+        &hb))
+        << shard;
+  }
+  EXPECT_TRUE(Heartbeat::parse(
+      "{\"cfirprog\":1,\"phase\":\"detail\",\"shard\":\"1/2\"}", &hb));
+  EXPECT_EQ(hb.shard_index, 1u);
+  EXPECT_EQ(hb.shard_count, 2u);
 }
 
 TEST(ObsProgress, SidecarAppendsParseableRecords) {

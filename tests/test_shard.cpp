@@ -295,6 +295,12 @@ TEST(ParseShard, AcceptsValidRejectsMalformed) {
   EXPECT_THROW((void)parse_shard("a/b"), std::runtime_error);
   EXPECT_THROW((void)parse_shard("1/0"), std::runtime_error);
   EXPECT_THROW((void)parse_shard("1/2x"), std::runtime_error);
+  // Out of 32-bit range, not wrapped to 1/2; no sign or leading space.
+  EXPECT_THROW((void)parse_shard("4294967297/2"), std::runtime_error);
+  EXPECT_THROW((void)parse_shard("1/4294967298"), std::runtime_error);
+  EXPECT_THROW((void)parse_shard(" 1/2"), std::runtime_error);
+  EXPECT_THROW((void)parse_shard("+1/2"), std::runtime_error);
+  EXPECT_THROW((void)parse_shard("1/+2"), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
