@@ -24,6 +24,7 @@ CiMechanism::~CiMechanism() = default;
 void CiMechanism::attach(core::Core& core) {
   core_ = &core;
   engine_ = std::make_unique<ReplicaEngine>(core, srsmt_, specmem_.get());
+  ext_snap_.resize(core.config().rob_size);
 }
 
 bool CiMechanism::vectorizable_arith(const isa::Instruction& inst) {
@@ -298,7 +299,7 @@ void CiMechanism::on_renamed(DynInst& di) {
       clean &= (crp_.mask & (uint64_t{1} << di.inst.rs2)) == 0;
     }
     if (clean && checked > 0) {
-      mark_selected(crp_.branch_pc);
+      mark_selected();
       // Select the strided loads at the base of the backward slice for
       // speculative vectorization (sets their S flags).
       auto select_sources = [&](int logical) {
@@ -323,12 +324,7 @@ void CiMechanism::on_renamed(DynInst& di) {
 
   // Rename extension update with walk-recovery snapshot.
   RenameExt& x = ext_[static_cast<size_t>(di.inst.rd)];
-  di.mech.prev_strided_pcs = x.strided_pcs;
-  di.mech.prev_strided_count = x.strided_count;
-  di.mech.prev_vs = x.vs;
-  di.mech.prev_seq_pc = x.seq_pc;
-  di.mech.prev_entry_slot = x.entry_slot;
-  di.mech.prev_entry_uid = x.entry_uid;
+  ext_snap_[core_->rob_slot(di)] = x;
   di.mech.ext_saved = true;
 
   RenameExt nx;  // default: cleared
@@ -402,9 +398,10 @@ void CiMechanism::on_mispredict_pre(DynInst& di) {
   crp_.active = true;
   crp_.reached = false;
   crp_.rp_pc = entry->rp_pc;
-  crp_.mask = nrbq_.mask_of(di.seq);
+  crp_.mask = entry->mask;
   crp_.branch_pc = di.pc;
   crp_.select_budget = 0;
+  crp_episode_ = &ep;
 }
 
 void CiMechanism::on_branch_resolved(DynInst& /*di*/, bool mispredicted) {
@@ -415,9 +412,8 @@ void CiMechanism::run_daec() {
   // Section 2.4.2: on every branch misprediction recovery, entries whose
   // decode and commit fields match age; at the threshold their speculative
   // work is presumed dead and the registers are reclaimed.
-  for (uint32_t slot = 0; slot < srsmt_.num_slots(); ++slot) {
+  srsmt_.for_each_live([&](uint32_t slot) {
     SrsmtEntry& e = srsmt_.entry(slot);
-    if (!e.valid) continue;
     if (e.decode_count == e.commit_count) {
       if (++e.daec >= cfg_.daec_threshold && e.issue_count == 0) {
         engine_->release_entry(slot, "daec");
@@ -425,7 +421,7 @@ void CiMechanism::run_daec() {
     } else {
       e.daec = 0;
     }
-  }
+  });
 }
 
 void CiMechanism::on_squash(DynInst& di) {
@@ -455,13 +451,7 @@ void CiMechanism::on_squash(DynInst& di) {
     }
   }
   if (di.mech.ext_saved) {
-    RenameExt& x = ext_[static_cast<size_t>(di.inst.rd)];
-    x.strided_pcs = di.mech.prev_strided_pcs;
-    x.strided_count = di.mech.prev_strided_count;
-    x.vs = di.mech.prev_vs;
-    x.seq_pc = di.mech.prev_seq_pc;
-    x.entry_slot = di.mech.prev_entry_slot;
-    x.entry_uid = di.mech.prev_entry_uid;
+    ext_[static_cast<size_t>(di.inst.rd)] = ext_snap_[core_->rob_slot(di)];
   }
 }
 
@@ -533,10 +523,10 @@ bool CiMechanism::on_store_commit(DynInst& di) {
   const uint64_t lo = di.mem_addr;
   const uint64_t hi = di.mem_addr + static_cast<uint64_t>(di.mem_size);
   bool conflict = false;
-  for (uint32_t slot = 0; slot < srsmt_.num_slots(); ++slot) {
+  srsmt_.for_each_live([&](uint32_t slot) {
     SrsmtEntry& e = srsmt_.entry(slot);
-    if (!e.valid || !e.is_load || !e.anchored) continue;
-    if (e.materialized <= e.commit_count) continue;
+    if (!e.is_load || !e.anchored) return;
+    if (e.materialized <= e.commit_count) return;
     // Outstanding replica address range (section 2.4.3).
     const uint64_t first = e.addr_of(e.commit_count);
     const uint64_t last = e.addr_of(e.materialized - 1);
@@ -547,7 +537,7 @@ bool CiMechanism::on_store_commit(DynInst& di) {
       engine_->release_entry(slot, "coherence");
       conflict = true;
     }
-  }
+  });
   if (conflict) ++stats.store_range_conflicts;
   return conflict;
 }
@@ -585,12 +575,11 @@ bool CiMechanism::try_issue_copy(DynInst& di, uint64_t cycle,
 // ---------------------------------------------------------------------------
 // Episode accounting (Figure 5).
 // ---------------------------------------------------------------------------
-void CiMechanism::mark_selected(uint64_t branch_pc) {
-  const auto it = episodes_.find(branch_pc);
-  if (it == episodes_.end()) return;
-  if (!it->second.cur_selected) {
-    it->second.cur_selected = true;
-    ++it->second.selected;
+void CiMechanism::mark_selected() {
+  EpisodeStats& ep = *crp_episode_;
+  if (!ep.cur_selected) {
+    ep.cur_selected = true;
+    ++ep.selected;
   }
 }
 

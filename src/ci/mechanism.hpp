@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "ci/replica_engine.hpp"
 #include "ci/reconvergence.hpp"
@@ -102,7 +103,8 @@ class CiMechanism : public core::Mechanism {
   void validate_or_create(core::DynInst& di);
   void create_load_entry(core::DynInst& di, const StridePredictor::Info& sp);
   void create_arith_entry(core::DynInst& di);
-  void mark_selected(uint64_t branch_pc);
+  /// Credits the CRP's episode (crp_episode_) with a CI selection.
+  void mark_selected();
   void mark_reused(uint64_t branch_pc);
   void run_daec();
 
@@ -115,7 +117,14 @@ class CiMechanism : public core::Mechanism {
   Nrbq nrbq_;
   Crp crp_;
   std::array<RenameExt, isa::kNumLogicalRegs> ext_{};
+  /// Per ROB slot: the extension entry a destination-writing instruction
+  /// replaced at rename (valid while its DynInst::mech.ext_saved is set),
+  /// restored youngest-first on squash.
+  std::vector<RenameExt> ext_snap_;
   std::unordered_map<uint64_t, EpisodeStats> episodes_;
+  /// episodes_[crp_.branch_pc], set whenever the CRP is (re)armed; map
+  /// nodes never move, so the pointer stays valid.
+  EpisodeStats* crp_episode_ = nullptr;
   /// Episode totals already folded into the core stats by finalize().
   uint64_t folded_episodes_ = 0;
   uint64_t folded_selected_ = 0;

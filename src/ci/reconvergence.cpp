@@ -25,29 +25,37 @@ uint64_t estimate_reconvergence_point(const isa::Program& prog,
 }
 
 void Nrbq::push(uint64_t branch_seq, uint64_t branch_pc, uint64_t rp_pc) {
-  if (q_.size() >= capacity_) q_.pop_front();
-  q_.push_back(NrbqEntry{branch_seq, branch_pc, rp_pc, 0});
+  if (capacity_ == 0) return;
+  if (size_ == capacity_) {
+    head_ = pos(1);
+    --size_;
+  }
+  ring_[pos(size_)] = NrbqEntry{branch_seq, branch_pc, rp_pc, 0};
+  ++size_;
 }
 
 void Nrbq::observe_pc(uint64_t pc) {
-  for (NrbqEntry& e : q_) {
+  for_each_entry([pc](NrbqEntry& e) {
     if (!e.reached && e.rp_pc == pc) e.reached = true;
-  }
+  });
 }
 
 void Nrbq::on_dest_write(int logical) {
   const uint64_t bit = uint64_t{1} << logical;
-  for (NrbqEntry& e : q_) {
+  for_each_entry([bit](NrbqEntry& e) {
     if (!e.reached) e.mask |= bit;
-  }
+  });
 }
 
 void Nrbq::on_branch_commit(uint64_t branch_seq) {
-  if (!q_.empty() && q_.front().branch_seq == branch_seq) q_.pop_front();
+  if (size_ > 0 && ring_[head_].branch_seq == branch_seq) {
+    head_ = pos(1);
+    --size_;
+  }
 }
 
 void Nrbq::on_branch_squash(uint64_t branch_seq) {
-  if (!q_.empty() && q_.back().branch_seq == branch_seq) q_.pop_back();
+  if (size_ > 0 && ring_[pos(size_ - 1)].branch_seq == branch_seq) --size_;
 }
 
 uint64_t Nrbq::mask_of(uint64_t branch_seq) const {
@@ -56,7 +64,8 @@ uint64_t Nrbq::mask_of(uint64_t branch_seq) const {
 }
 
 const NrbqEntry* Nrbq::find(uint64_t branch_seq) const {
-  for (const NrbqEntry& e : q_) {
+  for (uint32_t i = 0; i < size_; ++i) {
+    const NrbqEntry& e = ring_[pos(i)];
     if (e.branch_seq == branch_seq) return &e;
   }
   return nullptr;

@@ -12,9 +12,10 @@
 //    instructions.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "isa/program.hpp"
 
@@ -34,10 +35,11 @@ struct NrbqEntry {
   bool reached = false;  ///< decode passed this branch's re-convergent point
 };
 
-/// Not-Retired Branch Queue.
+/// Not-Retired Branch Queue: a fixed-capacity ring, oldest entry first.
 class Nrbq {
  public:
-  explicit Nrbq(uint32_t capacity = 16) : capacity_(capacity) {}
+  explicit Nrbq(uint32_t capacity = 16)
+      : capacity_(capacity), ring_(capacity) {}
 
   /// Pushes a decoded conditional branch; evicts the oldest entry when full
   /// (that branch then simply cannot seed a CRP).
@@ -64,15 +66,30 @@ class Nrbq {
   /// initialization of section 2.3.2). Returns 0 for unknown branches.
   [[nodiscard]] uint64_t mask_of(uint64_t branch_seq) const;
   [[nodiscard]] const NrbqEntry* find(uint64_t branch_seq) const;
-  [[nodiscard]] size_t size() const { return q_.size(); }
+  [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] uint32_t capacity() const { return capacity_; }
 
   /// Section 3.1: 16 entries * 8 bytes.
   [[nodiscard]] uint64_t storage_bytes() const { return capacity_ * 8; }
 
  private:
+  /// Ring position of the i-th oldest entry (i <= size_).
+  [[nodiscard]] uint32_t pos(uint32_t i) const {
+    const uint32_t p = head_ + i;
+    return p >= capacity_ ? p - capacity_ : p;
+  }
+  /// Calls fn on every entry as two contiguous runs of the ring.
+  template <typename Fn>
+  void for_each_entry(Fn&& fn) {
+    const uint32_t first = std::min(size_, capacity_ - head_);
+    for (uint32_t i = head_; i < head_ + first; ++i) fn(ring_[i]);
+    for (uint32_t i = 0; i < size_ - first; ++i) fn(ring_[i]);
+  }
+
   uint32_t capacity_;
-  std::deque<NrbqEntry> q_;
+  std::vector<NrbqEntry> ring_;
+  uint32_t head_ = 0;
+  uint32_t size_ = 0;
 };
 
 /// Current Re-convergent Point register.

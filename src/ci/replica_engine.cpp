@@ -193,11 +193,14 @@ void ReplicaEngine::complete(const Ref& ref) {
     core_.regfile().write(r.phys_reg, r.value);
     core_.replica_written(r.phys_reg);
   }
-  // Wake a validation blocked on this value (spec-memory copy µop).
-  const auto it = copy_waiters_.find(waiter_key(ref.slot, ref.abs));
-  if (it != copy_waiters_.end()) {
-    core_.wake_copy(it->second.rob_slot, it->second.seq);
-    copy_waiters_.erase(it);
+  // Wake a validation blocked on this value (spec-memory copy µop; the
+  // map stays empty without spec memory).
+  if (!copy_waiters_.empty()) {
+    const auto it = copy_waiters_.find(waiter_key(ref.slot, ref.abs));
+    if (it != copy_waiters_.end()) {
+      core_.wake_copy(it->second.rob_slot, it->second.seq);
+      copy_waiters_.erase(it);
+    }
   }
   notify_consumers(ref.slot, ref.uid, ref.abs);
   if (e.mat_pending) materialize(ref.slot);
@@ -295,7 +298,7 @@ void ReplicaEngine::release_entry(uint32_t slot, const char* reason) {
     // released replica's register (complete() checks ref_live first).
     free_replica_storage(r);
   }
-  e.valid = false;
+  srsmt_.invalidate(slot);
   auto& stats = core_.stats();
   const std::string_view why(reason);
   if (why == "daec") ++stats.srsmt_dealloc_daec;
@@ -367,9 +370,8 @@ bool ReplicaEngine::try_issue_copy(uint32_t slot, uint32_t uid, uint64_t abs,
 }
 
 void ReplicaEngine::reclaim_unclaimed() {
-  for (uint32_t slot = 0; slot < srsmt_.num_slots(); ++slot) {
+  srsmt_.for_each_live([&](uint32_t slot) {
     SrsmtEntry& e = srsmt_.entry(slot);
-    if (!e.valid) continue;
     for (uint64_t abs = e.decode_count; abs < e.materialized; ++abs) {
       if (!e.holds(abs)) continue;
       Replica& r = e.at(abs);
@@ -379,7 +381,7 @@ void ReplicaEngine::reclaim_unclaimed() {
     // Stop the entry from immediately re-materializing into starvation.
     e.mat_pending = false;
     e.materialized = std::max(e.materialized, e.decode_count);
-  }
+  });
 }
 
 }  // namespace cfir::ci

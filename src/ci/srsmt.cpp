@@ -5,19 +5,15 @@
 namespace cfir::ci {
 
 Srsmt::Srsmt(uint32_t sets, uint32_t ways, uint32_t replicas_per_entry)
-    : sets_(sets), ways_(ways), replicas_(replicas_per_entry) {
+    : sets_(sets),
+      ways_(ways),
+      replicas_(replicas_per_entry),
+      ring_pos_(replicas_per_entry) {
   assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0);
   assert(replicas_ > 0);
   entries_.assign(static_cast<size_t>(sets_) * ways_, SrsmtEntry{});
-}
-
-uint32_t Srsmt::find(uint64_t pc) const {
-  const uint32_t base = set_of(pc) * ways_;
-  for (uint32_t w = 0; w < ways_; ++w) {
-    const SrsmtEntry& e = entries_[base + w];
-    if (e.valid && e.pc == pc) return base + w;
-  }
-  return kInvalidSrsmtSlot;
+  pcs_.assign(entries_.size(), kNoPc);
+  live_.assign((entries_.size() + 63) / 64, 0);
 }
 
 }  // namespace cfir::ci

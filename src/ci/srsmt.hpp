@@ -13,6 +13,7 @@
 // executes normally and retires its index at commit.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -24,6 +25,32 @@ namespace cfir::ci {
 
 inline constexpr uint32_t kInvalidSrsmtSlot =
     std::numeric_limits<uint32_t>::max();
+
+/// `abs % n` for a fixed n >= 1 without a division, exact for every
+/// 64-bit `abs`. Power-of-two n (every replica count the figures sweep)
+/// is a mask; any other n takes the direct remainder of Lemire, Kaser and
+/// Kurz, "Faster remainder by direct computation" (2019): with
+/// M = floor((2^128 - 1) / n) + 1, abs % n == ((M * abs mod 2^128) * n)
+/// >> 128.
+class RingMod {
+ public:
+  RingMod() = default;
+  explicit RingMod(uint32_t n)
+      : n_(n), pow2_(std::has_single_bit(n)), m_(~Wide{0} / n + 1) {}
+  [[nodiscard]] uint32_t operator()(uint64_t abs) const {
+    if (pow2_) return static_cast<uint32_t>(abs & (n_ - 1));
+    const Wide low = m_ * abs;
+    const Wide bottom = static_cast<Wide>(static_cast<uint64_t>(low)) * n_;
+    const Wide top = (low >> 64) * n_;
+    return static_cast<uint32_t>((top + (bottom >> 64)) >> 64);
+  }
+
+ private:
+  using Wide = unsigned __int128;
+  uint64_t n_ = 1;
+  bool pow2_ = true;
+  Wide m_ = 0;
+};
 
 /// One speculative replica (a ring element of an entry).
 struct Replica {
@@ -93,14 +120,15 @@ struct SrsmtEntry {
                                ///< entry is released once it drains
 
   std::vector<Replica> ring;              ///< Nregs elements
+  RingMod ring_pos;                       ///< abs -> ring position
   std::vector<uint32_t> consumer_slots;   ///< entries whose operands read us
 
   [[nodiscard]] uint32_t nregs() const {
     return static_cast<uint32_t>(ring.size());
   }
-  [[nodiscard]] Replica& at(uint64_t abs) { return ring[abs % ring.size()]; }
+  [[nodiscard]] Replica& at(uint64_t abs) { return ring[ring_pos(abs)]; }
   [[nodiscard]] const Replica& at(uint64_t abs) const {
-    return ring[abs % ring.size()];
+    return ring[ring_pos(abs)];
   }
   /// Whether ring position for `abs` currently holds that absolute index.
   [[nodiscard]] bool holds(uint64_t abs) const {
@@ -118,12 +146,25 @@ struct SrsmtEntry {
   }
 };
 
-/// The table proper.
+/// The table proper. Besides each entry's `valid` flag it keeps two
+/// indexes: the PC of every valid slot in one flat array, so find() reads
+/// one set's tags instead of its 256-byte entries, and a bitmask of the
+/// valid slots, so the table-wide walks (DAEC aging on a misprediction,
+/// the store-range check on a committed store) visit only live entries.
+/// Entries become valid only through alloc() and invalid only through
+/// invalidate(), which keep all three in step.
 class Srsmt {
  public:
   Srsmt(uint32_t sets, uint32_t ways, uint32_t replicas_per_entry);
 
-  [[nodiscard]] uint32_t find(uint64_t pc) const;  ///< slot or kInvalidSrsmtSlot
+  /// Slot of the valid entry for `pc`, or kInvalidSrsmtSlot.
+  [[nodiscard]] uint32_t find(uint64_t pc) const {
+    const uint32_t base = set_of(pc) * ways_;
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (pcs_[base + w] == pc) return base + w;
+    }
+    return kInvalidSrsmtSlot;
+  }
   /// Allocates a slot for `pc`: free way first, then a deallocatable LRU
   /// victim (whose resources the caller must have released via the
   /// `release` callback passed here). Returns kInvalidSrsmtSlot if none.
@@ -152,7 +193,10 @@ class Srsmt {
     const uint32_t ways_keep = replicas_;
     e = SrsmtEntry{};
     e.ring.assign(ways_keep, Replica{});
+    e.ring_pos = ring_pos_;
     e.valid = true;
+    pcs_[victim] = pc;
+    live_[victim / 64] |= uint64_t{1} << (victim % 64);
     e.pc = pc;
     e.uid = ++uid_counter_;
     e.lru = ++stamp_;
@@ -167,6 +211,30 @@ class Srsmt {
     return static_cast<uint32_t>(entries_.size());
   }
   void touch(uint32_t slot) { entries_[slot].lru = ++stamp_; }
+
+  /// Marks `slot` free; its resources must already be released.
+  void invalidate(uint32_t slot) {
+    entries_[slot].valid = false;
+    pcs_[slot] = kNoPc;
+    live_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+  }
+
+  /// Calls fn(slot) for every valid slot in ascending slot order, exactly
+  /// as a walk over the whole table that skips invalid entries would:
+  /// fn may invalidate entries, and a slot invalidated before the walk
+  /// reaches it is skipped. The order is part of the simulated behaviour,
+  /// since releases return registers to the free list in visit order.
+  template <typename Fn>
+  void for_each_live(Fn&& fn) {
+    for (size_t w = 0; w < live_.size(); ++w) {
+      uint64_t bits = live_[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        fn(static_cast<uint32_t>(w * 64 + static_cast<size_t>(b)));
+        bits = b == 63 ? 0 : live_[w] & (~uint64_t{0} << (b + 1));
+      }
+    }
+  }
 
   /// Section 3.1: 4 ways * 64 sets * 45 bytes = 11520 bytes.
   [[nodiscard]] uint64_t storage_bytes() const {
@@ -183,7 +251,12 @@ class Srsmt {
   uint32_t replicas_;
   uint64_t stamp_ = 0;
   uint32_t uid_counter_ = 0;
+  RingMod ring_pos_;
   std::vector<SrsmtEntry> entries_;
+  /// No instruction sits at this PC (PCs are multiples of kInstBytes).
+  static constexpr uint64_t kNoPc = ~uint64_t{0};
+  std::vector<uint64_t> pcs_;   ///< entries_[s].pc if valid, else kNoPc
+  std::vector<uint64_t> live_;  ///< bit s set <=> entries_[s].valid
 };
 
 }  // namespace cfir::ci

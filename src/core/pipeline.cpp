@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -26,6 +27,7 @@ Core::Core(const CoreConfig& config, const isa::Program& program,
     throw std::runtime_error("num_phys_regs too small for the logical file");
   }
   rob_.resize(cfg_.rob_size);
+  ras_snap_.resize(cfg_.rob_size);
   cal_.resize(kCalBuckets);
   smem_next_.assign(cfg_.rob_size, kUnlinked);
   smem_prev_.assign(cfg_.rob_size, kUnlinked);
@@ -69,7 +71,9 @@ void Core::set_arch_state(
 }
 
 uint32_t Core::rob_tail_slot() const {
-  return (rob_head_ + rob_count_) % static_cast<uint32_t>(rob_.size());
+  const uint32_t tail = rob_head_ + rob_count_;
+  const auto size = static_cast<uint32_t>(rob_.size());
+  return tail >= size ? tail - size : tail;
 }
 
 void Core::schedule_completion(uint32_t slot, uint64_t seq, uint64_t when) {
@@ -341,7 +345,9 @@ void Core::fetch_stage() {
     }
     rename_starved_since_ = 0;
 
-    DynInst di;
+    // Build the entry in place at the ROB tail; dispatch() finishes it.
+    const uint32_t slot = rob_tail_slot();
+    DynInst& di = *std::construct_at(&rob_[slot]);
     di.pc = fetch_pc_;
     di.inst = inst;
     uint64_t next_fetch = fetch_pc_ + isa::kInstBytes;
@@ -352,7 +358,7 @@ void Core::fetch_stage() {
       di.predicted_target = di.predicted_taken
                                 ? static_cast<uint64_t>(inst.imm)
                                 : fetch_pc_ + isa::kInstBytes;
-      di.ras_snapshot = ras_.snapshot();
+      ras_snap_[slot] = ras_.snapshot();
       di.has_ras_snapshot = true;
       taken = di.predicted_taken;
       if (taken) next_fetch = di.predicted_target;
@@ -364,7 +370,7 @@ void Core::fetch_stage() {
       next_fetch = di.predicted_target;
     } else if (inst.op == Opcode::kRet) {
       di.gshare_snapshot = gshare_.history();
-      di.ras_snapshot = ras_.snapshot();
+      ras_snap_[slot] = ras_.snapshot();
       di.has_ras_snapshot = true;
       di.predicted_taken = true;
       di.predicted_target = ras_.pop();
@@ -374,14 +380,15 @@ void Core::fetch_stage() {
       fetch_stalled_ = true;  // nothing sensible follows a halt
     }
 
-    dispatch(std::move(di));
+    dispatch(slot);
     ++fetched;
     fetch_pc_ = next_fetch;
     if (taken) break;  // up to 1 taken branch per cycle (Table 1)
   }
 }
 
-void Core::dispatch(DynInst di) {
+void Core::dispatch(uint32_t slot) {
+  DynInst& di = rob_[slot];
   di.seq = next_seq_++;
   ++stats_.fetched;
   const Opcode op = di.inst.op;
@@ -404,10 +411,9 @@ void Core::dispatch(DynInst di) {
       di.pd = regfile_.alloc();
       assert(di.pd >= 0 && "fetch checked the free list");
     }
-    di.prev_pd = di.old_pd = rename_.remap(di.inst.rd, di.pd);
+    di.prev_pd = rename_.remap(di.inst.rd, di.pd);
   }
 
-  const uint32_t slot = rob_tail_slot();
   const uint64_t seq = di.seq;
 
   if ((di.is_load || di.is_store) && !di.mech.reused) {
@@ -463,10 +469,8 @@ void Core::dispatch(DynInst di) {
     if (pending == 0) ready_push(seq, slot);
   }
 
-  di.dispatched = true;
-  rob_[slot] = std::move(di);
   ++rob_count_;
-  if (mech_ != nullptr) mech_->on_renamed(rob_[slot]);
+  if (mech_ != nullptr) mech_->on_renamed(di);
 }
 
 // ---------------------------------------------------------------------------
@@ -598,7 +602,6 @@ bool Core::issue_mem(DynInst& di) {
     entry->addr_known = true;
     entry->value = di.store_value;
     entry->value_known = true;
-    di.addr_known = true;
     di.issued = true;
     ++lsq_store_epoch_;  // addr+value now known: stalled loads may unblock
     execute(di, slot, cfg_.agu_latency);
@@ -609,7 +612,6 @@ bool Core::issue_mem(DynInst& di) {
   // Load: conservative disambiguation (Table 1).
   entry->addr = di.mem_addr;
   entry->addr_known = true;
-  di.addr_known = true;
   if (!lsq_.older_store_addrs_known(seq)) return false;
   uint64_t fwd = 0;
   switch (lsq_.try_forward(seq, di.mem_addr, di.mem_size, fwd)) {
@@ -617,7 +619,6 @@ bool Core::issue_mem(DynInst& di) {
       return false;
     case LoadStoreQueue::ForwardResult::kForwarded:
       di.result = fwd;
-      di.forwarded = true;
       di.issued = true;
       ++stats_.lsq_forwards;
       execute(di, slot, cfg_.agu_latency + 1);
@@ -728,7 +729,7 @@ void Core::resolve_branch(uint32_t slot) {
       gshare_.set_history(di.gshare_snapshot);
     }
     if (di.has_ras_snapshot) {
-      ras_.restore(di.ras_snapshot);
+      ras_.restore(ras_snap_[slot]);
       if (di.inst.op == Opcode::kRet) ras_.pop();
     }
   }
@@ -746,9 +747,9 @@ void Core::recover_to(uint64_t seq, uint64_t new_fetch_pc,
 }
 
 void Core::squash_younger(uint64_t seq_keep) {
-  const uint32_t size = static_cast<uint32_t>(rob_.size());
   while (rob_count_ > 0) {
-    const uint32_t slot = (rob_head_ + rob_count_ - 1) % size;
+    uint32_t slot = rob_tail_slot();
+    slot = (slot == 0 ? static_cast<uint32_t>(rob_.size()) : slot) - 1;
     DynInst& di = rob_[slot];
     if (di.seq <= seq_keep) break;
     if (mech_ != nullptr) mech_->on_squash(di);
@@ -859,7 +860,7 @@ void Core::apply_commit(DynInst& di) {
   if (di.is_branch) ++stats_.committed_branches;
   if (di.mech.reused) ++stats_.reused_committed;
   if (mech_ != nullptr) mech_->on_commit(di);
-  if (di.has_dest && di.old_pd >= 0) regfile_.free_reg(di.old_pd);
+  if (di.has_dest && di.prev_pd >= 0) regfile_.free_reg(di.prev_pd);
   if (on_commit_span) record_commit(di);
   last_commit_cycle_ = cycle_;
   if (op == Opcode::kHalt) {
@@ -895,7 +896,7 @@ void Core::commit_stage() {
     if (!commit_check(di)) break;
     apply_commit(di);
     di.seq = 0;
-    rob_head_ = (rob_head_ + 1) % static_cast<uint32_t>(rob_.size());
+    if (++rob_head_ == rob_.size()) rob_head_ = 0;
     --rob_count_;
     slots -= cost;
     if (stats_.committed >= committed_target_) break;

@@ -10,7 +10,9 @@
 // structures that allocate nothing per cycle once warm: a cycle-bucketed
 // calendar ring for completion events, intrusive seq-sorted lists for the
 // ready and stalled-memory sets, a free-listed waiter pool, and a small
-// insertion-ordered ring for the wide-bus line buffers.
+// insertion-ordered ring for the wide-bus line buffers. Fetch builds each
+// DynInst in place at the ROB tail and dispatch finishes it there; cold
+// per-instruction state sits in arrays indexed by ROB slot.
 // Golden.DetailedCore* (tests/test_golden.cpp) pins its SimStats and cycle
 // counts; bench/micro_detailed measures its throughput.
 #pragma once
@@ -117,6 +119,11 @@ class Core {
   [[nodiscard]] int rename_lookup(int logical) const {
     return rename_.lookup(logical);
   }
+  /// ROB slot of an in-flight instruction the core handed to a hook, for
+  /// mechanisms that keep their own arrays indexed by ROB slot.
+  [[nodiscard]] uint32_t rob_slot(const DynInst& di) const {
+    return static_cast<uint32_t>(&di - rob_.data());
+  }
 
   /// Mechanism wrote `phys` (replica result): wake anything waiting on it.
   void replica_written(int phys);
@@ -159,7 +166,8 @@ class Core {
     return rob_[slot].seq == seq;
   }
   [[nodiscard]] uint32_t rob_tail_slot() const;
-  void dispatch(DynInst di);
+  /// Renames and schedules the entry fetch built in place at `slot`.
+  void dispatch(uint32_t slot);
   bool try_issue(uint32_t slot);
   bool issue_mem(DynInst& di);
   void execute(DynInst& di, uint32_t slot, uint32_t latency);
@@ -196,6 +204,9 @@ class Core {
   std::vector<DynInst> rob_;
   uint32_t rob_head_ = 0;
   uint32_t rob_count_ = 0;
+  /// RAS snapshot per ROB slot, written at fetch for conditional branches
+  /// and RET only (DynInst::has_ras_snapshot) and read at their recovery.
+  std::vector<branch::ReturnAddressStack::Snapshot> ras_snap_;
 
   // --- wakeup/select ---------------------------------------------------------
   // Completion events live in a cycle-bucketed calendar ring: bucket

@@ -1,7 +1,5 @@
 #include "core/regfile.hpp"
 
-#include <cassert>
-
 namespace cfir::core {
 
 PhysRegFile::PhysRegFile(uint32_t num_regs) {
@@ -9,25 +7,6 @@ PhysRegFile::PhysRegFile(uint32_t num_regs) {
   free_.reserve(num_regs);
   // Hand out low indices first (purely cosmetic in traces).
   for (int r = static_cast<int>(num_regs) - 1; r >= 0; --r) free_.push_back(r);
-}
-
-int PhysRegFile::alloc() {
-  if (free_.empty()) return -1;
-  const int r = free_.back();
-  free_.pop_back();
-  regs_[static_cast<size_t>(r)].ready = false;
-  return r;
-}
-
-int PhysRegFile::alloc_replica(uint32_t reserve) {
-  if (free_.size() <= reserve) return -1;
-  return alloc();
-}
-
-void PhysRegFile::free_reg(int r) {
-  assert(r >= 0 && r < static_cast<int>(regs_.size()));
-  regs_[static_cast<size_t>(r)].ready = false;
-  free_.push_back(r);
 }
 
 }  // namespace cfir::core

@@ -4,6 +4,7 @@
 // and only join the normal lifetime once a validation commits.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -15,11 +16,24 @@ class PhysRegFile {
   explicit PhysRegFile(uint32_t num_regs);
 
   /// Allocates for a scalar rename. Returns -1 when the free list is empty.
-  [[nodiscard]] int alloc();
+  [[nodiscard]] int alloc() {
+    if (free_.empty()) return -1;
+    const int r = free_.back();
+    free_.pop_back();
+    regs_[static_cast<size_t>(r)].ready = false;
+    return r;
+  }
   /// Allocates for a replica only when more than `reserve` registers would
   /// remain free. Returns -1 otherwise.
-  [[nodiscard]] int alloc_replica(uint32_t reserve);
-  void free_reg(int r);
+  [[nodiscard]] int alloc_replica(uint32_t reserve) {
+    if (free_.size() <= reserve) return -1;
+    return alloc();
+  }
+  void free_reg(int r) {
+    assert(r >= 0 && r < static_cast<int>(regs_.size()));
+    regs_[static_cast<size_t>(r)].ready = false;
+    free_.push_back(r);
+  }
 
   [[nodiscard]] uint64_t value(int r) const { return regs_[static_cast<size_t>(r)].value; }
   [[nodiscard]] bool ready(int r) const { return regs_[static_cast<size_t>(r)].ready; }

@@ -2,11 +2,9 @@
 // the paper's control-independence machinery (src/ci) plugs into the core.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
 
-#include "branch/ras.hpp"
 #include "isa/isa.hpp"
 
 namespace cfir::core {
@@ -14,33 +12,24 @@ namespace cfir::core {
 inline constexpr int kNoReg = -1;
 inline constexpr uint32_t kInvalidSlot = std::numeric_limits<uint32_t>::max();
 
-/// Per-instruction bookkeeping owned by the attached mechanism. The fields
-/// mirror the rename-map extension of the paper (Figure 7) so that squash
-/// recovery can restore the extension exactly like the rename map proper.
+/// Per-instruction bookkeeping owned by the attached mechanism.
 struct MechInfo {
-  // Previous rename-extension state of the destination logical register
-  // (restored youngest-first on squash).
-  std::array<uint64_t, 4> prev_strided_pcs{};
-  uint8_t prev_strided_count = 0;
-  bool prev_vs = false;            ///< previous V/S flag (Figure 7)
-  uint64_t prev_seq_pc = 0;        ///< previous producer PC ("sequence")
-  uint32_t prev_entry_uid = 0;     ///< previous SRSMT entry uid
-  uint32_t prev_entry_slot = kInvalidSlot;
-  bool ext_saved = false;          ///< above fields are meaningful
+  uint64_t replica_index = 0;      ///< absolute replica counter consumed
+  uint64_t squash_value = 0;       ///< ci-iw: the reused result
 
   // Reuse state.
-  bool reused = false;             ///< validated against SRSMT; skips execute
-  bool via_copy = false;           ///< spec-memory mode: behaves as copy µop
   int reuse_phys = kNoReg;         ///< replica register handed to rename
   uint32_t srsmt_slot = kInvalidSlot;
   uint32_t entry_uid = 0;
-  uint64_t replica_index = 0;      ///< absolute replica counter consumed
-  bool pd_from_replica = false;    ///< dest phys reg owned by the SRSMT entry
 
   // Creation state.
-  bool created_entry = false;      ///< this instance allocated the SRSMT entry
   uint32_t created_slot = kInvalidSlot;
   uint32_t created_uid = 0;
+
+  bool reused = false;             ///< validated against SRSMT; skips execute
+  bool via_copy = false;           ///< spec-memory mode: behaves as copy µop
+  bool pd_from_replica = false;    ///< dest phys reg owned by the SRSMT entry
+  bool created_entry = false;      ///< this instance allocated the SRSMT entry
 
   // Index bookkeeping: every decoded instance of a vectorized PC consumes a
   // replica index so the ring stays aligned with the dynamic instance
@@ -48,62 +37,64 @@ struct MechInfo {
   bool index_consumed = false;
 
   // ci-iw (squash reuse) state: the instruction's result was found in the
-  // squash-reuse buffer; the core completes it at dispatch with this value.
+  // squash-reuse buffer; the core completes it at dispatch with
+  // squash_value.
   bool squash_reused = false;
-  uint64_t squash_value = 0;
+
+  /// The mechanism saved the rename-map extension this instruction's
+  /// destination replaced (Figure 7) in its own array indexed by ROB slot,
+  /// so squash recovery can restore it like the rename map proper.
+  bool ext_saved = false;
 };
 
-/// One in-flight instruction (ROB entry).
+/// One in-flight instruction (ROB entry). The core builds it in place at
+/// the ROB tail; fields are ordered to pack. Cold per-instruction state
+/// (the RAS snapshot of a branch, the mechanism's rename-extension
+/// snapshot) lives in arrays indexed by ROB slot instead, and an entry of
+/// such an array means something only while its slot holds the seq that
+/// wrote it.
 struct DynInst {
   // --- identity -------------------------------------------------------------
   uint64_t seq = 0;      ///< global fetch order, never reused within a run
   uint64_t pc = 0;
   isa::Instruction inst;
 
-  // --- rename ---------------------------------------------------------------
-  int pd = kNoReg;       ///< destination physical register
-  int prev_pd = kNoReg;  ///< mapping replaced at rename (squash restore)
-  int old_pd = kNoReg;   ///< same as prev_pd; freed at commit
-  int ps1 = kNoReg;
-  int ps2 = kNoReg;
-  bool has_dest = false;
-
   // --- execution ------------------------------------------------------------
-  bool dispatched = false;
-  bool issued = false;
-  bool completed = false;
   uint64_t v1 = 0, v2 = 0;   ///< operand values captured at issue
   uint64_t result = 0;
-  uint32_t pending_ops = 0;  ///< unready source operands
 
   // --- memory ---------------------------------------------------------------
-  bool is_load = false, is_store = false;
   uint64_t mem_addr = 0;
-  int mem_size = 0;
-  bool addr_known = false;
   uint64_t store_value = 0;
-  uint32_t lsq_index = kInvalidSlot;
-  bool forwarded = false;
 
   // --- control --------------------------------------------------------------
+  uint64_t predicted_target = 0;
+  uint64_t actual_target = 0;
+  uint64_t gshare_snapshot = 0;
+
+  // --- rename ---------------------------------------------------------------
+  int pd = kNoReg;       ///< destination physical register
+  int prev_pd = kNoReg;  ///< mapping replaced at rename: restored on squash,
+                         ///< freed at commit
+  int ps1 = kNoReg;
+  int ps2 = kNoReg;
+  uint32_t pending_ops = 0;  ///< unready source operands
+  int mem_size = 0;
+
+  // --- flags ----------------------------------------------------------------
+  bool has_dest = false;
+  bool issued = false;
+  bool completed = false;
+  bool is_load = false, is_store = false;
   bool is_branch = false, is_cond_branch = false;
   bool predicted_taken = false;
-  uint64_t predicted_target = 0;
   bool actual_taken = false;
-  uint64_t actual_target = 0;
   bool resolved = false;
   bool mispredicted = false;
-  uint64_t gshare_snapshot = 0;
-  branch::ReturnAddressStack::Snapshot ras_snapshot;
-  bool has_ras_snapshot = false;
+  bool has_ras_snapshot = false;  ///< the core's RAS slot array holds one
 
   // --- mechanism ------------------------------------------------------------
   MechInfo mech;
-
-  [[nodiscard]] bool ready_to_issue() const {
-    return dispatched && !issued && !completed && pending_ops == 0 &&
-           !mech.reused;
-  }
 };
 
 class Core;

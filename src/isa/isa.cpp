@@ -1,111 +1,9 @@
 #include "isa/isa.hpp"
 
-#include <array>
 #include <cassert>
 #include <sstream>
 
 namespace cfir::isa {
-
-namespace {
-
-struct OpInfo {
-  const char* name;
-  bool dest;
-  bool src1;
-  bool src2;
-  FuClass fu;
-  int mem_bytes;
-};
-
-constexpr int kOpCount = static_cast<int>(Opcode::kOpcodeCount);
-
-constexpr std::array<OpInfo, kOpCount> kOpTable = {{
-    /*kNop*/   {"nop",  false, false, false, FuClass::kNone, 0},
-    /*kHalt*/  {"halt", false, false, false, FuClass::kNone, 0},
-    /*kAdd*/   {"add",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kSub*/   {"sub",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kMul*/   {"mul",  true,  true,  true,  FuClass::kIntMul, 0},
-    /*kDiv*/   {"div",  true,  true,  true,  FuClass::kIntDiv, 0},
-    /*kRem*/   {"rem",  true,  true,  true,  FuClass::kIntDiv, 0},
-    /*kAnd*/   {"and",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kOr*/    {"or",   true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kXor*/   {"xor",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kShl*/   {"shl",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kShr*/   {"shr",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kSar*/   {"sar",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kSlt*/   {"slt",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kSltu*/  {"sltu", true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kSeq*/   {"seq",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kMin*/   {"min",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kMax*/   {"max",  true,  true,  true,  FuClass::kIntAlu, 0},
-    /*kAddi*/  {"addi", true,  true,  false, FuClass::kIntAlu, 0},
-    /*kMuli*/  {"muli", true,  true,  false, FuClass::kIntMul, 0},
-    /*kAndi*/  {"andi", true,  true,  false, FuClass::kIntAlu, 0},
-    /*kOri*/   {"ori",  true,  true,  false, FuClass::kIntAlu, 0},
-    /*kXori*/  {"xori", true,  true,  false, FuClass::kIntAlu, 0},
-    /*kShli*/  {"shli", true,  true,  false, FuClass::kIntAlu, 0},
-    /*kShrli*/ {"shrli",true,  true,  false, FuClass::kIntAlu, 0},
-    /*kMovi*/  {"movi", true,  false, false, FuClass::kIntAlu, 0},
-    /*kMov*/   {"mov",  true,  true,  false, FuClass::kIntAlu, 0},
-    /*kLd8*/   {"ld8",  true,  true,  false, FuClass::kMem, 8},
-    /*kLd4*/   {"ld4",  true,  true,  false, FuClass::kMem, 4},
-    /*kLd2*/   {"ld2",  true,  true,  false, FuClass::kMem, 2},
-    /*kLd1*/   {"ld1",  true,  true,  false, FuClass::kMem, 1},
-    /*kSt8*/   {"st8",  false, true,  true,  FuClass::kMem, 8},
-    /*kSt4*/   {"st4",  false, true,  true,  FuClass::kMem, 4},
-    /*kSt2*/   {"st2",  false, true,  true,  FuClass::kMem, 2},
-    /*kSt1*/   {"st1",  false, true,  true,  FuClass::kMem, 1},
-    /*kBeq*/   {"beq",  false, true,  true,  FuClass::kBranch, 0},
-    /*kBne*/   {"bne",  false, true,  true,  FuClass::kBranch, 0},
-    /*kBlt*/   {"blt",  false, true,  true,  FuClass::kBranch, 0},
-    /*kBge*/   {"bge",  false, true,  true,  FuClass::kBranch, 0},
-    /*kBltu*/  {"bltu", false, true,  true,  FuClass::kBranch, 0},
-    /*kBgeu*/  {"bgeu", false, true,  true,  FuClass::kBranch, 0},
-    /*kJmp*/   {"jmp",  false, false, false, FuClass::kNone, 0},
-    /*kCall*/  {"call", true,  false, false, FuClass::kIntAlu, 0},
-    /*kRet*/   {"ret",  false, true,  false, FuClass::kBranch, 0},
-}};
-
-const OpInfo& info(Opcode op) {
-  const auto idx = static_cast<size_t>(op);
-  assert(idx < kOpTable.size());
-  return kOpTable[idx];
-}
-
-}  // namespace
-
-bool has_dest(Opcode op) { return info(op).dest; }
-bool reads_rs1(Opcode op) { return info(op).src1; }
-bool reads_rs2(Opcode op) { return info(op).src2; }
-int num_sources(Opcode op) {
-  return (info(op).src1 ? 1 : 0) + (info(op).src2 ? 1 : 0);
-}
-bool is_load(Opcode op) {
-  return op == Opcode::kLd8 || op == Opcode::kLd4 || op == Opcode::kLd2 ||
-         op == Opcode::kLd1;
-}
-bool is_store(Opcode op) {
-  return op == Opcode::kSt8 || op == Opcode::kSt4 || op == Opcode::kSt2 ||
-         op == Opcode::kSt1;
-}
-bool is_mem(Opcode op) { return is_load(op) || is_store(op); }
-bool is_cond_branch(Opcode op) {
-  switch (op) {
-    case Opcode::kBeq: case Opcode::kBne: case Opcode::kBlt:
-    case Opcode::kBge: case Opcode::kBltu: case Opcode::kBgeu:
-      return true;
-    default:
-      return false;
-  }
-}
-bool is_uncond_branch(Opcode op) {
-  return op == Opcode::kJmp || op == Opcode::kCall || op == Opcode::kRet;
-}
-bool is_branch(Opcode op) { return is_cond_branch(op) || is_uncond_branch(op); }
-bool is_indirect(Opcode op) { return op == Opcode::kRet; }
-FuClass fu_class(Opcode op) { return info(op).fu; }
-int mem_bytes(Opcode op) { return info(op).mem_bytes; }
-const char* opcode_name(Opcode op) { return info(op).name; }
 
 std::string disassemble(const Instruction& inst, uint64_t pc) {
   std::ostringstream os;

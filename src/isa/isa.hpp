@@ -8,7 +8,10 @@
 // absolute branch targets resolved at assembly time.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace cfir::isa {
@@ -69,22 +72,113 @@ enum class FuClass : uint8_t {
   kBranch,   ///< conditional branches and indirect jumps (use an ALU)
 };
 
-[[nodiscard]] bool has_dest(Opcode op);
-[[nodiscard]] int num_sources(Opcode op);  ///< 0, 1 or 2 register sources
-[[nodiscard]] bool reads_rs1(Opcode op);
-[[nodiscard]] bool reads_rs2(Opcode op);
-[[nodiscard]] bool is_load(Opcode op);
-[[nodiscard]] bool is_store(Opcode op);
-[[nodiscard]] bool is_mem(Opcode op);
-[[nodiscard]] bool is_cond_branch(Opcode op);
-[[nodiscard]] bool is_uncond_branch(Opcode op);  ///< jmp/call/ret
-[[nodiscard]] bool is_branch(Opcode op);         ///< any control transfer
-[[nodiscard]] bool is_indirect(Opcode op);       ///< target comes from a register
-[[nodiscard]] FuClass fu_class(Opcode op);
-[[nodiscard]] int mem_bytes(Opcode op);  ///< access width, 0 for non-memory
+/// Attribute bits of one opcode (OpAttrs::bits).
+inline constexpr uint8_t kOpDest = 1 << 0;      ///< writes rd
+inline constexpr uint8_t kOpSrc1 = 1 << 1;      ///< reads rs1
+inline constexpr uint8_t kOpSrc2 = 1 << 2;      ///< reads rs2
+inline constexpr uint8_t kOpLoad = 1 << 3;
+inline constexpr uint8_t kOpStore = 1 << 4;
+inline constexpr uint8_t kOpCondBr = 1 << 5;    ///< compares rs1 against rs2
+inline constexpr uint8_t kOpUncondBr = 1 << 6;  ///< jmp/call/ret
 
+/// Static attributes of one opcode. Every predicate below is one read of
+/// kOpAttrs, so the pipeline's per-instruction decode makes no calls.
+struct OpAttrs {
+  const char* name;
+  uint8_t bits;
+  FuClass fu;
+  uint8_t mem_bytes;  ///< access width, 0 for non-memory
+};
+
+/// One row per opcode, in Opcode order.
+inline constexpr OpAttrs kOpAttrs[] = {
+    /*kNop*/  {"nop", 0, FuClass::kNone, 0},
+    /*kHalt*/ {"halt", 0, FuClass::kNone, 0},
+    /*kAdd*/  {"add", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kSub*/  {"sub", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kMul*/  {"mul", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntMul, 0},
+    /*kDiv*/  {"div", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntDiv, 0},
+    /*kRem*/  {"rem", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntDiv, 0},
+    /*kAnd*/  {"and", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kOr*/   {"or", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kXor*/  {"xor", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kShl*/  {"shl", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kShr*/  {"shr", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kSar*/  {"sar", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kSlt*/  {"slt", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kSltu*/ {"sltu", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kSeq*/  {"seq", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kMin*/  {"min", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kMax*/  {"max", kOpDest | kOpSrc1 | kOpSrc2, FuClass::kIntAlu, 0},
+    /*kAddi*/ {"addi", kOpDest | kOpSrc1, FuClass::kIntAlu, 0},
+    /*kMuli*/ {"muli", kOpDest | kOpSrc1, FuClass::kIntMul, 0},
+    /*kAndi*/ {"andi", kOpDest | kOpSrc1, FuClass::kIntAlu, 0},
+    /*kOri*/  {"ori", kOpDest | kOpSrc1, FuClass::kIntAlu, 0},
+    /*kXori*/ {"xori", kOpDest | kOpSrc1, FuClass::kIntAlu, 0},
+    /*kShli*/ {"shli", kOpDest | kOpSrc1, FuClass::kIntAlu, 0},
+    /*kShrli*/{"shrli", kOpDest | kOpSrc1, FuClass::kIntAlu, 0},
+    /*kMovi*/ {"movi", kOpDest, FuClass::kIntAlu, 0},
+    /*kMov*/  {"mov", kOpDest | kOpSrc1, FuClass::kIntAlu, 0},
+    /*kLd8*/  {"ld8", kOpDest | kOpSrc1 | kOpLoad, FuClass::kMem, 8},
+    /*kLd4*/  {"ld4", kOpDest | kOpSrc1 | kOpLoad, FuClass::kMem, 4},
+    /*kLd2*/  {"ld2", kOpDest | kOpSrc1 | kOpLoad, FuClass::kMem, 2},
+    /*kLd1*/  {"ld1", kOpDest | kOpSrc1 | kOpLoad, FuClass::kMem, 1},
+    /*kSt8*/  {"st8", kOpSrc1 | kOpSrc2 | kOpStore, FuClass::kMem, 8},
+    /*kSt4*/  {"st4", kOpSrc1 | kOpSrc2 | kOpStore, FuClass::kMem, 4},
+    /*kSt2*/  {"st2", kOpSrc1 | kOpSrc2 | kOpStore, FuClass::kMem, 2},
+    /*kSt1*/  {"st1", kOpSrc1 | kOpSrc2 | kOpStore, FuClass::kMem, 1},
+    /*kBeq*/  {"beq", kOpSrc1 | kOpSrc2 | kOpCondBr, FuClass::kBranch, 0},
+    /*kBne*/  {"bne", kOpSrc1 | kOpSrc2 | kOpCondBr, FuClass::kBranch, 0},
+    /*kBlt*/  {"blt", kOpSrc1 | kOpSrc2 | kOpCondBr, FuClass::kBranch, 0},
+    /*kBge*/  {"bge", kOpSrc1 | kOpSrc2 | kOpCondBr, FuClass::kBranch, 0},
+    /*kBltu*/ {"bltu", kOpSrc1 | kOpSrc2 | kOpCondBr, FuClass::kBranch, 0},
+    /*kBgeu*/ {"bgeu", kOpSrc1 | kOpSrc2 | kOpCondBr, FuClass::kBranch, 0},
+    /*kJmp*/  {"jmp", kOpUncondBr, FuClass::kNone, 0},
+    /*kCall*/ {"call", kOpDest | kOpUncondBr, FuClass::kIntAlu, 0},
+    /*kRet*/  {"ret", kOpSrc1 | kOpUncondBr, FuClass::kBranch, 0},
+};
+static_assert(std::size(kOpAttrs) == static_cast<size_t>(Opcode::kOpcodeCount),
+              "kOpAttrs needs exactly one row per opcode");
+
+[[nodiscard]] inline const OpAttrs& attrs(Opcode op) {
+  assert(static_cast<size_t>(op) < std::size(kOpAttrs));
+  return kOpAttrs[static_cast<size_t>(op)];
+}
+[[nodiscard]] inline bool has_attr(Opcode op, uint8_t bits) {
+  return (attrs(op).bits & bits) != 0;
+}
+
+[[nodiscard]] inline bool has_dest(Opcode op) { return has_attr(op, kOpDest); }
+[[nodiscard]] inline bool reads_rs1(Opcode op) { return has_attr(op, kOpSrc1); }
+[[nodiscard]] inline bool reads_rs2(Opcode op) { return has_attr(op, kOpSrc2); }
+/// 0, 1 or 2 register sources.
+[[nodiscard]] inline int num_sources(Opcode op) {
+  return (reads_rs1(op) ? 1 : 0) + (reads_rs2(op) ? 1 : 0);
+}
+[[nodiscard]] inline bool is_load(Opcode op) { return has_attr(op, kOpLoad); }
+[[nodiscard]] inline bool is_store(Opcode op) { return has_attr(op, kOpStore); }
+[[nodiscard]] inline bool is_mem(Opcode op) {
+  return has_attr(op, kOpLoad | kOpStore);
+}
+[[nodiscard]] inline bool is_cond_branch(Opcode op) {
+  return has_attr(op, kOpCondBr);
+}
+/// jmp/call/ret.
+[[nodiscard]] inline bool is_uncond_branch(Opcode op) {
+  return has_attr(op, kOpUncondBr);
+}
+/// Any control transfer.
+[[nodiscard]] inline bool is_branch(Opcode op) {
+  return has_attr(op, kOpCondBr | kOpUncondBr);
+}
+/// The target comes from a register.
+[[nodiscard]] inline bool is_indirect(Opcode op) { return op == Opcode::kRet; }
+[[nodiscard]] inline FuClass fu_class(Opcode op) { return attrs(op).fu; }
 /// Number of bytes accessed by a load/store opcode; 0 otherwise.
-[[nodiscard]] const char* opcode_name(Opcode op);
+[[nodiscard]] inline int mem_bytes(Opcode op) { return attrs(op).mem_bytes; }
+[[nodiscard]] inline const char* opcode_name(Opcode op) {
+  return attrs(op).name;
+}
 [[nodiscard]] std::string disassemble(const Instruction& inst, uint64_t pc);
 
 /// Evaluates a two-source ALU operation (used by both the reference

@@ -20,64 +20,64 @@ void Cache::reset() {
   use_stamp_ = 0;
 }
 
-bool Cache::probe(uint64_t addr) const {
+int64_t Cache::find(uint64_t addr) const {
   const uint64_t line_addr = addr / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line_addr) & (num_sets_ - 1);
-  const uint64_t tag = line_addr >> 0;
-  const size_t base = static_cast<size_t>(set) * config_.assoc;
+  const size_t base = set_base(line_addr);
   for (uint32_t w = 0; w < config_.assoc; ++w) {
     const Line& l = lines_[base + w];
-    if (l.valid && l.tag == tag) return true;
+    if (l.valid && l.tag == line_addr) return static_cast<int64_t>(base + w);
   }
-  return false;
+  return -1;
+}
+
+Cache::Line* Cache::resident(uint64_t line_addr) {
+  const int64_t i = find(line_addr * config_.line_bytes);
+  return i >= 0 ? &lines_[static_cast<size_t>(i)] : nullptr;
 }
 
 Cache::Result Cache::access(uint64_t addr, bool is_write, uint64_t now,
                             uint32_t miss_fill_latency) {
+  const int64_t line = find(addr);
+  return line >= 0 ? hit(line, is_write, now)
+                   : miss(addr, is_write, now, miss_fill_latency);
+}
+
+Cache::Result Cache::hit(int64_t line, bool is_write, uint64_t now) {
   ++stats_.accesses;
-  const uint64_t line_addr = addr / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line_addr) & (num_sets_ - 1);
-  const uint64_t tag = line_addr;  // full line address as tag (simple, exact)
-  const size_t base = static_cast<size_t>(set) * config_.assoc;
-
   ++use_stamp_;
-  for (uint32_t w = 0; w < config_.assoc; ++w) {
-    Line& l = lines_[base + w];
-    if (l.valid && l.tag == tag) {
-      ++stats_.hits;
-      l.lru = use_stamp_;
-      if (is_write) l.dirty = true;
-      // Hit under an outstanding fill: data arrives when the fill does.
-      uint32_t latency = config_.hit_latency;
-      if (const auto it = inflight_fills_.find(line_addr);
-          it != inflight_fills_.end() && it->second > now) {
-        latency = static_cast<uint32_t>(it->second - now);
-      }
-      return {true, latency};
-    }
-  }
+  ++stats_.hits;
+  Line& l = lines_[static_cast<size_t>(line)];
+  l.lru = use_stamp_;
+  if (is_write) l.dirty = true;
+  // Hit under an outstanding fill: data arrives when the fill does.
+  const uint32_t latency = l.fill_until > now
+                               ? static_cast<uint32_t>(l.fill_until - now)
+                               : config_.hit_latency;
+  return {true, latency};
+}
 
-  // Miss. Merge with an in-flight fill of the same line if present.
+Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
+                          uint32_t miss_fill_latency) {
+  ++stats_.accesses;
+  ++use_stamp_;
+  const uint64_t line_addr = addr / config_.line_bytes;
+  const uint64_t tag = line_addr;  // full line address as tag (simple, exact)
+  const size_t base = set_base(line_addr);
+
+  // Merge with an in-flight fill of the same line if present.
   ++stats_.misses;
   uint32_t latency = config_.hit_latency + miss_fill_latency;
+  uint64_t fill_until = 0;
   if (const auto it = inflight_fills_.find(line_addr);
       it != inflight_fills_.end()) {
+    fill_until = it->second;
     if (it->second > now) {
       ++stats_.mshr_merges;
       latency = static_cast<uint32_t>(it->second - now);
     }
   } else {
-    inflight_fills_[line_addr] = now + latency;
-    // Opportunistic cleanup to bound the map.
-    if (inflight_fills_.size() > 4096) {
-      for (auto it2 = inflight_fills_.begin(); it2 != inflight_fills_.end();) {
-        if (it2->second <= now) {
-          it2 = inflight_fills_.erase(it2);
-        } else {
-          ++it2;
-        }
-      }
-    }
+    fill_until = now + latency;
+    inflight_fills_[line_addr] = fill_until;
   }
 
   // Victim selection: invalid first, then LRU.
@@ -93,14 +93,27 @@ Cache::Result Cache::access(uint64_t addr, bool is_write, uint64_t now,
   v.tag = tag;
   v.dirty = is_write;
   v.lru = use_stamp_;
+  v.fill_until = fill_until;
+
+  // Opportunistic cleanup to bound the map; resident lines forget the
+  // entries it drops.
+  if (inflight_fills_.size() > 4096) {
+    for (auto it = inflight_fills_.begin(); it != inflight_fills_.end();) {
+      if (it->second <= now) {
+        if (Line* l = resident(it->first)) l->fill_until = 0;
+        it = inflight_fills_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
   return {false, latency};
 }
 
-void Cache::warm_access(uint64_t addr, bool is_write) {
+bool Cache::warm_access(uint64_t addr, bool is_write) {
   const uint64_t line_addr = addr / config_.line_bytes;
-  const uint32_t set = static_cast<uint32_t>(line_addr) & (num_sets_ - 1);
   const uint64_t tag = line_addr;
-  const size_t base = static_cast<size_t>(set) * config_.assoc;
+  const size_t base = set_base(line_addr);
 
   ++use_stamp_;
   for (uint32_t w = 0; w < config_.assoc; ++w) {
@@ -108,7 +121,7 @@ void Cache::warm_access(uint64_t addr, bool is_write) {
     if (l.valid && l.tag == tag) {
       l.lru = use_stamp_;
       if (is_write) l.dirty = true;
-      return;
+      return true;
     }
   }
   // Miss: same victim selection as access(), fill without timing.
@@ -123,6 +136,12 @@ void Cache::warm_access(uint64_t addr, bool is_write) {
   v.tag = tag;
   v.dirty = is_write;
   v.lru = use_stamp_;
+  v.fill_until = 0;
+  if (!inflight_fills_.empty()) {
+    const auto it = inflight_fills_.find(line_addr);
+    if (it != inflight_fills_.end()) v.fill_until = it->second;
+  }
+  return false;
 }
 
 uint64_t Cache::debug_digest() const {

@@ -47,13 +47,23 @@ class Cache : public util::Warmable {
   Result access(uint64_t addr, bool is_write, uint64_t now,
                 uint32_t miss_fill_latency);
 
+  /// access() split at its tag check, so a caller that computes the miss
+  /// fill latency from the level below walks the set once: find() returns
+  /// the resident line's index, then hit(index, ...) or miss(addr, ...)
+  /// completes the access exactly as access() would.
+  [[nodiscard]] int64_t find(uint64_t addr) const;
+  Result hit(int64_t line, bool is_write, uint64_t now);
+  Result miss(uint64_t addr, bool is_write, uint64_t now,
+              uint32_t miss_fill_latency);
+
   /// Tag-only probe (no state change), for tests and warmup checks.
-  [[nodiscard]] bool probe(uint64_t addr) const;
+  [[nodiscard]] bool probe(uint64_t addr) const { return find(addr) >= 0; }
 
   /// Functional warming: the tag/LRU/dirty state transition of access()
   /// with none of its timing (no MSHR, no latency) and none of its stats —
   /// warm accesses must not pollute the measured interval's counters.
-  void warm_access(uint64_t addr, bool is_write);
+  /// Returns whether the line was resident (a hit).
+  bool warm_access(uint64_t addr, bool is_write);
 
   /// Digest over the cache *contents*: per set, the valid lines sorted by
   /// tag (with their dirty bits). Recency (LRU stamps) is deliberately
@@ -80,14 +90,25 @@ class Cache : public util::Warmable {
     bool valid = false;
     bool dirty = false;
     uint64_t lru = 0;  ///< last-use stamp
+    /// inflight_fills_[tag] while the line is resident, 0 when the map has
+    /// no entry for it; a hit reads this instead of the map.
+    uint64_t fill_until = 0;
   };
+  [[nodiscard]] size_t set_base(uint64_t line_addr) const {
+    return static_cast<size_t>(static_cast<uint32_t>(line_addr) &
+                               (num_sets_ - 1)) *
+           config_.assoc;
+  }
+  /// The resident line with tag `line_addr`, or nullptr.
+  [[nodiscard]] Line* resident(uint64_t line_addr);
 
   CacheConfig config_;
   uint32_t num_sets_;
   std::vector<Line> lines_;  ///< num_sets_ * assoc, set-major
   uint64_t use_stamp_ = 0;
   CacheStats stats_;
-  /// line address -> cycle at which an in-flight fill completes.
+  /// line address -> cycle at which an in-flight fill completes. Every
+  /// resident line mirrors its own entry in Line::fill_until.
   std::unordered_map<uint64_t, uint64_t> inflight_fills_;
 };
 

@@ -28,43 +28,39 @@ uint32_t CacheHierarchy::lower_fill_latency(uint64_t addr, bool is_write,
 }
 
 uint32_t CacheHierarchy::access_inst(uint64_t addr, uint64_t now) {
-  // Probe L1I first; only on a real miss do we consult the lower levels.
-  if (l1i_.probe(addr)) {
-    return l1i_.access(addr, false, now, 0).latency;
+  // Look L1I up first; only on a real miss do we consult the lower levels.
+  if (const int64_t line = l1i_.find(addr); line >= 0) {
+    return l1i_.hit(line, false, now).latency;
   }
   const uint32_t fill = lower_fill_latency(addr, false, now);
-  return l1i_.access(addr, false, now, fill).latency;
+  return l1i_.miss(addr, false, now, fill).latency;
 }
 
 uint32_t CacheHierarchy::access_data(uint64_t addr, bool is_write,
                                      uint64_t now) {
-  if (l1d_.probe(addr)) {
-    return l1d_.access(addr, is_write, now, 0).latency;
+  if (const int64_t line = l1d_.find(addr); line >= 0) {
+    return l1d_.hit(line, is_write, now).latency;
   }
   const uint32_t fill = lower_fill_latency(addr, is_write, now);
-  return l1d_.access(addr, is_write, now, fill).latency;
+  return l1d_.miss(addr, is_write, now, fill).latency;
 }
 
 namespace {
 // Mirrors the timed path's level walk: the L1 miss consults L2
 // unconditionally, and L3 only when L2 also misses.
 void warm_lower(Cache& l2, Cache& l3, uint64_t addr, bool is_write) {
-  const bool l2_hit = l2.probe(addr);
-  l2.warm_access(addr, is_write);
-  if (!l2_hit) l3.warm_access(addr, is_write);
+  if (!l2.warm_access(addr, is_write)) l3.warm_access(addr, is_write);
 }
 }  // namespace
 
 void CacheHierarchy::warm_inst(uint64_t addr) {
-  const bool hit = l1i_.probe(addr);
-  l1i_.warm_access(addr, false);
-  if (!hit) warm_lower(l2_, l3_, addr, false);
+  if (!l1i_.warm_access(addr, false)) warm_lower(l2_, l3_, addr, false);
 }
 
 void CacheHierarchy::warm_data(uint64_t addr, bool is_write) {
-  const bool hit = l1d_.probe(addr);
-  l1d_.warm_access(addr, is_write);
-  if (!hit) warm_lower(l2_, l3_, addr, is_write);
+  if (!l1d_.warm_access(addr, is_write)) {
+    warm_lower(l2_, l3_, addr, is_write);
+  }
 }
 
 uint64_t CacheHierarchy::debug_digest() const {

@@ -27,7 +27,17 @@ uint8_t MainMemory::read8(uint64_t addr) const {
 
 uint64_t MainMemory::read(uint64_t addr, int bytes) const {
   assert(bytes >= 1 && bytes <= 8);
+  const uint64_t off = addr & (kPageSize - 1);
   uint64_t v = 0;
+  if (off + static_cast<uint64_t>(bytes) <= kPageSize) {
+    // Within one page: one lookup (little-endian byte order, as below).
+    const Page* p = find_page(addr);
+    if (p == nullptr) return 0;
+    for (int i = bytes - 1; i >= 0; --i) {
+      v = (v << 8) | (*p)[off + static_cast<uint64_t>(i)];
+    }
+    return v;
+  }
   for (int i = 0; i < bytes; ++i) {
     v |= static_cast<uint64_t>(read8(addr + static_cast<uint64_t>(i)))
          << (8 * i);
@@ -41,6 +51,15 @@ void MainMemory::write8(uint64_t addr, uint8_t value) {
 
 void MainMemory::write(uint64_t addr, uint64_t value, int bytes) {
   assert(bytes >= 1 && bytes <= 8);
+  const uint64_t off = addr & (kPageSize - 1);
+  if (off + static_cast<uint64_t>(bytes) <= kPageSize) {
+    Page& p = touch_page(addr);
+    for (int i = 0; i < bytes; ++i) {
+      p[off + static_cast<uint64_t>(i)] =
+          static_cast<uint8_t>(value >> (8 * i));
+    }
+    return;
+  }
   for (int i = 0; i < bytes; ++i) {
     write8(addr + static_cast<uint64_t>(i),
            static_cast<uint8_t>(value >> (8 * i)));

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace cfir::ci {
 namespace {
 
@@ -28,7 +31,7 @@ TEST(Srsmt, UidsAreUniqueAcrossGenerations) {
   auto rel = [](uint32_t) {};
   const uint32_t a = t.alloc(0x1000, rel);
   const uint32_t uid_a = t.entry(a).uid;
-  t.entry(a).valid = false;
+  t.invalidate(a);
   const uint32_t b = t.alloc(0x1000, rel);
   EXPECT_NE(t.entry(b).uid, uid_a);
 }
@@ -111,6 +114,59 @@ TEST(SrsmtEntry, DeallocatableRule) {
   EXPECT_TRUE(e.deallocatable());
   e.issue_count = 1;
   EXPECT_FALSE(e.deallocatable());
+}
+
+TEST(Srsmt, LiveWalkVisitsValidSlotsInAscendingOrder) {
+  Srsmt t(64, 4, 4);  // 256 slots: four mask words
+  auto rel = [](uint32_t) {};
+  std::vector<uint32_t> slots;
+  for (const uint64_t pc : {0x3fcull, 0x0ull, 0x104ull, 0x4ull, 0x200ull}) {
+    slots.push_back(t.alloc(pc, rel));
+  }
+  t.invalidate(slots[2]);
+  std::vector<uint32_t> want;
+  for (uint32_t s = 0; s < t.num_slots(); ++s) {
+    if (t.entry(s).valid) want.push_back(s);
+  }
+  ASSERT_EQ(want.size(), size_t{4});
+  std::vector<uint32_t> seen;
+  t.for_each_live([&](uint32_t s) { seen.push_back(s); });
+  EXPECT_EQ(seen, want);
+
+  // A slot invalidated by an earlier visit is skipped, as a full-table
+  // walk checking `valid` would skip it; the visited slot itself may go.
+  seen.clear();
+  t.for_each_live([&](uint32_t s) {
+    seen.push_back(s);
+    if (s == want[0]) {
+      t.invalidate(s);
+      t.invalidate(want[2]);
+    }
+  });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{want[0], want[1], want[3]}));
+}
+
+TEST(RingMod, MatchesModuloForEveryReplicaCount) {
+  std::vector<uint64_t> probes = {0, 1, 2, 3, 7, 8, 63, 64, 65,
+                                  UINT32_MAX, uint64_t{UINT32_MAX} + 1,
+                                  UINT64_MAX, UINT64_MAX - 1};
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 2000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    probes.push_back(x);
+    probes.push_back(x >> (i % 64));
+  }
+  for (const uint32_t n : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 12u, 16u, 255u,
+                           1000u, UINT32_MAX}) {
+    const RingMod mod(n);
+    for (const uint64_t abs : probes) {
+      for (const uint64_t v : {abs, abs - abs % n, abs - abs % n - 1}) {
+        ASSERT_EQ(mod(v), v % n) << "n=" << n << " abs=" << v;
+      }
+    }
+  }
 }
 
 TEST(Srsmt, StorageBudgetMatchesPaper) {
