@@ -7,6 +7,16 @@ namespace cfir::ci {
 using core::DynInst;
 using isa::Opcode;
 
+// Per ROB slot the core keeps a DynInst and a RAS snapshot, and this
+// mechanism one RenameExt snapshot. Together they stay within the 408
+// bytes of the DynInst that used to carry both snapshots inline, so a
+// Core's construction cost and footprint do not grow with the window.
+static_assert(sizeof(core::DynInst) +
+                      sizeof(branch::ReturnAddressStack::Snapshot) +
+                      sizeof(RenameExt) <=
+                  408,
+              "per-ROB-slot state outgrew its budget");
+
 CiMechanism::CiMechanism(const core::CoreConfig& cfg)
     : cfg_(cfg),
       stride_(cfg.stride_sets, cfg.stride_ways),

@@ -35,11 +35,14 @@ inline constexpr uint32_t kInvalidSrsmtSlot =
 class RingMod {
  public:
   RingMod() = default;
-  explicit RingMod(uint32_t n)
-      : n_(n), pow2_(std::has_single_bit(n)), m_(~Wide{0} / n + 1) {}
+  explicit RingMod(uint32_t n) : n_(n), pow2_(std::has_single_bit(n)) {
+    const Wide m = ~Wide{0} / n + 1;
+    m_hi_ = static_cast<uint64_t>(m >> 64);
+    m_lo_ = static_cast<uint64_t>(m);
+  }
   [[nodiscard]] uint32_t operator()(uint64_t abs) const {
     if (pow2_) return static_cast<uint32_t>(abs & (n_ - 1));
-    const Wide low = m_ * abs;
+    const Wide low = ((static_cast<Wide>(m_hi_) << 64) | m_lo_) * abs;
     const Wide bottom = static_cast<Wide>(static_cast<uint64_t>(low)) * n_;
     const Wide top = (low >> 64) * n_;
     return static_cast<uint32_t>((top + (bottom >> 64)) >> 64);
@@ -47,9 +50,10 @@ class RingMod {
 
  private:
   using Wide = unsigned __int128;
-  uint64_t n_ = 1;
+  uint32_t n_ = 1;
   bool pow2_ = true;
-  Wide m_ = 0;
+  uint64_t m_hi_ = 0;  ///< M, kept as two words so entries stay 8-aligned
+  uint64_t m_lo_ = 0;
 };
 
 /// One speculative replica (a ring element of an entry).
