@@ -181,9 +181,9 @@ void CiMechanism::create_load_entry(DynInst& di,
   };
   const uint32_t slot = srsmt_.alloc(di.pc, release);
   if (slot == kInvalidSrsmtSlot) return;
+  srsmt_.mark_load(slot);
   SrsmtEntry& e = srsmt_.entry(slot);
   e.inst = di.inst;
-  e.is_load = true;
   e.stride = sp.stride;
   e.anchored = false;  // anchored when this instance commits
   e.origin_branch_pc = sp.origin_branch_pc;
@@ -244,7 +244,6 @@ void CiMechanism::create_arith_entry(DynInst& di) {
   if (slot == kInvalidSrsmtSlot) return;
   SrsmtEntry& e = srsmt_.entry(slot);
   e.inst = di.inst;
-  e.is_load = false;
   const bool has_self = s1.self || s2.self;
   // Self-recurrent chains anchor on the creator's committed result;
   // pure feed-forward chains are live immediately.
@@ -533,10 +532,9 @@ bool CiMechanism::on_store_commit(DynInst& di) {
   const uint64_t lo = di.mem_addr;
   const uint64_t hi = di.mem_addr + static_cast<uint64_t>(di.mem_size);
   bool conflict = false;
-  srsmt_.for_each_live([&](uint32_t slot) {
+  srsmt_.for_each_live_load([&](uint32_t slot) {
     SrsmtEntry& e = srsmt_.entry(slot);
-    if (!e.is_load || !e.anchored) return;
-    if (e.materialized <= e.commit_count) return;
+    if (!e.anchored || e.materialized <= e.commit_count) return;
     // Outstanding replica address range (section 2.4.3).
     const uint64_t first = e.addr_of(e.commit_count);
     const uint64_t last = e.addr_of(e.materialized - 1);

@@ -14,6 +14,7 @@ Srsmt::Srsmt(uint32_t sets, uint32_t ways, uint32_t replicas_per_entry)
   entries_.assign(static_cast<size_t>(sets_) * ways_, SrsmtEntry{});
   pcs_.assign(entries_.size(), kNoPc);
   live_.assign((entries_.size() + 63) / 64, 0);
+  loads_.assign(live_.size(), 0);
 }
 
 }  // namespace cfir::ci

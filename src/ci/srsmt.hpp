@@ -150,13 +150,15 @@ struct SrsmtEntry {
   }
 };
 
-/// The table proper. Besides each entry's `valid` flag it keeps two
+/// The table proper. Besides each entry's `valid` flag it keeps three
 /// indexes: the PC of every valid slot in one flat array, so find() reads
-/// one set's tags instead of its 256-byte entries, and a bitmask of the
-/// valid slots, so the table-wide walks (DAEC aging on a misprediction,
-/// the store-range check on a committed store) visit only live entries.
-/// Entries become valid only through alloc() and invalid only through
-/// invalidate(), which keep all three in step.
+/// one set's tags instead of its entries; a bitmask of the valid slots,
+/// so the table-wide walks (DAEC aging on a misprediction, the watchdog
+/// reclaim) visit only live entries; and a bitmask of the valid load
+/// entries, the only ones the store-range check on a committed store
+/// concerns. Entries become valid only through alloc(), loads only
+/// through mark_load(), and invalid only through invalidate(), which
+/// keep the indexes in step.
 class Srsmt {
  public:
   Srsmt(uint32_t sets, uint32_t ways, uint32_t replicas_per_entry);
@@ -216,11 +218,18 @@ class Srsmt {
   }
   void touch(uint32_t slot) { entries_[slot].lru = ++stamp_; }
 
+  /// Makes the freshly allocated entry at `slot` a strided-load entry.
+  void mark_load(uint32_t slot) {
+    entries_[slot].is_load = true;
+    loads_[slot / 64] |= uint64_t{1} << (slot % 64);
+  }
+
   /// Marks `slot` free; its resources must already be released.
   void invalidate(uint32_t slot) {
     entries_[slot].valid = false;
     pcs_[slot] = kNoPc;
     live_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
+    loads_[slot / 64] &= ~(uint64_t{1} << (slot % 64));
   }
 
   /// Calls fn(slot) for every valid slot in ascending slot order, exactly
@@ -230,14 +239,12 @@ class Srsmt {
   /// since releases return registers to the free list in visit order.
   template <typename Fn>
   void for_each_live(Fn&& fn) {
-    for (size_t w = 0; w < live_.size(); ++w) {
-      uint64_t bits = live_[w];
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        fn(static_cast<uint32_t>(w * 64 + static_cast<size_t>(b)));
-        bits = b == 63 ? 0 : live_[w] & (~uint64_t{0} << (b + 1));
-      }
-    }
+    for_each_set(live_, fn);
+  }
+  /// for_each_live restricted to load entries (the store-range check).
+  template <typename Fn>
+  void for_each_live_load(Fn&& fn) {
+    for_each_set(loads_, fn);
   }
 
   /// Section 3.1: 4 ways * 64 sets * 45 bytes = 11520 bytes.
@@ -246,6 +253,18 @@ class Srsmt {
   }
 
  private:
+  template <typename Fn>
+  static void for_each_set(const std::vector<uint64_t>& mask, Fn& fn) {
+    for (size_t w = 0; w < mask.size(); ++w) {
+      uint64_t bits = mask[w];
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        fn(static_cast<uint32_t>(w * 64 + static_cast<size_t>(b)));
+        // Reread: fn may have invalidated later slots of this word.
+        bits = b == 63 ? 0 : mask[w] & (~uint64_t{0} << (b + 1));
+      }
+    }
+  }
   [[nodiscard]] uint32_t set_of(uint64_t pc) const {
     return static_cast<uint32_t>(pc >> 2) & (sets_ - 1);
   }
@@ -260,7 +279,8 @@ class Srsmt {
   /// No instruction sits at this PC (PCs are multiples of kInstBytes).
   static constexpr uint64_t kNoPc = ~uint64_t{0};
   std::vector<uint64_t> pcs_;   ///< entries_[s].pc if valid, else kNoPc
-  std::vector<uint64_t> live_;  ///< bit s set <=> entries_[s].valid
+  std::vector<uint64_t> live_;   ///< bit s set <=> entries_[s].valid
+  std::vector<uint64_t> loads_;  ///< bit s set <=> valid and is_load
 };
 
 }  // namespace cfir::ci

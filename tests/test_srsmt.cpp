@@ -144,6 +144,18 @@ TEST(Srsmt, LiveWalkVisitsValidSlotsInAscendingOrder) {
     }
   });
   EXPECT_EQ(seen, (std::vector<uint32_t>{want[0], want[1], want[3]}));
+
+  // The load walk sees only live entries marked as loads, also ascending.
+  t.mark_load(want[3]);
+  t.mark_load(want[1]);
+  EXPECT_TRUE(t.entry(want[1]).is_load);
+  seen.clear();
+  t.for_each_live_load([&](uint32_t s) { seen.push_back(s); });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{want[1], want[3]}));
+  t.invalidate(want[1]);
+  seen.clear();
+  t.for_each_live_load([&](uint32_t s) { seen.push_back(s); });
+  EXPECT_EQ(seen, (std::vector<uint32_t>{want[3]}));
 }
 
 TEST(RingMod, MatchesModuloForEveryReplicaCount) {
