@@ -748,8 +748,9 @@ void Core::recover_to(uint64_t seq, uint64_t new_fetch_pc,
 
 void Core::squash_younger(uint64_t seq_keep) {
   while (rob_count_ > 0) {
-    uint32_t slot = rob_tail_slot();
-    slot = (slot == 0 ? static_cast<uint32_t>(rob_.size()) : slot) - 1;
+    const uint32_t tail = rob_tail_slot();
+    const uint32_t slot =
+        (tail == 0 ? static_cast<uint32_t>(rob_.size()) : tail) - 1;
     DynInst& di = rob_[slot];
     if (di.seq <= seq_keep) break;
     if (mech_ != nullptr) mech_->on_squash(di);

@@ -30,11 +30,6 @@ int64_t Cache::find(uint64_t addr) const {
   return -1;
 }
 
-Cache::Line* Cache::resident(uint64_t line_addr) {
-  const int64_t i = find(line_addr * config_.line_bytes);
-  return i >= 0 ? &lines_[static_cast<size_t>(i)] : nullptr;
-}
-
 Cache::Result Cache::access(uint64_t addr, bool is_write, uint64_t now,
                             uint32_t miss_fill_latency) {
   const int64_t line = find(addr);
@@ -100,7 +95,8 @@ Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
   if (inflight_fills_.size() > 4096) {
     for (auto it = inflight_fills_.begin(); it != inflight_fills_.end();) {
       if (it->second <= now) {
-        if (Line* l = resident(it->first)) l->fill_until = 0;
+        const int64_t line = find(it->first * config_.line_bytes);
+        if (line >= 0) lines_[static_cast<size_t>(line)].fill_until = 0;
         it = inflight_fills_.erase(it);
       } else {
         ++it;

@@ -56,7 +56,7 @@ class Cache : public util::Warmable {
   Result miss(uint64_t addr, bool is_write, uint64_t now,
               uint32_t miss_fill_latency);
 
-  /// Tag-only probe (no state change), for tests and warmup checks.
+  /// Tag-only probe (no state change), for tests.
   [[nodiscard]] bool probe(uint64_t addr) const { return find(addr) >= 0; }
 
   /// Functional warming: the tag/LRU/dirty state transition of access()
@@ -99,8 +99,6 @@ class Cache : public util::Warmable {
                                (num_sets_ - 1)) *
            config_.assoc;
   }
-  /// The resident line with tag `line_addr`, or nullptr.
-  [[nodiscard]] Line* resident(uint64_t line_addr);
 
   CacheConfig config_;
   uint32_t num_sets_;
