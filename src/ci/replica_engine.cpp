@@ -1,5 +1,6 @@
 #include "ci/replica_engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace cfir::ci {
@@ -9,7 +10,10 @@ using isa::Opcode;
 
 ReplicaEngine::ReplicaEngine(core::Core& core, Srsmt& srsmt,
                              SpecDataMemory* specmem)
-    : core_(core), srsmt_(srsmt), specmem_(specmem) {}
+    : core_(core),
+      srsmt_(srsmt),
+      specmem_(specmem),
+      consumer_visits_(srsmt.num_slots()) {}
 
 bool ReplicaEngine::ref_live(const Ref& r) const {
   const SrsmtEntry& e = srsmt_.entry(r.slot);
@@ -146,7 +150,20 @@ void ReplicaEngine::notify_consumers(uint32_t producer_slot,
                                      uint32_t producer_uid,
                                      uint64_t produced_abs) {
   SrsmtEntry& p = srsmt_.entry(producer_slot);
+  // consumer_slots gains a slot number at every consumer (re)creation, so
+  // one slot can repeat many times. A visit reads nothing this walk
+  // changes except the consumer's own waiting counts and arm states, and
+  // only moves those toward armed: after two visits each replica it
+  // touches is armed or parked at one pending operand. A slot's third and
+  // later visits in one walk are therefore no-ops and are skipped.
+  if (++walk_ == 0) {
+    std::fill(consumer_visits_.begin(), consumer_visits_.end(), Visits{});
+    walk_ = 1;
+  }
   for (const uint32_t cslot : p.consumer_slots) {
+    Visits& v = consumer_visits_[cslot];
+    if (v.walk != walk_) v = {walk_, 0};
+    if (++v.count > 2) continue;
     SrsmtEntry& c = srsmt_.entry(cslot);
     if (!c.valid) continue;
     for (const SrsmtOperand* op : {&c.op1, &c.op2}) {

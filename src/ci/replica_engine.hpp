@@ -100,6 +100,14 @@ class ReplicaEngine {
   std::vector<uint32_t> retry_scratch_;
   std::vector<Ref> deferred_scratch_;
 
+  // notify_consumers' per-slot visit counts for the current walk.
+  struct Visits {
+    uint32_t walk = 0;
+    uint32_t count = 0;
+  };
+  std::vector<Visits> consumer_visits_;
+  uint32_t walk_ = 0;
+
   struct CopyWaiter {
     uint32_t rob_slot;
     uint64_t seq;
