@@ -333,7 +333,7 @@ void CiMechanism::on_renamed(DynInst& di) {
 
   // Rename extension update with walk-recovery snapshot.
   RenameExt& x = ext_[static_cast<size_t>(di.inst.rd)];
-  ext_snap_[core_->rob_slot(di)] = x;
+  ext_snap_[di.slot] = x;
   di.mech.ext_saved = true;
 
   RenameExt nx;  // default: cleared
@@ -460,7 +460,7 @@ void CiMechanism::on_squash(DynInst& di) {
     }
   }
   if (di.mech.ext_saved) {
-    ext_[static_cast<size_t>(di.inst.rd)] = ext_snap_[core_->rob_slot(di)];
+    ext_[static_cast<size_t>(di.inst.rd)] = ext_snap_[di.slot];
   }
 }
 

@@ -27,7 +27,6 @@ Core::Core(const CoreConfig& config, const isa::Program& program,
     throw std::runtime_error("num_phys_regs too small for the logical file");
   }
   rob_.resize(cfg_.rob_size);
-  ras_snap_.resize(cfg_.rob_size);
   cal_.resize(kCalBuckets);
   smem_next_.assign(cfg_.rob_size, kUnlinked);
   smem_prev_.assign(cfg_.rob_size, kUnlinked);
@@ -185,7 +184,7 @@ void Core::smem_insert(uint32_t slot, uint64_t seq) {
   // Sorted by seq ascending; listed entries are always live (squash unlinks
   // eagerly), so rob_[p].seq IS the entry's sort key.
   int32_t after = smem_tail_;
-  while (after >= 0 && rob_[static_cast<uint32_t>(after)].seq > seq) {
+  while (after >= 0 && at(static_cast<uint32_t>(after)).seq > seq) {
     after = smem_prev_[static_cast<size_t>(after)];
   }
   smem_prev_[slot] = after;
@@ -347,7 +346,8 @@ void Core::fetch_stage() {
 
     // Build the entry in place at the ROB tail; dispatch() finishes it.
     const uint32_t slot = rob_tail_slot();
-    DynInst& di = *std::construct_at(&rob_[slot]);
+    DynInst& di = *std::construct_at(&rob_[slot].di);
+    di.slot = slot;
     di.pc = fetch_pc_;
     di.inst = inst;
     uint64_t next_fetch = fetch_pc_ + isa::kInstBytes;
@@ -358,7 +358,7 @@ void Core::fetch_stage() {
       di.predicted_target = di.predicted_taken
                                 ? static_cast<uint64_t>(inst.imm)
                                 : fetch_pc_ + isa::kInstBytes;
-      ras_snap_[slot] = ras_.snapshot();
+      rob_[slot].ras = ras_.snapshot();
       di.has_ras_snapshot = true;
       taken = di.predicted_taken;
       if (taken) next_fetch = di.predicted_target;
@@ -370,7 +370,7 @@ void Core::fetch_stage() {
       next_fetch = di.predicted_target;
     } else if (inst.op == Opcode::kRet) {
       di.gshare_snapshot = gshare_.history();
-      ras_snap_[slot] = ras_.snapshot();
+      rob_[slot].ras = ras_.snapshot();
       di.has_ras_snapshot = true;
       di.predicted_taken = true;
       di.predicted_target = ras_.pop();
@@ -388,7 +388,7 @@ void Core::fetch_stage() {
 }
 
 void Core::dispatch(uint32_t slot) {
-  DynInst& di = rob_[slot];
+  DynInst& di = at(slot);
   di.seq = next_seq_++;
   ++stats_.fetched;
   const Opcode op = di.inst.op;
@@ -586,7 +586,7 @@ bool Core::try_issue(uint32_t slot) {
 bool Core::issue_mem(DynInst& di) {
   mem_fail_port_ = false;
   const uint64_t seq = di.seq;
-  const uint32_t slot = static_cast<uint32_t>(&di - rob_.data());
+  const uint32_t slot = di.slot;
   // Address generation.
   di.v1 = di.ps1 >= 0 ? regfile_.value(di.ps1) : 0;
   di.mem_addr = di.v1 + static_cast<uint64_t>(di.inst.imm);
@@ -729,7 +729,7 @@ void Core::resolve_branch(uint32_t slot) {
       gshare_.set_history(di.gshare_snapshot);
     }
     if (di.has_ras_snapshot) {
-      ras_.restore(ras_snap_[slot]);
+      ras_.restore(rob_[slot].ras);
       if (di.inst.op == Opcode::kRet) ras_.pop();
     }
   }
@@ -751,7 +751,7 @@ void Core::squash_younger(uint64_t seq_keep) {
     const uint32_t tail = rob_tail_slot();
     const uint32_t slot =
         (tail == 0 ? static_cast<uint32_t>(rob_.size()) : tail) - 1;
-    DynInst& di = rob_[slot];
+    DynInst& di = at(slot);
     if (di.seq <= seq_keep) break;
     if (mech_ != nullptr) mech_->on_squash(di);
     if (di.has_dest) {
@@ -883,7 +883,7 @@ void Core::commit_stage() {
                        : cfg_.commit_width;
   while (slots > 0 && rob_count_ > 0 && !halted_) {
     const uint32_t slot = rob_head_;
-    DynInst& di = rob_[slot];
+    DynInst& di = at(slot);
     if (!di.completed) break;
     if (di.is_store) {
       if (stores_committed_this_cycle_ >= max_stores) break;
@@ -936,7 +936,7 @@ void Core::run(uint64_t max_commits) {
     if (cycle_ - last_commit_cycle_ > cfg_.deadlock_cycles) {
       std::string head = "rob empty";
       if (rob_count_ > 0) {
-        const DynInst& di = rob_[rob_head_];
+        const DynInst& di = rob_[rob_head_].di;
         head = isa::disassemble(di.inst, di.pc) +
                " seq=" + std::to_string(di.seq) +
                " pending=" + std::to_string(di.pending_ops) +

@@ -12,7 +12,7 @@
 // ready and stalled-memory sets, a free-listed waiter pool, and a small
 // insertion-ordered ring for the wide-bus line buffers. Fetch builds each
 // DynInst in place at the ROB tail and dispatch finishes it there; cold
-// per-instruction state sits in arrays indexed by ROB slot.
+// per-instruction state sits beside it, indexed by ROB slot.
 // Golden.DetailedCore* (tests/test_golden.cpp) pins its SimStats and cycle
 // counts; bench/micro_detailed measures its throughput.
 #pragma once
@@ -119,11 +119,6 @@ class Core {
   [[nodiscard]] int rename_lookup(int logical) const {
     return rename_.lookup(logical);
   }
-  /// ROB slot of an in-flight instruction the core handed to a hook, for
-  /// mechanisms that keep their own arrays indexed by ROB slot.
-  [[nodiscard]] uint32_t rob_slot(const DynInst& di) const {
-    return static_cast<uint32_t>(&di - rob_.data());
-  }
 
   /// Mechanism wrote `phys` (replica result): wake anything waiting on it.
   void replica_written(int phys);
@@ -157,13 +152,13 @@ class Core {
   void fetch_stage();
 
   // Helpers.
-  [[nodiscard]] DynInst& at(uint32_t slot) { return rob_[slot]; }
+  [[nodiscard]] DynInst& at(uint32_t slot) { return rob_[slot].di; }
   /// Whether the (slot, seq) an event, waiter or ready node recorded still
   /// names a live instruction. Recorded seqs are >= 1 (next_seq_ starts at
   /// 1) and never reused, and commit and squash both zero rob_[slot].seq
   /// before a slot leaves the window, so the seq match alone decides.
   [[nodiscard]] bool slot_live(uint32_t slot, uint64_t seq) const {
-    return rob_[slot].seq == seq;
+    return rob_[slot].di.seq == seq;
   }
   [[nodiscard]] uint32_t rob_tail_slot() const;
   /// Renames and schedules the entry fetch built in place at `slot`.
@@ -201,12 +196,18 @@ class Core {
   stats::SimStats stats_;
 
   // --- ROB ring --------------------------------------------------------------
-  std::vector<DynInst> rob_;
+  // One record per slot: the instruction, rebuilt in place by every
+  // fetch, and the RAS snapshot that only conditional branches and RET
+  // write (DynInst::has_ras_snapshot) and only their recovery reads. One
+  // allocation holds both, so even an 8K-entry window is a single heap
+  // block whose pages a short detailed unit does not fault in twice.
+  struct RobSlot {
+    DynInst di;
+    branch::ReturnAddressStack::Snapshot ras;
+  };
+  std::vector<RobSlot> rob_;
   uint32_t rob_head_ = 0;
   uint32_t rob_count_ = 0;
-  /// RAS snapshot per ROB slot, written at fetch for conditional branches
-  /// and RET only (DynInst::has_ras_snapshot) and read at their recovery.
-  std::vector<branch::ReturnAddressStack::Snapshot> ras_snap_;
 
   // --- wakeup/select ---------------------------------------------------------
   // Completion events live in a cycle-bucketed calendar ring: bucket

@@ -50,9 +50,8 @@ struct MechInfo {
 /// One in-flight instruction (ROB entry). The core builds it in place at
 /// the ROB tail; fields are ordered to pack. Cold per-instruction state
 /// (the RAS snapshot of a branch, the mechanism's rename-extension
-/// snapshot) lives in arrays indexed by ROB slot instead, and an entry of
-/// such an array means something only while its slot holds the seq that
-/// wrote it.
+/// snapshot) lives beside it, indexed by ROB slot (`slot`), and means
+/// something only while that slot holds the seq that wrote it.
 struct DynInst {
   // --- identity -------------------------------------------------------------
   uint64_t seq = 0;      ///< global fetch order, never reused within a run
@@ -80,6 +79,7 @@ struct DynInst {
   int ps2 = kNoReg;
   uint32_t pending_ops = 0;  ///< unready source operands
   int mem_size = 0;
+  uint32_t slot = 0;         ///< ROB slot the entry lives in
 
   // --- flags ----------------------------------------------------------------
   bool has_dest = false;

@@ -45,9 +45,11 @@ Cache::Result Cache::hit(int64_t line, bool is_write, uint64_t now) {
   l.lru = use_stamp_;
   if (is_write) l.dirty = true;
   // Hit under an outstanding fill: data arrives when the fill does.
-  const uint32_t latency = l.fill_until > now
-                               ? static_cast<uint32_t>(l.fill_until - now)
-                               : config_.hit_latency;
+  uint32_t latency = config_.hit_latency;
+  if (const auto it = inflight_fills_.find(l.tag);
+      it != inflight_fills_.end() && it->second > now) {
+    latency = static_cast<uint32_t>(it->second - now);
+  }
   return {true, latency};
 }
 
@@ -62,17 +64,24 @@ Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
   // Merge with an in-flight fill of the same line if present.
   ++stats_.misses;
   uint32_t latency = config_.hit_latency + miss_fill_latency;
-  uint64_t fill_until = 0;
   if (const auto it = inflight_fills_.find(line_addr);
       it != inflight_fills_.end()) {
-    fill_until = it->second;
     if (it->second > now) {
       ++stats_.mshr_merges;
       latency = static_cast<uint32_t>(it->second - now);
     }
   } else {
-    fill_until = now + latency;
-    inflight_fills_[line_addr] = fill_until;
+    inflight_fills_[line_addr] = now + latency;
+    // Opportunistic cleanup to bound the map.
+    if (inflight_fills_.size() > 4096) {
+      for (auto it2 = inflight_fills_.begin(); it2 != inflight_fills_.end();) {
+        if (it2->second <= now) {
+          it2 = inflight_fills_.erase(it2);
+        } else {
+          ++it2;
+        }
+      }
+    }
   }
 
   // Victim selection: invalid first, then LRU.
@@ -88,21 +97,6 @@ Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
   v.tag = tag;
   v.dirty = is_write;
   v.lru = use_stamp_;
-  v.fill_until = fill_until;
-
-  // Opportunistic cleanup to bound the map; resident lines forget the
-  // entries it drops.
-  if (inflight_fills_.size() > 4096) {
-    for (auto it = inflight_fills_.begin(); it != inflight_fills_.end();) {
-      if (it->second <= now) {
-        const int64_t line = find(it->first * config_.line_bytes);
-        if (line >= 0) lines_[static_cast<size_t>(line)].fill_until = 0;
-        it = inflight_fills_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
   return {false, latency};
 }
 
@@ -132,11 +126,6 @@ bool Cache::warm_access(uint64_t addr, bool is_write) {
   v.tag = tag;
   v.dirty = is_write;
   v.lru = use_stamp_;
-  v.fill_until = 0;
-  if (!inflight_fills_.empty()) {
-    const auto it = inflight_fills_.find(line_addr);
-    if (it != inflight_fills_.end()) v.fill_until = it->second;
-  }
   return false;
 }
 

@@ -90,9 +90,6 @@ class Cache : public util::Warmable {
     bool valid = false;
     bool dirty = false;
     uint64_t lru = 0;  ///< last-use stamp
-    /// inflight_fills_[tag] while the line is resident, 0 when the map has
-    /// no entry for it; a hit reads this instead of the map.
-    uint64_t fill_until = 0;
   };
   [[nodiscard]] size_t set_base(uint64_t line_addr) const {
     return static_cast<size_t>(static_cast<uint32_t>(line_addr) &
@@ -105,8 +102,7 @@ class Cache : public util::Warmable {
   std::vector<Line> lines_;  ///< num_sets_ * assoc, set-major
   uint64_t use_stamp_ = 0;
   CacheStats stats_;
-  /// line address -> cycle at which an in-flight fill completes. Every
-  /// resident line mirrors its own entry in Line::fill_until.
+  /// line address -> cycle at which an in-flight fill completes.
   std::unordered_map<uint64_t, uint64_t> inflight_fills_;
 };
 

@@ -3,9 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <unordered_map>
-
 namespace cfir::mem {
 namespace {
 
@@ -107,77 +104,6 @@ TEST(Hierarchy, ResetClearsState) {
   h.reset();
   EXPECT_EQ(h.l1d().stats().accesses, 0u);
   EXPECT_FALSE(h.l1d().probe(0x100));
-}
-
-/// The map-only in-flight fill bookkeeping Cache::Line::fill_until
-/// mirrors: every hit looks its line up in the map. Timed accesses only;
-/// warm accesses do not touch the map.
-class MapOnlyFills {
- public:
-  Cache::Result on_access(bool hit, uint64_t line, uint64_t now,
-                          uint32_t hit_latency, uint32_t fill) {
-    const auto it = fills_.find(line);
-    if (hit) {
-      return {true, it != fills_.end() && it->second > now
-                        ? static_cast<uint32_t>(it->second - now)
-                        : hit_latency};
-    }
-    uint32_t latency = hit_latency + fill;
-    if (it != fills_.end()) {
-      if (it->second > now) latency = static_cast<uint32_t>(it->second - now);
-    } else {
-      fills_[line] = now + latency;
-      if (fills_.size() > 4096) {
-        std::erase_if(fills_, [&](const auto& kv) { return kv.second <= now; });
-      }
-    }
-    return {false, latency};
-  }
-
- private:
-  std::unordered_map<uint64_t, uint64_t> fills_;
-};
-
-// Hits read the fill time the line carries instead of the map. A hot set
-// of 64 lines crowded into 8 sets of a 2-way cache keeps evicting lines
-// while their fills are in flight (merges, hits under a fill, warm
-// refills of evicted lines); a stream of fresh lines, some touched again
-// soon after, grows the map past 4096 entries so its cleanup drops
-// entries of resident lines; and `now` steps back as it does at L2/L3.
-// Every latency must match the map-only model.
-TEST(Cache, LineFillTimesMatchTheInflightMap) {
-  const CacheConfig config{"fills", 8 * 1024, 2, 16, 2};  // 256 sets
-  Cache c(config);
-  MapOnlyFills model;
-  uint64_t x = 0x243f6a8885a308d3ull;
-  uint64_t now = 1 << 20;
-  uint64_t fresh = 1 << 20;
-  for (int i = 0; i < 200000; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    const uint64_t kind = x & 15;
-    const uint64_t hot = (x >> 8) % 64;
-    uint64_t line = (hot / 8) * 256 + hot % 8;
-    if (kind >= 1 && kind <= 6) line = fresh++;
-    if (kind >= 7 && kind <= 10) line = fresh - 1 - ((x >> 8) & 7);
-    const uint64_t addr = line * 16 + ((x >> 60) & 15);
-    const bool is_write = ((x >> 14) & 3) == 0;
-    if (kind == 0) {
-      c.warm_access(addr, is_write);
-      continue;
-    }
-    now += (x >> 20) & 3;
-    const uint64_t at = now - ((x >> 24) & 255);
-    const uint32_t fill =
-        static_cast<uint32_t>((x >> 33) & ((x >> 32) & 1 ? 255 : 3));
-    const bool hit = c.probe(addr);
-    const Cache::Result got = c.access(addr, is_write, at, fill);
-    const Cache::Result want =
-        model.on_access(hit, line, at, config.hit_latency, fill);
-    ASSERT_EQ(got.hit, want.hit) << "access " << i;
-    ASSERT_EQ(got.latency, want.latency) << "access " << i;
-  }
 }
 
 TEST(Cache, Table1Geometry) {
