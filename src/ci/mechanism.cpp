@@ -8,9 +8,8 @@ using core::DynInst;
 using isa::Opcode;
 
 // Per ROB slot the core keeps a DynInst and a RAS snapshot, and this
-// mechanism one RenameExt snapshot. Together they stay within the 408
-// bytes of the DynInst that used to carry both snapshots inline, so a
-// Core's construction cost and footprint do not grow with the window.
+// mechanism one RenameExt snapshot; a 408-byte budget for the three keeps
+// a Core's construction cost and footprint in check at 8K-entry windows.
 static_assert(sizeof(core::DynInst) +
                       sizeof(branch::ReturnAddressStack::Snapshot) +
                       sizeof(RenameExt) <=

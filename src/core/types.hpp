@@ -91,7 +91,7 @@ struct DynInst {
   bool actual_taken = false;
   bool resolved = false;
   bool mispredicted = false;
-  bool has_ras_snapshot = false;  ///< the core's RAS slot array holds one
+  bool has_ras_snapshot = false;  ///< its ROB record holds a RAS snapshot
 
   // --- mechanism ------------------------------------------------------------
   MechInfo mech;
