@@ -15,9 +15,15 @@
 // Under the sanitizer build these runs double as the memory-safety stress
 // of the calendar ring, the intrusive ready/stall lists and the pooled
 // waiter nodes.
+//
+// The sampled path is pinned end to end: the program-fed BBVs and cluster
+// plans of every kernel, and run_all's sampled outcomes (cluster planning,
+// functional warming, a detail cap) for every kernel under ci and vect at
+// two register points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -27,6 +33,7 @@
 #include "helpers.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
 #include "trace/bbv.hpp"
 #include "trace/manifest.hpp"
 #include "trace/sampling.hpp"
@@ -387,6 +394,128 @@ TEST(Golden, DetailedCoreShardGridAcrossWarmModes) {
       EXPECT_EQ(digest_of(scrubbed_bytes(r)), expected[w][m])
           << kernels[w] << "/" << mode_names[m];
     }
+  }
+}
+
+/// Every plan field the detail runs consume: the run's extent, the
+/// windowing, each measured interval's start, length and weight bits, the
+/// window-to-cluster map and where each checkpoint was captured.
+uint64_t plan_digest(const IntervalPlan& p) {
+  util::Digest d;
+  d.u64(p.total_insts);
+  d.u8(p.ran_to_halt ? 1 : 0);
+  d.u64(p.interval_len);
+  d.u64(p.boundaries.size());
+  for (size_t i = 0; i < p.boundaries.size(); ++i) {
+    d.u64(p.boundaries[i]);
+    d.u64(p.lengths[i]);
+    d.u64(std::bit_cast<uint64_t>(p.weights[i]));
+    d.u64(p.checkpoints[i].executed);
+    d.u64(p.checkpoints[i].pc);
+  }
+  d.u64(p.cluster_of.size());
+  for (const uint32_t c : p.cluster_of) d.u32(c);
+  return d.value();
+}
+
+/// Program-fed BBVs and cluster plans of all twelve kernels at scale 8:
+/// the BBVs at an odd window length (windows end mid-block), the plan
+/// sampled_s8 uses (16 windows, to HALT) and a capped plan (7 windows,
+/// detailed warm-up) whose run ends inside a block.
+TEST(Golden, ProgramBbvsAndClusterPlansForEveryKernel) {
+  // Rows: kernels in workloads::names() order; columns:
+  // bbv_from_program(4999), the 16-window plan, the capped 7-window plan.
+  const uint64_t expected[12][3] = {
+      {0xac419f7bffe54141ull, 0xd64c7a5a75359532ull, 0x42ef222f0fece779ull},
+      {0xaba97da9b584a5baull, 0x1dbad68afac5b102ull, 0x808904ad1630afcdull},
+      {0x88f4ec13b32699a1ull, 0x60cc02fe5ec0b0ceull, 0x233b061acb317cf0ull},
+      {0xeb41073777a992f7ull, 0xf5a079666d9908f1ull, 0x5f7d4bb010f5de19ull},
+      {0x97f87fde4d4f8665ull, 0x01bd7aa21a9e7bb8ull, 0x3f670cc86c62ed15ull},
+      {0x85a09365c44186deull, 0xec3bcc6048ed3ebfull, 0x36237d8e39193c6dull},
+      {0x8ce8048fcb0f533dull, 0x9b26e4cbe9a9a4f8ull, 0x9365548d779d0ebdull},
+      {0x157b494eb3c2db7full, 0x7e71bc79199591a9ull, 0x96384109ad84c221ull},
+      {0x5fa43e0155797d99ull, 0x495c92c168ecb2a4ull, 0x5f622d26f1a7daedull},
+      {0x58210f6acf2efa53ull, 0xe745f9d363404907ull, 0xe67cbe975ca4fab1ull},
+      {0x4d5e2f972d26ff5dull, 0x66f7b2189e4d2b13ull, 0x0035ff06bf648e1dull},
+      {0xd26b7cdfe3b0771eull, 0x11ac1292886f6474ull, 0x1d0fef585bf3cf21ull},
+  };
+  const std::vector<std::string>& kernels = workloads::names();
+  ASSERT_EQ(kernels.size(), size_t{12});
+  ClusterPlanOptions full;
+  full.n_intervals = 16;
+  full.warm_mode = WarmMode::kFunctional;
+  full.detail_len = 2000;
+  ClusterPlanOptions capped;
+  capped.n_intervals = 7;
+  capped.warmup = 3000;
+  capped.max_insts = 100003;
+  for (size_t w = 0; w < kernels.size(); ++w) {
+    const isa::Program program = workloads::build(kernels[w], 8);
+    const uint64_t got[3] = {
+        bbv_digest(bbv_from_program(program, 4999)),
+        plan_digest(plan_cluster_intervals(program, full)),
+        plan_digest(plan_cluster_intervals(program, capped))};
+    for (size_t col = 0; col < 3; ++col) {
+      EXPECT_EQ(got[col], expected[w][col])
+          << kernels[w] << " column " << col << ": 0x" << std::hex
+          << got[col];
+    }
+  }
+}
+
+/// run_all's sampled path for every kernel at scale 8 under ci and vect at
+/// 128 and 512 registers, set up as sampled_s8 is: 16 cluster windows,
+/// functional warming, 2000-instruction measured slices. One literal per
+/// kernel covers its four cells' aggregate stats and every phase's start,
+/// length, weight bits and stats.
+TEST(Golden, SampledRunAllGrid) {
+  // One per kernel, in workloads::names() order.
+  const uint64_t expected[12] = {
+      0xd29a3278891092c2ull, 0x717b0b1a667b779full, 0xa2a9a7828c114c84ull,
+      0x6a7e06a4e8a96745ull, 0xe642404426a20a55ull, 0xf7fc5e8c19f27429ull,
+      0x6c48a9623f63de25ull, 0x1f6d5b786c01735dull, 0x0d2b837e9c4cb146ull,
+      0x26e54196d92eb6d5ull, 0xe9c376d5d5079d40ull, 0xc781fa6cf54c92cfull,
+  };
+  const std::vector<std::string>& kernels = workloads::names();
+  ASSERT_EQ(kernels.size(), size_t{12});
+  const std::vector<std::pair<std::string, core::CoreConfig>> columns = {
+      {"ci:2:128", sim::presets::ci(2, 128)},
+      {"ci:2:512", sim::presets::ci(2, 512)},
+      {"vect:2:128", sim::presets::vect(2, 128)},
+      {"vect:2:512", sim::presets::vect(2, 512)}};
+  std::vector<sim::RunSpec> specs;
+  for (const std::string& kernel : kernels) {
+    for (const auto& [name, config] : columns) {
+      sim::RunSpec spec;
+      spec.workload = kernel;
+      spec.config_name = name;
+      spec.config = config;
+      spec.scale = 8;
+      spec.intervals = 16;
+      spec.sample_mode = SampleMode::kCluster;
+      spec.warm_mode = WarmMode::kFunctional;
+      spec.detail_len = 2000;
+      specs.push_back(spec);
+    }
+  }
+  const std::vector<sim::RunOutcome> outcomes = sim::run_all(specs);
+  ASSERT_EQ(outcomes.size(), specs.size());
+  for (size_t w = 0; w < kernels.size(); ++w) {
+    util::Digest d;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const sim::RunOutcome& o = outcomes[w * columns.size() + c];
+      EXPECT_FALSE(o.phases.empty()) << kernels[w] << "/" << columns[c].first;
+      d.u64(stats_digest(o.stats));
+      d.u64(o.phases.size());
+      for (const sim::PhaseOutcome& ph : o.phases) {
+        d.u64(ph.start_inst);
+        d.u64(ph.length);
+        d.u64(std::bit_cast<uint64_t>(ph.weight));
+        d.u64(stats_digest(ph.stats));
+      }
+    }
+    EXPECT_EQ(d.value(), expected[w])
+        << kernels[w] << ": 0x" << std::hex << d.value();
   }
 }
 
