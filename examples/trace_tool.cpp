@@ -313,8 +313,7 @@ int cmd_phases(int argc, char** argv) {
   // Interval length from the header's record count, so `phases` needs no
   // workload rebuild — it only walks the stored stream.
   const uint64_t records = reader.record_count();
-  const uint64_t interval_len =
-      records == 0 ? 1 : (records + n_intervals - 1) / n_intervals;
+  const uint64_t interval_len = trace::window_len(records, n_intervals);
   const trace::BbvSet bbvs = trace::bbv_from_trace(reader, interval_len);
   const trace::Clustering clusters = trace::cluster_bbvs(bbvs);
 

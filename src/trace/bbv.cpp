@@ -10,53 +10,78 @@
 
 namespace cfir::trace {
 
-BbvBuilder::BbvBuilder(uint64_t interval_len) {
+uint64_t window_len(uint64_t total, uint64_t n_windows) {
+  if (n_windows == 0) n_windows = 1;
+  return std::max<uint64_t>(
+      1, total / n_windows + (total % n_windows != 0 ? 1 : 0));
+}
+
+void BbvBuilder::add(uint64_t pc, uint64_t n, bool ends_in_cond_branch) {
+  if (n == 0) return;
+  // Block boundary at the slice's first instruction: stream start, the
+  // instruction after a conditional branch (both arms), or any PC
+  // discontinuity (call/ret/taken branch target, a jump anywhere but the
+  // next slot). The rest of the slice continues that block: each PC
+  // follows its predecessor's and only the last may be a branch.
+  uint32_t dim;
+  if (total_ == 0 || last_was_branch_ || pc != last_pc_ + isa::kInstBytes) {
+    const auto [it, inserted] =
+        dim_of_.try_emplace(pc, static_cast<uint32_t>(leaders_.size()));
+    if (inserted) leaders_.push_back(pc);
+    dim = it->second;
+  } else {
+    dim = runs_.back().dim;
+  }
+  uint64_t left = n;
+  if (!runs_.empty() && runs_.back().dim == dim) {
+    Run& run = runs_.back();
+    const uint64_t take = std::min<uint64_t>(left, UINT32_MAX - run.insts);
+    run.insts += static_cast<uint32_t>(take);
+    left -= take;
+  }
+  while (left > 0) {
+    const uint64_t take = std::min<uint64_t>(left, UINT32_MAX);
+    runs_.push_back({dim, static_cast<uint32_t>(take)});
+    left -= take;
+  }
+  total_ += n;
+  last_pc_ = pc + (n - 1) * isa::kInstBytes;
+  last_was_branch_ = ends_in_cond_branch;
+}
+
+BbvSet BbvBuilder::finish(uint64_t interval_len) {
   if (interval_len == 0) {
     throw std::runtime_error("BbvBuilder: interval_len must be > 0");
   }
-  set_.interval_len = interval_len;
-}
-
-void BbvBuilder::step(uint64_t pc, bool is_cond_branch) {
-  if (in_interval_ == set_.interval_len) flush_interval();
-
-  // Block boundary: stream start, the instruction after a conditional
-  // branch (both arms), or any PC discontinuity (jump/call/ret/taken
-  // branch target).
-  const bool new_block =
-      !have_prev_ || prev_was_branch_ || pc != prev_pc_ + isa::kInstBytes;
-  if (new_block) {
-    const auto [it, inserted] =
-        dim_of_.try_emplace(pc, static_cast<uint32_t>(set_.leaders.size()));
-    if (inserted) set_.leaders.push_back(pc);
-    cur_dim_ = it->second;
+  BbvSet set;
+  set.interval_len = interval_len;
+  set.total_insts = total_;
+  const uint64_t windows =
+      total_ / interval_len + (total_ % interval_len != 0 ? 1 : 0);
+  set.vectors.assign(windows, std::vector<uint32_t>(leaders_.size(), 0));
+  // A run crossing a window boundary splits there; the remainder stays in
+  // the same dimension of the next window.
+  size_t w = 0;
+  uint64_t room = interval_len;
+  for (const Run& run : runs_) {
+    uint64_t left = run.insts;
+    while (left > 0) {
+      const uint64_t take = std::min(left, room);
+      set.vectors[w][run.dim] += static_cast<uint32_t>(take);
+      left -= take;
+      room -= take;
+      if (room == 0) {
+        ++w;
+        room = interval_len;
+      }
+    }
   }
-  if (cur_dim_ >= current_.size()) current_.resize(cur_dim_ + 1, 0);
-  ++current_[cur_dim_];
-  ++in_interval_;
-  ++set_.total_insts;
-
-  prev_pc_ = pc;
-  prev_was_branch_ = is_cond_branch;
-  have_prev_ = true;
+  set.leaders = std::move(leaders_);
+  return set;
 }
 
-void BbvBuilder::flush_interval() {
-  set_.vectors.push_back(std::move(current_));
-  current_.clear();
-  in_interval_ = 0;
-}
-
-BbvSet BbvBuilder::finish() {
-  if (in_interval_ > 0) flush_interval();
-  // Early intervals stopped growing before later blocks were discovered;
-  // pad every vector to the final dimensionality.
-  for (auto& v : set_.vectors) v.resize(set_.leaders.size(), 0);
-  return std::move(set_);
-}
-
-BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
-  BbvBuilder builder(interval_len);
+BbvBuilder bbv_runs_from_trace(TraceReader& reader) {
+  BbvBuilder builder;
   // Fan the block decodes (CRC + column expansion — the expensive part)
   // out on the memoized sim::ThreadPool behind parallel_for, in bounded
   // waves so memory stays at a few blocks per worker — the pool persists
@@ -74,28 +99,36 @@ BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
         n, [&](size_t i) { decoded[i] = reader.decode_block(start + i); });
     for (size_t i = 0; i < n; ++i) {
       for (const TraceRecord& rec : decoded[i]) {
-        builder.step(rec.pc, rec.kind == RecordKind::kBranch);
+        builder.add(rec.pc, 1, rec.kind == RecordKind::kBranch);
       }
     }
   }
-  return builder.finish();
+  return builder;
+}
+
+BbvBuilder bbv_runs_from_program(const isa::Program& program,
+                                 uint64_t max_insts) {
+  BbvBuilder builder;
+  mem::MainMemory memory;
+  isa::load_data_image(program, memory);
+  // Each sink call is one executed block slice: consecutive PCs, and only
+  // its last event can be a branch. kBranch events are exactly the
+  // conditional branches, so the slice's end needs no program lookup.
+  isa::FunctionalEngine engine(program, memory);
+  engine.set_sink([&](uint64_t entry_pc, const isa::StepEvent* ev, size_t n) {
+    builder.add(entry_pc, n, ev[n - 1].kind == isa::EventKind::kBranch);
+  });
+  engine.run(max_insts == 0 ? UINT64_MAX : max_insts);
+  return builder;
+}
+
+BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
+  return bbv_runs_from_trace(reader).finish(interval_len);
 }
 
 BbvSet bbv_from_program(const isa::Program& program, uint64_t interval_len,
                         uint64_t max_insts) {
-  BbvBuilder builder(interval_len);
-  mem::MainMemory memory;
-  isa::load_data_image(program, memory);
-  // kBranch events are exactly the conditional branches, so the engine's
-  // event stream carries the is_cond_branch flag without a program lookup.
-  isa::FunctionalEngine engine(program, memory);
-  engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      builder.step(ev[i].pc, ev[i].kind == isa::EventKind::kBranch);
-    }
-  });
-  engine.run(max_insts == 0 ? UINT64_MAX : max_insts);
-  return builder.finish();
+  return bbv_runs_from_program(program, max_insts).finish(interval_len);
 }
 
 }  // namespace cfir::trace

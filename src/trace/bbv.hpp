@@ -10,15 +10,27 @@
 // Basic blocks are discovered dynamically from the stream itself — no CFG
 // construction. A new block starts at the first instruction, after every
 // conditional branch (taken or fall-through), and at any PC discontinuity
-// (taken branches, jumps, calls, returns). Counting instructions rather
-// than block entries weights each block by its length, exactly the
-// weighting SimPoint uses.
+// (taken branches, calls, returns, jumps anywhere but the next slot).
+// Counting instructions rather than block entries weights each block by
+// its length, exactly the weighting SimPoint uses.
 //
-// The same builder runs from either capture source and yields bitwise
-// identical vectors: a stored CFIRTRC2 trace (bbv_from_trace) or a live
-// reference-interpreter pass (bbv_from_program). Equality holds because
-// both sources present the same committed stream (tests/test_bbv_cluster
-// locks this in).
+// The builder takes the stream a slice at a time: a run of instructions at
+// consecutive PCs of which only the last may be a conditional branch. The
+// functional engine's per-block sink delivers exactly such slices, so a
+// program pass pays one dimension lookup and one add per executed block,
+// not per instruction; a stored trace feeds one record per slice. The
+// builder logs (dimension, instruction count) runs, merging consecutive
+// runs of one dimension, and bins the log into windows only at finish() —
+// so a caller that wants N equal windows learns the run length from the
+// same pass (plan_cluster_intervals needs no counting pass). A slice that
+// crosses a window boundary splits there, its remainder staying under the
+// same dimension.
+//
+// Both capture sources yield bitwise identical vectors: a stored CFIRTRC2
+// trace (bbv_from_trace) or a live functional-engine pass
+// (bbv_from_program), because both present the same committed stream
+// (tests/test_bbv_cluster locks this in against a per-instruction
+// reference).
 #pragma once
 
 #include <cstdint>
@@ -45,39 +57,60 @@ struct BbvSet {
   [[nodiscard]] size_t num_intervals() const { return vectors.size(); }
 };
 
-/// Streaming BBV construction: feed one committed instruction at a time
-/// (`is_cond_branch` from the trace record kind or the decoded opcode),
-/// then take the result with finish().
+/// The length of each of at most `n_windows` equal windows covering
+/// `total` instructions: ceil(total / n_windows), and at least 1 (an empty
+/// run or n_windows = 0 still gets a usable length).
+[[nodiscard]] uint64_t window_len(uint64_t total, uint64_t n_windows);
+
+/// Streaming BBV construction: feed the committed stream in order as
+/// slices, then bin it with finish().
 class BbvBuilder {
  public:
-  explicit BbvBuilder(uint64_t interval_len);
+  /// `n` committed instructions at consecutive PCs starting at `pc`, of
+  /// which only the last may be a conditional branch (`ends_in_cond_branch`
+  /// says whether it is). An empty slice is ignored.
+  void add(uint64_t pc, uint64_t n, bool ends_in_cond_branch);
 
-  void step(uint64_t pc, bool is_cond_branch);
+  [[nodiscard]] uint64_t total_insts() const { return total_; }
 
-  /// Flushes the trailing partial interval (if any) and returns the set.
-  /// The builder is spent afterwards.
-  [[nodiscard]] BbvSet finish();
+  /// Bins the logged runs into windows of `interval_len` instructions (the
+  /// last may be short; throws when `interval_len` is 0). The builder is
+  /// spent afterwards.
+  [[nodiscard]] BbvSet finish(uint64_t interval_len);
 
  private:
-  void flush_interval();
+  /// `insts` consecutive instructions spent in block `dim`.
+  struct Run {
+    uint32_t dim;
+    uint32_t insts;
+  };
 
-  BbvSet set_;
+  std::vector<uint64_t> leaders_;
   std::unordered_map<uint64_t, uint32_t> dim_of_;  ///< leader pc -> dimension
-  std::vector<uint32_t> current_;  ///< counts of the interval being filled
-  uint64_t in_interval_ = 0;       ///< instructions in `current_`
-  uint64_t prev_pc_ = 0;
-  bool have_prev_ = false;
-  bool prev_was_branch_ = false;
-  uint32_t cur_dim_ = 0;  ///< dimension of the block being executed
+  std::vector<Run> runs_;
+  uint64_t total_ = 0;
+  uint64_t last_pc_ = 0;  ///< PC of the last instruction added
+  bool last_was_branch_ = false;
 };
 
-/// Decodes every block of a recorded trace and builds the BBVs.
+/// Feeds every record of a recorded trace, in stream order, into a fresh
+/// builder; bin the result with finish().
+[[nodiscard]] BbvBuilder bbv_runs_from_trace(TraceReader& reader);
+
+/// One functional-engine pass over `program` (fresh memory, data image
+/// applied), stopping at HALT or after `max_insts` instructions (0 =
+/// unbounded), fed into a fresh builder a block slice at a time; the
+/// builder's total_insts() is the number of instructions the pass ran.
+[[nodiscard]] BbvBuilder bbv_runs_from_program(const isa::Program& program,
+                                               uint64_t max_insts = 0);
+
+/// bbv_runs_from_trace binned into windows of `interval_len`.
 [[nodiscard]] BbvSet bbv_from_trace(TraceReader& reader,
                                     uint64_t interval_len);
 
-/// One reference-interpreter pass over `program` (fresh memory, data image
-/// applied), stopping at HALT or `max_insts` (0 = unbounded). Produces the
-/// same BBVs as recording a trace and walking it, without touching disk.
+/// bbv_runs_from_program binned into windows of `interval_len`. Produces
+/// the same BBVs as recording a trace and walking it, without touching
+/// disk.
 [[nodiscard]] BbvSet bbv_from_program(const isa::Program& program,
                                       uint64_t interval_len,
                                       uint64_t max_insts = 0);

@@ -14,8 +14,8 @@ namespace cfir::trace {
 
 namespace {
 
-/// Pass 1 of every plan: measure the run length with the functional engine
-/// (no sink — pure execution speed).
+/// Pass 1 of a uniform plan: measure the run length with the functional
+/// engine (no sink — pure execution speed).
 uint64_t measure_run(const isa::Program& program, uint64_t cap) {
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
@@ -96,7 +96,10 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
   plan.mode = SampleMode::kCluster;
   plan.warm_mode = opts.warm_mode;
   plan.warmup = opts.warmup;
-  plan.total_insts = measure_run(program, cap);
+  // Pass 1: log the run's block runs. The log measures the run, so the
+  // windowing below needs no counting pass; pass 2 below: checkpoints.
+  BbvBuilder runs = bbv_runs_from_program(program, opts.max_insts);
+  plan.total_insts = runs.total_insts();
   plan.ran_to_halt = plan.total_insts < cap;
   if (plan.total_insts == 0) {
     // Degenerate program (halts immediately): one empty interval so the
@@ -110,11 +113,8 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
 
   const uint64_t n = std::max<uint64_t>(
       1, std::min<uint64_t>(opts.n_intervals, plan.total_insts));
-  plan.interval_len = (plan.total_insts + n - 1) / n;
-
-  // Pass 2: per-window basic-block vectors; pass 3 below: checkpoints.
-  const BbvSet bbvs =
-      bbv_from_program(program, plan.interval_len, plan.total_insts);
+  plan.interval_len = window_len(plan.total_insts, n);
+  const BbvSet bbvs = runs.finish(plan.interval_len);
 
   ClusterOptions copts;
   copts.max_k = opts.max_k != 0

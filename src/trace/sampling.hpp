@@ -142,8 +142,9 @@ struct ClusterPlanOptions {
 };
 
 /// Cluster plan: BBV + k-means phase detection, one weighted
-/// representative window per phase. Costs three interpreter passes
-/// (count, BBV, snapshot).
+/// representative window per phase. Costs two functional-engine passes:
+/// one logs the block runs (bbv.hpp), which also measures the run, and
+/// one captures the checkpoints.
 [[nodiscard]] IntervalPlan plan_cluster_intervals(
     const isa::Program& program, const ClusterPlanOptions& opts = {});
 
