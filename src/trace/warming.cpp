@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "ci/mechanism.hpp"
 #include "obs/metrics.hpp"
@@ -89,6 +90,151 @@ WarmPosition decode_warm_state(const std::vector<uint8_t>& blob,
   return pos;
 }
 
+/// Trains a stride-training policy's (trains_stride) predictor on one
+/// committed load.
+void train_stride(ci::StridePredictor& stride, core::Policy policy,
+                  const TraceRecord& rec) {
+  stride.train(rec.pc, rec.addr);
+  if (policy == core::Policy::kVect) {
+    // The vect policy's commit rule (ci/mechanism.cpp on_commit): every
+    // confident, non-zero-stride load is selected. Purely commit-driven,
+    // so functional warming reproduces it exactly. The ci policy's S flags
+    // are episode-driven (speculative state a commit stream cannot derive)
+    // and deliberately stay cold: pre-selecting every strided load was
+    // tried and over-drives the replica engine in short windows (twolf IPC
+    // +45%), a worse bias than the cold-selection ramp it removes.
+    const ci::StridePredictor::Info sp = stride.lookup(rec.pc);
+    if (sp.confident && !sp.selected && sp.stride != 0) {
+      stride.select(rec.pc, 0);
+    }
+  }
+}
+
+/// The sections of a WRM2 blob that every policy of one warm geometry
+/// shares, serialized once per snapshot.
+struct SharedSections {
+  std::vector<uint8_t> predictors;  ///< gshare, MBS, RAS
+  std::vector<uint8_t> hier;
+};
+
+SharedSections serialize_shared(const SharedWarmState& s) {
+  util::ByteWriter predictors;
+  s.gshare.serialize(predictors);
+  s.mbs.serialize(predictors);
+  s.ras.serialize(predictors);
+  util::ByteWriter hier;
+  s.hier.serialize(hier);
+  return {predictors.take(), hier.take()};
+}
+
+std::vector<uint8_t> serialize_stride(const ci::StridePredictor& stride) {
+  util::ByteWriter out;
+  stride.serialize(out);
+  return out.take();
+}
+
+/// One WRM2 blob: header, gshare, MBS, RAS, the stride section (exactly
+/// for trains_stride policies) and the hierarchy. The one place the layout
+/// is assembled, for solo warmers and grid groups alike.
+std::vector<uint8_t> assemble_blob(core::Policy policy,
+                                   const SharedWarmState& s,
+                                   const SharedSections& shared,
+                                   const std::vector<uint8_t>* stride) {
+  util::ByteWriter out;
+  out.u32(kWarmStateMagic);
+  out.u8(static_cast<uint8_t>(policy));
+  out.u64(s.warmed);
+  out.u64(s.last_fetch_line);
+  out.bytes(shared.predictors.data(), shared.predictors.size());
+  if (stride != nullptr) out.bytes(stride->data(), stride->size());
+  out.bytes(shared.hier.data(), shared.hier.size());
+  static obs::Counter& snapshot_bytes =
+      obs::Registry::instance().counter("warming.snapshot_bytes");
+  snapshot_bytes.add(out.data().size());
+  return out.take();
+}
+
+using Grid = std::vector<std::vector<std::vector<uint8_t>>>;
+
+/// One shared warm geometry of a grid capture: the state its configs
+/// train alike, one stride predictor per distinct stride-training policy
+/// among them, and which config reads which.
+struct WarmGroup {
+  struct Stride {
+    core::Policy policy;
+    ci::StridePredictor predictor;
+  };
+  struct Member {
+    size_t config;       ///< index into the grid's configs
+    core::Policy policy;
+    int stride;          ///< index into `strides`; -1 = no stride section
+  };
+
+  SharedWarmState shared;
+  std::vector<Stride> strides;
+  std::vector<Member> members;
+
+  void train(const TraceRecord& rec) {
+    shared.train(rec);
+    if (rec.kind == RecordKind::kLoad) {
+      for (Stride& s : strides) train_stride(s.predictor, s.policy, rec);
+    }
+  }
+
+  /// Every member's blob for target `t`, from shared sections serialized
+  /// once.
+  void snapshot(size_t t, Grid& out) const {
+    const SharedSections sections = serialize_shared(shared);
+    std::vector<std::vector<uint8_t>> stride_bytes;
+    stride_bytes.reserve(strides.size());
+    for (const Stride& s : strides) {
+      stride_bytes.push_back(serialize_stride(s.predictor));
+    }
+    for (const Member& m : members) {
+      out[m.config][t] = assemble_blob(
+          m.policy, shared, sections,
+          m.stride >= 0 ? &stride_bytes[static_cast<size_t>(m.stride)]
+                        : nullptr);
+    }
+  }
+};
+
+/// warm_digest() without the policy byte: configs that agree on it train
+/// identical shared state, and identically shaped stride predictors where
+/// their policies train one.
+uint64_t shared_warm_digest(core::CoreConfig config) {
+  config.policy = core::Policy::kNone;
+  return config.warm_digest();
+}
+
+std::vector<WarmGroup> make_groups(const std::vector<core::CoreConfig>& configs,
+                                   const isa::Program& program) {
+  std::vector<WarmGroup> groups;
+  std::unordered_map<uint64_t, size_t> group_of;
+  for (size_t c = 0; c < configs.size(); ++c) {
+    const core::CoreConfig& config = configs[c];
+    const auto [it, fresh] =
+        group_of.emplace(shared_warm_digest(config), groups.size());
+    if (fresh) groups.push_back({SharedWarmState(config, program), {}, {}});
+    WarmGroup& group = groups[it->second];
+    int stride = -1;
+    if (trains_stride(config.policy)) {
+      const auto same = std::find_if(
+          group.strides.begin(), group.strides.end(),
+          [&](const WarmGroup::Stride& s) { return s.policy == config.policy; });
+      stride = static_cast<int>(same - group.strides.begin());
+      if (same == group.strides.end()) {
+        group.strides.push_back(
+            {config.policy,
+             ci::StridePredictor(config.stride_sets, config.stride_ways)});
+      }
+    }
+    group.members.push_back({c, config.policy, stride});
+  }
+  obs::Registry::instance().counter("warming.trainers").add(groups.size());
+  return groups;
+}
+
 /// Engine-path fan-out batch: 16Ki records (640 KiB of TraceRecords), a
 /// quarter of a default trace block. sim::run_all runs one capture per
 /// plan chain concurrently, so up to one per pool thread is in flight; at
@@ -119,47 +265,34 @@ void check_targets_sorted(const std::vector<uint64_t>& targets) {
       std::to_string(index) + " of " + std::to_string(n_targets) + ")");
 }
 
-std::vector<std::unique_ptr<FunctionalWarmer>> make_warmers(
-    const std::vector<core::CoreConfig>& configs,
-    const isa::Program& program) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers;
-  warmers.reserve(configs.size());
-  for (const core::CoreConfig& config : configs) {
-    warmers.push_back(std::make_unique<FunctionalWarmer>(config, program));
-  }
-  return warmers;
-}
-
-/// Per-config fan-out of one decoded batch: one task per config, each
+/// Per-group fan-out of one decoded batch: one task per group, each
 /// walking the identical record span in stream order on its own (single
-/// threaded) warmer and serializing snapshot blobs for the targets that
-/// land inside the span — so serialization happens off the decode
-/// thread, inside the task that owns the warmer. Targets are consumed
-/// when `pos` reaches them BEFORE the record at `pos` trains, so a blob
-/// covers exactly [0, target); a target equal to the batch's end position
-/// is deliberately left to the next batch (or the caller's
-/// finalization), keeping the consumption point unambiguous. Returns
-/// the target index the caller should resume from.
-size_t feed_batch_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
+/// threaded) trainers and assembling snapshot blobs for the targets that
+/// land inside the span — so serialization happens off the decode thread,
+/// inside the task that owns the group. Targets are consumed when `pos`
+/// reaches them BEFORE the record at `pos` trains, so a blob covers
+/// exactly [0, target); a target equal to the batch's end position is
+/// deliberately left to the next batch (or the caller's finalization),
+/// keeping the consumption point unambiguous. Returns the target index the
+/// caller should resume from.
+size_t feed_batch_grid(std::vector<WarmGroup>& groups,
                        const std::vector<std::vector<TraceRecord>>& blocks,
                        uint64_t first_record, size_t records,
                        const std::vector<uint64_t>& targets, size_t ti,
-                       std::vector<std::vector<std::vector<uint8_t>>>& out) {
+                       Grid& out) {
   obs::Registry& reg = obs::Registry::instance();
   const obs::Stopwatch feed_clock;
   const size_t nt = targets.size();
   sim::ThreadPool::shared().run(
-      warmers.size(),
-      [&](size_t c) {
-        FunctionalWarmer& warmer = *warmers[c];
+      groups.size(),
+      [&](size_t g) {
+        WarmGroup& group = groups[g];
         size_t t = ti;
         uint64_t pos = first_record;
         for (const auto& block : blocks) {
           for (const TraceRecord& rec : block) {
-            while (t < nt && targets[t] == pos) {
-              out[c][t++] = warmer.serialize_state();
-            }
-            warmer.on_record(rec);
+            while (t < nt && targets[t] == pos) group.snapshot(t++, out);
+            group.train(rec);
             ++pos;
           }
         }
@@ -173,16 +306,16 @@ size_t feed_batch_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
 }
 
 /// Snapshots targets [ti, nt) — all sitting exactly at the current
-/// stream position — in parallel across configs.
-void snapshot_tail_grid(std::vector<std::unique_ptr<FunctionalWarmer>>& warmers,
+/// stream position — in parallel across groups.
+void snapshot_tail_grid(const std::vector<WarmGroup>& groups,
                         const std::vector<uint64_t>& targets, size_t ti,
-                        std::vector<std::vector<std::vector<uint8_t>>>& out) {
+                        Grid& out) {
   if (ti >= targets.size()) return;
   sim::ThreadPool::shared().run(
-      warmers.size(),
-      [&](size_t c) {
+      groups.size(),
+      [&](size_t g) {
         for (size_t t = ti; t < targets.size(); ++t) {
-          out[c][t] = warmers[c]->serialize_state();
+          groups[g].snapshot(t, out);
         }
       },
       fan_out_helpers());
@@ -209,70 +342,65 @@ WarmMode parse_warm_mode(std::string_view name) {
       std::string(name) + "'");
 }
 
+SharedWarmState::SharedWarmState(const core::CoreConfig& config,
+                                 const isa::Program& program)
+    : program(&program),
+      l1i_line_bytes(config.memory.l1i.line_bytes),
+      gshare(config.gshare_entries, config.gshare_history_bits),
+      mbs(config.mbs_sets, config.mbs_ways),
+      hier(config.memory) {}
+
+void SharedWarmState::train(const TraceRecord& rec) {
+  // Instruction fetch: one L1I access per line transition, mirroring the
+  // core's fetch stage (last_fetch_line_ there, last_fetch_line here).
+  const uint64_t line = rec.pc / l1i_line_bytes;
+  if (line != last_fetch_line) {
+    hier.warm_inst(rec.pc);
+    last_fetch_line = line;
+  }
+
+  switch (rec.kind) {
+    case RecordKind::kBranch:
+      gshare.warm_commit(rec.pc, rec.taken);
+      mbs.update(rec.pc, rec.taken);
+      break;
+    case RecordKind::kLoad:
+      hier.warm_data(rec.addr, /*is_write=*/false);
+      break;
+    case RecordKind::kStore:
+      hier.warm_data(rec.addr, /*is_write=*/true);
+      break;
+    case RecordKind::kPlain: {
+      // CALL/RET drive the return address stack; recovery snapshots make
+      // the detailed core's final RAS equal the committed push/pop stream.
+      const isa::Instruction* ip = program->try_at(rec.pc);
+      if (ip != nullptr) {
+        if (ip->op == isa::Opcode::kCall) {
+          ras.push(rec.pc + isa::kInstBytes);
+        } else if (ip->op == isa::Opcode::kRet) {
+          ras.pop();
+        }
+      }
+      break;
+    }
+  }
+  ++warmed;
+}
+
 FunctionalWarmer::FunctionalWarmer(const core::CoreConfig& config,
                                    const isa::Program& program,
                                    isa::EngineKind engine_kind)
     : program_(program),
       policy_(config.policy),
       engine_kind_(engine_kind),
-      l1i_line_bytes_(config.memory.l1i.line_bytes),
-      gshare_(config.gshare_entries, config.gshare_history_bits),
-      mbs_(config.mbs_sets, config.mbs_ways),
-      stride_(config.stride_sets, config.stride_ways),
-      hier_(config.memory) {}
+      shared_(config, program),
+      stride_(config.stride_sets, config.stride_ways) {}
 
 void FunctionalWarmer::on_record(const TraceRecord& rec) {
-  // Instruction fetch: one L1I access per line transition, mirroring the
-  // core's fetch stage (last_fetch_line_ there, last_fetch_line_ here).
-  const uint64_t line = rec.pc / l1i_line_bytes_;
-  if (line != last_fetch_line_) {
-    hier_.warm_inst(rec.pc);
-    last_fetch_line_ = line;
+  shared_.train(rec);
+  if (rec.kind == RecordKind::kLoad && trains_stride(policy_)) {
+    train_stride(stride_, policy_, rec);
   }
-
-  switch (rec.kind) {
-    case RecordKind::kBranch:
-      gshare_.warm_commit(rec.pc, rec.taken);
-      mbs_.update(rec.pc, rec.taken);
-      break;
-    case RecordKind::kLoad:
-      hier_.warm_data(rec.addr, /*is_write=*/false);
-      if (trains_stride(policy_)) {
-        stride_.train(rec.pc, rec.addr);
-        if (policy_ == core::Policy::kVect) {
-          // The vect policy's commit rule (ci/mechanism.cpp on_commit):
-          // every confident, non-zero-stride load is selected. Purely
-          // commit-driven, so functional warming reproduces it exactly.
-          // The ci policy's S flags are episode-driven (speculative state
-          // a commit stream cannot derive) and deliberately stay cold:
-          // pre-selecting every strided load was tried and over-drives the
-          // replica engine in short windows (twolf IPC +45%), a worse bias
-          // than the cold-selection ramp it removes.
-          const ci::StridePredictor::Info sp = stride_.lookup(rec.pc);
-          if (sp.confident && !sp.selected && sp.stride != 0) {
-            stride_.select(rec.pc, 0);
-          }
-        }
-      }
-      break;
-    case RecordKind::kStore:
-      hier_.warm_data(rec.addr, /*is_write=*/true);
-      break;
-    case RecordKind::kPlain: {
-      // CALL/RET drive the return address stack; recovery snapshots make
-      // the detailed core's final RAS equal the committed push/pop stream.
-      const isa::Instruction* ip = program_.try_at(rec.pc);
-      if (ip != nullptr) {
-        if (ip->op == isa::Opcode::kCall) {
-          ras_.push(rec.pc + isa::kInstBytes);
-        } else if (ip->op == isa::Opcode::kRet) {
-          ras_.pop();
-        }
-      }
-      break;
-    }
-  }
-  ++warmed_;
 }
 
 void FunctionalWarmer::ensure_engine() {
@@ -282,10 +410,10 @@ void FunctionalWarmer::ensure_engine() {
   engine_ = std::make_unique<isa::FunctionalEngine>(program_, *engine_mem_,
                                                     engine_kind_);
   // A warmer restored from a serialized blob already holds the state of
-  // [0, warmed_): fast-skip the engine there with the sink still unset so
+  // [0, warmed): fast-skip the engine there with the sink still unset so
   // the prefix is architecturally executed but not streamed (and trained)
   // a second time.
-  if (warmed_ > 0) engine_->run(warmed_);
+  if (shared_.warmed > 0) engine_->run(shared_.warmed);
   engine_->set_sink([this](uint64_t, const isa::StepEvent* ev, size_t n) {
     for (size_t i = 0; i < n; ++i) on_record(to_trace_record(ev[i]));
   });
@@ -299,14 +427,14 @@ void FunctionalWarmer::advance_to(uint64_t n_insts) {
 void FunctionalWarmer::advance_on_trace(TraceReader& reader,
                                         uint64_t n_insts,
                                         std::string_view context) {
-  if (n_insts <= warmed_) return;
-  reader.seek_to(warmed_);
+  if (n_insts <= shared_.warmed) return;
+  reader.seek_to(shared_.warmed);
   TraceRecord rec;
-  while (warmed_ < n_insts) {
+  while (shared_.warmed < n_insts) {
     if (!reader.next(rec)) {
       std::string msg =
           "FunctionalWarmer::advance_on_trace: trace ends at " +
-          std::to_string(warmed_) + " records, warm target " +
+          std::to_string(shared_.warmed) + " records, warm target " +
           std::to_string(n_insts);
       if (!context.empty()) {
         msg += " (";
@@ -315,7 +443,7 @@ void FunctionalWarmer::advance_on_trace(TraceReader& reader,
       }
       throw std::runtime_error(msg);
     }
-    on_record(rec);  // increments warmed_
+    on_record(rec);  // advances shared_.warmed
   }
   // A later advance_to() must resume from the new position; drop any live
   // engine so ensure_engine() fast-skips the trace-warmed prefix.
@@ -325,42 +453,33 @@ void FunctionalWarmer::advance_on_trace(TraceReader& reader,
 
 void FunctionalWarmer::apply_to(sim::Simulator& sim) const {
   core::Core& core = sim.core();
-  core.gshare() = gshare_;
-  core.ras() = ras_;
-  core.mbs() = mbs_;
-  core.hierarchy() = hier_;
+  core.gshare() = shared_.gshare;
+  core.ras() = shared_.ras;
+  core.mbs() = shared_.mbs;
+  core.hierarchy() = shared_.hier;
   if (ci::CiMechanism* mech = sim.ci_mechanism()) {
     mech->stride_predictor() = stride_;
   }
 }
 
 std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
-  util::ByteWriter out;
-  out.u32(kWarmStateMagic);
-  out.u8(static_cast<uint8_t>(policy_));
-  out.u64(warmed_);
-  out.u64(last_fetch_line_);
-  gshare_.serialize(out);
-  mbs_.serialize(out);
-  ras_.serialize(out);
-  if (trains_stride(policy_)) stride_.serialize(out);
-  hier_.serialize(out);
-  static obs::Counter& snapshot_bytes =
-      obs::Registry::instance().counter("warming.snapshot_bytes");
-  snapshot_bytes.add(out.data().size());
-  return out.take();
+  const bool stride = trains_stride(policy_);
+  const std::vector<uint8_t> stride_bytes =
+      stride ? serialize_stride(stride_) : std::vector<uint8_t>{};
+  return assemble_blob(policy_, shared_, serialize_shared(shared_),
+                       stride ? &stride_bytes : nullptr);
 }
 
 void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
   const WarmPosition pos = decode_warm_state(
       blob, policy_,
-      {gshare_, mbs_, ras_, trains_stride(policy_) ? &stride_ : nullptr,
-       hier_});
-  warmed_ = pos.warmed;
-  last_fetch_line_ = pos.last_fetch_line;
+      {shared_.gshare, shared_.mbs, shared_.ras,
+       trains_stride(policy_) ? &stride_ : nullptr, shared_.hier});
+  shared_.warmed = pos.warmed;
+  shared_.last_fetch_line = pos.last_fetch_line;
   // Drop any live engine: it sits at the pre-restore position, and the
-  // next advance_to() must resume from warmed_ (ensure_engine fast-skips
-  // the restored prefix).
+  // next advance_to() must resume from the restored position
+  // (ensure_engine fast-skips the restored prefix).
   engine_.reset();
   engine_mem_.reset();
 }
@@ -400,16 +519,14 @@ std::vector<std::vector<uint8_t>> capture_warm_states(
 
 namespace {
 /// Engine-fed grid capture: the engine streams block-sized record batches
-/// into a buffer, then each batch trains all configs in parallel via
+/// into a buffer, then each batch trains all groups in parallel via
 /// feed_batch_grid. A program that halts before the last target
 /// snapshots the remaining targets at its final state.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-  std::vector<std::vector<std::vector<uint8_t>>> out(
-      configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
+Grid capture_grid_engine(const std::vector<core::CoreConfig>& configs,
+                         const isa::Program& program,
+                         const std::vector<uint64_t>& targets) {
+  std::vector<WarmGroup> groups = make_groups(configs, program);
+  Grid out(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
 
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
@@ -433,10 +550,10 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine(
     reg.counter("warming.decode_wait_us").add(decode_clock.elapsed_us());
     if (batch.empty()) break;  // program halted before the last target
     const size_t records = batch.size();
-    ti = feed_batch_grid(warmers, blocks, pos, records, targets, ti, out);
+    ti = feed_batch_grid(groups, blocks, pos, records, targets, ti, out);
     pos += records;
   }
-  snapshot_tail_grid(warmers, targets, ti, out);
+  snapshot_tail_grid(groups, targets, ti, out);
   // The streamed prefix is counted once however many configs fanned out —
   // the same convention ShardResult::warmed_insts uses.
   reg.counter("warming.insts").add(pos);
@@ -444,15 +561,13 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_engine(
 }
 
 /// Trace-fed grid capture: BlockBatchReader wave-decodes upcoming blocks
-/// concurrently with the per-config fan-out (double buffered), so decode
-/// never sits on the warmers' critical path.
-std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    TraceReader& reader, const std::vector<uint64_t>& targets) {
-  std::vector<std::unique_ptr<FunctionalWarmer>> warmers =
-      make_warmers(configs, program);
-  std::vector<std::vector<std::vector<uint8_t>>> out(
-      configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
+/// concurrently with the per-group fan-out (double buffered), so decode
+/// never sits on the trainers' critical path.
+Grid capture_grid_trace(const std::vector<core::CoreConfig>& configs,
+                        const isa::Program& program, TraceReader& reader,
+                        const std::vector<uint64_t>& targets) {
+  std::vector<WarmGroup> groups = make_groups(configs, program);
+  Grid out(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
 
   const uint64_t limit = targets.empty() ? 0 : targets.back();
   uint64_t pos = 0;
@@ -462,7 +577,7 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace(
     BlockBatchReader::Batch batch;
     while (batches.next_batch(batch)) {
       const size_t records = batch.records();
-      ti = feed_batch_grid(warmers, batch.blocks, batch.first_record, records,
+      ti = feed_batch_grid(groups, batch.blocks, batch.first_record, records,
                            targets, ti, out);
       pos = batch.first_record + records;
     }
@@ -477,7 +592,7 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_grid_trace(
   if (reachable < targets.size()) {
     throw_trace_truncated(pos, targets[reachable], reachable, targets.size());
   }
-  snapshot_tail_grid(warmers, targets, ti, out);
+  snapshot_tail_grid(groups, targets, ti, out);
   obs::Registry::instance().counter("warming.insts").add(pos);
   return out;
 }

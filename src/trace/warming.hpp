@@ -18,6 +18,12 @@
 // ride inside CFIRCKP2 checkpoints and .cfirwarm sidecars and warmed
 // intervals stay shardable across machines; install_warm_state() decodes
 // such a blob straight into a fresh Simulator.
+//
+// Only the stride predictor depends on the policy: ci trains it, vect
+// trains and selects, and none and ci-iw have none. Everything else a
+// blob holds (SharedWarmState) is a function of the warm geometry alone,
+// so a grid capture trains it once per geometry and serializes it once per
+// snapshot for every policy sharing that geometry.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +74,29 @@ enum class WarmMode : uint8_t {
   return mode == WarmMode::kFunctional || mode == WarmMode::kHybrid;
 }
 
+/// The warm state every policy of one warm geometry trains alike from the
+/// committed stream — gshare, MBS, RAS and the cache hierarchy — plus the
+/// position and fetch-line state a WRM2 blob header carries. A
+/// FunctionalWarmer owns one; capture_warm_states_grid trains one per
+/// shared geometry and feeds its policies' stride predictors alongside.
+struct SharedWarmState {
+  /// Components sized from `config` as the detailed core sizes its own;
+  /// `program` (which must outlive this) resolves CALL/RET for the RAS.
+  SharedWarmState(const core::CoreConfig& config, const isa::Program& program);
+
+  /// Trains every shared component on one committed instruction.
+  void train(const TraceRecord& rec);
+
+  const isa::Program* program;
+  uint32_t l1i_line_bytes;
+  branch::Gshare gshare;
+  branch::MbsTable mbs;
+  branch::ReturnAddressStack ras;
+  mem::CacheHierarchy hier;
+  uint64_t last_fetch_line = ~uint64_t{0};
+  uint64_t warmed = 0;  ///< committed instructions trained so far
+};
+
 class FunctionalWarmer {
  public:
   /// Components are sized from `config` exactly as the detailed core sizes
@@ -110,7 +139,7 @@ class FunctionalWarmer {
                         std::string_view context = {});
 
   /// Committed instructions warmed so far.
-  [[nodiscard]] uint64_t warmed() const { return warmed_; }
+  [[nodiscard]] uint64_t warmed() const { return shared_.warmed; }
 
   /// Copies the warm component state into `sim` (which must be freshly
   /// constructed from the same CoreConfig and not yet run). The stride
@@ -128,28 +157,26 @@ class FunctionalWarmer {
   [[nodiscard]] std::vector<uint8_t> serialize_state() const;
   void deserialize_state(const std::vector<uint8_t>& blob);
 
-  // Per-component introspection for the differential tests.
-  [[nodiscard]] const branch::Gshare& gshare() const { return gshare_; }
-  [[nodiscard]] const branch::MbsTable& mbs() const { return mbs_; }
-  [[nodiscard]] const branch::ReturnAddressStack& ras() const { return ras_; }
+  // Per-component introspection for the differential tests. The stride
+  // predictor of a policy without one stays at its reset state.
+  [[nodiscard]] const branch::Gshare& gshare() const { return shared_.gshare; }
+  [[nodiscard]] const branch::MbsTable& mbs() const { return shared_.mbs; }
+  [[nodiscard]] const branch::ReturnAddressStack& ras() const {
+    return shared_.ras;
+  }
   [[nodiscard]] const ci::StridePredictor& stride_predictor() const {
     return stride_;
   }
-  [[nodiscard]] const mem::CacheHierarchy& hierarchy() const { return hier_; }
+  [[nodiscard]] const mem::CacheHierarchy& hierarchy() const {
+    return shared_.hier;
+  }
 
  private:
   const isa::Program& program_;
   core::Policy policy_;
   isa::EngineKind engine_kind_;
-  uint32_t l1i_line_bytes_;
-
-  branch::Gshare gshare_;
-  branch::MbsTable mbs_;
-  branch::ReturnAddressStack ras_;
+  SharedWarmState shared_;
   ci::StridePredictor stride_;
-  mem::CacheHierarchy hier_;
-  uint64_t last_fetch_line_ = ~uint64_t{0};
-  uint64_t warmed_ = 0;
 
   // Streaming functional engine (lazily started by advance_to).
   std::unique_ptr<mem::MainMemory> engine_mem_;
@@ -173,22 +200,26 @@ void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
     const std::vector<uint64_t>& targets);
 
 /// The multi-config variant behind config-grid sharding (docs/sharding.md):
-/// ONE streaming engine pass fans every committed record out to one
-/// FunctionalWarmer per config, so warming a whole grid costs O(prefix)
-/// architectural execution instead of O(prefix × configs) — the committed
-/// stream is config-independent; only the trained components differ.
-/// Result[c][i] is the blob for config c warmed over [0, targets[i]), and
-/// each blob is bit-identical to the one a solo capture_warm_states pass
-/// under that config produces (same records, same training calls).
+/// ONE streaming engine pass fans every committed record out to the whole
+/// grid, so warming it costs O(prefix) architectural execution instead of
+/// O(prefix × configs) — the committed stream is config-independent; only
+/// the trained components differ. Configs are grouped by their
+/// warm_digest() with the policy byte left out: each group trains one
+/// SharedWarmState plus one stride predictor per distinct stride-training
+/// policy (ci, vect), and at each target serializes the shared sections
+/// once and assembles every member's blob from them. Result[c][i] is the
+/// blob for config c warmed over [0, targets[i]), bit-identical to the one
+/// a solo capture_warm_states pass under that config produces (same
+/// records, same training calls, same layout).
 ///
 /// The capture is pipelined (docs/sampling.md "Pipelined warming"): the
 /// engine emits the stream in block-sized batches and each batch trains
-/// the N configs' warmers in parallel on the shared pool, one task per
-/// config, snapshot blobs serialized inside those tasks. Every warmer
-/// still sees the identical record stream in order on a single thread,
-/// so the blobs do not depend on the pool's size. A program that halts
-/// before the last target snapshots the remaining targets at its final
-/// state.
+/// the groups in parallel on the shared pool, one task per group, snapshot
+/// blobs assembled inside those tasks. Every group still sees the
+/// identical record stream in order on a single thread, so the blobs do
+/// not depend on the pool's size. A program that halts before the last
+/// target snapshots the remaining targets at its final state. The
+/// warming.trainers counter adds the number of groups.
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
 capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
                          const isa::Program& program,
@@ -200,8 +231,8 @@ capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
 /// variant because the recorded stream is the same event stream, and to
 /// FunctionalWarmer::advance_on_trace. Throws if the trace ends before
 /// the last target. A BlockBatchReader (trace/batch_reader.hpp)
-/// wave-decodes upcoming blocks concurrently with the per-config fan-out,
-/// so column decode + LZ never sits on the warmers' critical path.
+/// wave-decodes upcoming blocks concurrently with the per-group fan-out,
+/// so column decode + LZ never sits on the trainers' critical path.
 /// Overlap is observable via the warming.decode_wait_us /
 /// warming.feed_us / warming.batches counters.
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
