@@ -76,7 +76,16 @@ uint8_t* MainMemory::mutable_page_data(uint64_t addr) {
 }
 
 void MainMemory::write_block(uint64_t addr, const uint8_t* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) write8(addr + i, data[i]);
+  // One page lookup per page the block touches, then a plain copy.
+  while (n > 0) {
+    const uint64_t off = addr & (kPageSize - 1);
+    const size_t run = static_cast<size_t>(
+        std::min<uint64_t>(n, kPageSize - off));
+    std::memcpy(touch_page(addr).data() + off, data, run);
+    addr += run;
+    data += run;
+    n -= run;
+  }
 }
 
 uint64_t MainMemory::digest() const {

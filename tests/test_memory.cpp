@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace cfir::mem {
 namespace {
 
@@ -37,6 +39,34 @@ TEST(MainMemory, WriteBlock) {
   m.write_block(0x2000, data, 5);
   EXPECT_EQ(m.read(0x2000, 4), 0x04030201u);
   EXPECT_EQ(m.read8(0x2004), 5u);
+
+  // A block starting mid-page that runs across two page boundaries: every
+  // byte lands where a byte-at-a-time write puts it, the pages it touches
+  // become resident and its neighbours stay untouched.
+  std::vector<uint8_t> big(2 * MainMemory::kPageSize + 100);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const uint64_t base = 5 * MainMemory::kPageSize - 50;
+  MainMemory block;
+  MainMemory bytewise;
+  block.write8(base - 1, 0xEE);
+  bytewise.write8(base - 1, 0xEE);
+  block.write_block(base, big.data(), big.size());
+  for (size_t i = 0; i < big.size(); ++i) bytewise.write8(base + i, big[i]);
+  EXPECT_EQ(block.digest(), bytewise.digest());
+  EXPECT_EQ(block.resident_pages(), 4u);  // pages 4, 5, 6 and 7
+  EXPECT_EQ(block.read8(base - 1), 0xEEu);
+  EXPECT_EQ(block.read8(base), big[0]);
+  EXPECT_EQ(block.read8(base + big.size() - 1), big.back());
+  EXPECT_EQ(block.read8(base + big.size()), 0u);
+  EXPECT_EQ(block.read(5 * MainMemory::kPageSize - 4, 8),
+            bytewise.read(5 * MainMemory::kPageSize - 4, 8));
+
+  // An empty block writes nothing and materializes no page.
+  MainMemory empty;
+  empty.write_block(0x9000, big.data(), 0);
+  EXPECT_EQ(empty.resident_pages(), 0u);
 }
 
 TEST(MainMemory, DigestIgnoresZeroWrites) {
