@@ -2,6 +2,10 @@
 //  - BBVs are deterministic across capture sources: a trace recorded from
 //    the reference interpreter, a trace recorded from the detailed core,
 //    and a direct interpreter pass all yield identical vectors
+//  - the block-slice builder equals a per-instruction reference built in
+//    the test from the reference Interpreter's committed stream, at window
+//    lengths 1, 7, 1000 and 4096, under a cap that ends inside a block,
+//    with more windows than instructions and on an empty run
 //  - vectors partition the instruction stream (entries sum to interval
 //    instruction counts)
 //  - k-means separates well-separated synthetic clusters, deterministically
@@ -15,8 +19,12 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "helpers.hpp"
+#include "isa/assembler.hpp"
+#include "isa/interpreter.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 #include "trace/bbv.hpp"
@@ -116,6 +124,160 @@ TEST(Bbv, MaxInstsCapsTheWalk) {
   const BbvSet capped = bbv_from_program(program, 1000, 2500);
   EXPECT_EQ(capped.total_insts, 2500u);
   EXPECT_EQ(capped.num_intervals(), 3u);  // 1000 + 1000 + 500
+}
+
+/// The per-instruction BBV definition, applied to the reference
+/// Interpreter's committed stream: a block starts at the first
+/// instruction, after a conditional branch, and wherever the PC is not
+/// the previous PC + 4. `starts`, when given, receives per instruction
+/// whether it started a block.
+BbvSet reference_bbvs(const isa::Program& program, uint64_t interval_len,
+                      uint64_t max_insts,
+                      std::vector<bool>* starts = nullptr) {
+  mem::MainMemory memory;
+  isa::load_data_image(program, memory);
+  isa::Interpreter interp(program, memory);
+  BbvSet set;
+  set.interval_len = interval_len;
+  std::unordered_map<uint64_t, uint32_t> dim_of;
+  uint64_t prev_pc = 0;
+  bool prev_was_branch = false;
+  bool is_branch = false;
+  uint32_t dim = 0;
+  interp.on_branch = [&](uint64_t, bool, uint64_t) { is_branch = true; };
+  interp.on_step = [&](uint64_t pc, uint64_t) {
+    if (set.total_insts % interval_len == 0) set.vectors.emplace_back();
+    const bool start = set.total_insts == 0 || prev_was_branch ||
+                       pc != prev_pc + isa::kInstBytes;
+    if (starts != nullptr) starts->push_back(start);
+    if (start) {
+      const auto [it, inserted] = dim_of.try_emplace(
+          pc, static_cast<uint32_t>(set.leaders.size()));
+      if (inserted) set.leaders.push_back(pc);
+      dim = it->second;
+    }
+    std::vector<uint32_t>& v = set.vectors.back();
+    if (v.size() <= dim) v.resize(dim + 1, 0);
+    ++v[dim];
+    ++set.total_insts;
+    prev_pc = pc;
+    prev_was_branch = is_branch;
+    is_branch = false;
+  };
+  interp.run(max_insts == 0 ? UINT64_MAX : max_insts);
+  for (auto& v : set.vectors) v.resize(set.leaders.size(), 0);
+  return set;
+}
+
+/// A loop whose body jumps to the very next slot: the JMP ends the
+/// engine's block, but the BBV block runs on through it.
+isa::Program jump_to_next_slot_program() {
+  isa::Assembler as;
+  as.movi(1, 0);
+  as.movi(2, 40);
+  as.label("loop");
+  as.addi(1, 1, 1);
+  as.jmp("next");
+  as.label("next");
+  as.addi(3, 3, 2);
+  as.addi(4, 4, 3);
+  as.blt(1, 2, "loop");
+  as.halt();
+  return as.assemble();
+}
+
+TEST(Bbv, BlockSlicesMatchPerInstructionReference) {
+  struct Case {
+    const char* name;
+    isa::Program program;
+    uint64_t max_insts;  ///< 0 = to HALT
+  };
+  const Case cases[] = {
+      {"gcc", workloads::build("gcc", 1), 0},
+      {"parser-capped", workloads::build("parser", 1), 2502},
+      {"figure1", cfir::testing::figure1_program(200), 0},
+      {"figure1-capped", cfir::testing::figure1_program(200), 1001},
+      {"jmp-next", jump_to_next_slot_program(), 0},
+  };
+  for (const Case& c : cases) {
+    if (c.max_insts != 0) {
+      // The cap must cut a block: the instruction after it continues the
+      // block the cap stopped in.
+      std::vector<bool> starts;
+      (void)reference_bbvs(c.program, 1, c.max_insts + 1, &starts);
+      ASSERT_EQ(starts.size(), c.max_insts + 1) << c.name;
+      EXPECT_FALSE(starts.back()) << c.name << ": cap ends between blocks";
+    }
+    TempFile file(std::string("slices_") + c.name);
+    TraceMeta meta;
+    meta.workload = c.name;
+    (void)record_interpreter(
+        c.program, file.path(), meta,
+        c.max_insts == 0 ? UINT64_MAX : c.max_insts);
+    for (const uint64_t len : {uint64_t{1}, uint64_t{7}, uint64_t{1000},
+                               uint64_t{4096}}) {
+      SCOPED_TRACE(std::string(c.name) + " interval " + std::to_string(len));
+      const BbvSet reference = reference_bbvs(c.program, len, c.max_insts);
+      ASSERT_GT(reference.total_insts, 0u);
+      if (c.max_insts != 0) {
+        EXPECT_EQ(reference.total_insts, c.max_insts);
+      }
+      const BbvSet from_program =
+          bbv_from_program(c.program, len, c.max_insts);
+      EXPECT_EQ(from_program.interval_len, len);
+      expect_bbv_equal(from_program, reference);
+      TraceReader reader(file.path());
+      const BbvSet from_trace = bbv_from_trace(reader, len);
+      EXPECT_EQ(from_trace.interval_len, len);
+      expect_bbv_equal(from_trace, reference);
+    }
+  }
+}
+
+TEST(Bbv, MoreWindowsThanInstructions) {
+  EXPECT_EQ(window_len(5, 8), 1u);
+  EXPECT_EQ(window_len(9, 3), 3u);
+  EXPECT_EQ(window_len(10, 3), 4u);
+  EXPECT_EQ(window_len(10, 0), 10u);
+  EXPECT_EQ(window_len(0, 8), 1u);
+
+  // 50 windows asked of a 20-instruction run: one window per instruction.
+  const isa::Program program = cfir::testing::figure1_program(64);
+  ClusterPlanOptions opts;
+  opts.n_intervals = 50;
+  opts.max_insts = 20;
+  const IntervalPlan plan = plan_cluster_intervals(program, opts);
+  EXPECT_EQ(plan.total_insts, 20u);
+  EXPECT_FALSE(plan.ran_to_halt);
+  EXPECT_EQ(plan.interval_len, 1u);
+  EXPECT_EQ(plan.cluster_of.size(), 20u);
+  const BbvSet reference = reference_bbvs(program, 1, 20);
+  expect_bbv_equal(bbv_from_program(program, 1, 20), reference);
+  EXPECT_EQ(reference.num_intervals(), 20u);
+}
+
+TEST(Bbv, EmptyRun) {
+  isa::Assembler as;
+  as.halt();
+  const isa::Program program = as.assemble();
+  const BbvSet from_program = bbv_from_program(program, 7);
+  EXPECT_EQ(from_program.total_insts, 0u);
+  EXPECT_TRUE(from_program.leaders.empty());
+  EXPECT_EQ(from_program.num_intervals(), 0u);
+  expect_bbv_equal(from_program, reference_bbvs(program, 7, 0));
+
+  TempFile file("bbv_empty");
+  TraceMeta meta;
+  meta.workload = "halt";
+  (void)record_interpreter(program, file.path(), meta);
+  TraceReader reader(file.path());
+  expect_bbv_equal(bbv_from_trace(reader, 7), from_program);
+
+  const IntervalPlan plan = plan_cluster_intervals(program);
+  EXPECT_EQ(plan.total_insts, 0u);
+  EXPECT_TRUE(plan.ran_to_halt);
+  EXPECT_EQ(plan.boundaries, std::vector<uint64_t>{0});
+  EXPECT_EQ(plan.lengths, std::vector<uint64_t>{0});
 }
 
 TEST(Kmeans, SeparatesDistantGroupsDeterministically) {

@@ -3,9 +3,11 @@
 // produce the byte-identical warm blobs of its per-config references —
 // capture_warm_states for the engine source and a solo
 // FunctionalWarmer::advance_on_trace for the trace source — because each
-// warmer always sees the identical record stream in order on a single
-// thread. Also locked here:
+// shared trainer always sees the identical record stream in order on a
+// single thread. Also locked here:
 //
+//  - a grid of two shared warm geometries, one holding both stride
+//    policies (ci, vect) and three configs without a stride predictor;
 //  - targets at 0, duplicated, mid-block and at end-of-trace, and engine
 //    targets past HALT;
 //  - a 4-record tiny-block trace (every batch spans many block
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "sim/presets.hpp"
 #include "trace/sampling.hpp"
 #include "trace/shard.hpp"
@@ -104,9 +107,15 @@ TEST(WarmingPipeline, BlobsBitIdenticalAcrossSourcesAndJobs) {
       record_interpreter(program, file.path(), meta, UINT64_MAX, 256)
           .executed;
 
+  // Two shared warm geometries: every preset below but the last shares
+  // one (with both stride-training policies, ci and vect, and three
+  // without a stride predictor); the last differs only in its L2 size.
+  core::CoreConfig small_l2 = sim::presets::ci(2, 512);
+  small_l2.memory.l2.size_bytes /= 2;
   const std::vector<core::CoreConfig> configs = {
-      sim::presets::scal(2, 256), sim::presets::ci(2, 512),
-      sim::presets::wb(2, 256)};
+      sim::presets::scal(2, 256),      sim::presets::ci(2, 512),
+      sim::presets::wb(2, 256),        sim::presets::vect(2, 512),
+      sim::presets::ci_window(2, 256), small_l2};
   // Targets at 0 (cold snapshot before any record), back to back
   // duplicates, mid-block and exactly at end-of-trace.
   const std::vector<uint64_t> targets = {0,         1,         total / 3,
@@ -123,9 +132,18 @@ TEST(WarmingPipeline, BlobsBitIdenticalAcrossSourcesAndJobs) {
   EXPECT_NE(engine[0][0], engine[0][4]);
   EXPECT_EQ(engine[0][2], engine[0][3]);  // duplicate target, same state
 
+  // The small-L2 config's blobs must differ, or the second group would
+  // pass vacuously.
+  EXPECT_NE(engine[1][4], engine[5][4]);
+
+  obs::Counter& trainers =
+      obs::Registry::instance().counter("warming.trainers");
+  const uint64_t trainers0 = trainers.value();
   EXPECT_EQ(engine, capture_warm_states_grid(configs, program, targets));
+  EXPECT_EQ(trainers.value() - trainers0, 2u);
   EXPECT_EQ(engine, solo_trace(file.path(), configs, program, targets));
   EXPECT_EQ(engine, capture_from(file.path(), configs, program, targets));
+  EXPECT_EQ(trainers.value() - trainers0, 4u);
 }
 
 TEST(WarmingPipeline, EngineHaltBeforeLastTargetMatchesSequential) {
