@@ -10,15 +10,20 @@
 // and two grid widths each:
 //
 //   1-config   the single-config sampling path; the pipeline can only
-//              overlap record production with the one warmer's training
-//   8-config   the grid-sharding path; the eight configs' warmers train
-//              in parallel, one task per config per batch
+//              overlap record production with the one trainer
+//   8-config   the grid-sharding path: scal and wb at two register
+//              points each, ci at two, ci-iw and vect, all of one warm
+//              geometry, so one shared trainer serves the whole grid
+//              (gshare, MBS, RAS and caches trained once, plus one stride
+//              predictor each for ci and vect)
 //
 // Prints a table (million warmed insts/sec per source and grid width)
 // and, under CFIR_JSON=1, one machine-readable line per row with
-// `source` and `warm_insts_per_sec`. The capture runs on the shared pool,
-// so CFIR_THREADS sets its parallelism. Bit-identity of the captured
-// blobs is locked separately in tests/test_warming_pipeline.cpp.
+// `source`, `warm_insts_per_sec` and `trainers` (shared trainers one
+// capture ran, from the warming.trainers counter). The capture runs on the
+// shared pool, one task per shared trainer per batch, so CFIR_THREADS
+// sets how many trainers run at once. Bit-identity of the captured blobs
+// is locked separately in tests/test_warming_pipeline.cpp.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -42,6 +47,7 @@ using namespace cfir;
 
 struct Cell {
   uint64_t insts = 0;   ///< committed records streamed per capture pass
+  uint64_t trainers = 0;  ///< shared trainers per capture pass
   double best_us = 0.0;
   [[nodiscard]] double warm_insts_per_sec() const {
     return best_us > 0.0 ? static_cast<double>(insts) * 1e6 / best_us : 0.0;
@@ -57,6 +63,9 @@ Cell run_capture(const std::vector<core::CoreConfig>& configs,
   Cell cell;
   cell.insts = targets.back();
   cell.best_us = 1e18;
+  const obs::Counter& trainers =
+      obs::Registry::instance().counter("warming.trainers");
+  const uint64_t trainers0 = trainers.value();
   for (int r = 0; r < repeats; ++r) {
     const obs::Stopwatch clock;
     if (trace_path.empty()) {
@@ -69,6 +78,7 @@ Cell run_capture(const std::vector<core::CoreConfig>& configs,
     const double us = static_cast<double>(clock.elapsed_us());
     cell.best_us = std::min(cell.best_us, us);
   }
+  cell.trainers = (trainers.value() - trainers0) / repeats;
   return cell;
 }
 
@@ -76,9 +86,11 @@ void emit_json(const std::string& workload, const char* source,
                size_t n_configs, const Cell& cell) {
   if (!bench::json_requested()) return;
   std::printf("{\"bench\":\"micro_warming\",\"workload\":\"%s\","
-              "\"source\":\"%s\",\"configs\":%zu,\"insts\":%llu,"
-              "\"wall_us\":%.1f,\"warm_insts_per_sec\":%.1f}\n",
+              "\"source\":\"%s\",\"configs\":%zu,\"trainers\":%llu,"
+              "\"insts\":%llu,\"wall_us\":%.1f,"
+              "\"warm_insts_per_sec\":%.1f}\n",
               workload.c_str(), source, n_configs,
+              static_cast<unsigned long long>(cell.trainers),
               static_cast<unsigned long long>(cell.insts), cell.best_us,
               cell.warm_insts_per_sec());
 }
@@ -133,7 +145,8 @@ int main() {
       const std::vector<core::CoreConfig>& configs = *entry;
       const Cell cell =
           run_capture(configs, program, source_path, targets, repeats);
-      std::printf("%-6s %zu-config | %10.2f\n", source, configs.size(),
+      std::printf("%-6s %zu-config %zu-trainer | %10.2f\n", source,
+                  configs.size(), static_cast<size_t>(cell.trainers),
                   cell.warm_insts_per_sec() / 1e6);
       emit_json(workload, source, configs.size(), cell);
     }
