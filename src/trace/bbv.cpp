@@ -80,7 +80,7 @@ BbvSet BbvBuilder::finish(uint64_t interval_len) {
   return set;
 }
 
-BbvBuilder bbv_runs_from_trace(TraceReader& reader) {
+BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
   BbvBuilder builder;
   // Fan the block decodes (CRC + column expansion — the expensive part)
   // out on the memoized sim::ThreadPool behind parallel_for, in bounded
@@ -103,7 +103,7 @@ BbvBuilder bbv_runs_from_trace(TraceReader& reader) {
       }
     }
   }
-  return builder;
+  return builder.finish(interval_len);
 }
 
 BbvBuilder bbv_runs_from_program(const isa::Program& program,
@@ -120,10 +120,6 @@ BbvBuilder bbv_runs_from_program(const isa::Program& program,
   });
   engine.run(max_insts == 0 ? UINT64_MAX : max_insts);
   return builder;
-}
-
-BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
-  return bbv_runs_from_trace(reader).finish(interval_len);
 }
 
 BbvSet bbv_from_program(const isa::Program& program, uint64_t interval_len,

@@ -93,10 +93,6 @@ class BbvBuilder {
   bool last_was_branch_ = false;
 };
 
-/// Feeds every record of a recorded trace, in stream order, into a fresh
-/// builder; bin the result with finish().
-[[nodiscard]] BbvBuilder bbv_runs_from_trace(TraceReader& reader);
-
 /// One functional-engine pass over `program` (fresh memory, data image
 /// applied), stopping at HALT or after `max_insts` instructions (0 =
 /// unbounded), fed into a fresh builder a block slice at a time; the
@@ -104,7 +100,8 @@ class BbvBuilder {
 [[nodiscard]] BbvBuilder bbv_runs_from_program(const isa::Program& program,
                                                uint64_t max_insts = 0);
 
-/// bbv_runs_from_trace binned into windows of `interval_len`.
+/// Feeds every record of a recorded trace, in stream order, to a builder
+/// and bins the result into windows of `interval_len`.
 [[nodiscard]] BbvSet bbv_from_trace(TraceReader& reader,
                                     uint64_t interval_len);
 
