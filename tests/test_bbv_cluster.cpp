@@ -5,7 +5,8 @@
 //  - the block-slice builder equals a per-instruction reference built in
 //    the test from the reference Interpreter's committed stream, at window
 //    lengths 1, 7, 1000 and 4096, under a cap that ends inside a block,
-//    with more windows than instructions and on an empty run
+//    across a jump to the next slot and a block longer than the engine's
+//    block cap, with more windows than instructions and on an empty run
 //  - vectors partition the instruction stream (entries sum to interval
 //    instruction counts)
 //  - k-means separates well-separated synthetic clusters, deterministically
@@ -186,6 +187,21 @@ isa::Program jump_to_next_slot_program() {
   return as.assemble();
 }
 
+/// A loop whose straight-line body is longer than the engine's 256-op
+/// block cap: the engine delivers it in two slices, the second starting
+/// mid-block.
+isa::Program long_block_program() {
+  isa::Assembler as;
+  as.movi(1, 0);
+  as.movi(2, 12);
+  as.label("loop");
+  for (int i = 0; i < 300; ++i) as.addi(3 + i % 4, 3 + i % 4, i);
+  as.addi(1, 1, 1);
+  as.blt(1, 2, "loop");
+  as.halt();
+  return as.assemble();
+}
+
 TEST(Bbv, BlockSlicesMatchPerInstructionReference) {
   struct Case {
     const char* name;
@@ -198,6 +214,7 @@ TEST(Bbv, BlockSlicesMatchPerInstructionReference) {
       {"figure1", cfir::testing::figure1_program(200), 0},
       {"figure1-capped", cfir::testing::figure1_program(200), 1001},
       {"jmp-next", jump_to_next_slot_program(), 0},
+      {"long-block", long_block_program(), 0},
   };
   for (const Case& c : cases) {
     if (c.max_insts != 0) {
