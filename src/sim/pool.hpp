@@ -17,7 +17,7 @@
 // progress on its own indices even when every pool worker is busy.
 // run() may be called concurrently from any number of threads — open
 // batches share the workers FIFO — which is what lets the warming
-// pipeline's decode prefetch and per-config fan-out overlap on one pool.
+// pipeline's decode prefetch and per-group fan-out overlap on one pool.
 #pragma once
 
 #include <condition_variable>
