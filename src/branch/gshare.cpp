@@ -1,12 +1,11 @@
 #include "branch/gshare.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace cfir::branch {
 
 Gshare::Gshare(uint32_t entries, uint32_t history_bits) {
-  assert(entries > 0 && (entries & (entries - 1)) == 0);
+  util::require_geometry("Gshare", "entry count", entries, true);
   table_.assign(entries, kWeaklyTaken);
   mask_ = entries - 1;
   history_mask_ = history_bits >= 64 ? ~uint64_t{0}

@@ -2,12 +2,12 @@
 #include <cstddef>
 
 #include <algorithm>
-#include <cassert>
 
 namespace cfir::branch {
 
 MbsTable::MbsTable(uint32_t sets, uint32_t ways) : sets_(sets), ways_(ways) {
-  assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0);
+  util::require_geometry("MbsTable", "set count", sets_, true);
+  util::require_geometry("MbsTable", "way count", ways_, false);
   entries_.assign(static_cast<size_t>(sets_) * ways_, Entry{});
 }
 

@@ -33,7 +33,7 @@ CiMechanism::~CiMechanism() = default;
 void CiMechanism::attach(core::Core& core) {
   core_ = &core;
   engine_ = std::make_unique<ReplicaEngine>(core, srsmt_, specmem_.get());
-  ext_snap_.resize(core.config().rob_size);
+  ext_snap_ = core::make_slot_array<RenameExt>(core.config().rob_size);
 }
 
 bool CiMechanism::vectorizable_arith(const isa::Instruction& inst) {

@@ -119,8 +119,9 @@ class CiMechanism : public core::Mechanism {
   std::array<RenameExt, isa::kNumLogicalRegs> ext_{};
   /// Per ROB slot: the extension entry a destination-writing instruction
   /// replaced at rename (valid while its DynInst::mech.ext_saved is set),
-  /// restored youngest-first on squash.
-  std::vector<RenameExt> ext_snap_;
+  /// restored youngest-first on squash. Uninitialized like the core's
+  /// ROB: on_renamed writes a slot before any squash can read it.
+  core::SlotArray<RenameExt> ext_snap_;
   std::unordered_map<uint64_t, EpisodeStats> episodes_;
   /// episodes_[crp_.branch_pc], set whenever the CRP is (re)armed; map
   /// nodes never move, so the pointer stays valid.

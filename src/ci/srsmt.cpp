@@ -1,6 +1,6 @@
 #include "ci/srsmt.hpp"
 
-#include <cassert>
+#include "util/warmable.hpp"
 
 namespace cfir::ci {
 
@@ -9,8 +9,9 @@ Srsmt::Srsmt(uint32_t sets, uint32_t ways, uint32_t replicas_per_entry)
       ways_(ways),
       replicas_(replicas_per_entry),
       ring_pos_(replicas_per_entry) {
-  assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0);
-  assert(replicas_ > 0);
+  util::require_geometry("Srsmt", "set count", sets_, true);
+  util::require_geometry("Srsmt", "way count", ways_, false);
+  util::require_geometry("Srsmt", "replica count", replicas_, false);
   entries_.assign(static_cast<size_t>(sets_) * ways_, SrsmtEntry{});
   pcs_.assign(entries_.size(), kNoPc);
   live_.assign((entries_.size() + 63) / 64, 0);

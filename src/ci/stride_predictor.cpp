@@ -1,13 +1,13 @@
 #include "ci/stride_predictor.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace cfir::ci {
 
 StridePredictor::StridePredictor(uint32_t sets, uint32_t ways)
     : sets_(sets), ways_(ways) {
-  assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0);
+  util::require_geometry("StridePredictor", "set count", sets_, true);
+  util::require_geometry("StridePredictor", "way count", ways_, false);
   entries_.assign(static_cast<size_t>(sets_) * ways_, Entry{});
 }
 

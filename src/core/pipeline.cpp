@@ -26,7 +26,7 @@ Core::Core(const CoreConfig& config, const isa::Program& program,
   if (cfg_.num_phys_regs < isa::kNumLogicalRegs + 8) {
     throw std::runtime_error("num_phys_regs too small for the logical file");
   }
-  rob_.resize(cfg_.rob_size);
+  rob_ = make_slot_array<RobSlot>(cfg_.rob_size);
   cal_.resize(kCalBuckets);
   smem_next_.assign(cfg_.rob_size, kUnlinked);
   smem_prev_.assign(cfg_.rob_size, kUnlinked);
@@ -71,8 +71,7 @@ void Core::set_arch_state(
 
 uint32_t Core::rob_tail_slot() const {
   const uint32_t tail = rob_head_ + rob_count_;
-  const auto size = static_cast<uint32_t>(rob_.size());
-  return tail >= size ? tail - size : tail;
+  return tail >= cfg_.rob_size ? tail - cfg_.rob_size : tail;
 }
 
 void Core::schedule_completion(uint32_t slot, uint64_t seq, uint64_t when) {
@@ -289,7 +288,7 @@ void Core::line_ring_insert(uint64_t line, uint32_t latency) {
 }
 
 bool Core::try_replica_load_access(uint64_t addr, uint32_t& latency_out) {
-  const uint64_t line = addr / cfg_.memory.l1d.line_bytes;
+  const uint64_t line = hierarchy_.l1d().line_of(addr);
   if (cfg_.wide_bus && line_ring_lookup(line, latency_out)) return true;
   if (!fu_.try_reserve_mem_port()) return false;
   const uint32_t lat = hierarchy_.access_data(addr, false, cycle_);
@@ -309,7 +308,7 @@ void Core::fetch_stage() {
   if (halted_ || fetch_stalled_ || cycle_ < fetch_resume_cycle_) return;
   uint32_t fetched = 0;
   while (fetched < cfg_.fetch_width) {
-    if (rob_count_ >= rob_.size()) break;
+    if (rob_count_ >= cfg_.rob_size) break;
     const isa::Instruction* ip = program_.try_at(fetch_pc_);
     if (ip == nullptr) {
       // Wrong-path fetch ran off the image (or the program ended): stall
@@ -318,7 +317,7 @@ void Core::fetch_stage() {
       break;
     }
     // Instruction cache: one access per new line.
-    const uint64_t line = fetch_pc_ / cfg_.memory.l1i.line_bytes;
+    const uint64_t line = hierarchy_.l1i().line_of(fetch_pc_);
     if (line != last_fetch_line_) {
       const uint32_t lat = hierarchy_.access_inst(fetch_pc_, cycle_);
       last_fetch_line_ = line;
@@ -627,7 +626,7 @@ bool Core::issue_mem(DynInst& di) {
       break;
   }
   // Cache access with optional wide-bus line-buffer piggybacking.
-  const uint64_t line = di.mem_addr / cfg_.memory.l1d.line_bytes;
+  const uint64_t line = hierarchy_.l1d().line_of(di.mem_addr);
   uint32_t lat = 0;
   if (cfg_.wide_bus && line_ring_lookup(line, lat)) {
     // Served from a recent wide access: no port, no new cache access.
@@ -750,7 +749,7 @@ void Core::squash_younger(uint64_t seq_keep) {
   while (rob_count_ > 0) {
     const uint32_t tail = rob_tail_slot();
     const uint32_t slot =
-        (tail == 0 ? static_cast<uint32_t>(rob_.size()) : tail) - 1;
+        (tail == 0 ? cfg_.rob_size : tail) - 1;
     DynInst& di = at(slot);
     if (di.seq <= seq_keep) break;
     if (mech_ != nullptr) mech_->on_squash(di);
@@ -897,7 +896,7 @@ void Core::commit_stage() {
     if (!commit_check(di)) break;
     apply_commit(di);
     di.seq = 0;
-    if (++rob_head_ == rob_.size()) rob_head_ = 0;
+    if (++rob_head_ == cfg_.rob_size) rob_head_ = 0;
     --rob_count_;
     slots -= cost;
     if (stats_.committed >= committed_target_) break;

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -152,12 +153,23 @@ class Core {
   void fetch_stage();
 
   // Helpers.
-  [[nodiscard]] DynInst& at(uint32_t slot) { return rob_[slot].di; }
+  [[nodiscard]] DynInst& at(uint32_t slot) {
+    assert(rob_[slot].di.slot == slot && "ROB slot read before fetch built it");
+    return rob_[slot].di;
+  }
   /// Whether the (slot, seq) an event, waiter or ready node recorded still
   /// names a live instruction. Recorded seqs are >= 1 (next_seq_ starts at
   /// 1) and never reused, and commit and squash both zero rob_[slot].seq
   /// before a slot leaves the window, so the seq match alone decides.
+  ///
+  /// The ROB is raw storage that fetch builds record by record, and this
+  /// never reads an unbuilt one: every (slot, seq) that an event, waiter
+  /// or ready node records comes from a fetch, which built that slot
+  /// first, and a built slot stays built (commit and squash only zero its
+  /// seq). The head and tail walks of commit and squash read only slots
+  /// inside the window.
   [[nodiscard]] bool slot_live(uint32_t slot, uint64_t seq) const {
+    assert(rob_[slot].di.slot == slot && "ROB slot read before fetch built it");
     return rob_[slot].di.seq == seq;
   }
   [[nodiscard]] uint32_t rob_tail_slot() const;
@@ -199,13 +211,16 @@ class Core {
   // One record per slot: the instruction, rebuilt in place by every
   // fetch, and the RAS snapshot that only conditional branches and RET
   // write (DynInst::has_ras_snapshot) and only their recovery reads. One
-  // allocation holds both, so even an 8K-entry window is a single heap
-  // block whose pages a short detailed unit does not fault in twice.
+  // allocation holds both, and it is a SlotArray: nothing initializes a
+  // record but fetch's construct_at (see slot_live), so a short detailed
+  // unit pays for the slots it uses, not for the window (2.5 MB at 8K
+  // entries). In Debug builds at() and slot_live() catch a read of a slot
+  // fetch never built.
   struct RobSlot {
     DynInst di;
     branch::ReturnAddressStack::Snapshot ras;
   };
-  std::vector<RobSlot> rob_;
+  SlotArray<RobSlot> rob_;
   uint32_t rob_head_ = 0;
   uint32_t rob_count_ = 0;
 

@@ -3,7 +3,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 #include "isa/isa.hpp"
 
@@ -11,6 +15,31 @@ namespace cfir::core {
 
 inline constexpr int kNoReg = -1;
 inline constexpr uint32_t kInvalidSlot = std::numeric_limits<uint32_t>::max();
+
+/// Per-ROB-slot records that nothing initializes: each is built or
+/// written before anything reads it, so a short detailed unit pays for
+/// the slots it uses, not for the window. Records are never destroyed,
+/// only rebuilt or overwritten.
+template <typename T>
+struct RawFree {
+  void operator()(T* p) const { ::operator delete(p); }
+};
+template <typename T>
+using SlotArray = std::unique_ptr<T[], RawFree<T>>;
+
+/// `n` uninitialized records. Debug builds fill them with 0xA5 bytes, so a
+/// read of a record nothing built shows (see Core::at).
+template <typename T>
+[[nodiscard]] SlotArray<T> make_slot_array(size_t n) {
+  static_assert(std::is_trivially_destructible_v<T>,
+                "slot records are never destroyed, only rebuilt");
+  const size_t bytes = sizeof(T) * n;
+  SlotArray<T> slots(static_cast<T*>(::operator new(bytes)));
+#ifndef NDEBUG
+  std::memset(static_cast<void*>(slots.get()), 0xA5, bytes);
+#endif
+  return slots;
+}
 
 /// Per-instruction bookkeeping owned by the attached mechanism.
 struct MechInfo {

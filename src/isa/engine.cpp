@@ -132,9 +132,11 @@ inline void FastEngine::store(uint64_t addr, uint64_t value, uint32_t bytes) {
   mem_.write(addr, value, static_cast<int>(bytes));  // page-crossing access
 }
 
-template <bool Collect>
+template <FastEngine::Report R>
 FastEngine::Exit FastEngine::exec_chain(int32_t& bi_inout, uint64_t budget,
                                         uint64_t& next_pc_out) {
+  // Only the event report writes StepEvents and tracks the per-op pc.
+  constexpr bool kCollect = R == Report::kEvents;
   int32_t bi = bi_inout;
   uint64_t remaining = budget;  // > 0: run_loop never calls with 0 left
   uint64_t* const regs = regs_.data();
@@ -168,11 +170,11 @@ enter_block:
   u = begin;
   end = begin + slice;
   pc = blk->entry_pc;
-  if constexpr (Collect) ev = events_.data();
+  if constexpr (kCollect) ev = events_.data();
 
 #define CFIR_EMIT_PLAIN()                                                    \
   do {                                                                       \
-    if constexpr (Collect) {                                                 \
+    if constexpr (kCollect) {                                                \
       *ev++ = StepEvent{pc, 0, 0, EventKind::kPlain, false, 0};              \
     }                                                                        \
   } while (0)
@@ -198,12 +200,12 @@ enter_block:
 #define CFIR_ADVANCE()                                                       \
   do {                                                                       \
     if (++u == end) goto fall_out;                                           \
-    if constexpr (Collect) pc += kInstBytes;                                 \
+    if constexpr (kCollect) pc += kInstBytes;                                \
     goto* kL[static_cast<size_t>(u->op)];                                    \
   } while (0)
 #define CFIR_CUR_PC()                                                        \
-  (Collect ? pc                                                              \
-           : blk->entry_pc + static_cast<uint64_t>(u - begin) * kInstBytes)
+  (kCollect ? pc                                                             \
+            : blk->entry_pc + static_cast<uint64_t>(u - begin) * kInstBytes)
 #define CFIR_NEXT()                                                          \
   do {                                                                       \
     CFIR_EMIT_PLAIN();                                                       \
@@ -316,7 +318,7 @@ h_mov:
 h_ld: {
   const uint64_t addr = regs[u->rs1] + static_cast<uint64_t>(u->imm);
   regs[u->rd] = load(addr, u->bytes);
-  if constexpr (Collect) {
+  if constexpr (kCollect) {
     *ev++ = StepEvent{pc, 0, addr, EventKind::kLoad, false, u->bytes};
   }
   CFIR_ADVANCE();
@@ -324,7 +326,7 @@ h_ld: {
 h_st: {
   const uint64_t addr = regs[u->rs1] + static_cast<uint64_t>(u->imm);
   store(addr, regs[u->rs2], u->bytes);
-  if constexpr (Collect) {
+  if constexpr (kCollect) {
     *ev++ = StepEvent{pc, 0, addr, EventKind::kStore, false, u->bytes};
   }
   CFIR_ADVANCE();
@@ -351,7 +353,7 @@ h_bgeu:
   goto do_branch;
 do_branch: {
   nxt = btaken ? static_cast<uint64_t>(u->imm) : CFIR_CUR_PC() + kInstBytes;
-  if constexpr (Collect) {
+  if constexpr (kCollect) {
     *ev++ = StepEvent{pc, nxt, 0, EventKind::kBranch, btaken, 0};
   }
   ++u;
@@ -385,16 +387,23 @@ h_halt:
 #undef CFIR_CUR_PC
 
 // Block-exit bookkeeping shared by every edge: retire the consumed slice
-// and flush its event span before chaining or returning.
+// and report it (its event span, or its pc, length and last kind) before
+// chaining or returning. A slice's last consumed op is its only possible
+// conditional branch; HALT is never consumed.
 #define CFIR_BLOCK_DONE()                                                    \
   do {                                                                       \
     const uint64_t consumed = static_cast<uint64_t>(u - begin);              \
     executed_ += consumed;                                                   \
     remaining -= consumed;                                                   \
-    if constexpr (Collect) {                                                 \
+    if constexpr (kCollect) {                                                \
       if (ev != events_.data()) {                                            \
         on_block(blk->entry_pc, events_.data(),                              \
                  static_cast<size_t>(ev - events_.data()));                  \
+      }                                                                      \
+    } else if constexpr (R == Report::kSlices) {                             \
+      if (consumed != 0) {                                                   \
+        on_slice(blk->entry_pc, static_cast<uint32_t>(consumed),             \
+                 is_cond_branch(u[-1].op));                                  \
       }                                                                      \
     }                                                                        \
   } while (0)
@@ -459,7 +468,7 @@ exit_budget:
 // exactly one call site). The loop here only sees cold events — a chain
 // edge that needs its first decode, budget expiry, HALT, or the PC leaving
 // the image; hot chained edges never leave exec_chain.
-template <bool Collect>
+template <FastEngine::Report R>
 __attribute__((flatten))
 uint64_t FastEngine::run_loop(uint64_t target) {
   const uint64_t start = executed_;
@@ -470,7 +479,7 @@ uint64_t FastEngine::run_loop(uint64_t target) {
       break;
     }
     uint64_t next_pc = 0;
-    const Exit ex = exec_chain<Collect>(bi, target - executed_, next_pc);
+    const Exit ex = exec_chain<R>(bi, target - executed_, next_pc);
     pc_ = next_pc;
     if (ex == Exit::kHalt) {
       halted_ = true;
@@ -506,9 +515,13 @@ uint64_t FastEngine::run(uint64_t max_insts) {
       max_insts > UINT64_MAX - start ? UINT64_MAX : start + max_insts;
   const obs::Stopwatch clock;
   const uint64_t blocks_before = blocks_entered_;
-  // Event collection is bound once per run, never checked per instruction.
-  const uint64_t ran =
-      on_block ? run_loop<true>(target) : run_loop<false>(target);
+  // The report is bound once per run, never checked per instruction.
+  if (on_block && on_slice) {
+    throw std::logic_error("FastEngine: on_block and on_slice both set");
+  }
+  const uint64_t ran = on_block   ? run_loop<Report::kEvents>(target)
+                       : on_slice ? run_loop<Report::kSlices>(target)
+                                  : run_loop<Report::kNone>(target);
   if (ran > 0) {
     // Telemetry once per run() call (interpreter convention): functional
     // instructions land in the shared interp.insts counter, plus the
@@ -542,25 +555,43 @@ FunctionalEngine::FunctionalEngine(const Program& program,
 
 void FunctionalEngine::set_sink(Sink sink) {
   sink_ = std::move(sink);
+  slice_sink_ = nullptr;
+  bind_sinks();
+}
+
+void FunctionalEngine::set_slice_sink(SliceSink sink) {
+  sink_ = nullptr;
+  slice_sink_ = std::move(sink);
+  bind_sinks();
+}
+
+void FunctionalEngine::bind_sinks() {
   if (fast_ != nullptr) {
     fast_->on_block = sink_;
+    fast_->on_slice = slice_sink_;
     return;
   }
-  if (!sink_) {
-    // Clearing all three observers also unlocks the interpreter's
-    // unobserved fast loop.
-    interp_->on_branch = nullptr;
-    interp_->on_mem = nullptr;
-    interp_->on_step = nullptr;
-    return;
-  }
+  // Clearing all three observers also unlocks the interpreter's
+  // unobserved fast loop.
+  interp_->on_branch = nullptr;
+  interp_->on_mem = nullptr;
+  interp_->on_step = nullptr;
+  if (!sink_ && !slice_sink_) return;
   // Switch path: assemble the identical event from the three
-  // per-instruction observers and deliver it as a span of one.
+  // per-instruction observers and deliver it as a span of one, or as a
+  // one-instruction slice.
   interp_->on_branch = [this](uint64_t, bool taken, uint64_t target) {
     pending_.kind = EventKind::kBranch;
     pending_.taken = taken;
     pending_.next_pc = target;
   };
+  if (slice_sink_) {
+    interp_->on_step = [this](uint64_t pc, uint64_t) {
+      slice_sink_(pc, 1, pending_.kind == EventKind::kBranch);
+      pending_ = StepEvent{};
+    };
+    return;
+  }
   interp_->on_mem = [this](uint64_t, uint64_t addr, int bytes,
                            bool is_store) {
     pending_.kind = is_store ? EventKind::kStore : EventKind::kLoad;
@@ -572,6 +603,15 @@ void FunctionalEngine::set_sink(Sink sink) {
     sink_(pending_.pc, &pending_, 1);
     pending_ = StepEvent{};
   };
+}
+
+void FunctionalEngine::set_arch_state(
+    const std::array<uint64_t, kNumLogicalRegs>& regs, uint64_t pc) {
+  for (int r = 0; r < kNumLogicalRegs; ++r) {
+    const uint64_t v = regs[static_cast<size_t>(r)];
+    fast_ != nullptr ? fast_->set_reg(r, v) : interp_->set_reg(r, v);
+  }
+  fast_ != nullptr ? fast_->set_pc(pc) : interp_->set_pc(pc);
 }
 
 uint64_t FunctionalEngine::run(uint64_t max_insts) {

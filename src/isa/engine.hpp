@@ -21,13 +21,17 @@
 // on_branch/on_mem/on_step observers assemble (tests/
 // test_engine_differential.cpp locks this in over adversarial random
 // programs), so consumers pay per-block callback cost, not per-instruction
-// virtual cost. A null sink disables event collection entirely (the
-// fast-forward / restore-skip path).
+// virtual cost. A consumer that needs only where execution went — the BBV
+// pass — sets the slice sink `on_slice(entry_pc, n, ends_in_cond_branch)`
+// instead, which writes no events at all. With neither sink set, nothing
+// is collected (the fast-forward / restore-skip path).
 //
 // `FunctionalEngine` below is the uniform facade the pipeline uses: it runs
 // on `FastEngine` when the `CFIR_ENGINE` knob selects `cached` (the
 // default) and on the reference `Interpreter` under `switch` (kept as the
 // bit-exact oracle), delivering the identical event stream either way.
+// Its slice sink reports FastEngine's block slices, or one-instruction
+// slices from the interpreter.
 #pragma once
 
 #include <array>
@@ -115,6 +119,14 @@ class FastEngine {
   /// run() calls at any instruction boundary.
   std::function<void(uint64_t entry_pc, const StepEvent* events, size_t n)>
       on_block;
+  /// Slice observer: invoked once per executed block slice with its entry
+  /// pc, its instruction count (>= 1) and whether its last instruction is
+  /// a conditional branch (only the last can be). Writes no StepEvents.
+  /// The slices are exactly those on_block would report, so a budget that
+  /// expires inside a block reports the budgeted prefix. At most one of
+  /// on_block and on_slice may be set when run() is called.
+  std::function<void(uint64_t entry_pc, uint32_t n, bool ends_in_cond_branch)>
+      on_slice;
 
   /// Invalidation hook for self-modifying / hot-swapped code images: bumps
   /// the decode epoch and drops every cached block (and chain edge). The
@@ -167,19 +179,26 @@ class FastEngine {
     kBudget,    ///< max_insts expired inside the block
   };
 
+  /// What run() reports per executed block slice; bound once per run().
+  enum class Report : uint8_t {
+    kNone,    ///< nothing (no sink set)
+    kEvents,  ///< on_block with the slice's StepEvents
+    kSlices,  ///< on_slice with the slice's pc, length and last kind
+  };
+
   /// Finds the cached block at `pc`, decoding it on a miss; -1 when `pc`
   /// is outside the image (execution halts there).
   int32_t lookup_or_decode(uint64_t pc);
   int32_t decode_block(uint64_t entry_pc);
   /// Executes up to `budget` micro-ops starting at block `bi_inout`,
   /// following already-filled chain edges from block to block without
-  /// leaving the dispatch loop; delivers one on_block span per block when
-  /// `Collect`. Returns why it stopped (HALT, budget, or a cold edge that
-  /// needs a decode); `bi_inout` becomes the last block executed and
-  /// `next_pc_out` the architectural successor PC.
-  template <bool Collect>
+  /// leaving the dispatch loop; reports each block slice per `R`. Returns
+  /// why it stopped (HALT, budget, or a cold edge that needs a decode);
+  /// `bi_inout` becomes the last block executed and `next_pc_out` the
+  /// architectural successor PC.
+  template <Report R>
   Exit exec_chain(int32_t& bi_inout, uint64_t budget, uint64_t& next_pc_out);
-  template <bool Collect>
+  template <Report R>
   uint64_t run_loop(uint64_t target);
   /// Load/store via the 1-entry page caches below — same result as
   /// mem_.read / mem_.write, minus the per-byte hash lookup.
@@ -225,14 +244,27 @@ class FunctionalEngine {
  public:
   using Sink =
       std::function<void(uint64_t entry_pc, const StepEvent* events, size_t n)>;
+  using SliceSink = std::function<void(uint64_t entry_pc, uint32_t n,
+                                       bool ends_in_cond_branch)>;
 
   FunctionalEngine(const Program& program, mem::MainMemory& memory,
                    EngineKind kind = engine_kind_from_env());
 
-  /// Installs (or clears, with {}) the per-block event sink. May be called
-  /// between runs at any instruction boundary — e.g. fast-skip a restored
-  /// prefix sink-less, then attach the sink and continue.
+  /// Installs (or clears, with {}) the per-block event sink, replacing any
+  /// slice sink. May be called between runs at any instruction boundary —
+  /// e.g. fast-skip a restored prefix sink-less, then attach the sink and
+  /// continue.
   void set_sink(Sink sink);
+  /// Installs (or clears) the slice sink (FastEngine::on_slice), replacing
+  /// any event sink. The switch interpreter reports one-instruction
+  /// slices; both kinds therefore log the same instructions in the same
+  /// order, and the same block runs once consecutive slices merge.
+  void set_slice_sink(SliceSink sink);
+
+  /// Seeds the registers and pc before a run (resuming from a snapshot);
+  /// clears the halted flag. executed() keeps counting from where it was.
+  void set_arch_state(const std::array<uint64_t, kNumLogicalRegs>& regs,
+                      uint64_t pc);
 
   /// Executes at most `max_insts` instructions; returns the number
   /// executed (see FastEngine::run for the stop conditions).
@@ -248,11 +280,15 @@ class FunctionalEngine {
   [[nodiscard]] const std::array<uint64_t, kNumLogicalRegs>& regs() const;
 
  private:
+  /// Wires whichever sink is set (at most one) to the live engine.
+  void bind_sinks();
+
   EngineKind kind_;
   // Exactly one of the two is live, per kind_.
   std::unique_ptr<Interpreter> interp_;
   std::unique_ptr<FastEngine> fast_;
   Sink sink_;
+  SliceSink slice_sink_;
   StepEvent pending_;  ///< switch path: event under construction
 };
 

@@ -1,28 +1,79 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 namespace cfir::mem {
 
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  assert(config_.line_bytes > 0 && config_.assoc > 0);
-  num_sets_ = config_.size_bytes / (config_.line_bytes * config_.assoc);
-  assert(num_sets_ > 0 && (num_sets_ & (num_sets_ - 1)) == 0 &&
-         "set count must be a power of two");
-  lines_.assign(static_cast<size_t>(num_sets_) * config_.assoc, Line{});
+  const std::string who = "Cache " + config_.name;
+  util::require_geometry(who, "line size", config_.line_bytes, true);
+  util::require_geometry(who, "way count", config_.assoc, false);
+  const uint64_t sets = config_.size_bytes /
+                        (uint64_t{config_.line_bytes} * config_.assoc);
+  util::require_geometry(who, "set count", sets, true);
+  num_sets_ = static_cast<uint32_t>(sets);
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(config_.line_bytes));
+  lines_ = std::make_unique_for_overwrite<Line[]>(size_t{num_sets_} *
+                                                  config_.assoc);
+  live_.assign((num_sets_ + 63) / 64, 0);
+}
+
+template <typename Fn>
+void Cache::for_each_live_set(Fn fn) const {
+  for (size_t word = 0; word < live_.size(); ++word) {
+    for (uint64_t bits = live_[word]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<uint32_t>(word * 64 +
+                               static_cast<size_t>(std::countr_zero(bits))));
+    }
+  }
+}
+
+Cache::Cache(const Cache& other)
+    : config_(other.config_),
+      num_sets_(other.num_sets_),
+      line_shift_(other.line_shift_),
+      lines_(std::make_unique_for_overwrite<Line[]>(size_t{num_sets_} *
+                                                    config_.assoc)),
+      live_(other.live_),
+      use_stamp_(other.use_stamp_),
+      stats_(other.stats_),
+      inflight_fills_(other.inflight_fills_) {
+  const size_t ways = config_.assoc;
+  for_each_live_set([&](uint32_t set) {
+    const size_t base = size_t{set} * ways;
+    std::copy_n(&other.lines_[base], ways, &lines_[base]);
+  });
+}
+
+Cache& Cache::operator=(const Cache& other) {
+  if (this != &other) *this = Cache(other);
+  return *this;
+}
+
+size_t Cache::touch_set(uint32_t set) {
+  const size_t base = size_t{set} * config_.assoc;
+  uint64_t& word = live_[set >> 6];
+  const uint64_t bit = uint64_t{1} << (set & 63);
+  if ((word & bit) == 0) {
+    word |= bit;
+    std::fill_n(&lines_[base], config_.assoc, Line{});
+  }
+  return base;
 }
 
 void Cache::reset() {
-  for (Line& l : lines_) l = Line{};
+  std::fill(live_.begin(), live_.end(), 0);
   inflight_fills_.clear();
   stats_ = CacheStats{};
   use_stamp_ = 0;
 }
 
 int64_t Cache::find(uint64_t addr) const {
-  const uint64_t line_addr = addr / config_.line_bytes;
-  const size_t base = set_base(line_addr);
+  const uint64_t line_addr = addr >> line_shift_;
+  const uint32_t set = set_of(line_addr);
+  if (!live(set)) return -1;
+  const size_t base = size_t{set} * config_.assoc;
   for (uint32_t w = 0; w < config_.assoc; ++w) {
     const Line& l = lines_[base + w];
     if (l.valid && l.tag == line_addr) return static_cast<int64_t>(base + w);
@@ -57,9 +108,9 @@ Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
                           uint32_t miss_fill_latency) {
   ++stats_.accesses;
   ++use_stamp_;
-  const uint64_t line_addr = addr / config_.line_bytes;
+  const uint64_t line_addr = addr >> line_shift_;
   const uint64_t tag = line_addr;  // full line address as tag (simple, exact)
-  const size_t base = set_base(line_addr);
+  const size_t base = touch_set(set_of(line_addr));
 
   // Merge with an in-flight fill of the same line if present.
   ++stats_.misses;
@@ -101,9 +152,9 @@ Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
 }
 
 bool Cache::warm_access(uint64_t addr, bool is_write) {
-  const uint64_t line_addr = addr / config_.line_bytes;
+  const uint64_t line_addr = addr >> line_shift_;
   const uint64_t tag = line_addr;
-  const size_t base = set_base(line_addr);
+  const size_t base = touch_set(set_of(line_addr));
 
   ++use_stamp_;
   for (uint32_t w = 0; w < config_.assoc; ++w) {
@@ -134,11 +185,13 @@ uint64_t Cache::debug_digest() const {
   d.u32(num_sets_).u32(config_.assoc);
   std::vector<std::pair<uint64_t, bool>> resident;
   for (uint32_t set = 0; set < num_sets_; ++set) {
-    const size_t base = static_cast<size_t>(set) * config_.assoc;
     resident.clear();
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-      const Line& l = lines_[base + w];
-      if (l.valid) resident.emplace_back(l.tag, l.dirty);
+    if (live(set)) {
+      const size_t base = size_t{set} * config_.assoc;
+      for (uint32_t w = 0; w < config_.assoc; ++w) {
+        const Line& l = lines_[base + w];
+        if (l.valid) resident.emplace_back(l.tag, l.dirty);
+      }
     }
     std::sort(resident.begin(), resident.end());
     d.u32(static_cast<uint32_t>(resident.size()));
@@ -151,17 +204,24 @@ void Cache::serialize(util::ByteWriter& out) const {
   // Full-fidelity state (LRU included) so a restored warmer continues
   // exactly where the serializing one stopped; in-flight fills and stats
   // are timing/measurement state and never part of warm state. A cache
-  // never invalidates a line, so every invalid line still holds its
-  // constructed default and only valid ones are listed.
+  // never invalidates a line, so only valid lines are listed, in
+  // ascending slot order (dead sets hold none).
   out.u32(num_sets_);
   out.u32(config_.assoc);
   out.u64(use_stamp_);
-  util::write_sparse(out, lines_, [](const Line& l) { return l.valid; },
-                     [&out](const Line& l) {
-                       out.u64(l.tag);
-                       out.boolean(l.dirty);
-                       out.u64(l.lru);
-                     });
+  util::SparseWriter list(out);
+  for_each_live_set([&](uint32_t set) {
+    const size_t base = size_t{set} * config_.assoc;
+    for (uint32_t w = 0; w < config_.assoc; ++w) {
+      const Line& l = lines_[base + w];
+      if (!l.valid) continue;
+      list.entry(base + w);
+      out.u64(l.tag);
+      out.boolean(l.dirty);
+      out.u64(l.lru);
+    }
+  });
+  list.finish();
 }
 
 void Cache::deserialize(util::ByteReader& in) {
@@ -170,13 +230,16 @@ void Cache::deserialize(util::ByteReader& in) {
                                  config_.name + ")");
   }
   use_stamp_ = in.u64();
-  std::fill(lines_.begin(), lines_.end(), Line{});
-  util::read_sparse(in, lines_, "Cache", [&in](Line& l) {
-    l.tag = in.u64();
-    l.valid = true;
-    l.dirty = in.boolean();
-    l.lru = in.u64();
-  });
+  std::fill(live_.begin(), live_.end(), 0);
+  util::read_sparse_slots(
+      in, size_t{num_sets_} * config_.assoc, "Cache", [&](uint32_t slot) {
+        touch_set(slot / config_.assoc);
+        Line& l = lines_[slot];
+        l.tag = in.u64();
+        l.valid = true;
+        l.dirty = in.boolean();
+        l.lru = in.u64();
+      });
   inflight_fills_.clear();
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,9 +34,23 @@ struct CacheStats {
 /// One cache level. `access` returns the number of cycles until the data is
 /// available *from this level down* (the owning hierarchy adds upper-level
 /// latencies).
+///
+/// Sets are set up on first use: the line array starts uninitialized and a
+/// bitmap marks the live sets, so building (or deserializing into) a
+/// cache costs its resident state, not its capacity. A dead set reads as
+/// all ways invalid; the first miss or warm access into it zeroes its
+/// ways, which is the state a dense, fully initialized array would hold.
 class Cache : public util::Warmable {
  public:
+  /// Throws util::BadGeometry for a zero or non-power-of-two line size, a
+  /// zero way count, or a set count that is zero or not a power of two.
   explicit Cache(const CacheConfig& config);
+  /// Copies walk live sets only.
+  Cache(const Cache& other);
+  Cache& operator=(const Cache& other);
+  Cache(Cache&&) noexcept = default;
+  Cache& operator=(Cache&&) noexcept = default;
+  ~Cache() override = default;
 
   struct Result {
     bool hit = false;
@@ -78,28 +93,39 @@ class Cache : public util::Warmable {
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] uint64_t line_of(uint64_t addr) const {
-    return addr / config_.line_bytes;
+    return addr >> line_shift_;
   }
   [[nodiscard]] uint32_t num_sets() const { return num_sets_; }
 
   void reset();
 
  private:
+  /// Trivially constructible, so the array can start uninitialized; a
+  /// live set's ways are always initialized (zeroed when it came to life).
   struct Line {
-    uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    uint64_t lru = 0;  ///< last-use stamp
+    uint64_t tag;
+    bool valid;
+    bool dirty;
+    uint64_t lru;  ///< last-use stamp
   };
-  [[nodiscard]] size_t set_base(uint64_t line_addr) const {
-    return static_cast<size_t>(static_cast<uint32_t>(line_addr) &
-                               (num_sets_ - 1)) *
-           config_.assoc;
+  [[nodiscard]] uint32_t set_of(uint64_t line_addr) const {
+    return static_cast<uint32_t>(line_addr) & (num_sets_ - 1);
   }
+  [[nodiscard]] bool live(uint32_t set) const {
+    return ((live_[set >> 6] >> (set & 63)) & 1) != 0;
+  }
+  /// Index of `set`'s first way; a dead set's ways are zeroed and the set
+  /// marked live first.
+  size_t touch_set(uint32_t set);
+  /// Calls fn(set) for every live set, in ascending order.
+  template <typename Fn>
+  void for_each_live_set(Fn fn) const;
 
   CacheConfig config_;
   uint32_t num_sets_;
-  std::vector<Line> lines_;  ///< num_sets_ * assoc, set-major
+  uint32_t line_shift_;  ///< log2(line_bytes)
+  std::unique_ptr<Line[]> lines_;  ///< num_sets_ * assoc, set-major
+  std::vector<uint64_t> live_;     ///< one bit per set
   uint64_t use_stamp_ = 0;
   CacheStats stats_;
   /// line address -> cycle at which an in-flight fill completes.

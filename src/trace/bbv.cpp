@@ -6,6 +6,7 @@
 #include "isa/engine.hpp"
 #include "isa/isa.hpp"
 #include "sim/sweep.hpp"
+#include "trace/checkpoint.hpp"
 #include "trace/trace.hpp"
 
 namespace cfir::trace {
@@ -25,10 +26,14 @@ void BbvBuilder::add(uint64_t pc, uint64_t n, bool ends_in_cond_branch) {
   // follows its predecessor's and only the last may be a branch.
   uint32_t dim;
   if (total_ == 0 || last_was_branch_ || pc != last_pc_ + isa::kInstBytes) {
-    const auto [it, inserted] =
-        dim_of_.try_emplace(pc, static_cast<uint32_t>(leaders_.size()));
-    if (inserted) leaders_.push_back(pc);
-    dim = it->second;
+    Hint& hint = hints_[(pc / isa::kInstBytes) & (kHints - 1)];
+    if (hint.pc != pc) {
+      const auto [it, inserted] =
+          dim_of_.try_emplace(pc, static_cast<uint32_t>(leaders_.size()));
+      if (inserted) leaders_.push_back(pc);
+      hint = {pc, it->second};
+    }
+    dim = hint.dim;
   } else {
     dim = runs_.back().dim;
   }
@@ -107,18 +112,22 @@ BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
 }
 
 BbvBuilder bbv_runs_from_program(const isa::Program& program,
-                                 uint64_t max_insts) {
+                                 uint64_t max_insts, SnapshotLadder* ladder) {
   BbvBuilder builder;
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  // Each sink call is one executed block slice: consecutive PCs, and only
-  // its last event can be a branch. kBranch events are exactly the
-  // conditional branches, so the slice's end needs no program lookup.
+  // Each slice is one executed block slice: consecutive PCs, of which
+  // only the last can be a conditional branch — exactly what add() takes.
   isa::FunctionalEngine engine(program, memory);
-  engine.set_sink([&](uint64_t entry_pc, const isa::StepEvent* ev, size_t n) {
-    builder.add(entry_pc, n, ev[n - 1].kind == isa::EventKind::kBranch);
+  engine.set_slice_sink([&](uint64_t entry_pc, uint32_t n, bool branch) {
+    builder.add(entry_pc, n, branch);
   });
-  engine.run(max_insts == 0 ? UINT64_MAX : max_insts);
+  const uint64_t cap = max_insts == 0 ? UINT64_MAX : max_insts;
+  if (ladder != nullptr) {
+    ladder->run(engine, memory, cap);
+  } else {
+    engine.run(cap);
+  }
   return builder;
 }
 

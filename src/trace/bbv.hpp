@@ -33,6 +33,7 @@
 // reference).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +42,7 @@
 
 namespace cfir::trace {
 
+class SnapshotLadder;
 class TraceReader;
 
 /// Per-interval basic-block vectors of one run.
@@ -84,9 +86,17 @@ class BbvBuilder {
     uint32_t dim;
     uint32_t insts;
   };
+  /// A direct-mapped (leader pc -> dimension) entry checked before
+  /// dim_of_; the all-ones pc is never a leader (pcs are aligned).
+  struct Hint {
+    uint64_t pc = ~uint64_t{0};
+    uint32_t dim = 0;
+  };
+  static constexpr size_t kHints = 256;  // power of two
 
   std::vector<uint64_t> leaders_;
   std::unordered_map<uint64_t, uint32_t> dim_of_;  ///< leader pc -> dimension
+  std::array<Hint, kHints> hints_{};
   std::vector<Run> runs_;
   uint64_t total_ = 0;
   uint64_t last_pc_ = 0;  ///< PC of the last instruction added
@@ -95,10 +105,14 @@ class BbvBuilder {
 
 /// One functional-engine pass over `program` (fresh memory, data image
 /// applied), stopping at HALT or after `max_insts` instructions (0 =
-/// unbounded), fed into a fresh builder a block slice at a time; the
-/// builder's total_insts() is the number of instructions the pass ran.
-[[nodiscard]] BbvBuilder bbv_runs_from_program(const isa::Program& program,
-                                               uint64_t max_insts = 0);
+/// unbounded), fed into a fresh builder a block slice at a time through
+/// the engine's slice sink; the builder's total_insts() is the number of
+/// instructions the pass ran. With a `ladder`, the same pass also keeps
+/// its architectural snapshots (checkpoint.hpp), so a caller can later
+/// check out any position of the run without re-executing its prefix.
+[[nodiscard]] BbvBuilder bbv_runs_from_program(
+    const isa::Program& program, uint64_t max_insts = 0,
+    SnapshotLadder* ladder = nullptr);
 
 /// Feeds every record of a recorded trace, in stream order, to a builder
 /// and bins the result into windows of `interval_len`.

@@ -177,4 +177,51 @@ std::vector<Checkpoint> interval_checkpoints(
   return out;
 }
 
+void SnapshotLadder::run(isa::FunctionalEngine& engine,
+                         const mem::MainMemory& memory, uint64_t cap) {
+  snaps_.clear();
+  grain_ = kStartGrain;
+  snaps_.push_back(snapshot(engine, memory));
+  for (;;) {
+    const uint64_t next = snaps_.size() * grain_;
+    if (next > cap) {
+      engine.run_to(cap);
+      return;
+    }
+    engine.run_to(next);
+    if (engine.executed() < next) return;  // halted first
+    snaps_.push_back(snapshot(engine, memory));
+    if (snaps_.size() > kMaxSnapshots) {
+      // Keep the even multiples: snaps_[i] moves to i / 2 at twice the
+      // grain.
+      for (size_t i = 2; i < snaps_.size(); i += 2) {
+        snaps_[i / 2] = std::move(snaps_[i]);
+      }
+      snaps_.resize((snaps_.size() + 1) / 2);
+      grain_ *= 2;
+    }
+  }
+}
+
+std::vector<Checkpoint> SnapshotLadder::checkpoints(
+    const isa::Program& program,
+    const std::vector<uint64_t>& positions) const {
+  obs::Span span("checkpoint.capture", positions.size());
+  std::vector<Checkpoint> out;
+  out.reserve(positions.size());
+  for (const uint64_t position : positions) {
+    const Checkpoint& from =
+        snaps_[std::min<uint64_t>(position / grain_, snaps_.size() - 1)];
+    Checkpoint& ck = out.emplace_back();
+    ck.memory = from.memory.clone();
+    isa::FunctionalEngine engine(program, ck.memory);
+    engine.set_arch_state(from.regs, from.pc);
+    engine.run(position - from.executed);
+    ck.pc = engine.pc();
+    ck.executed = from.executed + engine.executed();
+    ck.regs = engine.regs();
+  }
+  return out;
+}
+
 }  // namespace cfir::trace

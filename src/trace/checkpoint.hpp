@@ -32,6 +32,10 @@
 #include "isa/program.hpp"
 #include "mem/main_memory.hpp"
 
+namespace cfir::isa {
+class FunctionalEngine;
+}  // namespace cfir::isa
+
 namespace cfir::trace {
 
 inline constexpr char kCheckpointMagic[8] = {'C', 'F', 'I', 'R',
@@ -73,5 +77,46 @@ struct Checkpoint {
 /// final state.
 [[nodiscard]] std::vector<Checkpoint> interval_checkpoints(
     const isa::Program& program, const std::vector<uint64_t>& boundaries);
+
+/// Architectural snapshots (pc, executed, registers, memory clone) kept
+/// along one engine pass at every multiple of a grain, so that a position
+/// of the run chosen only after the pass (a cluster plan's representative
+/// windows) can be checked out by re-executing less than one grain rather
+/// than the whole prefix. The grain starts at kStartGrain; once more than
+/// kMaxSnapshots are kept, the odd multiples are dropped and the grain
+/// doubles, so a pass of N instructions keeps at most kMaxSnapshots + 1
+/// snapshots and its grain stays at most max(kStartGrain, N / 32).
+///
+/// Each snapshot clones the memory image. At scale 8 that is 1-4 pages
+/// (0.1-1.2 us a clone); a larger data footprint multiplies the
+/// snapshots' memory by up to kMaxSnapshots + 1, and copy-on-write pages
+/// shared with the live image would be the fix there.
+class SnapshotLadder {
+ public:
+  static constexpr uint64_t kStartGrain = 16 * 1024;
+  static constexpr size_t kMaxSnapshots = 64;
+
+  /// Runs `engine`, whose memory is `memory` and which must be at
+  /// instruction 0, until HALT or `cap` instructions, snapshotting at
+  /// every multiple of the grain (0 included).
+  void run(isa::FunctionalEngine& engine, const mem::MainMemory& memory,
+           uint64_t cap);
+
+  /// The checkpoint at each of `positions` (instruction counts of the run,
+  /// any order): resumes a functional engine from the latest snapshot at
+  /// or before the position and runs the remainder. Equal to
+  /// interval_checkpoints(program, positions) for sorted positions;
+  /// positions past HALT repeat the final state.
+  [[nodiscard]] std::vector<Checkpoint> checkpoints(
+      const isa::Program& program,
+      const std::vector<uint64_t>& positions) const;
+
+  [[nodiscard]] uint64_t grain() const { return grain_; }
+  [[nodiscard]] size_t size() const { return snaps_.size(); }
+
+ private:
+  uint64_t grain_ = kStartGrain;
+  std::vector<Checkpoint> snaps_;  ///< snaps_[i].executed == i * grain_
+};
 
 }  // namespace cfir::trace

@@ -164,6 +164,23 @@ std::vector<uint32_t> kmeans(const std::vector<std::vector<double>>& points,
     centers.push_back(points[pick]);
   }
 
+  // Lloyd refinement. An iteration is a pure function of the (assignment,
+  // centers) state it starts from, so once a post-iteration state repeats,
+  // the rest of the loop is determined: a repeat of the previous state is
+  // a fixed point (its assignment is the answer), and a repeat of the one
+  // before that is a 2-cycle that would alternate until the cap (the
+  // answer is whichever of the two the cap's parity lands on). Detecting
+  // both ends the loop early with the result the full loop returns; with
+  // few distinct points, k above their count otherwise swaps two labelings
+  // until the cap. The stable-assignment exit below fires only after
+  // iteration 0, and only post-iteration states are compared, so neither
+  // shortcut can skip it.
+  struct State {
+    std::vector<uint32_t> assignment;
+    std::vector<std::vector<double>> centers;
+  };
+  State prev1;  // after the previous iteration
+  State prev2;  // after the one before that
   std::vector<uint32_t> assignment(n, 0);
   for (uint32_t iter = 0; iter < iters; ++iter) {
     bool changed = false;
@@ -213,6 +230,19 @@ std::vector<uint32_t> kmeans(const std::vector<std::vector<double>>& points,
       ++counts[c];
     }
     centers = std::move(next);
+
+    const auto repeats = [&](const State& s) {
+      return assignment == s.assignment && centers == s.centers;
+    };
+    if (iter >= 1 && repeats(prev1)) break;  // fixed point
+    if (iter >= 2 && repeats(prev2)) {
+      // 2-cycle: the state after iteration iters - 1 is this one when
+      // (iters - 1 - iter) is even, else the previous one.
+      if ((iters - 1 - iter) % 2 != 0) return std::move(prev1.assignment);
+      break;
+    }
+    prev2 = std::move(prev1);
+    prev1 = {assignment, centers};
   }
   return assignment;
 }

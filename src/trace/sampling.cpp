@@ -38,11 +38,11 @@ void apply_detail_cap(IntervalPlan& plan, uint64_t detail_len) {
   }
 }
 
-/// Checkpoint capture for the final plan: one snapshot per interval, at
+/// Where the final plan's checkpoints go: one per interval, at
 /// max(start - warmup, 0) for modes with a detailed warm-up slice (the
 /// clamp means a warm-up longer than the prefix starts at instruction 0,
 /// never underflows) and at the boundary itself otherwise.
-void capture_checkpoints(IntervalPlan& plan, const isa::Program& program) {
+std::vector<uint64_t> checkpoint_positions(const IntervalPlan& plan) {
   const uint64_t warmup =
       warm_mode_has_detailed_slice(plan.warm_mode) ? plan.warmup : 0;
   std::vector<uint64_t> warm_starts;
@@ -50,7 +50,7 @@ void capture_checkpoints(IntervalPlan& plan, const isa::Program& program) {
   for (const uint64_t start : plan.boundaries) {
     warm_starts.push_back(start >= warmup ? start - warmup : 0);
   }
-  plan.checkpoints = interval_checkpoints(program, warm_starts);
+  return warm_starts;
 }
 
 }  // namespace
@@ -83,7 +83,7 @@ IntervalPlan plan_intervals(const isa::Program& program, uint32_t k,
   }
   plan.weights.assign(k, 1.0);
   apply_detail_cap(plan, detail_len);
-  capture_checkpoints(plan, program);
+  plan.checkpoints = interval_checkpoints(program, checkpoint_positions(plan));
   return plan;
 }
 
@@ -96,9 +96,12 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
   plan.mode = SampleMode::kCluster;
   plan.warm_mode = opts.warm_mode;
   plan.warmup = opts.warmup;
-  // Pass 1: log the run's block runs. The log measures the run, so the
-  // windowing below needs no counting pass; pass 2 below: checkpoints.
-  BbvBuilder runs = bbv_runs_from_program(program, opts.max_insts);
+  // The one engine pass: it logs the run's block runs, which measure the
+  // run (so the windowing below needs no counting pass), and keeps the
+  // snapshots the checkpoints are checked out from once clustering has
+  // chosen the representatives.
+  SnapshotLadder ladder;
+  BbvBuilder runs = bbv_runs_from_program(program, opts.max_insts, &ladder);
   plan.total_insts = runs.total_insts();
   plan.ran_to_halt = plan.total_insts < cap;
   if (plan.total_insts == 0) {
@@ -107,7 +110,7 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
     plan.boundaries = {0};
     plan.lengths = {0};
     plan.weights = {1.0};
-    capture_checkpoints(plan, program);
+    plan.checkpoints = ladder.checkpoints(program, checkpoint_positions(plan));
     return plan;
   }
 
@@ -127,8 +130,7 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
   plan.bic_by_k = clusters.bic_by_k;
 
   // One measured interval per cluster, at its representative window,
-  // weighted by cluster population. Sorted by start so checkpoint capture
-  // stays a single forward interpreter pass.
+  // weighted by cluster population, sorted by start.
   std::vector<uint32_t> order(clusters.k);
   for (uint32_t c = 0; c < clusters.k; ++c) order[c] = c;
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
@@ -143,7 +145,7 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
     plan.weights.push_back(static_cast<double>(clusters.sizes[c]));
   }
   apply_detail_cap(plan, opts.detail_len);
-  capture_checkpoints(plan, program);
+  plan.checkpoints = ladder.checkpoints(program, checkpoint_positions(plan));
   return plan;
 }
 

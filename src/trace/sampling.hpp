@@ -142,9 +142,10 @@ struct ClusterPlanOptions {
 };
 
 /// Cluster plan: BBV + k-means phase detection, one weighted
-/// representative window per phase. Costs two functional-engine passes:
-/// one logs the block runs (bbv.hpp), which also measures the run, and
-/// one captures the checkpoints.
+/// representative window per phase. Costs one functional-engine pass,
+/// which logs the block runs (bbv.hpp), measures the run and keeps a
+/// SnapshotLadder, plus less than one snapshot grain of re-execution per
+/// checkpoint.
 [[nodiscard]] IntervalPlan plan_cluster_intervals(
     const isa::Program& program, const ClusterPlanOptions& opts = {});
 

@@ -345,7 +345,6 @@ WarmMode parse_warm_mode(std::string_view name) {
 SharedWarmState::SharedWarmState(const core::CoreConfig& config,
                                  const isa::Program& program)
     : program(&program),
-      l1i_line_bytes(config.memory.l1i.line_bytes),
       gshare(config.gshare_entries, config.gshare_history_bits),
       mbs(config.mbs_sets, config.mbs_ways),
       hier(config.memory) {}
@@ -353,7 +352,7 @@ SharedWarmState::SharedWarmState(const core::CoreConfig& config,
 void SharedWarmState::train(const TraceRecord& rec) {
   // Instruction fetch: one L1I access per line transition, mirroring the
   // core's fetch stage (last_fetch_line_ there, last_fetch_line here).
-  const uint64_t line = rec.pc / l1i_line_bytes;
+  const uint64_t line = hier.l1i().line_of(rec.pc);
   if (line != last_fetch_line) {
     hier.warm_inst(rec.pc);
     last_fetch_line = line;

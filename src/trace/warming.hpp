@@ -88,7 +88,6 @@ struct SharedWarmState {
   void train(const TraceRecord& rec);
 
   const isa::Program* program;
-  uint32_t l1i_line_bytes;
   branch::Gshare gshare;
   branch::MbsTable mbs;
   branch::ReturnAddressStack ras;

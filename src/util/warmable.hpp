@@ -128,50 +128,97 @@ class GeometryMismatch : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes the sparse entry list of a table-backed component: a u32 count,
-/// then, for each entry `keep` selects, its u32 table slot (ascending)
-/// followed by the fields `write_fields` appends. Components keep exactly
-/// the entries that differ from the table's constructed default.
+/// Thrown when a component is built with a table geometry it cannot
+/// index: a zero size, or a size it masks with that must be a power of
+/// two. Configurations can arrive from files (a CFIRMAN2 manifest carries
+/// raw CoreConfig bytes), so this is checked in every build type.
+class BadGeometry : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Throws BadGeometry ("<component>: <what> <value> ...") unless `value`
+/// is nonzero and, when `pow2`, a power of two.
+inline void require_geometry(const std::string& component, const char* what,
+                             uint64_t value, bool pow2) {
+  if (value == 0) {
+    throw BadGeometry(component + ": " + what + " must be nonzero");
+  }
+  if (pow2 && (value & (value - 1)) != 0) {
+    throw BadGeometry(component + ": " + what + " " + std::to_string(value) +
+                      " is not a power of two");
+  }
+}
+
+/// The sparse entry list of a table-backed component: a u32 count, then,
+/// for each kept entry in ascending slot order, its u32 table slot
+/// followed by its fields. entry() appends the slot (the caller then
+/// writes the fields); finish() patches the count.
+class SparseWriter {
+ public:
+  explicit SparseWriter(ByteWriter& out)
+      : out_(out), count_at_(out.placeholder_u32()) {}
+  void entry(size_t slot) {
+    out_.u32(static_cast<uint32_t>(slot));
+    ++count_;
+  }
+  void finish() { out_.patch_u32(count_at_, count_); }
+
+ private:
+  ByteWriter& out_;
+  size_t count_at_;
+  uint32_t count_ = 0;
+};
+
+/// Writes `table` as a sparse entry list: the entries `keep` selects,
+/// fields appended by `write_fields`. Components keep exactly the entries
+/// that differ from the table's constructed default.
 template <typename Entry, typename Keep, typename WriteFields>
 void write_sparse(ByteWriter& out, const std::vector<Entry>& table, Keep keep,
                   WriteFields write_fields) {
-  const size_t count_at = out.placeholder_u32();
-  uint32_t count = 0;
+  SparseWriter list(out);
   for (size_t slot = 0; slot < table.size(); ++slot) {
     if (!keep(table[slot])) continue;
-    out.u32(static_cast<uint32_t>(slot));
+    list.entry(slot);
     write_fields(table[slot]);
-    ++count;
   }
-  out.patch_u32(count_at, count);
+  list.finish();
 }
 
-/// Reads a write_sparse list into `table`, which the caller has reset to
-/// its constructed default; `read_fields` decodes each listed entry in
-/// place. Throws std::runtime_error naming `what` on a count above the
-/// table size or a slot that is past the end or not above the previous
-/// one, so a corrupt blob can neither write outside the table nor set a
-/// slot twice.
-template <typename Entry, typename ReadFields>
-void read_sparse(ByteReader& in, std::vector<Entry>& table, const char* what,
-                 ReadFields read_fields) {
+/// Reads a sparse entry list over a table of `slots` entries, calling
+/// `read_slot(slot)` to decode each listed entry. Throws
+/// std::runtime_error naming `what` on a count above the table size or a
+/// slot that is past the end or not above the previous one, so a corrupt
+/// blob can neither write outside the table nor set a slot twice.
+template <typename ReadSlot>
+void read_sparse_slots(ByteReader& in, size_t slots, const char* what,
+                       ReadSlot read_slot) {
   const uint32_t count = in.u32();
-  if (count > table.size()) {
+  if (count > slots) {
     throw std::runtime_error(std::string(what) + ": warm-state entry count " +
                              std::to_string(count) + " exceeds " +
-                             std::to_string(table.size()) + " table slots");
+                             std::to_string(slots) + " table slots");
   }
   size_t min_slot = 0;
   for (uint32_t k = 0; k < count; ++k) {
     const uint32_t slot = in.u32();
-    if (slot < min_slot || slot >= table.size()) {
+    if (slot < min_slot || slot >= slots) {
       throw std::runtime_error(std::string(what) + ": warm-state slot " +
                                std::to_string(slot) +
                                " out of range or order");
     }
-    read_fields(table[slot]);
+    read_slot(slot);
     min_slot = size_t{slot} + 1;
   }
+}
+
+/// read_sparse_slots into `table`, which the caller has reset to its
+/// constructed default; `read_fields` decodes each listed entry in place.
+template <typename Entry, typename ReadFields>
+void read_sparse(ByteReader& in, std::vector<Entry>& table, const char* what,
+                 ReadFields read_fields) {
+  read_sparse_slots(in, table.size(), what,
+                    [&](uint32_t slot) { read_fields(table[slot]); });
 }
 
 /// The interface proper. `deserialize` must reject blobs whose embedded

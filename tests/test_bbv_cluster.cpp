@@ -9,16 +9,23 @@
 //    block cap, with more windows than instructions and on an empty run
 //  - vectors partition the instruction stream (entries sum to interval
 //    instruction counts)
-//  - k-means separates well-separated synthetic clusters, deterministically
+//  - k-means separates well-separated synthetic clusters, deterministically,
+//    and its cycle exit returns what the plain Lloyd loop returns for every
+//    k and iteration cap, on points with and without duplicates
 //  - cluster_bbvs picks few phases for a homogeneous run, weights sum to
 //    the interval count, and representatives lie in their own cluster
 //  - plan_cluster_intervals produces a well-formed weighted plan with
-//    warm-up checkpoints
+//    warm-up checkpoints, and the checkpoints it checks out of its
+//    snapshot ladder equal a forward interval_checkpoints pass for every
+//    kernel, a run long enough to drop snapshots twice, a capped run that
+//    ends inside a block and a program that halts at instruction 0, under
+//    functional and hybrid warming
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -315,6 +322,176 @@ TEST(Kmeans, SeparatesDistantGroupsDeterministically) {
   EXPECT_EQ(kmeans(points, 2, /*seed=*/1), a);
 }
 
+// --- the plain Lloyd loop, as a reference for kmeans' cycle exit ----------
+
+uint64_t ref_splitmix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+struct RefRng {
+  uint64_t state;
+  uint64_t next() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return ref_splitmix64(state);
+  }
+  double next_double() {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
+};
+
+double ref_dist2(const std::vector<double>& a, const std::vector<double>& b) {
+  double d = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double diff = a[i] - b[i];
+    d += diff * diff;
+  }
+  return d;
+}
+
+std::vector<std::vector<double>> ref_centroids(
+    const std::vector<std::vector<double>>& points,
+    const std::vector<uint32_t>& assignment, uint32_t k) {
+  const size_t dims = points.empty() ? 0 : points[0].size();
+  std::vector<std::vector<double>> centroids(k,
+                                             std::vector<double>(dims, 0.0));
+  std::vector<uint64_t> counts(k, 0);
+  for (size_t i = 0; i < points.size(); ++i) {
+    const uint32_t c = assignment[i];
+    ++counts[c];
+    for (size_t j = 0; j < dims; ++j) centroids[c][j] += points[i][j];
+  }
+  for (uint32_t c = 0; c < k; ++c) {
+    if (counts[c] == 0) continue;
+    for (double& v : centroids[c]) v /= static_cast<double>(counts[c]);
+  }
+  return centroids;
+}
+
+/// k-means as it was before the cycle exit: k-means++ seeding, then Lloyd
+/// iterations that stop only when the assignment is stable or at `iters`.
+std::vector<uint32_t> reference_kmeans(
+    const std::vector<std::vector<double>>& points, uint32_t k, uint64_t seed,
+    uint32_t iters) {
+  const size_t n = points.size();
+  if (k == 0 || n == 0) return std::vector<uint32_t>(n, 0);
+  k = static_cast<uint32_t>(std::min<size_t>(k, n));
+  RefRng rng{ref_splitmix64(seed)};
+  std::vector<std::vector<double>> centers;
+  centers.push_back(points[rng.next() % n]);
+  std::vector<double> best_d2(n, 0.0);
+  while (centers.size() < k) {
+    double total = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      double d2 = ref_dist2(points[i], centers[0]);
+      for (size_t c = 1; c < centers.size(); ++c) {
+        d2 = std::min(d2, ref_dist2(points[i], centers[c]));
+      }
+      best_d2[i] = d2;
+      total += d2;
+    }
+    size_t pick = 0;
+    if (total > 0.0) {
+      double target = rng.next_double() * total;
+      for (; pick + 1 < n; ++pick) {
+        target -= best_d2[pick];
+        if (target <= 0.0) break;
+      }
+    } else {
+      pick = rng.next() % n;
+    }
+    centers.push_back(points[pick]);
+  }
+  std::vector<uint32_t> assignment(n, 0);
+  for (uint32_t iter = 0; iter < iters; ++iter) {
+    bool changed = false;
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t best = 0;
+      double best_dist = std::numeric_limits<double>::max();
+      for (uint32_t c = 0; c < k; ++c) {
+        const double d2 = ref_dist2(points[i], centers[c]);
+        if (d2 < best_dist) {
+          best_dist = d2;
+          best = c;
+        }
+      }
+      if (assignment[i] != best) {
+        assignment[i] = best;
+        changed = true;
+      }
+    }
+    if (!changed && iter > 0) break;
+    auto next = ref_centroids(points, assignment, k);
+    std::vector<uint64_t> counts(k, 0);
+    for (const uint32_t a : assignment) ++counts[a];
+    for (uint32_t c = 0; c < k; ++c) {
+      if (counts[c] > 0) continue;
+      size_t farthest = n;
+      double far_d = -1.0;
+      for (size_t i = 0; i < n; ++i) {
+        if (counts[assignment[i]] <= 1) continue;
+        const double d2 = ref_dist2(points[i], next[assignment[i]]);
+        if (d2 > far_d) {
+          far_d = d2;
+          farthest = i;
+        }
+      }
+      if (farthest == n) continue;
+      --counts[assignment[farthest]];
+      next[c] = points[farthest];
+      assignment[farthest] = c;
+      ++counts[c];
+    }
+    centers = std::move(next);
+  }
+  return assignment;
+}
+
+TEST(Kmeans, CycleExitMatchesThePlainLloydLoop) {
+  // Kernels whose windows repeat a few BBVs exactly (the duplicates that
+  // make k above their count cycle), and point sets without duplicates.
+  std::vector<std::pair<std::string, std::vector<std::vector<double>>>> inputs;
+  for (const char* kernel : {"bzip2", "mcf", "vortex", "gcc", "twolf"}) {
+    BbvBuilder runs = bbv_runs_from_program(workloads::build(kernel, 8));
+    const BbvSet bbvs = runs.finish(window_len(runs.total_insts(), 16));
+    inputs.emplace_back(kernel, project_bbvs(bbvs, 16, 0xC1F15EEDu));
+  }
+  RefRng gen{7};
+  for (const size_t n : {size_t{16}, size_t{24}}) {
+    std::vector<std::vector<double>> distinct;
+    std::vector<std::vector<double>> repeated;
+    for (size_t i = 0; i < n; ++i) {
+      distinct.push_back({gen.next_double(), gen.next_double(),
+                          gen.next_double()});
+      repeated.push_back({static_cast<double>(i % 3), 0.5 * (i % 3 == 1)});
+    }
+    inputs.emplace_back("distinct/" + std::to_string(n), distinct);
+    inputs.emplace_back("three-points/" + std::to_string(n), repeated);
+  }
+
+  size_t with_duplicates = 0;
+  for (const auto& [name, points] : inputs) {
+    std::vector<std::vector<double>> sorted = points;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      ++with_duplicates;
+    }
+    for (uint32_t k = 1; k <= 16; ++k) {
+      for (uint32_t cap = 1; cap <= 64; ++cap) {
+        const uint64_t seed = 0xC1F15EEDu + k;
+        ASSERT_EQ(kmeans(points, k, seed, cap),
+                  reference_kmeans(points, k, seed, cap))
+            << name << " k=" << k << " cap=" << cap;
+      }
+    }
+  }
+  // Both kinds of input are covered.
+  EXPECT_GT(with_duplicates, 0u);
+  EXPECT_LT(with_duplicates, inputs.size());
+}
+
 TEST(Cluster, HomogeneousRunCollapsesToFewPhases) {
   // bzip2 iterates one hammock kernel; its intervals are near-identical,
   // so BIC must not shatter them into one cluster per interval.
@@ -366,6 +543,133 @@ TEST(Cluster, PlanClusterIntervalsIsWellFormed) {
     EXPECT_EQ(plan.checkpoints[i].executed, expect_start);
   }
   EXPECT_EQ(weight_sum, static_cast<double>(plan.cluster_of.size()));
+}
+
+// --- checkpoints checked out of the planning pass's snapshots ------------
+
+/// The plan's checkpoints equal a forward interval_checkpoints pass over
+/// the positions the warm mode puts them at. Returns how many positions
+/// the warm-up clamped to 0 from a nonzero boundary.
+size_t expect_checkpoints_match_forward_pass(const isa::Program& program,
+                                             const IntervalPlan& plan,
+                                             const std::string& what) {
+  const uint64_t warmup =
+      warm_mode_has_detailed_slice(plan.warm_mode) ? plan.warmup : 0;
+  std::vector<uint64_t> positions;
+  size_t clamped = 0;
+  for (const uint64_t start : plan.boundaries) {
+    positions.push_back(start >= warmup ? start - warmup : 0);
+    if (start > 0 && start < warmup) ++clamped;
+  }
+  const std::vector<Checkpoint> forward =
+      interval_checkpoints(program, positions);
+  EXPECT_EQ(plan.checkpoints.size(), forward.size()) << what;
+  for (size_t i = 0; i < std::min(forward.size(), plan.checkpoints.size());
+       ++i) {
+    const Checkpoint& a = plan.checkpoints[i];
+    const Checkpoint& b = forward[i];
+    EXPECT_EQ(a.executed, positions[i]) << what << " checkpoint " << i;
+    EXPECT_EQ(a.executed, b.executed) << what << " checkpoint " << i;
+    EXPECT_EQ(a.pc, b.pc) << what << " checkpoint " << i;
+    EXPECT_EQ(a.regs, b.regs) << what << " checkpoint " << i;
+    EXPECT_EQ(a.memory.digest(), b.memory.digest())
+        << what << " checkpoint " << i;
+  }
+  return clamped;
+}
+
+TEST(SnapshotLadder, CheckpointsMatchForwardPassOnEveryKernel) {
+  size_t clamped = 0;
+  for (const std::string& kernel : workloads::names()) {
+    const isa::Program program = workloads::build(kernel, 8);
+    for (const WarmMode mode : {WarmMode::kFunctional, WarmMode::kHybrid}) {
+      ClusterPlanOptions opts;
+      opts.n_intervals = 16;
+      opts.warm_mode = mode;
+      opts.warmup = 100000;  // longer than the prefix of windows 1 and 2
+      opts.detail_len = 2000;
+      const IntervalPlan plan = plan_cluster_intervals(program, opts);
+      clamped += expect_checkpoints_match_forward_pass(
+          program, plan, kernel + " " + warm_mode_name(mode));
+    }
+  }
+  EXPECT_GT(clamped, 0u) << "no warm-up reached back past instruction 0";
+}
+
+TEST(SnapshotLadder, DropsSnapshotsAsTheRunGrows) {
+  const isa::Program program = workloads::build("bzip2", 40);
+  SnapshotLadder ladder;
+  const uint64_t total =
+      bbv_runs_from_program(program, 0, &ladder).total_insts();
+  // Dropped twice: the grain doubled at least twice, and stays within
+  // total / 32 with at most kMaxSnapshots + 1 snapshots kept.
+  EXPECT_GE(ladder.grain(), 4 * SnapshotLadder::kStartGrain);
+  EXPECT_LE(ladder.grain(), total / 32);
+  EXPECT_LE(ladder.size(), SnapshotLadder::kMaxSnapshots + 1);
+  EXPECT_EQ(ladder.size(), total / ladder.grain() + 1);
+
+  // Checkouts anywhere in the run, unsorted, including the ends.
+  const std::vector<uint64_t> positions = {
+      total - 1, 0, ladder.grain(), ladder.grain() - 1, total / 3, total};
+  const std::vector<Checkpoint> out = ladder.checkpoints(program, positions);
+  for (size_t i = 0; i < positions.size(); ++i) {
+    const std::vector<Checkpoint> forward =
+        interval_checkpoints(program, {positions[i]});
+    EXPECT_EQ(out[i].executed, positions[i]);
+    EXPECT_EQ(out[i].pc, forward[0].pc) << "position " << positions[i];
+    EXPECT_EQ(out[i].regs, forward[0].regs) << "position " << positions[i];
+    EXPECT_EQ(out[i].memory.digest(), forward[0].memory.digest())
+        << "position " << positions[i];
+  }
+
+  for (const WarmMode mode : {WarmMode::kFunctional, WarmMode::kHybrid}) {
+    ClusterPlanOptions opts;
+    opts.n_intervals = 32;
+    opts.warm_mode = mode;
+    opts.warmup = 20000;
+    const IntervalPlan plan = plan_cluster_intervals(program, opts);
+    EXPECT_EQ(plan.total_insts, total);
+    expect_checkpoints_match_forward_pass(
+        program, plan, std::string("bzip2 s40 ") + warm_mode_name(mode));
+  }
+}
+
+TEST(SnapshotLadder, CappedRunEndingInsideABlock) {
+  const isa::Program program = workloads::build("parser", 8);
+  const uint64_t cap = 300001;
+  // The cap must cut a block: the instruction after it continues the
+  // block the cap stopped in.
+  std::vector<bool> starts;
+  (void)reference_bbvs(program, 1, cap + 1, &starts);
+  ASSERT_EQ(starts.size(), cap + 1);
+  ASSERT_FALSE(starts.back()) << "cap ends between blocks";
+  for (const WarmMode mode : {WarmMode::kFunctional, WarmMode::kHybrid}) {
+    ClusterPlanOptions opts;
+    opts.n_intervals = 16;
+    opts.warm_mode = mode;
+    opts.warmup = 30000;
+    opts.max_insts = cap;
+    const IntervalPlan plan = plan_cluster_intervals(program, opts);
+    EXPECT_EQ(plan.total_insts, cap);
+    EXPECT_FALSE(plan.ran_to_halt);
+    expect_checkpoints_match_forward_pass(
+        program, plan, std::string("parser capped ") + warm_mode_name(mode));
+  }
+}
+
+TEST(SnapshotLadder, ProgramThatHaltsAtInstructionZero) {
+  isa::Assembler as;
+  as.halt();
+  const isa::Program program = as.assemble();
+  for (const WarmMode mode : {WarmMode::kFunctional, WarmMode::kHybrid}) {
+    ClusterPlanOptions opts;
+    opts.warm_mode = mode;
+    opts.warmup = 1000;
+    const IntervalPlan plan = plan_cluster_intervals(program, opts);
+    EXPECT_EQ(plan.total_insts, 0u);
+    expect_checkpoints_match_forward_pass(
+        program, plan, std::string("halt ") + warm_mode_name(mode));
+  }
 }
 
 }  // namespace

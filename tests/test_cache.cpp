@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "util/warmable.hpp"
+
 namespace cfir::mem {
 namespace {
 
@@ -114,6 +119,105 @@ TEST(Cache, Table1Geometry) {
   EXPECT_EQ(l2.num_sets(), 2048u);
   Cache l3(CacheConfig{"L3", 2 * 1024 * 1024, 4, 64, 18});
   EXPECT_EQ(l3.num_sets(), 8192u);
+}
+
+// --- lazily built sets ---------------------------------------------------
+
+std::vector<uint8_t> bytes_of(const Cache& c) {
+  util::ByteWriter out;
+  c.serialize(out);
+  return out.take();
+}
+
+/// Drives `c` through misses, evictions, dirty hits and fills still in
+/// flight at cycle `now` + 50 (latency 500 from the level below).
+void exercise(Cache& c, uint64_t now) {
+  for (uint64_t i = 0; i < 40; ++i) {
+    const uint64_t addr = (i * 0x1230 + (i % 3) * 0x40) & 0xFFFF;
+    c.access(addr, i % 4 == 0, now + i, 500);
+    c.access(addr + 8, i % 5 == 0, now + i + 1, 500);
+  }
+}
+
+/// The same accesses on both caches see the same hits and latencies.
+void expect_same_next_accesses(Cache& a, Cache& b, uint64_t now) {
+  for (uint64_t i = 0; i < 64; ++i) {
+    const uint64_t addr = (i * 0x470 + (i % 7) * 0x10) & 0xFFFF;
+    const Cache::Result ra = a.access(addr, i % 3 == 0, now + i, 90);
+    const Cache::Result rb = b.access(addr, i % 3 == 0, now + i, 90);
+    ASSERT_EQ(ra.hit, rb.hit) << "access " << i;
+    ASSERT_EQ(ra.latency, rb.latency) << "access " << i;
+  }
+  EXPECT_EQ(bytes_of(a), bytes_of(b));
+}
+
+CacheConfig lazy_cache() {
+  // 64 sets x 3 ways x 32-byte lines: a way count that is not a power of
+  // two, and more sets than the accesses below bring to life.
+  return CacheConfig{"lazy", 64 * 3 * 32, 3, 32, 2};
+}
+
+TEST(Cache, DeserializeOverAUsedCacheMatchesAFreshOne) {
+  Cache warm(lazy_cache());
+  for (uint64_t i = 0; i < 30; ++i) warm.warm_access(i * 0x2A0, i % 2 == 0);
+  const std::vector<uint8_t> blob = bytes_of(warm);
+
+  Cache used(lazy_cache());
+  exercise(used, 1000);  // live sets, dirty lines, fills pending past 1050
+  Cache fresh(lazy_cache());
+  util::ByteReader in_used(blob);
+  used.deserialize(in_used);
+  util::ByteReader in_fresh(blob);
+  fresh.deserialize(in_fresh);
+
+  EXPECT_EQ(bytes_of(used), blob);
+  EXPECT_EQ(bytes_of(fresh), blob);
+  EXPECT_EQ(used.debug_digest(), fresh.debug_digest());
+  EXPECT_EQ(used.debug_digest(), warm.debug_digest());
+  expect_same_next_accesses(used, fresh, 1010);
+}
+
+TEST(Cache, CopiesEqualTheirSource) {
+  const auto exercised = [] {
+    Cache c(lazy_cache());
+    exercise(c, 0);
+    return c;
+  };
+  const Cache src = exercised();
+  Cache copy(src);
+  Cache assigned(lazy_cache());
+  exercise(assigned, 7000);
+  assigned = src;
+  Cache resized(small_cache());  // another geometry: reallocated
+  resized = src;
+  for (Cache* c : {&copy, &assigned, &resized}) {
+    EXPECT_EQ(c->num_sets(), src.num_sets());
+    EXPECT_EQ(bytes_of(*c), bytes_of(src));
+    EXPECT_EQ(c->debug_digest(), src.debug_digest());
+    EXPECT_EQ(c->stats().accesses, src.stats().accesses);
+    EXPECT_EQ(c->stats().writebacks, src.stats().writebacks);
+    // In-flight fills are copied too: the next accesses time as they do
+    // on a cache that went through the same accesses itself.
+    Cache twin = exercised();
+    expect_same_next_accesses(*c, twin, 20);
+  }
+}
+
+TEST(Cache, DeadSetsReadAsInvalid) {
+  Cache c(lazy_cache());
+  EXPECT_EQ(c.find(0x40), -1);
+  EXPECT_FALSE(c.probe(0x12340));
+  const std::vector<uint8_t> bytes = bytes_of(c);
+  util::ByteReader in(bytes);
+  EXPECT_EQ(in.u32(), c.num_sets());
+  EXPECT_EQ(in.u32(), 3u);
+  EXPECT_EQ(in.u64(), 0u);  // use stamp
+  EXPECT_EQ(in.u32(), 0u);  // no valid lines
+  EXPECT_TRUE(in.done());
+  // The first miss into a dead set fills its way 0, the victim an array
+  // of invalid lines picks: line 2 lives in set 2, slot 2 * 3 + 0.
+  c.access(0x40, true, 0, 10);
+  EXPECT_EQ(c.find(0x40), 6);
 }
 
 }  // namespace

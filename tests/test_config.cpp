@@ -10,7 +10,11 @@
 //  - serialize ∘ deserialize is the identity (manifest-embedded configs
 //    rebuild exactly), and truncated blobs are rejected;
 //  - preset specs (sim::presets::from_spec) parse to the presets they name
-//    and reject malformed input.
+//    and reject malformed input;
+//  - a cache or predictor geometry the components cannot index (zero
+//    sizes, masked sizes that are not powers of two) is rejected with
+//    util::BadGeometry, naming the component and value, when a Simulator
+//    is built — in every build type, since configs arrive from manifests.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -19,7 +23,9 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "isa/assembler.hpp"
 #include "sim/presets.hpp"
+#include "sim/simulator.hpp"
 #include "util/warmable.hpp"
 
 namespace cfir::core {
@@ -146,6 +152,73 @@ TEST(PresetSpec, ParsesFamiliesAndRejectsGarbage) {
                std::runtime_error);
   EXPECT_THROW((void)sim::presets::from_spec("scal:1:256:4"),
                std::runtime_error);
+}
+
+TEST(Geometry, BadGeometryIsRejectedWhenASimulatorIsBuilt) {
+  isa::Assembler as;
+  as.movi(1, 1);
+  as.halt();
+  const isa::Program program = as.assemble();
+  struct Case {
+    const char* name;
+    std::function<void(CoreConfig&)> edit;
+    std::vector<std::string> message;  ///< substrings of what()
+  };
+  const std::vector<Case> cases = {
+      {"48KB 2-way L1D",
+       [](CoreConfig& c) { c.memory.l1d.size_bytes = 48 * 1024; },
+       {"L1D", "set count 768"}},
+      {"L1D line 48", [](CoreConfig& c) { c.memory.l1d.line_bytes = 48; },
+       {"L1D", "line size 48"}},
+      {"L1D line 0", [](CoreConfig& c) { c.memory.l1d.line_bytes = 0; },
+       {"L1D", "line size"}},
+      {"zero-way L1D", [](CoreConfig& c) { c.memory.l1d.assoc = 0; },
+       {"L1D", "way count"}},
+      {"L2 smaller than a set",
+       [](CoreConfig& c) { c.memory.l2.size_bytes = 64; },
+       {"L2", "set count"}},
+      {"L3 line 96", [](CoreConfig& c) { c.memory.l3.line_bytes = 96; },
+       {"L3", "line size 96"}},
+      {"L1I 3 sets",
+       [](CoreConfig& c) { c.memory.l1i.size_bytes = 3 * 2 * 64; },
+       {"L1I", "set count 3"}},
+      {"gshare 1000", [](CoreConfig& c) { c.gshare_entries = 1000; },
+       {"Gshare", "entry count 1000"}},
+      {"gshare 0", [](CoreConfig& c) { c.gshare_entries = 0; },
+       {"Gshare", "entry count"}},
+      {"MBS 48 sets", [](CoreConfig& c) { c.mbs_sets = 48; },
+       {"MbsTable", "set count 48"}},
+      {"MBS 0 ways", [](CoreConfig& c) { c.mbs_ways = 0; },
+       {"MbsTable", "way count"}},
+      {"stride 100 sets", [](CoreConfig& c) { c.stride_sets = 100; },
+       {"StridePredictor", "set count 100"}},
+      {"stride 0 ways", [](CoreConfig& c) { c.stride_ways = 0; },
+       {"StridePredictor", "way count"}},
+      {"SRSMT 0 sets", [](CoreConfig& c) { c.srsmt_sets = 0; },
+       {"Srsmt", "set count"}},
+      {"SRSMT 12 sets", [](CoreConfig& c) { c.srsmt_sets = 12; },
+       {"Srsmt", "set count 12"}},
+      {"SRSMT 0 ways", [](CoreConfig& c) { c.srsmt_ways = 0; },
+       {"Srsmt", "way count"}},
+  };
+  for (const Case& k : cases) {
+    CoreConfig config = sim::presets::ci(2, 256);
+    k.edit(config);
+    try {
+      sim::Simulator sim(config, program);
+      ADD_FAILURE() << k.name << ": built without an error";
+    } catch (const util::BadGeometry& e) {
+      for (const std::string& part : k.message) {
+        EXPECT_NE(std::string(e.what()).find(part), std::string::npos)
+            << k.name << ": '" << e.what() << "' lacks '" << part << "'";
+      }
+    }
+  }
+  // Way counts need not be powers of two: a 3-way L1D builds and runs.
+  CoreConfig three_way = sim::presets::ci(2, 256);
+  three_way.memory.l1d = {"L1D", 96 * 1024, 3, 32, 1};
+  sim::Simulator sim(three_way, program);
+  EXPECT_EQ(sim.run(10).committed, 1u);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // hundreds of adversarial random programs plus hand-built block-boundary
 // edge cases. Warming digests, trace bytes and sampled stats are all
 // derived from this stream, so stream equality here is what makes
-// CFIR_ENGINE=cached safe everywhere else.
+// CFIR_ENGINE=cached safe everywhere else. The slice report (on_slice /
+// FunctionalEngine::set_slice_sink) must equal the slices derived from
+// each engine's own event spans, over the same programs, at budgets that
+// end inside blocks and across the 256-op block cap.
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -414,6 +417,136 @@ TEST(FunctionalEngine, BothKindsDeliverIdenticalStreams) {
     traces[k].mem_digest = memory.digest();
   }
   expect_identical(traces[0], traces[1], "facade switch vs cached");
+}
+
+// --- slice report ---------------------------------------------------------
+
+struct Slice {
+  uint64_t pc = 0;
+  uint32_t n = 0;
+  bool ends_in_cond_branch = false;
+  bool operator==(const Slice&) const = default;
+};
+
+struct SliceRun {
+  std::vector<Slice> slices;
+  uint64_t executed = 0;
+  uint64_t pc = 0;
+  std::array<uint64_t, isa::kNumLogicalRegs> regs{};
+  uint64_t mem_digest = 0;
+  bool operator==(const SliceRun&) const = default;
+};
+
+/// Runs `program` on the facade of `kind` in installments of `chunk`
+/// instructions, reading the block slices from the slice sink or, with
+/// `from_events`, deriving them from the event sink's spans (entry pc,
+/// span length, whether the last event is kBranch).
+SliceRun run_slices(const isa::Program& program, EngineKind kind,
+                    uint64_t chunk, bool from_events) {
+  SliceRun out;
+  mem::MainMemory memory;
+  isa::load_data_image(program, memory);
+  isa::FunctionalEngine engine(program, memory, kind);
+  if (from_events) {
+    engine.set_sink([&](uint64_t pc, const StepEvent* ev, size_t n) {
+      out.slices.push_back({pc, static_cast<uint32_t>(n),
+                            ev[n - 1].kind == EventKind::kBranch});
+    });
+  } else {
+    engine.set_slice_sink([&](uint64_t pc, uint32_t n, bool branch) {
+      out.slices.push_back({pc, n, branch});
+    });
+  }
+  while (engine.run(chunk) > 0) {
+  }
+  out.executed = engine.executed();
+  out.pc = engine.pc();
+  out.regs = engine.regs();
+  out.mem_digest = memory.digest();
+  return out;
+}
+
+/// A counted loop whose straight-line body (300 ops) is longer than the
+/// engine's 256-op block cap.
+isa::Program over_block_cap_program() {
+  isa::Assembler as;
+  as.movi(1, 0);
+  as.movi(2, 5);
+  as.label("loop");
+  for (int i = 0; i < 300; ++i) as.addi(3 + i % 4, 3 + i % 4, i);
+  as.addi(1, 1, 1);
+  as.blt(1, 2, "loop");
+  as.halt();
+  return as.assemble();
+}
+
+TEST(SliceReport, MatchesEventSpansOnBothEngines) {
+  std::vector<std::pair<std::string, isa::Program>> programs;
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    programs.emplace_back("random " + std::to_string(seed),
+                          testing::random_program(seed));
+  }
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    programs.emplace_back("call " + std::to_string(seed),
+                          random_call_program(seed));
+  }
+  programs.emplace_back("over block cap", over_block_cap_program());
+  bool cut_by_cap = false;
+  for (const auto& [name, program] : programs) {
+    for (const EngineKind kind : {EngineKind::kCached, EngineKind::kSwitch}) {
+      // Whole runs, and installments that end inside blocks.
+      for (const uint64_t chunk : {UINT64_MAX, uint64_t{17}, uint64_t{1}}) {
+        const SliceRun slices = run_slices(program, kind, chunk, false);
+        ASSERT_EQ(slices, run_slices(program, kind, chunk, true))
+            << name << " engine " << isa::engine_kind_name(kind) << " chunk "
+            << chunk;
+        uint64_t total = 0;
+        for (const Slice& s : slices.slices) {
+          total += s.n;
+          if (kind == EngineKind::kSwitch) EXPECT_EQ(s.n, 1u);
+          cut_by_cap = cut_by_cap || s.n == 256;
+        }
+        EXPECT_EQ(total, slices.executed) << name;
+      }
+    }
+  }
+  EXPECT_TRUE(cut_by_cap) << "no slice reached the 256-op block cap";
+}
+
+TEST(SliceReport, FastEngineRejectsBothSinks) {
+  const isa::Program program = testing::random_program(5);
+  mem::MainMemory memory;
+  isa::load_data_image(program, memory);
+  isa::FastEngine engine(program, memory);
+  engine.on_block = [](uint64_t, const StepEvent*, size_t) {};
+  engine.on_slice = [](uint64_t, uint32_t, bool) {};
+  EXPECT_THROW(engine.run(), std::logic_error);
+}
+
+TEST(FunctionalEngine, SetArchStateResumesFromASnapshot) {
+  const isa::Program program = random_call_program(4);
+  const RunTrace straight = run_interpreter(program);
+  ASSERT_GT(straight.executed, 20u);
+  for (const EngineKind kind : {EngineKind::kSwitch, EngineKind::kCached}) {
+    for (const uint64_t at :
+         {uint64_t{0}, uint64_t{7}, straight.executed / 2}) {
+      mem::MainMemory memory;
+      isa::load_data_image(program, memory);
+      isa::FunctionalEngine first(program, memory, kind);
+      first.run(at);
+      mem::MainMemory copy = memory.clone();
+      isa::FunctionalEngine resumed(program, copy, kind);
+      resumed.set_arch_state(first.regs(), first.pc());
+      resumed.run();
+      const std::string what = std::string(isa::engine_kind_name(kind)) +
+                               " from " + std::to_string(at);
+      EXPECT_EQ(at + resumed.executed(), straight.executed) << what;
+      EXPECT_TRUE(resumed.halted()) << what;
+      EXPECT_EQ(resumed.pc(), straight.pc) << what;
+      EXPECT_EQ(resumed.regs(), straight.regs) << what;
+      EXPECT_EQ(copy.digest(), straight.mem_digest) << what;
+    }
+  }
 }
 
 TEST(FunctionalEngine, RunToIsMonotonic) {

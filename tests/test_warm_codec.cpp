@@ -6,6 +6,9 @@
 //  - install_warm_state leaves a Simulator in the same state as
 //    FunctionalWarmer::deserialize_state + apply_to, and it then simulates
 //    byte-identical stats;
+//  - installed over a unit that already ran (live cache sets, dirty
+//    lines, fills in flight), it leaves the hierarchy as an install into
+//    a fresh unit does: same bytes, digest and next access latencies;
 //  - malformed blobs fail with their typed error (trace/errors.hpp);
 //  - a whole-run blob of a paper-sized config stays small.
 #include <gtest/gtest.h>
@@ -218,6 +221,49 @@ TEST(WarmCodec, DirectInstallMatchesDeserializeThenApply) {
       EXPECT_EQ(stats_bytes(direct.run(5000)), expect) << where;
       EXPECT_EQ(core_digests(direct), core_digests(via_warmer)) << where;
     }
+  }
+}
+
+TEST(WarmCodec, InstallOverARanUnitMatchesAFreshOne) {
+  const isa::Program program = workloads::build("parser", 1);
+  const Checkpoint ck = fast_forward(program, 30000);
+  for (const core::CoreConfig& config :
+       {sim::presets::ci(2, 512), sim::presets::scal(1, 128)}) {
+    FunctionalWarmer warmer(config, program);
+    warmer.advance_to(ck.executed);
+    const std::vector<uint8_t> blob = warmer.serialize_state();
+
+    // A unit that already ran holds live sets, dirty lines and fills in
+    // flight; one more miss at a late cycle leaves a fill pending there,
+    // which an access 10 cycles on would merge with if it survived.
+    sim::Simulator ran(config, program, ck);
+    (void)ran.run(4000);
+    mem::CacheHierarchy& used = ran.core().hierarchy();
+    const uint64_t late = 1'000'000;
+    (void)used.access_data(0x7654320, true, late);
+    install_warm_state(blob, ran);
+    sim::Simulator fresh(config, program, ck);
+    install_warm_state(blob, fresh);
+    mem::CacheHierarchy& clean = fresh.core().hierarchy();
+
+    const std::string where = config.label();
+    util::ByteWriter a, b;
+    used.serialize(a);
+    clean.serialize(b);
+    EXPECT_EQ(a.data(), b.data()) << where;
+    EXPECT_EQ(used.debug_digest(), clean.debug_digest()) << where;
+    for (uint64_t i = 0; i < 200; ++i) {
+      const uint64_t addr = i % 2 == 0 ? 0x7654320 + 8 * (i % 5)
+                                       : program.base() + 64 * i;
+      const uint64_t now = late + 10 + i;
+      ASSERT_EQ(used.access_data(addr, i % 3 == 0, now),
+                clean.access_data(addr, i % 3 == 0, now))
+          << where << " data access " << i;
+      ASSERT_EQ(used.access_inst(program.base() + 16 * i, now),
+                clean.access_inst(program.base() + 16 * i, now))
+          << where << " fetch " << i;
+    }
+    EXPECT_EQ(used.debug_digest(), clean.debug_digest()) << where;
   }
 }
 
