@@ -106,10 +106,10 @@ inline void dump_telemetry_json(const std::vector<sim::RunOutcome>& outcomes) {
     insts += o.detailed_insts;
   }
   const double secs = wall_ms / 1000.0;
-  std::printf("{\"telemetry\":true,\"engine\":\"%s\",\"wall_ms\":%.3f,"
+  std::printf("{\"telemetry\":true,\"wall_ms\":%.3f,"
               "\"detailed_insts\":%llu,\"insts_per_sec\":%.0f,"
               "\"metrics\":%s}\n",
-              isa::engine_kind_name(sim::env_engine_kind()), wall_ms, insts,
+              wall_ms, insts,
               secs > 0 ? static_cast<double>(insts) / secs : 0.0,
               obs::Registry::instance().to_json().c_str());
 }

@@ -1,23 +1,24 @@
-// Functional-engine throughput: the switch-dispatch reference interpreter
-// versus the superblock-caching engine (isa/engine.hpp), run over workload
-// kernels to architectural completion in the two configurations the
-// pipeline uses:
+// Functional-engine throughput: the superblock-caching FunctionalEngine
+// (isa/engine.hpp) run over workload kernels to architectural completion
+// in the three configurations the pipeline uses, against the
+// switch-dispatch reference Interpreter as a baseline:
 //
 //   bare    no sink attached — pure architectural fast-forward, the
 //           checkpoint / planning path
-//   stream  per-block sink attached — every branch/mem/step event is
-//           delivered, the warming / trace-record path (the switch
-//           engine pays three per-instruction std::function observers
-//           here; the cached engine batches events per block)
+//   stream  per-block event sink attached — every branch/mem/step event
+//           is delivered, batched per block: the warming / trace-record
+//           path
 //   slices  slice sink feeding a trace::BbvBuilder — the cluster
-//           planner's BBV pass, minus its snapshots (the cached engine
-//           reports one slice per executed block and writes no events;
-//           the switch engine reports one-instruction slices)
+//           planner's BBV pass, minus its snapshots (one slice per
+//           executed block, no events written)
 //
-// Prints a table (million insts/sec per engine and mode, plus speedups)
-// and, under CFIR_JSON=1, one machine-readable line per (workload, engine,
-// mode) cell with `insts_per_sec` — the figure tests/test_engine_bench.cpp
-// guards.
+// The baseline (`switch`) is the Interpreter's unobserved run, timed in
+// mode bare only: it is the oracle, not a path the pipeline streams from.
+//
+// Prints a table (million insts/sec per mode, plus the bare speedup over
+// the baseline) and, under CFIR_JSON=1, one machine-readable line per
+// (workload, engine, mode) cell with `insts_per_sec` — `engine` is
+// "switch" for the baseline and "cached" for FunctionalEngine.
 //
 // No Google Benchmark dependency: runs are long enough (hundreds of
 // thousands of instructions, best-of-N) that plain wall-clock timing is
@@ -26,10 +27,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common.hpp"
 #include "isa/engine.hpp"
+#include "isa/interpreter.hpp"
 #include "mem/main_memory.hpp"
 #include "obs/metrics.hpp"
 #include "trace/bbv.hpp"
@@ -59,27 +62,30 @@ const char* mode_name(Mode mode) {
 }
 
 /// One full run to HALT on a fresh memory image per repetition; keeps the
-/// best wall time. Engine state (including the cached engine's block
-/// cache) is rebuilt every repetition so each sample pays decode cost —
-/// the steady-state advantage shows anyway because decode is O(static
-/// footprint) while execution is O(dynamic length).
-Cell run_engine(const isa::Program& program, isa::EngineKind kind, Mode mode,
-                int repeats) {
+/// best wall time. `Engine` is FunctionalEngine or, in mode bare only, the
+/// Interpreter. Engine state (including the block cache) is rebuilt every
+/// repetition so each sample pays decode cost — the steady-state advantage
+/// shows anyway because decode is O(static footprint) while execution is
+/// O(dynamic length).
+template <typename Engine>
+Cell run_engine(const isa::Program& program, Mode mode, int repeats) {
   Cell cell;
   cell.best_us = 1e18;
   uint64_t observed = 0;
   for (int r = 0; r < repeats; ++r) {
     mem::MainMemory memory;
     isa::load_data_image(program, memory);
-    isa::FunctionalEngine engine(program, memory, kind);
+    Engine engine(program, memory);
     trace::BbvBuilder runs;
-    if (mode == Mode::kStream) {
-      engine.set_sink([&observed](uint64_t, const isa::StepEvent*,
-                                  size_t n) { observed += n; });
-    } else if (mode == Mode::kSlices) {
-      engine.set_slice_sink([&runs](uint64_t pc, uint32_t n, bool branch) {
-        runs.add(pc, n, branch);
-      });
+    if constexpr (std::is_same_v<Engine, isa::FunctionalEngine>) {
+      if (mode == Mode::kStream) {
+        engine.on_block = [&observed](uint64_t, const isa::StepEvent*,
+                                      size_t n) { observed += n; };
+      } else if (mode == Mode::kSlices) {
+        engine.on_slice = [&runs](uint64_t pc, uint32_t n, bool branch) {
+          runs.add(pc, n, branch);
+        };
+      }
     }
     const obs::Stopwatch clock;
     engine.run(UINT64_MAX);
@@ -115,32 +121,24 @@ int main() {
 
   std::printf("engine throughput, Mi/s (scale %u, best of %d runs)\n", scale,
               repeats);
-  std::printf("%-8s %9s |", "workload", "insts");
-  for (const char* mode : {"bare", "strm", "slic"}) {
-    std::printf(" sw/%-4s ca/%-4s %7s |", mode, mode, "speedup");
-  }
-  std::printf("\n");
+  std::printf("%-8s %9s | %7s | %7s %7s %7s | %7s\n", "workload", "insts",
+              "sw/bare", "bare", "stream", "slices", "speedup");
 
   const Mode modes[] = {Mode::kBare, Mode::kStream, Mode::kSlices};
   for (const std::string& name : kernels) {
     const isa::Program program = workloads::build(name, scale);
-    Cell sw[3];
+    const Cell sw = run_engine<isa::Interpreter>(program, Mode::kBare, repeats);
     Cell ca[3];
     for (int m = 0; m < 3; ++m) {
-      sw[m] = run_engine(program, isa::EngineKind::kSwitch, modes[m], repeats);
-      ca[m] = run_engine(program, isa::EngineKind::kCached, modes[m], repeats);
+      ca[m] = run_engine<isa::FunctionalEngine>(program, modes[m], repeats);
     }
-    std::printf("%-8s %9llu |", name.c_str(),
-                static_cast<unsigned long long>(ca[0].insts));
-    for (int m = 0; m < 3; ++m) {
-      std::printf(" %7.1f %7.1f %6.2fx |", sw[m].insts_per_sec() / 1e6,
-                  ca[m].insts_per_sec() / 1e6, sw[m].best_us / ca[m].best_us);
-    }
-    std::printf("\n");
-    for (int m = 0; m < 3; ++m) {
-      emit_json(name, "switch", modes[m], sw[m]);
-      emit_json(name, "cached", modes[m], ca[m]);
-    }
+    std::printf("%-8s %9llu | %7.1f | %7.1f %7.1f %7.1f | %6.2fx\n",
+                name.c_str(), static_cast<unsigned long long>(ca[0].insts),
+                sw.insts_per_sec() / 1e6, ca[0].insts_per_sec() / 1e6,
+                ca[1].insts_per_sec() / 1e6, ca[2].insts_per_sec() / 1e6,
+                sw.best_us / ca[0].best_us);
+    emit_json(name, "switch", Mode::kBare, sw);
+    for (int m = 0; m < 3; ++m) emit_json(name, "cached", modes[m], ca[m]);
   }
   return 0;
 }

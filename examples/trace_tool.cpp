@@ -123,12 +123,11 @@ int usage() {
       "                         tail shard .cfirprog sidecars\n"
       "any verb: [--trace-out=<file> (Chrome trace-event flight record)]\n"
       "env: CFIR_TRACE_DIR (output dir), CFIR_THREADS (sample/run-shard),\n"
-      "     CFIR_ENGINE=cached|switch (functional engine for record/plan/\n"
-      "     warming passes; identical output bytes, cached is ~3-4x faster),\n"
       "     CFIR_TRACE=<file> (same as --trace-out),\n"
       "     CFIR_PROGRESS=1|stderr (.cfirprog heartbeats)\n"
-      "files: traces are CFIRTRC2, manifests CFIRMAN2, shard results\n"
-      "      CFIRSHD2 v3; retired formats exit 4, a missing CRC footer 6\n"
+      "files: traces are CFIRTRC2, manifests CFIRMAN2, checkpoints\n"
+      "      CFIRCKP1, shard results CFIRSHD2 v3; retired formats exit 4,\n"
+      "      a missing CRC footer 6\n"
       "exit: 2 usage, 3 bad magic, 4 bad version, 5 config-hash mismatch,\n"
       "      6 corrupt file, 1 other\n");
   return 2;

@@ -93,12 +93,13 @@ class Core {
   void set_arch_state(const std::array<uint64_t, isa::kNumLogicalRegs>& regs,
                       uint64_t pc);
 
-  /// Batched commit observer (same contract as FastEngine::on_block): spans
-  /// of architecturally committed instructions (HALT included), in commit
-  /// order. Spans are delivered when the fixed internal buffer fills and
-  /// flushed at the end of every run() call; leave empty for zero overhead
-  /// beyond one branch per commit. Callers driving step_cycle() directly
-  /// call flush_commit_span() to drain the tail.
+  /// Batched commit observer (same contract as
+  /// isa::FunctionalEngine::on_block): spans of architecturally committed
+  /// instructions (HALT included), in commit order. Spans are delivered
+  /// when the fixed internal buffer fills and flushed at the end of every
+  /// run() call; leave empty for zero overhead beyond one branch per
+  /// commit. Callers driving step_cycle() directly call flush_commit_span()
+  /// to drain the tail.
   std::function<void(const CommitRecord* records, size_t n)> on_commit_span;
 
   /// Delivers any buffered commit records to on_commit_span now. run()

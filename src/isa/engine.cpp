@@ -1,8 +1,6 @@
 #include "isa/engine.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -12,45 +10,16 @@
 
 namespace cfir::isa {
 
-const char* engine_kind_name(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kSwitch: return "switch";
-    case EngineKind::kCached: return "cached";
-  }
-  return "?";
-}
+// Decode stops after kMaxBlockOps micro-ops (the events_ buffer size) even
+// without a terminator, so one pathological straight-line region cannot
+// produce an unbounded block (the fall-through edge chains the pieces back
+// together at full speed).
 
-EngineKind engine_kind_from_env() {
-  const char* v = std::getenv("CFIR_ENGINE");
-  if (v == nullptr || *v == '\0' || std::string_view(v) == "cached") {
-    return EngineKind::kCached;
-  }
-  if (std::string_view(v) == "switch") return EngineKind::kSwitch;
-  throw std::runtime_error(
-      "CFIR_ENGINE must be 'switch' or 'cached', got '" + std::string(v) +
-      "'");
-}
-
-// ---------------------------------------------------------------------------
-// FastEngine
-// ---------------------------------------------------------------------------
-
-// Decode stops after kMaxBlockOps micro-ops (FastEngine::kMaxBlockOps, the
-// events_ buffer size) even without a terminator, so one pathological
-// straight-line region cannot produce an unbounded block (the fall-through
-// edge chains the pieces back together at full speed).
-
-FastEngine::FastEngine(const Program& program, mem::MainMemory& memory)
+FunctionalEngine::FunctionalEngine(const Program& program,
+                                   mem::MainMemory& memory, EngineKind)
     : program_(program), mem_(memory), pc_(program.base()) {}
 
-void FastEngine::invalidate_code() {
-  ++epoch_;
-  blocks_.clear();
-  pool_.clear();
-  block_of_pc_.clear();
-}
-
-int32_t FastEngine::decode_block(uint64_t entry_pc) {
+int32_t FunctionalEngine::decode_block(uint64_t entry_pc) {
   const uint32_t first = static_cast<uint32_t>(pool_.size());
   uint64_t pc = entry_pc;
   uint32_t count = 0;
@@ -84,7 +53,7 @@ int32_t FastEngine::decode_block(uint64_t entry_pc) {
   return static_cast<int32_t>(blocks_.size() - 1);
 }
 
-int32_t FastEngine::lookup_or_decode(uint64_t pc) {
+int32_t FunctionalEngine::lookup_or_decode(uint64_t pc) {
   const auto it = block_of_pc_.find(pc);
   if (it != block_of_pc_.end()) return it->second;
   const int32_t bi = decode_block(pc);
@@ -92,7 +61,7 @@ int32_t FastEngine::lookup_or_decode(uint64_t pc) {
   return bi;
 }
 
-inline uint64_t FastEngine::load(uint64_t addr, uint32_t bytes) {
+inline uint64_t FunctionalEngine::load(uint64_t addr, uint32_t bytes) {
   const uint64_t off = addr & (mem::MainMemory::kPageSize - 1);
   if (off + bytes <= mem::MainMemory::kPageSize) {
     const uint64_t no = addr >> mem::MainMemory::kPageBits;
@@ -116,7 +85,8 @@ inline uint64_t FastEngine::load(uint64_t addr, uint32_t bytes) {
   return mem_.read(addr, static_cast<int>(bytes));  // page-crossing access
 }
 
-inline void FastEngine::store(uint64_t addr, uint64_t value, uint32_t bytes) {
+inline void FunctionalEngine::store(uint64_t addr, uint64_t value,
+                                    uint32_t bytes) {
   const uint64_t off = addr & (mem::MainMemory::kPageSize - 1);
   if (off + bytes <= mem::MainMemory::kPageSize) {
     const uint64_t no = addr >> mem::MainMemory::kPageBits;
@@ -132,9 +102,10 @@ inline void FastEngine::store(uint64_t addr, uint64_t value, uint32_t bytes) {
   mem_.write(addr, value, static_cast<int>(bytes));  // page-crossing access
 }
 
-template <FastEngine::Report R>
-FastEngine::Exit FastEngine::exec_chain(int32_t& bi_inout, uint64_t budget,
-                                        uint64_t& next_pc_out) {
+template <FunctionalEngine::Report R>
+FunctionalEngine::Exit FunctionalEngine::exec_chain(int32_t& bi_inout,
+                                                    uint64_t budget,
+                                                    uint64_t& next_pc_out) {
   // Only the event report writes StepEvents and tracks the per-op pc.
   constexpr bool kCollect = R == Report::kEvents;
   int32_t bi = bi_inout;
@@ -468,9 +439,9 @@ exit_budget:
 // exactly one call site). The loop here only sees cold events — a chain
 // edge that needs its first decode, budget expiry, HALT, or the PC leaving
 // the image; hot chained edges never leave exec_chain.
-template <FastEngine::Report R>
+template <FunctionalEngine::Report R>
 __attribute__((flatten))
-uint64_t FastEngine::run_loop(uint64_t target) {
+uint64_t FunctionalEngine::run_loop(uint64_t target) {
   const uint64_t start = executed_;
   int32_t bi = lookup_or_decode(pc_);
   while (executed_ < target) {
@@ -507,7 +478,7 @@ uint64_t FastEngine::run_loop(uint64_t target) {
   return executed_ - start;
 }
 
-uint64_t FastEngine::run(uint64_t max_insts) {
+uint64_t FunctionalEngine::run(uint64_t max_insts) {
   if (halted_ || max_insts == 0) return 0;
   const uint64_t start = executed_;
   // Saturating target: max_insts == UINT64_MAX means "to HALT".
@@ -517,7 +488,7 @@ uint64_t FastEngine::run(uint64_t max_insts) {
   const uint64_t blocks_before = blocks_entered_;
   // The report is bound once per run, never checked per instruction.
   if (on_block && on_slice) {
-    throw std::logic_error("FastEngine: on_block and on_slice both set");
+    throw std::logic_error("FunctionalEngine: on_block and on_slice both set");
   }
   const uint64_t ran = on_block   ? run_loop<Report::kEvents>(target)
                        : on_slice ? run_loop<Report::kSlices>(target)
@@ -537,106 +508,6 @@ uint64_t FastEngine::run(uint64_t max_insts) {
     }
   }
   return ran;
-}
-
-// ---------------------------------------------------------------------------
-// FunctionalEngine
-// ---------------------------------------------------------------------------
-
-FunctionalEngine::FunctionalEngine(const Program& program,
-                                   mem::MainMemory& memory, EngineKind kind)
-    : kind_(kind) {
-  if (kind_ == EngineKind::kCached) {
-    fast_ = std::make_unique<FastEngine>(program, memory);
-  } else {
-    interp_ = std::make_unique<Interpreter>(program, memory);
-  }
-}
-
-void FunctionalEngine::set_sink(Sink sink) {
-  sink_ = std::move(sink);
-  slice_sink_ = nullptr;
-  bind_sinks();
-}
-
-void FunctionalEngine::set_slice_sink(SliceSink sink) {
-  sink_ = nullptr;
-  slice_sink_ = std::move(sink);
-  bind_sinks();
-}
-
-void FunctionalEngine::bind_sinks() {
-  if (fast_ != nullptr) {
-    fast_->on_block = sink_;
-    fast_->on_slice = slice_sink_;
-    return;
-  }
-  // Clearing all three observers also unlocks the interpreter's
-  // unobserved fast loop.
-  interp_->on_branch = nullptr;
-  interp_->on_mem = nullptr;
-  interp_->on_step = nullptr;
-  if (!sink_ && !slice_sink_) return;
-  // Switch path: assemble the identical event from the three
-  // per-instruction observers and deliver it as a span of one, or as a
-  // one-instruction slice.
-  interp_->on_branch = [this](uint64_t, bool taken, uint64_t target) {
-    pending_.kind = EventKind::kBranch;
-    pending_.taken = taken;
-    pending_.next_pc = target;
-  };
-  if (slice_sink_) {
-    interp_->on_step = [this](uint64_t pc, uint64_t) {
-      slice_sink_(pc, 1, pending_.kind == EventKind::kBranch);
-      pending_ = StepEvent{};
-    };
-    return;
-  }
-  interp_->on_mem = [this](uint64_t, uint64_t addr, int bytes,
-                           bool is_store) {
-    pending_.kind = is_store ? EventKind::kStore : EventKind::kLoad;
-    pending_.addr = addr;
-    pending_.size = static_cast<uint8_t>(bytes);
-  };
-  interp_->on_step = [this](uint64_t pc, uint64_t) {
-    pending_.pc = pc;
-    sink_(pending_.pc, &pending_, 1);
-    pending_ = StepEvent{};
-  };
-}
-
-void FunctionalEngine::set_arch_state(
-    const std::array<uint64_t, kNumLogicalRegs>& regs, uint64_t pc) {
-  for (int r = 0; r < kNumLogicalRegs; ++r) {
-    const uint64_t v = regs[static_cast<size_t>(r)];
-    fast_ != nullptr ? fast_->set_reg(r, v) : interp_->set_reg(r, v);
-  }
-  fast_ != nullptr ? fast_->set_pc(pc) : interp_->set_pc(pc);
-}
-
-uint64_t FunctionalEngine::run(uint64_t max_insts) {
-  return fast_ != nullptr ? fast_->run(max_insts) : interp_->run(max_insts);
-}
-
-void FunctionalEngine::run_to(uint64_t target) {
-  const uint64_t done = executed();
-  if (target > done) run(target - done);
-}
-
-bool FunctionalEngine::halted() const {
-  return fast_ != nullptr ? fast_->halted() : interp_->halted();
-}
-
-uint64_t FunctionalEngine::pc() const {
-  return fast_ != nullptr ? fast_->pc() : interp_->pc();
-}
-
-uint64_t FunctionalEngine::executed() const {
-  return fast_ != nullptr ? fast_->executed() : interp_->executed();
-}
-
-const std::array<uint64_t, kNumLogicalRegs>& FunctionalEngine::regs() const {
-  return fast_ != nullptr ? fast_->regs() : interp_->regs();
 }
 
 }  // namespace cfir::isa

@@ -1,43 +1,37 @@
 // Superblock-caching functional engine (ROADMAP "Fast functional engine").
 //
-// Everything upstream of detailed simulation — trace capture, replay
-// verification, BBV collection and above all grid-shared functional warming
-// — streams committed instructions through a functional core. The reference
+// Everything upstream of detailed simulation — trace capture, BBV
+// collection, checkpoints and above all grid-shared functional warming —
+// streams committed instructions through `FunctionalEngine`. The reference
 // `Interpreter` (interpreter.hpp) pays, per instruction: an image bounds
 // check (`Program::try_at`), a cold `switch` dispatch, an out-of-line
 // `eval_alu`/`eval_branch` call, and three `std::function` observer checks.
-// `FastEngine` removes all four: each basic block is decoded ONCE into a
-// flat cached array of pre-resolved micro-ops (operands, immediates and
-// branch targets pre-extracted; handler selected at decode time), executed
-// with computed-goto threaded dispatch, with direct block→block chaining
-// for fall-through and taken edges so the entry-PC hash map is off the hot
-// path after the first visit.
+// `FunctionalEngine` removes all four: each basic block is decoded ONCE
+// into a flat cached array of pre-resolved micro-ops (operands, immediates
+// and branch targets pre-extracted; handler selected at decode time),
+// executed with computed-goto threaded dispatch, with direct block→block
+// chaining for fall-through and taken edges so the entry-PC hash map is off
+// the hot path after the first visit. The Interpreter stays as the oracle
+// the engine is checked against (tests/test_engine_differential.cpp,
+// sim::differential_run), not as a second path the pipeline runs on.
 //
 // Observer batching contract (see docs/functional-engine.md): instead of
-// three per-instruction callbacks, `FastEngine` exposes ONE per-block sink,
+// three per-instruction callbacks, the engine exposes ONE per-block sink,
 // `on_block(entry_pc, events, n)`, invoked after each executed block slice
 // with the retired-instruction events in program order. The event stream is
 // bit-identical — instruction for instruction — to what the Interpreter's
-// on_branch/on_mem/on_step observers assemble (tests/
-// test_engine_differential.cpp locks this in over adversarial random
-// programs), so consumers pay per-block callback cost, not per-instruction
-// virtual cost. A consumer that needs only where execution went — the BBV
-// pass — sets the slice sink `on_slice(entry_pc, n, ends_in_cond_branch)`
-// instead, which writes no events at all. With neither sink set, nothing
-// is collected (the fast-forward / restore-skip path).
-//
-// `FunctionalEngine` below is the uniform facade the pipeline uses: it runs
-// on `FastEngine` when the `CFIR_ENGINE` knob selects `cached` (the
-// default) and on the reference `Interpreter` under `switch` (kept as the
-// bit-exact oracle), delivering the identical event stream either way.
-// Its slice sink reports FastEngine's block slices, or one-instruction
-// slices from the interpreter.
+// on_branch/on_mem/on_step observers assemble (the differential suite locks
+// this in over adversarial random programs), so consumers pay per-block
+// callback cost, not per-instruction virtual cost. A consumer that needs
+// only where execution went — the BBV pass — sets the slice sink
+// `on_slice(entry_pc, n, ends_in_cond_branch)` instead, which writes no
+// events at all. With neither sink set, nothing is collected (the
+// fast-forward / restore-skip path).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -47,17 +41,10 @@
 
 namespace cfir::isa {
 
-/// Which functional core backs the pipeline's streaming passes.
-enum class EngineKind : uint8_t {
-  kSwitch = 0,  ///< reference Interpreter (per-instruction switch; oracle)
-  kCached = 1,  ///< FastEngine (decode-once cached superblocks; default)
-};
-
-[[nodiscard]] const char* engine_kind_name(EngineKind kind);
-/// Reads `CFIR_ENGINE` ("switch" | "cached"; unset/empty = cached). Throws
-/// on typos so a misspelled knob fails loudly instead of silently running
-/// the wrong engine.
-[[nodiscard]] EngineKind engine_kind_from_env();
+/// Kept only because perfbench (frozen with the repo benchmark) names it in
+/// `FunctionalEngine(program, memory, EngineKind::kCached)`. It has one
+/// value, so it selects nothing; no other code passes it.
+enum class EngineKind : uint8_t { kCached = 1 };
 
 /// Retired-instruction event kind. Values intentionally mirror
 /// trace::RecordKind so conversion is a cast, but isa stays independent of
@@ -84,11 +71,13 @@ struct StepEvent {
   bool operator==(const StepEvent&) const = default;
 };
 
-class FastEngine {
+class FunctionalEngine {
  public:
   /// `memory` is used in place; apply the program's data image first.
-  /// `program` and `memory` must outlive the engine.
-  FastEngine(const Program& program, mem::MainMemory& memory);
+  /// `program` and `memory` must outlive the engine. The unnamed third
+  /// parameter exists for perfbench only (see EngineKind).
+  FunctionalEngine(const Program& program, mem::MainMemory& memory,
+                   EngineKind = EngineKind::kCached);
 
   /// Executes at most `max_insts` instructions; returns the number
   /// executed. Stops earlier at HALT or when the PC leaves the code image.
@@ -96,6 +85,11 @@ class FastEngine {
   /// of that block (and delivers a partial event span), so callers can stop
   /// at arbitrary instruction counts.
   uint64_t run(uint64_t max_insts = UINT64_MAX);
+  /// Runs forward to program-global instruction count `target` (no-op when
+  /// already there or past — positions are monotonic).
+  void run_to(uint64_t target) {
+    if (target > executed_) run(target - executed_);
+  }
 
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] uint64_t pc() const { return pc_; }
@@ -104,11 +98,17 @@ class FastEngine {
     pc_ = pc;
     halted_ = false;
   }
+  /// Seeds the registers and pc before a run (resuming from a snapshot);
+  /// clears the halted flag. executed() keeps counting from where it was.
+  void set_arch_state(const std::array<uint64_t, kNumLogicalRegs>& regs,
+                      uint64_t pc) {
+    regs_ = regs;
+    set_pc(pc);
+  }
   [[nodiscard]] uint64_t executed() const { return executed_; }
   [[nodiscard]] uint64_t reg(int r) const {
     return regs_[static_cast<size_t>(r)];
   }
-  void set_reg(int r, uint64_t v) { regs_[static_cast<size_t>(r)] = v; }
   [[nodiscard]] const std::array<uint64_t, kNumLogicalRegs>& regs() const {
     return regs_;
   }
@@ -127,14 +127,6 @@ class FastEngine {
   /// on_block and on_slice may be set when run() is called.
   std::function<void(uint64_t entry_pc, uint32_t n, bool ends_in_cond_branch)>
       on_slice;
-
-  /// Invalidation hook for self-modifying / hot-swapped code images: bumps
-  /// the decode epoch and drops every cached block (and chain edge). The
-  /// next run() re-decodes from the live Program. Architectural state (pc,
-  /// regs, executed) is untouched.
-  void invalidate_code();
-  /// Decode-epoch counter: starts at 0, +1 per invalidate_code().
-  [[nodiscard]] uint64_t epoch() const { return epoch_; }
 
   // Block-cache telemetry (lifetime totals; also exported once per run()
   // to the obs registry as engine.blocks / engine.block_hit_rate).
@@ -229,67 +221,8 @@ class FastEngine {
   /// collect path appends through a raw cursor — no per-op capacity check.
   static constexpr uint32_t kMaxBlockOps = 256;
   std::array<StepEvent, kMaxBlockOps> events_;
-  uint64_t epoch_ = 0;
   uint64_t blocks_entered_ = 0;
   uint64_t blocks_decoded_ = 0;
-};
-
-/// Uniform functional-execution facade: the pipeline's streaming passes
-/// (warming, trace record, BBV, checkpoint fast-forward) run on whichever
-/// engine `kind` selects and receive the identical event stream through the
-/// same per-block sink either way. `kSwitch` wires the sink to the
-/// reference Interpreter's observers (spans of one); `kCached` passes
-/// FastEngine's block spans through.
-class FunctionalEngine {
- public:
-  using Sink =
-      std::function<void(uint64_t entry_pc, const StepEvent* events, size_t n)>;
-  using SliceSink = std::function<void(uint64_t entry_pc, uint32_t n,
-                                       bool ends_in_cond_branch)>;
-
-  FunctionalEngine(const Program& program, mem::MainMemory& memory,
-                   EngineKind kind = engine_kind_from_env());
-
-  /// Installs (or clears, with {}) the per-block event sink, replacing any
-  /// slice sink. May be called between runs at any instruction boundary —
-  /// e.g. fast-skip a restored prefix sink-less, then attach the sink and
-  /// continue.
-  void set_sink(Sink sink);
-  /// Installs (or clears) the slice sink (FastEngine::on_slice), replacing
-  /// any event sink. The switch interpreter reports one-instruction
-  /// slices; both kinds therefore log the same instructions in the same
-  /// order, and the same block runs once consecutive slices merge.
-  void set_slice_sink(SliceSink sink);
-
-  /// Seeds the registers and pc before a run (resuming from a snapshot);
-  /// clears the halted flag. executed() keeps counting from where it was.
-  void set_arch_state(const std::array<uint64_t, kNumLogicalRegs>& regs,
-                      uint64_t pc);
-
-  /// Executes at most `max_insts` instructions; returns the number
-  /// executed (see FastEngine::run for the stop conditions).
-  uint64_t run(uint64_t max_insts = UINT64_MAX);
-  /// Runs forward to program-global instruction count `target` (no-op when
-  /// already there or past — positions are monotonic).
-  void run_to(uint64_t target);
-
-  [[nodiscard]] EngineKind kind() const { return kind_; }
-  [[nodiscard]] bool halted() const;
-  [[nodiscard]] uint64_t pc() const;
-  [[nodiscard]] uint64_t executed() const;
-  [[nodiscard]] const std::array<uint64_t, kNumLogicalRegs>& regs() const;
-
- private:
-  /// Wires whichever sink is set (at most one) to the live engine.
-  void bind_sinks();
-
-  EngineKind kind_;
-  // Exactly one of the two is live, per kind_.
-  std::unique_ptr<Interpreter> interp_;
-  std::unique_ptr<FastEngine> fast_;
-  Sink sink_;
-  SliceSink slice_sink_;
-  StepEvent pending_;  ///< switch path: event under construction
 };
 
 }  // namespace cfir::isa

@@ -84,8 +84,6 @@ trace::WarmMode env_warm_mode() {
 
 uint64_t env_detail_len() { return env_u64("CFIR_DETAIL_LEN", 0); }
 
-isa::EngineKind env_engine_kind() { return isa::engine_kind_from_env(); }
-
 trace::ShardSelection env_shard() {
   const char* v = std::getenv("CFIR_SHARD");
   if (v == nullptr || *v == '\0') return trace::ShardSelection{};

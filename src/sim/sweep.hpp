@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "isa/engine.hpp"
 #include "isa/program.hpp"
 #include "stats/stats.hpp"
 #include "trace/sampling.hpp"
@@ -124,12 +123,6 @@ void parallel_for(size_t n, const std::function<void(size_t)>& fn,
 /// detailed; typos throw (see trace::parse_warm_mode).
 [[nodiscard]] trace::WarmMode env_warm_mode();
 [[nodiscard]] uint64_t env_detail_len();  ///< CFIR_DETAIL_LEN, default 0
-/// CFIR_ENGINE ("switch" | "cached"), default cached: which functional
-/// engine the planning/warming/capture passes run on. The trace layer
-/// reads the knob itself at engine construction; this accessor exists so
-/// run plumbing and bench telemetry can report it next to the other
-/// knobs. Throws on any other value.
-[[nodiscard]] isa::EngineKind env_engine_kind();
 /// CFIR_SHARD ("i/N", e.g. "0/4"), default 0/1 (everything); malformed
 /// specs throw (see trace::parse_shard).
 [[nodiscard]] trace::ShardSelection env_shard();

@@ -119,9 +119,9 @@ BbvBuilder bbv_runs_from_program(const isa::Program& program,
   // Each slice is one executed block slice: consecutive PCs, of which
   // only the last can be a conditional branch — exactly what add() takes.
   isa::FunctionalEngine engine(program, memory);
-  engine.set_slice_sink([&](uint64_t entry_pc, uint32_t n, bool branch) {
+  engine.on_slice = [&](uint64_t entry_pc, uint32_t n, bool branch) {
     builder.add(entry_pc, n, branch);
-  });
+  };
   const uint64_t cap = max_insts == 0 ? UINT64_MAX : max_insts;
   if (ladder != nullptr) {
     ladder->run(engine, memory, cap);

@@ -16,6 +16,11 @@ namespace cfir::trace {
 
 namespace {
 
+/// Magic of the retired layout with an appended warm-state blob,
+/// recognised only to reject it.
+constexpr char kRetiredCheckpointMagic[8] = {'C', 'F', 'I', 'R',
+                                             'C', 'K', 'P', '2'};
+
 /// Little-endian on every supported host: the raw bytes of `v`.
 template <typename T>
 void put_raw(std::ostream& s, const T& v) {
@@ -41,22 +46,16 @@ Checkpoint snapshot(const isa::FunctionalEngine& engine,
 
 }  // namespace
 
-void Checkpoint::save(const std::string& path, bool include_warm) const {
+void Checkpoint::save(const std::string& path) const {
   obs::Span span("checkpoint.save");
   const obs::Stopwatch clock;
   // Stream pages straight to the file (memory images can be large) and
   // append the CRC footer with the chunked helper afterwards, like
   // TraceWriter::finish — never the whole payload in one buffer.
-  const bool with_warm = include_warm && has_warm();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("Checkpoint: cannot open " + path);
-  if (with_warm) {
-    out.write(kCheckpointMagicV2, sizeof(kCheckpointMagicV2));
-    put_raw(out, kCheckpointVersionWarm);
-  } else {
-    out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-    put_raw(out, kCheckpointVersion);
-  }
+  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
+  put_raw(out, kCheckpointVersion);
   put_raw(out, uint32_t{0});  // reserved
   put_raw(out, pc);
   put_raw(out, executed);
@@ -74,11 +73,6 @@ void Checkpoint::save(const std::string& path, bool include_warm) const {
     out.write(reinterpret_cast<const char*>(data),
               mem::MainMemory::kPageSize);
   }
-  if (with_warm) {
-    put_raw(out, static_cast<uint64_t>(warm.size()));
-    out.write(reinterpret_cast<const char*>(warm.data()),
-              static_cast<std::streamsize>(warm.size()));
-  }
   out.close();
   if (!out) throw std::runtime_error("Checkpoint: write failed for " + path);
   append_crc_footer(path);
@@ -94,19 +88,20 @@ Checkpoint Checkpoint::load(const std::string& path) {
   if (bytes.size() < sizeof(kCheckpointMagic)) {
     throw CorruptFileError("Checkpoint: truncated file " + path);
   }
-  const bool v1 =
-      std::memcmp(bytes.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) ==
-      0;
-  const bool v2 = std::memcmp(bytes.data(), kCheckpointMagicV2,
-                              sizeof(kCheckpointMagicV2)) == 0;
-  if (!v1 && !v2) {
+  if (std::memcmp(bytes.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
+      0) {
+    if (std::memcmp(bytes.data(), kRetiredCheckpointMagic,
+                    sizeof(kRetiredCheckpointMagic)) == 0) {
+      throw VersionError("Checkpoint: the warm-state CFIRCKP2 layout is no "
+                         "longer read; re-plan " + path);
+    }
     throw BadMagicError("Checkpoint: bad magic in " + path);
   }
   try {
     util::ByteReader in(bytes.data() + sizeof(kCheckpointMagic),
                         bytes.size() - sizeof(kCheckpointMagic));
     const uint32_t version = in.u32();
-    if (version != (v2 ? kCheckpointVersionWarm : kCheckpointVersion)) {
+    if (version != kCheckpointVersion) {
       throw VersionError("Checkpoint: unsupported version " +
                          std::to_string(version) + " in " + path);
     }
@@ -125,13 +120,9 @@ Checkpoint Checkpoint::load(const std::string& path) {
       in.bytes(buf.data(), buf.size());
       ck.memory.write_block(base_addr, buf.data(), buf.size());
     }
-    if (v2) {
-      const uint64_t warm_size = in.u64();
-      if (warm_size > in.remaining()) {
-        throw CorruptFileError("Checkpoint: truncated warm state in " + path);
-      }
-      ck.warm.resize(warm_size);
-      in.bytes(ck.warm.data(), warm_size);
+    if (!in.done()) {
+      throw CorruptFileError("Checkpoint: trailing bytes after the pages in " +
+                             path);
     }
     obs::Registry::instance()
         .histogram("checkpoint.load_us")

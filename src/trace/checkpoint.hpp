@@ -10,18 +10,13 @@
 //   magic "CFIRCKP1" | u32 version | u32 reserved
 //   | u64 pc | u64 executed | 64 x u64 registers
 //   | u64 page_count | page_count x (u64 base_addr | 4096 page bytes)
-// All-zero pages are dropped (reads of absent pages return zero).
-//
-// Version 2 ("CFIRCKP2") appends an opaque functional-warm-state blob
-// (trace/warming.hpp) after the pages:
-//   ... | u64 warm_size | warm_size bytes
-// so a warmed interval ships as one self-contained artifact: architectural
-// state to resume from plus the predictor/cache state trained over the
-// prefix. save() emits v1 when no warm state is attached; load() accepts
-// both versions.
-//
-// Either version ends with the shared CRC-32 footer (trace/blob.hpp), so a
-// truncated or bit-flipped checkpoint is rejected at load.
+// All-zero pages are dropped (reads of absent pages return zero). The file
+// ends with the shared CRC-32 footer (trace/blob.hpp), so a truncated or
+// bit-flipped checkpoint is rejected at load, as are bytes after the
+// pages. A checkpoint carries architectural state only: functional warm
+// state travels per config (trace::ConfigBinding::warm, .cfirwarm
+// sidecars). The retired version-2 layout, which appended a warm blob, is
+// recognised only to be rejected (VersionError).
 #pragma once
 
 #include <array>
@@ -40,28 +35,15 @@ namespace cfir::trace {
 
 inline constexpr char kCheckpointMagic[8] = {'C', 'F', 'I', 'R',
                                              'C', 'K', 'P', '1'};
-inline constexpr char kCheckpointMagicV2[8] = {'C', 'F', 'I', 'R',
-                                               'C', 'K', 'P', '2'};
 inline constexpr uint32_t kCheckpointVersion = 1;
-inline constexpr uint32_t kCheckpointVersionWarm = 2;
 
 struct Checkpoint {
   uint64_t pc = 0;
   uint64_t executed = 0;  ///< instructions retired before this point
   std::array<uint64_t, isa::kNumLogicalRegs> regs{};
   mem::MainMemory memory;
-  /// Optional functional-warm-state blob (FunctionalWarmer::serialize_state
-  /// for the config the interval will run under); empty = cold checkpoint.
-  std::vector<uint8_t> warm;
 
-  [[nodiscard]] bool has_warm() const { return !warm.empty(); }
-
-  /// Writes v2 when warm state is attached and `include_warm`, v1
-  /// otherwise. `include_warm = false` strips the warm blob from the file
-  /// without copying the (large) memory image — multi-config manifests
-  /// share one cold architectural checkpoint per interval and carry warm
-  /// state in per-config sidecars instead (trace/manifest.hpp).
-  void save(const std::string& path, bool include_warm = true) const;
+  void save(const std::string& path) const;
   [[nodiscard]] static Checkpoint load(const std::string& path);
 };
 

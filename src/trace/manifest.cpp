@@ -284,9 +284,8 @@ ShardManifest write_manifest(const IntervalPlan& plan,
     const std::string ck_path =
         stem + ".ck" + std::to_string(i) + ".cfirckpt";
     // The architectural checkpoint is config-independent and shared by the
-    // whole grid; warm state travels in the per-config sidecars instead,
-    // so strip any blob a single-config flow may have attached.
-    plan.checkpoints[i].save(ck_path, /*include_warm=*/false);
+    // whole grid; warm state travels in the per-config sidecars.
+    plan.checkpoints[i].save(ck_path);
     ShardManifest::IntervalRef& iv = m.intervals[i];
     iv.checkpoint_file = basename_of(ck_path);
     iv.warm_files.resize(bindings.size());

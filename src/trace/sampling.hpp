@@ -7,8 +7,8 @@
 //    union commits exactly the monolithic instruction stream, so
 //    architectural counters match a monolithic run exactly; the win is
 //    wall-clock (the K detailed simulations run in parallel on the
-//    sim::run_all pool while the fast-forward uses only the reference
-//    interpreter).
+//    sim::run_all pool while the fast-forward uses only the functional
+//    engine, isa/engine.hpp).
 //  - cluster: SimPoint-style phase sampling. The run is chopped into N
 //    fixed-length windows, each summarized as a basic-block vector
 //    (bbv.hpp), the vectors are clustered (cluster.hpp), and only one
@@ -25,9 +25,10 @@
 //    slice are subtracted back out (SimStats::subtract). Accurate but the
 //    warm-up instructions cost full detailed simulation.
 //  - functional: SMARTS-style — the *whole* prefix [0, start) streams
-//    through the predictors and caches only, at interpreter speed, before
-//    the detailed interval begins. Near-zero cost per warmed instruction
-//    and no residual transient from state with long time constants.
+//    through the predictors and caches only, at functional-engine speed,
+//    before the detailed interval begins. Near-zero cost per warmed
+//    instruction and no residual transient from state with long time
+//    constants.
 //  - hybrid: functional prefix up to start - W, then a detailed warm-up of
 //    the last W instructions to also warm what functional warming cannot
 //    reach (LSQ, in-flight window, replica streams).
@@ -73,7 +74,8 @@ struct SampledRun {
   uint64_t detailed_insts = 0; ///< instructions actually detail-simulated
                                ///< (measured + detailed warm-up; the cost)
   uint64_t warmed_insts = 0;   ///< instructions functionally warmed
-                               ///< (interpreter-speed; ~free by comparison)
+                               ///< (functional-engine speed; ~free by
+                               ///< comparison)
   /// Host wall-clock telemetry: summed per-interval detail wall, and the
   /// warm-capture pass wall (shared across a grid's columns).
   uint64_t wall_us = 0;
@@ -82,9 +84,9 @@ struct SampledRun {
 };
 
 /// The sampling schedule for one workload. Planning uses only the
-/// reference interpreter and depends on the workload — never the core
-/// config — so one plan can be shared by every configuration simulating
-/// the same workload (sim::run_all does).
+/// functional engine and depends on the workload — never the core config —
+/// so one plan can be shared by every configuration simulating the same
+/// workload (sim::run_all does).
 struct IntervalPlan {
   SampleMode mode = SampleMode::kUniform;
   WarmMode warm_mode = WarmMode::kDetailed;
@@ -110,7 +112,7 @@ struct IntervalPlan {
 };
 
 /// Uniform plan: K equal intervals with optional warm-up. Costs two
-/// interpreter passes (count, then snapshot).
+/// functional-engine passes (count, then snapshot).
 ///
 /// `detail_len` > 0 caps the *measured* slice of every interval at that
 /// many instructions and scales the interval's weight by
@@ -148,15 +150,6 @@ struct ClusterPlanOptions {
 /// checkpoint.
 [[nodiscard]] IntervalPlan plan_cluster_intervals(
     const isa::Program& program, const ClusterPlanOptions& opts = {});
-
-/// Attaches per-interval functional warm state to `plan`'s checkpoints for
-/// `config` (one streaming interpreter pass; see capture_warm_states).
-/// Checkpoints then save as CFIRCKP2, so warmed intervals can be farmed to
-/// other machines; sampled_run reuses attached state instead of
-/// re-streaming. Warm state is config-dependent — attaching binds the plan
-/// to configs with identical predictor/cache geometry and policy family.
-void attach_warm_states(IntervalPlan& plan, const core::CoreConfig& config,
-                        const isa::Program& program);
 
 /// One config point of an experiment grid, bound to a (config-independent)
 /// IntervalPlan. The plan carries everything that is shared across the

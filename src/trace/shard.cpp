@@ -283,12 +283,11 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   telemetry.nc = static_cast<uint32_t>(nc);
   obs::Progress& progress = obs::Progress::global();
 
-  // Functional warm state, per config: prefer the binding's per-interval
-  // blobs (bind_configs / CFIRMAN2 sidecars), then warm state attached to
-  // the plan's checkpoints (CFIRCKP2 — geometry checked on restore), and
-  // stream the committed prefixes of THIS shard's intervals for whatever
-  // is left — ONE pass fanning the records out to every remaining
-  // config's warmer, because the committed stream is config-independent.
+  // Functional warm state, per config: the binding's per-interval blobs
+  // (bind_configs / CFIRMAN2 sidecars) when it has them; for the rest,
+  // stream the committed prefixes of THIS shard's intervals — ONE pass
+  // fanning the records out to every remaining config's warmer, because
+  // the committed stream is config-independent.
   // A subset capture matches the full one bit for bit (warm state at
   // instruction N does not depend on which other snapshots the pass
   // takes). `warmed_insts` records the coverage once, however many
@@ -296,10 +295,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   const bool functional = warm_mode_has_functional_prefix(plan.warm_mode);
   std::vector<int> capture_slot(nc, -1);  // index into `captured`
   std::vector<std::vector<std::vector<uint8_t>>> captured;  // [slot][j]
-  bool checkpoints_warm = true;
-  for (const size_t i : mine) {
-    checkpoints_warm = checkpoints_warm && plan.checkpoints[i].has_warm();
-  }
   if (functional) {
     std::vector<core::CoreConfig> need;
     // Configs with coinciding warm-relevant geometry (warm_digest) train
@@ -308,7 +303,7 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     // once, mirroring the bind_configs dedup.
     std::unordered_map<uint64_t, int> slot_by_digest;
     for (size_t c = 0; c < nc; ++c) {
-      if (configs[c].warm.empty() && !checkpoints_warm) {
+      if (configs[c].warm.empty()) {
         const uint64_t wd = configs[c].config.warm_digest();
         const auto [it, fresh] =
             slot_by_digest.emplace(wd, static_cast<int>(need.size()));
@@ -387,10 +382,8 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         uint64_t installed_us = restored_us;
         if (functional) {
           const std::vector<uint8_t>& blob =
-              !configs[c].warm.empty()
-                  ? configs[c].warm[i]
-                  : (checkpoints_warm ? plan.checkpoints[i].warm
-                                      : captured[capture_slot[c]][j]);
+              !configs[c].warm.empty() ? configs[c].warm[i]
+                                       : captured[capture_slot[c]][j];
           if (blob.empty()) {
             throw std::runtime_error(
                 "run_shard: binding '" + configs[c].name +

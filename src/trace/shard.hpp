@@ -129,10 +129,9 @@ struct ShardResult {
 /// (interval × config) pairs (`threads` <= 0 picks CFIR_THREADS / hardware
 /// concurrency), warming per the plan's WarmMode. Functional warm state
 /// comes, per config, from the binding's per-interval blobs
-/// (bind_configs / CFIRMAN2 warm sidecars), else from warm state attached
-/// to the plan's checkpoints (CFIRCKP2 — single-config plans only), else
-/// from ONE shared streaming pass fanning the committed gap records out to
-/// all remaining configs' warmers. `plan_hash` is stamped into the result
+/// (bind_configs / CFIRMAN2 warm sidecars), else from ONE shared streaming
+/// pass fanning the committed gap records out to all remaining configs'
+/// warmers. `plan_hash` is stamped into the result
 /// for merge-time validation; pass the manifest's hash when executing a
 /// manifest-derived plan. When `warm_trace` names a recorded trace of
 /// `program`, that shared capture pass streams the stored records instead

@@ -183,16 +183,15 @@ isa::InterpResult record_interpreter(const isa::Program& program,
   m.base_pc = program.base();
   TraceWriter writer(path, m, block_len);
 
-  // Capture runs on the CFIR_ENGINE-selected functional engine; the cached
-  // engine emits the identical record stream per-block instead of
-  // per-instruction, so the trace bytes match the switch oracle exactly
-  // (CI byte-diffs the two).
+  // The engine emits the Interpreter's record stream per block instead of
+  // per instruction, so the trace bytes are the oracle's
+  // (Golden.RecordedTraceBytes pins them).
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
+  engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
     for (size_t i = 0; i < n; ++i) writer.append(to_trace_record(ev[i]));
-  });
+  };
   engine.run(max_insts);
 
   isa::InterpResult r;

@@ -190,10 +190,11 @@ class TraceReader {
   bool telemetry_done_ = false;
 };
 
-/// Runs the reference interpreter over `program` (fresh memory, data image
+/// Runs `program` on the functional engine (fresh memory, data image
 /// applied), recording every retired instruction to `path`. Stops at HALT
 /// or after `max_insts`. Returns the final architectural state.
-/// `block_len` passes through to TraceWriter.
+/// `block_len` passes through to TraceWriter. The name predates the engine
+/// and stays because perfbench calls it.
 isa::InterpResult record_interpreter(const isa::Program& program,
                                      const std::string& path,
                                      const TraceMeta& meta,

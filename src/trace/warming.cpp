@@ -387,11 +387,9 @@ void SharedWarmState::train(const TraceRecord& rec) {
 }
 
 FunctionalWarmer::FunctionalWarmer(const core::CoreConfig& config,
-                                   const isa::Program& program,
-                                   isa::EngineKind engine_kind)
+                                   const isa::Program& program)
     : program_(program),
       policy_(config.policy),
-      engine_kind_(engine_kind),
       shared_(config, program),
       stride_(config.stride_sets, config.stride_ways) {}
 
@@ -406,16 +404,15 @@ void FunctionalWarmer::ensure_engine() {
   if (engine_ != nullptr) return;
   engine_mem_ = std::make_unique<mem::MainMemory>();
   isa::load_data_image(program_, *engine_mem_);
-  engine_ = std::make_unique<isa::FunctionalEngine>(program_, *engine_mem_,
-                                                    engine_kind_);
+  engine_ = std::make_unique<isa::FunctionalEngine>(program_, *engine_mem_);
   // A warmer restored from a serialized blob already holds the state of
   // [0, warmed): fast-skip the engine there with the sink still unset so
   // the prefix is architecturally executed but not streamed (and trained)
   // a second time.
   if (shared_.warmed > 0) engine_->run(shared_.warmed);
-  engine_->set_sink([this](uint64_t, const isa::StepEvent* ev, size_t n) {
+  engine_->on_block = [this](uint64_t, const isa::StepEvent* ev, size_t n) {
     for (size_t i = 0; i < n; ++i) on_record(to_trace_record(ev[i]));
-  });
+  };
 }
 
 void FunctionalWarmer::advance_to(uint64_t n_insts) {
@@ -534,9 +531,9 @@ Grid capture_grid_engine(const std::vector<core::CoreConfig>& configs,
   // fan-out reads it, clear() keeps the capacity across batches.
   std::vector<std::vector<TraceRecord>> blocks(1);
   std::vector<TraceRecord>& batch = blocks.front();
-  engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
+  engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
     for (size_t i = 0; i < n; ++i) batch.push_back(to_trace_record(ev[i]));
-  });
+  };
 
   obs::Registry& reg = obs::Registry::instance();
   const uint64_t limit = targets.empty() ? 0 : targets.back();

@@ -15,9 +15,9 @@
 // then copies that state into a freshly constructed Simulator before its
 // first cycle. Warm state also serializes to a sparse blob (WRM2: only the
 // entries that left their reset value, docs/trace-format.md) so it can
-// ride inside CFIRCKP2 checkpoints and .cfirwarm sidecars and warmed
-// intervals stay shardable across machines; install_warm_state() decodes
-// such a blob straight into a fresh Simulator.
+// ride in .cfirwarm sidecars and warmed intervals stay shardable across
+// machines; install_warm_state() decodes such a blob straight into a
+// fresh Simulator.
 //
 // Only the stride predictor depends on the policy: ci trains it, vect
 // trains and selects, and none and ci-iw have none. Everything else a
@@ -101,11 +101,7 @@ class FunctionalWarmer {
   /// Components are sized from `config` exactly as the detailed core sizes
   /// its own; `program` must outlive the warmer (opcode lookup for RAS
   /// call/ret handling and the streaming engine both reference it).
-  /// `engine_kind` selects the functional core advance_to() streams from
-  /// (defaults to the CFIR_ENGINE knob; the event stream — and therefore
-  /// every trained component — is bit-identical either way).
-  FunctionalWarmer(const core::CoreConfig& config, const isa::Program& program,
-                   isa::EngineKind engine_kind = isa::engine_kind_from_env());
+  FunctionalWarmer(const core::CoreConfig& config, const isa::Program& program);
 
   /// Feeds one committed instruction, in commit order. Callers replaying a
   /// stored trace drive this directly; advance_to() drives it from the
@@ -173,7 +169,6 @@ class FunctionalWarmer {
  private:
   const isa::Program& program_;
   core::Policy policy_;
-  isa::EngineKind engine_kind_;
   SharedWarmState shared_;
   ci::StridePredictor stride_;
 

@@ -1,6 +1,6 @@
 // Throughput regression guard for the superblock-caching engine: on an
-// optimized build, the cached engine must retire instructions at least 3x
-// as fast as the switch-dispatch reference interpreter (bench/micro_engine
+// optimized build, FunctionalEngine must retire instructions at least 3x
+// as fast as the switch-dispatch reference Interpreter (bench/micro_engine
 // prints the full picture; this test keeps the speedup from silently
 // regressing). Skipped on Debug builds and under sanitizers, where
 // instrumentation flattens the dispatch-cost difference the guard measures.
@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "isa/engine.hpp"
+#include "isa/interpreter.hpp"
 #include "mem/main_memory.hpp"
 #include "obs/metrics.hpp"
 #include "workloads/workloads.hpp"
@@ -39,14 +40,15 @@ constexpr bool kOptimized = true;
 constexpr bool kOptimized = false;
 #endif
 
-/// Best-of-N wall time for one full run to HALT, fresh state each sample.
-double best_us(const isa::Program& program, isa::EngineKind kind,
-               int repeats) {
+/// Best-of-N wall time for one full run to HALT on `Engine` (the
+/// Interpreter or FunctionalEngine), fresh state each sample.
+template <typename Engine>
+double best_us(const isa::Program& program, int repeats) {
   double best = 1e18;
   for (int r = 0; r < repeats; ++r) {
     mem::MainMemory memory;
     isa::load_data_image(program, memory);
-    isa::FunctionalEngine engine(program, memory, kind);
+    Engine engine(program, memory);
     const obs::Stopwatch clock;
     engine.run(UINT64_MAX);
     best = std::min(best, static_cast<double>(clock.elapsed_us()));
@@ -67,9 +69,9 @@ TEST(EngineBench, CachedEngineAtLeast3xSwitch) {
   for (const char* kernel : {"bzip2", "parser"}) {
     const isa::Program program = workloads::build(kernel, 16);
     const double switch_us =
-        best_us(program, isa::EngineKind::kSwitch, /*repeats=*/3);
+        best_us<isa::Interpreter>(program, /*repeats=*/3);
     const double cached_us =
-        best_us(program, isa::EngineKind::kCached, /*repeats=*/3);
+        best_us<isa::FunctionalEngine>(program, /*repeats=*/3);
     ASSERT_GT(cached_us, 0.0);
     best_speedup = std::max(best_speedup, switch_us / cached_us);
   }

@@ -1,16 +1,16 @@
 // Differential fuzz harness for the superblock-caching functional engine
 // (docs/functional-engine.md): the reference Interpreter is the oracle, and
-// FastEngine must match it bit for bit — final architectural state (pc,
-// executed, halted, registers, memory digest) AND the ordered retired-event
-// stream (branch outcomes/targets, load/store addresses/sizes) — over
-// hundreds of adversarial random programs plus hand-built block-boundary
-// edge cases. Warming digests, trace bytes and sampled stats are all
-// derived from this stream, so stream equality here is what makes
-// CFIR_ENGINE=cached safe everywhere else. The slice report (on_slice /
-// FunctionalEngine::set_slice_sink) must equal the slices derived from
-// each engine's own event spans, over the same programs, at budgets that
-// end inside blocks and across the 256-op block cap.
-#include <cstdlib>
+// FunctionalEngine must match it bit for bit — final architectural state
+// (pc, executed, halted, registers, memory digest) AND the ordered
+// retired-event stream (branch outcomes/targets, load/store
+// addresses/sizes) — over hundreds of adversarial random programs plus
+// hand-built block-boundary edge cases. Warming digests, trace bytes and
+// sampled stats are all derived from this stream, so stream equality here
+// is what makes the engine safe everywhere else. The slice report
+// (on_slice) must equal the slices derived from the engine's own event
+// spans and, split per instruction, the Interpreter's stream, over the
+// same programs, at budgets that end inside blocks and across the 256-op
+// block cap.
 #include <random>
 #include <string>
 #include <vector>
@@ -26,7 +26,6 @@
 namespace cfir {
 namespace {
 
-using isa::EngineKind;
 using isa::EventKind;
 using isa::StepEvent;
 
@@ -73,13 +72,14 @@ RunTrace run_interpreter(const isa::Program& program,
   return out;
 }
 
-/// Runs `program` on FastEngine, collecting the per-block event spans.
-RunTrace run_fast(const isa::Program& program,
-                  uint64_t max_insts = UINT64_MAX) {
+/// Runs `program` on FunctionalEngine, collecting the per-block event
+/// spans.
+RunTrace run_engine(const isa::Program& program,
+                    uint64_t max_insts = UINT64_MAX) {
   RunTrace out;
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  isa::FastEngine engine(program, memory);
+  isa::FunctionalEngine engine(program, memory);
   engine.on_block = [&](uint64_t, const StepEvent* ev, size_t n) {
     out.events.insert(out.events.end(), ev, ev + n);
   };
@@ -119,7 +119,7 @@ void expect_program_identical(const isa::Program& program,
                               const std::string& what,
                               uint64_t max_insts = UINT64_MAX) {
   expect_identical(run_interpreter(program, max_insts),
-                   run_fast(program, max_insts), what);
+                   run_engine(program, max_insts), what);
 }
 
 /// Call/ret-heavy generator complementing testing::random_program: a set of
@@ -226,12 +226,12 @@ TEST(EngineDifferential, BudgetExpiresInsideBlocks) {
 
 TEST(EngineDifferential, ResumeAfterBudgetMatchesStraightRun) {
   const isa::Program program = testing::random_program(3);
-  const RunTrace straight = run_fast(program);
+  const RunTrace straight = run_engine(program);
   // Same program run in many small installments on one engine.
   RunTrace chunked;
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  isa::FastEngine engine(program, memory);
+  isa::FunctionalEngine engine(program, memory);
   engine.on_block = [&](uint64_t, const StepEvent* ev, size_t n) {
     chunked.events.insert(chunked.events.end(), ev, ev + n);
   };
@@ -328,9 +328,9 @@ TEST(EngineDifferential, RetToInvalidPc) {
   expect_program_identical(as.assemble(), "ret to invalid pc");
 }
 
-// --- FastEngine-specific behaviour ----------------------------------------
+// --- engine-specific behaviour --------------------------------------------
 
-TEST(FastEngine, SetPcRedirectsAndClearsHalt) {
+TEST(FunctionalEngine, SetPcRedirectsAndClearsHalt) {
   isa::Assembler as;
   as.label("a");
   as.movi(1, 1);
@@ -342,7 +342,7 @@ TEST(FastEngine, SetPcRedirectsAndClearsHalt) {
 
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  isa::FastEngine engine(program, memory);
+  isa::FunctionalEngine engine(program, memory);
   engine.run();
   EXPECT_TRUE(engine.halted());
   EXPECT_EQ(engine.reg(1), 1u);
@@ -353,70 +353,27 @@ TEST(FastEngine, SetPcRedirectsAndClearsHalt) {
   EXPECT_EQ(engine.reg(1), 2u);
 }
 
-TEST(FastEngine, InvalidateCodeBumpsEpochAndRedecodes) {
-  const isa::Program program = testing::figure1_program(64);
-  mem::MainMemory memory;
-  isa::load_data_image(program, memory);
-  isa::FastEngine engine(program, memory);
-  engine.run(100);
-  EXPECT_EQ(engine.epoch(), 0u);
-  const uint64_t decoded_before = engine.blocks_decoded();
-  EXPECT_GT(decoded_before, 0u);
-  engine.invalidate_code();
-  EXPECT_EQ(engine.epoch(), 1u);
-  // Same image, so execution continues identically — but blocks re-decode.
-  engine.run();
-  EXPECT_TRUE(engine.halted());
-  EXPECT_GT(engine.blocks_decoded(), decoded_before);
-  expect_identical(run_interpreter(program), run_fast(program),
-                   "invalidate mid-run leaves semantics unchanged");
-}
-
-TEST(FastEngine, BlockCacheHitsDominateOnLoops) {
+TEST(FunctionalEngine, BlockCacheHitsDominateOnLoops) {
   const isa::Program program = testing::figure1_program(512);
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  isa::FastEngine engine(program, memory);
+  isa::FunctionalEngine engine(program, memory);
   engine.run();
   EXPECT_TRUE(engine.halted());
   // The figure-1 loop re-enters the same few blocks hundreds of times.
   EXPECT_LT(engine.blocks_decoded() * 10, engine.blocks_entered());
 }
 
-TEST(FastEngine, NullSinkCollectsNothingButExecutes) {
+TEST(FunctionalEngine, NullSinkCollectsNothingButExecutes) {
   const isa::Program program = testing::random_program(11);
   const RunTrace ref = run_interpreter(program);
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  isa::FastEngine engine(program, memory);
+  isa::FunctionalEngine engine(program, memory);
   engine.run();  // no on_block
   EXPECT_EQ(engine.executed(), ref.executed);
   EXPECT_EQ(engine.regs(), ref.regs);
   EXPECT_EQ(memory.digest(), ref.mem_digest);
-}
-
-// --- FunctionalEngine facade ----------------------------------------------
-
-TEST(FunctionalEngine, BothKindsDeliverIdenticalStreams) {
-  const isa::Program program = testing::random_program(21);
-  RunTrace traces[2];
-  const EngineKind kinds[2] = {EngineKind::kSwitch, EngineKind::kCached};
-  for (int k = 0; k < 2; ++k) {
-    mem::MainMemory memory;
-    isa::load_data_image(program, memory);
-    isa::FunctionalEngine engine(program, memory, kinds[k]);
-    EXPECT_EQ(engine.kind(), kinds[k]);
-    engine.set_sink([&](uint64_t, const StepEvent* ev, size_t n) {
-      traces[k].events.insert(traces[k].events.end(), ev, ev + n);
-    });
-    engine.run();
-    traces[k].executed = engine.executed();
-    traces[k].halted = engine.halted();
-    traces[k].pc = engine.pc();
-    traces[k].regs = engine.regs();
-    traces[k].mem_digest = memory.digest();
-  }
-  expect_identical(traces[0], traces[1], "facade switch vs cached");
 }
 
 // --- slice report ---------------------------------------------------------
@@ -437,25 +394,25 @@ struct SliceRun {
   bool operator==(const SliceRun&) const = default;
 };
 
-/// Runs `program` on the facade of `kind` in installments of `chunk`
-/// instructions, reading the block slices from the slice sink or, with
-/// `from_events`, deriving them from the event sink's spans (entry pc,
-/// span length, whether the last event is kBranch).
-SliceRun run_slices(const isa::Program& program, EngineKind kind,
-                    uint64_t chunk, bool from_events) {
+/// Runs `program` on the engine in installments of `chunk` instructions,
+/// reading the block slices from the slice sink or, with `from_events`,
+/// deriving them from the event sink's spans (entry pc, span length,
+/// whether the last event is kBranch).
+SliceRun run_slices(const isa::Program& program, uint64_t chunk,
+                    bool from_events) {
   SliceRun out;
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  isa::FunctionalEngine engine(program, memory, kind);
+  isa::FunctionalEngine engine(program, memory);
   if (from_events) {
-    engine.set_sink([&](uint64_t pc, const StepEvent* ev, size_t n) {
+    engine.on_block = [&](uint64_t pc, const StepEvent* ev, size_t n) {
       out.slices.push_back({pc, static_cast<uint32_t>(n),
                             ev[n - 1].kind == EventKind::kBranch});
-    });
+    };
   } else {
-    engine.set_slice_sink([&](uint64_t pc, uint32_t n, bool branch) {
+    engine.on_slice = [&](uint64_t pc, uint32_t n, bool branch) {
       out.slices.push_back({pc, n, branch});
-    });
+    };
   }
   while (engine.run(chunk) > 0) {
   }
@@ -463,6 +420,19 @@ SliceRun run_slices(const isa::Program& program, EngineKind kind,
   out.pc = engine.pc();
   out.regs = engine.regs();
   out.mem_digest = memory.digest();
+  return out;
+}
+
+/// `slices` split into one-instruction slices: a slice runs consecutive
+/// PCs, and only its last instruction can be a conditional branch.
+std::vector<Slice> per_instruction(const std::vector<Slice>& slices) {
+  std::vector<Slice> out;
+  for (const Slice& s : slices) {
+    for (uint32_t i = 0; i < s.n; ++i) {
+      out.push_back({s.pc + i * isa::kInstBytes, 1,
+                     i + 1 == s.n && s.ends_in_cond_branch});
+    }
+  }
   return out;
 }
 
@@ -493,31 +463,34 @@ TEST(SliceReport, MatchesEventSpansOnBothEngines) {
   programs.emplace_back("over block cap", over_block_cap_program());
   bool cut_by_cap = false;
   for (const auto& [name, program] : programs) {
-    for (const EngineKind kind : {EngineKind::kCached, EngineKind::kSwitch}) {
-      // Whole runs, and installments that end inside blocks.
-      for (const uint64_t chunk : {UINT64_MAX, uint64_t{17}, uint64_t{1}}) {
-        const SliceRun slices = run_slices(program, kind, chunk, false);
-        ASSERT_EQ(slices, run_slices(program, kind, chunk, true))
-            << name << " engine " << isa::engine_kind_name(kind) << " chunk "
-            << chunk;
-        uint64_t total = 0;
-        for (const Slice& s : slices.slices) {
-          total += s.n;
-          if (kind == EngineKind::kSwitch) EXPECT_EQ(s.n, 1u);
-          cut_by_cap = cut_by_cap || s.n == 256;
-        }
-        EXPECT_EQ(total, slices.executed) << name;
+    // The reference Interpreter's stream, one instruction per slice.
+    std::vector<Slice> oracle;
+    for (const StepEvent& ev : run_interpreter(program).events) {
+      oracle.push_back({ev.pc, 1, ev.kind == EventKind::kBranch});
+    }
+    // Whole runs, and installments that end inside blocks.
+    for (const uint64_t chunk : {UINT64_MAX, uint64_t{17}, uint64_t{1}}) {
+      const SliceRun slices = run_slices(program, chunk, false);
+      ASSERT_EQ(slices, run_slices(program, chunk, true))
+          << name << " chunk " << chunk;
+      ASSERT_EQ(per_instruction(slices.slices), oracle)
+          << name << " chunk " << chunk;
+      uint64_t total = 0;
+      for (const Slice& s : slices.slices) {
+        total += s.n;
+        cut_by_cap = cut_by_cap || s.n == 256;
       }
+      EXPECT_EQ(total, slices.executed) << name;
     }
   }
   EXPECT_TRUE(cut_by_cap) << "no slice reached the 256-op block cap";
 }
 
-TEST(SliceReport, FastEngineRejectsBothSinks) {
+TEST(SliceReport, RejectsBothSinks) {
   const isa::Program program = testing::random_program(5);
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
-  isa::FastEngine engine(program, memory);
+  isa::FunctionalEngine engine(program, memory);
   engine.on_block = [](uint64_t, const StepEvent*, size_t) {};
   engine.on_slice = [](uint64_t, uint32_t, bool) {};
   EXPECT_THROW(engine.run(), std::logic_error);
@@ -527,65 +500,35 @@ TEST(FunctionalEngine, SetArchStateResumesFromASnapshot) {
   const isa::Program program = random_call_program(4);
   const RunTrace straight = run_interpreter(program);
   ASSERT_GT(straight.executed, 20u);
-  for (const EngineKind kind : {EngineKind::kSwitch, EngineKind::kCached}) {
-    for (const uint64_t at :
-         {uint64_t{0}, uint64_t{7}, straight.executed / 2}) {
-      mem::MainMemory memory;
-      isa::load_data_image(program, memory);
-      isa::FunctionalEngine first(program, memory, kind);
-      first.run(at);
-      mem::MainMemory copy = memory.clone();
-      isa::FunctionalEngine resumed(program, copy, kind);
-      resumed.set_arch_state(first.regs(), first.pc());
-      resumed.run();
-      const std::string what = std::string(isa::engine_kind_name(kind)) +
-                               " from " + std::to_string(at);
-      EXPECT_EQ(at + resumed.executed(), straight.executed) << what;
-      EXPECT_TRUE(resumed.halted()) << what;
-      EXPECT_EQ(resumed.pc(), straight.pc) << what;
-      EXPECT_EQ(resumed.regs(), straight.regs) << what;
-      EXPECT_EQ(copy.digest(), straight.mem_digest) << what;
-    }
+  for (const uint64_t at : {uint64_t{0}, uint64_t{7}, straight.executed / 2}) {
+    mem::MainMemory memory;
+    isa::load_data_image(program, memory);
+    isa::FunctionalEngine first(program, memory);
+    first.run(at);
+    mem::MainMemory copy = memory.clone();
+    isa::FunctionalEngine resumed(program, copy);
+    resumed.set_arch_state(first.regs(), first.pc());
+    resumed.run();
+    const std::string what = "from " + std::to_string(at);
+    EXPECT_EQ(at + resumed.executed(), straight.executed) << what;
+    EXPECT_TRUE(resumed.halted()) << what;
+    EXPECT_EQ(resumed.pc(), straight.pc) << what;
+    EXPECT_EQ(resumed.regs(), straight.regs) << what;
+    EXPECT_EQ(copy.digest(), straight.mem_digest) << what;
   }
 }
 
 TEST(FunctionalEngine, RunToIsMonotonic) {
   const isa::Program program = testing::figure1_program(256);
-  for (const EngineKind kind : {EngineKind::kSwitch, EngineKind::kCached}) {
-    mem::MainMemory memory;
-    isa::load_data_image(program, memory);
-    isa::FunctionalEngine engine(program, memory, kind);
-    engine.run_to(50);
-    EXPECT_EQ(engine.executed(), 50u);
-    engine.run_to(30);  // no-op: positions are monotonic
-    EXPECT_EQ(engine.executed(), 50u);
-    engine.run_to(80);
-    EXPECT_EQ(engine.executed(), 80u);
-  }
-}
-
-TEST(FunctionalEngine, EnvKnobParses) {
-  const char* saved = std::getenv("CFIR_ENGINE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-
-  unsetenv("CFIR_ENGINE");
-  EXPECT_EQ(isa::engine_kind_from_env(), EngineKind::kCached);
-  setenv("CFIR_ENGINE", "", 1);
-  EXPECT_EQ(isa::engine_kind_from_env(), EngineKind::kCached);
-  setenv("CFIR_ENGINE", "cached", 1);
-  EXPECT_EQ(isa::engine_kind_from_env(), EngineKind::kCached);
-  setenv("CFIR_ENGINE", "switch", 1);
-  EXPECT_EQ(isa::engine_kind_from_env(), EngineKind::kSwitch);
-  setenv("CFIR_ENGINE", "turbo", 1);
-  EXPECT_THROW((void)isa::engine_kind_from_env(), std::runtime_error);
-
-  if (saved != nullptr) {
-    setenv("CFIR_ENGINE", saved_value.c_str(), 1);
-  } else {
-    unsetenv("CFIR_ENGINE");
-  }
-  EXPECT_STREQ(isa::engine_kind_name(EngineKind::kCached), "cached");
-  EXPECT_STREQ(isa::engine_kind_name(EngineKind::kSwitch), "switch");
+  mem::MainMemory memory;
+  isa::load_data_image(program, memory);
+  isa::FunctionalEngine engine(program, memory);
+  engine.run_to(50);
+  EXPECT_EQ(engine.executed(), 50u);
+  engine.run_to(30);  // no-op: positions are monotonic
+  EXPECT_EQ(engine.executed(), 50u);
+  engine.run_to(80);
+  EXPECT_EQ(engine.executed(), 80u);
 }
 
 }  // namespace

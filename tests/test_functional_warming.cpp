@@ -20,7 +20,6 @@
 //    so the cache equivalence program is straight-line by construction.
 #include "trace/warming.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -309,83 +308,7 @@ TEST(FunctionalWarming, CaptureWarmStatesMatchesIndividualWarmers) {
                std::runtime_error);
 }
 
-// --- CFIR_ENGINE matrix ---------------------------------------------------
-// The superblock-caching engine (docs/functional-engine.md) must stream the
-// bit-identical committed-record sequence the switch oracle streams, so
-// every warm-state blob, sampled-run stat and CFIRSHD2 merge below must be
-// byte-equal between CFIR_ENGINE=switch and =cached.
-
-using isa::EngineKind;
-
-std::vector<uint8_t> final_warm_blob(const core::CoreConfig& config,
-                                     const isa::Program& program,
-                                     EngineKind kind) {
-  FunctionalWarmer w(config, program, kind);
-  w.advance_to(UINT64_MAX);
-  return w.serialize_state();
-}
-
-TEST(EngineWarmingMatrix, WarmStateBlobsBitIdenticalAcrossEngines) {
-  // serialize_state() carries the full component matrix — gshare, MBS,
-  // RAS, stride predictor and all four cache levels — so blob equality is
-  // per-component bit equality in one shot, across the policy families.
-  for (const char* wl : {"bzip2", "parser", "twolf"}) {
-    const isa::Program program = workloads::build(wl, 1);
-    const core::CoreConfig configs[] = {sim::presets::scal(2, 256),
-                                        sim::presets::ci(2, 512),
-                                        sim::presets::vect(2, 512)};
-    for (const core::CoreConfig& config : configs) {
-      EXPECT_EQ(final_warm_blob(config, program, EngineKind::kSwitch),
-                final_warm_blob(config, program, EngineKind::kCached))
-          << wl;
-    }
-  }
-}
-
-TEST(EngineWarmingMatrix, CachedEngineWarmerMatchesDetailedRun) {
-  // The digest matrix above pins switch-engine warmers to the detailed
-  // core; re-run the commit-derivable component comparisons with a
-  // cached-engine warmer so the oracle chain is closed on both sides.
-  for (const char* wl : {"bzip2", "parser", "twolf"}) {
-    const isa::Program program = workloads::build(wl, 1);
-    sim::Simulator sim(sim::presets::scal(2, 256), program);
-    sim.run(UINT64_MAX);
-    FunctionalWarmer warmer(sim::presets::scal(2, 256), program,
-                            EngineKind::kCached);
-    warmer.advance_to(UINT64_MAX);
-    EXPECT_EQ(warmer.gshare().debug_digest(),
-              sim.core().gshare().debug_digest())
-        << wl;
-    EXPECT_EQ(warmer.mbs().debug_digest(), sim.core().mbs().debug_digest())
-        << wl;
-    EXPECT_EQ(warmer.ras().debug_digest(), sim.core().ras().debug_digest())
-        << wl;
-  }
-}
-
-/// Sets CFIR_ENGINE for one scope and restores the previous value, so the
-/// env-keyed default (FunctionalEngine construction inside planning,
-/// warming and shard execution) is what actually gets exercised.
-class ScopedEngineEnv {
- public:
-  explicit ScopedEngineEnv(const char* value) {
-    const char* prev = std::getenv("CFIR_ENGINE");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    setenv("CFIR_ENGINE", value, 1);
-  }
-  ~ScopedEngineEnv() {
-    if (had_prev_) {
-      setenv("CFIR_ENGINE", prev_.c_str(), 1);
-    } else {
-      unsetenv("CFIR_ENGINE");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
+// --- sharded == solo at s8 -----------------------------------------------
 
 /// Everything simulated in a SampledRun, byte-packed — deliberately
 /// excluding the wall_us/warm_wall_us host telemetry, which is
@@ -410,12 +333,11 @@ std::vector<uint8_t> run_signature(const SampledRun& r) {
 }
 
 // The bzip2/parser/twolf s8 sampled-run rows (the accuracy-matrix
-// workloads) run under both CFIR_ENGINE values: planning (count + BBV +
-// checkpoints), functional warming, solo sampled_run AND a 2-shard
-// CFIRSHD2 round-trip + merge must all be bit-identical between engines.
+// workloads): a 2-shard CFIRSHD2 round-trip + merge of a cluster plan with
+// functional warming must be bit-identical to the solo sampled_run.
 // Excluded from the sanitizer job like the accuracy matrix (runtime, not
 // memory-safety, coverage).
-TEST(EngineSamplingS8Matrix, SampledRunsAndMergesBitIdenticalAcrossEngines) {
+TEST(SamplingS8Matrix, ShardedMergeMatchesSoloRun) {
   for (const char* wl : {"bzip2", "parser", "twolf"}) {
     const isa::Program program = workloads::build(wl, 8);
     const core::CoreConfig config = sim::presets::ci(2, 512);
@@ -425,27 +347,18 @@ TEST(EngineSamplingS8Matrix, SampledRunsAndMergesBitIdenticalAcrossEngines) {
     opts.warm_mode = WarmMode::kFunctional;
     opts.detail_len = 2000;
 
-    std::vector<std::vector<uint8_t>> solo_sigs;
-    std::vector<std::vector<uint8_t>> merged_sigs;
-    for (const char* engine : {"switch", "cached"}) {
-      ScopedEngineEnv env(engine);
-      const IntervalPlan plan = plan_cluster_intervals(program, opts);
-      solo_sigs.push_back(run_signature(sampled_run(config, program, plan,
-                                                    /*threads=*/2)));
-      std::vector<ShardResult> shards;
-      for (uint32_t i = 0; i < 2; ++i) {
-        const ShardResult r = run_shard(config, program, plan,
-                                        ShardSelection{i, 2}, /*threads=*/2);
-        // Round-trip through the CFIRSHD2 payload codec so the merged
-        // output is what a multi-machine merge would actually consume.
-        shards.push_back(ShardResult::deserialize(r.serialize()));
-      }
-      merged_sigs.push_back(run_signature(merge_shard_results(shards)));
+    const IntervalPlan plan = plan_cluster_intervals(program, opts);
+    const std::vector<uint8_t> solo =
+        run_signature(sampled_run(config, program, plan, /*threads=*/2));
+    std::vector<ShardResult> shards;
+    for (uint32_t i = 0; i < 2; ++i) {
+      const ShardResult r = run_shard(config, program, plan,
+                                      ShardSelection{i, 2}, /*threads=*/2);
+      // Round-trip through the CFIRSHD2 payload codec so the merged output
+      // is what a multi-machine merge would actually consume.
+      shards.push_back(ShardResult::deserialize(r.serialize()));
     }
-    EXPECT_EQ(solo_sigs[0], solo_sigs[1]) << wl;
-    EXPECT_EQ(merged_sigs[0], merged_sigs[1]) << wl;
-    // And sharded == solo, engine-independently (the PR 4 invariant).
-    EXPECT_EQ(solo_sigs[0], merged_sigs[0]) << wl;
+    EXPECT_EQ(solo, run_signature(merge_shard_results(shards))) << wl;
   }
 }
 

@@ -16,9 +16,9 @@
 //    pass keeps grid warming cost within 1.1x of a single config's;
 //  - mismatched plans/configs and incomplete/duplicate shard sets are
 //    rejected at merge time instead of silently skewing the aggregate;
-//  - retired layouts (CFIRTRC1, CFIRMAN1, CFIRSHD1, CFIRSHD2 v2) fail
-//    with VersionError, and every format rejects a file whose CRC footer
-//    was cut off with CorruptFileError.
+//  - retired layouts (CFIRTRC1, CFIRMAN1, CFIRSHD1, CFIRSHD2 v2, the
+//    warm-state checkpoint) fail with VersionError, and every format
+//    rejects a file whose CRC footer was cut off with CorruptFileError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -360,8 +360,7 @@ TEST(ShardedRun, SerializedShardsMergeBitIdentical) {
   opts.warm_mode = WarmMode::kFunctional;
   opts.detail_len = 1500;
   opts.max_insts = 40000;
-  IntervalPlan plan = plan_cluster_intervals(program, opts);
-  attach_warm_states(plan, config, program);
+  const IntervalPlan plan = plan_cluster_intervals(program, opts);
   const SampledRun reference = sampled_run(config, program, plan);
 
   std::vector<ShardResult> shards;
@@ -608,6 +607,9 @@ TEST(RetiredFormats, EveryRetiredLayoutThrowsVersionError) {
 
   write_blob_file(file.path(), header_only("CFIRSHD1", 1));
   EXPECT_THROW((void)ShardResult::load(file.path()), VersionError);
+
+  write_blob_file(file.path(), header_only("CFIRCKP2", 2));
+  EXPECT_THROW((void)Checkpoint::load(file.path()), VersionError);
 
   // CFIRSHD2 version 2 (no wall-clock fields): a real v3 payload with the
   // version word rewritten.

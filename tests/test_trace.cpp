@@ -21,6 +21,7 @@
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
+#include "trace/blob.hpp"
 #include "trace/checkpoint.hpp"
 #include "trace/errors.hpp"
 #include "trace/sampling.hpp"
@@ -289,7 +290,7 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
 }
 
 namespace {
-Checkpoint random_checkpoint(uint64_t seed, bool with_warm) {
+Checkpoint random_checkpoint(uint64_t seed) {
   std::mt19937_64 gen(seed);
   Checkpoint ck;
   ck.pc = gen();
@@ -304,50 +305,27 @@ Checkpoint random_checkpoint(uint64_t seed, bool with_warm) {
     for (size_t b = 0; b < fill; ++b) page[b] = static_cast<uint8_t>(gen());
     ck.memory.write_block(base, page.data(), page.size());
   }
-  if (with_warm) {
-    ck.warm.resize(64 + gen() % 4096);
-    for (auto& b : ck.warm) b = static_cast<uint8_t>(gen());
-  }
   return ck;
 }
 }  // namespace
 
 TEST(Checkpoint, FuzzSerializeDeserializeReserializeStable) {
-  // save -> load -> save must be byte-identical, for cold (CFIRCKP1) and
-  // warm (CFIRCKP2) checkpoints alike: shards exchanged between machines
-  // must not mutate in flight.
+  // save -> load -> save must be byte-identical: shards exchanged between
+  // machines must not mutate in flight.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (const bool with_warm : {false, true}) {
-      const Checkpoint ck = random_checkpoint(seed, with_warm);
-      TempFile first("ckfz_a" + std::to_string(seed) + (with_warm ? "w" : ""));
-      TempFile second("ckfz_b" + std::to_string(seed) + (with_warm ? "w" : ""));
-      ck.save(first.path());
-      const Checkpoint loaded = Checkpoint::load(first.path());
-      EXPECT_EQ(loaded.pc, ck.pc);
-      EXPECT_EQ(loaded.executed, ck.executed);
-      EXPECT_EQ(loaded.regs, ck.regs);
-      EXPECT_EQ(loaded.memory.digest(), ck.memory.digest());
-      EXPECT_EQ(loaded.warm, ck.warm);
-      EXPECT_EQ(loaded.has_warm(), with_warm);
-      loaded.save(second.path());
-      EXPECT_EQ(file_bytes(first.path()), file_bytes(second.path()))
-          << "seed " << seed << " warm " << with_warm;
-    }
+    const Checkpoint ck = random_checkpoint(seed);
+    TempFile first("ckfz_a" + std::to_string(seed));
+    TempFile second("ckfz_b" + std::to_string(seed));
+    ck.save(first.path());
+    const Checkpoint loaded = Checkpoint::load(first.path());
+    EXPECT_EQ(loaded.pc, ck.pc);
+    EXPECT_EQ(loaded.executed, ck.executed);
+    EXPECT_EQ(loaded.regs, ck.regs);
+    EXPECT_EQ(loaded.memory.digest(), ck.memory.digest());
+    loaded.save(second.path());
+    EXPECT_EQ(file_bytes(first.path()), file_bytes(second.path()))
+        << "seed " << seed;
   }
-}
-
-TEST(Checkpoint, TruncatedWarmStateFailsLoudly) {
-  const Checkpoint ck = random_checkpoint(3, /*with_warm=*/true);
-  TempFile file("cktrunc");
-  ck.save(file.path());
-  std::vector<uint8_t> bytes = file_bytes(file.path());
-  bytes.resize(bytes.size() - ck.warm.size() / 2);
-  {
-    std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_THROW(Checkpoint::load(file.path()), std::runtime_error);
 }
 
 TEST(Checkpoint, SaveLoadRoundTrip) {
@@ -362,6 +340,14 @@ TEST(Checkpoint, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.executed, ck.executed);
   EXPECT_EQ(loaded.regs, ck.regs);
   EXPECT_EQ(loaded.memory.digest(), ck.memory.digest());
+
+  // A payload that runs on past its pages, under a valid CRC footer, is
+  // not a checkpoint: like the manifest and shard decoders, load rejects
+  // it instead of ignoring the tail.
+  std::vector<uint8_t> payload = read_blob_file(file.path(), "Checkpoint");
+  payload.resize(payload.size() + 8, 0xAB);
+  write_blob_file(file.path(), payload);
+  EXPECT_THROW((void)Checkpoint::load(file.path()), CorruptFileError);
 }
 
 TEST(Checkpoint, InterpreterResumeBitIdentical) {
@@ -571,34 +557,6 @@ TEST(SampledRun, DetailCapScalesWeightsAndCutsCost) {
   const double est = static_cast<double>(run.aggregate.committed);
   const double truth = static_cast<double>(capped_plan.total_insts);
   EXPECT_NEAR(est, truth, 0.01 * truth);
-}
-
-TEST(SampledRun, FunctionalWarmStatesAttachAndShard) {
-  // attach_warm_states embeds per-interval warm blobs; a plan whose
-  // checkpoints round-trip through CFIRCKP2 files must produce the exact
-  // same sampled run (shardability).
-  const isa::Program program = workloads::build("twolf", 2);
-  const core::CoreConfig config = sim::presets::ci(2, 512);
-  IntervalPlan plan = plan_intervals(program, 3, 0, 0, WarmMode::kFunctional);
-  const SampledRun before = sampled_run(config, program, plan);
-
-  attach_warm_states(plan, config, program);
-  for (const Checkpoint& ck : plan.checkpoints) {
-    EXPECT_TRUE(ck.has_warm());
-  }
-  // Round-trip every checkpoint through its v2 file form.
-  for (Checkpoint& ck : plan.checkpoints) {
-    TempFile file("shard");
-    ck.save(file.path());
-    ck = Checkpoint::load(file.path());
-    EXPECT_TRUE(ck.has_warm());
-  }
-  const SampledRun after = sampled_run(config, program, plan);
-  EXPECT_EQ(before.aggregate.cycles, after.aggregate.cycles);
-  EXPECT_EQ(before.aggregate.committed, after.aggregate.committed);
-  EXPECT_EQ(before.aggregate.mispredicts, after.aggregate.mispredicts);
-  EXPECT_EQ(before.aggregate.l1d_misses, after.aggregate.l1d_misses);
-  EXPECT_EQ(before.warmed_insts, after.warmed_insts);
 }
 
 TEST(SampledRun, RunAllIntervalsFieldAggregates) {

@@ -439,11 +439,11 @@ TEST(TraceV2S8, DifferentialAgainstV1OnPaperWorkloads) {
       uint64_t i = 0;
       bool same = true;
       TraceRecord rec;
-      engine.set_sink([&](uint64_t, const isa::StepEvent* ev, size_t n) {
+      engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
         for (size_t k = 0; k < n && same; ++k, ++i) {
           same = reader.next(rec) && rec == to_trace_record(ev[k]);
         }
-      });
+      };
       engine.run(UINT64_MAX);
       EXPECT_TRUE(same) << name << " record " << i;
       EXPECT_EQ(i, r.executed) << name;
