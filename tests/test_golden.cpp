@@ -272,11 +272,13 @@ TEST(Golden, TwoShardRunFromSidecarsAndFromTrace) {
 /// mechanism (the replica engine rides the same cycle loop), a 1K-entry
 /// ROB (calendar wrap-around and long stall lists), the vect baseline,
 /// the speculative data memory (copy micro-ops and their waiters), the
-/// squash-reuse baseline, and ci at the "infinite" register point (an
-/// 8K-entry ROB).
-const char* const kCoreConfigNames[] = {"scal1p", "ci2p",   "wide1p",
-                                        "vect2p", "cih2p",  "ciiw2p",
-                                        "ci2p-inf"};
+/// squash-reuse baseline, ci at the "infinite" register point (an
+/// 8K-entry ROB), and the fig14 grid's two extreme columns: ci starved at
+/// 128 registers (rename stalls, replica-reserve denials, watchdog
+/// reclaims) and vect at the 8K-entry ROB.
+const char* const kCoreConfigNames[] = {"scal1p",   "ci2p",     "wide1p",
+                                        "vect2p",   "cih2p",    "ciiw2p",
+                                        "ci2p-inf", "ci2p-128", "vect2p-inf"};
 constexpr size_t kCoreConfigs = std::size(kCoreConfigNames);
 
 std::vector<core::CoreConfig> core_matrix() {
@@ -289,7 +291,9 @@ std::vector<core::CoreConfig> core_matrix() {
           sim::presets::vect(2, 256),
           sim::presets::ci_specmem(2, 512, 256),
           sim::presets::ci_window(2, 256),
-          sim::presets::ci(2, sim::presets::kInfRegs)};
+          sim::presets::ci(2, sim::presets::kInfRegs),
+          sim::presets::ci(2, 128),
+          sim::presets::vect(2, sim::presets::kInfRegs)};
 }
 
 /// Serialized SimStats plus the cycle count of one plain detailed run.
@@ -309,13 +313,16 @@ TEST(Golden, DetailedCoreKernels) {
   const uint64_t expected[3][kCoreConfigs] = {
       {0x82e08d0eeec91d2dull, 0x7dc2c43647462fd6ull, 0x0533d3f57822e934ull,
        0x7e9a73d52a8de773ull, 0x348e94399170cc89ull,
-       0x93435f1eda348848ull, 0x6597b2cf1cf512b2ull},
+       0x93435f1eda348848ull, 0x6597b2cf1cf512b2ull, 0x1c8feaee3d82d0a6ull,
+       0xbf5819f74f67f7ccull},
       {0x148f665fb38371edull, 0xb49cb593f9d1dcbfull, 0x9084f13fca41cd52ull,
        0xe24c20882dfc2708ull, 0xf9044dfb8bc5b8c6ull,
-       0xd977a9a3bb4b9989ull, 0x4f94bc0695ac26fcull},
+       0xd977a9a3bb4b9989ull, 0x4f94bc0695ac26fcull, 0xed0d521f4cacb09dull,
+       0xda7ed2eb13c7031bull},
       {0xd2098969530a9d96ull, 0xebdfbed701a1dc5dull, 0xa8afb241e75dc837ull,
        0xf1a5d7804629ac16ull, 0x30164d7cb78f3e71ull,
-       0xf41f71ca9d477012ull, 0x1ce86c64085837dfull},
+       0xf41f71ca9d477012ull, 0x1ce86c64085837dfull, 0xe0f16f0f153eb171ull,
+       0xa69547c7b8ef3d22ull},
   };
   const std::vector<core::CoreConfig> configs = core_matrix();
   ASSERT_EQ(configs.size(), kCoreConfigs);
@@ -337,22 +344,28 @@ TEST(Golden, DetailedCoreRandomPrograms) {
   const uint64_t expected[6][kCoreConfigs] = {
       {0x1c18fd68fb26fc0aull, 0xc8f70bf74bd9c4abull, 0x1c18fd68fb26fc0aull,
        0xc8f70bf74bd9c4abull, 0xc8f70bf74bd9c4abull,
-       0xfe130fbcbd02c4e4ull, 0xc8f70bf74bd9c4abull},
+       0xfe130fbcbd02c4e4ull, 0xc8f70bf74bd9c4abull, 0xc8f70bf74bd9c4abull,
+       0xc8f70bf74bd9c4abull},
       {0x29e95fc9ade96fa8ull, 0x1a857f44f85c879dull, 0x29e95fc9ade96fa8ull,
        0x53a66cb09411742eull, 0x1a857f44f85c879dull,
-       0xfd52619be90782acull, 0x1a857f44f85c879dull},
+       0xfd52619be90782acull, 0x1a857f44f85c879dull, 0x1a857f44f85c879dull,
+       0x53a66cb09411742eull},
       {0xb31f94ab5689a846ull, 0xb637c425a9476b1dull, 0xb31f94ab5689a846ull,
        0xa3e630b0811299e4ull, 0xb637c425a9476b1dull,
-       0xd301c1a8e0d2b046ull, 0xb637c425a9476b1dull},
+       0xd301c1a8e0d2b046ull, 0xb637c425a9476b1dull, 0x24bb927c931ca62cull,
+       0xa3e630b0811299e4ull},
       {0x00d76458cfd7336cull, 0xdbf299a8ab73eed0ull, 0x00d76458cfd7336cull,
        0xd757a86da6e7def8ull, 0xdbf299a8ab73eed0ull,
-       0xbdf1a87fde4be48eull, 0xdbf299a8ab73eed0ull},
+       0xbdf1a87fde4be48eull, 0xdbf299a8ab73eed0ull, 0xa45cd15b693537f2ull,
+       0xd757a86da6e7def8ull},
       {0xf70403d8060fb177ull, 0x86f8ffe9a1208956ull, 0xf70403d8060fb177ull,
        0x86f8ffe9a1208956ull, 0x86f8ffe9a1208956ull,
-       0x6de28836a7e8c351ull, 0x86f8ffe9a1208956ull},
+       0x6de28836a7e8c351ull, 0x86f8ffe9a1208956ull, 0x86f8ffe9a1208956ull,
+       0x86f8ffe9a1208956ull},
       {0xbc749df73a7920f3ull, 0x43b760cd8fcca6efull, 0xbc749df73a7920f3ull,
        0x43b760cd8fcca6efull, 0x43b760cd8fcca6efull,
-       0x579fb2536395347cull, 0x43b760cd8fcca6efull},
+       0x579fb2536395347cull, 0x43b760cd8fcca6efull, 0x43b760cd8fcca6efull,
+       0x43b760cd8fcca6efull},
   };
   const std::vector<core::CoreConfig> configs = core_matrix();
   ASSERT_EQ(configs.size(), kCoreConfigs);
