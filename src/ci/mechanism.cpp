@@ -126,7 +126,7 @@ void CiMechanism::validate_or_create(DynInst& di) {
     // and its registers can be dropped and re-vectorized with the new
     // operands (paper 2.3.4).
     ++stats.validations_failed;
-    engine_->release_entry(slot, "replace");
+    engine_->release_entry(slot, ReleaseReason::kReplace);
     if (di.is_load) {
       const StridePredictor::Info sp = stride_.lookup(di.pc);
       if (sp.known && sp.confident && sp.selected && sp.stride != 0) {
@@ -176,7 +176,7 @@ void CiMechanism::validate_or_create(DynInst& di) {
 void CiMechanism::create_load_entry(DynInst& di,
                                     const StridePredictor::Info& sp) {
   auto release = [this](uint32_t victim) {
-    engine_->release_entry(victim, "replace");
+    engine_->release_entry(victim, ReleaseReason::kReplace);
   };
   const uint32_t slot = srsmt_.alloc(di.pc, release);
   if (slot == kInvalidSrsmtSlot) return;
@@ -195,7 +195,18 @@ void CiMechanism::create_load_entry(DynInst& di,
 void CiMechanism::create_arith_entry(DynInst& di) {
   // Requires >=1 source produced by a live vectorized entry; scalar sources
   // must be ready so their value can be latched (the paper stalls decode in
-  // this case; we simply skip and retry at the next encounter).
+  // this case; we simply skip and retry at the next encounter). Most
+  // instances have no source whose latest writer is vectorized (V/S flag)
+  // other than their own destination, and leave here.
+  const isa::Instruction& inst = di.inst;
+  const uint8_t bits = isa::attrs(inst.op).bits;
+  const auto vs_source = [&](uint8_t src_bit, uint8_t logical) {
+    return (bits & src_bit) != 0 && logical != inst.rd && ext_[logical].vs;
+  };
+  if (!vs_source(isa::kOpSrc1, inst.rs1) &&
+      !vs_source(isa::kOpSrc2, inst.rs2)) {
+    return;
+  }
   struct SrcInfo {
     bool present = false;
     bool vector = false;
@@ -237,7 +248,7 @@ void CiMechanism::create_arith_entry(DynInst& di) {
   if (!any_vector) return;  // chains must start at a vectorized producer
 
   auto release = [this](uint32_t victim) {
-    engine_->release_entry(victim, "replace");
+    engine_->release_entry(victim, ReleaseReason::kReplace);
   };
   const uint32_t slot = srsmt_.alloc(di.pc, release);
   if (slot == kInvalidSrsmtSlot) return;
@@ -256,7 +267,7 @@ void CiMechanism::create_arith_entry(DynInst& di) {
       op.producer_pc = di.pc;
       op.producer_slot = slot;
       op.producer_uid = e.uid;
-      e.consumer_slots.push_back(slot);  // own completions arm successors
+      e.add_consumer(slot);  // own completions arm successors
     } else if (s.vector) {
       SrsmtEntry& p = srsmt_.entry(s.ext->entry_slot);
       op.is_vector = true;
@@ -264,7 +275,7 @@ void CiMechanism::create_arith_entry(DynInst& di) {
       op.producer_slot = s.ext->entry_slot;
       op.producer_uid = s.ext->entry_uid;
       op.index_offset = p.decode_count;
-      p.consumer_slots.push_back(slot);
+      p.add_consumer(slot);
     } else {
       op.scalar_value = core_->regfile().value(s.ps);
     }
@@ -330,33 +341,44 @@ void CiMechanism::on_renamed(DynInst& di) {
     crp_.mask |= uint64_t{1} << di.inst.rd;
   }
 
-  // Rename extension update with walk-recovery snapshot.
+  // Rename extension update with walk-recovery snapshot. A cleared
+  // extension (no stridedPCs, no V/S flag) reads the same as RenameExt{},
+  // so a flag stands in for its copy.
   RenameExt& x = ext_[static_cast<size_t>(di.inst.rd)];
-  ext_snap_[di.slot] = x;
-  di.mech.ext_saved = true;
+  if (x.strided_count == 0 && !x.vs) {
+    di.mech.ext_cleared = true;
+  } else {
+    ext_snap_[di.slot] = x;
+    di.mech.ext_saved = true;
+  }
 
-  RenameExt nx;  // default: cleared
+  // The new stridedPC set, written into x in place. A source that is rd
+  // itself reads rd's previous extension from the snapshot just taken (a
+  // cleared one has no stridedPCs). Readers look only at the PCs below
+  // the count.
+  uint8_t count = 0;
   if (di.is_load) {
     const StridePredictor::Info sp = stride_.lookup(di.pc);
-    if (sp.known && sp.confident) {
-      nx.strided_pcs[0] = di.pc;
-      nx.strided_count = 1;
-    }
+    if (sp.known && sp.confident) x.strided_pcs[count++] = di.pc;
   } else if (vectorizable_arith(di.inst)) {
     // Union of the sources' stridedPC sets, truncated to the configured
     // per-entry budget (Figure 4 sweeps this width).
+    const uint32_t cap = std::min<uint32_t>(cfg_.stridedpc_per_entry, 4);
     auto add_from = [&](int logical) {
-      const RenameExt& src = ext_[static_cast<size_t>(logical)];
-      for (uint8_t i = 0; i < src.strided_count; ++i) {
-        const uint64_t pc = src.strided_pcs[i];
+      const RenameExt* src = &ext_[static_cast<size_t>(logical)];
+      if (logical == di.inst.rd) {
+        if (!di.mech.ext_saved) return;
+        src = &ext_snap_[di.slot];
+      }
+      for (uint8_t i = 0; i < src->strided_count; ++i) {
+        const uint64_t pc = src->strided_pcs[i];
         bool dup = false;
-        for (uint8_t j = 0; j < nx.strided_count; ++j) {
-          if (nx.strided_pcs[j] == pc) { dup = true; break; }
+        for (uint8_t j = 0; j < count; ++j) {
+          if (x.strided_pcs[j] == pc) { dup = true; break; }
         }
         if (dup) continue;
-        if (nx.strided_count <
-            std::min<uint32_t>(cfg_.stridedpc_per_entry, 4)) {
-          nx.strided_pcs[nx.strided_count++] = pc;
+        if (count < cap) {
+          x.strided_pcs[count++] = pc;
         } else {
           ++stats.stridedpc_overflows;
         }
@@ -364,24 +386,26 @@ void CiMechanism::on_renamed(DynInst& di) {
     };
     if (isa::reads_rs1(op)) add_from(di.inst.rs1);
     if (isa::reads_rs2(op)) add_from(di.inst.rs2);
-    if (nx.strided_count > 0) {
+    if (count > 0) {
       ++stats.stridedpc_propagations;
-      stats.stridedpc_width_accum += nx.strided_count;
+      stats.stridedpc_width_accum += count;
     }
   }
+  x.strided_count = count;
   // V/S flag: the latest writer of this logical register is vectorized.
+  // Readers look at the producer identity only under the flag.
+  x.vs = false;
   const uint32_t slot = di.mech.created_entry ? di.mech.created_slot
                                               : di.mech.srsmt_slot;
   if (slot != kInvalidSrsmtSlot) {
     const SrsmtEntry& e = srsmt_.entry(slot);
     if (e.valid && e.pc == di.pc) {
-      nx.vs = true;
-      nx.seq_pc = di.pc;
-      nx.entry_slot = slot;
-      nx.entry_uid = e.uid;
+      x.vs = true;
+      x.seq_pc = di.pc;
+      x.entry_slot = slot;
+      x.entry_uid = e.uid;
     }
   }
-  x = nx;
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +448,7 @@ void CiMechanism::run_daec() {
     SrsmtEntry& e = srsmt_.entry(slot);
     if (e.decode_count == e.commit_count) {
       if (++e.daec >= cfg_.daec_threshold && e.issue_count == 0) {
-        engine_->release_entry(slot, "daec");
+        engine_->release_entry(slot, ReleaseReason::kDaec);
       }
     } else {
       e.daec = 0;
@@ -455,11 +479,14 @@ void CiMechanism::on_squash(DynInst& di) {
     SrsmtEntry& e = srsmt_.entry(di.mech.created_slot);
     if (e.valid && e.uid == di.mech.created_uid) {
       // The creating instance was wrong-path speculation; drop the entry.
-      engine_->release_entry(di.mech.created_slot, "creator-squash");
+      engine_->release_entry(di.mech.created_slot,
+                             ReleaseReason::kCreatorSquash);
     }
   }
   if (di.mech.ext_saved) {
     ext_[static_cast<size_t>(di.inst.rd)] = ext_snap_[di.slot];
+  } else if (di.mech.ext_cleared) {
+    ext_[static_cast<size_t>(di.inst.rd)] = RenameExt{};
   }
 }
 
@@ -517,7 +544,7 @@ void CiMechanism::on_commit(DynInst& di) {
       engine_->retire_index(di.mech.srsmt_slot, di.mech.replica_index,
                             di.mech.reused);
       if (e.valid && e.poisoned && e.deallocatable()) {
-        engine_->release_entry(di.mech.srsmt_slot, "desync");
+        engine_->release_entry(di.mech.srsmt_slot, ReleaseReason::kDesync);
       } else if (di.mech.reused && e.valid) {
         mark_reused(e.origin_branch_pc);
       }
@@ -541,7 +568,7 @@ bool CiMechanism::on_store_commit(DynInst& di) {
     const uint64_t rhi =
         std::max(first, last) + static_cast<uint64_t>(isa::mem_bytes(e.inst.op));
     if (lo < rhi && rlo < hi) {
-      engine_->release_entry(slot, "coherence");
+      engine_->release_entry(slot, ReleaseReason::kCoherence);
       conflict = true;
     }
   });
@@ -556,7 +583,8 @@ void CiMechanism::issue_cycle(uint64_t cycle, core::CycleResources& res) {
 void CiMechanism::on_misvalidation(DynInst& di) {
   SrsmtEntry& e = srsmt_.entry(di.mech.srsmt_slot);
   if (e.valid && e.uid == di.mech.entry_uid) {
-    engine_->release_entry(di.mech.srsmt_slot, "misvalidation");
+    engine_->release_entry(di.mech.srsmt_slot,
+                          ReleaseReason::kMisvalidation);
   }
 }
 

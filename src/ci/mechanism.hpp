@@ -26,7 +26,9 @@ namespace cfir::ci {
 
 /// Rename-map extension, paper Figures 3 and 7: per logical register the
 /// stridedPC set (capped at cfg.stridedpc_per_entry) plus the V/S flag and
-/// the producer "sequence" (PC) with its SRSMT entry identity.
+/// the producer "sequence" (PC) with its SRSMT entry identity. Only the
+/// first strided_count PCs mean anything, and the producer fields only
+/// while vs is set.
 struct RenameExt {
   std::array<uint64_t, 4> strided_pcs{};
   uint8_t strided_count = 0;
@@ -119,8 +121,10 @@ class CiMechanism : public core::Mechanism {
   std::array<RenameExt, isa::kNumLogicalRegs> ext_{};
   /// Per ROB slot: the extension entry a destination-writing instruction
   /// replaced at rename (valid while its DynInst::mech.ext_saved is set),
-  /// restored youngest-first on squash. Uninitialized like the core's
-  /// ROB: on_renamed writes a slot before any squash can read it.
+  /// restored youngest-first on squash; a replaced cleared entry is not
+  /// copied but flagged (mech.ext_cleared) and restored as RenameExt{}.
+  /// Uninitialized like the core's ROB: on_renamed writes a slot before
+  /// any squash can read it.
   core::SlotArray<RenameExt> ext_snap_;
   std::unordered_map<uint64_t, EpisodeStats> episodes_;
   /// episodes_[crp_.branch_pc], set whenever the CRP is (re)armed; map

@@ -34,19 +34,6 @@ void Nrbq::push(uint64_t branch_seq, uint64_t branch_pc, uint64_t rp_pc) {
   ++size_;
 }
 
-void Nrbq::observe_pc(uint64_t pc) {
-  for_each_entry([pc](NrbqEntry& e) {
-    if (!e.reached && e.rp_pc == pc) e.reached = true;
-  });
-}
-
-void Nrbq::on_dest_write(int logical) {
-  const uint64_t bit = uint64_t{1} << logical;
-  for_each_entry([bit](NrbqEntry& e) {
-    if (!e.reached) e.mask |= bit;
-  });
-}
-
 void Nrbq::on_branch_commit(uint64_t branch_seq) {
   if (size_ > 0 && ring_[head_].branch_seq == branch_seq) {
     head_ = pos(1);

@@ -48,7 +48,12 @@ class Nrbq {
   /// accumulating mask bits (the paper's mask covers writes *between* the
   /// branch and its RP — Figure 1's I11 must not disqualify itself by
   /// writing R4 after the join).
-  void observe_pc(uint64_t pc);
+  void observe_pc(uint64_t pc) {
+    if (size_ == 0) return;
+    for_each_entry([pc](NrbqEntry& e) {
+      if (!e.reached && e.rp_pc == pc) e.reached = true;
+    });
+  }
   /// Records a register write: sets the bit in every entry that has not yet
   /// passed its re-convergent point. Each entry's mask therefore holds
   /// exactly "registers written after this branch and before its RP, on
@@ -56,7 +61,13 @@ class Nrbq {
   /// paper's OR-to-tail formulation is interpreted this way: with a literal
   /// OR the paper's own Figure 1 example would taint R4/R0 and never select
   /// I11).
-  void on_dest_write(int logical);
+  void on_dest_write(int logical) {
+    if (size_ == 0) return;
+    const uint64_t bit = uint64_t{1} << logical;
+    for_each_entry([bit](NrbqEntry& e) {
+      if (!e.reached) e.mask |= bit;
+    });
+  }
   /// Branch left the window from the front (commit).
   void on_branch_commit(uint64_t branch_seq);
   /// Branch squashed from the back.

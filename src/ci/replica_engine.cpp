@@ -10,10 +10,7 @@ using isa::Opcode;
 
 ReplicaEngine::ReplicaEngine(core::Core& core, Srsmt& srsmt,
                              SpecDataMemory* specmem)
-    : core_(core),
-      srsmt_(srsmt),
-      specmem_(specmem),
-      consumer_visits_(srsmt.num_slots()) {}
+    : core_(core), srsmt_(srsmt), specmem_(specmem) {}
 
 bool ReplicaEngine::ref_live(const Ref& r) const {
   const SrsmtEntry& e = srsmt_.entry(r.slot);
@@ -149,21 +146,9 @@ void ReplicaEngine::materialize(uint32_t slot) {
 void ReplicaEngine::notify_consumers(uint32_t producer_slot,
                                      uint32_t producer_uid,
                                      uint64_t produced_abs) {
-  SrsmtEntry& p = srsmt_.entry(producer_slot);
-  // consumer_slots gains a slot number at every consumer (re)creation, so
-  // one slot can repeat many times. A visit reads nothing this walk
-  // changes except the consumer's own waiting counts and arm states, and
-  // only moves those toward armed: after two visits each replica it
-  // touches is armed or parked at one pending operand. A slot's third and
-  // later visits in one walk are therefore no-ops and are skipped.
-  if (++walk_ == 0) {
-    std::fill(consumer_visits_.begin(), consumer_visits_.end(), Visits{});
-    walk_ = 1;
-  }
-  for (const uint32_t cslot : p.consumer_slots) {
-    Visits& v = consumer_visits_[cslot];
-    if (v.walk != walk_) v = {walk_, 0};
-    if (++v.count > 2) continue;
+  // The list holds each consumer slot at most twice, which is every visit
+  // that can change a consumer in one walk (SrsmtEntry::add_consumer).
+  for (const uint32_t cslot : srsmt_.entry(producer_slot).consumer_slots) {
     SrsmtEntry& c = srsmt_.entry(cslot);
     if (!c.valid) continue;
     for (const SrsmtOperand* op : {&c.op1, &c.op2}) {
@@ -225,11 +210,9 @@ void ReplicaEngine::complete(const Ref& ref) {
 
 void ReplicaEngine::tick(uint64_t cycle, CycleResources& res) {
   // 1. Completions due this cycle.
-  while (!completions_.empty() && completions_.top().when <= cycle) {
-    const Completion c = completions_.top();
-    completions_.pop();
-    complete(c.ref);
-  }
+  completions_.drain(cycle, [this](const std::vector<Completion>& due) {
+    for (const Completion& c : due) complete(c.ref);
+  });
   // 2. Retry materializations that starved for registers/slots.
   if (!materialize_retry_.empty() && (cycle & 15) == 0) {
     retry_scratch_.clear();
@@ -267,7 +250,7 @@ void ReplicaEngine::tick(uint64_t cycle, CycleResources& res) {
       ++stats.replicas_executed;
       uint64_t done = cycle + core_.config().agu_latency + lat;
       if (specmem_ != nullptr) done = specmem_->book_write(done);
-      completions_.push({done, ++completion_order_, ref});
+      completions_.push({done, ref}, cycle);
     } else {
       const isa::FuClass fc = isa::fu_class(e.inst.op);
       uint32_t* pool = (fc == isa::FuClass::kIntMul ||
@@ -287,7 +270,7 @@ void ReplicaEngine::tick(uint64_t cycle, CycleResources& res) {
       ++stats.replicas_executed;
       uint64_t done = cycle + alu_latency(e.inst.op);
       if (specmem_ != nullptr) done = specmem_->book_write(done);
-      completions_.push({done, ++completion_order_, ref});
+      completions_.push({done, ref}, cycle);
     }
   }
   // Preserve age order: deferred replicas go back to the front.
@@ -296,7 +279,7 @@ void ReplicaEngine::tick(uint64_t cycle, CycleResources& res) {
   }
 }
 
-void ReplicaEngine::release_entry(uint32_t slot, const char* reason) {
+void ReplicaEngine::release_entry(uint32_t slot, ReleaseReason why) {
   SrsmtEntry& e = srsmt_.entry(slot);
   if (!e.valid) return;
   for (Replica& r : e.ring) {
@@ -317,10 +300,11 @@ void ReplicaEngine::release_entry(uint32_t slot, const char* reason) {
   }
   srsmt_.invalidate(slot);
   auto& stats = core_.stats();
-  const std::string_view why(reason);
-  if (why == "daec") ++stats.srsmt_dealloc_daec;
-  else if (why == "coherence") ++stats.srsmt_dealloc_coherence;
-  else ++stats.srsmt_dealloc_replace;
+  switch (why) {
+    case ReleaseReason::kDaec: ++stats.srsmt_dealloc_daec; break;
+    case ReleaseReason::kCoherence: ++stats.srsmt_dealloc_coherence; break;
+    default: ++stats.srsmt_dealloc_replace; break;
+  }
 }
 
 void ReplicaEngine::retire_index(uint32_t slot, uint64_t abs, bool reused) {

@@ -12,15 +12,26 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
 #include "ci/spec_memory.hpp"
 #include "ci/srsmt.hpp"
+#include "core/calendar.hpp"
 #include "core/pipeline.hpp"
 
 namespace cfir::ci {
+
+/// Why an SRSMT entry is released. DAEC and coherence releases have their
+/// own deallocation counters; every other reason counts as a replacement.
+enum class ReleaseReason : uint8_t {
+  kReplace,        ///< a new entry for the PC or a victim of alloc()
+  kDaec,           ///< DAEC aging (section 2.4.2)
+  kCoherence,      ///< a committed store hit the load's range (2.4.3)
+  kCreatorSquash,  ///< the creating instance was squashed
+  kDesync,         ///< the poisoned ring drained
+  kMisvalidation,  ///< the commit-time recheck caught a reused value
+};
 
 class ReplicaEngine {
  public:
@@ -35,7 +46,7 @@ class ReplicaEngine {
   void tick(uint64_t cycle, core::CycleResources& res);
 
   /// Frees every resource still owned by the entry and invalidates it.
-  void release_entry(uint32_t slot, const char* reason);
+  void release_entry(uint32_t slot, ReleaseReason why);
 
   /// A dynamic instance with index `abs` committed. `reused` tells whether
   /// it consumed the replica value (ownership transfer) or executed
@@ -63,11 +74,7 @@ class ReplicaEngine {
   };
   struct Completion {
     uint64_t when;
-    uint64_t order;
     Ref ref;
-    bool operator>(const Completion& o) const {
-      return when != o.when ? when > o.when : order > o.order;
-    }
   };
 
   [[nodiscard]] bool ref_live(const Ref& r) const;
@@ -90,23 +97,15 @@ class ReplicaEngine {
   SpecDataMemory* specmem_;  ///< null in monolithic-register-file mode
 
   std::deque<Ref> ready_;
-  std::priority_queue<Completion, std::vector<Completion>, std::greater<>>
-      completions_;
-  uint64_t completion_order_ = 0;
+  /// Issued replicas by completion cycle; replicas due at the same cycle
+  /// complete in issue order.
+  core::Calendar<Completion> completions_;
   std::vector<uint32_t> materialize_retry_;
   // Reused tick() scratch: ping-pongs buffers with materialize_retry_ /
   // holds resource-deferred replicas, so the per-cycle hot path stops
   // allocating once warm.
   std::vector<uint32_t> retry_scratch_;
   std::vector<Ref> deferred_scratch_;
-
-  // notify_consumers' per-slot visit counts for the current walk.
-  struct Visits {
-    uint32_t walk = 0;
-    uint32_t count = 0;
-  };
-  std::vector<Visits> consumer_visits_;
-  uint32_t walk_ = 0;
 
   struct CopyWaiter {
     uint32_t rob_slot;

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -125,7 +126,9 @@ struct SrsmtEntry {
 
   std::vector<Replica> ring;              ///< Nregs elements
   RingMod ring_pos;                       ///< abs -> ring position
-  std::vector<uint32_t> consumer_slots;   ///< entries whose operands read us
+  /// Entries whose operands read us, each slot at most twice; see
+  /// add_consumer.
+  std::vector<uint32_t> consumer_slots;
 
   [[nodiscard]] uint32_t nregs() const {
     return static_cast<uint32_t>(ring.size());
@@ -147,6 +150,21 @@ struct SrsmtEntry {
   /// replicas executing.
   [[nodiscard]] bool deallocatable() const {
     return decode_count == commit_count && issue_count == 0;
+  }
+  /// Records that the entry at `slot` has an operand that reads this one.
+  /// Every (re)creation of a consumer at a slot records it again, but a
+  /// slot's third and later records are dropped: a completion's walk over
+  /// the list (ReplicaEngine::notify_consumers) reads nothing it changes
+  /// except the consumer's own waiting counts and arm states, and only
+  /// moves those toward armed, so after two visits each replica it touches
+  /// is armed or parked at one pending operand and a third visit is a
+  /// no-op.
+  void add_consumer(uint32_t slot) {
+    int seen = 0;
+    for (const uint32_t c : consumer_slots) {
+      if (c == slot && ++seen == 2) return;
+    }
+    consumer_slots.push_back(slot);
   }
 };
 
@@ -195,10 +213,15 @@ class Srsmt {
       if (victim == kInvalidSrsmtSlot) return kInvalidSrsmtSlot;
       release(victim);
     }
+    // The new entry takes over the victim's ring and consumer storage.
     SrsmtEntry& e = entries_[victim];
-    const uint32_t ways_keep = replicas_;
+    std::vector<Replica> ring = std::move(e.ring);
+    std::vector<uint32_t> consumers = std::move(e.consumer_slots);
     e = SrsmtEntry{};
-    e.ring.assign(ways_keep, Replica{});
+    ring.assign(replicas_, Replica{});
+    consumers.clear();
+    e.ring = std::move(ring);
+    e.consumer_slots = std::move(consumers);
     e.ring_pos = ring_pos_;
     e.valid = true;
     pcs_[victim] = pc;

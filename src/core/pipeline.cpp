@@ -27,7 +27,6 @@ Core::Core(const CoreConfig& config, const isa::Program& program,
     throw std::runtime_error("num_phys_regs too small for the logical file");
   }
   rob_ = make_slot_array<RobSlot>(cfg_.rob_size);
-  cal_.resize(kCalBuckets);
   smem_next_.assign(cfg_.rob_size, kUnlinked);
   smem_prev_.assign(cfg_.rob_size, kUnlinked);
   smem_gate_epoch_.assign(cfg_.rob_size, 0);
@@ -75,16 +74,7 @@ uint32_t Core::rob_tail_slot() const {
 }
 
 void Core::schedule_completion(uint32_t slot, uint64_t seq, uint64_t when) {
-  // Almost every event lands within the ring horizon; the rare deeper
-  // latency parks in the overflow vector and migrates during drain.
-  if (when - cycle_ < kCalBuckets) {
-    cal_[when & (kCalBuckets - 1)].push_back({when, seq, slot});
-    // A zero-latency completion scheduled after this cycle's drain (the
-    // copy-issue path) must re-open its time slot.
-    if (when < cal_next_drain_) cal_next_drain_ = when;
-  } else {
-    cal_overflow_.push_back({when, seq, slot});
-  }
+  cal_.push({when, seq, slot}, cycle_);
 }
 
 void Core::add_waiter(int phys, uint32_t slot, uint64_t seq) {
@@ -326,9 +316,12 @@ void Core::fetch_stage() {
         break;
       }
     }
-    const isa::Instruction inst = *ip;
-    if (isa::is_mem(inst.op) && lsq_.full()) break;
-    if (isa::has_dest(inst.op) && regfile_.free_count() == 0) {
+    const isa::Instruction& inst = *ip;
+    const isa::OpAttrs& attrs = isa::attrs(inst.op);
+    if ((attrs.bits & (isa::kOpLoad | isa::kOpStore)) != 0 && lsq_.full()) {
+      break;
+    }
+    if ((attrs.bits & isa::kOpDest) != 0 && regfile_.free_count() == 0) {
       // Rename starvation; the watchdog eventually reclaims speculative
       // registers so that replica hoarding can never wedge the machine.
       ++stats_.rename_stall_cycles;
@@ -345,13 +338,11 @@ void Core::fetch_stage() {
 
     // Build the entry in place at the ROB tail; dispatch() finishes it.
     const uint32_t slot = rob_tail_slot();
-    DynInst& di = *std::construct_at(&rob_[slot].di);
-    di.slot = slot;
-    di.pc = fetch_pc_;
-    di.inst = inst;
+    DynInst& di =
+        *std::construct_at(&rob_[slot].di, slot, fetch_pc_, inst, attrs);
     uint64_t next_fetch = fetch_pc_ + isa::kInstBytes;
     bool taken = false;
-    if (isa::is_cond_branch(inst.op)) {
+    if (di.is_cond_branch) {
       di.predicted_taken = gshare_.predict(fetch_pc_);
       di.gshare_snapshot = gshare_.speculate(di.predicted_taken);
       di.predicted_target = di.predicted_taken
@@ -379,26 +370,20 @@ void Core::fetch_stage() {
       fetch_stalled_ = true;  // nothing sensible follows a halt
     }
 
-    dispatch(slot);
+    dispatch(slot, attrs.bits);
     ++fetched;
     fetch_pc_ = next_fetch;
     if (taken) break;  // up to 1 taken branch per cycle (Table 1)
   }
 }
 
-void Core::dispatch(uint32_t slot) {
+void Core::dispatch(uint32_t slot, uint8_t attr_bits) {
   DynInst& di = at(slot);
   di.seq = next_seq_++;
   ++stats_.fetched;
   const Opcode op = di.inst.op;
-  di.is_load = isa::is_load(op);
-  di.is_store = isa::is_store(op);
-  di.is_branch = isa::is_branch(op);
-  di.is_cond_branch = isa::is_cond_branch(op);
-  di.has_dest = isa::has_dest(op);
-  di.mem_size = isa::mem_bytes(op);
-  if (isa::reads_rs1(op)) di.ps1 = rename_.lookup(di.inst.rs1);
-  if (isa::reads_rs2(op)) di.ps2 = rename_.lookup(di.inst.rs2);
+  if ((attr_bits & isa::kOpSrc1) != 0) di.ps1 = rename_.lookup(di.inst.rs1);
+  if ((attr_bits & isa::kOpSrc2) != 0) di.ps2 = rename_.lookup(di.inst.rs2);
 
   if (mech_ != nullptr) mech_->on_decode(di);
 
@@ -654,44 +639,15 @@ void Core::execute(DynInst& di, uint32_t slot, uint32_t latency) {
 // Writeback: completion events, branch resolution, recovery.
 // ---------------------------------------------------------------------------
 void Core::writeback_stage() {
-  // Migrate overflow events whose due time entered the ring horizon.
-  if (!cal_overflow_.empty()) {
-    size_t keep = 0;
-    for (size_t i = 0; i < cal_overflow_.size(); ++i) {
-      const Event& ev = cal_overflow_[i];
-      if (ev.when - cycle_ < kCalBuckets) {
-        cal_[ev.when & (kCalBuckets - 1)].push_back(ev);
-      } else {
-        cal_overflow_[keep++] = cal_overflow_[i];
-      }
-    }
-    cal_overflow_.resize(keep);
-  }
-  // Drain every not-yet-drained time slot <= cycle_ in (when, seq) order.
-  // Normally this is the single bucket for cycle_; a zero-latency event
-  // pushed after its slot drained reopens it (cal_next_drain_ rollback in
-  // schedule_completion).
-  for (uint64_t t = cal_next_drain_; t <= cycle_; ++t) {
-    std::vector<Event>& bucket = cal_[t & (kCalBuckets - 1)];
-    if (bucket.empty()) continue;
-    cal_scratch_.clear();
-    size_t keep = 0;
-    for (size_t i = 0; i < bucket.size(); ++i) {
-      if (bucket[i].when == t) {
-        cal_scratch_.push_back(bucket[i]);
-      } else {
-        bucket[keep++] = bucket[i];
-      }
-    }
-    bucket.resize(keep);
-    std::sort(cal_scratch_.begin(), cal_scratch_.end(),
+  // Normally one bucket, this cycle's; a zero-latency event pushed after
+  // its cycle drained (the copy-issue path) reopens that cycle.
+  cal_.drain(cycle_, [this](std::vector<Event>& due) {
+    std::sort(due.begin(), due.end(),
               [](const Event& a, const Event& b) { return a.seq < b.seq; });
-    for (const Event& ev : cal_scratch_) {
-      if (!slot_live(ev.slot, ev.seq)) continue;
-      complete(ev.slot);
+    for (const Event& ev : due) {
+      if (slot_live(ev.slot, ev.seq)) complete(ev.slot);
     }
-  }
-  cal_next_drain_ = cycle_ + 1;
+  });
 }
 
 void Core::complete(uint32_t slot) {

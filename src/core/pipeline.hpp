@@ -27,6 +27,7 @@
 #include "branch/gshare.hpp"
 #include "branch/mbs.hpp"
 #include "branch/ras.hpp"
+#include "core/calendar.hpp"
 #include "core/config.hpp"
 #include "core/func_units.hpp"
 #include "core/lsq.hpp"
@@ -174,8 +175,9 @@ class Core {
     return rob_[slot].di.seq == seq;
   }
   [[nodiscard]] uint32_t rob_tail_slot() const;
-  /// Renames and schedules the entry fetch built in place at `slot`.
-  void dispatch(uint32_t slot);
+  /// Renames and schedules the entry fetch built in place at `slot`;
+  /// `attr_bits` are its opcode's attribute bits (isa::OpAttrs::bits).
+  void dispatch(uint32_t slot, uint8_t attr_bits);
   bool try_issue(uint32_t slot);
   bool issue_mem(DynInst& di);
   void execute(DynInst& di, uint32_t slot, uint32_t latency);
@@ -226,16 +228,9 @@ class Core {
   uint32_t rob_count_ = 0;
 
   // --- wakeup/select ---------------------------------------------------------
-  // Completion events live in a cycle-bucketed calendar ring: bucket
-  // (when & mask) holds the events due at `when` (latencies are bounded by
-  // CoreConfig; anything beyond the ring horizon parks in cal_overflow_
-  // and migrates as the horizon advances). Draining time T completes the
-  // events due at T in ascending seq order.
-  static constexpr uint32_t kCalBuckets = 256;  // power of two
-  std::vector<std::vector<Event>> cal_;
-  std::vector<Event> cal_overflow_;
-  std::vector<Event> cal_scratch_;
-  uint64_t cal_next_drain_ = 0;
+  // Completion events live in a cycle-bucketed calendar ring (calendar.hpp).
+  // Draining time T completes the events due at T in ascending seq order.
+  Calendar<Event> cal_;
 
   // The ready set is a seq-sorted doubly-linked list of pooled nodes that
   // select walks oldest first. Invalidation is lazy: a squashed entry stays

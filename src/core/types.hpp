@@ -74,6 +74,9 @@ struct MechInfo {
   /// destination replaced (Figure 7) in its own array indexed by ROB slot,
   /// so squash recovery can restore it like the rename map proper.
   bool ext_saved = false;
+  /// The replaced extension was the cleared default; squash recovery
+  /// restores that without a saved copy.
+  bool ext_cleared = false;
 };
 
 /// One in-flight instruction (ROB entry). The core builds it in place at
@@ -82,9 +85,29 @@ struct MechInfo {
 /// snapshot) lives beside it, indexed by ROB slot (`slot`), and means
 /// something only while that slot holds the seq that wrote it.
 struct DynInst {
+  /// A fresh entry at ROB slot `slot`, as fetch builds it: identity, the
+  /// decode flags of `attrs` (the row of inst.op), and a default for every
+  /// field some stage may read before it writes it. Three fields start
+  /// unset, because the stage that produces each writes it before
+  /// anything reads it: fetch writes predicted_target for every branch
+  /// and gshare_snapshot for conditional branches and RET (the only
+  /// readers are their recovery and training), and issue writes a store's
+  /// store_value before it can complete and commit.
+  DynInst(uint32_t slot_in, uint64_t pc_in, const isa::Instruction& inst_in,
+          const isa::OpAttrs& attrs)
+      : pc(pc_in),
+        inst(inst_in),
+        mem_size(attrs.mem_bytes),
+        slot(slot_in),
+        has_dest((attrs.bits & isa::kOpDest) != 0),
+        is_load((attrs.bits & isa::kOpLoad) != 0),
+        is_store((attrs.bits & isa::kOpStore) != 0),
+        is_branch((attrs.bits & (isa::kOpCondBr | isa::kOpUncondBr)) != 0),
+        is_cond_branch((attrs.bits & isa::kOpCondBr) != 0) {}
+
   // --- identity -------------------------------------------------------------
   uint64_t seq = 0;      ///< global fetch order, never reused within a run
-  uint64_t pc = 0;
+  uint64_t pc;
   isa::Instruction inst;
 
   // --- execution ------------------------------------------------------------
@@ -93,12 +116,12 @@ struct DynInst {
 
   // --- memory ---------------------------------------------------------------
   uint64_t mem_addr = 0;
-  uint64_t store_value = 0;
+  uint64_t store_value;      ///< stores: written at issue
 
   // --- control --------------------------------------------------------------
-  uint64_t predicted_target = 0;
+  uint64_t predicted_target;  ///< branches: written at fetch
   uint64_t actual_target = 0;
-  uint64_t gshare_snapshot = 0;
+  uint64_t gshare_snapshot;   ///< conditional branches and RET: fetch
 
   // --- rename ---------------------------------------------------------------
   int pd = kNoReg;       ///< destination physical register
@@ -107,15 +130,15 @@ struct DynInst {
   int ps1 = kNoReg;
   int ps2 = kNoReg;
   uint32_t pending_ops = 0;  ///< unready source operands
-  int mem_size = 0;
-  uint32_t slot = 0;         ///< ROB slot the entry lives in
+  int mem_size;
+  uint32_t slot;             ///< ROB slot the entry lives in
 
   // --- flags ----------------------------------------------------------------
-  bool has_dest = false;
+  bool has_dest;
   bool issued = false;
   bool completed = false;
-  bool is_load = false, is_store = false;
-  bool is_branch = false, is_cond_branch = false;
+  bool is_load, is_store;
+  bool is_branch, is_cond_branch;
   bool predicted_taken = false;
   bool actual_taken = false;
   bool resolved = false;

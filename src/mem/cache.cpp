@@ -96,12 +96,9 @@ Cache::Result Cache::hit(int64_t line, bool is_write, uint64_t now) {
   l.lru = use_stamp_;
   if (is_write) l.dirty = true;
   // Hit under an outstanding fill: data arrives when the fill does.
-  uint32_t latency = config_.hit_latency;
-  if (const auto it = inflight_fills_.find(l.tag);
-      it != inflight_fills_.end() && it->second > now) {
-    latency = static_cast<uint32_t>(it->second - now);
-  }
-  return {true, latency};
+  const uint64_t fill = l.fill;
+  return {true, fill > now ? static_cast<uint32_t>(fill - now)
+                           : config_.hit_latency};
 }
 
 Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
@@ -112,21 +109,24 @@ Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
   const uint64_t tag = line_addr;  // full line address as tag (simple, exact)
   const size_t base = touch_set(set_of(line_addr));
 
-  // Merge with an in-flight fill of the same line if present.
+  // Merge with a fill of the same line still in flight (the line was
+  // evicted before its data arrived); otherwise this miss starts a fill.
   ++stats_.misses;
   uint32_t latency = config_.hit_latency + miss_fill_latency;
-  if (const auto it = inflight_fills_.find(line_addr);
-      it != inflight_fills_.end()) {
-    if (it->second > now) {
-      ++stats_.mshr_merges;
-      latency = static_cast<uint32_t>(it->second - now);
-    }
+  const auto [it, fresh] = inflight_fills_.try_emplace(line_addr, 0);
+  if (!fresh && it->second > now) {
+    ++stats_.mshr_merges;
+    latency = static_cast<uint32_t>(it->second - now);
   } else {
-    inflight_fills_[line_addr] = now + latency;
-    // Opportunistic cleanup to bound the map.
-    if (inflight_fills_.size() > 4096) {
+    it->second = now + latency;
+    // Opportunistic cleanup to bound the map; a resident line whose entry
+    // goes loses its mirrored fill time with it.
+    if (fresh && inflight_fills_.size() > 4096) {
       for (auto it2 = inflight_fills_.begin(); it2 != inflight_fills_.end();) {
         if (it2->second <= now) {
+          if (const int64_t l = find(it2->first << line_shift_); l >= 0) {
+            lines_[static_cast<size_t>(l)].fill = 0;
+          }
           it2 = inflight_fills_.erase(it2);
         } else {
           ++it2;
@@ -148,6 +148,7 @@ Cache::Result Cache::miss(uint64_t addr, bool is_write, uint64_t now,
   v.tag = tag;
   v.dirty = is_write;
   v.lru = use_stamp_;
+  v.fill = now + latency;
   return {false, latency};
 }
 
@@ -177,6 +178,7 @@ bool Cache::warm_access(uint64_t addr, bool is_write) {
   v.tag = tag;
   v.dirty = is_write;
   v.lru = use_stamp_;
+  v.fill = 0;
   return false;
 }
 
@@ -190,7 +192,7 @@ uint64_t Cache::debug_digest() const {
       const size_t base = size_t{set} * config_.assoc;
       for (uint32_t w = 0; w < config_.assoc; ++w) {
         const Line& l = lines_[base + w];
-        if (l.valid) resident.emplace_back(l.tag, l.dirty);
+        if (l.valid) resident.emplace_back(l.tag, l.dirty != 0);
       }
     }
     std::sort(resident.begin(), resident.end());
@@ -239,6 +241,7 @@ void Cache::deserialize(util::ByteReader& in) {
         l.valid = true;
         l.dirty = in.boolean();
         l.lru = in.u64();
+        l.fill = 0;
       });
   inflight_fills_.clear();
 }

@@ -102,12 +102,16 @@ class Cache : public util::Warmable {
  private:
   /// Trivially constructible, so the array can start uninitialized; a
   /// live set's ways are always initialized (zeroed when it came to life).
+  /// `fill` mirrors inflight_fills_: a resident line's fill time equals its
+  /// entry there, or is 0 when it has none, so a hit reads it here.
   struct Line {
     uint64_t tag;
-    bool valid;
-    bool dirty;
-    uint64_t lru;  ///< last-use stamp
+    uint64_t lru;         ///< last-use stamp
+    uint64_t fill : 62;   ///< cycle its data arrives (cycles stay < 2^62)
+    uint64_t valid : 1;
+    uint64_t dirty : 1;
   };
+  static_assert(sizeof(Line) == 24, "a line mirrors its fill in 24 bytes");
   [[nodiscard]] uint32_t set_of(uint64_t line_addr) const {
     return static_cast<uint32_t>(line_addr) & (num_sets_ - 1);
   }
@@ -128,7 +132,10 @@ class Cache : public util::Warmable {
   std::vector<uint64_t> live_;     ///< one bit per set
   uint64_t use_stamp_ = 0;
   CacheStats stats_;
-  /// line address -> cycle at which an in-flight fill completes.
+  /// line address -> cycle at which its latest fill completes; kept after
+  /// the line is evicted so a re-miss merges with a fill still in flight.
+  /// Only timed misses add entries: warm accesses and deserialize leave
+  /// none, and a cache takes warm accesses or timed ones, never both.
   std::unordered_map<uint64_t, uint64_t> inflight_fills_;
 };
 

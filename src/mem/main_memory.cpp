@@ -6,17 +6,30 @@
 
 namespace cfir::mem {
 
-const MainMemory::Page* MainMemory::find_page(uint64_t addr) const {
-  const auto it = pages_.find(addr >> kPageBits);
-  return it == pages_.end() ? nullptr : it->second.get();
+MainMemory::MainMemory(MainMemory&& other) noexcept
+    : pages_(std::move(other.pages_)),
+      last_page_no_(other.last_page_no_),
+      last_page_(other.last_page_) {
+  other.pages_.clear();
+  other.last_page_ = nullptr;
+}
+
+MainMemory& MainMemory::operator=(MainMemory&& other) noexcept {
+  if (this != &other) {
+    pages_ = std::move(other.pages_);
+    last_page_no_ = other.last_page_no_;
+    last_page_ = other.last_page_;
+    other.pages_.clear();
+    other.last_page_ = nullptr;
+  }
+  return *this;
 }
 
 MainMemory::Page& MainMemory::touch_page(uint64_t addr) {
+  if (Page* p = find_page(addr)) return *p;
   auto& slot = pages_[addr >> kPageBits];
-  if (!slot) {
-    slot = std::make_unique<Page>();
-    slot->fill(0);
-  }
+  slot = std::make_unique<Page>();
+  slot->fill(0);
   return *slot;
 }
 

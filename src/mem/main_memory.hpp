@@ -12,10 +12,17 @@
 
 namespace cfir::mem {
 
+/// Not safe for concurrent reads from several threads: a lookup remembers
+/// the page it found. Share an image across threads by clone().
 class MainMemory {
  public:
   static constexpr uint64_t kPageBits = 12;
   static constexpr uint64_t kPageSize = uint64_t{1} << kPageBits;
+
+  MainMemory() = default;
+  /// The moved-from memory forgets its remembered page with its pages.
+  MainMemory(MainMemory&& other) noexcept;
+  MainMemory& operator=(MainMemory&& other) noexcept;
 
   [[nodiscard]] uint8_t read8(uint64_t addr) const;
   [[nodiscard]] uint64_t read(uint64_t addr, int bytes) const;
@@ -52,10 +59,24 @@ class MainMemory {
 
  private:
   using Page = std::array<uint8_t, kPageSize>;
-  [[nodiscard]] const Page* find_page(uint64_t addr) const;
+  /// The page backing `addr`, or nullptr; remembers the last page found,
+  /// so a run of accesses within one page hashes once.
+  [[nodiscard]] Page* find_page(uint64_t addr) const {
+    const uint64_t no = addr >> kPageBits;
+    if (last_page_ != nullptr && last_page_no_ == no) return last_page_;
+    const auto it = pages_.find(no);
+    if (it == pages_.end()) return nullptr;  // absent pages are not remembered
+    last_page_no_ = no;
+    last_page_ = it->second.get();
+    return last_page_;
+  }
   Page& touch_page(uint64_t addr);
 
   std::unordered_map<uint64_t, std::unique_ptr<Page>> pages_;
+  // Pages never move or go away while the memory lives, so the remembered
+  // pointer needs no revalidation.
+  mutable uint64_t last_page_no_ = 0;
+  mutable Page* last_page_ = nullptr;
 };
 
 }  // namespace cfir::mem

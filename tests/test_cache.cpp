@@ -71,6 +71,24 @@ TEST(Cache, MshrMergeShortensLatency) {
   EXPECT_LT(r3.latency, 21u);  // merged into the outstanding fill
 }
 
+TEST(Cache, RemissAfterEvictionRecordsItsNewFillTime) {
+  // One set of two 64-byte ways. A's first fill is long done when A is
+  // evicted; its second miss starts a fresh fill, due at 60 + 11, and a
+  // hit under that fill waits for it.
+  Cache c(CacheConfig{"one-set", 128, 2, 64, 1});
+  EXPECT_EQ(c.access(0x000, false, 0, 10).latency, 11u);  // A
+  c.access(0x040, false, 20, 10);
+  c.access(0x080, false, 30, 10);  // evicts A
+  ASSERT_FALSE(c.probe(0x000));
+  const Cache::Result again = c.access(0x000, false, 60, 10);
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.latency, 11u);
+  EXPECT_EQ(c.stats().mshr_merges, 0u);
+  const Cache::Result under = c.access(0x008, false, 63, 10);
+  EXPECT_TRUE(under.hit);
+  EXPECT_EQ(under.latency, 8u);
+}
+
 TEST(Hierarchy, Table1Latencies) {
   CacheHierarchy h;  // Table 1 defaults
   // Cold access: L1 miss + L2 miss + L3 miss + memory.
