@@ -37,11 +37,13 @@ void CiMechanism::attach(core::Core& core) {
 }
 
 bool CiMechanism::vectorizable_arith(const isa::Instruction& inst) {
-  const Opcode op = inst.op;
-  if (!isa::has_dest(op)) return false;
-  if (isa::is_mem(op) || isa::is_branch(op)) return false;
-  if (op == Opcode::kMovi || op == Opcode::kCall) return false;
-  return isa::num_sources(op) >= 1;
+  // Writes rd, is neither memory nor control (CALL is control), and reads
+  // at least one register (MOVI reads none).
+  const uint8_t bits = isa::attrs(inst.op).bits;
+  constexpr uint8_t kKind = isa::kOpDest | isa::kOpLoad | isa::kOpStore |
+                            isa::kOpCondBr | isa::kOpUncondBr;
+  return (bits & kKind) == isa::kOpDest &&
+         (bits & (isa::kOpSrc1 | isa::kOpSrc2)) != 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -36,6 +36,15 @@ struct NrbqEntry {
 };
 
 /// Not-Retired Branch Queue: a fixed-capacity ring, oldest entry first.
+///
+/// Register writes are folded into the masks lazily: on_dest_write only
+/// records the bit, and the bits recorded since the last fold are ORed
+/// into every entry short of its re-convergent point just before that set
+/// of entries changes (a push, an entry reaching its point) and before a
+/// mask is read (find, mask_of). Removing an entry needs no fold, so each
+/// write lands in exactly the entries it would have been written into at
+/// once, and a write or a decoded PC far from every pending point costs
+/// O(1).
 class Nrbq {
  public:
   explicit Nrbq(uint32_t capacity = 16)
@@ -49,10 +58,7 @@ class Nrbq {
   /// branch and its RP — Figure 1's I11 must not disqualify itself by
   /// writing R4 after the join).
   void observe_pc(uint64_t pc) {
-    if (size_ == 0) return;
-    for_each_entry([pc](NrbqEntry& e) {
-      if (!e.reached && e.rp_pc == pc) e.reached = true;
-    });
+    if ((rp_filter_ & rp_bit(pc)) != 0) reach(pc);
   }
   /// Records a register write: sets the bit in every entry that has not yet
   /// passed its re-convergent point. Each entry's mask therefore holds
@@ -61,13 +67,7 @@ class Nrbq {
   /// paper's OR-to-tail formulation is interpreted this way: with a literal
   /// OR the paper's own Figure 1 example would taint R4/R0 and never select
   /// I11).
-  void on_dest_write(int logical) {
-    if (size_ == 0) return;
-    const uint64_t bit = uint64_t{1} << logical;
-    for_each_entry([bit](NrbqEntry& e) {
-      if (!e.reached) e.mask |= bit;
-    });
-  }
+  void on_dest_write(int logical) { pending_ |= uint64_t{1} << logical; }
   /// Branch left the window from the front (commit).
   void on_branch_commit(uint64_t branch_seq);
   /// Branch squashed from the back.
@@ -75,8 +75,8 @@ class Nrbq {
 
   /// The accumulated write mask of `branch_seq`'s region (CRP mask
   /// initialization of section 2.3.2). Returns 0 for unknown branches.
-  [[nodiscard]] uint64_t mask_of(uint64_t branch_seq) const;
-  [[nodiscard]] const NrbqEntry* find(uint64_t branch_seq) const;
+  [[nodiscard]] uint64_t mask_of(uint64_t branch_seq);
+  [[nodiscard]] const NrbqEntry* find(uint64_t branch_seq);
   [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] uint32_t capacity() const { return capacity_; }
 
@@ -96,11 +96,22 @@ class Nrbq {
     for (uint32_t i = head_; i < head_ + first; ++i) fn(ring_[i]);
     for (uint32_t i = 0; i < size_ - first; ++i) fn(ring_[i]);
   }
+  [[nodiscard]] static uint64_t rp_bit(uint64_t pc) {
+    return uint64_t{1} << ((pc / isa::kInstBytes) & 63);
+  }
+  /// observe_pc past the filter: marks the entries whose point is `pc`.
+  void reach(uint64_t pc);
+  /// ORs the pending writes into every entry short of its point.
+  void fold();
 
   uint32_t capacity_;
   std::vector<NrbqEntry> ring_;
   uint32_t head_ = 0;
   uint32_t size_ = 0;
+  uint64_t pending_ = 0;    ///< writes not yet folded into the masks
+  /// rp_bit of every entry short of its point, and possibly of entries
+  /// gone since (reach clears those): a decoded PC outside it reaches none.
+  uint64_t rp_filter_ = 0;
 };
 
 /// Current Re-convergent Point register.

@@ -5,7 +5,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 namespace cfir::core {
 
@@ -20,12 +20,15 @@ struct LsqEntry {
   uint32_t rob_slot = 0;
 };
 
+/// A fixed ring in program order. Entries enter in ascending seq order and
+/// leave from the front (commit) or the back (squash), so the ring stays
+/// sorted by seq and a lookup by seq is a binary search.
 class LoadStoreQueue {
  public:
-  explicit LoadStoreQueue(uint32_t capacity) : capacity_(capacity) {}
+  explicit LoadStoreQueue(uint32_t capacity) : ring_(capacity) {}
 
-  [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
-  [[nodiscard]] size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool full() const { return size_ >= ring_.size(); }
+  [[nodiscard]] size_t size() const { return size_; }
 
   /// Appends in program order; returns false when full.
   bool push(const LsqEntry& e);
@@ -35,6 +38,8 @@ class LoadStoreQueue {
   void squash_younger(uint64_t seq);
 
   [[nodiscard]] LsqEntry* find(uint64_t seq);
+  /// The youngest entry; the queue must not be empty.
+  [[nodiscard]] const LsqEntry& back() const { return at(size_ - 1); }
 
   /// True when every store older than `seq` has a known address — the
   /// precondition for a load to access memory.
@@ -47,11 +52,19 @@ class LoadStoreQueue {
   [[nodiscard]] ForwardResult try_forward(uint64_t seq, uint64_t addr, int size,
                                           uint64_t& value_out) const;
 
-  [[nodiscard]] const std::deque<LsqEntry>& entries() const { return entries_; }
-
  private:
-  uint32_t capacity_;
-  std::deque<LsqEntry> entries_;
+  /// Ring position of the i-th oldest entry (i <= size_).
+  [[nodiscard]] size_t pos(size_t i) const {
+    const size_t p = head_ + i;
+    return p >= ring_.size() ? p - ring_.size() : p;
+  }
+  [[nodiscard]] const LsqEntry& at(size_t i) const { return ring_[pos(i)]; }
+  /// Number of entries older than `seq`.
+  [[nodiscard]] size_t older_than(uint64_t seq) const;
+
+  std::vector<LsqEntry> ring_;
+  size_t head_ = 0;
+  size_t size_ = 0;
 };
 
 }  // namespace cfir::core

@@ -642,8 +642,10 @@ void Core::writeback_stage() {
   // Normally one bucket, this cycle's; a zero-latency event pushed after
   // its cycle drained (the copy-issue path) reopens that cycle.
   cal_.drain(cycle_, [this](std::vector<Event>& due) {
-    std::sort(due.begin(), due.end(),
-              [](const Event& a, const Event& b) { return a.seq < b.seq; });
+    if (due.size() > 1) {
+      std::sort(due.begin(), due.end(),
+                [](const Event& a, const Event& b) { return a.seq < b.seq; });
+    }
     for (const Event& ev : due) {
       if (slot_live(ev.slot, ev.seq)) complete(ev.slot);
     }

@@ -92,7 +92,7 @@ TEST(Lsq, SquashYounger) {
   q.push(mk(9, false, 16, 8, 0));
   q.squash_younger(5);
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.entries().back().seq, 5u);
+  EXPECT_EQ(q.back().seq, 5u);
 }
 
 TEST(MemoryStage, ForwardingHappensEndToEnd) {
