@@ -2,8 +2,10 @@
 // configs the figures spend their detailed time in: a plain superscalar,
 // the paper's CI mechanism (whose replica engine rides the same core
 // loop), a wide-window stress point (1K-entry ROB) where the scheduler's
-// stall lists and calendar ring run longest, the vect baseline, and ci at
-// the "infinite" register point (an 8K-entry ROB). Every cell runs a
+// stall lists and calendar ring run longest, the vect baseline, ci at the
+// "infinite" register point (an 8K-entry ROB), and the fig14 grid's two
+// extreme columns: ci starved at 128 registers and vect at the 8K-entry
+// ROB. Every cell runs a
 // fixed commit budget several times, round-robin across cells so a burst
 // of host load lands on all cells alike, and keeps its best wall time.
 // Prints a table of million committed insts/sec and host ns per simulated
@@ -87,6 +89,8 @@ int main() {
       {"wide1p", wide_window_config()},
       {"vect2p", sim::presets::vect(2, 256)},
       {"ci2p-inf", sim::presets::ci(2, sim::presets::kInfRegs)},
+      {"ci2p-128", sim::presets::ci(2, 128)},
+      {"vect2p-inf", sim::presets::vect(2, sim::presets::kInfRegs)},
   };
 
   std::vector<isa::Program> programs;
@@ -112,10 +116,10 @@ int main() {
   std::printf("detailed core throughput "
               "(scale %u, %llu commits, best of %d round-robin runs)\n",
               scale, static_cast<unsigned long long>(budget), repeats);
-  std::printf("%-8s %-8s %9s | %8s %10s\n", "workload", "config", "insts",
+  std::printf("%-8s %-10s %9s | %8s %10s\n", "workload", "config", "insts",
               "Mi/s", "ns/cycle");
   for (const Cell& cell : cells) {
-    std::printf("%-8s %-8s %9llu | %8.3f %10.1f\n", cell.workload.c_str(),
+    std::printf("%-8s %-10s %9llu | %8.3f %10.1f\n", cell.workload.c_str(),
                 cell.config, static_cast<unsigned long long>(cell.insts),
                 cell.insts_per_sec() / 1e6, cell.host_ns_per_cycle());
     emit_json(cell);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/calendar.hpp"
 #include "core/pipeline.hpp"
 #include "helpers.hpp"
 #include "isa/assembler.hpp"
@@ -11,6 +15,34 @@ namespace {
 
 sim::Simulator make_sim(const isa::Program& p, const CoreConfig& cfg) {
   return sim::Simulator(cfg, p);
+}
+
+TEST(Calendar, DrainsEachCycleInPushOrderAcrossTheHorizon) {
+  struct Ev {
+    uint64_t when;
+    int id;
+  };
+  Calendar<Ev> cal;
+  const uint64_t far = 10 + Calendar<Ev>::kBuckets;  // shares 10's bucket
+  cal.push({far, 0}, 0);  // beyond the horizon
+  cal.push({10, 1}, 0);
+  cal.push({10, 2}, 0);
+  std::vector<std::pair<uint64_t, int>> seen;
+  for (uint64_t now = 0; now <= far + 1; ++now) {
+    cal.drain(now, [&](std::vector<Ev>& due) {
+      for (const Ev& e : due) seen.emplace_back(now, e.id);
+    });
+    // After its cycle drained, an event due now reopens the cycle and
+    // completes at the next drain, ahead of that cycle's own events.
+    if (now == 20) {
+      cal.push({21, 3}, now);
+      cal.push({20, 4}, now);
+    }
+    if (now == far - 1) cal.push({far, 5}, now);  // after far moved in
+  }
+  const std::vector<std::pair<uint64_t, int>> want = {
+      {10, 1}, {10, 2}, {21, 4}, {21, 3}, {far, 0}, {far, 5}};
+  EXPECT_EQ(seen, want);
 }
 
 TEST(CoreBasic, StraightLineArithmetic) {

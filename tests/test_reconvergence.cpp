@@ -134,6 +134,28 @@ TEST(Nrbq, OverflowEvictsOldest) {
   EXPECT_NE(q.find(30), nullptr);
 }
 
+TEST(Nrbq, WritesLandOnlyInTheRegionsOpenWhenTheyHappen) {
+  Nrbq q(4);
+  q.on_dest_write(5);  // no branch in flight: belongs to no region
+  q.push(10, 0x100, 0x200);
+  EXPECT_EQ(q.mask_of(10), 0u);
+  // A PC 64 slots past the point shares its filter bit but is not the
+  // point: the region stays open.
+  q.observe_pc(0x200 + 64 * isa::kInstBytes);
+  q.on_dest_write(3);
+  EXPECT_FALSE(q.find(10)->reached);
+  q.push(20, 0x140, 0x240);  // opens after the write of r3
+  q.on_dest_write(6);
+  q.observe_pc(0x200);  // closes branch 10's region only
+  q.on_dest_write(4);
+  EXPECT_TRUE(q.find(10)->reached);
+  EXPECT_EQ(q.mask_of(10), (uint64_t{1} << 3) | (uint64_t{1} << 6));
+  EXPECT_EQ(q.mask_of(20), (uint64_t{1} << 6) | (uint64_t{1} << 4));
+  q.on_branch_squash(20);
+  q.on_dest_write(7);
+  EXPECT_EQ(q.mask_of(10), (uint64_t{1} << 3) | (uint64_t{1} << 6));
+}
+
 TEST(Nrbq, StorageBudgetMatchesPaper) {
   Nrbq q(16);
   EXPECT_EQ(q.storage_bytes(), 128u);  // section 3.1
