@@ -62,12 +62,19 @@ void CiMechanism::on_decode(DynInst& di) {
 
 void CiMechanism::validate_or_create(DynInst& di) {
   auto& stats = core_->stats();
+  // A load's stride entry, looked up once per decode: nothing trains the
+  // predictor before this instruction's rename, which reads the verdict
+  // from di.mech.
+  StridePredictor::Info sp;
+  if (di.is_load) {
+    sp = stride_.lookup(di.pc);
+    di.mech.stride_confident = sp.known && sp.confident;
+  }
   const uint32_t slot = srsmt_.find(di.pc);
   if (slot == kInvalidSrsmtSlot) {
     // No entry: consider creating one (step 3 of the paper — vectorization
     // happens the next time the selected instruction is encountered).
     if (di.is_load) {
-      const StridePredictor::Info sp = stride_.lookup(di.pc);
       if (sp.known && sp.confident && sp.selected && sp.stride != 0) {
         create_load_entry(di, sp);
       }
@@ -85,7 +92,6 @@ void CiMechanism::validate_or_create(DynInst& di) {
   bool hard_fail = e.poisoned;
   bool soft_fail = false;
   if (di.is_load) {
-    const StridePredictor::Info sp = stride_.lookup(di.pc);
     if (!sp.known || sp.stride != e.stride) {
       hard_fail = true;  // the stride did not keep on being the same
     } else if (!sp.confident) {
@@ -130,7 +136,6 @@ void CiMechanism::validate_or_create(DynInst& di) {
     ++stats.validations_failed;
     engine_->release_entry(slot, ReleaseReason::kReplace);
     if (di.is_load) {
-      const StridePredictor::Info sp = stride_.lookup(di.pc);
       if (sp.known && sp.confident && sp.selected && sp.stride != 0) {
         create_load_entry(di, sp);
       }
@@ -360,8 +365,7 @@ void CiMechanism::on_renamed(DynInst& di) {
   // the count.
   uint8_t count = 0;
   if (di.is_load) {
-    const StridePredictor::Info sp = stride_.lookup(di.pc);
-    if (sp.known && sp.confident) x.strided_pcs[count++] = di.pc;
+    if (di.mech.stride_confident) x.strided_pcs[count++] = di.pc;
   } else if (vectorizable_arith(di.inst)) {
     // Union of the sources' stridedPC sets, truncated to the configured
     // per-entry budget (Figure 4 sweeps this width).

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,6 +31,7 @@ class Calendar {
   /// Schedules `ev` at cycle `now`; it must not be due before `now`.
   void push(const T& ev, uint64_t now) {
     assert(ev.when >= now && "event due in the past");
+    ++pending_;
     if (ev.when - now < kBuckets) {
       buckets_[ev.when & (kBuckets - 1)].push_back(ev);
       // An event due at a cycle whose drain already ran (a zero-latency
@@ -46,12 +48,17 @@ class Calendar {
   /// may push events due after `now`, and may reorder its vector.
   template <typename Fn>
   void drain(uint64_t now, Fn&& visit) {
+    if (pending_ == 0) {
+      next_drain_ = now + 1;
+      return;
+    }
     for (uint64_t t = next_drain_; t <= now; ++t) {
       std::vector<T>& bucket = buckets_[t & (kBuckets - 1)];
       if (bucket.empty()) continue;
       // Take the events out by swapping buffers, so visit's pushes never
       // touch the vector it walks.
       due_.swap(bucket);
+      pending_ -= due_.size();
       visit(due_);
       due_.clear();
     }
@@ -73,6 +80,7 @@ class Calendar {
   std::vector<T> overflow_;
   std::vector<T> due_;
   uint64_t next_drain_ = 0;
+  size_t pending_ = 0;  ///< events in the buckets and the overflow list
 };
 
 }  // namespace cfir::core

@@ -77,6 +77,9 @@ struct MechInfo {
   /// The replaced extension was the cleared default; squash recovery
   /// restores that without a saved copy.
   bool ext_cleared = false;
+
+  /// Loads: the stride predictor held a confident entry at decode.
+  bool stride_confident = false;
 };
 
 /// One in-flight instruction (ROB entry). The core builds it in place at
