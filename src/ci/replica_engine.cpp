@@ -6,7 +6,6 @@
 namespace cfir::ci {
 
 using core::CycleResources;
-using isa::Opcode;
 
 ReplicaEngine::ReplicaEngine(core::Core& core, Srsmt& srsmt,
                              SpecDataMemory* specmem)
@@ -15,17 +14,6 @@ ReplicaEngine::ReplicaEngine(core::Core& core, Srsmt& srsmt,
 bool ReplicaEngine::ref_live(const Ref& r) const {
   const SrsmtEntry& e = srsmt_.entry(r.slot);
   return e.valid && e.uid == r.uid && e.holds(r.abs);
-}
-
-uint32_t ReplicaEngine::alu_latency(Opcode op) const {
-  const core::CoreConfig& cfg = core_.config();
-  switch (isa::fu_class(op)) {
-    case isa::FuClass::kIntMul: return cfg.mul_latency;
-    case isa::FuClass::kIntDiv:
-      return op == Opcode::kDiv || op == Opcode::kRem ? cfg.div_latency
-                                                      : cfg.mul_latency;
-    default: return cfg.int_alu_latency;
-  }
 }
 
 bool ReplicaEngine::operand_ready(const SrsmtEntry& e, const SrsmtOperand& op,
@@ -268,7 +256,7 @@ void ReplicaEngine::tick(uint64_t cycle, CycleResources& res) {
       --*pool;
       --res.issue_slots;
       ++stats.replicas_executed;
-      uint64_t done = cycle + alu_latency(e.inst.op);
+      uint64_t done = cycle + core_.fu_latency(e.inst.op);
       if (specmem_ != nullptr) done = specmem_->book_write(done);
       completions_.push({done, ref}, cycle);
     }

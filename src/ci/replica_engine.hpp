@@ -90,7 +90,6 @@ class ReplicaEngine {
   void notify_consumers(uint32_t producer_slot, uint32_t producer_uid,
                         uint64_t produced_abs);
   void free_replica_storage(Replica& r);
-  [[nodiscard]] uint32_t alu_latency(isa::Opcode op) const;
 
   core::Core& core_;
   Srsmt& srsmt_;

@@ -140,6 +140,11 @@ class Core {
   [[nodiscard]] uint32_t mem_ports_left() const {
     return fu_.mem_ports_left();
   }
+  /// Execution latency of `op` on its functional unit (replicas of
+  /// arithmetic instructions take the same time as the instruction).
+  [[nodiscard]] uint32_t fu_latency(isa::Opcode op) const {
+    return fu_.latency(op);
+  }
 
  private:
   struct Event {
