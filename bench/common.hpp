@@ -114,8 +114,8 @@ inline void dump_telemetry_json(const std::vector<sim::RunOutcome>& outcomes) {
               obs::Registry::instance().to_json().c_str());
 }
 
-/// The grid point (`workload`, `nc`) with the run length, scale, sampling
-/// and shard knobs read from the environment — the one spec builder every
+/// The grid point (`workload`, `nc`) with the run length, scale and
+/// sampling knobs read from the environment — the one spec builder every
 /// figure uses, so all of them honour the same CFIR_* knobs.
 inline sim::RunSpec env_spec(const std::string& workload,
                              const NamedConfig& nc) {
@@ -130,9 +130,6 @@ inline sim::RunSpec env_spec(const std::string& workload,
   s.warmup = sim::env_warmup();
   s.warm_mode = sim::env_warm_mode();
   s.detail_len = sim::env_detail_len();
-  const trace::ShardSelection shard = sim::env_shard();
-  s.shard_index = shard.index;
-  s.shard_count = shard.count;
   return s;
 }
 

@@ -18,16 +18,11 @@
 //                                                      -> CFIRSHD2 result blob
 //   trace_tool merge  <manifest> <shard files...>      fold shards back into
 //          [--per-phase] [--config=<name>]             one report per config
-//   trace_tool watch  <manifest> [--once]              tail the .cfirprog
-//          [--interval-ms=N]                           sidecars of a shard
-//                                                      farm, render progress
 //
 // Observability (docs/observability.md): every verb accepts
 // --trace-out=<file> (or CFIR_TRACE=<file>) to flight-record the run as
-// Chrome trace-event JSON, exported at process exit. CFIR_PROGRESS=1 (or
-// =stderr) makes `run-shard` / `sample` append live heartbeats to a
-// `.cfirprog` sidecar next to their output, which `watch` tails. Neither
-// knob perturbs simulated stats or stdout.
+// Chrome trace-event JSON, exported at process exit. Recording perturbs
+// neither simulated stats nor stdout.
 //
 // Config specs are preset labels of the form <family>:<ports>:<regs>
 // (sim::presets::from_spec), e.g. ci:2:512. `plan --configs` freezes a
@@ -53,20 +48,15 @@
 // Exit codes (scripts can branch on the failure kind):
 //   0 ok | 1 other error | 2 usage | 3 bad magic | 4 unsupported version
 //   5 config-hash mismatch | 6 corrupt/truncated file
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 
 #include "sim/presets.hpp"
@@ -119,12 +109,9 @@ int usage() {
       "                         in the blob for byte-diffable output)]\n"
       "       trace_tool merge  <manifest> <shard-file>... [--per-phase]\n"
       "                         [--config=<name> (one grid column)]\n"
-      "       trace_tool watch  <manifest> [--once] [--interval-ms=N]\n"
-      "                         tail shard .cfirprog sidecars\n"
       "any verb: [--trace-out=<file> (Chrome trace-event flight record)]\n"
       "env: CFIR_TRACE_DIR (output dir), CFIR_THREADS (sample/run-shard),\n"
-      "     CFIR_TRACE=<file> (same as --trace-out),\n"
-      "     CFIR_PROGRESS=1|stderr (.cfirprog heartbeats)\n"
+      "     CFIR_TRACE=<file> (same as --trace-out)\n"
       "files: traces are CFIRTRC2, manifests CFIRMAN2, checkpoints\n"
       "      CFIRCKP1, shard results CFIRSHD2 v3; retired formats exit 4,\n"
       "      a missing CRC footer 6\n"
@@ -489,12 +476,6 @@ int cmd_sample(int argc, char** argv) {
   }
   const isa::Program program = workloads::build(args.workload, args.scale);
   const trace::IntervalPlan plan = build_plan(args, program);
-  if (obs::progress_requested()) {
-    obs::Progress::global().configure(
-        trace::env_trace_dir() + "/" + args.workload + ".s" +
-            std::to_string(args.scale) + ".cfirprog",
-        obs::progress_stderr_requested());
-  }
   const trace::SampledRun run =
       trace::sampled_run(args.configs[0].second, program, plan);
   print_run(run, args.mode, args.warm_mode);
@@ -616,13 +597,6 @@ int cmd_run_shard(int argc, char** argv) {
                std::to_string(shard.index) + "of" +
                std::to_string(shard.count) + ".cfirshd";
   }
-  // Heartbeats land next to the result blob so `watch <manifest>` finds
-  // one sidecar per shard of the farm.
-  if (obs::progress_requested()) {
-    obs::Progress::global().configure(trace::path_stem(out_path) + ".cfirprog",
-                                      obs::progress_stderr_requested());
-  }
-
   // The configs travel in the manifest; refuse a manifest directory whose
   // reloaded checkpoints no longer match its interval schedule.
   trace::verify_manifest_plan(manifest, plan);
@@ -748,119 +722,6 @@ int cmd_merge(int argc, char** argv) {
   return 0;
 }
 
-/// One shard's latest heartbeat, read from its .cfirprog sidecar.
-struct WatchRow {
-  std::string file;
-  obs::Heartbeat hb;
-};
-
-/// Last parseable heartbeat line of `path`; false when the file is empty
-/// or only holds torn/foreign lines (the writer appends whole lines, but
-/// watch races it by design).
-bool read_last_heartbeat(const std::string& path, obs::Heartbeat* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string line;
-  bool found = false;
-  obs::Heartbeat hb;
-  while (std::getline(in, line)) {
-    if (obs::Heartbeat::parse(line, &hb)) found = true;
-  }
-  if (found) *out = hb;
-  return found;
-}
-
-/// Scans the manifest's directory for `<stem>*.cfirprog` sidecars and
-/// renders one progress line per shard. Exits when every discovered shard
-/// reports "done" (or immediately under --once, for scripts and CI).
-int cmd_watch(int argc, char** argv) {
-  std::string manifest_path;
-  bool once = false;
-  long interval_ms = 1000;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--once") {
-      once = true;
-    } else if (arg.rfind("--interval-ms=", 0) == 0) {
-      interval_ms = number<long>("--interval-ms", arg.substr(14));
-      if (interval_ms < 50) interval_ms = 50;
-    } else if (arg.rfind("--", 0) == 0) {
-      return usage();
-    } else if (manifest_path.empty()) {
-      manifest_path = arg;
-    } else {
-      return usage();
-    }
-  }
-  if (manifest_path.empty()) return usage();
-  // Load the manifest for its grid shape (and to fail fast on a bad path).
-  const trace::ShardManifest manifest =
-      trace::ShardManifest::load(manifest_path);
-
-  namespace fs = std::filesystem;
-  const std::string stem =
-      fs::path(trace::path_stem(manifest_path)).filename().string();
-  fs::path dir = fs::path(manifest_path).parent_path();
-  if (dir.empty()) dir = ".";
-
-  for (;;) {
-    std::vector<WatchRow> rows;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      if (!entry.is_regular_file()) continue;
-      const fs::path p = entry.path();
-      if (p.extension() != ".cfirprog") continue;
-      if (p.filename().string().rfind(stem, 0) != 0) continue;
-      WatchRow row;
-      row.file = p.filename().string();
-      if (read_last_heartbeat(p.string(), &row.hb)) rows.push_back(row);
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const WatchRow& a, const WatchRow& b) {
-                return a.hb.shard_index != b.hb.shard_index
-                           ? a.hb.shard_index < b.hb.shard_index
-                           : a.file < b.file;
-              });
-
-    size_t done_shards = 0;
-    uint64_t done_units = 0, total_units = 0;
-    for (const WatchRow& row : rows) {
-      const obs::Heartbeat& hb = row.hb;
-      if (hb.phase == "done") ++done_shards;
-      done_units += hb.done;
-      total_units += hb.total;
-      std::printf("shard %u/%u  %-6s  %llu/%llu units  "
-                  "intervals %llu/%llu  warmed %llu  ",
-                  hb.shard_index, hb.shard_count, hb.phase.c_str(),
-                  static_cast<unsigned long long>(hb.done),
-                  static_cast<unsigned long long>(hb.total),
-                  static_cast<unsigned long long>(hb.intervals_done),
-                  static_cast<unsigned long long>(hb.plan_intervals),
-                  static_cast<unsigned long long>(hb.warmed_insts));
-      if (hb.phase == "done") {
-        std::printf("finished in %.1fs", static_cast<double>(hb.t_ms) / 1e3);
-      } else if (hb.eta_ms >= 0) {
-        std::printf("eta %.1fs", static_cast<double>(hb.eta_ms) / 1e3);
-      } else {
-        std::printf("eta ?");
-      }
-      std::printf("  [%s]\n", row.file.c_str());
-    }
-    std::printf("watch: %zu shard%s reporting, %zu done, %llu/%llu units "
-                "(%zu intervals x %zu configs planned)\n",
-                rows.size(), rows.size() == 1 ? "" : "s", done_shards,
-                static_cast<unsigned long long>(done_units),
-                static_cast<unsigned long long>(total_units),
-                manifest.intervals.size(), manifest.configs.size());
-    std::fflush(stdout);
-
-    if (once) break;
-    if (!rows.empty() && done_shards == rows.size()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -894,7 +755,6 @@ int main(int argc, char** argv) {
     if (cmd == "plan") return cmd_plan(argc - 2, argv + 2);
     if (cmd == "run-shard") return cmd_run_shard(argc - 2, argv + 2);
     if (cmd == "merge") return cmd_merge(argc - 2, argv + 2);
-    if (cmd == "watch") return cmd_watch(argc - 2, argv + 2);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "trace_tool %s: %s\n", cmd.c_str(), e.what());
     return usage();

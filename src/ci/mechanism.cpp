@@ -499,13 +499,13 @@ void CiMechanism::on_squash(DynInst& di) {
 void CiMechanism::on_commit(DynInst& di) {
   if (di.is_cond_branch) nrbq_.on_branch_commit(di.seq);
 
-  if (di.is_load) stride_.train(di.pc, di.mem_addr);
-  if (di.is_load && vect_policy()) {
-    // Full-blown dynamic vectorization [12]: every confident strided load
-    // is selected, independent of control-independence analysis.
-    const StridePredictor::Info sp = stride_.lookup(di.pc);
-    if (sp.confident && !sp.selected && sp.stride != 0) {
-      stride_.select(di.pc, 0);
+  if (di.is_load) {
+    if (vect_policy()) {
+      // Full-blown dynamic vectorization [12]: every confident strided
+      // load is selected, independent of control-independence analysis.
+      stride_.train_and_select(di.pc, di.mem_addr);
+    } else {
+      stride_.train(di.pc, di.mem_addr);
     }
   }
 

@@ -42,13 +42,14 @@ StridePredictor::Entry& StridePredictor::find_or_alloc(uint64_t pc) {
   return v;
 }
 
-void StridePredictor::train(uint64_t pc, uint64_t addr) {
+StridePredictor::Entry& StridePredictor::train_entry(uint64_t pc,
+                                                     uint64_t addr) {
   Entry& e = find_or_alloc(pc);
   e.lru = ++stamp_;
   if (e.last_addr == 0 && e.stride == 0 && e.confidence == 0) {
     // Fresh entry: just record the address.
     e.last_addr = addr;
-    return;
+    return e;
   }
   const int64_t observed = static_cast<int64_t>(addr - e.last_addr);
   if (observed == e.stride) {
@@ -64,6 +65,19 @@ void StridePredictor::train(uint64_t pc, uint64_t addr) {
     }
   }
   e.last_addr = addr;
+  return e;
+}
+
+void StridePredictor::train(uint64_t pc, uint64_t addr) {
+  train_entry(pc, addr);
+}
+
+void StridePredictor::train_and_select(uint64_t pc, uint64_t addr) {
+  Entry& e = train_entry(pc, addr);
+  if (e.confidence > 1 && !e.s_flag && e.stride != 0) {
+    e.s_flag = true;
+    e.origin_branch_pc = 0;
+  }
 }
 
 StridePredictor::Info StridePredictor::lookup(uint64_t pc) const {

@@ -30,6 +30,12 @@ class StridePredictor : public util::Warmable {
   /// Trains with a committed load (in program order).
   void train(uint64_t pc, uint64_t addr);
 
+  /// train() plus the vect policy's commit rule, in one set walk: the
+  /// trained entry, once confident with a non-zero stride, is selected
+  /// with origin 0 unless it already is (it then keeps its origin). A
+  /// fresh entry is never confident, so never selected.
+  void train_and_select(uint64_t pc, uint64_t addr);
+
   [[nodiscard]] Info lookup(uint64_t pc) const;
 
   /// Sets the S flag (selection for speculative vectorization). Returns
@@ -64,6 +70,7 @@ class StridePredictor : public util::Warmable {
   [[nodiscard]] const Entry* find(uint64_t pc) const;
   Entry* find_mut(uint64_t pc);
   Entry& find_or_alloc(uint64_t pc);
+  Entry& train_entry(uint64_t pc, uint64_t addr);
 
   uint32_t sets_;
   uint32_t ways_;

@@ -9,7 +9,11 @@ std::string disassemble(const Instruction& inst, uint64_t pc) {
   std::ostringstream os;
   os << std::hex << "0x" << pc << std::dec << ": " << opcode_name(inst.op);
   const Opcode op = inst.op;
-  auto r = [](int n) { return "r" + std::to_string(n); };
+  auto r = [](int n) {
+    std::string s = "r";
+    s += std::to_string(n);
+    return s;
+  };
   if (op == Opcode::kNop || op == Opcode::kHalt) {
     // no operands
   } else if (is_load(op)) {

@@ -15,6 +15,7 @@
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "trace/sampling.hpp"
+#include "trace/shard.hpp"
 #include "util/parse.hpp"
 #include "workloads/workloads.hpp"
 
@@ -83,12 +84,6 @@ trace::WarmMode env_warm_mode() {
 }
 
 uint64_t env_detail_len() { return env_u64("CFIR_DETAIL_LEN", 0); }
-
-trace::ShardSelection env_shard() {
-  const char* v = std::getenv("CFIR_SHARD");
-  if (v == nullptr || *v == '\0') return trace::ShardSelection{};
-  return trace::parse_shard(v);
-}
 
 void parallel_for(size_t n, const std::function<void(size_t)>& fn,
                   int threads) {
@@ -163,16 +158,14 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
 
   // Sampled grid points: interval plans depend only on (workload, scale,
   // cap, plan knobs), never on the core config, so specs sharing a plan
-  // key share one plan, and within it specs sharing a shard selection
-  // execute as a single multi-config run_shard — every config column
-  // rides the same checkpoints and, under functional warming, the same
-  // streamed gaps (the config-independent plan / per-config binding split
-  // of docs/sharding.md). Columns are bit-identical to running each spec
-  // alone.
+  // key share one plan and execute as a single multi-config run_shard —
+  // every config column rides the same checkpoints and, under functional
+  // warming, the same streamed gaps (the config-independent plan /
+  // per-config binding split of docs/sharding.md). Columns are
+  // bit-identical to running each spec alone.
   using PlanKey = std::tuple<std::string, uint32_t, uint64_t, uint32_t,
                              uint8_t, uint64_t, uint8_t, uint64_t>;
-  using Groups = std::map<std::pair<uint32_t, uint32_t>, std::vector<size_t>>;
-  std::map<PlanKey, Groups> by_plan;
+  std::map<PlanKey, std::vector<size_t>> by_plan;
   for (size_t i = 0; i < specs.size(); ++i) {
     const RunSpec& spec = specs[i];
     if (spec.intervals <= 1) continue;
@@ -184,22 +177,21 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
                       spec.warmup,
                       static_cast<uint8_t>(spec.warm_mode),
                       spec.detail_len};
-    by_plan[key][{spec.shard_index, std::max<uint32_t>(1, spec.shard_count)}]
-        .push_back(i);
+    by_plan[key].push_back(i);
   }
-  std::vector<const std::pair<const PlanKey, Groups>*> chains;
+  std::vector<const std::vector<size_t>*> chains;
   chains.reserve(by_plan.size());
-  for (const auto& entry : by_plan) chains.push_back(&entry);
+  for (const auto& entry : by_plan) chains.push_back(&entry.second);
 
   // One pool task per plan runs its whole chain: build the program once,
-  // plan it, then run_shard every group of the plan. Chains of different
+  // plan it, then run_shard all of its columns. Chains of different
   // kernels overlap, and each run_shard's unit batch and warm fan-out nest
   // on the same pool, picking up workers as other chains finish. Every
   // task writes only its own members' outcomes and its own tally slot, so
   // no result depends on the schedule.
   struct Tally {
     uint64_t checkpoints = 0;
-    std::vector<uint64_t> warmed_insts;  ///< per group, in group order
+    uint64_t warmed_insts = 0;
   };
   std::vector<Tally> tallies(chains.size());
   obs::Histogram& chain_hist =
@@ -208,8 +200,8 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
       chains.size(),
       [&](size_t p) {
         const obs::Stopwatch chain_clock;
-        const Groups& groups = chains[p]->second;
-        const RunSpec& first = specs[groups.begin()->second.front()];
+        const std::vector<size_t>& members = *chains[p];
+        const RunSpec& first = specs[members.front()];
         isa::Program program;
         trace::IntervalPlan plan;
         {
@@ -225,51 +217,43 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
           }
         }
         tallies[p].checkpoints = plan.checkpoints.size();
-        for (const auto& [shard_key, members] : groups) {
-          const RunSpec& lead = specs[members.front()];
-          try {
-            const trace::ShardSelection shard{shard_key.first,
-                                              shard_key.second};
-            std::vector<trace::ConfigBinding> bindings;
-            bindings.reserve(members.size());
-            for (const size_t i : members) {
-              trace::ConfigBinding b;
-              b.name = specs[i].config_name;
-              b.config = specs[i].config;
-              bindings.push_back(std::move(b));
-            }
-            const trace::ShardResult result =
-                trace::run_shard(bindings, program, plan, shard, threads);
-            for (size_t c = 0; c < members.size(); ++c) {
-              RunOutcome& o = out[members[c]];
-              std::vector<stats::WeightedStats> parts;
-              parts.reserve(result.intervals.size());
-              o.phases.reserve(result.intervals.size());
-              for (const trace::ShardResult::Interval& iv : result.intervals) {
-                parts.push_back({iv.stats[c], iv.weight});
-                const uint64_t wall_us =
-                    iv.wall_us.empty() ? 0 : iv.wall_us[c];
-                o.phases.push_back({iv.start_inst, iv.length, iv.weight,
-                                    iv.stats[c],
-                                    static_cast<double>(wall_us) / 1000.0});
-                o.wall_ms += static_cast<double>(wall_us) / 1000.0;
-              }
-              o.detailed_insts = result.configs[c].detailed_insts;
-              o.stats = stats::merge_shards(parts);
-              if (shard.count == 1) {
-                // Complete coverage: report `halted` like a monolithic run
-                // even when no representative window contains HALT.
-                o.stats.halted = o.stats.halted || result.ran_to_halt;
-              }
-            }
-            tallies[p].warmed_insts.push_back(result.warmed_insts);
-          } catch (const std::exception& e) {
-            throw std::runtime_error(
-                std::string("run '") + lead.workload + "/" +
-                lead.config_name + "' (shared plan, " +
-                std::to_string(members.size()) +
-                " config columns) failed: " + e.what());
+        try {
+          std::vector<trace::ConfigBinding> bindings;
+          bindings.reserve(members.size());
+          for (const size_t i : members) {
+            trace::ConfigBinding b;
+            b.name = specs[i].config_name;
+            b.config = specs[i].config;
+            bindings.push_back(std::move(b));
           }
+          const trace::ShardResult result = trace::run_shard(
+              bindings, program, plan, trace::ShardSelection{}, threads);
+          for (size_t c = 0; c < members.size(); ++c) {
+            RunOutcome& o = out[members[c]];
+            std::vector<stats::WeightedStats> parts;
+            parts.reserve(result.intervals.size());
+            o.phases.reserve(result.intervals.size());
+            for (const trace::ShardResult::Interval& iv : result.intervals) {
+              parts.push_back({iv.stats[c], iv.weight});
+              const double wall_ms =
+                  static_cast<double>(iv.wall_us[c]) / 1000.0;
+              o.phases.push_back(
+                  {iv.start_inst, iv.length, iv.weight, iv.stats[c], wall_ms});
+              o.wall_ms += wall_ms;
+            }
+            o.detailed_insts = result.configs[c].detailed_insts;
+            o.stats = stats::merge_shards(parts);
+            // Report `halted` like a monolithic run even when no
+            // representative window contains HALT.
+            o.stats.halted = o.stats.halted || result.ran_to_halt;
+          }
+          tallies[p].warmed_insts = result.warmed_insts;
+        } catch (const std::exception& e) {
+          throw std::runtime_error(
+              std::string("run '") + first.workload + "/" +
+              first.config_name + "' (shared plan, " +
+              std::to_string(members.size()) +
+              " config columns) failed: " + e.what());
         }
         chain_hist.observe(chain_clock.elapsed_us());
       },
@@ -280,16 +264,12 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
     savings->plans = chains.size();
     for (size_t p = 0; p < chains.size(); ++p) {
       const Tally& tally = tallies[p];
+      const uint64_t columns = chains[p]->size();
+      savings->sampled_points += columns;
       savings->checkpoints += tally.checkpoints;
-      size_t g = 0;
-      for (const auto& [shard_key, members] : chains[p]->second) {
-        const uint64_t columns = members.size();
-        savings->sampled_points += columns;
-        savings->checkpoints_per_column += tally.checkpoints * columns;
-        savings->warmed_insts += tally.warmed_insts[g];
-        savings->warmed_insts_per_column += tally.warmed_insts[g] * columns;
-        ++g;
-      }
+      savings->checkpoints_per_column += tally.checkpoints * columns;
+      savings->warmed_insts += tally.warmed_insts;
+      savings->warmed_insts_per_column += tally.warmed_insts * columns;
     }
   }
   return out;

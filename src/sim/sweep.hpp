@@ -13,7 +13,6 @@
 #include "isa/program.hpp"
 #include "stats/stats.hpp"
 #include "trace/sampling.hpp"
-#include "trace/shard.hpp"
 
 namespace cfir::sim {
 
@@ -32,13 +31,6 @@ struct RunSpec {
   trace::WarmMode warm_mode = trace::WarmMode::kDetailed;
   uint64_t detail_len = 0;  ///< measured-slice cap per interval (SMARTS
                             ///< estimator; 0 = whole interval)
-  // Sharded sampling (trace/shard.hpp): run only the intervals of shard
-  // `shard_index` of `shard_count`. With count > 1 the reported stats
-  // cover that shard's intervals only — one slice of the work, meant to be
-  // merged with the other shards' outputs (CFIR_SHARD farms a bench grid
-  // across machines this way).
-  uint32_t shard_index = 0;
-  uint32_t shard_count = 1;
 };
 
 /// One measured interval (= one phase representative in cluster mode) of a
@@ -85,14 +77,15 @@ struct SweepSavings {
 /// Runs every spec (order preserved in the result). `threads` <= 0 picks
 /// CFIR_THREADS or the hardware concurrency. Specs with `intervals > 1`
 /// run through the checkpointed interval sampler: specs sharing one plan
-/// (same workload/scale/cap/plan knobs) and shard selection execute as ONE
-/// multi-config trace::run_shard — the plan and its checkpoints are
+/// (same workload/scale/cap/plan knobs) execute as ONE multi-config
+/// trace::run_shard over the whole plan — the plan and its checkpoints are
 /// config-independent and each functional-warming gap streams once for the
 /// whole column group — and report the merged aggregate stats per column,
 /// bit-identical to running each column alone. Each distinct plan is one
-/// pool task that builds the program, plans it and runs its groups, so the
-/// chains of different kernels overlap; run_shard's own batches nest on
-/// the same pool. No result depends on the thread count or the schedule.
+/// pool task that builds the program, plans it and runs its columns, so
+/// the chains of different kernels overlap; run_shard's own batches nest
+/// on the same pool. No result depends on the thread count or the
+/// schedule.
 /// `savings`, when non-null, receives the shared-plan accounting.
 [[nodiscard]] std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
                                               int threads = 0,
@@ -123,8 +116,5 @@ void parallel_for(size_t n, const std::function<void(size_t)>& fn,
 /// detailed; typos throw (see trace::parse_warm_mode).
 [[nodiscard]] trace::WarmMode env_warm_mode();
 [[nodiscard]] uint64_t env_detail_len();  ///< CFIR_DETAIL_LEN, default 0
-/// CFIR_SHARD ("i/N", e.g. "0/4"), default 0/1 (everything); malformed
-/// specs throw (see trace::parse_shard).
-[[nodiscard]] trace::ShardSelection env_shard();
 
 }  // namespace cfir::sim

@@ -1,7 +1,6 @@
 #include "trace/shard.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <memory>
@@ -9,7 +8,6 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
@@ -176,44 +174,6 @@ ShardResult ShardResult::load(const std::string& path) {
   return deserialize(read_blob_file(path, "ShardResult"));
 }
 
-namespace {
-
-/// Telemetry sidecar of one run_shard call: progress heartbeats and the
-/// shared metric instruments, all optional-cost (heartbeats are one
-/// relaxed load when CFIR_PROGRESS is off; metrics are relaxed adds).
-struct ShardTelemetry {
-  obs::Stopwatch clock;
-  std::atomic<uint64_t> units_done{0};
-  std::atomic<uint64_t> detailed_insts{0};
-  uint64_t units_total = 0;
-  uint64_t warmed_insts = 0;
-  ShardSelection shard;
-  uint32_t plan_intervals = 0;
-  uint32_t nc = 1;
-
-  [[nodiscard]] obs::Heartbeat heartbeat(const char* phase) const {
-    obs::Heartbeat hb;
-    hb.phase = phase;
-    hb.shard_index = shard.index;
-    hb.shard_count = shard.count;
-    hb.done = units_done.load(std::memory_order_relaxed);
-    hb.total = units_total;
-    hb.intervals_done = nc == 0 ? 0 : hb.done / nc;
-    hb.plan_intervals = plan_intervals;
-    hb.configs = nc;
-    hb.warmed_insts = warmed_insts;
-    hb.detailed_insts = detailed_insts.load(std::memory_order_relaxed);
-    const uint64_t elapsed_ms = clock.elapsed_us() / 1000;
-    hb.eta_ms = hb.done == 0
-                    ? -1
-                    : static_cast<int64_t>(elapsed_ms * (hb.total - hb.done) /
-                                           hb.done);
-    return hb;
-  }
-};
-
-}  // namespace
-
 ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                       const isa::Program& program, const IntervalPlan& plan,
                       ShardSelection shard, int threads, uint64_t plan_hash,
@@ -276,13 +236,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     iv.wall_us.assign(nc, 0);
   }
 
-  ShardTelemetry telemetry;
-  telemetry.units_total = mine.size() * nc;
-  telemetry.shard = shard;
-  telemetry.plan_intervals = static_cast<uint32_t>(k);
-  telemetry.nc = static_cast<uint32_t>(nc);
-  obs::Progress& progress = obs::Progress::global();
-
   // Functional warm state, per config: the binding's per-interval blobs
   // (bind_configs / CFIRMAN2 sidecars) when it has them; for the rest,
   // stream the committed prefixes of THIS shard's intervals — ONE pass
@@ -312,9 +265,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
       }
     }
     if (!need.empty()) {
-      if (progress.enabled()) {
-        progress.emit(telemetry.heartbeat("warm"), /*force=*/true);
-      }
       std::vector<uint64_t> targets;
       targets.reserve(mine.size());
       for (const size_t i : mine) {
@@ -340,10 +290,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     for (const size_t i : mine) {
       result.warmed_insts += plan.checkpoints[i].executed;
     }
-  }
-  telemetry.warmed_insts = result.warmed_insts;
-  if (progress.enabled()) {
-    progress.emit(telemetry.heartbeat("detail"), /*force=*/true);
   }
 
   // Detailed-simulate the (interval × config) grid in parallel. An
@@ -427,12 +373,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         detail_hist.observe(unit_us - installed_us);
         detail_units.increment();
         detail_insts.add(s.committed + interval.warmup);
-        if (progress.enabled()) {
-          telemetry.detailed_insts.fetch_add(s.committed + interval.warmup,
-                                             std::memory_order_relaxed);
-          telemetry.units_done.fetch_add(1, std::memory_order_relaxed);
-          progress.emit(telemetry.heartbeat("detail"));
-        }
       },
       threads);
 
@@ -441,11 +381,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
       result.configs[c].detailed_insts +=
           interval.stats[c].committed + interval.warmup;
     }
-  }
-  if (progress.enabled()) {
-    telemetry.units_done.store(telemetry.units_total,
-                               std::memory_order_relaxed);
-    progress.emit(telemetry.heartbeat("done"), /*force=*/true);
   }
   return result;
 }

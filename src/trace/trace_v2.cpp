@@ -304,8 +304,7 @@ std::vector<uint8_t> encode_header(const TraceMeta& meta, uint32_t block_len,
                                    const std::array<uint64_t,
                                                     isa::kNumLogicalRegs>&
                                        final_regs) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kTraceMagicV2, kTraceMagicV2 + 8);
+  std::vector<uint8_t> out(kTraceMagicV2, kTraceMagicV2 + 8);
   put_u32(out, kTraceVersionV2);
   put_u32(out, block_len);
   put_u64(out, record_count);

@@ -94,7 +94,6 @@ WarmPosition decode_warm_state(const std::vector<uint8_t>& blob,
 /// committed load.
 void train_stride(ci::StridePredictor& stride, core::Policy policy,
                   const TraceRecord& rec) {
-  stride.train(rec.pc, rec.addr);
   if (policy == core::Policy::kVect) {
     // The vect policy's commit rule (ci/mechanism.cpp on_commit): every
     // confident, non-zero-stride load is selected. Purely commit-driven,
@@ -103,10 +102,9 @@ void train_stride(ci::StridePredictor& stride, core::Policy policy,
     // and deliberately stay cold: pre-selecting every strided load was
     // tried and over-drives the replica engine in short windows (twolf IPC
     // +45%), a worse bias than the cold-selection ramp it removes.
-    const ci::StridePredictor::Info sp = stride.lookup(rec.pc);
-    if (sp.confident && !sp.selected && sp.stride != 0) {
-      stride.select(rec.pc, 0);
-    }
+    stride.train_and_select(rec.pc, rec.addr);
+  } else {
+    stride.train(rec.pc, rec.addr);
   }
 }
 

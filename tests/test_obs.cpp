@@ -6,9 +6,7 @@
 //  - the tracer's Chrome trace-event export is valid JSON with balanced
 //    B/E span pairs on every thread lane, even though each thread records
 //    into its own wrapping ring buffer;
-//  - .cfirprog heartbeat records round-trip through to_json/parse and the
-//    parser survives torn/foreign lines (watch races the writer);
-//  - obs::log rate-limits by key so a farm of shards cannot flood stderr;
+//  - every detailed unit reports its restore, install and detail parts;
 //  - above all: simulated results are BIT-IDENTICAL with telemetry on and
 //    off. The flight recorder reads clocks and copies pointers; it never
 //    touches simulated state. This file locks that in for sampled_run.
@@ -25,9 +23,7 @@
 #include <vector>
 
 #include "helpers.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "obs/tracer.hpp"
 #include "sim/presets.hpp"
 #include "sim/sweep.hpp"
@@ -266,111 +262,6 @@ TEST(ObsMetrics, ShardUnitsReportTheirParts) {
   EXPECT_EQ(count("shard.install_us") - install0, units);
   EXPECT_EQ(count("shard.detail_us") - detail0, units);
   EXPECT_GT(reg.counter("warming.snapshot_bytes").value(), bytes0);
-}
-
-// ---------------------------------------------------------------------------
-// Heartbeats
-// ---------------------------------------------------------------------------
-
-TEST(ObsProgress, HeartbeatJsonRoundTrips) {
-  Heartbeat hb;
-  hb.phase = "detail";
-  hb.shard_index = 2;
-  hb.shard_count = 5;
-  hb.done = 7;
-  hb.total = 12;
-  hb.intervals_done = 3;
-  hb.plan_intervals = 20;
-  hb.configs = 4;
-  hb.warmed_insts = 123456;
-  hb.detailed_insts = 7890;
-  hb.eta_ms = 4200;
-  hb.t_ms = 999;
-
-  Heartbeat back;
-  ASSERT_TRUE(Heartbeat::parse(hb.to_json(), &back));
-  EXPECT_EQ(back.phase, hb.phase);
-  EXPECT_EQ(back.shard_index, hb.shard_index);
-  EXPECT_EQ(back.shard_count, hb.shard_count);
-  EXPECT_EQ(back.done, hb.done);
-  EXPECT_EQ(back.total, hb.total);
-  EXPECT_EQ(back.intervals_done, hb.intervals_done);
-  EXPECT_EQ(back.plan_intervals, hb.plan_intervals);
-  EXPECT_EQ(back.configs, hb.configs);
-  EXPECT_EQ(back.warmed_insts, hb.warmed_insts);
-  EXPECT_EQ(back.detailed_insts, hb.detailed_insts);
-  EXPECT_EQ(back.eta_ms, hb.eta_ms);
-  EXPECT_EQ(back.t_ms, hb.t_ms);
-}
-
-TEST(ObsProgress, ParseRejectsTornAndForeignLines) {
-  Heartbeat hb;
-  EXPECT_FALSE(Heartbeat::parse("", &hb));
-  EXPECT_FALSE(Heartbeat::parse("{\"phase\":\"detail\"}", &hb));  // no tag
-  EXPECT_FALSE(Heartbeat::parse("{\"cfirprog\":1,\"phase\":\"de", &hb));
-  EXPECT_FALSE(Heartbeat::parse("not json at all", &hb));
-  // A malformed shard field rejects the record instead of reading 0/2.
-  for (const char* shard : {"x/2", "1/x", "+1/2", " 1/2", "1/4294967298"}) {
-    EXPECT_FALSE(Heartbeat::parse(
-        std::string("{\"cfirprog\":1,\"phase\":\"detail\",\"shard\":\"") +
-            shard + "\"}",
-        &hb))
-        << shard;
-  }
-  EXPECT_TRUE(Heartbeat::parse(
-      "{\"cfirprog\":1,\"phase\":\"detail\",\"shard\":\"1/2\"}", &hb));
-  EXPECT_EQ(hb.shard_index, 1u);
-  EXPECT_EQ(hb.shard_count, 2u);
-}
-
-TEST(ObsProgress, SidecarAppendsParseableRecords) {
-  TempFile side("prog");
-  Progress& progress = Progress::global();
-  progress.configure(side.path(), /*mirror_stderr=*/false);
-  ASSERT_TRUE(progress.enabled());
-  Heartbeat hb;
-  hb.phase = "warm";
-  progress.emit(hb, /*force=*/true);
-  hb.phase = "detail";
-  hb.done = 1;
-  hb.total = 2;
-  progress.emit(hb, /*force=*/true);
-  hb.phase = "done";
-  hb.done = 2;
-  progress.emit(hb, /*force=*/true);
-  progress.disable();
-  EXPECT_FALSE(progress.enabled());
-
-  std::ifstream in(side.path());
-  std::string line;
-  std::vector<Heartbeat> records;
-  while (std::getline(in, line)) {
-    Heartbeat parsed;
-    ASSERT_TRUE(Heartbeat::parse(line, &parsed)) << line;
-    records.push_back(parsed);
-  }
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records.front().phase, "warm");
-  EXPECT_EQ(records.back().phase, "done");
-  EXPECT_EQ(records.back().done, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Rate-limited logging
-// ---------------------------------------------------------------------------
-
-TEST(ObsLog, SuppressesPastPerKeyLimit) {
-  log_reset_for_tests();
-  EXPECT_TRUE(log(LogLevel::kWarn, "obs-test-key", "first", 2));
-  EXPECT_TRUE(log(LogLevel::kWarn, "obs-test-key", "second", 2));
-  EXPECT_FALSE(log(LogLevel::kWarn, "obs-test-key", "third", 2));
-  EXPECT_FALSE(log(LogLevel::kWarn, "obs-test-key", "fourth", 2));
-  EXPECT_EQ(log_emitted("obs-test-key"), 2u);
-  EXPECT_EQ(log_seen("obs-test-key"), 4u);
-  // Independent keys have independent budgets.
-  EXPECT_TRUE(log(LogLevel::kInfo, "obs-test-other", "hello", 1));
-  EXPECT_FALSE(log(LogLevel::kInfo, "obs-test-other", "again", 1));
-  log_reset_for_tests();
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 namespace cfir::ci {
 namespace {
 
@@ -92,6 +94,53 @@ TEST(StridePredictor, SetAssociativeEviction) {
   EXPECT_FALSE(sp.lookup(0x00).known);
   EXPECT_TRUE(sp.lookup(0x10).known);
   EXPECT_TRUE(sp.lookup(0x20).known);
+}
+
+TEST(StridePredictor, TrainAndSelectMatchesTrainLookupSelect) {
+  // train_and_select must leave the table exactly as train + lookup +
+  // select does under the vect commit rule, over a load stream that
+  // evicts, breaks strides, and mixes in episode selections (non-zero
+  // origins that must survive) and clears.
+  StridePredictor fused(4, 2), ref(4, 2);
+  std::mt19937_64 gen(7);
+  constexpr int kPcs = 12;
+  uint64_t next_addr[kPcs];
+  int64_t stride[kPcs];
+  for (int i = 0; i < kPcs; ++i) {
+    next_addr[i] = 0x10000 * static_cast<uint64_t>(i + 1);
+    stride[i] = 8 * static_cast<int64_t>(i % 4);
+  }
+  int rule_fired = 0, origin_kept = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const int i = static_cast<int>(gen() % kPcs);
+    const uint64_t pc = 0x400 + 4 * static_cast<uint64_t>(i);
+    const uint64_t roll = gen() % 64;
+    if (roll < 3) {
+      const uint64_t origin = 0x1000 + gen() % 0x100;
+      EXPECT_EQ(fused.select(pc, origin), ref.select(pc, origin));
+    } else if (roll < 4) {
+      fused.clear_selection(pc);
+      ref.clear_selection(pc);
+    } else {
+      if (roll < 8) stride[i] = 8 * static_cast<int64_t>(gen() % 4) - 8;
+      const uint64_t addr =
+          roll < 12 ? gen() % 0x100000 : (next_addr[i] += stride[i]);
+      const StridePredictor::Info before = ref.lookup(pc);
+      fused.train_and_select(pc, addr);
+      ref.train(pc, addr);
+      const StridePredictor::Info sp = ref.lookup(pc);
+      if (sp.confident && !sp.selected && sp.stride != 0) {
+        ref.select(pc, 0);
+        ++rule_fired;
+      } else if (before.selected && sp.selected &&
+                 sp.origin_branch_pc != 0) {
+        ++origin_kept;
+      }
+    }
+    ASSERT_EQ(fused.debug_digest(), ref.debug_digest()) << "step " << step;
+  }
+  EXPECT_GT(rule_fired, 100);
+  EXPECT_GT(origin_kept, 10);
 }
 
 TEST(StridePredictor, StorageBudgetMatchesPaper) {

@@ -107,10 +107,9 @@ TEST(Sweep, UnknownWorkloadReportsError) {
   EXPECT_THROW(run_all(specs, 1), std::runtime_error);
 }
 
-TEST(Sweep, SampledSpecsExposePhasesAndShardsPartition) {
-  // A sampled grid point surfaces per-phase stats, and two complementary
-  // shard specs of the same plan split its intervals and merge back to the
-  // unsharded stats exactly (the bench-level CFIR_SHARD contract).
+TEST(Sweep, SampledSpecsExposePhases) {
+  // A sampled grid point surfaces per-phase stats that sum to its
+  // aggregate.
   RunSpec whole;
   whole.workload = "bzip2";
   whole.config_name = "ci";
@@ -119,28 +118,15 @@ TEST(Sweep, SampledSpecsExposePhasesAndShardsPartition) {
   whole.intervals = 4;
   whole.warmup = 200;
 
-  RunSpec half0 = whole, half1 = whole;
-  half0.shard_count = half1.shard_count = 2;
-  half0.shard_index = 0;
-  half1.shard_index = 1;
-
-  const auto out = run_all({whole, half0, half1}, 1);
-  ASSERT_EQ(out.size(), 3u);
+  const auto out = run_all({whole}, 1);
+  ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].phases.size(), 4u);
-  EXPECT_EQ(out[1].phases.size(), 2u);
-  EXPECT_EQ(out[2].phases.size(), 2u);
   uint64_t phase_committed = 0;
   for (const PhaseOutcome& ph : out[0].phases) {
     EXPECT_EQ(ph.weight, 1.0);
     phase_committed += ph.stats.committed;
   }
   EXPECT_EQ(phase_committed, out[0].stats.committed);
-
-  stats::SimStats folded = out[1].stats;
-  folded.merge(out[2].stats);
-  EXPECT_EQ(folded.cycles, out[0].stats.cycles);
-  EXPECT_EQ(folded.committed, out[0].stats.committed);
-  EXPECT_EQ(folded.reused_committed, out[0].stats.reused_committed);
   // Monolithic specs keep phases empty.
   RunSpec mono = whole;
   mono.intervals = 1;
@@ -189,8 +175,7 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
   // run_all runs each plan's plan -> warm -> detail chain as one pool task,
   // with run_shard's batches nested on the same pool, so chains of
   // different kernels interleave differently at every thread count. No
-  // outcome, phase or savings field may depend on that schedule. twolf
-  // runs as a 0/2 + 1/2 shard pair: two groups sharing one plan.
+  // outcome, phase or savings field may depend on that schedule.
   std::vector<RunSpec> grid;
   for (const char* wl : {"bzip2", "gap", "parser", "twolf"}) {
     for (const char* config : {"ci:2:128", "ci:2:512", "vect:2:512"}) {
@@ -203,15 +188,7 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
       s.sample_mode = trace::SampleMode::kCluster;
       s.warm_mode = trace::WarmMode::kFunctional;
       s.detail_len = 500;
-      if (std::string(wl) == "twolf") {
-        s.shard_count = 2;
-        for (const uint32_t index : {0u, 1u}) {
-          s.shard_index = index;
-          grid.push_back(s);
-        }
-      } else {
-        grid.push_back(std::move(s));
-      }
+      grid.push_back(std::move(s));
     }
   }
   const size_t plans = 4;
@@ -235,8 +212,7 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
   ASSERT_EQ(one.size(), grid.size());
   ASSERT_EQ(four.size(), grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
-    const std::string cell = grid[i].workload + "/" + grid[i].config_name +
-                             " shard " + std::to_string(grid[i].shard_index);
+    const std::string cell = grid[i].workload + "/" + grid[i].config_name;
     EXPECT_GT(one[i].stats.committed, 0u) << cell;
     EXPECT_EQ(stats_bytes(one[i].stats), stats_bytes(four[i].stats)) << cell;
     EXPECT_EQ(one[i].detailed_insts, four[i].detailed_insts) << cell;
@@ -329,17 +305,6 @@ TEST(Sweep, BenchMaxInstsDefaultsOnlyWhenUnset) {
   ASSERT_EQ(setenv("CFIR_MAX_INSTS", "5000", 1), 0);
   EXPECT_EQ(bench::default_max_insts(), 5000u);
   ASSERT_EQ(unsetenv("CFIR_MAX_INSTS"), 0);
-}
-
-TEST(Sweep, EnvShardParsesSpec) {
-  ASSERT_EQ(setenv("CFIR_SHARD", "1/3", 1), 0);
-  const trace::ShardSelection sel = env_shard();
-  EXPECT_EQ(sel.index, 1u);
-  EXPECT_EQ(sel.count, 3u);
-  ASSERT_EQ(setenv("CFIR_SHARD", "bogus", 1), 0);
-  EXPECT_THROW((void)env_shard(), std::runtime_error);
-  ASSERT_EQ(unsetenv("CFIR_SHARD"), 0);
-  EXPECT_EQ(env_shard().count, 1u);
 }
 
 TEST(ParseDecimal, AcceptsOnlyWholeDecimalsThatFit) {
