@@ -79,13 +79,14 @@ inline void dump_json(const std::vector<sim::RunOutcome>& outcomes) {
     if (!o.phases.empty()) {
       std::printf(",\"phases\":[");
       for (size_t p = 0; p < o.phases.size(); ++p) {
-        const sim::PhaseOutcome& ph = o.phases[p];
+        const trace::SampledRun::Interval& ph = o.phases[p];
         std::printf("%s{\"start\":%llu,\"length\":%llu,\"weight\":%g,"
                     "\"ipc\":%g,\"ci_reuse\":%g,\"wall_ms\":%.3f}",
                     p == 0 ? "" : ",",
                     static_cast<unsigned long long>(ph.start_inst),
                     static_cast<unsigned long long>(ph.length), ph.weight,
-                    ph.stats.ipc(), ph.stats.reuse_fraction(), ph.wall_ms);
+                    ph.stats.ipc(), ph.stats.reuse_fraction(),
+                    static_cast<double>(ph.wall_us) / 1000.0);
       }
       std::printf("]");
     }
@@ -136,13 +137,13 @@ inline sim::RunSpec env_spec(const std::string& workload,
 /// Runs all workloads under all configs and prints one row per workload and
 /// one column per config. When `harmonic_summary` is set, appends the INT
 /// row (harmonic mean — only meaningful for IPC-like metrics; use
-/// arithmetic sums for counters via `sum_summary`).
-inline void run_figure(const std::string& title,
-                       const std::vector<NamedConfig>& configs,
-                       const Metric& metric, int precision = 2,
-                       bool harmonic_summary = true,
-                       const std::vector<std::string>& workload_names =
-                           workloads::names()) {
+/// arithmetic sums for counters via `sum_summary`). Returns the outcomes,
+/// workload-major (`outcomes[w * configs.size() + c]`), so a figure's
+/// companion numbers reuse its cells instead of re-running them.
+inline std::vector<sim::RunOutcome> run_figure(
+    const std::string& title, const std::vector<NamedConfig>& configs,
+    const Metric& metric, int precision = 2, bool harmonic_summary = true,
+    const std::vector<std::string>& workload_names = workloads::names()) {
   obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
   const uint32_t scale = sim::env_scale();
   const uint64_t max_insts = default_max_insts();
@@ -153,7 +154,7 @@ inline void run_figure(const std::string& title,
     for (const NamedConfig& nc : configs) specs.push_back(env_spec(wl, nc));
   }
   sim::SweepSavings savings;
-  const auto outcomes = sim::run_all(specs, sim::env_threads(), &savings);
+  auto outcomes = sim::run_all(specs, sim::env_threads(), &savings);
 
   std::vector<std::string> headers{"bench"};
   for (const NamedConfig& nc : configs) headers.push_back(nc.name);
@@ -193,12 +194,14 @@ inline void run_figure(const std::string& title,
   dump_json(outcomes);
   dump_savings_json(savings);
   dump_telemetry_json(outcomes);
+  return outcomes;
 }
 
 /// Variant keyed by register count instead of workload: one row per sweep
 /// point, columns are configs, cells are harmonic-mean IPC over all
-/// workloads (Figures 9, 11, 13, 14).
-inline void run_register_sweep(
+/// workloads (Figures 9, 11, 13, 14). Returns the outcomes in run order:
+/// register point, then config, then workload.
+inline std::vector<sim::RunOutcome> run_register_sweep(
     const std::string& title,
     const std::function<std::vector<NamedConfig>(uint32_t regs)>& make_configs,
     int precision = 2) {
@@ -219,7 +222,7 @@ inline void run_register_sweep(
     }
   }
   sim::SweepSavings savings;
-  const auto outcomes = sim::run_all(specs, sim::env_threads(), &savings);
+  auto outcomes = sim::run_all(specs, sim::env_threads(), &savings);
 
   size_t i = 0;
   for (const uint32_t regs : regs_sweep) {
@@ -240,6 +243,7 @@ inline void run_register_sweep(
   dump_json(outcomes);
   dump_savings_json(savings);
   dump_telemetry_json(outcomes);
+  return outcomes;
 }
 
 }  // namespace cfir::bench

@@ -8,7 +8,7 @@
 int main() {
   using namespace cfir;
   using namespace cfir::bench;
-  run_register_sweep(
+  const std::vector<sim::RunOutcome> outcomes = run_register_sweep(
       "Figure 14: ci vs full dynamic vectorization (vect), 2 wide ports",
       [](uint32_t regs) -> std::vector<NamedConfig> {
         return {
@@ -17,19 +17,12 @@ int main() {
         };
       });
 
-  // Waste comparison at the paper's operating point.
-  std::vector<sim::RunSpec> specs;
-  for (const NamedConfig& nc :
-       {NamedConfig{"ci", sim::presets::ci(2, sim::presets::kInfRegs)},
-        NamedConfig{"vect", sim::presets::vect(2, sim::presets::kInfRegs)}}) {
-    for (const std::string& wl : workloads::names()) {
-      specs.push_back(env_spec(wl, nc));
-    }
-  }
-  const auto out = sim::run_all(specs, sim::env_threads());
+  // Waste comparison at the paper's operating point: the sweep's inf-regs
+  // cells.
   double waste[2] = {0, 0}, reuse[2] = {0, 0};
   uint64_t exec[2] = {0, 0}, committed[2] = {0, 0};
-  for (const auto& o : out) {
+  for (const sim::RunOutcome& o : outcomes) {
+    if (o.spec.config.num_phys_regs != sim::presets::kInfRegs) continue;
     const int m = o.spec.config_name == "ci" ? 0 : 1;
     // Wasted work: wrong-path squashes plus replicas that never validated.
     waste[m] += static_cast<double>(o.stats.squashed +

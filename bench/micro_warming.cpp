@@ -1,25 +1,19 @@
-// Functional-warming throughput of capture_warm_states_grid from both
-// record sources:
+// Functional-warming throughput of capture_warm_states_grid, the one
+// warm-capture loop: the functional engine feeds kEngineBatch-record
+// batches (trace/warming.cpp) — the shape of sim::run_all's sampled grid
+// and every run_shard with deferred warming — at two grid widths:
 //
-//   trace    fed from a recorded CFIRTRC2 file — the shape of
-//            `run-shard --trace`; block decode is prefetched on the pool
-//   engine   fed by the functional engine in kEngineBatch-record batches
-//            (trace/warming.cpp) — the shape of sim::run_all's sampled
-//            grid and every in-process run_shard
-//
-// and two grid widths each:
-//
-//   1-config   the single-config sampling path; the pipeline can only
-//              overlap record production with the one trainer
+//   1-config   the single-config sampling path: one trainer, so each
+//              batch's fan-out is a single task
 //   8-config   the grid-sharding path: scal and wb at two register
 //              points each, ci at two, ci-iw and vect, all of one warm
 //              geometry, so one shared trainer serves the whole grid
 //              (gshare, MBS, RAS and caches trained once, plus one stride
 //              predictor each for ci and vect)
 //
-// Prints a table (million warmed insts/sec per source and grid width)
-// and, under CFIR_JSON=1, one machine-readable line per row with
-// `source`, `warm_insts_per_sec` and `trainers` (shared trainers one
+// Prints a table (million warmed insts/sec per grid width) and, under
+// CFIR_JSON=1, one machine-readable line per row with `source` (always
+// "engine"), `warm_insts_per_sec` and `trainers` (shared trainers one
 // capture ran, from the warming.trainers counter). The capture runs on the
 // shared pool, one task per shared trainer per batch, so CFIR_THREADS
 // sets how many trainers run at once. Bit-identity of the captured blobs
@@ -27,17 +21,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/config.hpp"
+#include "isa/engine.hpp"
+#include "mem/main_memory.hpp"
 #include "obs/metrics.hpp"
 #include "sim/pool.hpp"
 #include "sim/presets.hpp"
-#include "trace/trace.hpp"
 #include "trace/warming.hpp"
 #include "workloads/workloads.hpp"
 
@@ -54,11 +47,9 @@ struct Cell {
   }
 };
 
-/// One full grid capture per repetition, keeping the best wall time. The
-/// trace source opens a fresh TraceReader each time so every sample pays
-/// block decode; an empty `trace_path` selects the engine source.
+/// One full grid capture per repetition, keeping the best wall time.
 Cell run_capture(const std::vector<core::CoreConfig>& configs,
-                 const isa::Program& program, const std::string& trace_path,
+                 const isa::Program& program,
                  const std::vector<uint64_t>& targets, int repeats) {
   Cell cell;
   cell.insts = targets.back();
@@ -68,13 +59,7 @@ Cell run_capture(const std::vector<core::CoreConfig>& configs,
   const uint64_t trainers0 = trainers.value();
   for (int r = 0; r < repeats; ++r) {
     const obs::Stopwatch clock;
-    if (trace_path.empty()) {
-      (void)trace::capture_warm_states_grid(configs, program, targets);
-    } else {
-      trace::TraceReader reader(trace_path);
-      (void)trace::capture_warm_states_grid(configs, program, reader,
-                                            targets);
-    }
+    (void)trace::capture_warm_states_grid(configs, program, targets);
     const double us = static_cast<double>(clock.elapsed_us());
     cell.best_us = std::min(cell.best_us, us);
   }
@@ -82,23 +67,17 @@ Cell run_capture(const std::vector<core::CoreConfig>& configs,
   return cell;
 }
 
-void emit_json(const std::string& workload, const char* source,
-               size_t n_configs, const Cell& cell) {
+void emit_json(const std::string& workload, size_t n_configs,
+               const Cell& cell) {
   if (!bench::json_requested()) return;
   std::printf("{\"bench\":\"micro_warming\",\"workload\":\"%s\","
-              "\"source\":\"%s\",\"configs\":%zu,\"trainers\":%llu,"
+              "\"source\":\"engine\",\"configs\":%zu,\"trainers\":%llu,"
               "\"insts\":%llu,\"wall_us\":%.1f,"
               "\"warm_insts_per_sec\":%.1f}\n",
-              workload.c_str(), source, n_configs,
+              workload.c_str(), n_configs,
               static_cast<unsigned long long>(cell.trainers),
               static_cast<unsigned long long>(cell.insts), cell.best_us,
               cell.warm_insts_per_sec());
-}
-
-std::string temp_trace_path() {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir ? dir : "/tmp") + "/cfir_micro_warming_" +
-         std::to_string(static_cast<unsigned long>(std::rand())) + ".trc";
 }
 
 }  // namespace
@@ -110,16 +89,12 @@ int main() {
   const int repeats = 3;
 
   const isa::Program program = workloads::build(workload, scale);
-  const std::string path = temp_trace_path();
-  trace::TraceMeta meta;
-  meta.workload = workload;
-  meta.scale = scale;
-  trace::record_interpreter(program, path, meta, cap);
-
+  // The warmed prefix: the first `cap` instructions, or the whole run.
   uint64_t total = 0;
   {
-    trace::TraceReader reader(path);
-    total = reader.record_count();
+    mem::MainMemory memory;
+    isa::load_data_image(program, memory);
+    total = isa::FunctionalEngine(program, memory).run(cap);
   }
   // Eight evenly spaced warm targets, like an 8-interval functional plan.
   std::vector<uint64_t> targets;
@@ -138,20 +113,13 @@ int main() {
               workload.c_str(), scale,
               static_cast<unsigned long long>(total), repeats,
               sim::ThreadPool::shared().size());
-  const std::pair<const char*, std::string> sources[] = {{"trace", path},
-                                                         {"engine", ""}};
-  for (const auto& [source, source_path] : sources) {
-    for (const auto* entry : {&one, &grid}) {
-      const std::vector<core::CoreConfig>& configs = *entry;
-      const Cell cell =
-          run_capture(configs, program, source_path, targets, repeats);
-      std::printf("%-6s %zu-config %zu-trainer | %10.2f\n", source,
-                  configs.size(), static_cast<size_t>(cell.trainers),
-                  cell.warm_insts_per_sec() / 1e6);
-      emit_json(workload, source, configs.size(), cell);
-    }
+  for (const auto* entry : {&one, &grid}) {
+    const std::vector<core::CoreConfig>& configs = *entry;
+    const Cell cell = run_capture(configs, program, targets, repeats);
+    std::printf("engine %zu-config %zu-trainer | %10.2f\n", configs.size(),
+                static_cast<size_t>(cell.trainers),
+                cell.warm_insts_per_sec() / 1e6);
+    emit_json(workload, configs.size(), cell);
   }
-
-  std::remove(path.c_str());
   return 0;
 }

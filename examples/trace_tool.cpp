@@ -101,10 +101,6 @@ int usage() {
       "       trace_tool run-shard <manifest> [--shard=i/N] [--jobs=J]\n"
       "                         [--out=file (default <stem>.shard<i>of<N>"
       ".cfirshd)]\n"
-      "                         [--trace=<trace-file> (stream deferred\n"
-      "                         warming gaps from the recorded trace,\n"
-      "                         read per block index, so a shard decodes\n"
-      "                         only its intervals' blocks)]\n"
       "                         [--scrub-wall (zero wall-clock telemetry\n"
       "                         in the blob for byte-diffable output)]\n"
       "       trace_tool merge  <manifest> <shard-file>... [--per-phase]\n"
@@ -340,8 +336,8 @@ struct PlanArgs {
   uint64_t detail_len = 0;
   uint32_t max_k = 0;
   /// plan only: bind the configs with NO warm sidecars — warming is
-  /// deferred to run-shard, which streams the gaps (ideally from a
-  /// recorded CFIRTRC2 trace via --trace).
+  /// deferred to run-shard, which streams the gaps on the functional
+  /// engine.
   bool no_warm = false;
   /// The config grid: (name, config) points. Defaults to one tool_config()
   /// point; `sample --config=<spec>` replaces it, `plan --configs=...`
@@ -493,8 +489,7 @@ int cmd_plan(int argc, char** argv) {
   // config) sidecar files, so run-shard never re-streams the prefixes.
   // --no-warm defers that capture to execute time instead (ConfigBinding
   // documents empty warm as exactly this contract): each shard streams
-  // only its own gaps, best paired with `run-shard --trace=` on a
-  // recorded trace so the stream is block-seeked, not re-executed.
+  // [0, its last interval) once for its whole grid.
   std::vector<trace::ConfigBinding> bindings;
   if (args.no_warm) {
     bindings.reserve(args.configs.size());
@@ -539,15 +534,12 @@ int cmd_plan(int argc, char** argv) {
 int cmd_run_shard(int argc, char** argv) {
   std::string manifest_path;
   std::string out_path;
-  std::string warm_trace;
   trace::ShardSelection shard;
   int jobs = 0;
   bool scrub_wall = false;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) {
-      warm_trace = arg.substr(8);
-    } else if (arg == "--scrub-wall") {
+    if (arg == "--scrub-wall") {
       scrub_wall = true;
     } else if (arg.rfind("--shard=", 0) == 0) {
       // A malformed or out-of-range shard spec is a usage error (exit 2),
@@ -578,20 +570,6 @@ int cmd_run_shard(int argc, char** argv) {
       workloads::build(manifest.workload, manifest.scale);
   const trace::IntervalPlan plan =
       trace::plan_from_manifest(manifest, manifest_path);
-  if (!warm_trace.empty()) {
-    // Refuse a trace recorded from a different workload before any
-    // simulation happens — warming from the wrong stream would silently
-    // skew every interval this shard owns.
-    const trace::TraceReader probe(warm_trace);
-    if (probe.meta().workload != manifest.workload ||
-        probe.meta().scale != manifest.scale) {
-      throw trace::ConfigMismatchError(
-          "run-shard: --trace is " + probe.meta().workload + ".s" +
-          std::to_string(probe.meta().scale) + " but the manifest is " +
-          manifest.workload + ".s" + std::to_string(manifest.scale));
-    }
-  }
-
   if (out_path.empty()) {
     out_path = trace::path_stem(manifest_path) + ".shard" +
                std::to_string(shard.index) + "of" +
@@ -604,7 +582,7 @@ int cmd_run_shard(int argc, char** argv) {
   const std::vector<trace::ConfigBinding> bindings =
       trace::bindings_from_manifest(manifest, manifest_path, shard);
   trace::ShardResult result = trace::run_shard(
-      bindings, program, plan, shard, jobs, manifest.plan_hash, warm_trace);
+      bindings, program, plan, shard, jobs, manifest.plan_hash);
   if (scrub_wall) {
     // Zero the host wall-clock telemetry riding in the blob (the only
     // nondeterministic fields), so two runs of the same shard byte-diff

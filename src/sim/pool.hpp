@@ -16,8 +16,9 @@
 // own batch) deadlock-free: the innermost submitter always makes
 // progress on its own indices even when every pool worker is busy.
 // run() may be called concurrently from any number of threads — open
-// batches share the workers FIFO — which is what lets the warming
-// pipeline's decode prefetch and per-group fan-out overlap on one pool.
+// batches share the workers FIFO — which is what lets sim::run_all's plan
+// chains, their unit batches and their warm captures' per-group fan-outs
+// overlap on one pool.
 #pragma once
 
 #include <condition_variable>

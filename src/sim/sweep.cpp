@@ -9,6 +9,7 @@
 #include <string_view>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -226,28 +227,17 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
             b.config = specs[i].config;
             bindings.push_back(std::move(b));
           }
-          const trace::ShardResult result = trace::run_shard(
-              bindings, program, plan, trace::ShardSelection{}, threads);
+          trace::MergedGrid merged = trace::merge_shard_grid({trace::run_shard(
+              bindings, program, plan, trace::ShardSelection{}, threads)});
           for (size_t c = 0; c < members.size(); ++c) {
             RunOutcome& o = out[members[c]];
-            std::vector<stats::WeightedStats> parts;
-            parts.reserve(result.intervals.size());
-            o.phases.reserve(result.intervals.size());
-            for (const trace::ShardResult::Interval& iv : result.intervals) {
-              parts.push_back({iv.stats[c], iv.weight});
-              const double wall_ms =
-                  static_cast<double>(iv.wall_us[c]) / 1000.0;
-              o.phases.push_back(
-                  {iv.start_inst, iv.length, iv.weight, iv.stats[c], wall_ms});
-              o.wall_ms += wall_ms;
-            }
-            o.detailed_insts = result.configs[c].detailed_insts;
-            o.stats = stats::merge_shards(parts);
-            // Report `halted` like a monolithic run even when no
-            // representative window contains HALT.
-            o.stats.halted = o.stats.halted || result.ran_to_halt;
+            trace::SampledRun& run = merged.configs[c].run;
+            o.stats = run.aggregate;
+            o.phases = std::move(run.intervals);
+            o.wall_ms = static_cast<double>(run.wall_us) / 1000.0;
+            o.detailed_insts = run.detailed_insts;
           }
-          tallies[p].warmed_insts = result.warmed_insts;
+          tallies[p].warmed_insts = merged.configs.front().run.warmed_insts;
         } catch (const std::exception& e) {
           throw std::runtime_error(
               std::string("run '") + first.workload + "/" +

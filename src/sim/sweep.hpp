@@ -33,26 +33,14 @@ struct RunSpec {
                             ///< estimator; 0 = whole interval)
 };
 
-/// One measured interval (= one phase representative in cluster mode) of a
-/// sampled run, surfaced so benches can report per-phase columns next to
-/// the weighted aggregate.
-struct PhaseOutcome {
-  uint64_t start_inst = 0;
-  uint64_t length = 0;
-  double weight = 1.0;
-  stats::SimStats stats;
-  /// Host wall-clock spent detail-simulating this interval under this
-  /// config (telemetry only — never part of the simulated result; 0 when
-  /// unknown, e.g. merged from pre-telemetry shard blobs).
-  double wall_ms = 0.0;
-};
-
 struct RunOutcome {
   RunSpec spec;
   stats::SimStats stats;
-  /// Per-interval stats when the spec sampled (`intervals > 1`); empty for
+  /// Per-interval stats when the spec sampled (`intervals > 1`; one
+  /// phase representative each in cluster mode), so benches can report
+  /// per-phase columns next to the weighted aggregate; empty for
   /// monolithic runs.
-  std::vector<PhaseOutcome> phases;
+  std::vector<trace::SampledRun::Interval> phases;
   /// Host wall-clock spent in detailed simulation for this grid point
   /// (mono: the whole run; sampled: sum of this column's interval walls).
   double wall_ms = 0.0;

@@ -66,7 +66,8 @@ struct SampledRun {
     double weight = 1.0;      ///< population this interval stands in for
     stats::SimStats stats;    ///< measured slice only (warm-up subtracted)
     /// Host wall-clock of this interval's detail simulation (telemetry —
-    /// never part of the simulated result; 0 from pre-v3 shard blobs).
+    /// never part of the simulated result; 0 when the shard result was
+    /// scrubbed, e.g. by `trace_tool run-shard --scrub-wall`).
     uint64_t wall_us = 0;
   };
   std::vector<Interval> intervals;

@@ -177,7 +177,7 @@ ShardResult ShardResult::load(const std::string& path) {
 ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                       const isa::Program& program, const IntervalPlan& plan,
                       ShardSelection shard, int threads, uint64_t plan_hash,
-                      const std::string& warm_trace) {
+                      const std::string&) {
   const size_t k = plan.boundaries.size();
   if (plan.lengths.size() != k || plan.weights.size() != k ||
       plan.checkpoints.size() != k) {
@@ -252,8 +252,8 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     std::vector<core::CoreConfig> need;
     // Configs with coinciding warm-relevant geometry (warm_digest) train
     // byte-identical warm state from the same committed stream, so they
-    // share one capture slot — the pass then warms each distinct geometry
-    // once, mirroring the bind_configs dedup.
+    // share one capture slot: the shard holds one set of blobs per
+    // distinct warm digest, however many columns read it.
     std::unordered_map<uint64_t, int> slot_by_digest;
     for (size_t c = 0; c < nc; ++c) {
       if (configs[c].warm.empty()) {
@@ -271,17 +271,7 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         targets.push_back(plan.checkpoints[i].executed);
       }
       const obs::Stopwatch warm_clock;
-      if (!warm_trace.empty()) {
-        // Stream the gaps from the recorded trace: a CFIRTRC2 reader
-        // seeks per the block index, so this shard decodes only blocks
-        // covering [0, its last interval boundary) — cheaper the fewer
-        // intervals the shard owns — and the blobs still match the
-        // engine pass bit for bit (same record stream).
-        TraceReader reader(warm_trace);
-        captured = capture_warm_states_grid(need, program, reader, targets);
-      } else {
-        captured = capture_warm_states_grid(need, program, targets);
-      }
+      captured = capture_warm_states_grid(need, program, targets);
       result.warm_wall_us = warm_clock.elapsed_us();
       obs::Registry::instance()
           .histogram("shard.warm_capture_us")

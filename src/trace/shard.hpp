@@ -133,19 +133,16 @@ struct ShardResult {
 /// pass fanning the committed gap records out to all remaining configs'
 /// warmers. `plan_hash` is stamped into the result
 /// for merge-time validation; pass the manifest's hash when executing a
-/// manifest-derived plan. When `warm_trace` names a recorded trace of
-/// `program`, that shared capture pass streams the stored records instead
-/// of re-executing — on a CFIRTRC2 trace the shard then decodes only the
-/// blocks covering its own intervals + warming gaps (O(intervals), not
-/// O(prefix); observable via the `trace.blocks_read` counter), with blobs
-/// bit-identical to the engine pass.
+/// manifest-derived plan. The unnamed last parameter is read by nothing:
+/// it is kept only because perfbench (frozen with the repo benchmark)
+/// passes a recorded trace's path there.
 [[nodiscard]] ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                                     const isa::Program& program,
                                     const IntervalPlan& plan,
                                     ShardSelection shard = {},
                                     int threads = 0,
                                     uint64_t plan_hash = 0,
-                                    const std::string& warm_trace = {});
+                                    const std::string& = {});
 
 /// Single-config convenience: one binding named by the config's label.
 [[nodiscard]] ShardResult run_shard(const core::CoreConfig& config,

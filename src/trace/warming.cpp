@@ -5,11 +5,12 @@
 #include <unordered_map>
 
 #include "ci/mechanism.hpp"
+#include "isa/engine.hpp"
+#include "mem/main_memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
-#include "trace/batch_reader.hpp"
 #include "trace/errors.hpp"
 #include "util/warmable.hpp"
 
@@ -233,13 +234,13 @@ std::vector<WarmGroup> make_groups(const std::vector<core::CoreConfig>& configs,
   return groups;
 }
 
-/// Engine-path fan-out batch: 16Ki records (640 KiB of TraceRecords), a
-/// quarter of a default trace block. sim::run_all runs one capture per
-/// plan chain concurrently, so up to one per pool thread is in flight; at
-/// a whole 64Ki-record block each buffer was 2.6 MB, and four of them
-/// raised a sampled grid's peak RSS by about a third. Alone, a 16Ki
-/// capture runs within noise of a 64Ki one (bench/micro_warming's engine
-/// rows), while 4Ki batches pay for their extra fan-out rounds.
+/// Fan-out batch: 16Ki records (640 KiB of TraceRecords), a quarter of a
+/// default trace block. sim::run_all runs one capture per plan chain
+/// concurrently, so up to one per pool thread is in flight; at a whole
+/// 64Ki-record block each buffer was 2.6 MB, and four of them raised a
+/// sampled grid's peak RSS by about a third. Alone, a 16Ki capture runs
+/// within noise of a 64Ki one (bench/micro_warming), while 4Ki batches
+/// pay for their extra fan-out rounds.
 constexpr size_t kEngineBatch = 16 * 1024;
 
 /// Pool workers one fan-out may borrow: with the calling thread, a batch
@@ -247,35 +248,19 @@ constexpr size_t kEngineBatch = 16 * 1024;
 /// concurrency) — so a 1-worker pool trains every config on the caller.
 int fan_out_helpers() { return sim::ThreadPool::shared().size() - 1; }
 
-void check_targets_sorted(const std::vector<uint64_t>& targets) {
-  for (size_t i = 1; i < targets.size(); ++i) {
-    if (targets[i] < targets[i - 1]) {
-      throw std::runtime_error("capture_warm_states_grid: targets not sorted");
-    }
-  }
-}
-
-[[noreturn]] void throw_trace_truncated(uint64_t pos, uint64_t target,
-                                        size_t index, size_t n_targets) {
-  throw std::runtime_error(
-      "capture_warm_states_grid: trace ends at " + std::to_string(pos) +
-      " records, warm target " + std::to_string(target) + " (interval " +
-      std::to_string(index) + " of " + std::to_string(n_targets) + ")");
-}
-
-/// Per-group fan-out of one decoded batch: one task per group, each
+/// Per-group fan-out of one engine batch: one task per group, each
 /// walking the identical record span in stream order on its own (single
 /// threaded) trainers and assembling snapshot blobs for the targets that
-/// land inside the span — so serialization happens off the decode thread,
-/// inside the task that owns the group. Targets are consumed when `pos`
-/// reaches them BEFORE the record at `pos` trains, so a blob covers
+/// land inside the span — so serialization happens off the engine's
+/// thread, inside the task that owns the group. Targets are consumed when
+/// `pos` reaches them BEFORE the record at `pos` trains, so a blob covers
 /// exactly [0, target); a target equal to the batch's end position is
 /// deliberately left to the next batch (or the caller's finalization),
 /// keeping the consumption point unambiguous. Returns the target index the
 /// caller should resume from.
 size_t feed_batch_grid(std::vector<WarmGroup>& groups,
-                       const std::vector<std::vector<TraceRecord>>& blocks,
-                       uint64_t first_record, size_t records,
+                       const std::vector<TraceRecord>& batch,
+                       uint64_t first_record,
                        const std::vector<uint64_t>& targets, size_t ti,
                        Grid& out) {
   obs::Registry& reg = obs::Registry::instance();
@@ -287,18 +272,16 @@ size_t feed_batch_grid(std::vector<WarmGroup>& groups,
         WarmGroup& group = groups[g];
         size_t t = ti;
         uint64_t pos = first_record;
-        for (const auto& block : blocks) {
-          for (const TraceRecord& rec : block) {
-            while (t < nt && targets[t] == pos) group.snapshot(t++, out);
-            group.train(rec);
-            ++pos;
-          }
+        for (const TraceRecord& rec : batch) {
+          while (t < nt && targets[t] == pos) group.snapshot(t++, out);
+          group.train(rec);
+          ++pos;
         }
       },
       fan_out_helpers());
   reg.counter("warming.feed_us").add(feed_clock.elapsed_us());
   reg.counter("warming.batches").add(1);
-  const uint64_t end = first_record + records;
+  const uint64_t end = first_record + batch.size();
   while (ti < nt && targets[ti] < end) ++ti;
   return ti;
 }
@@ -386,8 +369,7 @@ void SharedWarmState::train(const TraceRecord& rec) {
 
 FunctionalWarmer::FunctionalWarmer(const core::CoreConfig& config,
                                    const isa::Program& program)
-    : program_(program),
-      policy_(config.policy),
+    : policy_(config.policy),
       shared_(config, program),
       stride_(config.stride_sets, config.stride_ways) {}
 
@@ -396,26 +378,6 @@ void FunctionalWarmer::on_record(const TraceRecord& rec) {
   if (rec.kind == RecordKind::kLoad && trains_stride(policy_)) {
     train_stride(stride_, policy_, rec);
   }
-}
-
-void FunctionalWarmer::ensure_engine() {
-  if (engine_ != nullptr) return;
-  engine_mem_ = std::make_unique<mem::MainMemory>();
-  isa::load_data_image(program_, *engine_mem_);
-  engine_ = std::make_unique<isa::FunctionalEngine>(program_, *engine_mem_);
-  // A warmer restored from a serialized blob already holds the state of
-  // [0, warmed): fast-skip the engine there with the sink still unset so
-  // the prefix is architecturally executed but not streamed (and trained)
-  // a second time.
-  if (shared_.warmed > 0) engine_->run(shared_.warmed);
-  engine_->on_block = [this](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) on_record(to_trace_record(ev[i]));
-  };
-}
-
-void FunctionalWarmer::advance_to(uint64_t n_insts) {
-  ensure_engine();
-  engine_->run_to(n_insts);
 }
 
 void FunctionalWarmer::advance_on_trace(TraceReader& reader,
@@ -439,10 +401,6 @@ void FunctionalWarmer::advance_on_trace(TraceReader& reader,
     }
     on_record(rec);  // advances shared_.warmed
   }
-  // A later advance_to() must resume from the new position; drop any live
-  // engine so ensure_engine() fast-skips the trace-warmed prefix.
-  engine_.reset();
-  engine_mem_.reset();
 }
 
 void FunctionalWarmer::apply_to(sim::Simulator& sim) const {
@@ -471,11 +429,6 @@ void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
        trains_stride(policy_) ? &stride_ : nullptr, shared_.hier});
   shared_.warmed = pos.warmed;
   shared_.last_fetch_line = pos.last_fetch_line;
-  // Drop any live engine: it sits at the pre-restore position, and the
-  // next advance_to() must resume from the restored position
-  // (ensure_engine fast-skips the restored prefix).
-  engine_.reset();
-  engine_mem_.reset();
 }
 
 void install_warm_state(const std::vector<uint8_t>& blob,
@@ -491,44 +444,29 @@ void install_warm_state(const std::vector<uint8_t>& blob,
 std::vector<std::vector<uint8_t>> capture_warm_states(
     const core::CoreConfig& config, const isa::Program& program,
     const std::vector<uint64_t>& targets) {
-  obs::Span span("warming.capture", targets.size());
-  const obs::Stopwatch clock;
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(targets.size());
-  FunctionalWarmer warmer(config, program);
-  uint64_t prev = 0;
-  for (const uint64_t target : targets) {
-    if (target < prev) {
-      throw std::runtime_error("capture_warm_states: targets not sorted");
-    }
-    prev = target;
-    warmer.advance_to(target);
-    out.push_back(warmer.serialize_state());
-  }
-  obs::Registry& reg = obs::Registry::instance();
-  reg.counter("warming.insts").add(prev);
-  reg.histogram("warming.capture_us").observe(clock.elapsed_us());
-  return out;
+  return capture_warm_states_grid({config}, program, targets)[0];
 }
 
-namespace {
-/// Engine-fed grid capture: the engine streams block-sized record batches
-/// into a buffer, then each batch trains all groups in parallel via
-/// feed_batch_grid. A program that halts before the last target
-/// snapshots the remaining targets at its final state.
-Grid capture_grid_engine(const std::vector<core::CoreConfig>& configs,
-                         const isa::Program& program,
-                         const std::vector<uint64_t>& targets) {
+std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
+    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
+    const std::vector<uint64_t>& targets) {
+  if (configs.empty()) {
+    throw std::runtime_error("capture_warm_states_grid: no configs");
+  }
+  if (!std::is_sorted(targets.begin(), targets.end())) {
+    throw std::runtime_error("capture_warm_states_grid: targets not sorted");
+  }
+  obs::Span span("warming.capture", targets.size());
+  const obs::Stopwatch clock;
   std::vector<WarmGroup> groups = make_groups(configs, program);
   Grid out(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
 
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  // One persistent single-block buffer: the sink fills blocks[0], the
-  // fan-out reads it, clear() keeps the capacity across batches.
-  std::vector<std::vector<TraceRecord>> blocks(1);
-  std::vector<TraceRecord>& batch = blocks.front();
+  // One persistent batch buffer: the sink fills it, the fan-out reads it,
+  // clear() keeps the capacity across batches.
+  std::vector<TraceRecord> batch;
   engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
     for (size_t i = 0; i < n; ++i) batch.push_back(to_trace_record(ev[i]));
   };
@@ -539,88 +477,18 @@ Grid capture_grid_engine(const std::vector<core::CoreConfig>& configs,
   size_t ti = 0;
   while (pos < limit) {
     batch.clear();
-    const obs::Stopwatch decode_clock;
+    const obs::Stopwatch engine_clock;
     engine.run_to(std::min(limit, pos + kEngineBatch));
-    reg.counter("warming.decode_wait_us").add(decode_clock.elapsed_us());
+    reg.counter("warming.decode_wait_us").add(engine_clock.elapsed_us());
     if (batch.empty()) break;  // program halted before the last target
-    const size_t records = batch.size();
-    ti = feed_batch_grid(groups, blocks, pos, records, targets, ti, out);
-    pos += records;
+    ti = feed_batch_grid(groups, batch, pos, targets, ti, out);
+    pos += batch.size();
   }
   snapshot_tail_grid(groups, targets, ti, out);
   // The streamed prefix is counted once however many configs fanned out —
   // the same convention ShardResult::warmed_insts uses.
   reg.counter("warming.insts").add(pos);
-  return out;
-}
-
-/// Trace-fed grid capture: BlockBatchReader wave-decodes upcoming blocks
-/// concurrently with the per-group fan-out (double buffered), so decode
-/// never sits on the trainers' critical path.
-Grid capture_grid_trace(const std::vector<core::CoreConfig>& configs,
-                        const isa::Program& program, TraceReader& reader,
-                        const std::vector<uint64_t>& targets) {
-  std::vector<WarmGroup> groups = make_groups(configs, program);
-  Grid out(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
-
-  const uint64_t limit = targets.empty() ? 0 : targets.back();
-  uint64_t pos = 0;
-  size_t ti = 0;
-  {
-    BlockBatchReader batches(reader, limit);
-    BlockBatchReader::Batch batch;
-    while (batches.next_batch(batch)) {
-      const size_t records = batch.records();
-      ti = feed_batch_grid(groups, batch.blocks, batch.first_record, records,
-                           targets, ti, out);
-      pos = batch.first_record + records;
-    }
-  }
-  // Leftover targets either sit exactly at the delivered end of stream
-  // (the normal case — the last target IS the record limit) or the trace
-  // is truncated.
-  size_t reachable = ti;
-  while (reachable < targets.size() && targets[reachable] == pos) {
-    ++reachable;
-  }
-  if (reachable < targets.size()) {
-    throw_trace_truncated(pos, targets[reachable], reachable, targets.size());
-  }
-  snapshot_tail_grid(groups, targets, ti, out);
-  obs::Registry::instance().counter("warming.insts").add(pos);
-  return out;
-}
-}  // namespace
-
-std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets) {
-  if (configs.empty()) {
-    throw std::runtime_error("capture_warm_states_grid: no configs");
-  }
-  check_targets_sorted(targets);
-  obs::Span span("warming.capture", targets.size());
-  const obs::Stopwatch clock;
-  auto out = capture_grid_engine(configs, program, targets);
-  obs::Registry::instance()
-      .histogram("warming.capture_us")
-      .observe(clock.elapsed_us());
-  return out;
-}
-
-std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    TraceReader& reader, const std::vector<uint64_t>& targets) {
-  if (configs.empty()) {
-    throw std::runtime_error("capture_warm_states_grid: no configs");
-  }
-  check_targets_sorted(targets);
-  obs::Span span("warming.capture", targets.size());
-  const obs::Stopwatch clock;
-  auto out = capture_grid_trace(configs, program, reader, targets);
-  obs::Registry::instance()
-      .histogram("warming.capture_us")
-      .observe(clock.elapsed_us());
+  reg.histogram("warming.capture_us").observe(clock.elapsed_us());
   return out;
 }
 

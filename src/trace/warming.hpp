@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,11 +36,8 @@
 #include "branch/ras.hpp"
 #include "ci/stride_predictor.hpp"
 #include "core/config.hpp"
-#include "isa/engine.hpp"
-#include "isa/interpreter.hpp"
 #include "isa/program.hpp"
 #include "mem/hierarchy.hpp"
-#include "mem/main_memory.hpp"
 #include "trace/trace.hpp"
 
 namespace cfir::sim {
@@ -100,36 +96,23 @@ class FunctionalWarmer {
  public:
   /// Components are sized from `config` exactly as the detailed core sizes
   /// its own; `program` must outlive the warmer (opcode lookup for RAS
-  /// call/ret handling and the streaming engine both reference it).
+  /// call/ret handling references it).
   FunctionalWarmer(const core::CoreConfig& config, const isa::Program& program);
 
-  /// Feeds one committed instruction, in commit order. Callers replaying a
-  /// stored trace drive this directly; advance_to() drives it from the
-  /// built-in functional engine.
+  /// Feeds one committed instruction, in commit order.
   void on_record(const TraceRecord& rec);
 
-  /// Streams committed instructions from the warmer's current position up
-  /// to (program-global) instruction count `n_insts` through on_record(),
-  /// using the functional engine. Monotonic: calling with a target at
-  /// or below the current position is a no-op, so one warmer can snapshot
-  /// several sorted interval boundaries in a single pass. After
-  /// deserialize_state() the position is the blob's warmed(): the restored
-  /// prefix is fast-skipped (architecturally executed, not re-trained), so
-  /// resuming a shipped warmer continues exactly where serialization
-  /// stopped.
-  void advance_to(uint64_t n_insts);
-
-  /// Like advance_to(), but streams the gap out of a recorded trace
-  /// instead of re-executing the program on the functional engine — on a
-  /// CFIRTRC2 file the reader seeks straight to the warmer's position and
-  /// decodes only the covering blocks, so warming cost follows the gap,
-  /// not the prefix. The record stream is identical to what advance_to
-  /// feeds itself (the recorder used the same engine events), so the
-  /// trained state — and serialize_state() blobs — stay bit-identical.
-  /// Monotonic like advance_to; `reader` must be the trace of `program`.
-  /// `context` (e.g. "interval 3 of 8") is appended to the
-  /// truncated-trace error so a shard run names which warm gap fell off
-  /// the end of the trace instead of just a bare record count.
+  /// Streams the records from the warmer's position up to (program-global)
+  /// instruction count `n_insts` out of a recorded trace through
+  /// on_record(); a CFIRTRC2 reader seeks straight to the position.
+  /// Monotonic: a target at or below the position is a no-op, so one
+  /// warmer can snapshot several sorted boundaries in one pass. The
+  /// recorded stream is the functional engine's event stream, so the
+  /// blobs equal capture_warm_states_grid's byte for byte: the tests'
+  /// per-record oracle for the grid. `reader` must be the trace of
+  /// `program`. `context` (e.g. "interval 3 of 8") is appended to the
+  /// truncated-trace error so it names the warm gap that fell off the end
+  /// of the trace instead of just a bare record count.
   void advance_on_trace(TraceReader& reader, uint64_t n_insts,
                         std::string_view context = {});
 
@@ -167,15 +150,9 @@ class FunctionalWarmer {
   }
 
  private:
-  const isa::Program& program_;
   core::Policy policy_;
   SharedWarmState shared_;
   ci::StridePredictor stride_;
-
-  // Streaming functional engine (lazily started by advance_to).
-  std::unique_ptr<mem::MainMemory> engine_mem_;
-  std::unique_ptr<isa::FunctionalEngine> engine_;
-  void ensure_engine();
 };
 
 /// Decodes a FunctionalWarmer::serialize_state() blob straight into the
@@ -186,15 +163,17 @@ class FunctionalWarmer {
 /// typed errors as deserialize_state().
 void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 
-/// One streaming engine pass capturing the serialized warm state at
-/// each target instruction count (`targets` must be non-decreasing —
-/// interval plans are). Element i is the blob for warming [0, targets[i]).
+/// One config's warm-state blobs at each target instruction count
+/// (`targets` must be non-decreasing — interval plans are):
+/// capture_warm_states_grid({config}, program, targets)[0]. Element i is
+/// the blob for warming [0, targets[i]).
 [[nodiscard]] std::vector<std::vector<uint8_t>> capture_warm_states(
     const core::CoreConfig& config, const isa::Program& program,
     const std::vector<uint64_t>& targets);
 
-/// The multi-config variant behind config-grid sharding (docs/sharding.md):
-/// ONE streaming engine pass fans every committed record out to the whole
+/// The one warm-capture loop the pipeline runs, behind every sampled run,
+/// bind_configs and config-grid shard (docs/sharding.md): ONE
+/// functional-engine pass fans every committed record out to the whole
 /// grid, so warming it costs O(prefix) architectural execution instead of
 /// O(prefix × configs) — the committed stream is config-independent; only
 /// the trained components differ. Configs are grouped by their
@@ -202,12 +181,12 @@ void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 /// SharedWarmState plus one stride predictor per distinct stride-training
 /// policy (ci, vect), and at each target serializes the shared sections
 /// once and assembles every member's blob from them. Result[c][i] is the
-/// blob for config c warmed over [0, targets[i]), bit-identical to the one
-/// a solo capture_warm_states pass under that config produces (same
-/// records, same training calls, same layout).
+/// blob for config c warmed over [0, targets[i]), bit-identical to what a
+/// solo FunctionalWarmer fed the same records produces (same training
+/// calls, same layout).
 ///
 /// The capture is pipelined (docs/sampling.md "Pipelined warming"): the
-/// engine emits the stream in block-sized batches and each batch trains
+/// engine emits the stream in fixed-size batches and each batch trains
 /// the groups in parallel on the shared pool, one task per group, snapshot
 /// blobs assembled inside those tasks. Every group still sees the
 /// identical record stream in order on a single thread, so the blobs do
@@ -217,21 +196,6 @@ void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
 capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
                          const isa::Program& program,
-                         const std::vector<uint64_t>& targets);
-
-/// Trace-fed variant: streams the committed records out of `reader`
-/// instead of re-executing the program, reading only the blocks covering
-/// [0, targets.back()). Blobs are bit-identical to the engine-pass
-/// variant because the recorded stream is the same event stream, and to
-/// FunctionalWarmer::advance_on_trace. Throws if the trace ends before
-/// the last target. A BlockBatchReader (trace/batch_reader.hpp)
-/// wave-decodes upcoming blocks concurrently with the per-group fan-out,
-/// so column decode + LZ never sits on the trainers' critical path.
-/// Overlap is observable via the warming.decode_wait_us /
-/// warming.feed_us / warming.batches counters.
-[[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
-capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
-                         const isa::Program& program, TraceReader& reader,
                          const std::vector<uint64_t>& targets);
 
 }  // namespace cfir::trace

@@ -1,16 +1,40 @@
 // Shared test utilities: the paper's Figure 1 hammock as a runnable
-// program, and a structured random-program generator used by the
-// differential property tests (every generated program terminates).
+// program, a structured random-program generator used by the
+// differential property tests (every generated program terminates), and
+// a per-record functional-warming reference.
 #pragma once
 
 #include <random>
 #include <string>
 
 #include "isa/assembler.hpp"
+#include "isa/engine.hpp"
 #include "isa/program.hpp"
+#include "mem/main_memory.hpp"
 #include "stats/stats.hpp"
+#include "trace/warming.hpp"
 
 namespace cfir::testing {
+
+/// Trains `warmer` on `program`'s committed records from the warmer's
+/// position up to instruction `n_insts` (or HALT), one on_record() call
+/// per event of a fresh FunctionalEngine; the prefix the warmer already
+/// holds is executed untrained. The independent per-record reference
+/// that trace::capture_warm_states_grid's batched fan-out is checked
+/// against.
+inline void warm_on_engine(trace::FunctionalWarmer& warmer,
+                           const isa::Program& program, uint64_t n_insts) {
+  mem::MainMemory memory;
+  isa::load_data_image(program, memory);
+  isa::FunctionalEngine engine(program, memory);
+  engine.run_to(warmer.warmed());
+  engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      warmer.on_record(trace::to_trace_record(ev[i]));
+    }
+  };
+  engine.run_to(n_insts);
+}
 
 /// A SimStats block with every X-macro counter (and the two non-additive
 /// fields) randomized — shared by the merge-algebra and blob round-trip

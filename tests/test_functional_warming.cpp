@@ -46,7 +46,7 @@ struct WarmPair {
   WarmPair(const core::CoreConfig& config, const isa::Program& program)
       : sim(config, program), warmer(config, program) {
     sim.run(UINT64_MAX);
-    warmer.advance_to(UINT64_MAX);
+    cfir::testing::warm_on_engine(warmer, program, UINT64_MAX);
   }
 };
 
@@ -225,7 +225,7 @@ TEST(FunctionalWarming, SerializeRoundTripIsByteStableAndStateExact) {
   const isa::Program program = workloads::build("twolf", 1);
   const core::CoreConfig config = sim::presets::ci(2, 512);
   FunctionalWarmer a(config, program);
-  a.advance_to(20000);
+  cfir::testing::warm_on_engine(a, program, 20000);
   const std::vector<uint8_t> blob = a.serialize_state();
 
   FunctionalWarmer b(config, program);
@@ -245,7 +245,7 @@ TEST(FunctionalWarming, SerializeRoundTripIsByteStableAndStateExact) {
 TEST(FunctionalWarming, DeserializeRejectsMismatchedGeometry) {
   const isa::Program program = workloads::build("gzip", 1);
   FunctionalWarmer big(sim::presets::ci(2, 512), program);
-  big.advance_to(1000);
+  cfir::testing::warm_on_engine(big, program, 1000);
   core::CoreConfig small_cfg = sim::presets::ci(2, 512);
   small_cfg.gshare_entries = 1024;
   FunctionalWarmer small(small_cfg, program);
@@ -262,37 +262,6 @@ TEST(FunctionalWarming, DeserializeRejectsMismatchedGeometry) {
   EXPECT_THROW(other.deserialize_state(blob), CorruptFileError);
 }
 
-TEST(FunctionalWarming, AdvanceToAfterDeserializeResumesWithoutRetraining) {
-  // Restoring a shipped warmer and continuing must equal one uninterrupted
-  // pass — the restored prefix is fast-skipped, never streamed twice.
-  const isa::Program program = workloads::build("parser", 1);
-  const core::CoreConfig config = sim::presets::ci(2, 512);
-  FunctionalWarmer a(config, program);
-  a.advance_to(5000);
-  FunctionalWarmer b(config, program);
-  b.deserialize_state(a.serialize_state());
-  a.advance_to(12000);
-  b.advance_to(12000);
-  EXPECT_EQ(b.warmed(), a.warmed());
-  EXPECT_EQ(b.serialize_state(), a.serialize_state());
-}
-
-TEST(FunctionalWarming, AdvanceToIsMonotonicAndIncremental) {
-  // Warming to 5k then 10k must equal warming straight to 10k — the
-  // single-pass multi-boundary capture in sampled_run depends on it.
-  const isa::Program program = workloads::build("parser", 1);
-  const core::CoreConfig config = sim::presets::scal(2, 256);
-  FunctionalWarmer stepped(config, program);
-  stepped.advance_to(5000);
-  stepped.advance_to(2000);  // no-op: below current position
-  EXPECT_EQ(stepped.warmed(), 5000u);
-  stepped.advance_to(10000);
-  FunctionalWarmer direct(config, program);
-  direct.advance_to(10000);
-  EXPECT_EQ(stepped.warmed(), direct.warmed());
-  EXPECT_EQ(stepped.serialize_state(), direct.serialize_state());
-}
-
 TEST(FunctionalWarming, CaptureWarmStatesMatchesIndividualWarmers) {
   const isa::Program program = workloads::build("bzip2", 1);
   const core::CoreConfig config = sim::presets::ci(2, 512);
@@ -301,7 +270,7 @@ TEST(FunctionalWarming, CaptureWarmStatesMatchesIndividualWarmers) {
   ASSERT_EQ(blobs.size(), targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     FunctionalWarmer w(config, program);
-    w.advance_to(targets[i]);
+    cfir::testing::warm_on_engine(w, program, targets[i]);
     EXPECT_EQ(blobs[i], w.serialize_state()) << "target " << targets[i];
   }
   EXPECT_THROW(capture_warm_states(config, program, {100, 50}),

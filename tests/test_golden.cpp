@@ -1,12 +1,12 @@
 // Golden digests of the trace pipeline's on-disk and in-memory artifacts:
 // the CFIRTRC2 bytes the recorder writes, the BBVs read back from them,
-// the warm-state blobs of an engine-fed and a trace-fed grid capture, the
-// manifest and warm-sidecar bytes of a 2-config plan, and the shard-result
-// bytes and merged stats of a 2-shard run. The literals were computed
-// once and pin the exact bytes, so a refactor that changes any artifact —
-// even one that keeps every in-process differential test green — fails
-// here. A deliberate format change updates the literal in the same change
-// and says why.
+// the warm-state blobs of the engine-fed grid capture and of solo warmers
+// advanced on the recorded trace, the manifest and warm-sidecar bytes of
+// a 2-config plan, and the shard-result bytes and merged stats of a
+// 2-shard run. The literals were computed once and pin the exact bytes,
+// so a refactor that changes any artifact — even one that keeps every
+// in-process differential test green — fails here. A deliberate format
+// change updates the literal in the same change and says why.
 //
 // The detailed core's cycle-level behaviour is pinned the same way: the
 // serialized SimStats and cycle count of every (program, config) cell of a
@@ -175,10 +175,17 @@ TEST(Golden, GridWarmBlobsFromEngineAndTrace) {
 
   EXPECT_EQ(grid_digest(capture_warm_states_grid(configs, program, targets)),
             0x6a80a9a2a46b7e87ull);
-  TraceReader reader(path);
-  EXPECT_EQ(grid_digest(
-                capture_warm_states_grid(configs, program, reader, targets)),
-            0x6a80a9a2a46b7e87ull);
+  // The same blobs from one solo warmer per config advanced on the trace.
+  std::vector<std::vector<std::vector<uint8_t>>> traced(configs.size());
+  for (size_t c = 0; c < configs.size(); ++c) {
+    FunctionalWarmer warmer(configs[c], program);
+    TraceReader reader(path);
+    for (const uint64_t target : targets) {
+      warmer.advance_on_trace(reader, target);
+      traced[c].push_back(warmer.serialize_state());
+    }
+  }
+  EXPECT_EQ(grid_digest(traced), 0x6a80a9a2a46b7e87ull);
 }
 
 /// A functionally warmed 4-interval bzip2 s2 plan bound to two configs.
@@ -520,7 +527,7 @@ TEST(Golden, SampledRunAllGrid) {
       EXPECT_FALSE(o.phases.empty()) << kernels[w] << "/" << columns[c].first;
       d.u64(stats_digest(o.stats));
       d.u64(o.phases.size());
-      for (const sim::PhaseOutcome& ph : o.phases) {
+      for (const SampledRun::Interval& ph : o.phases) {
         d.u64(ph.start_inst);
         d.u64(ph.length);
         d.u64(std::bit_cast<uint64_t>(ph.weight));

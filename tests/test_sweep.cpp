@@ -122,7 +122,7 @@ TEST(Sweep, SampledSpecsExposePhases) {
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].phases.size(), 4u);
   uint64_t phase_committed = 0;
-  for (const PhaseOutcome& ph : out[0].phases) {
+  for (const trace::SampledRun::Interval& ph : out[0].phases) {
     EXPECT_EQ(ph.weight, 1.0);
     phase_committed += ph.stats.committed;
   }
@@ -218,8 +218,8 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
     EXPECT_EQ(one[i].detailed_insts, four[i].detailed_insts) << cell;
     ASSERT_EQ(one[i].phases.size(), four[i].phases.size()) << cell;
     for (size_t ph = 0; ph < one[i].phases.size(); ++ph) {
-      const PhaseOutcome& a = one[i].phases[ph];
-      const PhaseOutcome& b = four[i].phases[ph];
+      const trace::SampledRun::Interval& a = one[i].phases[ph];
+      const trace::SampledRun::Interval& b = four[i].phases[ph];
       EXPECT_EQ(a.start_inst, b.start_inst) << cell << " phase " << ph;
       EXPECT_EQ(a.length, b.length) << cell << " phase " << ph;
       EXPECT_EQ(a.weight, b.weight) << cell << " phase " << ph;

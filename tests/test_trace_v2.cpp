@@ -11,10 +11,9 @@
 //    is truncation mid-block and mid-footer (CRC-32 catches all
 //    single-bit errors, and the index CRC covers the header, so the only
 //    unverified bytes are the whole-file footer's CRC value itself);
-//  - warm-state blobs, BBVs and merged shard stats computed through a
-//    trace reader are bit-identical to the engine pass;
-//  - a shard fed a recorded trace decodes only the blocks covering its
-//    own intervals + warming gaps (trace.blocks_read counter);
+//  - the decoded stream equals the engine's event stream record for
+//    record, and BBVs computed through a trace reader are bit-identical
+//    to the engine pass;
 //  - the TraceV2S8 suite runs the acceptance matrix on bzip2/parser/twolf
 //    s8, including the <= 0.5 B/inst size guard (skipped on Debug /
 //    sanitized builds, where recording a million instructions is slow —
@@ -29,15 +28,11 @@
 #include <vector>
 
 #include "helpers.hpp"
-#include "obs/metrics.hpp"
-#include "sim/presets.hpp"
+#include "isa/engine.hpp"
+#include "mem/main_memory.hpp"
 #include "trace/bbv.hpp"
 #include "trace/errors.hpp"
-#include "trace/sampling.hpp"
-#include "trace/shard.hpp"
 #include "trace/trace.hpp"
-#include "trace/warming.hpp"
-#include "util/warmable.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cfir::trace {
@@ -94,13 +89,6 @@ std::vector<TraceRecord> read_all(const std::string& path) {
   TraceRecord rec;
   while (reader.next(rec)) out.push_back(rec);
   return out;
-}
-
-/// SimStats as its canonical serialized bytes, for bit-identity checks.
-std::vector<uint8_t> stats_bytes(const stats::SimStats& s) {
-  util::ByteWriter w;
-  stats::serialize(s, w);
-  return w.take();
 }
 
 TEST(TraceV2, SeekPropertyRandomPrograms) {
@@ -297,28 +285,6 @@ TEST(TraceV2, UnfinishedRecordingRejected) {
   }
 }
 
-TEST(TraceV2, WarmStateBlobsBitIdenticalAcrossSources) {
-  // The same warm-capture grid, fed by the engine pass and by a recorded
-  // trace, must produce byte-identical serialized warmer blobs: the
-  // recorded stream IS the engine's event stream.
-  const isa::Program program = cfir::testing::figure1_program(512, 40, 29);
-  TempFile file("warm");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  record_interpreter(program, file.path(), meta, UINT64_MAX, 512);
-
-  const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256),
-                                                 sim::presets::ci(4, 512)};
-  const uint64_t total = TraceReader(file.path()).record_count();
-  const std::vector<uint64_t> targets = {total / 4, total / 2, total - 7};
-
-  const auto engine_blobs =
-      capture_warm_states_grid(configs, program, targets);
-  TraceReader reader(file.path());
-  EXPECT_EQ(engine_blobs,
-            capture_warm_states_grid(configs, program, reader, targets));
-}
-
 TEST(TraceV2, BbvParallelDecodeMatchesSequentialAndLive) {
   // A many-block trace decodes in parallel waves; a single-block trace of
   // the same run decodes in one. Both must reproduce the live pass.
@@ -344,70 +310,6 @@ TEST(TraceV2, BbvParallelDecodeMatchesSequentialAndLive) {
   EXPECT_EQ(live.vectors, from_one.vectors);
 }
 
-TEST(TraceV2, ShardDecodesOnlyCoveringBlocks) {
-  // A 2-shard split of a functionally warmed plan, with warming streamed
-  // from the recorded trace: each shard's trace.blocks_read delta must
-  // stay below the file's block count (it stops at its own last target),
-  // and the merged grid must be bit-identical — architectural stats,
-  // weights, instruction accounting — whether warming came from the
-  // engine pass or the trace.
-  const isa::Program program = cfir::testing::figure1_program(768, 45, 37);
-  TempFile file("shard");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  record_interpreter(program, file.path(), meta, UINT64_MAX, 512);
-
-  IntervalPlan plan = plan_intervals(program, 4, 0, 0, WarmMode::kFunctional);
-  // Deferred warming: bindings carry no blobs, so run_shard streams the
-  // gaps itself — through the trace when one is provided.
-  std::vector<ConfigBinding> bindings;
-  for (const uint32_t regs : {256u, 512u}) {
-    ConfigBinding b;
-    b.config = sim::presets::ci(2, regs);
-    b.name = b.config.label();
-    b.config_hash = b.config.digest();
-    bindings.push_back(std::move(b));
-  }
-
-  const size_t total_blocks = TraceReader(file.path()).block_count();
-  ASSERT_GT(total_blocks, size_t{2});
-  obs::Counter& blocks_read =
-      obs::Registry::instance().counter("trace.blocks_read");
-
-  const uint64_t before0 = blocks_read.value();
-  const ShardResult t_s0 =
-      run_shard(bindings, program, plan, {0, 2}, 2, 0, file.path());
-  const uint64_t shard0_blocks = blocks_read.value() - before0;
-  const ShardResult t_s1 =
-      run_shard(bindings, program, plan, {1, 2}, 2, 0, file.path());
-
-  // Shard 0's last warm target is interval 2's start (< interval 3's), so
-  // it must not have decoded the file's tail blocks.
-  EXPECT_GT(shard0_blocks, uint64_t{0});
-  EXPECT_LT(shard0_blocks, total_blocks);
-
-  const ShardResult eng_s0 = run_shard(bindings, program, plan, {0, 2}, 2);
-  const ShardResult eng_s1 = run_shard(bindings, program, plan, {1, 2}, 2);
-
-  const MergedGrid from_engine = merge_shard_grid({eng_s0, eng_s1});
-  const MergedGrid from_trace = merge_shard_grid({t_s0, t_s1});
-  ASSERT_EQ(from_engine.configs.size(), bindings.size());
-  for (size_t c = 0; c < from_engine.configs.size(); ++c) {
-    const SampledRun& e = from_engine.configs[c].run;
-    const SampledRun& t = from_trace.configs[c].run;
-    EXPECT_EQ(stats_bytes(e.aggregate), stats_bytes(t.aggregate));
-    EXPECT_EQ(e.total_insts, t.total_insts);
-    EXPECT_EQ(e.detailed_insts, t.detailed_insts);
-    EXPECT_EQ(e.warmed_insts, t.warmed_insts);
-    ASSERT_EQ(e.intervals.size(), t.intervals.size());
-    for (size_t i = 0; i < e.intervals.size(); ++i) {
-      EXPECT_EQ(stats_bytes(e.intervals[i].stats),
-                stats_bytes(t.intervals[i].stats));
-      EXPECT_EQ(e.intervals[i].weight, t.intervals[i].weight);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // TraceV2S8: the acceptance matrix on the paper workloads at scale 8.
 // Excluded from the sanitizer CI job (like SamplingAccuracy); the size
@@ -416,10 +318,10 @@ TEST(TraceV2, ShardDecodesOnlyCoveringBlocks) {
 
 TEST(TraceV2S8, DifferentialAgainstV1OnPaperWorkloads) {
   // On the paper workloads at scale 8: the decoded stream equals the
-  // functional engine's event stream record for record, replay against
-  // the reference interpreter matches, and BBVs, warm state and merged
-  // shard stats are bit-identical whether they come from the trace or
-  // from the engine.
+  // functional engine's event stream record for record (so anything
+  // trained on it, warm state included, is the engine's too), replay
+  // against the reference interpreter matches, and BBVs are bit-identical
+  // whether they come from the trace or from the engine.
   for (const char* name : {"bzip2", "parser", "twolf"}) {
     const isa::Program program = workloads::build(name, 8);
     TempFile file(std::string(name) + "_s8");
@@ -461,42 +363,6 @@ TEST(TraceV2S8, DifferentialAgainstV1OnPaperWorkloads) {
     const BbvSet live = bbv_from_program(program, 10000);
     EXPECT_EQ(from_trace.leaders, live.leaders) << name;
     EXPECT_EQ(from_trace.vectors, live.vectors) << name;
-
-    // Warm-state blobs bit-identical.
-    const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 512)};
-    const std::vector<uint64_t> targets = {r.executed / 3,
-                                           (2 * r.executed) / 3};
-    TraceReader warm_reader(file.path());
-    EXPECT_EQ(capture_warm_states_grid(configs, program, targets),
-              capture_warm_states_grid(configs, program, warm_reader,
-                                       targets))
-        << name;
-
-    // Merged CFIRSHD2 stats bit-identical through a sharded run warmed
-    // from the trace and from the engine (short measured slices keep the
-    // detailed cost tiny).
-    IntervalPlan plan =
-        plan_intervals(program, 3, 0, 0, WarmMode::kFunctional, 2000);
-    std::vector<ConfigBinding> bindings(1);
-    bindings[0].config = configs[0];
-    bindings[0].name = configs[0].label();
-    bindings[0].config_hash = configs[0].digest();
-    const MergedGrid ga = merge_shard_grid(
-        {run_shard(bindings, program, plan, {0, 2}, 2),
-         run_shard(bindings, program, plan, {1, 2}, 2)});
-    const MergedGrid gb = merge_shard_grid(
-        {run_shard(bindings, program, plan, {0, 2}, 2, 0, file.path()),
-         run_shard(bindings, program, plan, {1, 2}, 2, 0, file.path())});
-    EXPECT_EQ(stats_bytes(ga.configs[0].run.aggregate),
-              stats_bytes(gb.configs[0].run.aggregate))
-        << name;
-    ASSERT_EQ(ga.configs[0].run.intervals.size(),
-              gb.configs[0].run.intervals.size());
-    for (size_t i = 0; i < ga.configs[0].run.intervals.size(); ++i) {
-      EXPECT_EQ(stats_bytes(ga.configs[0].run.intervals[i].stats),
-                stats_bytes(gb.configs[0].run.intervals[i].stats))
-          << name << " interval " << i;
-    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers.hpp"
 #include "isa/assembler.hpp"
 #include "obs/metrics.hpp"
 #include "sim/presets.hpp"
@@ -204,7 +205,7 @@ TEST(WarmCodec, DirectInstallMatchesDeserializeThenApply) {
                                         sim::presets::vect(2, 512)};
     for (const core::CoreConfig& config : configs) {
       FunctionalWarmer warmer(config, program);
-      warmer.advance_to(ck.executed);
+      cfir::testing::warm_on_engine(warmer, program, ck.executed);
       const std::vector<uint8_t> blob = warmer.serialize_state();
 
       sim::Simulator via_warmer(config, program, ck);
@@ -230,7 +231,7 @@ TEST(WarmCodec, InstallOverARanUnitMatchesAFreshOne) {
   for (const core::CoreConfig& config :
        {sim::presets::ci(2, 512), sim::presets::scal(1, 128)}) {
     FunctionalWarmer warmer(config, program);
-    warmer.advance_to(ck.executed);
+    cfir::testing::warm_on_engine(warmer, program, ck.executed);
     const std::vector<uint8_t> blob = warmer.serialize_state();
 
     // A unit that already ran holds live sets, dirty lines and fills in
@@ -299,7 +300,7 @@ TEST(WarmCodec, MalformedBlobsThrowTypedErrors) {
   const isa::Program program = workloads::build("gzip", 1);
   const core::CoreConfig config = sim::presets::ci(2, 512);
   FunctionalWarmer source(config, program);
-  source.advance_to(5000);
+  cfir::testing::warm_on_engine(source, program, 5000);
   const std::vector<uint8_t> good = source.serialize_state();
 
   {
@@ -364,7 +365,7 @@ TEST(WarmCodec, WholeRunBlobOfPaperConfigStaysSmall) {
   // of them ever leave their reset value.
   const isa::Program program = workloads::build("bzip2", 8);
   FunctionalWarmer warmer(sim::presets::ci(2, 256), program);
-  warmer.advance_to(UINT64_MAX);
+  cfir::testing::warm_on_engine(warmer, program, UINT64_MAX);
   obs::Counter& snapshot_bytes =
       obs::Registry::instance().counter("warming.snapshot_bytes");
   const uint64_t before = snapshot_bytes.value();

@@ -1,22 +1,24 @@
-// Bit-identity wall for the pipelined block-parallel warming path
-// (docs/sampling.md "Pipelined warming"): capture_warm_states_grid must
-// produce the byte-identical warm blobs of its per-config references —
-// capture_warm_states for the engine source and a solo
-// FunctionalWarmer::advance_on_trace for the trace source — because each
-// shared trainer always sees the identical record stream in order on a
-// single thread. Also locked here:
+// Bit-identity wall for the pipelined warm capture (docs/sampling.md
+// "Pipelined warming"): capture_warm_states_grid must produce the
+// byte-identical warm blobs of two independent per-config references — a
+// solo FunctionalWarmer fed one engine record at a time
+// (testing::warm_on_engine) and one advanced on a recorded trace
+// (FunctionalWarmer::advance_on_trace) — because each shared trainer
+// always sees the identical record stream in order on a single thread.
+// Also locked here:
 //
 //  - a grid of two shared warm geometries, one holding both stride
 //    policies (ci, vect) and three configs without a stride predictor;
-//  - targets at 0, duplicated, mid-block and at end-of-trace, and engine
+//  - targets at 0, duplicated, mid-block and at end-of-trace, and
 //    targets past HALT;
-//  - a 4-record tiny-block trace (every batch spans many block
-//    boundaries);
+//  - a 4-record tiny-block trace (the trace reference crosses a block
+//    boundary every few records);
 //  - run_shard grids byte-equal whether warm state comes from bound
-//    sidecar blobs, the engine pass or a recorded trace, after scrubbing
-//    the (intentionally nondeterministic) wall-clock telemetry;
-//  - truncated traces name the offending warm target and interval, both
-//    in FunctionalWarmer::advance_on_trace and in the grid capture;
+//    sidecar blobs or the engine pass, after scrubbing the (intentionally
+//    nondeterministic) wall-clock telemetry, and unchanged by a path
+//    handed to run_shard's unread trace parameter;
+//  - a truncated trace names the offending warm target and interval in
+//    FunctionalWarmer::advance_on_trace;
 //  - WarmingPipelineS8: the same matrix on bzip2 s8 (excluded from the
 //    sanitizer CI job alongside TraceV2S8 — same exclusion pattern).
 #include <gtest/gtest.h>
@@ -53,21 +55,17 @@ class TempFile {
 
 using Blobs = std::vector<std::vector<std::vector<uint8_t>>>;
 
-Blobs capture_from(const std::string& trace_path,
-                   const std::vector<core::CoreConfig>& configs,
-                   const isa::Program& program,
-                   const std::vector<uint64_t>& targets) {
-  TraceReader reader(trace_path);
-  return capture_warm_states_grid(configs, program, reader, targets);
-}
-
-/// Engine-source reference: one capture_warm_states pass per config.
+/// Engine-source reference: one warmer per config fed record by record.
 Blobs solo_engine(const std::vector<core::CoreConfig>& configs,
                   const isa::Program& program,
                   const std::vector<uint64_t>& targets) {
-  Blobs out;
-  for (const core::CoreConfig& config : configs) {
-    out.push_back(capture_warm_states(config, program, targets));
+  Blobs out(configs.size());
+  for (size_t c = 0; c < configs.size(); ++c) {
+    FunctionalWarmer warmer(configs[c], program);
+    for (const uint64_t target : targets) {
+      cfir::testing::warm_on_engine(warmer, program, target);
+      out[c].push_back(warmer.serialize_state());
+    }
   }
   return out;
 }
@@ -142,14 +140,12 @@ TEST(WarmingPipeline, BlobsBitIdenticalAcrossSourcesAndJobs) {
   EXPECT_EQ(engine, capture_warm_states_grid(configs, program, targets));
   EXPECT_EQ(trainers.value() - trainers0, 2u);
   EXPECT_EQ(engine, solo_trace(file.path(), configs, program, targets));
-  EXPECT_EQ(engine, capture_from(file.path(), configs, program, targets));
-  EXPECT_EQ(trainers.value() - trainers0, 4u);
 }
 
 TEST(WarmingPipeline, EngineHaltBeforeLastTargetMatchesSequential) {
-  // The engine source snapshots targets past HALT at the final state
-  // instead of throwing (a plan may legitimately overshoot), exactly like
-  // a solo warmer's advance_to.
+  // The grid snapshots targets past HALT at the final state instead of
+  // throwing (a plan may legitimately overshoot), exactly like a solo
+  // warmer fed by the engine.
   const isa::Program program = cfir::testing::figure1_program(128);
   const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256)};
   const std::vector<uint64_t> targets = {100, 1u << 20, 1u << 21};
@@ -159,9 +155,9 @@ TEST(WarmingPipeline, EngineHaltBeforeLastTargetMatchesSequential) {
 }
 
 TEST(WarmingPipeline, TinyBlockStress) {
-  // 4-record blocks: every wave spans dozens of block boundaries, and
-  // batch boundaries land mid-target-run. The decoded stream (and
-  // therefore every blob) must still match both references.
+  // 4-record blocks: the trace reference seeks into and crosses a block
+  // boundary every few records, mid-target-run. Its stream (and therefore
+  // every blob) must still match the engine grid's.
   const isa::Program program = cfir::testing::figure1_program(64);
   TempFile tiny("tiny");
   TraceMeta meta;
@@ -179,28 +175,9 @@ TEST(WarmingPipeline, TinyBlockStress) {
   const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256),
                                                  sim::presets::scal(2, 256)};
   const std::vector<uint64_t> targets = {0, 3, 4, 5, 9, 9, total};
-  const Blobs grid = capture_from(tiny.path(), configs, program, targets);
+  const Blobs grid = capture_warm_states_grid(configs, program, targets);
   EXPECT_EQ(grid, solo_trace(tiny.path(), configs, program, targets));
   EXPECT_EQ(grid, solo_engine(configs, program, targets));
-}
-
-TEST(WarmingPipeline, TruncatedTraceErrorNamesTargetAndInterval) {
-  const isa::Program program = cfir::testing::figure1_program(512);
-  TempFile cut("cut");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  record_interpreter(program, cut.path(), meta, /*max_insts=*/100);
-  const std::vector<core::CoreConfig> configs = {sim::presets::ci(2, 256)};
-  try {
-    (void)capture_from(cut.path(), configs, program, {50, 150});
-    FAIL() << "truncated trace accepted";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("trace ends at 100 records"), std::string::npos)
-        << msg;
-    EXPECT_NE(msg.find("warm target 150"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("(interval 1 of 2)"), std::string::npos) << msg;
-  }
 }
 
 TEST(WarmingPipeline, AdvanceOnTraceErrorCarriesContext) {
@@ -225,11 +202,6 @@ TEST(WarmingPipeline, AdvanceOnTraceErrorCarriesContext) {
 
 TEST(WarmingPipeline, RunShardGridBitIdenticalAcrossWarmJobs) {
   const isa::Program program = cfir::testing::figure1_program(512);
-  TempFile file("shard");
-  TraceMeta meta;
-  meta.workload = "figure1";
-  record_interpreter(program, file.path(), meta);
-
   const IntervalPlan plan =
       plan_intervals(program, 4, 0, 0, WarmMode::kFunctional, 500);
   const std::vector<std::pair<std::string, core::CoreConfig>> points = {
@@ -238,22 +210,39 @@ TEST(WarmingPipeline, RunShardGridBitIdenticalAcrossWarmJobs) {
   std::vector<ConfigBinding> deferred = bound;
   for (auto& b : deferred) b.warm.clear();
 
-  // Warm state bound up front (one solo capture per geometry), captured at
-  // execute time from the engine, or streamed from the recorded trace,
-  // under one or two detail threads: byte-equal CFIRSHD2 payloads once
-  // the wall telemetry is scrubbed.
+  // Warm state bound up front or captured at execute time, under one or
+  // two detail threads: byte-equal CFIRSHD2 payloads once the wall
+  // telemetry is scrubbed.
   const auto reference =
       scrub_wall(run_shard(bound, program, plan, {0, 1}, 1)).serialize();
   for (const int threads : {1, 2}) {
     EXPECT_EQ(reference,
               scrub_wall(run_shard(deferred, program, plan, {0, 1}, threads))
                   .serialize())
-        << "engine, threads=" << threads;
-    EXPECT_EQ(reference,
-              scrub_wall(run_shard(deferred, program, plan, {0, 1}, threads,
-                                   0, file.path()))
-                  .serialize())
-        << "trace, threads=" << threads;
+        << "threads=" << threads;
+  }
+}
+
+TEST(WarmingPipeline, RunShardIgnoresItsTracePath) {
+  // run_shard's last parameter is kept for callers that still pass a
+  // recorded trace's path; deferred warming always streams the engine, so
+  // even a path that names no file leaves every byte as with none.
+  const isa::Program program = cfir::testing::figure1_program(512);
+  const IntervalPlan plan =
+      plan_intervals(program, 4, 0, 0, WarmMode::kFunctional, 500);
+  std::vector<ConfigBinding> deferred(2);
+  deferred[0].config = sim::presets::ci(2, 256);
+  deferred[1].config = sim::presets::vect(2, 512);
+  for (auto& b : deferred) b.name = b.config.label();
+  const TempFile missing("missing");
+  for (const uint32_t shard : {0u, 1u}) {
+    EXPECT_EQ(
+        scrub_wall(run_shard(deferred, program, plan, {shard, 2}, 2))
+            .serialize(),
+        scrub_wall(run_shard(deferred, program, plan, {shard, 2}, 2, 0,
+                             missing.path()))
+            .serialize())
+        << "shard " << shard;
   }
 }
 
@@ -280,28 +269,9 @@ TEST(WarmingPipelineS8, GridMatrixOnBzip2) {
   std::vector<uint64_t> targets;
   for (uint64_t i = 1; i <= 5; ++i) targets.push_back(total * i / 5);
 
-  const Blobs grid = capture_from(file.path(), configs, program, targets);
+  const Blobs grid = capture_warm_states_grid(configs, program, targets);
   EXPECT_EQ(grid, solo_engine(configs, program, targets));
   EXPECT_EQ(grid, solo_trace(file.path(), configs, program, targets));
-
-  // Sharded grid over the recorded trace: trace-fed warming must never
-  // leak into the shard stats either.
-  const IntervalPlan plan =
-      plan_intervals(program, 3, total, 0, WarmMode::kFunctional, 2000);
-  std::vector<ConfigBinding> bindings(2);
-  bindings[0].config = configs[2];
-  bindings[1].config = configs[0];
-  for (auto& b : bindings) {
-    b.name = b.config.label();
-    b.config_hash = b.config.digest();
-  }
-  for (const uint32_t shard : {0u, 1u}) {
-    const auto engine =
-        scrub_wall(run_shard(bindings, program, plan, {shard, 2}, 2));
-    const auto traced = scrub_wall(
-        run_shard(bindings, program, plan, {shard, 2}, 2, 0, file.path()));
-    EXPECT_EQ(engine.serialize(), traced.serialize()) << "shard " << shard;
-  }
 }
 
 }  // namespace
