@@ -1,12 +1,13 @@
 // Golden digests of the trace pipeline's on-disk and in-memory artifacts:
 // the CFIRTRC2 bytes the recorder writes, the BBVs read back from them,
 // the warm-state blobs of the engine-fed grid capture and of solo warmers
-// advanced on the recorded trace, the manifest and warm-sidecar bytes of
-// a 2-config plan, and the shard-result bytes and merged stats of a
-// 2-shard run. The literals were computed once and pin the exact bytes,
-// so a refactor that changes any artifact — even one that keeps every
-// in-process differential test green — fails here. A deliberate format
-// change updates the literal in the same change and says why.
+// advanced on the recorded trace, the manifest, checkpoint and
+// warm-sidecar bytes of a 2-config plan, and the shard-result bytes and
+// merged stats of a 2-shard run. The literals were computed once and pin
+// the exact bytes, so a refactor that changes any artifact — even one
+// that keeps every in-process differential test green — fails here. A
+// deliberate format change updates the literal in the same change and
+// says why.
 //
 // The detailed core's cycle-level behaviour is pinned the same way: the
 // serialized SimStats and cycle count of every (program, config) cell of a
@@ -206,6 +207,15 @@ TEST(Golden, ManifestAndWarmSidecarBytes) {
       write_manifest(g.plan, bind_configs(g.plan, g.points, g.program),
                      "bzip2", 2, manifest_path);
   EXPECT_EQ(file_digest(manifest_path), 0x69df2bb7dbdf3fc3ull);
+
+  util::Digest ck;
+  for (const auto& iv : m.intervals) {
+    const std::string& name = iv.checkpoint_file;
+    ck.bytes(reinterpret_cast<const uint8_t*>(name.data()), name.size());
+    ck.u64(file_digest(dir.file(name)));
+  }
+  EXPECT_EQ(m.intervals.size(), size_t{4});
+  EXPECT_EQ(ck.value(), 0xf1fa973bc2fe14cfull);
 
   std::vector<std::string> sidecars;
   for (const auto& iv : m.intervals) {
