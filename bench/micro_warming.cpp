@@ -1,7 +1,7 @@
 // Functional-warming throughput of capture_warm_states_grid, the one
 // warm-capture loop: the functional engine feeds kEngineBatch-record
 // batches (trace/warming.cpp) — the shape of sim::run_all's sampled grid
-// and every run_shard with deferred warming — at two grid widths:
+// and every run_shard's warm capture — at two grid widths:
 //
 //   1-config   the single-config sampling path: one trainer, so each
 //              batch's fan-out is a single task

@@ -2,6 +2,7 @@
 // shard workload traces.
 //
 //   trace_tool record <workload> [scale] [max_insts]   write <wl>.s<scale>.cfirtrace
+//                                                      (max_insts 0 = to HALT)
 //   trace_tool info   <file>                           print header + stream summary
 //                                                      (trace or manifest)
 //   trace_tool replay <file>                           verify trace against live run
@@ -11,8 +12,7 @@
 //          [--warm-mode=none|detailed|functional|hybrid] [--detail=M]
 //          [--config=<spec>]
 //   trace_tool plan   <workload> <k> [scale] [max]     freeze a plan to disk
-//          [sample's flags] [--configs=<spec>,...]     (manifest + checkpoints
-//                                                      + per-config warm state)
+//          [sample's flags] [--configs=<spec>,...]     (manifest + checkpoints)
 //   trace_tool run-shard <manifest> [--shard=i/N]      execute one shard for
 //          [--jobs=J] [--out=file]                     every config point
 //                                                      -> CFIRSHD2 result blob
@@ -27,10 +27,9 @@
 // Config specs are preset labels of the form <family>:<ports>:<regs>
 // (sim::presets::from_spec), e.g. ci:2:512. `plan --configs` freezes a
 // whole grid of them into ONE manifest sharing one checkpoint set —
-// interval boundaries and architectural state are config-independent,
-// only the functional warm state binds per config (one sidecar file per
-// (interval, config)). `run-shard` then executes every config point per
-// interval, streaming each warming gap once for the whole grid, and
+// interval boundaries and architectural state are config-independent.
+// `run-shard` then executes every config point per interval, capturing
+// every config's functional warm state in one streaming pass, and
 // `merge --config=<name>` prints any column byte-identical to the
 // single-config `sample` of the same arguments (docs/sharding.md).
 //
@@ -79,7 +78,7 @@ using namespace cfir;
 int usage() {
   std::fprintf(
       stderr,
-      "usage: trace_tool record <workload> [scale] [max_insts]\n"
+      "usage: trace_tool record <workload> [scale] [max_insts (0 = to HALT)]\n"
       "       trace_tool info   <trace-or-manifest-file>\n"
       "       trace_tool replay <trace-file>\n"
       "       trace_tool phases <trace-file> [n_intervals]\n"
@@ -94,10 +93,7 @@ int usage() {
       "                         [same flags as sample]\n"
       "                         [--configs=<spec>,<spec>,... (config grid\n"
       "                         sharing one checkpoint set)]\n"
-      "                         [--no-warm (skip warm sidecars; shards\n"
-      "                         stream the gaps at execute time)]\n"
       "                         writes <wl>.s<scale>.cfirman + checkpoints\n"
-      "                         + per-(interval,config) warm sidecars\n"
       "       trace_tool run-shard <manifest> [--shard=i/N] [--jobs=J]\n"
       "                         [--out=file (default <stem>.shard<i>of<N>"
       ".cfirshd)]\n"
@@ -147,8 +143,9 @@ int cmd_record(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string workload = argv[0];
   const uint32_t scale = argc > 1 ? number<uint32_t>("scale", argv[1]) : 1;
-  const uint64_t max_insts =
-      argc > 2 ? number<uint64_t>("max_insts", argv[2]) : UINT64_MAX;
+  // 0 = to HALT, as for every other run length.
+  uint64_t max_insts = argc > 2 ? number<uint64_t>("max_insts", argv[2]) : 0;
+  if (max_insts == 0) max_insts = UINT64_MAX;
 
   const isa::Program program = workloads::build(workload, scale);
   trace::TraceMeta meta;
@@ -187,14 +184,10 @@ int manifest_info(const std::string& path) {
   std::printf("intervals: %zu\n", m.intervals.size());
   for (size_t i = 0; i < m.intervals.size(); ++i) {
     const auto& iv = m.intervals[i];
-    size_t warm_files = 0;
-    for (const std::string& wf : iv.warm_files) warm_files += !wf.empty();
-    std::printf("  [%zu] start %llu  length %llu  weight %g  %s", i,
+    std::printf("  [%zu] start %llu  length %llu  weight %g  %s\n", i,
                 static_cast<unsigned long long>(iv.start),
                 static_cast<unsigned long long>(iv.length), iv.weight,
                 iv.checkpoint_file.c_str());
-    if (warm_files > 0) std::printf("  (+%zu warm sidecars)", warm_files);
-    std::printf("\n");
   }
   return 0;
 }
@@ -335,14 +328,10 @@ struct PlanArgs {
   uint64_t warmup = 0;
   uint64_t detail_len = 0;
   uint32_t max_k = 0;
-  /// plan only: bind the configs with NO warm sidecars — warming is
-  /// deferred to run-shard, which streams the gaps on the functional
-  /// engine.
-  bool no_warm = false;
-  /// The config grid: (name, config) points. Defaults to one tool_config()
-  /// point; `sample --config=<spec>` replaces it, `plan --configs=...`
-  /// extends it to a whole grid sharing one checkpoint set.
-  std::vector<std::pair<std::string, core::CoreConfig>> configs;
+  /// The config grid. Defaults to one tool_config() point;
+  /// `sample --config=<spec>` replaces it, `plan --configs=...` extends it
+  /// to a whole grid sharing one checkpoint set.
+  std::vector<trace::ConfigBinding> configs;
 };
 
 /// Appends the comma-separated preset specs in `list` to `out.configs`;
@@ -354,8 +343,8 @@ bool parse_config_list(const std::string& list, PlanArgs& out) {
     const size_t end = comma == std::string::npos ? list.size() : comma;
     const std::string spec = list.substr(pos, end - pos);
     try {
-      core::CoreConfig config = sim::presets::from_spec(spec);
-      out.configs.emplace_back(config.label(), config);
+      const core::CoreConfig config = sim::presets::from_spec(spec);
+      out.configs.push_back({config.label(), config});
     } catch (const std::exception& e) {
       std::fprintf(stderr, "trace_tool: %s\n", e.what());
       return false;
@@ -391,8 +380,6 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
       if (!parse_config_list(arg.substr(9), out)) return false;
     } else if (arg.rfind("--configs=", 0) == 0) {
       if (!parse_config_list(arg.substr(10), out)) return false;
-    } else if (arg == "--no-warm") {
-      out.no_warm = true;
     } else if (arg.rfind("--", 0) == 0) {
       return false;
     } else {
@@ -405,7 +392,7 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
   if (pos.size() > 2) out.scale = number<uint32_t>("scale", pos[2]);
   if (pos.size() > 3) out.max_insts = number<uint64_t>("max_insts", pos[3]);
   if (out.configs.empty()) {
-    out.configs.emplace_back(tool_config().label(), tool_config());
+    out.configs.push_back({tool_config().label(), tool_config()});
   }
   return true;
 }
@@ -460,10 +447,6 @@ void print_run(const trace::SampledRun& run, trace::SampleMode mode,
 int cmd_sample(int argc, char** argv) {
   PlanArgs args;
   if (!parse_plan_args(argc, argv, args)) return usage();
-  if (args.no_warm) {
-    std::fprintf(stderr, "trace_tool sample: --no-warm is a plan flag\n");
-    return usage();
-  }
   if (args.configs.size() != 1) {
     std::fprintf(stderr,
                  "trace_tool sample: takes exactly one --config spec (use "
@@ -473,7 +456,7 @@ int cmd_sample(int argc, char** argv) {
   const isa::Program program = workloads::build(args.workload, args.scale);
   const trace::IntervalPlan plan = build_plan(args, program);
   const trace::SampledRun run =
-      trace::sampled_run(args.configs[0].second, program, plan);
+      trace::sampled_run(args.configs[0].config, program, plan);
   print_run(run, args.mode, args.warm_mode);
   return 0;
 }
@@ -483,32 +466,14 @@ int cmd_plan(int argc, char** argv) {
   if (!parse_plan_args(argc, argv, args)) return usage();
   const isa::Program program = workloads::build(args.workload, args.scale);
   const trace::IntervalPlan plan = build_plan(args, program);
-  // Self-contained shards: the architectural checkpoints are shared by the
-  // whole config grid; each config's functional warm state is captured in
-  // ONE fan-out streaming pass (bind_configs) and rides in per-(interval,
-  // config) sidecar files, so run-shard never re-streams the prefixes.
-  // --no-warm defers that capture to execute time instead (ConfigBinding
-  // documents empty warm as exactly this contract): each shard streams
+  // The architectural checkpoints are shared by the whole config grid; each
+  // shard captures its configs' functional warm state itself, streaming
   // [0, its last interval) once for its whole grid.
-  std::vector<trace::ConfigBinding> bindings;
-  if (args.no_warm) {
-    bindings.reserve(args.configs.size());
-    for (const auto& [name, config] : args.configs) {
-      trace::ConfigBinding b;
-      b.name = name;
-      b.config = config;
-      b.config_hash = config.digest();
-      bindings.push_back(std::move(b));
-    }
-  } else {
-    bindings = trace::bind_configs(plan, args.configs, program);
-  }
-
   const std::string manifest_path = trace::env_trace_dir() + "/" +
                                     args.workload + ".s" +
                                     std::to_string(args.scale) + ".cfirman";
   const trace::ShardManifest manifest = trace::write_manifest(
-      plan, bindings, args.workload, args.scale, manifest_path);
+      plan, args.configs, args.workload, args.scale, manifest_path);
   std::printf("{\"manifest\":\"%s\",\"workload\":\"%s\",\"scale\":%u,"
               "\"mode\":\"%s\",\"warm_mode\":\"%s\",\"intervals\":%zu,"
               "\"total_insts\":%llu,\"plan_hash\":\"0x%016llx\","
@@ -578,11 +543,8 @@ int cmd_run_shard(int argc, char** argv) {
   // The configs travel in the manifest; refuse a manifest directory whose
   // reloaded checkpoints no longer match its interval schedule.
   trace::verify_manifest_plan(manifest, plan);
-  // `shard` limits the warm-sidecar reads to this worker's intervals.
-  const std::vector<trace::ConfigBinding> bindings =
-      trace::bindings_from_manifest(manifest, manifest_path, shard);
   trace::ShardResult result = trace::run_shard(
-      bindings, program, plan, shard, jobs, manifest.plan_hash);
+      manifest.configs, program, plan, shard, jobs, manifest.plan_hash);
   if (scrub_wall) {
     // Zero the host wall-clock telemetry riding in the blob (the only
     // nondeterministic fields), so two runs of the same shard byte-diff

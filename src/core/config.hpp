@@ -107,10 +107,9 @@ struct CoreConfig {
   /// predictor geometry, cache geometry — not latencies, widths or
   /// register counts). Config points with equal warm_digest() train
   /// byte-identical warm blobs from the same committed prefix, so sweeps
-  /// that vary ports/regs/widths share one `.cfirwarm` sidecar per
-  /// interval instead of one per config (trace/sampling.cpp
-  /// bind_configs, trace/manifest.cpp write_manifest). Deliberately NOT
-  /// part of CFIR_CORECONFIG_FIELDS: it is derived, not configuration.
+  /// that vary ports/regs/widths share one captured blob per interval
+  /// instead of one per config (trace/shard.cpp run_shard). Deliberately
+  /// NOT part of CFIR_CORECONFIG_FIELDS: it is derived, not configuration.
   [[nodiscard]] uint64_t warm_digest() const;
 
   /// Byte codec over the same field list and order as digest(): a config

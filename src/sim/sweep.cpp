@@ -222,10 +222,7 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
           std::vector<trace::ConfigBinding> bindings;
           bindings.reserve(members.size());
           for (const size_t i : members) {
-            trace::ConfigBinding b;
-            b.name = specs[i].config_name;
-            b.config = specs[i].config;
-            bindings.push_back(std::move(b));
+            bindings.push_back({specs[i].config_name, specs[i].config});
           }
           trace::MergedGrid merged = trace::merge_shard_grid({trace::run_shard(
               bindings, program, plan, trace::ShardSelection{}, threads)});

@@ -13,10 +13,10 @@
 // All-zero pages are dropped (reads of absent pages return zero). The file
 // ends with the shared CRC-32 footer (trace/blob.hpp), so a truncated or
 // bit-flipped checkpoint is rejected at load, as are bytes after the
-// pages. A checkpoint carries architectural state only: functional warm
-// state travels per config (trace::ConfigBinding::warm, .cfirwarm
-// sidecars). The retired version-2 layout, which appended a warm blob, is
-// recognised only to be rejected (VersionError).
+// pages. A checkpoint carries architectural state only: each shard
+// captures the functional warm state per config (trace::run_shard). The
+// retired version-2 layout, which appended a warm blob, is recognised only
+// to be rejected (VersionError).
 #pragma once
 
 #include <array>

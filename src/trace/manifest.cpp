@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
-#include <unordered_map>
-#include <utility>
 
 #include "sim/sweep.hpp"
 #include "trace/blob.hpp"
@@ -20,7 +19,7 @@ constexpr char kRetiredManifestMagic[8] = {'C', 'F', 'I', 'R',
                                            'M', 'A', 'N', '1'};
 
 /// Directory part of `path` ("" when it has none), used to resolve the
-/// relative checkpoint / warm-sidecar file names.
+/// relative checkpoint file names.
 std::string dir_of(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? std::string() : path.substr(0, slash);
@@ -35,40 +34,6 @@ std::string resolve(const std::string& manifest_path,
 std::string basename_of(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// The warm-sidecar name write_manifest emits for interval `i`, config
-/// point `c` — one definition so the planner and any recovery tooling
-/// agree on the layout.
-std::string warm_sidecar_name(const std::string& stem, size_t i, size_t c) {
-  return stem + ".ck" + std::to_string(i) + ".cfg" + std::to_string(c) +
-         ".cfirwarm";
-}
-
-std::string hex16(uint64_t v) {
-  static const char* kHex = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int k = 15; k >= 0; --k) {
-    s[static_cast<size_t>(k)] = kHex[v & 0xf];
-    v >>= 4;
-  }
-  return s;
-}
-
-/// Content-keyed sidecar name: config points whose warm-relevant geometry
-/// coincides (core::CoreConfig::warm_digest) train byte-identical blobs,
-/// and keying the file by blob content lets them all reference ONE sidecar
-/// (iv.warm_files stores the name per config; readers never parse it).
-std::string warm_sidecar_content_name(const std::string& stem, size_t i,
-                                      uint64_t content_digest) {
-  return stem + ".ck" + std::to_string(i) + ".w" + hex16(content_digest) +
-         ".cfirwarm";
-}
-
-uint64_t blob_content_digest(const std::vector<uint8_t>& blob) {
-  util::Digest d;
-  d.bytes(blob.data(), blob.size());
-  return d.value();
 }
 
 }  // namespace
@@ -98,11 +63,11 @@ std::vector<uint8_t> ShardManifest::serialize() const {
   out.u32(scale);
   put_string(out, workload);
   out.u32(static_cast<uint32_t>(configs.size()));
-  for (const ConfigPoint& cp : configs) {
-    put_string(out, cp.name);
-    out.u64(cp.config_hash);
+  for (const ConfigBinding& b : configs) {
+    put_string(out, b.name);
+    out.u64(b.config_hash);
     util::ByteWriter cfg;
-    cp.config.serialize(cfg);
+    b.config.serialize(cfg);
     out.u32(static_cast<uint32_t>(cfg.data().size()));
     out.bytes(cfg.data().data(), cfg.data().size());
   }
@@ -112,10 +77,6 @@ std::vector<uint8_t> ShardManifest::serialize() const {
     out.u64(iv.length);
     out.u64(std::bit_cast<uint64_t>(iv.weight));
     put_string(out, iv.checkpoint_file);
-    for (size_t c = 0; c < configs.size(); ++c) {
-      put_string(out,
-                 c < iv.warm_files.size() ? iv.warm_files[c] : std::string());
-    }
   }
   return out.take();
 }
@@ -147,7 +108,15 @@ ShardManifest ShardManifest::deserialize(
     ShardManifest m;
     m.plan_hash = in.u64();
     m.mode = static_cast<SampleMode>(in.u8());
+    if (m.mode > SampleMode::kCluster) {
+      throw CorruptFileError("ShardManifest: corrupt sample mode " +
+                             std::to_string(static_cast<int>(m.mode)));
+    }
     m.warm_mode = static_cast<WarmMode>(in.u8());
+    if (m.warm_mode > WarmMode::kHybrid) {
+      throw CorruptFileError("ShardManifest: corrupt warm mode " +
+                             std::to_string(static_cast<int>(m.warm_mode)));
+    }
     m.warmup = in.u64();
     m.total_insts = in.u64();
     m.interval_len = in.u64();
@@ -160,9 +129,9 @@ ShardManifest ShardManifest::deserialize(
                              std::to_string(nc));
     }
     m.configs.resize(nc);
-    for (ConfigPoint& cp : m.configs) {
-      cp.name = get_string(in, "ShardManifest config name");
-      cp.config_hash = in.u64();
+    for (ConfigBinding& b : m.configs) {
+      b.name = get_string(in, "ShardManifest config name");
+      b.config_hash = in.u64();
       const uint32_t cfg_len = in.u32();
       if (cfg_len > 4096 || cfg_len > in.remaining()) {
         throw CorruptFileError(
@@ -172,23 +141,29 @@ ShardManifest ShardManifest::deserialize(
       std::vector<uint8_t> cfg_bytes(cfg_len);
       in.bytes(cfg_bytes.data(), cfg_len);
       util::ByteReader cfg(cfg_bytes);
-      cp.config = core::CoreConfig::deserialize(cfg);
+      b.config = core::CoreConfig::deserialize(cfg);
       if (!cfg.done()) {
         throw CorruptFileError(
             "ShardManifest: trailing bytes after embedded config");
       }
     }
+    // A forged count must not size the vector: each interval encodes at
+    // least three u64 fields and a file-name length.
     const uint32_t n = in.u32();
+    if (n > in.remaining() / (3 * 8 + 4)) {
+      throw CorruptFileError("ShardManifest: corrupt interval count " +
+                             std::to_string(n));
+    }
     m.intervals.resize(n);
     for (IntervalRef& iv : m.intervals) {
       iv.start = in.u64();
       iv.length = in.u64();
       iv.weight = std::bit_cast<double>(in.u64());
-      iv.checkpoint_file = get_string(in, "ShardManifest checkpoint file name");
-      iv.warm_files.resize(m.configs.size());
-      for (std::string& wf : iv.warm_files) {
-        wf = get_string(in, "ShardManifest warm sidecar file name");
+      if (!std::isfinite(iv.weight) || iv.weight < 0) {
+        throw CorruptFileError("ShardManifest: corrupt interval weight " +
+                               std::to_string(iv.weight));
       }
+      iv.checkpoint_file = get_string(in, "ShardManifest checkpoint file name");
     }
     if (!in.done()) {
       throw CorruptFileError("ShardManifest: trailing bytes after intervals");
@@ -247,13 +222,6 @@ ShardManifest write_manifest(const IntervalPlan& plan,
   if (bindings.empty()) {
     throw std::runtime_error("write_manifest: no config bindings");
   }
-  for (const ConfigBinding& b : bindings) {
-    if (!b.warm.empty() && b.warm.size() != plan.checkpoints.size()) {
-      throw std::runtime_error(
-          "write_manifest: binding '" + b.name +
-          "' carries warm state for a different interval count");
-    }
-  }
   ShardManifest m;
   m.workload = workload;
   m.scale = scale;
@@ -264,55 +232,21 @@ ShardManifest write_manifest(const IntervalPlan& plan,
   m.total_insts = plan.total_insts;
   m.interval_len = plan.interval_len;
   m.ran_to_halt = plan.ran_to_halt;
+  m.configs = bindings;
+  for (ConfigBinding& b : m.configs) {
+    if (b.name.empty()) b.name = b.config.label();
+    if (b.config_hash == 0) b.config_hash = b.config.digest();
+  }
+  // The architectural checkpoints are config-independent: one file per
+  // interval serves the whole grid.
+  const std::string stem = path_stem(manifest_path);
   m.intervals.resize(k);
   for (size_t i = 0; i < k; ++i) {
-    m.intervals[i].start = plan.boundaries[i];
-    m.intervals[i].length = plan.lengths[i];
-    m.intervals[i].weight = plan.weights[i];
-  }
-  m.configs.reserve(bindings.size());
-  for (const ConfigBinding& b : bindings) {
-    ShardManifest::ConfigPoint cp;
-    cp.name = b.name.empty() ? b.config.label() : b.name;
-    cp.config_hash = b.config_hash != 0 ? b.config_hash : b.config.digest();
-    cp.config = b.config;
-    m.configs.push_back(std::move(cp));
-  }
-
-  const std::string stem = path_stem(manifest_path);
-  for (size_t i = 0; i < plan.checkpoints.size(); ++i) {
     const std::string ck_path =
         stem + ".ck" + std::to_string(i) + ".cfirckpt";
-    // The architectural checkpoint is config-independent and shared by the
-    // whole grid; warm state travels in the per-config sidecars.
     plan.checkpoints[i].save(ck_path);
-    ShardManifest::IntervalRef& iv = m.intervals[i];
-    iv.checkpoint_file = basename_of(ck_path);
-    iv.warm_files.resize(bindings.size());
-    // Dedup by blob content: a register/port sweep's configs share warm
-    // geometry (bind_configs trains each distinct warm_digest once and
-    // copies the blobs), so N grid columns typically collapse to a handful
-    // of sidecar files. The digest only nominates a sharing candidate —
-    // bytes are compared before reuse, so a hash collision degrades to a
-    // per-config file instead of serving the wrong warm state.
-    std::unordered_map<uint64_t, std::pair<const std::vector<uint8_t>*,
-                                           std::string>> written;
-    for (size_t c = 0; c < bindings.size(); ++c) {
-      if (bindings[c].warm.empty() || bindings[c].warm[i].empty()) continue;
-      const std::vector<uint8_t>& blob = bindings[c].warm[i];
-      const uint64_t bd = blob_content_digest(blob);
-      const auto it = written.find(bd);
-      if (it != written.end() && *it->second.first == blob) {
-        iv.warm_files[c] = it->second.second;
-        continue;
-      }
-      const std::string warm_path =
-          it == written.end() ? warm_sidecar_content_name(stem, i, bd)
-                              : warm_sidecar_name(stem, i, c);
-      write_blob_file(warm_path, blob);
-      iv.warm_files[c] = basename_of(warm_path);
-      if (it == written.end()) written.emplace(bd, std::make_pair(&blob, iv.warm_files[c]));
-    }
+    m.intervals[i] = {plan.boundaries[i], plan.lengths[i], plan.weights[i],
+                      basename_of(ck_path)};
   }
   m.save(manifest_path);
   return m;
@@ -346,42 +280,8 @@ IntervalPlan plan_from_manifest(const ShardManifest& manifest,
 }
 
 std::vector<ConfigBinding> bindings_from_manifest(
-    const ShardManifest& manifest, const std::string& manifest_path,
-    ShardSelection shard) {
-  std::vector<ConfigBinding> bindings;
-  bindings.reserve(manifest.configs.size());
-  for (size_t c = 0; c < manifest.configs.size(); ++c) {
-    const ShardManifest::ConfigPoint& cp = manifest.configs[c];
-    ConfigBinding b;
-    b.name = cp.name;
-    b.config = cp.config;
-    b.config_hash = cp.config_hash;
-    // Load warm sidecars for this shard's intervals only; the slots of
-    // intervals other shards execute stay empty (run_shard never reads
-    // them), so each worker of an N-shard farm does 1/N of the blob I/O.
-    bool any_warm = false;
-    for (size_t i = 0; i < manifest.intervals.size(); ++i) {
-      const ShardManifest::IntervalRef& iv = manifest.intervals[i];
-      any_warm = any_warm || (shard.covers(i) && c < iv.warm_files.size() &&
-                              !iv.warm_files[c].empty());
-    }
-    if (any_warm) {
-      b.warm.resize(manifest.intervals.size());
-      for (size_t i = 0; i < manifest.intervals.size(); ++i) {
-        if (!shard.covers(i)) continue;
-        const ShardManifest::IntervalRef& iv = manifest.intervals[i];
-        if (c >= iv.warm_files.size() || iv.warm_files[c].empty()) {
-          throw CorruptFileError(
-              "ShardManifest: config point '" + cp.name +
-              "' has warm state for only some intervals");
-        }
-        b.warm[i] = read_blob_file(resolve(manifest_path, iv.warm_files[c]),
-                                   "WarmState");
-      }
-    }
-    bindings.push_back(std::move(b));
-  }
-  return bindings;
+    const ShardManifest& manifest, const std::string&, ShardSelection) {
+  return manifest.configs;
 }
 
 void verify_manifest_plan(const ShardManifest& manifest,

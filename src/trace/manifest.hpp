@@ -3,33 +3,29 @@
 // (docs/sharding.md):
 //
 //   plan    — plan_intervals / plan_cluster_intervals build an
-//             IntervalPlan; bind_configs binds the config grid;
-//             write_manifest freezes everything to disk as one CFIRMAN2
-//             manifest, one architectural CFIRCKP checkpoint blob per
-//             interval (shared by every config), and one warm-state
-//             sidecar per (interval, config) when the warm mode has a
-//             functional prefix.
+//             IntervalPlan; write_manifest freezes it and its config grid
+//             to disk as one CFIRMAN2 manifest plus one architectural
+//             CFIRCKP checkpoint blob per interval (shared by every
+//             config).
 //   execute — any machine loads the manifest, rebuilds the plan
-//             (plan_from_manifest) and the bindings
-//             (bindings_from_manifest), and runs a subset of its
-//             intervals under every config (trace/shard.hpp), emitting
-//             one CFIRSHD2 result blob.
+//             (plan_from_manifest), and runs a subset of its intervals
+//             under every config, capturing their warm state itself
+//             (trace/shard.hpp), into one CFIRSHD2 result blob.
 //   merge   — the result blobs fold back into one single-process answer
 //             per config (trace::merge_shard_grid / stats::merge_shards).
 //
 // The experiment point is decomposed into a **config-independent plan**
 // (interval boundaries, lengths, weights, architectural checkpoints —
 // identical for every core configuration of the same workload) and
-// **per-config bindings** (the core to simulate and its functional warm
-// state, whose predictor/cache geometry differs per config). One plan
-// therefore drives a whole bench grid: the manifest records a
-// **plan hash** (plan_structure_hash — workload identity + plan
-// structure) stamped into every shard result, plus one **config hash**
-// (core::CoreConfig::digest()) per grid point, so results produced under
-// a different plan or config are rejected at merge time
-// (ConfigMismatchError) instead of being silently averaged.
+// **per-config bindings** (the core to simulate). One plan therefore
+// drives a whole bench grid: the manifest records a **plan hash**
+// (plan_structure_hash — workload identity + plan structure) stamped into
+// every shard result, plus one **config hash** (core::CoreConfig::digest())
+// per grid point, so results produced under a different plan or config
+// are rejected at merge time (ConfigMismatchError) instead of being
+// silently averaged.
 //
-// File format, version 2 (little-endian, shared CRC-32 footer required —
+// File format, version 3 (little-endian, shared CRC-32 footer required —
 // trace/blob.hpp):
 //   magic "CFIRMAN2" | u32 version | u32 reserved
 //   | u64 plan_hash
@@ -42,14 +38,13 @@
 //                    X-macro codec))
 //   | u32 n_intervals
 //   | n x (u64 start | u64 length | u64 weight_bits(double)
-//          | u32 file_len | checkpoint file name bytes
-//          | n_configs x (u32 file_len | warm sidecar file name bytes,
-//            empty when the config has no warm state for this interval))
+//          | u32 file_len | checkpoint file name bytes)
 //   | "CRC1" | u32 crc32
-// All file names are relative to the manifest's directory, so a manifest,
-// its checkpoints and its warm sidecars move between machines as one
-// directory. The retired single-config "CFIRMAN1" layout is recognised
-// only to be rejected (VersionError).
+// Checkpoint file names are relative to the manifest's directory, so a
+// manifest and its checkpoints move between machines as one directory.
+// The retired single-config "CFIRMAN1" layout and CFIRMAN2 version 2
+// (which named per-config warm-state files) are recognised only to be
+// rejected (VersionError).
 #pragma once
 
 #include <cstdint>
@@ -64,14 +59,13 @@ namespace cfir::trace {
 
 inline constexpr char kManifestMagicV2[8] = {'C', 'F', 'I', 'R',
                                              'M', 'A', 'N', '2'};
-inline constexpr uint32_t kManifestVersion = 2;
+inline constexpr uint32_t kManifestVersion = 3;
 
 /// `path` minus its final extension (".cfirman" usually) — the stem the
 /// manifest's sibling artifacts are named from: write_manifest puts
-/// checkpoints at `<stem>.ck<i>.cfirckpt`, warm sidecars at
-/// `<stem>.ck<i>.cfg<c>.cfirwarm`, and trace_tool defaults shard results
-/// to `<stem>.shard<i>of<N>.cfirshd`. One definition so the file layout
-/// cannot drift between the planner and the tools.
+/// checkpoints at `<stem>.ck<i>.cfirckpt`, and trace_tool defaults shard
+/// results to `<stem>.shard<i>of<N>.cfirshd`. One definition so the file
+/// layout cannot drift between the planner and the tools.
 [[nodiscard]] std::string path_stem(const std::string& path);
 
 struct ShardManifest {
@@ -85,22 +79,14 @@ struct ShardManifest {
   uint64_t interval_len = 0;  ///< cluster mode: source-window length
   bool ran_to_halt = false;
 
-  /// One config point of the grid this manifest farms.
-  struct ConfigPoint {
-    std::string name;          ///< column label (CoreConfig::label())
-    uint64_t config_hash = 0;  ///< CoreConfig::digest()
-    core::CoreConfig config;
-  };
-  std::vector<ConfigPoint> configs;
+  /// The grid this manifest farms, every label and config hash filled in.
+  std::vector<ConfigBinding> configs;
 
   struct IntervalRef {
     uint64_t start = 0;   ///< first measured instruction index
     uint64_t length = 0;  ///< measured instructions
     double weight = 1.0;  ///< population this interval stands in for
     std::string checkpoint_file;  ///< relative to the manifest's directory
-    /// One warm-sidecar file name per config point (in `configs` order;
-    /// empty string = no warm state).
-    std::vector<std::string> warm_files;
   };
   std::vector<IntervalRef> intervals;
 
@@ -123,10 +109,9 @@ struct ShardManifest {
                                            const IntervalPlan& plan);
 
 /// Plan layer driver, config grid (CFIRMAN2): writes `plan` as one
-/// manifest, one **cold** architectural checkpoint per interval (shared by
-/// every config), and one warm sidecar per (interval, config) carrying
-/// that binding's functional warm state. Every binding's config travels in
-/// the manifest, so the execute layer needs no out-of-band preset.
+/// manifest and one **cold** architectural checkpoint per interval (shared
+/// by every config). Every binding's config travels in the manifest, so
+/// the execute layer needs no out-of-band preset.
 ShardManifest write_manifest(const IntervalPlan& plan,
                              const std::vector<ConfigBinding>& bindings,
                              const std::string& workload, uint32_t scale,
@@ -140,15 +125,12 @@ ShardManifest write_manifest(const IntervalPlan& plan,
                                               const std::string&
                                                   manifest_path);
 
-/// Rebuilds the config bindings of a manifest, loading each (interval,
-/// config) warm sidecar relative to the manifest's directory. `shard`
-/// (default: the whole plan) limits the sidecar reads to the intervals
-/// that shard executes — a worker of an N-shard farm reads 1/N of the warm
-/// blobs, and the skipped intervals' slots stay empty (which run_shard
-/// never touches for uncovered intervals).
+/// Returns `manifest.configs`. The unnamed parameters are read by nothing:
+/// perfbench (frozen with the repo benchmark) still passes a manifest path
+/// and a shard selection there.
 [[nodiscard]] std::vector<ConfigBinding> bindings_from_manifest(
-    const ShardManifest& manifest, const std::string& manifest_path,
-    ShardSelection shard = {});
+    const ShardManifest& manifest, const std::string&,
+    ShardSelection = {});
 
 /// Recomputes plan_structure_hash for `plan` (throws
 /// ConfigMismatchError on mismatch — a plan from some other planning run)

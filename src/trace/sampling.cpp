@@ -1,7 +1,6 @@
 #include "trace/sampling.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "isa/engine.hpp"
 #include "obs/tracer.hpp"
@@ -146,43 +145,6 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
   apply_detail_cap(plan, opts.detail_len);
   plan.checkpoints = ladder.checkpoints(program, checkpoint_positions(plan));
   return plan;
-}
-
-std::vector<ConfigBinding> bind_configs(
-    const IntervalPlan& plan,
-    const std::vector<std::pair<std::string, core::CoreConfig>>& points,
-    const isa::Program& program) {
-  if (points.empty()) {
-    throw std::runtime_error("bind_configs: no config points");
-  }
-  std::vector<ConfigBinding> bindings;
-  bindings.reserve(points.size());
-  for (const auto& [name, config] : points) {
-    ConfigBinding b;
-    b.name = name;
-    b.config = config;
-    b.config_hash = config.digest();
-    bindings.push_back(std::move(b));
-  }
-  if (!warm_mode_has_functional_prefix(plan.warm_mode)) return bindings;
-
-  std::vector<uint64_t> targets;
-  targets.reserve(plan.checkpoints.size());
-  for (const Checkpoint& ck : plan.checkpoints) {
-    targets.push_back(ck.executed);
-  }
-  // One capture for the whole grid: it trains each shared warm geometry
-  // once (capture_warm_states_grid), and write_manifest collapses
-  // byte-identical blobs to one sidecar file per interval.
-  std::vector<core::CoreConfig> configs;
-  configs.reserve(bindings.size());
-  for (const ConfigBinding& b : bindings) configs.push_back(b.config);
-  std::vector<std::vector<std::vector<uint8_t>>> blobs =
-      capture_warm_states_grid(configs, program, targets);
-  for (size_t c = 0; c < bindings.size(); ++c) {
-    bindings[c].warm = std::move(blobs[c]);
-  }
-  return bindings;
 }
 
 SampledRun sampled_run(const core::CoreConfig& config,

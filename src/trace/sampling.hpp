@@ -153,31 +153,15 @@ struct ClusterPlanOptions {
     const isa::Program& program, const ClusterPlanOptions& opts = {});
 
 /// One config point of an experiment grid, bound to a (config-independent)
-/// IntervalPlan. The plan carries everything that is shared across the
-/// grid — interval boundaries, weights, architectural checkpoints — and
-/// the binding carries the only per-config execution state: which core to
-/// simulate and the functional warm state its predictors/caches start
-/// from (predictor/cache geometry differs per config, so warm blobs bind
-/// per-(interval, config)).
+/// IntervalPlan: the plan carries everything shared across the grid —
+/// interval boundaries, weights, architectural checkpoints — and the
+/// binding names the core to simulate. run_shard captures every binding's
+/// functional warm state in one streaming pass.
 struct ConfigBinding {
   std::string name;          ///< column label (CoreConfig::label() usually)
   core::CoreConfig config;
   uint64_t config_hash = 0;  ///< 0 = CoreConfig::digest() at use
-  /// Per plan interval: FunctionalWarmer blob for this config, trained
-  /// over [0, checkpoint.executed). Empty when the plan's warm mode has no
-  /// functional prefix or when warming is deferred to execute time
-  /// (run_shard then streams the gaps once for the whole grid).
-  std::vector<std::vector<uint8_t>> warm;
 };
-
-/// Binds every (name, config) point to `plan`: one fan-out streaming pass
-/// (capture_warm_states_grid) captures all configs' per-interval warm
-/// state when the plan's warm mode has a functional prefix — O(prefix)
-/// architectural execution for the whole grid, not O(prefix × configs).
-[[nodiscard]] std::vector<ConfigBinding> bind_configs(
-    const IntervalPlan& plan,
-    const std::vector<std::pair<std::string, core::CoreConfig>>& points,
-    const isa::Program& program);
 
 /// Simulates every interval of `plan` in parallel under `config`, warms
 /// each interval per the plan's WarmMode (functional prefixes stream once

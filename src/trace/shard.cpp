@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -138,7 +139,13 @@ ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
       cc.config_hash = in.u64();
       cc.detailed_insts = in.u64();
     }
+    // A forged count must not size the vector: each interval encodes at
+    // least its index, four u64 fields and one u64 wall per column.
     const uint32_t n = in.u32();
+    if (n > in.remaining() / (4 + 4 * 8 + 8 * nc)) {
+      throw CorruptFileError("ShardResult: corrupt interval count " +
+                             std::to_string(n));
+    }
     r.intervals.resize(n);
     for (Interval& iv : r.intervals) {
       iv.plan_index = in.u32();
@@ -146,6 +153,10 @@ ShardResult ShardResult::deserialize(const std::vector<uint8_t>& payload) {
       iv.length = in.u64();
       iv.warmup = in.u64();
       iv.weight = std::bit_cast<double>(in.u64());
+      if (!std::isfinite(iv.weight) || iv.weight < 0) {
+        throw CorruptFileError("ShardResult: corrupt interval weight " +
+                               std::to_string(iv.weight));
+      }
       iv.stats.reserve(r.configs.size());
       for (size_t c = 0; c < r.configs.size(); ++c) {
         iv.stats.push_back(stats::deserialize_stats(in));
@@ -185,13 +196,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   }
   if (configs.empty()) {
     throw std::runtime_error("run_shard: no config bindings");
-  }
-  for (const ConfigBinding& b : configs) {
-    if (!b.warm.empty() && b.warm.size() != k) {
-      throw std::runtime_error(
-          "run_shard: binding '" + b.name +
-          "' carries warm state for a different interval count");
-    }
   }
   if (shard.count == 0 || shard.index >= shard.count) {
     throw std::runtime_error("run_shard: shard " +
@@ -236,17 +240,16 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     iv.wall_us.assign(nc, 0);
   }
 
-  // Functional warm state, per config: the binding's per-interval blobs
-  // (bind_configs / CFIRMAN2 sidecars) when it has them; for the rest,
-  // stream the committed prefixes of THIS shard's intervals — ONE pass
-  // fanning the records out to every remaining config's warmer, because
-  // the committed stream is config-independent.
+  // Functional warm state: stream the committed prefixes of THIS shard's
+  // intervals in ONE pass fanning the records out to every config's
+  // warmer, because the committed stream is config-independent.
   // A subset capture matches the full one bit for bit (warm state at
   // instruction N does not depend on which other snapshots the pass
   // takes). `warmed_insts` records the coverage once, however many
   // configs shared the stream.
+  obs::Registry& reg = obs::Registry::instance();
   const bool functional = warm_mode_has_functional_prefix(plan.warm_mode);
-  std::vector<int> capture_slot(nc, -1);  // index into `captured`
+  std::vector<size_t> capture_slot(nc);  // index into `captured`
   std::vector<std::vector<std::vector<uint8_t>>> captured;  // [slot][j]
   if (functional) {
     std::vector<core::CoreConfig> need;
@@ -254,32 +257,23 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     // byte-identical warm state from the same committed stream, so they
     // share one capture slot: the shard holds one set of blobs per
     // distinct warm digest, however many columns read it.
-    std::unordered_map<uint64_t, int> slot_by_digest;
+    std::unordered_map<uint64_t, size_t> slot_by_digest;
     for (size_t c = 0; c < nc; ++c) {
-      if (configs[c].warm.empty()) {
-        const uint64_t wd = configs[c].config.warm_digest();
-        const auto [it, fresh] =
-            slot_by_digest.emplace(wd, static_cast<int>(need.size()));
-        if (fresh) need.push_back(configs[c].config);
-        capture_slot[c] = it->second;
-      }
+      const auto [it, fresh] = slot_by_digest.emplace(
+          configs[c].config.warm_digest(), need.size());
+      if (fresh) need.push_back(configs[c].config);
+      capture_slot[c] = it->second;
     }
-    if (!need.empty()) {
-      std::vector<uint64_t> targets;
-      targets.reserve(mine.size());
-      for (const size_t i : mine) {
-        targets.push_back(plan.checkpoints[i].executed);
-      }
-      const obs::Stopwatch warm_clock;
-      captured = capture_warm_states_grid(need, program, targets);
-      result.warm_wall_us = warm_clock.elapsed_us();
-      obs::Registry::instance()
-          .histogram("shard.warm_capture_us")
-          .observe(result.warm_wall_us);
-    }
+    std::vector<uint64_t> targets;
+    targets.reserve(mine.size());
     for (const size_t i : mine) {
+      targets.push_back(plan.checkpoints[i].executed);
       result.warmed_insts += plan.checkpoints[i].executed;
     }
+    const obs::Stopwatch warm_clock;
+    captured = capture_warm_states_grid(need, program, targets);
+    result.warm_wall_us = warm_clock.elapsed_us();
+    reg.histogram("shard.warm_capture_us").observe(result.warm_wall_us);
   }
 
   // Detailed-simulate the (interval × config) grid in parallel. An
@@ -287,7 +281,6 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   // executes unbounded so the core retires HALT and reports `halted` like
   // a monolithic run — even when the window is empty (a program that
   // halts at instruction 0).
-  obs::Registry& reg = obs::Registry::instance();
   obs::Histogram& unit_hist = reg.histogram("shard.unit_us");
   obs::Histogram& restore_hist = reg.histogram("shard.restore_us");
   obs::Histogram& install_hist = reg.histogram("shard.install_us");
@@ -317,19 +310,8 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
         const uint64_t restored_us = unit_clock.elapsed_us();
         uint64_t installed_us = restored_us;
         if (functional) {
-          const std::vector<uint8_t>& blob =
-              !configs[c].warm.empty() ? configs[c].warm[i]
-                                       : captured[capture_slot[c]][j];
-          if (blob.empty()) {
-            throw std::runtime_error(
-                "run_shard: binding '" + configs[c].name +
-                "' has no warm state for plan interval " +
-                std::to_string(i) +
-                " — were the bindings loaded for a different shard "
-                "selection?");
-          }
           obs::Span warm_span("warming", static_cast<uint64_t>(i));
-          install_warm_state(blob, *sim);
+          install_warm_state(captured[capture_slot[c]][j], *sim);
           installed_us = unit_clock.elapsed_us();
         }
         stats::SimStats warm_stats;
@@ -378,11 +360,8 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
 ShardResult run_shard(const core::CoreConfig& config,
                       const isa::Program& program, const IntervalPlan& plan,
                       ShardSelection shard, int threads) {
-  ConfigBinding binding;
-  binding.name = config.label();
-  binding.config = config;
-  return run_shard(std::vector<ConfigBinding>{std::move(binding)}, program,
-                   plan, shard, threads);
+  return run_shard({ConfigBinding{config.label(), config}}, program, plan,
+                   shard, threads);
 }
 
 MergedGrid merge_shard_grid(const std::vector<ShardResult>& shards) {
@@ -424,7 +403,20 @@ MergedGrid merge_shard_grid(const std::vector<ShardResult>& shards) {
     }
   }
 
-  // Coverage: every plan interval exactly once, in any shard order.
+  // Coverage: every plan interval exactly once, in any shard order. Fewer
+  // intervals than the plan holds leave one uncovered and are rejected
+  // before the header's count sizes anything; at least as many, in range
+  // and none repeated, cover every interval.
+  size_t carried = 0;
+  for (const ShardResult& s : shards) carried += s.intervals.size();
+  if (carried < first.plan_intervals) {
+    throw CorruptFileError(
+        "merge_shard_grid: the shard results carry " +
+        std::to_string(carried) + " intervals of a " +
+        std::to_string(first.plan_intervals) +
+        "-interval plan — merge needs every shard of the plan (0/N through "
+        "N-1/N) exactly once");
+  }
   std::vector<const ShardResult::Interval*> by_index(first.plan_intervals,
                                                      nullptr);
   for (const ShardResult& s : shards) {
@@ -449,14 +441,6 @@ MergedGrid merge_shard_grid(const std::vector<ShardResult>& shards) {
             "merged twice?");
       }
       by_index[iv.plan_index] = &iv;
-    }
-  }
-  for (uint32_t i = 0; i < first.plan_intervals; ++i) {
-    if (by_index[i] == nullptr) {
-      throw CorruptFileError(
-          "merge_shard_grid: interval " + std::to_string(i) +
-          " is covered by no shard result — merge needs every shard of the "
-          "plan (0/N through N-1/N) exactly once");
     }
   }
 

@@ -87,7 +87,7 @@ struct ShardResult {
   /// amortization the grid path exists for (locked in tests/test_shard.cpp).
   uint64_t warmed_insts = 0;
   /// Host wall-clock of the shared warm-capture pass (telemetry; 0 when
-  /// warm state came precomputed).
+  /// the plan's warm mode has no functional prefix).
   uint64_t warm_wall_us = 0;
 
   /// One config column of the grid this shard executed.
@@ -128,11 +128,10 @@ struct ShardResult {
 /// intervals under EVERY binding in `configs`, in parallel over
 /// (interval × config) pairs (`threads` <= 0 picks CFIR_THREADS / hardware
 /// concurrency), warming per the plan's WarmMode. Functional warm state
-/// comes, per config, from the binding's per-interval blobs
-/// (bind_configs / CFIRMAN2 warm sidecars), else from ONE shared streaming
-/// pass fanning the committed gap records out to all remaining configs'
-/// warmers. `plan_hash` is stamped into the result
-/// for merge-time validation; pass the manifest's hash when executing a
+/// comes from ONE streaming pass over the prefix up to the shard's last
+/// interval, fanning the committed records out to every config's warmer
+/// (capture_warm_states_grid). `plan_hash` is stamped into the result for
+/// merge-time validation; pass the manifest's hash when executing a
 /// manifest-derived plan. The unnamed last parameter is read by nothing:
 /// it is kept only because perfbench (frozen with the repo benchmark)
 /// passes a recorded trace's path there.

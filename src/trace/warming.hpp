@@ -14,10 +14,9 @@
 // test_functional_warming.cpp locks this in per component); apply_to()
 // then copies that state into a freshly constructed Simulator before its
 // first cycle. Warm state also serializes to a sparse blob (WRM2: only the
-// entries that left their reset value, docs/trace-format.md) so it can
-// ride in .cfirwarm sidecars and warmed intervals stay shardable across
-// machines; install_warm_state() decodes such a blob straight into a
-// fresh Simulator.
+// entries that left their reset value, docs/trace-format.md), which is
+// how a grid capture hands it to each detailed unit; install_warm_state()
+// decodes such a blob straight into a fresh Simulator.
 //
 // Only the stride predictor depends on the policy: ci trains it, vect
 // trains and selects, and none and ci-iw have none. Everything else a
@@ -171,8 +170,8 @@ void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
     const core::CoreConfig& config, const isa::Program& program,
     const std::vector<uint64_t>& targets);
 
-/// The one warm-capture loop the pipeline runs, behind every sampled run,
-/// bind_configs and config-grid shard (docs/sharding.md): ONE
+/// The one warm-capture loop the pipeline runs, behind every sampled run
+/// and config-grid shard (docs/sharding.md): ONE
 /// functional-engine pass fans every committed record out to the whole
 /// grid, so warming it costs O(prefix) architectural execution instead of
 /// O(prefix × configs) — the committed stream is config-independent; only

@@ -6,8 +6,7 @@
 //     detailed execution of the same committed prefix), and
 //   - serialize / deserialize its state as one little-endian section of
 //     the sparse WRM2 warm-state blob (docs/trace-format.md "Warm-state
-//     blob"), which .cfirwarm sidecars carry so warmed intervals can be
-//     shipped between machines.
+//     blob"), which carries a capture into each detailed unit.
 // The commit-order update methods themselves stay non-virtual on each
 // component (warm paths are hot); this interface only standardizes the
 // state-capture surface.

@@ -1,17 +1,20 @@
 // Shared test utilities: the paper's Figure 1 hammock as a runnable
 // program, a structured random-program generator used by the
-// differential property tests (every generated program terminates), and
-// a per-record functional-warming reference.
+// differential property tests (every generated program terminates), a
+// per-record functional-warming reference, and config-grid bindings.
 #pragma once
 
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "isa/assembler.hpp"
 #include "isa/engine.hpp"
 #include "isa/program.hpp"
 #include "mem/main_memory.hpp"
 #include "stats/stats.hpp"
+#include "trace/sampling.hpp"
 #include "trace/warming.hpp"
 
 namespace cfir::testing {
@@ -34,6 +37,15 @@ inline void warm_on_engine(trace::FunctionalWarmer& warmer,
     }
   };
   engine.run_to(n_insts);
+}
+
+/// The (name, config) points of a grid as run_shard / write_manifest
+/// bindings; run_shard captures their functional warm state itself.
+inline std::vector<trace::ConfigBinding> bindings_of(
+    const std::vector<std::pair<std::string, core::CoreConfig>>& points) {
+  std::vector<trace::ConfigBinding> bindings;
+  for (const auto& [name, config] : points) bindings.push_back({name, config});
+  return bindings;
 }
 
 /// A SimStats block with every X-macro counter (and the two non-additive

@@ -1,13 +1,12 @@
 // Golden digests of the trace pipeline's on-disk and in-memory artifacts:
 // the CFIRTRC2 bytes the recorder writes, the BBVs read back from them,
 // the warm-state blobs of the engine-fed grid capture and of solo warmers
-// advanced on the recorded trace, the manifest, checkpoint and
-// warm-sidecar bytes of a 2-config plan, and the shard-result bytes and
-// merged stats of a 2-shard run. The literals were computed once and pin
-// the exact bytes, so a refactor that changes any artifact — even one
-// that keeps every in-process differential test green — fails here. A
-// deliberate format change updates the literal in the same change and
-// says why.
+// advanced on the recorded trace, the manifest and checkpoint bytes of a
+// 2-config plan, and the shard-result bytes and merged stats of a 2-shard
+// run. The literals were computed once and pin the exact bytes, so a
+// refactor that changes any artifact — even one that keeps every
+// in-process differential test green — fails here. A deliberate format
+// change updates the literal in the same change and says why.
 //
 // The detailed core's cycle-level behaviour is pinned the same way: the
 // serialized SimStats and cycle count of every (program, config) cell of a
@@ -23,7 +22,6 @@
 // two register points.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <fstream>
@@ -189,7 +187,7 @@ TEST(Golden, GridWarmBlobsFromEngineAndTrace) {
   EXPECT_EQ(grid_digest(traced), 0x6a80a9a2a46b7e87ull);
 }
 
-/// A functionally warmed 4-interval bzip2 s2 plan bound to two configs.
+/// A functionally warmed 4-interval bzip2 s2 plan for two configs.
 struct GoldenPlan {
   isa::Program program = workloads::build("bzip2", 2);
   IntervalPlan plan = plan_intervals(program, 4, 0, 0, WarmMode::kFunctional,
@@ -199,14 +197,13 @@ struct GoldenPlan {
       {"scal:2:256", sim::presets::scal(2, 256)}};
 };
 
-TEST(Golden, ManifestAndWarmSidecarBytes) {
+TEST(Golden, ManifestAndCheckpointBytes) {
   TempDir dir("manifest");
   const GoldenPlan g;
   const std::string manifest_path = dir.file("bzip2.s2.cfirman");
-  const ShardManifest m =
-      write_manifest(g.plan, bind_configs(g.plan, g.points, g.program),
-                     "bzip2", 2, manifest_path);
-  EXPECT_EQ(file_digest(manifest_path), 0x69df2bb7dbdf3fc3ull);
+  const ShardManifest m = write_manifest(
+      g.plan, cfir::testing::bindings_of(g.points), "bzip2", 2, manifest_path);
+  EXPECT_EQ(file_digest(manifest_path), 0xea2e0ff7eaf9b8ddull);
 
   util::Digest ck;
   for (const auto& iv : m.intervals) {
@@ -216,72 +213,34 @@ TEST(Golden, ManifestAndWarmSidecarBytes) {
   }
   EXPECT_EQ(m.intervals.size(), size_t{4});
   EXPECT_EQ(ck.value(), 0xf1fa973bc2fe14cfull);
-
-  std::vector<std::string> sidecars;
-  for (const auto& iv : m.intervals) {
-    for (const std::string& wf : iv.warm_files) sidecars.push_back(wf);
-  }
-  std::sort(sidecars.begin(), sidecars.end());
-  sidecars.erase(std::unique(sidecars.begin(), sidecars.end()),
-                 sidecars.end());
-  util::Digest d;
-  for (const std::string& name : sidecars) {
-    d.bytes(reinterpret_cast<const uint8_t*>(name.data()), name.size());
-    d.u64(file_digest(dir.file(name)));
-  }
-  EXPECT_EQ(sidecars.size(), size_t{8});
-  EXPECT_EQ(d.value(), 0x587f61e2bd272eafull);
 }
 
-TEST(Golden, TwoShardRunFromSidecarsAndFromTrace) {
+/// Two shards of a manifest, each capturing its own warm state, as
+/// `trace_tool run-shard` runs them.
+TEST(Golden, TwoShardRunFromManifest) {
   TempDir dir("shards");
   const GoldenPlan g;
-  const std::string trace_path = dir.file("bzip2.s2.cfirtrace");
-  TraceMeta meta;
-  meta.workload = "bzip2";
-  meta.scale = 2;
-  (void)record_interpreter(g.program, trace_path, meta);
-
-  // Sidecar-warmed: warm state bound at plan time. Trace-warmed: a plan
-  // with no warm sidecars whose shards stream their gaps from the trace.
-  std::vector<ConfigBinding> cold;
-  for (const auto& [name, config] : g.points) {
-    ConfigBinding b;
-    b.name = name;
-    b.config = config;
-    cold.push_back(std::move(b));
+  const std::string path = dir.file("bzip2.s2.cfirman");
+  (void)write_manifest(g.plan, cfir::testing::bindings_of(g.points), "bzip2",
+                       2, path);
+  const ShardManifest m = ShardManifest::load(path);
+  const IntervalPlan plan = plan_from_manifest(m, path);
+  std::vector<ShardResult> shards;
+  util::Digest bytes;
+  for (uint32_t i = 0; i < 2; ++i) {
+    const ShardSelection sel{i, 2};
+    shards.push_back(run_shard(bindings_from_manifest(m, path, sel),
+                               g.program, plan, sel, /*threads=*/2,
+                               m.plan_hash));
+    bytes.u64(digest_of(scrubbed_bytes(shards.back())));
   }
-  const std::string warm_manifest = dir.file("warm.cfirman");
-  const std::string cold_manifest = dir.file("cold.cfirman");
-  (void)write_manifest(g.plan, bind_configs(g.plan, g.points, g.program),
-                       "bzip2", 2, warm_manifest);
-  (void)write_manifest(g.plan, cold, "bzip2", 2, cold_manifest);
-
-  for (const bool from_trace : {false, true}) {
-    const std::string& path = from_trace ? cold_manifest : warm_manifest;
-    const ShardManifest m = ShardManifest::load(path);
-    const IntervalPlan plan = plan_from_manifest(m, path);
-    std::vector<ShardResult> shards;
-    util::Digest bytes;
-    for (uint32_t i = 0; i < 2; ++i) {
-      const ShardSelection sel{i, 2};
-      shards.push_back(run_shard(bindings_from_manifest(m, path, sel),
-                                 g.program, plan, sel, /*threads=*/2,
-                                 m.plan_hash,
-                                 from_trace ? trace_path : std::string()));
-      bytes.u64(digest_of(scrubbed_bytes(shards.back())));
-    }
-    EXPECT_EQ(bytes.value(), 0x467bcc7e65a2dbb4ull)
-        << "from_trace=" << from_trace;
-    const MergedGrid merged = merge_shard_grid(shards);
-    ASSERT_EQ(merged.configs.size(), size_t{2});
-    EXPECT_EQ(stats_digest(merged.configs[0].run.aggregate),
-              0x6ff74ea19cbba2acull)
-        << "from_trace=" << from_trace;
-    EXPECT_EQ(stats_digest(merged.configs[1].run.aggregate),
-              0x25dd71f3845c7ddcull)
-        << "from_trace=" << from_trace;
-  }
+  EXPECT_EQ(bytes.value(), 0x467bcc7e65a2dbb4ull);
+  const MergedGrid merged = merge_shard_grid(shards);
+  ASSERT_EQ(merged.configs.size(), size_t{2});
+  EXPECT_EQ(stats_digest(merged.configs[0].run.aggregate),
+            0x6ff74ea19cbba2acull);
+  EXPECT_EQ(stats_digest(merged.configs[1].run.aggregate),
+            0x25dd71f3845c7ddcull);
 }
 
 /// The detailed-core config matrix. Each column stresses different
@@ -396,9 +355,9 @@ TEST(Golden, DetailedCoreRandomPrograms) {
   }
 }
 
-/// The sampled grid path a sharded experiment takes: plan, bind two
-/// configs, run_shard. The scrubbed payload holds every per-interval
-/// stats block and warm count of the grid.
+/// The sampled grid path a sharded experiment takes: plan, then run_shard
+/// over two configs. The scrubbed payload holds every per-interval stats
+/// block and warm count of the grid.
 TEST(Golden, DetailedCoreShardGridAcrossWarmModes) {
   const char* const kernels[] = {"bzip2", "parser", "twolf"};
   const WarmMode modes[] = {WarmMode::kDetailed, WarmMode::kFunctional,
@@ -420,7 +379,7 @@ TEST(Golden, DetailedCoreShardGridAcrossWarmModes) {
       const IntervalPlan plan =
           plan_intervals(program, 2, 120000, 5000, modes[m]);
       const ShardResult r =
-          run_shard(bind_configs(plan, points, program), program, plan);
+          run_shard(cfir::testing::bindings_of(points), program, plan);
       EXPECT_EQ(digest_of(scrubbed_bytes(r)), expected[w][m])
           << kernels[w] << "/" << mode_names[m];
     }

@@ -4,28 +4,32 @@
 //  - manifest and shard-result blobs are byte-stable across
 //    serialize -> deserialize -> re-serialize (shards exchanged between
 //    machines must not mutate in flight) and reject corruption with the
-//    typed errors trace_tool maps to exit codes;
+//    typed errors trace_tool maps to exit codes — including forged fields
+//    under a valid CRC, which never size an allocation;
 //  - running a plan's intervals as N shards and merging the results is
 //    bit-identical to the single-process trace::sampled_run, for any N,
 //    any merge order, and through the full manifest-file round trip;
-//  - a config GRID bound to one plan (CFIRMAN2: shared checkpoints,
-//    per-(interval, config) warm state) merges to per-config columns each
+//  - a config GRID bound to one plan (CFIRMAN2: shared checkpoints, warm
+//    state captured by each shard) merges to per-config columns each
 //    bit-identical to that config's single-config sampled_run — the
 //    acceptance matrix covers bzip2/parser/twolf s8 under functional
 //    warming for a 3-point register grid — while the shared streaming
 //    pass keeps grid warming cost within 1.1x of a single config's;
 //  - mismatched plans/configs and incomplete/duplicate shard sets are
 //    rejected at merge time instead of silently skewing the aggregate;
-//  - retired layouts (CFIRTRC1, CFIRMAN1, CFIRSHD1, CFIRSHD2 v2, the
-//    warm-state checkpoint) fail with VersionError, and every format
-//    rejects a file whose CRC footer was cut off with CorruptFileError.
+//  - retired layouts (CFIRTRC1, CFIRMAN1, CFIRMAN2 v2, CFIRSHD1,
+//    CFIRSHD2 v2, the warm-state checkpoint) fail with VersionError, and
+//    every format rejects a file whose CRC footer was cut off with
+//    CorruptFileError.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
@@ -55,8 +59,8 @@ class TempFile {
   std::string path_;
 };
 
-/// A manifest written by write_manifest plus its checkpoint blobs and
-/// warm sidecars, all removed on destruction.
+/// A manifest written by write_manifest plus its checkpoint blobs, all
+/// removed on destruction.
 class TempManifest {
  public:
   TempManifest(const IntervalPlan& plan,
@@ -70,9 +74,6 @@ class TempManifest {
     const std::string dir = path_.substr(0, path_.find_last_of('/') + 1);
     for (const auto& iv : manifest_.intervals) {
       std::remove((dir + iv.checkpoint_file).c_str());
-      for (const std::string& wf : iv.warm_files) {
-        if (!wf.empty()) std::remove((dir + wf).c_str());
-      }
     }
   }
   [[nodiscard]] const std::string& path() const { return path_; }
@@ -120,13 +121,6 @@ ShardManifest random_manifest(uint64_t seed) {
     m.intervals[i].weight =
         static_cast<double>(gen() % 10000) / 16.0;  // exact in binary
     m.intervals[i].checkpoint_file = "ck" + std::to_string(i) + ".cfirckpt";
-    m.intervals[i].warm_files.resize(nc);
-    for (size_t c = 0; c < nc; ++c) {
-      if ((gen() & 1) != 0) {
-        m.intervals[i].warm_files[c] = "ck" + std::to_string(i) + ".cfg" +
-                                       std::to_string(c) + ".cfirwarm";
-      }
-    }
   }
   return m;
 }
@@ -283,6 +277,92 @@ TEST(ShardResultBlob, WrongKindAndVersionRejected) {
   EXPECT_THROW((void)ShardResult::deserialize(payload), CorruptFileError);
 }
 
+/// Runs `load` and requires a CorruptFileError whose message names `field`.
+void expect_corrupt_naming(const std::function<void()>& load,
+                           const std::string& field) {
+  try {
+    load();
+    ADD_FAILURE() << field << ": forgery accepted";
+  } catch (const CorruptFileError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ForgedFields, RejectedByNameWithoutSizingAnything) {
+  // The CRC footer catches corruption, not forgery: write_blob_file signs
+  // any payload. Each decoder must reject a forged count before it sizes
+  // a vector, a weight merge cannot fold, and a mode byte no enum holds.
+  ShardResult result = random_shard_result(11);
+  result.intervals.assign(1, {});
+  result.intervals[0].stats.resize(result.configs.size());
+  ShardManifest manifest = random_manifest(11);
+  manifest.intervals = {{0, 100, 1.0, "ck0.cfirckpt"}};
+  const std::vector<uint8_t> shard = result.serialize();
+  const std::vector<uint8_t> man = manifest.serialize();
+  ASSERT_NO_THROW((void)ShardResult::deserialize(shard));
+  ASSERT_NO_THROW((void)ShardManifest::deserialize(man));
+  // Each interval section starts where the interval-less payload ends,
+  // right after its u32 count.
+  result.intervals.clear();
+  manifest.intervals.clear();
+  const size_t shard_iv = result.serialize().size();
+  const size_t man_iv = manifest.serialize().size();
+
+  const uint64_t nan =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  const uint64_t inf =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity());
+  const uint64_t negative = std::bit_cast<uint64_t>(-1.0);
+  struct Forgery {
+    const char* field;  ///< what the error must name
+    bool is_manifest;
+    size_t at, width;  ///< the little-endian field forged
+    uint64_t value;
+  };
+  // A shard interval is u32 plan_index, then start, length, warmup and
+  // weight; a manifest interval start, length and weight. Magic, version,
+  // reserved and plan_hash put a manifest's mode at 24, warm_mode at 25.
+  const Forgery forgeries[] = {
+      {"interval count", false, shard_iv - 4, 4, uint64_t{1} << 27},
+      {"interval count", false, shard_iv - 4, 4, 0xFFFFFFFF},
+      {"interval weight", false, shard_iv + 28, 8, nan},
+      {"interval weight", false, shard_iv + 28, 8, inf},
+      {"interval weight", false, shard_iv + 28, 8, negative},
+      {"interval count", true, man_iv - 4, 4, uint64_t{1} << 27},
+      {"interval count", true, man_iv - 4, 4, 0xFFFFFFFF},
+      {"interval weight", true, man_iv + 16, 8, nan},
+      {"interval weight", true, man_iv + 16, 8, inf},
+      {"interval weight", true, man_iv + 16, 8, negative},
+      {"sample mode", true, 24, 1, 2},
+      {"warm mode", true, 25, 1, 4},
+  };
+  TempFile file("forged");
+  for (const Forgery& f : forgeries) {
+    std::vector<uint8_t> bytes = f.is_manifest ? man : shard;
+    for (size_t b = 0; b < f.width; ++b) {
+      bytes[f.at + b] = static_cast<uint8_t>(f.value >> (8 * b));
+    }
+    write_blob_file(file.path(), bytes);
+    expect_corrupt_naming(
+        [&] {
+          if (f.is_manifest) {
+            (void)ShardManifest::load(file.path());
+          } else {
+            (void)ShardResult::load(file.path());
+          }
+        },
+        f.field);
+  }
+
+  // A shard whose header claims more intervals than the shards carry is
+  // rejected before that count sizes merge's coverage table.
+  ShardResult claims_all = ShardResult::deserialize(shard);
+  claims_all.plan_intervals = 0xFFFFFFFF;
+  expect_corrupt_naming([&] { (void)merge_shard_grid({claims_all}); },
+                        "merge needs every shard");
+}
+
 TEST(ParseShard, AcceptsValidRejectsMalformed) {
   const ShardSelection s = parse_shard("2/5");
   EXPECT_EQ(s.index, 2u);
@@ -424,37 +504,24 @@ TEST(ConfigGrid, SharedWarmingIsAmortizedAcrossConfigs) {
       run_shard(points[0].second, program, plan);
   ASSERT_GT(single.warmed_insts, 0u);
 
-  const ShardResult grid = run_shard(bind_configs(plan, points, program),
-                                     program, plan);
+  const ShardResult grid =
+      run_shard(cfir::testing::bindings_of(points), program, plan);
   ASSERT_EQ(grid.configs.size(), 3u);
   EXPECT_LE(static_cast<double>(grid.warmed_insts),
-            1.1 * static_cast<double>(single.warmed_insts));
-
-  // And when warming is deferred to execute time (no pre-bound blobs),
-  // run_shard's one shared capture pass keeps the same bound.
-  std::vector<ConfigBinding> cold;
-  for (const auto& [name, config] : points) {
-    ConfigBinding b;
-    b.name = name;
-    b.config = config;
-    cold.push_back(std::move(b));
-  }
-  const ShardResult deferred = run_shard(cold, program, plan);
-  EXPECT_LE(static_cast<double>(deferred.warmed_insts),
             1.1 * static_cast<double>(single.warmed_insts));
 }
 
 TEST(ConfigGrid, GridColumnsMatchSingleConfigRuns) {
-  // Bound or deferred, every grid column must be bit-identical to the
-  // single-config run of the same plan.
+  // Every grid column must be bit-identical to the single-config run of
+  // the same plan.
   const isa::Program program = workloads::build("parser", 1);
   const IntervalPlan plan =
       plan_intervals(program, 4, /*max_insts=*/30000, /*warmup=*/0,
                      WarmMode::kFunctional, /*detail_len=*/1000);
   const auto points = register_grid();
 
-  const ShardResult grid = run_shard(bind_configs(plan, points, program),
-                                     program, plan);
+  const ShardResult grid =
+      run_shard(cfir::testing::bindings_of(points), program, plan);
   const MergedGrid merged = merge_shard_grid({grid});
   ASSERT_EQ(merged.configs.size(), points.size());
   for (size_t c = 0; c < points.size(); ++c) {
@@ -473,8 +540,8 @@ TEST(ConfigGrid, VerifyManifestPlanCatchesSwappedCheckpointFiles) {
   // slice of the run.
   const isa::Program program = workloads::build("bzip2", 1);
   const IntervalPlan plan = plan_intervals(program, 4, 20000);
-  const auto bindings = bind_configs(plan, register_grid(), program);
-  TempManifest tm(plan, bindings, "bzip2", 1, "swap");
+  TempManifest tm(plan, cfir::testing::bindings_of(register_grid()), "bzip2",
+                  1, "swap");
   const ShardManifest manifest = ShardManifest::load(tm.path());
 
   const IntervalPlan ok = plan_from_manifest(manifest, tm.path());
@@ -492,8 +559,7 @@ TEST(ConfigGrid, VerifyManifestPlanCatchesSwappedCheckpointFiles) {
 TEST(ConfigGrid, MergeRejectsColumnMixtures) {
   const isa::Program program = workloads::build("bzip2", 1);
   const IntervalPlan plan = plan_intervals(program, 4, 20000);
-  const auto points = register_grid();
-  const auto bindings = bind_configs(plan, points, program);
+  const auto bindings = cfir::testing::bindings_of(register_grid());
 
   const ShardResult s0 = run_shard(bindings, program, plan,
                                    ShardSelection{0, 2});
@@ -527,9 +593,8 @@ void expect_grid_acceptance(const std::string& workload) {
   opts.detail_len = 2000;
   const IntervalPlan plan = plan_cluster_intervals(program, opts);
   const auto points = register_grid();
-  const auto bindings = bind_configs(plan, points, program);
-
-  TempManifest tm(plan, bindings, workload, 8, "grid_" + workload);
+  TempManifest tm(plan, cfir::testing::bindings_of(points), workload, 8,
+                  "grid_" + workload);
   const ShardManifest manifest = ShardManifest::load(tm.path());
   ASSERT_EQ(manifest.configs.size(), points.size());
   for (size_t c = 0; c < points.size(); ++c) {
@@ -540,15 +605,12 @@ void expect_grid_acceptance(const std::string& workload) {
 
   const IntervalPlan reloaded = plan_from_manifest(manifest, tm.path());
   verify_manifest_plan(manifest, reloaded);  // must not throw
-  const std::vector<ConfigBinding> reloaded_bindings =
-      bindings_from_manifest(manifest, tm.path());
-  ASSERT_EQ(reloaded_bindings.size(), points.size());
 
   // Two shards, each through its CFIRSHD2 wire format, merged in reverse.
   std::vector<ShardResult> shards;
   for (uint32_t i = 0; i < 2; ++i) {
     const ShardResult r =
-        run_shard(reloaded_bindings, program, reloaded, ShardSelection{i, 2},
+        run_shard(manifest.configs, program, reloaded, ShardSelection{i, 2},
                   /*threads=*/0, manifest.plan_hash);
     TempFile file("grid_" + workload + std::to_string(i));
     r.save(file.path());
@@ -617,6 +679,12 @@ TEST(RetiredFormats, EveryRetiredLayoutThrowsVersionError) {
   v2[8] = 2;
   write_blob_file(file.path(), v2);
   EXPECT_THROW((void)ShardResult::load(file.path()), VersionError);
+
+  // CFIRMAN2 version 2 (per-config warm-state file names): likewise.
+  std::vector<uint8_t> man_v2 = random_manifest(5).serialize();
+  man_v2[8] = 2;
+  write_blob_file(file.path(), man_v2);
+  EXPECT_THROW((void)ShardManifest::load(file.path()), VersionError);
 }
 
 TEST(CrcFooter, CutFooterThrowsCorruptFileErrorOnEveryFormat) {
@@ -627,28 +695,24 @@ TEST(CrcFooter, CutFooterThrowsCorruptFileErrorOnEveryFormat) {
   const IntervalPlan plan =
       plan_intervals(program, 2, /*max_insts=*/20000, /*warmup=*/0,
                      WarmMode::kFunctional, /*detail_len=*/1000);
-  std::vector<std::pair<std::string, core::CoreConfig>> points = {
-      {"ci", sim::presets::ci(2, 512)}};
-  TempManifest tm(plan, bind_configs(plan, points, program), "bzip2", 1,
-                  "cutfooter");
+  const core::CoreConfig config = sim::presets::ci(2, 512);
+  TempManifest tm(plan, cfir::testing::bindings_of({{"ci", config}}),
+                  "bzip2", 1, "cutfooter");
   const std::string dir =
       tm.path().substr(0, tm.path().find_last_of('/') + 1);
   const ShardManifest& m = tm.manifest();
-  ASSERT_FALSE(m.intervals[0].warm_files[0].empty());
 
   TempFile trace("cutfooter_trace");
   TraceMeta meta;
   meta.workload = "bzip2";
   (void)record_interpreter(program, trace.path(), meta, 20000);
   TempFile result("cutfooter_result");
-  run_shard(points[0].second, program, plan).save(result.path());
+  run_shard(config, program, plan).save(result.path());
 
   const std::vector<std::pair<std::string, std::function<void()>>> files = {
       {tm.path(), [&] { (void)ShardManifest::load(tm.path()); }},
       {dir + m.intervals[0].checkpoint_file,
        [&] { (void)Checkpoint::load(dir + m.intervals[0].checkpoint_file); }},
-      {dir + m.intervals[0].warm_files[0],
-       [&] { (void)bindings_from_manifest(m, tm.path()); }},
       {trace.path(), [&] { (void)TraceReader(trace.path()); }},
       {result.path(), [&] { (void)ShardResult::load(result.path()); }},
   };

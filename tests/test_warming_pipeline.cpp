@@ -13,10 +13,9 @@
 //    targets past HALT;
 //  - a 4-record tiny-block trace (the trace reference crosses a block
 //    boundary every few records);
-//  - run_shard grids byte-equal whether warm state comes from bound
-//    sidecar blobs or the engine pass, after scrubbing the (intentionally
-//    nondeterministic) wall-clock telemetry, and unchanged by a path
-//    handed to run_shard's unread trace parameter;
+//  - run_shard grids byte-equal under one or two detail threads, after
+//    scrubbing the (intentionally nondeterministic) wall-clock telemetry,
+//    and unchanged by a path handed to run_shard's unread trace parameter;
 //  - a truncated trace names the offending warm target and interval in
 //    FunctionalWarmer::advance_on_trace;
 //  - WarmingPipelineS8: the same matrix on bzip2 s8 (excluded from the
@@ -204,42 +203,32 @@ TEST(WarmingPipeline, RunShardGridBitIdenticalAcrossWarmJobs) {
   const isa::Program program = cfir::testing::figure1_program(512);
   const IntervalPlan plan =
       plan_intervals(program, 4, 0, 0, WarmMode::kFunctional, 500);
-  const std::vector<std::pair<std::string, core::CoreConfig>> points = {
-      {"ci", sim::presets::ci(2, 256)}, {"scal", sim::presets::scal(2, 256)}};
-  const std::vector<ConfigBinding> bound = bind_configs(plan, points, program);
-  std::vector<ConfigBinding> deferred = bound;
-  for (auto& b : deferred) b.warm.clear();
+  const std::vector<ConfigBinding> bindings = cfir::testing::bindings_of(
+      {{"ci", sim::presets::ci(2, 256)}, {"scal", sim::presets::scal(2, 256)}});
 
-  // Warm state bound up front or captured at execute time, under one or
-  // two detail threads: byte-equal CFIRSHD2 payloads once the wall
+  // One or two detail threads: byte-equal CFIRSHD2 payloads once the wall
   // telemetry is scrubbed.
-  const auto reference =
-      scrub_wall(run_shard(bound, program, plan, {0, 1}, 1)).serialize();
-  for (const int threads : {1, 2}) {
-    EXPECT_EQ(reference,
-              scrub_wall(run_shard(deferred, program, plan, {0, 1}, threads))
-                  .serialize())
-        << "threads=" << threads;
-  }
+  EXPECT_EQ(scrub_wall(run_shard(bindings, program, plan, {0, 1}, 1))
+                .serialize(),
+            scrub_wall(run_shard(bindings, program, plan, {0, 1}, 2))
+                .serialize());
 }
 
 TEST(WarmingPipeline, RunShardIgnoresItsTracePath) {
   // run_shard's last parameter is kept for callers that still pass a
-  // recorded trace's path; deferred warming always streams the engine, so
+  // recorded trace's path; its warm capture always streams the engine, so
   // even a path that names no file leaves every byte as with none.
   const isa::Program program = cfir::testing::figure1_program(512);
   const IntervalPlan plan =
       plan_intervals(program, 4, 0, 0, WarmMode::kFunctional, 500);
-  std::vector<ConfigBinding> deferred(2);
-  deferred[0].config = sim::presets::ci(2, 256);
-  deferred[1].config = sim::presets::vect(2, 512);
-  for (auto& b : deferred) b.name = b.config.label();
+  const std::vector<ConfigBinding> bindings = cfir::testing::bindings_of(
+      {{"ci", sim::presets::ci(2, 256)}, {"vect", sim::presets::vect(2, 512)}});
   const TempFile missing("missing");
   for (const uint32_t shard : {0u, 1u}) {
     EXPECT_EQ(
-        scrub_wall(run_shard(deferred, program, plan, {shard, 2}, 2))
+        scrub_wall(run_shard(bindings, program, plan, {shard, 2}, 2))
             .serialize(),
-        scrub_wall(run_shard(deferred, program, plan, {shard, 2}, 2, 0,
+        scrub_wall(run_shard(bindings, program, plan, {shard, 2}, 2, 0,
                              missing.path()))
             .serialize())
         << "shard " << shard;
