@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
+#include "sim/options.hpp"
 #include "sim/presets.hpp"
 #include "sim/sweep.hpp"
 #include "stats/table.hpp"
@@ -26,39 +27,32 @@ struct NamedConfig {
 /// Metric extracted from a finished run for the table cells.
 using Metric = std::function<double(const stats::SimStats&)>;
 
-/// CFIR_MAX_INSTS, or 30000 when it is unset or empty. An explicit 0
-/// reaches RunSpec::max_insts as 0: every cell runs to HALT.
-inline uint64_t default_max_insts() { return sim::env_max_insts(30000); }
+/// Committed instructions per bench run when CFIR_MAX_INSTS is unset. An
+/// explicit 0 reaches RunSpec::max_insts as 0: every cell runs to HALT.
+inline constexpr uint64_t kBenchMaxInsts = 30000;
+
+/// The CFIR_* knobs, parsed once (sim::Options::from_env) on the first
+/// call, which every bench makes before it runs or prints anything. A
+/// malformed or undeclared knob is a usage error: one line naming it on
+/// stderr, exit 2. CFIR_TRACE=<file> starts the flight recorder here.
+inline const sim::Options& options() {
+  static const sim::Options opts = [] {
+    try {
+      sim::Options parsed = sim::Options::from_env();
+      if (!parsed.trace.empty()) obs::trace_start(parsed.trace);
+      return parsed;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
+  }();
+  return opts;
+}
 
 /// CFIR_JSON=1 makes every bench also emit one machine-readable line per
 /// grid point (workload, config, full stats::to_json blob) after the table.
-inline bool json_requested() {
-  const char* v = std::getenv("CFIR_JSON");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-/// One machine-readable line summarizing what sharing each plan across its
-/// config columns saved (sim::SweepSavings): checkpoints captured and
-/// instructions functionally warmed once versus what per-column planning
-/// and warming would have cost. Only meaningful for sampled grids
-/// (CFIR_INTERVALS > 1); suppressed otherwise.
-inline void dump_savings_json(const sim::SweepSavings& savings) {
-  if (!json_requested() || savings.sampled_points == 0) return;
-  std::printf("{\"shared_plan\":true,\"sampled_points\":%llu,"
-              "\"plans\":%llu,\"checkpoints\":%llu,"
-              "\"checkpoints_per_column\":%llu,\"warmed_insts\":%llu,"
-              "\"warmed_insts_per_column\":%llu}\n",
-              static_cast<unsigned long long>(savings.sampled_points),
-              static_cast<unsigned long long>(savings.plans),
-              static_cast<unsigned long long>(savings.checkpoints),
-              static_cast<unsigned long long>(savings.checkpoints_per_column),
-              static_cast<unsigned long long>(savings.warmed_insts),
-              static_cast<unsigned long long>(
-                  savings.warmed_insts_per_column));
-}
-
 inline void dump_json(const std::vector<sim::RunOutcome>& outcomes) {
-  if (!json_requested()) return;
+  if (!options().json) return;
   for (const sim::RunOutcome& o : outcomes) {
     // wall_ms / insts_per_sec are host telemetry: nondeterministic by
     // nature, so nothing may byte-diff CFIR_JSON output across runs (the
@@ -99,7 +93,7 @@ inline void dump_json(const std::vector<sim::RunOutcome>& outcomes) {
 /// obs::Registry instrument. Telemetry is host-side (nondeterministic), so
 /// it rides in its own line that diff-based consumers can drop.
 inline void dump_telemetry_json(const std::vector<sim::RunOutcome>& outcomes) {
-  if (!json_requested()) return;
+  if (!options().json) return;
   double wall_ms = 0;
   unsigned long long insts = 0;
   for (const sim::RunOutcome& o : outcomes) {
@@ -116,21 +110,22 @@ inline void dump_telemetry_json(const std::vector<sim::RunOutcome>& outcomes) {
 }
 
 /// The grid point (`workload`, `nc`) with the run length, scale and
-/// sampling knobs read from the environment — the one spec builder every
-/// figure uses, so all of them honour the same CFIR_* knobs.
+/// sampling knobs of options() — the one spec builder every figure uses,
+/// so all of them honour the same CFIR_* knobs.
 inline sim::RunSpec env_spec(const std::string& workload,
                              const NamedConfig& nc) {
+  const sim::Options& opts = options();
   sim::RunSpec s;
   s.workload = workload;
   s.config_name = nc.name;
   s.config = nc.config;
-  s.max_insts = default_max_insts();
-  s.scale = sim::env_scale();
-  s.intervals = sim::env_intervals();
-  s.sample_mode = sim::env_sample_mode();
-  s.warmup = sim::env_warmup();
-  s.warm_mode = sim::env_warm_mode();
-  s.detail_len = sim::env_detail_len();
+  s.max_insts = opts.max_insts.value_or(kBenchMaxInsts);
+  s.scale = opts.scale;
+  s.intervals = opts.intervals;
+  s.sample_mode = opts.sample_mode;
+  s.warmup = opts.warmup;
+  s.warm_mode = opts.warm_mode;
+  s.detail_len = opts.detail_len;
   return s;
 }
 
@@ -144,17 +139,12 @@ inline std::vector<sim::RunOutcome> run_figure(
     const std::string& title, const std::vector<NamedConfig>& configs,
     const Metric& metric, int precision = 2, bool harmonic_summary = true,
     const std::vector<std::string>& workload_names = workloads::names()) {
-  obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
-  const uint32_t scale = sim::env_scale();
-  const uint64_t max_insts = default_max_insts();
-  const uint32_t intervals = sim::env_intervals();
-
+  const sim::Options& opts = options();
   std::vector<sim::RunSpec> specs;
   for (const std::string& wl : workload_names) {
     for (const NamedConfig& nc : configs) specs.push_back(env_spec(wl, nc));
   }
-  sim::SweepSavings savings;
-  auto outcomes = sim::run_all(specs, sim::env_threads(), &savings);
+  auto outcomes = sim::run_all(specs, opts.threads);
 
   std::vector<std::string> headers{"bench"};
   for (const NamedConfig& nc : configs) headers.push_back(nc.name);
@@ -189,10 +179,11 @@ inline std::vector<sim::RunOutcome> run_figure(
               "CFIR_MAX_INSTS / CFIR_SCALE / CFIR_THREADS / CFIR_INTERVALS / "
               "CFIR_SAMPLE_MODE / CFIR_WARMUP / CFIR_WARM_MODE to change — "
               "see README \"Environment knobs\")\n\n",
-              static_cast<unsigned long long>(max_insts), scale, intervals);
+              static_cast<unsigned long long>(
+                  opts.max_insts.value_or(kBenchMaxInsts)),
+              opts.scale, opts.intervals);
   std::printf("%s\n", table.to_text().c_str());
   dump_json(outcomes);
-  dump_savings_json(savings);
   dump_telemetry_json(outcomes);
   return outcomes;
 }
@@ -205,8 +196,7 @@ inline std::vector<sim::RunOutcome> run_register_sweep(
     const std::string& title,
     const std::function<std::vector<NamedConfig>(uint32_t regs)>& make_configs,
     int precision = 2) {
-  obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
-  const uint64_t max_insts = default_max_insts();
+  const sim::Options& opts = options();
   const auto regs_sweep = sim::presets::register_sweep();
   const auto& wls = workloads::names();
 
@@ -221,8 +211,7 @@ inline std::vector<sim::RunOutcome> run_register_sweep(
       for (const std::string& wl : wls) specs.push_back(env_spec(wl, nc));
     }
   }
-  sim::SweepSavings savings;
-  auto outcomes = sim::run_all(specs, sim::env_threads(), &savings);
+  auto outcomes = sim::run_all(specs, opts.threads);
 
   size_t i = 0;
   for (const uint32_t regs : regs_sweep) {
@@ -238,10 +227,11 @@ inline std::vector<sim::RunOutcome> run_register_sweep(
   }
   std::printf("%s\n", title.c_str());
   std::printf("(harmonic-mean IPC over %zu workloads; max %llu insts/run)\n\n",
-              wls.size(), static_cast<unsigned long long>(max_insts));
+              wls.size(),
+              static_cast<unsigned long long>(
+                  opts.max_insts.value_or(kBenchMaxInsts)));
   std::printf("%s\n", table.to_text().c_str());
   dump_json(outcomes);
-  dump_savings_json(savings);
   dump_telemetry_json(outcomes);
   return outcomes;
 }

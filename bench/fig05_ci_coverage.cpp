@@ -7,13 +7,12 @@
 int main() {
   using namespace cfir;
   using namespace cfir::bench;
-  obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
   const NamedConfig ci2p{"ci2p", sim::presets::ci(2, 512)};
   std::vector<sim::RunSpec> specs;
   for (const std::string& wl : workloads::names()) {
     specs.push_back(env_spec(wl, ci2p));
   }
-  const auto out = sim::run_all(specs, sim::env_threads());
+  const auto out = sim::run_all(specs, options().threads);
 
   stats::Table table({"bench", "episodes", ">=1 reuse %", "no reuse %",
                       "not found %"});

@@ -7,8 +7,8 @@
 // sampling (CFIR_INTERVALS > 1): boundaries and checkpoints are
 // config-independent, and functional warming streams each gap once for
 // the whole column group (sim::run_all / trace::run_shard). With
-// CFIR_JSON=1 the trailing "shared_plan" line reports what that sharing
-// saved — checkpoints planned and instructions warmed once vs per column.
+// CFIR_JSON=1 the trailing telemetry line's `sweep.chain_us` count is the
+// number of plans built: one per workload.
 #include "common.hpp"
 
 int main() {

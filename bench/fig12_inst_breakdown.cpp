@@ -8,7 +8,6 @@
 int main() {
   using namespace cfir;
   using namespace cfir::bench;
-  obs::init_from_env();  // CFIR_TRACE=<file> flight-records this figure
 
   std::vector<sim::RunOutcome> all;
   for (const uint32_t reps : {2u, 4u}) {
@@ -18,7 +17,7 @@ int main() {
     for (const std::string& wl : workloads::names()) {
       specs.push_back(env_spec(wl, nc));
     }
-    const auto out = sim::run_all(specs, sim::env_threads());
+    const auto out = sim::run_all(specs, options().threads);
     stats::Table table(
         {"bench", "noR", "Reuse", "specBP", "specCI", "reuse%"});
     uint64_t committed = 0, reuse = 0;

@@ -57,7 +57,7 @@ double run_once(const core::CoreConfig& config, const isa::Program& program,
 }
 
 void emit_json(const Cell& cell) {
-  if (!bench::json_requested()) return;
+  if (!bench::options().json) return;
   std::printf("{\"bench\":\"micro_detailed\",\"workload\":\"%s\","
               "\"config\":\"%s\",\"insts\":%llu,\"cycles\":%llu,"
               "\"wall_us\":%.1f,\"detailed_insts_per_sec\":%.1f,"
@@ -78,6 +78,7 @@ void emit_json(const Cell& cell) {
 }  // namespace
 
 int main() {
+  bench::options();  // a bad CFIR_* knob exits 2 before any output
   const std::vector<std::string> kernels = {"bzip2", "parser", "twolf"};
   const uint32_t scale = 8;
   const int repeats = 7;

@@ -102,7 +102,7 @@ Cell run_engine(const isa::Program& program, Mode mode, int repeats) {
 
 void emit_json(const std::string& workload, const char* engine, Mode mode,
                const Cell& cell) {
-  if (!bench::json_requested()) return;
+  if (!bench::options().json) return;
   std::printf("{\"bench\":\"micro_engine\",\"workload\":\"%s\","
               "\"engine\":\"%s\",\"mode\":\"%s\",\"insts\":%llu,"
               "\"wall_us\":%.1f,\"insts_per_sec\":%.1f}\n",
@@ -114,6 +114,7 @@ void emit_json(const std::string& workload, const char* engine, Mode mode,
 }  // namespace
 
 int main() {
+  bench::options();  // a bad CFIR_* knob exits 2 before any output
   const std::vector<std::string> kernels = {"bzip2", "gcc", "parser",
                                             "twolf"};
   const uint32_t scale = 8;

@@ -69,7 +69,7 @@ Cell run_capture(const std::vector<core::CoreConfig>& configs,
 
 void emit_json(const std::string& workload, size_t n_configs,
                const Cell& cell) {
-  if (!bench::json_requested()) return;
+  if (!bench::options().json) return;
   std::printf("{\"bench\":\"micro_warming\",\"workload\":\"%s\","
               "\"source\":\"engine\",\"configs\":%zu,\"trainers\":%llu,"
               "\"insts\":%llu,\"wall_us\":%.1f,"
@@ -83,6 +83,7 @@ void emit_json(const std::string& workload, size_t n_configs,
 }  // namespace
 
 int main() {
+  bench::options();  // a bad CFIR_* knob exits 2 before any output
   const std::string workload = "bzip2";
   const uint32_t scale = 8;
   const uint64_t cap = 1'000'000;

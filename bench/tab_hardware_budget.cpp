@@ -12,6 +12,7 @@
 int main() {
   using namespace cfir;
   using namespace cfir::bench;
+  options();  // a bad CFIR_* knob exits 2 before any output
 
   // --- structure sizes (section 3.1) ---------------------------------------
   ci::Srsmt srsmt(64, 4, 4);
@@ -35,7 +36,6 @@ int main() {
               sizes.to_text().c_str());
 
   // --- register pressure with/without DAEC (section 2.4.2) -----------------
-  obs::init_from_env();  // CFIR_TRACE=<file> flight-records the sweep
   std::vector<sim::RunSpec> specs;
   for (const bool daec : {false, true}) {
     NamedConfig nc{daec ? "daec" : "nodaec",
@@ -45,7 +45,7 @@ int main() {
       specs.push_back(env_spec(wl, nc));
     }
   }
-  const auto out = sim::run_all(specs, sim::env_threads());
+  const auto out = sim::run_all(specs, options().threads);
   double avg[2] = {0, 0};
   uint64_t maxu[2] = {0, 0};
   size_t n2 = workloads::names().size();

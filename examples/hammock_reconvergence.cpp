@@ -4,7 +4,7 @@
 // NRBQ write masks evolve so the CI filter of section 2.3.2 becomes
 // concrete.
 //
-//   $ ./example_hammock_reconvergence
+//   $ ./build/hammock_reconvergence
 #include <cstdio>
 
 #include "ci/reconvergence.hpp"

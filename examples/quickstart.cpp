@@ -2,7 +2,7 @@
 // run it on the baseline superscalar and on the control-independence
 // machine, and compare.
 //
-//   $ ./example_quickstart
+//   $ ./build/quickstart
 #include <cstdio>
 #include <random>
 

@@ -2,7 +2,7 @@
 // speculation stretches value lifetimes, what DAEC reclaims, and how the
 // speculative data memory takes the pressure off the register file.
 //
-//   $ ./example_register_pressure
+//   $ ./build/register_pressure
 #include <cstdio>
 
 #include "sim/presets.hpp"

@@ -19,10 +19,9 @@
 //   trace_tool merge  <manifest> <shard files...>      fold shards back into
 //          [--per-phase] [--config=<name>]             one report per config
 //
-// Observability (docs/observability.md): every verb accepts
-// --trace-out=<file> (or CFIR_TRACE=<file>) to flight-record the run as
-// Chrome trace-event JSON, exported at process exit. Recording perturbs
-// neither simulated stats nor stdout.
+// Observability (docs/observability.md): CFIR_TRACE=<file> flight-records
+// any verb as Chrome trace-event JSON, exported at process exit. Recording
+// perturbs neither simulated stats nor stdout.
 //
 // Config specs are preset labels of the form <family>:<ports>:<regs>
 // (sim::presets::from_spec), e.g. ci:2:512. `plan --configs` freezes a
@@ -33,7 +32,10 @@
 // `merge --config=<name>` prints any column byte-identical to the
 // single-config `sample` of the same arguments (docs/sharding.md).
 //
-// Files land in CFIR_TRACE_DIR (default "."). `record` captures from the
+// Files land in CFIR_TRACE_DIR (default "."). The CFIR_* knobs are parsed
+// once at start (sim::Options): a malformed or undeclared one exits 2
+// before any work. Run lengths and scales are arguments here, so
+// CFIR_MAX_INSTS and CFIR_SCALE are not read. `record` captures from the
 // reference interpreter; `replay` re-executes under verification and cross
 // checks the final architectural registers and memory digest stored in the
 // header, exiting non-zero on any divergence. `phases` chops a stored
@@ -45,7 +47,8 @@
 // phase is simulated.
 //
 // Exit codes (scripts can branch on the failure kind):
-//   0 ok | 1 other error | 2 usage | 3 bad magic | 4 unsupported version
+//   0 ok | 1 other error | 2 usage (a bad argument, flag or CFIR_* knob)
+//   3 bad magic | 4 unsupported version
 //   5 config-hash mismatch | 6 corrupt/truncated file
 #include <cstdio>
 #include <cstring>
@@ -57,7 +60,7 @@
 #include <vector>
 
 #include "obs/tracer.hpp"
-
+#include "sim/options.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
 #include "stats/stats.hpp"
@@ -101,32 +104,24 @@ int usage() {
       "                         in the blob for byte-diffable output)]\n"
       "       trace_tool merge  <manifest> <shard-file>... [--per-phase]\n"
       "                         [--config=<name> (one grid column)]\n"
-      "any verb: [--trace-out=<file> (Chrome trace-event flight record)]\n"
       "env: CFIR_TRACE_DIR (output dir), CFIR_THREADS (sample/run-shard),\n"
-      "     CFIR_TRACE=<file> (same as --trace-out)\n"
+      "     CFIR_TRACE=<file> (Chrome trace-event flight record)\n"
       "files: traces are CFIRTRC2, manifests CFIRMAN2, checkpoints\n"
       "      CFIRCKP1, shard results CFIRSHD2 v3; retired formats exit 4,\n"
       "      a missing CRC footer 6\n"
-      "exit: 2 usage, 3 bad magic, 4 bad version, 5 config-hash mismatch,\n"
-      "      6 corrupt file, 1 other\n");
+      "exit: 2 usage (also a bad CFIR_* knob), 3 bad magic, 4 bad version,\n"
+      "      5 config-hash mismatch, 6 corrupt file, 1 other\n");
   return 2;
 }
 
-/// A malformed argument: main prints it and the usage text, exit 2.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 /// The numeric argument `what`: a whole decimal that fits T (the parser
-/// behind the CFIR_* knobs), or a UsageError naming it.
+/// behind the CFIR_* knobs), or a util::UsageError naming it — which main
+/// reports, as for any malformed argument or flag, with the usage text and
+/// exit 2.
 template <typename T>
 T number(const char* what, std::string_view text) {
-  try {
-    return static_cast<T>(
-        util::parse_decimal(what, text, std::numeric_limits<T>::max()));
-  } catch (const std::runtime_error& e) {
-    throw UsageError(e.what());
-  }
+  return static_cast<T>(
+      util::parse_decimal(what, text, std::numeric_limits<T>::max()));
 }
 
 /// The core configuration sampling subcommands default to when no
@@ -134,13 +129,8 @@ T number(const char* what, std::string_view text) {
 /// can never drift apart.
 core::CoreConfig tool_config() { return sim::presets::ci(2, 512); }
 
-std::string default_path(const std::string& workload, uint32_t scale) {
-  return trace::env_trace_dir() + "/" + workload + ".s" +
-         std::to_string(scale) + ".cfirtrace";
-}
-
-int cmd_record(int argc, char** argv) {
-  if (argc < 1) return usage();
+int cmd_record(const std::string& dir, int argc, char** argv) {
+  if (argc < 1 || argc > 3) return usage();
   const std::string workload = argv[0];
   const uint32_t scale = argc > 1 ? number<uint32_t>("scale", argv[1]) : 1;
   // 0 = to HALT, as for every other run length.
@@ -151,7 +141,8 @@ int cmd_record(int argc, char** argv) {
   trace::TraceMeta meta;
   meta.workload = workload;
   meta.scale = scale;
-  const std::string path = default_path(workload, scale);
+  const std::string path =
+      dir + "/" + workload + ".s" + std::to_string(scale) + ".cfirtrace";
   const isa::InterpResult r =
       trace::record_interpreter(program, path, meta, max_insts);
   std::printf("recorded %llu instructions of %s (scale %u) to %s\n",
@@ -168,8 +159,7 @@ int manifest_info(const std::string& path) {
   const trace::ShardManifest m = trace::ShardManifest::load(path);
   std::printf("manifest: %s\n", path.c_str());
   std::printf("workload: %s  scale: %u  mode: %s  warm_mode: %s\n",
-              m.workload.c_str(), m.scale,
-              m.mode == trace::SampleMode::kCluster ? "cluster" : "uniform",
+              m.workload.c_str(), m.scale, trace::sample_mode_name(m.mode),
               trace::warm_mode_name(m.warm_mode));
   std::printf("plan_hash: 0x%016llx  total_insts: %llu  warmup: %llu\n",
               static_cast<unsigned long long>(m.plan_hash),
@@ -193,7 +183,7 @@ int manifest_info(const std::string& path) {
 }
 
 int cmd_info(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   const std::string path = argv[0];
   // Sniff the magic so one `info` verb serves every artifact kind. The
   // version digit is left out, so a retired manifest reaches the manifest
@@ -261,7 +251,7 @@ int cmd_info(int argc, char** argv) {
 }
 
 int cmd_replay(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc != 1) return usage();
   trace::TraceReader reader(argv[0]);
   const isa::Program program =
       workloads::build(reader.meta().workload, reader.meta().scale);
@@ -279,7 +269,7 @@ int cmd_replay(int argc, char** argv) {
 }
 
 int cmd_phases(int argc, char** argv) {
-  if (argc < 1) return usage();
+  if (argc < 1 || argc > 2) return usage();
   const uint32_t n_intervals =
       argc > 1 ? number<uint32_t>("n_intervals", argv[1]) : 32;
   if (n_intervals == 0) return usage();
@@ -334,25 +324,19 @@ struct PlanArgs {
   std::vector<trace::ConfigBinding> configs;
 };
 
-/// Appends the comma-separated preset specs in `list` to `out.configs`;
-/// false (usage error) on a malformed spec.
-bool parse_config_list(const std::string& list, PlanArgs& out) {
+/// Appends the comma-separated preset specs in `list` to `out.configs`; a
+/// malformed spec throws util::UsageError (sim::presets::from_spec).
+void parse_config_list(const std::string& list, PlanArgs& out) {
   size_t pos = 0;
   while (pos <= list.size()) {
     const size_t comma = list.find(',', pos);
     const size_t end = comma == std::string::npos ? list.size() : comma;
-    const std::string spec = list.substr(pos, end - pos);
-    try {
-      const core::CoreConfig config = sim::presets::from_spec(spec);
-      out.configs.push_back({config.label(), config});
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trace_tool: %s\n", e.what());
-      return false;
-    }
+    const core::CoreConfig config =
+        sim::presets::from_spec(list.substr(pos, end - pos));
+    out.configs.push_back({config.label(), config});
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  return true;
 }
 
 bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
@@ -360,28 +344,21 @@ bool parse_plan_args(int argc, char** argv, PlanArgs& out) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--warm-mode=", 0) == 0) {
-      out.warm_mode = trace::parse_warm_mode(arg.substr(12));
+      out.warm_mode = trace::parse_warm_mode("--warm-mode", arg.substr(12));
     } else if (arg.rfind("--detail=", 0) == 0) {
       out.detail_len = number<uint64_t>("--detail", arg.substr(9));
     } else if (arg.rfind("--mode=", 0) == 0) {
-      const std::string v = arg.substr(7);
-      if (v == "uniform") {
-        out.mode = trace::SampleMode::kUniform;
-      } else if (v == "cluster") {
-        out.mode = trace::SampleMode::kCluster;
-      } else {
-        return false;
-      }
+      out.mode = trace::parse_sample_mode("--mode", arg.substr(7));
     } else if (arg.rfind("--warmup=", 0) == 0) {
       out.warmup = number<uint64_t>("--warmup", arg.substr(9));
     } else if (arg.rfind("--max-k=", 0) == 0) {
       out.max_k = number<uint32_t>("--max-k", arg.substr(8));
     } else if (arg.rfind("--config=", 0) == 0) {
-      if (!parse_config_list(arg.substr(9), out)) return false;
+      parse_config_list(arg.substr(9), out);
     } else if (arg.rfind("--configs=", 0) == 0) {
-      if (!parse_config_list(arg.substr(10), out)) return false;
+      parse_config_list(arg.substr(10), out);
     } else if (arg.rfind("--", 0) == 0) {
-      return false;
+      throw util::UsageError("unknown flag '" + arg + "'");
     } else {
       pos.push_back(arg);
     }
@@ -436,8 +413,7 @@ void print_run(const trace::SampledRun& run, trace::SampleMode mode,
               "\"total_insts\":%llu,\"detailed_insts\":%llu,"
               "\"warmed_insts\":%llu,\"detailed_fraction\":%g,"
               "\"stats\":%s}\n",
-              mode == trace::SampleMode::kCluster ? "cluster" : "uniform",
-              trace::warm_mode_name(warm_mode),
+              trace::sample_mode_name(mode), trace::warm_mode_name(warm_mode),
               static_cast<unsigned long long>(run.total_insts),
               static_cast<unsigned long long>(run.detailed_insts),
               static_cast<unsigned long long>(run.warmed_insts),
@@ -461,7 +437,7 @@ int cmd_sample(int argc, char** argv) {
   return 0;
 }
 
-int cmd_plan(int argc, char** argv) {
+int cmd_plan(const std::string& dir, int argc, char** argv) {
   PlanArgs args;
   if (!parse_plan_args(argc, argv, args)) return usage();
   const isa::Program program = workloads::build(args.workload, args.scale);
@@ -469,8 +445,7 @@ int cmd_plan(int argc, char** argv) {
   // The architectural checkpoints are shared by the whole config grid; each
   // shard captures its configs' functional warm state itself, streaming
   // [0, its last interval) once for its whole grid.
-  const std::string manifest_path = trace::env_trace_dir() + "/" +
-                                    args.workload + ".s" +
+  const std::string manifest_path = dir + "/" + args.workload + ".s" +
                                     std::to_string(args.scale) + ".cfirman";
   const trace::ShardManifest manifest = trace::write_manifest(
       plan, args.configs, args.workload, args.scale, manifest_path);
@@ -479,9 +454,7 @@ int cmd_plan(int argc, char** argv) {
               "\"total_insts\":%llu,\"plan_hash\":\"0x%016llx\","
               "\"configs\":[",
               manifest_path.c_str(), manifest.workload.c_str(),
-              manifest.scale,
-              manifest.mode == trace::SampleMode::kCluster ? "cluster"
-                                                           : "uniform",
+              manifest.scale, trace::sample_mode_name(manifest.mode),
               trace::warm_mode_name(manifest.warm_mode),
               manifest.intervals.size(),
               static_cast<unsigned long long>(manifest.total_insts),
@@ -507,20 +480,13 @@ int cmd_run_shard(int argc, char** argv) {
     if (arg == "--scrub-wall") {
       scrub_wall = true;
     } else if (arg.rfind("--shard=", 0) == 0) {
-      // A malformed or out-of-range shard spec is a usage error (exit 2),
-      // same as an unknown flag — not an internal failure.
-      try {
-        shard = trace::parse_shard(arg.substr(8));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "trace_tool run-shard: %s\n", e.what());
-        return usage();
-      }
+      shard = trace::parse_shard(arg.substr(8));
     } else if (arg.rfind("--jobs=", 0) == 0) {
       jobs = number<int>("--jobs", arg.substr(7));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--", 0) == 0) {
-      return usage();
+      throw util::UsageError("unknown flag '" + arg + "'");
     } else if (manifest_path.empty()) {
       manifest_path = arg;
     } else {
@@ -580,7 +546,7 @@ int cmd_merge(int argc, char** argv) {
     } else if (arg.rfind("--config=", 0) == 0) {
       config_name = arg.substr(9);
     } else if (arg.rfind("--", 0) == 0) {
-      return usage();
+      throw util::UsageError("unknown flag '" + arg + "'");
     } else if (manifest_path.empty()) {
       manifest_path = arg;
     } else {
@@ -665,37 +631,27 @@ int cmd_merge(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --trace-out=<file> is a global flag: strip it before verb dispatch so
-  // every subcommand can be flight-recorded. CFIR_TRACE=<file> is the env
-  // equivalent; the explicit flag wins when both are given.
-  std::vector<char*> args;
-  std::string trace_out;
-  args.reserve(static_cast<size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(12);
-    } else {
-      args.push_back(argv[i]);
-    }
+  sim::Options opts;
+  try {
+    opts = sim::Options::from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_tool: %s\n", e.what());
+    return 2;
   }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
-  obs::init_from_env();
-  if (!trace_out.empty()) obs::trace_start(trace_out);
+  if (!opts.trace.empty()) obs::trace_start(opts.trace);
 
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    if (cmd == "record") return cmd_record(argc - 2, argv + 2);
+    if (cmd == "record") return cmd_record(opts.trace_dir, argc - 2, argv + 2);
     if (cmd == "info") return cmd_info(argc - 2, argv + 2);
     if (cmd == "replay") return cmd_replay(argc - 2, argv + 2);
     if (cmd == "phases") return cmd_phases(argc - 2, argv + 2);
     if (cmd == "sample") return cmd_sample(argc - 2, argv + 2);
-    if (cmd == "plan") return cmd_plan(argc - 2, argv + 2);
+    if (cmd == "plan") return cmd_plan(opts.trace_dir, argc - 2, argv + 2);
     if (cmd == "run-shard") return cmd_run_shard(argc - 2, argv + 2);
     if (cmd == "merge") return cmd_merge(argc - 2, argv + 2);
-  } catch (const UsageError& e) {
+  } catch (const util::UsageError& e) {
     std::fprintf(stderr, "trace_tool %s: %s\n", cmd.c_str(), e.what());
     return usage();
   } catch (const trace::BadMagicError& e) {

@@ -1,21 +1,36 @@
 // Workload explorer: run any of the twelve SpecInt2000-named kernels under
-// any mechanism and print the full statistics block.
+// any mechanism and print the full statistics block. CFIR_SCALE sizes the
+// kernel and CFIR_MAX_INSTS caps the run (default 200000, 0 = to HALT).
 //
-//   $ ./example_workload_explorer                 # list workloads
-//   $ ./example_workload_explorer bzip2 ci 512    # workload, policy, regs
+//   $ ./build/workload_explorer                 # list workloads
+//   $ ./build/workload_explorer bzip2 ci 512    # workload, policy, regs
 //     policies: scal | wb | ci | ci-iw | vect | ci-h
 #include <cstdio>
 #include <exception>
 
+#include "sim/options.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "util/parse.hpp"
 #include "workloads/workloads.hpp"
 
 using namespace cfir;
 
 int main(int argc, char** argv) {
+  sim::Options opts;
+  std::string about;
+  uint32_t regs = 512;
+  try {  // a malformed knob, workload or register count is a usage error
+    opts = sim::Options::from_env();
+    if (argc > 1) about = workloads::describe(argv[1]);
+    if (argc > 3) {
+      regs = static_cast<uint32_t>(
+          util::parse_decimal("regs", argv[3], UINT32_MAX));
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   if (argc < 2) {
     std::printf("usage: %s <workload> [policy=ci] [regs=512]\n\n", argv[0]);
     std::printf("workloads:\n");
@@ -28,16 +43,6 @@ int main(int argc, char** argv) {
   }
   const std::string wl = argv[1];
   const std::string policy = argc > 2 ? argv[2] : "ci";
-  uint32_t regs = 512;
-  if (argc > 3) {
-    try {
-      regs = static_cast<uint32_t>(
-          util::parse_decimal("regs", argv[3], UINT32_MAX));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  }
 
   core::CoreConfig cfg;
   if (policy == "scal") cfg = sim::presets::scal(1, regs);
@@ -48,13 +53,13 @@ int main(int argc, char** argv) {
   else if (policy == "ci-h") cfg = sim::presets::ci_specmem(1, regs, 768);
   else {
     std::fprintf(stderr, "unknown policy: %s\n", policy.c_str());
-    return 1;
+    return 2;
   }
 
   std::printf("%s under %s:\n  %s\n\n", wl.c_str(), cfg.label().c_str(),
-              workloads::describe(wl).c_str());
-  sim::Simulator sim(cfg, workloads::build(wl, sim::env_scale()));
-  const uint64_t max_insts = sim::env_max_insts(200000);
+              about.c_str());
+  sim::Simulator sim(cfg, workloads::build(wl, opts.scale));
+  const uint64_t max_insts = opts.max_insts.value_or(200000);
   const stats::SimStats st = sim.run(max_insts == 0 ? UINT64_MAX : max_insts);
   std::printf("%s\n", st.to_string().c_str());
   return 0;

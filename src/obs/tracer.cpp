@@ -278,14 +278,4 @@ void trace_start(const std::string& path) {
   }
 }
 
-bool init_from_env() {
-  const char* v = std::getenv("CFIR_TRACE");
-  if (v == nullptr || *v == '\0' ||
-      (v[0] == '0' && v[1] == '\0')) {
-    return false;
-  }
-  trace_start(v);
-  return true;
-}
-
 }  // namespace cfir::obs

@@ -110,9 +110,4 @@ class Span {
 /// file when the process ends — the one-call setup for CLI entry points.
 void trace_start(const std::string& path);
 
-/// CFIR_TRACE=<file> starts the tracer exactly as trace_start(<file>)
-/// would; unset/empty/"0" leaves tracing off. Returns whether tracing was
-/// enabled. Called once from trace_tool and the bench harness.
-bool init_from_env();
-
 }  // namespace cfir::obs

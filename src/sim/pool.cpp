@@ -4,13 +4,13 @@
 #include <string>
 
 #include "obs/tracer.hpp"
-#include "sim/sweep.hpp"
+#include "sim/options.hpp"
 
 namespace cfir::sim {
 
 namespace {
 int resolve_threads(int threads) {
-  if (threads <= 0) threads = env_threads();
+  if (threads <= 0) threads = Options::threads_from_env();
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
   }

@@ -33,10 +33,10 @@ namespace cfir::sim {
 
 class ThreadPool {
  public:
-  /// `threads` <= 0 resolves like parallel_for: CFIR_THREADS, else the
-  /// hardware concurrency, else 1. This is the worker count; a run()
-  /// caller adds itself on top, so a batch capped at `max_workers = T-1`
-  /// executes on at most T threads — the old parallel_for(T) contract.
+  /// `threads` <= 0 resolves to CFIR_THREADS, else the hardware
+  /// concurrency, else 1. This is the worker count; a run() caller adds
+  /// itself on top, so a batch capped at `max_workers = T-1` executes on
+  /// at most T threads — the parallel_for(T) contract.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;

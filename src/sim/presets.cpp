@@ -78,9 +78,9 @@ core::CoreConfig vect(uint32_t ports, uint32_t regs, uint32_t replicas) {
 
 core::CoreConfig from_spec(std::string_view spec) {
   const auto fail = [&](const std::string& why) -> core::CoreConfig {
-    throw std::runtime_error("config spec '" + std::string(spec) + "': " +
-                             why + " (expected <family>:<ports>:<regs>"
-                             "[:<extra>...], e.g. ci:2:512)");
+    throw util::UsageError("config spec '" + std::string(spec) + "': " + why +
+                           " (expected <family>:<ports>:<regs>"
+                           "[:<extra>...], e.g. ci:2:512)");
   };
   std::vector<std::string> parts;
   size_t pos = 0;

@@ -44,7 +44,7 @@ inline constexpr uint32_t kInfRegs = 8192;
 /// --configs` / `sample --config` (docs/sharding.md):
 ///   scal:2:512 | wb:1:256 | ci:2:512[:replicas] | ci-iw:2:512
 ///   vect:2:512[:replicas] | ci-h:2:512:slots[:replicas]
-/// Throws std::runtime_error on unknown families, malformed numbers or
+/// Throws util::UsageError on unknown families, malformed numbers or
 /// wrong arities so a typo'd grid column fails loudly at plan time.
 [[nodiscard]] core::CoreConfig from_spec(std::string_view spec);
 

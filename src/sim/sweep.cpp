@@ -1,13 +1,10 @@
 #include "sim/sweep.hpp"
 
-#include <cstdlib>
+#include <algorithm>
 #include <exception>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -17,27 +14,11 @@
 #include "sim/simulator.hpp"
 #include "trace/sampling.hpp"
 #include "trace/shard.hpp"
-#include "util/parse.hpp"
 #include "workloads/workloads.hpp"
 
 namespace cfir::sim {
 
 namespace {
-/// The numeric knob `name`, or `dflt` when it is unset or empty. Anything
-/// but a whole decimal string no larger than `max` throws, naming the knob
-/// and the value (util::parse_decimal).
-uint64_t env_u64(const char* name, uint64_t dflt,
-                 uint64_t max = std::numeric_limits<uint64_t>::max()) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  return util::parse_decimal(name, v, max);
-}
-
-uint32_t env_u32(const char* name, uint32_t dflt) {
-  return static_cast<uint32_t>(
-      env_u64(name, dflt, std::numeric_limits<uint32_t>::max()));
-}
-
 /// The interval plan a sampled spec asks for. It reads only the plan
 /// knobs, never the core config, so every spec of one plan key gets the
 /// same plan.
@@ -56,43 +37,9 @@ trace::IntervalPlan plan_for(const RunSpec& spec, const isa::Program& program) {
 }
 }  // namespace
 
-uint32_t env_scale() { return env_u32("CFIR_SCALE", 1); }
-int env_threads() {
-  return static_cast<int>(
-      env_u64("CFIR_THREADS", 0, std::numeric_limits<int>::max()));
-}
-uint64_t env_max_insts(uint64_t unset) {
-  return env_u64("CFIR_MAX_INSTS", unset);
-}
-uint32_t env_intervals() { return env_u32("CFIR_INTERVALS", 1); }
-
-trace::SampleMode env_sample_mode() {
-  const char* v = std::getenv("CFIR_SAMPLE_MODE");
-  if (v == nullptr || *v == '\0' || std::string_view(v) == "uniform") {
-    return trace::SampleMode::kUniform;
-  }
-  if (std::string_view(v) == "cluster") return trace::SampleMode::kCluster;
-  throw std::runtime_error(
-      std::string("CFIR_SAMPLE_MODE must be 'uniform' or 'cluster', got '") +
-      v + "'");
-}
-
-uint64_t env_warmup() { return env_u64("CFIR_WARMUP", 0); }
-
-trace::WarmMode env_warm_mode() {
-  const char* v = std::getenv("CFIR_WARM_MODE");
-  return trace::parse_warm_mode(v == nullptr ? "" : v);
-}
-
-uint64_t env_detail_len() { return env_u64("CFIR_DETAIL_LEN", 0); }
-
 void parallel_for(size_t n, const std::function<void(size_t)>& fn,
                   int threads) {
-  if (threads <= 0) threads = env_threads();
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (threads <= 0) threads = 1;
+  if (threads <= 0 && n > 1) threads = ThreadPool::shared().size();
   threads = std::min<int>(threads, static_cast<int>(n));
 
   if (threads <= 1) {
@@ -118,7 +65,7 @@ void parallel_for(size_t n, const std::function<void(size_t)>& fn,
 }
 
 std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
-                                int threads, SweepSavings* savings) {
+                                int threads) {
   obs::Span run_all_span("run_all", specs.size());
   std::vector<RunOutcome> out(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) out[i].spec = specs[i];
@@ -188,13 +135,8 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
   // plan it, then run_shard all of its columns. Chains of different
   // kernels overlap, and each run_shard's unit batch and warm fan-out nest
   // on the same pool, picking up workers as other chains finish. Every
-  // task writes only its own members' outcomes and its own tally slot, so
-  // no result depends on the schedule.
-  struct Tally {
-    uint64_t checkpoints = 0;
-    uint64_t warmed_insts = 0;
-  };
-  std::vector<Tally> tallies(chains.size());
+  // task writes only its own members' outcomes, so no result depends on
+  // the schedule.
   obs::Histogram& chain_hist =
       obs::Registry::instance().histogram("sweep.chain_us");
   parallel_for(
@@ -217,7 +159,6 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
                                      ") failed: " + e.what());
           }
         }
-        tallies[p].checkpoints = plan.checkpoints.size();
         try {
           std::vector<trace::ConfigBinding> bindings;
           bindings.reserve(members.size());
@@ -234,7 +175,6 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
             o.wall_ms = static_cast<double>(run.wall_us) / 1000.0;
             o.detailed_insts = run.detailed_insts;
           }
-          tallies[p].warmed_insts = merged.configs.front().run.warmed_insts;
         } catch (const std::exception& e) {
           throw std::runtime_error(
               std::string("run '") + first.workload + "/" +
@@ -245,20 +185,6 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
         chain_hist.observe(chain_clock.elapsed_us());
       },
       threads);
-
-  if (savings != nullptr) {
-    *savings = SweepSavings{};
-    savings->plans = chains.size();
-    for (size_t p = 0; p < chains.size(); ++p) {
-      const Tally& tally = tallies[p];
-      const uint64_t columns = chains[p]->size();
-      savings->sampled_points += columns;
-      savings->checkpoints += tally.checkpoints;
-      savings->checkpoints_per_column += tally.checkpoints * columns;
-      savings->warmed_insts += tally.warmed_insts;
-      savings->warmed_insts_per_column += tally.warmed_insts * columns;
-    }
-  }
   return out;
 }
 

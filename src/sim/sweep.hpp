@@ -1,7 +1,7 @@
 // Thread-pooled experiment runner: the figure benches enqueue one job per
 // (workload, configuration) grid point and collect SimStats. Simulations
-// are embarrassingly parallel, so this scales to the host's cores
-// (CFIR_THREADS overrides).
+// are embarrassingly parallel, so this scales to the shared pool's size
+// (sim/pool.hpp).
 #pragma once
 
 #include <cstdint>
@@ -49,60 +49,29 @@ struct RunOutcome {
   uint64_t detailed_insts = 0;
 };
 
-/// What sharing one plan (and one warming stream) across the config
-/// columns of a bench grid saved, versus planning/warming each grid point
-/// independently — surfaced in bench CFIR_JSON output so a figure's cost
-/// is inspectable (docs/sharding.md "Sweep a config grid").
-struct SweepSavings {
-  uint64_t sampled_points = 0;  ///< grid points that ran sampled
-  uint64_t plans = 0;           ///< unique plans actually built
-  uint64_t checkpoints = 0;     ///< checkpoints captured (shared)
-  uint64_t checkpoints_per_column = 0;  ///< what per-point planning captures
-  uint64_t warmed_insts = 0;            ///< instructions streamed (shared)
-  uint64_t warmed_insts_per_column = 0; ///< what per-point warming streams
-};
-
-/// Runs every spec (order preserved in the result). `threads` <= 0 picks
-/// CFIR_THREADS or the hardware concurrency. Specs with `intervals > 1`
-/// run through the checkpointed interval sampler: specs sharing one plan
-/// (same workload/scale/cap/plan knobs) execute as ONE multi-config
+/// Runs every spec (order preserved in the result). `threads` <= 0 takes
+/// the shared pool's size. Specs with `intervals > 1` run through the
+/// checkpointed interval sampler: specs sharing one plan (same
+/// workload/scale/cap/plan knobs) execute as ONE multi-config
 /// trace::run_shard over the whole plan — the plan and its checkpoints are
 /// config-independent and each functional-warming gap streams once for the
 /// whole column group — and report the merged aggregate stats per column,
 /// bit-identical to running each column alone. Each distinct plan is one
-/// pool task that builds the program, plans it and runs its columns, so
-/// the chains of different kernels overlap; run_shard's own batches nest
-/// on the same pool. No result depends on the thread count or the
-/// schedule.
-/// `savings`, when non-null, receives the shared-plan accounting.
+/// pool task that builds the program, plans it and runs its columns (one
+/// `sweep.chain_us` sample each), so the chains of different kernels
+/// overlap; run_shard's own batches nest on the same pool. No result
+/// depends on the thread count or the schedule.
 [[nodiscard]] std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
-                                              int threads = 0,
-                                              SweepSavings* savings = nullptr);
+                                              int threads = 0);
 
 /// The fan-out primitive behind run_all and trace::SampledRun: invokes
-/// `fn(0..n)` across `threads` workers (`threads` <= 0 picks
-/// CFIR_THREADS or the hardware concurrency) and rethrows the first
-/// exception after the batch drains. Executes on the memoized
-/// sim::ThreadPool::shared() (sim/pool.hpp) — `threads - 1` pool workers
-/// plus the calling thread — so per-wave callers (trace decode, the
-/// warming pipeline) pay no thread spawn per call.
+/// `fn(0..n)` across `threads` workers (`threads` <= 0 takes the shared
+/// pool's size) and rethrows the first exception after the batch drains.
+/// Executes on the memoized sim::ThreadPool::shared() (sim/pool.hpp) —
+/// `threads - 1` pool workers plus the calling thread — so per-wave
+/// callers (trace decode, the warming pipeline) pay no thread spawn per
+/// call.
 void parallel_for(size_t n, const std::function<void(size_t)>& fn,
                   int threads = 0);
-
-/// Environment knobs shared by the bench binaries.
-[[nodiscard]] uint32_t env_scale();      ///< CFIR_SCALE, default 1
-[[nodiscard]] int env_threads();         ///< CFIR_THREADS, default 0 (auto)
-/// CFIR_MAX_INSTS, or `unset` when the variable is unset or empty, so a
-/// caller can tell "no cap asked for" from an explicit 0 (run to HALT).
-[[nodiscard]] uint64_t env_max_insts(uint64_t unset = 0);
-[[nodiscard]] uint32_t env_intervals();  ///< CFIR_INTERVALS, default 1
-/// CFIR_SAMPLE_MODE ("uniform" | "cluster"), default uniform; anything
-/// else throws so typos fail loudly instead of silently running uniform.
-[[nodiscard]] trace::SampleMode env_sample_mode();
-[[nodiscard]] uint64_t env_warmup();     ///< CFIR_WARMUP, default 0
-/// CFIR_WARM_MODE ("none" | "detailed" | "functional" | "hybrid"), default
-/// detailed; typos throw (see trace::parse_warm_mode).
-[[nodiscard]] trace::WarmMode env_warm_mode();
-[[nodiscard]] uint64_t env_detail_len();  ///< CFIR_DETAIL_LEN, default 0
 
 }  // namespace cfir::sim

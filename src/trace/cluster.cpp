@@ -247,32 +247,31 @@ std::vector<uint32_t> kmeans(const std::vector<std::vector<double>>& points,
   return assignment;
 }
 
-Clustering cluster_bbvs(const BbvSet& bbvs, const ClusterOptions& opts) {
+Clustering cluster_bbvs(const BbvSet& bbvs, uint32_t max_k) {
   Clustering result;
   const size_t n = bbvs.num_intervals();
   if (n == 0) return result;
 
-  const auto points = project_bbvs(bbvs, opts.proj_dims, opts.seed);
-  const uint32_t max_k = static_cast<uint32_t>(
-      std::max<size_t>(1, std::min<size_t>(opts.max_k, n)));
+  const auto points = project_bbvs(bbvs, kProjectionDims, kClusterSeed);
+  max_k = static_cast<uint32_t>(
+      std::max<size_t>(1, std::min<size_t>(max_k, n)));
 
   // Sweep k, keep every assignment so the winner needs no re-run.
   std::vector<std::vector<uint32_t>> assignments;
   assignments.reserve(max_k);
   result.bic_by_k.reserve(max_k);
   for (uint32_t k = 1; k <= max_k; ++k) {
-    assignments.push_back(
-        kmeans(points, k, opts.seed + k, opts.kmeans_iters));
+    assignments.push_back(kmeans(points, k, kClusterSeed + k));
     result.bic_by_k.push_back(bic_score(points, assignments.back(), k));
   }
 
-  // SimPoint's rule: smallest k whose BIC reaches `bic_threshold` of the
+  // SimPoint's rule: smallest k whose BIC reaches kBicFraction of the
   // swept score range.
   const double best =
       *std::max_element(result.bic_by_k.begin(), result.bic_by_k.end());
   const double worst =
       *std::min_element(result.bic_by_k.begin(), result.bic_by_k.end());
-  const double cutoff = best - (1.0 - opts.bic_threshold) * (best - worst);
+  const double cutoff = best - (1.0 - kBicFraction) * (best - worst);
   uint32_t chosen = max_k;
   for (uint32_t k = 1; k <= max_k; ++k) {
     if (result.bic_by_k[k - 1] >= cutoff) {

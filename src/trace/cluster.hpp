@@ -10,7 +10,7 @@
 //   3. k-means (k-means++ seeding, Lloyd refinement) for every k in
 //      1..max_k, scored with the Bayesian Information Criterion of
 //      X-means (Pelleg & Moore, ICML'00). The chosen k is the smallest
-//      whose BIC reaches `bic_threshold` of the best score's range —
+//      whose BIC reaches kBicFraction of the best score's range —
 //      SimPoint's "smallest k within 90% of the best" rule.
 //   4. Each cluster is represented by the member interval closest to the
 //      centroid; its weight is the cluster population.
@@ -26,13 +26,11 @@
 
 namespace cfir::trace {
 
-struct ClusterOptions {
-  uint32_t max_k = 16;        ///< sweep k = 1..min(max_k, #intervals)
-  uint32_t proj_dims = 16;    ///< random-projection target dimension
-  uint64_t seed = 0xC1F15EEDu;
-  uint32_t kmeans_iters = 64;   ///< Lloyd iteration cap per k
-  double bic_threshold = 0.9;   ///< pick smallest k within this BIC range
-};
+/// The clustering parameters. Every plan uses these, so they are fixed.
+inline constexpr uint32_t kProjectionDims = 16;  ///< random-projection target
+inline constexpr uint64_t kClusterSeed = 0xC1F15EEDu;
+inline constexpr uint32_t kKmeansIters = 64;   ///< Lloyd iteration cap per k
+inline constexpr double kBicFraction = 0.9;    ///< smallest k within this range
 
 struct Clustering {
   uint32_t k = 0;
@@ -52,10 +50,10 @@ struct Clustering {
 /// stable or `iters`).
 [[nodiscard]] std::vector<uint32_t> kmeans(
     const std::vector<std::vector<double>>& points, uint32_t k,
-    uint64_t seed, uint32_t iters = 64);
+    uint64_t seed, uint32_t iters = kKmeansIters);
 
-/// The full pipeline: project, sweep k by BIC, pick representatives.
-[[nodiscard]] Clustering cluster_bbvs(const BbvSet& bbvs,
-                                      const ClusterOptions& opts = {});
+/// The full pipeline: project, sweep k = 1..min(max_k, #intervals) by BIC,
+/// pick representatives.
+[[nodiscard]] Clustering cluster_bbvs(const BbvSet& bbvs, uint32_t max_k = 16);
 
 }  // namespace cfir::trace

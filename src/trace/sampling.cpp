@@ -1,12 +1,14 @@
 #include "trace/sampling.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "isa/engine.hpp"
 #include "obs/tracer.hpp"
 #include "trace/bbv.hpp"
 #include "trace/cluster.hpp"
 #include "trace/shard.hpp"
+#include "util/parse.hpp"
 
 namespace cfir::trace {
 
@@ -52,6 +54,19 @@ std::vector<uint64_t> checkpoint_positions(const IntervalPlan& plan) {
 }
 
 }  // namespace
+
+const char* sample_mode_name(SampleMode mode) {
+  return mode == SampleMode::kCluster ? "cluster" : "uniform";
+}
+
+SampleMode parse_sample_mode(std::string_view what, std::string_view text) {
+  for (const SampleMode mode : {SampleMode::kUniform, SampleMode::kCluster}) {
+    if (text == sample_mode_name(mode)) return mode;
+  }
+  throw util::UsageError(std::string(what) +
+                         " must be 'uniform' or 'cluster', got '" +
+                         std::string(text) + "'");
+}
 
 IntervalPlan plan_intervals(const isa::Program& program, uint32_t k,
                             uint64_t max_insts, uint64_t warmup,
@@ -117,13 +132,9 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
   plan.interval_len = window_len(plan.total_insts, n);
   const BbvSet bbvs = runs.finish(plan.interval_len);
 
-  ClusterOptions copts;
-  copts.max_k = opts.max_k != 0
-                    ? opts.max_k
-                    : static_cast<uint32_t>(std::min<uint64_t>(16, n));
-  copts.proj_dims = opts.proj_dims;
-  copts.seed = opts.seed;
-  const Clustering clusters = cluster_bbvs(bbvs, copts);
+  const Clustering clusters = cluster_bbvs(
+      bbvs, opts.max_k != 0 ? opts.max_k
+                            : static_cast<uint32_t>(std::min<uint64_t>(16, n)));
   plan.cluster_of = clusters.assignment;
   plan.bic_by_k = clusters.bic_by_k;
 

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -57,6 +58,12 @@ enum class SampleMode : uint8_t {
   kUniform = 0,  ///< contiguous equal intervals, exact architectural union
   kCluster = 1,  ///< BBV-clustered representatives, population-weighted
 };
+
+[[nodiscard]] const char* sample_mode_name(SampleMode mode);
+/// Parses "uniform" | "cluster"; anything else throws util::UsageError
+/// naming `what` (the knob or flag) and `text`.
+[[nodiscard]] SampleMode parse_sample_mode(std::string_view what,
+                                           std::string_view text);
 
 struct SampledRun {
   struct Interval {
@@ -130,8 +137,8 @@ struct IntervalPlan {
                                               WarmMode::kDetailed,
                                           uint64_t detail_len = 0);
 
-/// Knobs for cluster-mode planning (see cluster.hpp for the algorithm
-/// parameters' meaning).
+/// Knobs for cluster-mode planning (cluster.hpp fixes the algorithm's own
+/// parameters).
 struct ClusterPlanOptions {
   uint32_t n_intervals = 32;  ///< fixed-length windows the run is split into
   uint32_t max_k = 0;         ///< cluster-count cap; 0 = min(16, n_intervals)
@@ -140,8 +147,6 @@ struct ClusterPlanOptions {
   uint64_t detail_len = 0;    ///< measured-slice cap per representative
                               ///< (0 = whole window; see plan_intervals)
   uint64_t max_insts = 0;     ///< run-length cap (0 = to HALT)
-  uint32_t proj_dims = 16;
-  uint64_t seed = 0xC1F15EEDu;
 };
 
 /// Cluster plan: BBV + k-means phase detection, one weighted

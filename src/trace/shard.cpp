@@ -28,8 +28,8 @@ constexpr char kRetiredShardMagic[8] = {'C', 'F', 'I', 'R',
 
 ShardSelection parse_shard(std::string_view spec) {
   const auto malformed = [&] {
-    return std::runtime_error("parse_shard: expected 'i/N', got '" +
-                              std::string(spec) + "'");
+    return util::UsageError("parse_shard: expected 'i/N', got '" +
+                            std::string(spec) + "'");
   };
   const size_t slash = spec.find('/');
   if (slash == std::string_view::npos || slash == 0 ||
@@ -46,10 +46,10 @@ ShardSelection parse_shard(std::string_view spec) {
     throw malformed();
   }
   if (sel.count == 0 || sel.index >= sel.count) {
-    throw std::runtime_error("parse_shard: shard index " +
-                             std::to_string(sel.index) +
-                             " out of range for count " +
-                             std::to_string(sel.count));
+    throw util::UsageError("parse_shard: shard index " +
+                           std::to_string(sel.index) +
+                           " out of range for count " +
+                           std::to_string(sel.count));
   }
   return sel;
 }

@@ -69,7 +69,7 @@ struct ShardSelection {
   }
 };
 
-/// Parses "i/N" (e.g. "0/4"); throws std::runtime_error on malformed specs
+/// Parses "i/N" (e.g. "0/4"); throws util::UsageError on malformed specs
 /// or i >= N, so a typo'd --shard flag fails loudly.
 [[nodiscard]] ShardSelection parse_shard(std::string_view spec);
 

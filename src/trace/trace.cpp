@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,11 +11,6 @@
 #include "trace/trace_v2.hpp"
 
 namespace cfir::trace {
-
-std::string env_trace_dir() {
-  const char* v = std::getenv("CFIR_TRACE_DIR");
-  return (v == nullptr || *v == '\0') ? std::string(".") : std::string(v);
-}
 
 // ---------------------------------------------------------------------------
 // TraceWriter

@@ -56,9 +56,6 @@ struct FileView;
 class BlockWriter;
 }  // namespace v2
 
-/// Directory trace files default into: CFIR_TRACE_DIR, or "." when unset.
-[[nodiscard]] std::string env_trace_dir();
-
 enum class RecordKind : uint8_t {
   kPlain = 0,   ///< ALU / jumps / calls / rets
   kBranch = 1,  ///< conditional branch (taken + target recorded)

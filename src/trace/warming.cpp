@@ -12,6 +12,7 @@
 #include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "trace/errors.hpp"
+#include "util/parse.hpp"
 #include "util/warmable.hpp"
 
 namespace cfir::trace {
@@ -313,14 +314,15 @@ const char* warm_mode_name(WarmMode mode) {
   return "?";
 }
 
-WarmMode parse_warm_mode(std::string_view name) {
-  if (name.empty() || name == "detailed") return WarmMode::kDetailed;
-  if (name == "none") return WarmMode::kNone;
-  if (name == "functional") return WarmMode::kFunctional;
-  if (name == "hybrid") return WarmMode::kHybrid;
-  throw std::runtime_error(
-      "warm mode must be 'none', 'detailed', 'functional' or 'hybrid', got '" +
-      std::string(name) + "'");
+WarmMode parse_warm_mode(std::string_view what, std::string_view text) {
+  for (const WarmMode mode : {WarmMode::kNone, WarmMode::kDetailed,
+                              WarmMode::kFunctional, WarmMode::kHybrid}) {
+    if (text == warm_mode_name(mode)) return mode;
+  }
+  throw util::UsageError(
+      std::string(what) +
+      " must be 'none', 'detailed', 'functional' or 'hybrid', got '" +
+      std::string(text) + "'");
 }
 
 SharedWarmState::SharedWarmState(const core::CoreConfig& config,

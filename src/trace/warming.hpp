@@ -54,9 +54,11 @@ enum class WarmMode : uint8_t {
 };
 
 [[nodiscard]] const char* warm_mode_name(WarmMode mode);
-/// Parses "none" | "detailed" | "functional" | "hybrid"; throws on typos so
-/// a misspelled knob fails loudly instead of silently running cold.
-[[nodiscard]] WarmMode parse_warm_mode(std::string_view name);
+/// Parses "none" | "detailed" | "functional" | "hybrid"; anything else
+/// throws util::UsageError naming `what` (the knob or flag) and `text`, so
+/// a misspelled mode fails loudly instead of silently running cold.
+[[nodiscard]] WarmMode parse_warm_mode(std::string_view what,
+                                       std::string_view text);
 
 /// True when `mode` runs a detailed warm-up slice before the measured
 /// window (and therefore wants checkpoints captured `warmup` insts early).

@@ -1,7 +1,6 @@
 #include "util/parse.hpp"
 
 #include <charconv>
-#include <stdexcept>
 #include <string>
 
 namespace cfir::util {
@@ -12,10 +11,10 @@ uint64_t parse_decimal(std::string_view what, std::string_view text,
   uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end || value > max) {
-    throw std::runtime_error(std::string(what) +
-                             " must be a whole decimal number no larger than " +
-                             std::to_string(max) + ", got '" +
-                             std::string(text) + "'");
+    throw UsageError(std::string(what) +
+                     " must be a whole decimal number no larger than " +
+                     std::to_string(max) + ", got '" + std::string(text) +
+                     "'");
   }
   return value;
 }

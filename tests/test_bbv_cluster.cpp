@@ -456,7 +456,8 @@ TEST(Kmeans, CycleExitMatchesThePlainLloydLoop) {
   for (const char* kernel : {"bzip2", "mcf", "vortex", "gcc", "twolf"}) {
     BbvBuilder runs = bbv_runs_from_program(workloads::build(kernel, 8));
     const BbvSet bbvs = runs.finish(window_len(runs.total_insts(), 16));
-    inputs.emplace_back(kernel, project_bbvs(bbvs, 16, 0xC1F15EEDu));
+    inputs.emplace_back(kernel,
+                        project_bbvs(bbvs, kProjectionDims, kClusterSeed));
   }
   RefRng gen{7};
   for (const size_t n : {size_t{16}, size_t{24}}) {
@@ -480,7 +481,7 @@ TEST(Kmeans, CycleExitMatchesThePlainLloydLoop) {
     }
     for (uint32_t k = 1; k <= 16; ++k) {
       for (uint32_t cap = 1; cap <= 64; ++cap) {
-        const uint64_t seed = 0xC1F15EEDu + k;
+        const uint64_t seed = kClusterSeed + k;
         ASSERT_EQ(kmeans(points, k, seed, cap),
                   reference_kmeans(points, k, seed, cap))
             << name << " k=" << k << " cap=" << cap;
@@ -531,7 +532,9 @@ TEST(Cluster, PlanClusterIntervalsIsWellFormed) {
 
   double weight_sum = 0.0;
   for (size_t i = 0; i < k; ++i) {
-    if (i > 0) EXPECT_GT(plan.boundaries[i], plan.boundaries[i - 1]);
+    if (i > 0) {
+      EXPECT_GT(plan.boundaries[i], plan.boundaries[i - 1]);
+    }
     EXPECT_EQ(plan.boundaries[i] % plan.interval_len, 0u);
     EXPECT_LE(plan.lengths[i], plan.interval_len);
     EXPECT_GE(plan.weights[i], 1.0);

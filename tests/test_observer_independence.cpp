@@ -92,7 +92,7 @@ TEST(ObserverIndependence, StatsIdenticalWithAndWithoutObservers) {
       {"scal1p", sim::presets::scal(1, 256)},
       {"ci2p", sim::presets::ci(2, 256)},
   };
-  for (const std::string& name : {"bzip2", "twolf"}) {
+  for (const std::string name : {"bzip2", "twolf"}) {
     const isa::Program program = workloads::build(name, 4);
     for (const auto& [cfg_name, config] : configs) {
       const std::string tag = name + "_" + cfg_name;

@@ -1,6 +1,7 @@
 #include "sim/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -8,10 +9,12 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
-#include "../bench/common.hpp"
 #include "obs/metrics.hpp"
+#include "sim/options.hpp"
 #include "sim/pool.hpp"
 #include "sim/presets.hpp"
 #include "stats/stats.hpp"
@@ -20,6 +23,33 @@
 
 namespace cfir::sim {
 namespace {
+
+/// Unsets every CFIR_* variable, so a knob set on the host cannot leak
+/// into a test that sets its own.
+void clear_knobs() {
+  std::vector<std::string> names;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string_view var = *entry;
+    if (var.starts_with("CFIR_")) {
+      names.emplace_back(var.substr(0, var.find('=')));
+    }
+  }
+  for (const std::string& name : names) unsetenv(name.c_str());
+}
+
+/// Options::from_env() must throw the usage error the entry points exit 2
+/// on, naming every string in `parts`.
+void expect_rejected(const std::vector<std::string>& parts) {
+  try {
+    (void)Options::from_env();
+    ADD_FAILURE() << parts.front() << " was accepted";
+  } catch (const util::UsageError& e) {
+    const std::string what = e.what();
+    for (const std::string& part : parts) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+}
 
 TEST(Sweep, RunsGridInOrder) {
   std::vector<RunSpec> specs;
@@ -135,9 +165,8 @@ TEST(Sweep, SampledSpecsExposePhases) {
 
 TEST(Sweep, SharedPlanGridMatchesPerColumnRunsAndReportsSavings) {
   // Config columns sharing one plan execute as a single multi-config
-  // run_shard; each column must be bit-identical to running the spec
-  // alone, and the savings accounting must show the plan (and the
-  // functional-warming stream) amortized across the columns.
+  // run_shard — one plan chain (`sweep.chain_us` sample) for all three —
+  // and each column must be bit-identical to running the spec alone.
   std::vector<RunSpec> grid;
   for (const uint32_t regs : {128u, 256u, 512u}) {
     RunSpec s;
@@ -150,15 +179,12 @@ TEST(Sweep, SharedPlanGridMatchesPerColumnRunsAndReportsSavings) {
     s.detail_len = 500;
     grid.push_back(std::move(s));
   }
-  SweepSavings savings;
-  const auto together = run_all(grid, 2, &savings);
+  obs::Histogram& chains =
+      obs::Registry::instance().histogram("sweep.chain_us");
+  const uint64_t chains_before = chains.count();
+  const auto together = run_all(grid, 2);
   ASSERT_EQ(together.size(), 3u);
-  EXPECT_EQ(savings.sampled_points, 3u);
-  EXPECT_EQ(savings.plans, 1u);
-  EXPECT_EQ(savings.checkpoints_per_column, savings.checkpoints * 3);
-  ASSERT_GT(savings.warmed_insts, 0u);
-  // The warming stream is shared: the per-column cost would be 3x.
-  EXPECT_EQ(savings.warmed_insts_per_column, savings.warmed_insts * 3);
+  EXPECT_EQ(chains.count() - chains_before, 1u);
 
   for (size_t i = 0; i < grid.size(); ++i) {
     const auto alone = run_all({grid[i]}, 1);
@@ -175,7 +201,7 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
   // run_all runs each plan's plan -> warm -> detail chain as one pool task,
   // with run_shard's batches nested on the same pool, so chains of
   // different kernels interleave differently at every thread count. No
-  // outcome, phase or savings field may depend on that schedule.
+  // outcome or phase field may depend on that schedule.
   std::vector<RunSpec> grid;
   for (const char* wl : {"bzip2", "gap", "parser", "twolf"}) {
     for (const char* config : {"ci:2:128", "ci:2:512", "vect:2:512"}) {
@@ -200,11 +226,10 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
   obs::Histogram& chains =
       obs::Registry::instance().histogram("sweep.chain_us");
 
-  SweepSavings savings[2];
   std::vector<RunOutcome> outs[2];
   for (const int t : {0, 1}) {
     const uint64_t chains_before = chains.count();
-    outs[t] = run_all(grid, t == 0 ? 1 : 4, &savings[t]);
+    outs[t] = run_all(grid, t == 0 ? 1 : 4);
     EXPECT_EQ(chains.count() - chains_before, plans) << "threads run " << t;
   }
   const std::vector<RunOutcome>& one = outs[0];
@@ -227,17 +252,6 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
           << cell << " phase " << ph;
     }
   }
-  EXPECT_EQ(savings[0].sampled_points, grid.size());
-  EXPECT_EQ(savings[0].plans, plans);
-  EXPECT_GT(savings[0].warmed_insts, 0u);
-  EXPECT_EQ(savings[0].sampled_points, savings[1].sampled_points);
-  EXPECT_EQ(savings[0].plans, savings[1].plans);
-  EXPECT_EQ(savings[0].checkpoints, savings[1].checkpoints);
-  EXPECT_EQ(savings[0].checkpoints_per_column,
-            savings[1].checkpoints_per_column);
-  EXPECT_EQ(savings[0].warmed_insts, savings[1].warmed_insts);
-  EXPECT_EQ(savings[0].warmed_insts_per_column,
-            savings[1].warmed_insts_per_column);
 }
 
 // The memoized worker pool behind parallel_for and the warming pipeline:
@@ -295,15 +309,16 @@ TEST(Pool, MaxWorkersBoundsConcurrency) {
 
 TEST(Sweep, BenchMaxInstsDefaultsOnlyWhenUnset) {
   // README: CFIR_MAX_INSTS=0 runs every bench cell to HALT (RunSpec
-  // max_insts 0); only an unset or empty variable means the 30k default.
-  ASSERT_EQ(unsetenv("CFIR_MAX_INSTS"), 0);
-  EXPECT_EQ(bench::default_max_insts(), 30000u);
+  // max_insts 0); only an unset or empty variable leaves the binary's own
+  // default (30k for benches, 200k for workload_explorer).
+  clear_knobs();
+  EXPECT_FALSE(Options::from_env().max_insts.has_value());
   ASSERT_EQ(setenv("CFIR_MAX_INSTS", "", 1), 0);
-  EXPECT_EQ(bench::default_max_insts(), 30000u);
+  EXPECT_FALSE(Options::from_env().max_insts.has_value());
   ASSERT_EQ(setenv("CFIR_MAX_INSTS", "0", 1), 0);
-  EXPECT_EQ(bench::default_max_insts(), 0u);
+  EXPECT_EQ(Options::from_env().max_insts, 0u);
   ASSERT_EQ(setenv("CFIR_MAX_INSTS", "5000", 1), 0);
-  EXPECT_EQ(bench::default_max_insts(), 5000u);
+  EXPECT_EQ(Options::from_env().max_insts, 5000u);
   ASSERT_EQ(unsetenv("CFIR_MAX_INSTS"), 0);
 }
 
@@ -331,46 +346,130 @@ TEST(ParseDecimal, AcceptsOnlyWholeDecimalsThatFit) {
 }
 
 TEST(Sweep, NumericKnobsRejectMalformedValues) {
-  // A numeric knob takes only a whole decimal string that fits its type;
-  // anything else throws naming the knob and the value.
+  // Every declared knob, by the rule of its type: it reads a good value
+  // back, takes an empty value as its default, and rejects anything else
+  // naming the knob and the value. Numbers are whole decimals that fit
+  // the field (CFIR_SCALE at least 1), enums their spelled names, flags
+  // 0 or 1; paths take any text.
+  const std::vector<std::string> not_numbers = {"1e5", "4k", "2x", "abc",
+                                                "-1",  "+3", " 7"};
+  const auto numbers = [&](std::vector<std::string> more) {
+    more.insert(more.end(), not_numbers.begin(), not_numbers.end());
+    return more;
+  };
   struct Knob {
     const char* name;
-    std::function<uint64_t()> read;
-    const char* too_big;
+    std::function<std::string(const Options&)> read;  ///< field as text
+    const char* good;               ///< accepted, and reads back as itself
+    std::vector<std::string> bad;   ///< rejected
   };
   const Knob knobs[] = {
-      {"CFIR_MAX_INSTS", [] { return env_max_insts(); },
-       "18446744073709551616"},
-      {"CFIR_WARMUP", [] { return env_warmup(); }, "18446744073709551616"},
-      {"CFIR_DETAIL_LEN", [] { return env_detail_len(); },
-       "18446744073709551616"},
-      {"CFIR_SCALE", [] { return uint64_t{env_scale()}; }, "4294967296"},
-      {"CFIR_INTERVALS", [] { return uint64_t{env_intervals()}; },
-       "4294967296"},
-      {"CFIR_THREADS", [] { return static_cast<uint64_t>(env_threads()); },
-       "2147483648"},
+      {"CFIR_SCALE", [](const Options& o) { return std::to_string(o.scale); },
+       "42", numbers({"0", "4294967296"})},
+      {"CFIR_THREADS",
+       [](const Options& o) { return std::to_string(o.threads); }, "42",
+       numbers({"2147483648"})},
+      {"CFIR_MAX_INSTS",
+       [](const Options& o) {
+         return o.max_insts ? std::to_string(*o.max_insts) : "unset";
+       },
+       "42", numbers({"18446744073709551616"})},
+      {"CFIR_INTERVALS",
+       [](const Options& o) { return std::to_string(o.intervals); }, "42",
+       numbers({"4294967296"})},
+      {"CFIR_SAMPLE_MODE",
+       [](const Options& o) {
+         return std::string(trace::sample_mode_name(o.sample_mode));
+       },
+       "cluster", {"clustr", "Cluster", "1"}},
+      {"CFIR_WARMUP", [](const Options& o) { return std::to_string(o.warmup); },
+       "42", numbers({"18446744073709551616"})},
+      {"CFIR_WARM_MODE",
+       [](const Options& o) {
+         return std::string(trace::warm_mode_name(o.warm_mode));
+       },
+       "functional", {"functionl", "Hybrid", "2"}},
+      {"CFIR_DETAIL_LEN",
+       [](const Options& o) { return std::to_string(o.detail_len); }, "42",
+       numbers({"18446744073709551616"})},
+      {"CFIR_JSON",
+       [](const Options& o) { return std::string(o.json ? "1" : "0"); }, "1",
+       {"no", "yes", "true", "2"}},
+      {"CFIR_TRACE", [](const Options& o) { return o.trace; }, "run.json",
+       {}},
+      {"CFIR_TRACE_DIR", [](const Options& o) { return o.trace_dir; }, "out",
+       {}},
   };
+  clear_knobs();
+  const Options defaults;
   for (const Knob& k : knobs) {
-    ASSERT_EQ(setenv(k.name, "42", 1), 0);
-    EXPECT_EQ(k.read(), 42u) << k.name;
-    for (const std::string bad :
-         {"1e5", "4k", "2x", "abc", "-1", "+3", " 7", k.too_big}) {
+    SCOPED_TRACE(k.name);
+    ASSERT_EQ(setenv(k.name, k.good, 1), 0);
+    EXPECT_EQ(k.read(Options::from_env()), k.good);
+    ASSERT_EQ(setenv(k.name, "", 1), 0);
+    EXPECT_EQ(k.read(Options::from_env()), k.read(defaults));
+    for (const std::string& bad : k.bad) {
       ASSERT_EQ(setenv(k.name, bad.c_str(), 1), 0);
-      try {
-        (void)k.read();
-        ADD_FAILURE() << k.name << "='" << bad << "' was accepted";
-      } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find(k.name), std::string::npos) << what;
-        EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
-      }
+      expect_rejected({k.name, "'" + bad + "'"});
     }
     ASSERT_EQ(unsetenv(k.name), 0);
+  }
+  // CFIR_TRACE=0 is off, as unset is.
+  ASSERT_EQ(setenv("CFIR_TRACE", "0", 1), 0);
+  EXPECT_EQ(Options::from_env().trace, "");
+  ASSERT_EQ(unsetenv("CFIR_TRACE"), 0);
+  // A name no knob declares is rejected by name, even when empty.
+  for (const char* name : {"CFIR_INTERVAL", "CFIR_SCALES", "CFIR_"}) {
+    for (const char* value : {"4", ""}) {
+      ASSERT_EQ(setenv(name, value, 1), 0);
+      expect_rejected({name});
+      ASSERT_EQ(unsetenv(name), 0);
+    }
   }
   // The thread pool sizes itself through the same parser.
   ASSERT_EQ(setenv("CFIR_THREADS", "4k", 1), 0);
   EXPECT_THROW(ThreadPool pool(0), std::runtime_error);
   ASSERT_EQ(unsetenv("CFIR_THREADS"), 0);
+}
+
+TEST(Sweep, LibraryPathsRunWithRetiredKnobsSet) {
+  // A program that drives the library directly may set names no knob
+  // declares (perfbench sets these four retired ones). The entry points'
+  // Options::from_env() rejects each by name, but nothing the library
+  // runs reads them: the shared pool sizes itself from CFIR_THREADS
+  // alone, and run_all takes everything else from its specs.
+  clear_knobs();
+  const std::pair<const char*, const char*> retired[] = {
+      {"CFIR_ENGINE", "cached"},
+      {"CFIR_CORE_SCHED", "fast"},
+      {"CFIR_WARM_JOBS", "0"},
+      {"CFIR_TRACE_FORMAT", "v2"}};
+  for (const auto& [name, value] : retired) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+    expect_rejected({name});
+    ASSERT_EQ(unsetenv(name), 0);
+  }
+  for (const auto& [name, value] : retired) {
+    ASSERT_EQ(setenv(name, value, 1), 0);
+  }
+  ASSERT_EQ(setenv("CFIR_THREADS", "2", 1), 0);
+  const ThreadPool pool(0);
+  EXPECT_EQ(pool.size(), 2);
+
+  RunSpec mono;
+  mono.workload = "bzip2";
+  mono.config_name = "ci";
+  mono.config = presets::ci(2, 512);
+  mono.max_insts = 4000;
+  RunSpec sampled = mono;
+  sampled.intervals = 2;
+  sampled.warm_mode = trace::WarmMode::kFunctional;
+  const auto out = run_all({mono, sampled});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].stats.committed, 4000u);
+  EXPECT_EQ(out[1].stats.committed, 4000u);
+  EXPECT_EQ(out[1].phases.size(), 2u);
+  clear_knobs();
 }
 
 }  // namespace

@@ -123,7 +123,9 @@ TEST(TraceV2, SeekPropertyRandomPrograms) {
         ASSERT_EQ(rec, all[target + i])
             << "seed " << seed << " target " << target << " +" << i;
       }
-      if (target == all.size()) EXPECT_FALSE(reader.next(rec));
+      if (target == all.size()) {
+        EXPECT_FALSE(reader.next(rec));
+      }
     }
     // Past-EOF is a programming error, not a quiet empty stream.
     EXPECT_THROW(reader.seek_to(all.size() + 1), std::out_of_range);
