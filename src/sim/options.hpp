@@ -25,8 +25,10 @@ struct Options {
   /// unset leaves the binary's own default.
   std::optional<uint64_t> max_insts;
   uint32_t intervals = 1;    ///< CFIR_INTERVALS: >1 samples each run
+  /// CFIR_SAMPLE_MODE: the plan kind of a sampled run
   trace::SampleMode sample_mode = trace::SampleMode::kUniform;
   uint64_t warmup = 0;       ///< CFIR_WARMUP: detailed warm-up/interval
+  /// CFIR_WARM_MODE: how each interval's state is warmed
   trace::WarmMode warm_mode = trace::WarmMode::kDetailed;
   uint64_t detail_len = 0;   ///< CFIR_DETAIL_LEN: measured-slice cap
   bool json = false;         ///< CFIR_JSON: machine-readable lines too
