@@ -11,7 +11,9 @@
 // Prints a table of million committed insts/sec and host ns per simulated
 // cycle (perfbench's detail.host_ns_per_cycle) and, under CFIR_JSON=1,
 // one machine-readable line per (workload, config) cell with
-// `detailed_insts_per_sec` and `host_ns_per_cycle`.
+// `detailed_insts_per_sec` and `host_ns_per_cycle`. Scale and commit
+// budget are fixed here: of the knobs, only CFIR_JSON and CFIR_TRACE
+// change what this bench does.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -114,8 +116,8 @@ int main() {
     }
   }
 
-  std::printf("detailed core throughput "
-              "(scale %u, %llu commits, best of %d round-robin runs)\n",
+  std::printf("detailed core throughput (scale %u (fixed), %llu commits, "
+              "best of %d round-robin runs)\n",
               scale, static_cast<unsigned long long>(budget), repeats);
   std::printf("%-8s %-10s %9s | %8s %10s\n", "workload", "config", "insts",
               "Mi/s", "ns/cycle");

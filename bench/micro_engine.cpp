@@ -20,6 +20,9 @@
 // (workload, engine, mode) cell with `insts_per_sec` — `engine` is
 // "switch" for the baseline and "cached" for FunctionalEngine.
 //
+// Scale and run lengths are fixed here: of the knobs, only CFIR_JSON and
+// CFIR_TRACE change what this bench does.
+//
 // No Google Benchmark dependency: runs are long enough (hundreds of
 // thousands of instructions, best-of-N) that plain wall-clock timing is
 // stable, and the bench-telemetry CI smoke wants a bare CFIR_JSON stream.
@@ -120,8 +123,8 @@ int main() {
   const uint32_t scale = 8;
   const int repeats = 5;
 
-  std::printf("engine throughput, Mi/s (scale %u, best of %d runs)\n", scale,
-              repeats);
+  std::printf("engine throughput, Mi/s (scale %u (fixed), best of %d runs)\n",
+              scale, repeats);
   std::printf("%-8s %9s | %7s | %7s %7s %7s | %7s\n", "workload", "insts",
               "sw/bare", "bare", "stream", "slices", "speedup");
 

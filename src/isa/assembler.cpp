@@ -1,7 +1,10 @@
 #include "isa/assembler.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <cstring>
+#include <iterator>
 #include <sstream>
 
 namespace cfir::isa {
@@ -108,14 +111,20 @@ uint64_t Assembler::data_addr(const std::string& name) const {
   return it->second;
 }
 
+void Assembler::write_data(uint64_t addr, const uint8_t* bytes, size_t n) {
+  if (n == 0) return;
+  data_writes_.push_back({addr, data_bytes_.size(), n});
+  data_bytes_.insert(data_bytes_.end(), bytes, bytes + n);
+}
+
 void Assembler::init_word(uint64_t addr, uint64_t value) {
-  std::vector<uint8_t> bytes(8);
+  uint8_t bytes[8];
   for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(value >> (8 * i));
-  data_init_.emplace_back(addr, std::move(bytes));
+  write_data(addr, bytes, sizeof bytes);
 }
 
 void Assembler::init_bytes(uint64_t addr, const std::vector<uint8_t>& bytes) {
-  data_init_.emplace_back(addr, bytes);
+  write_data(addr, bytes.data(), bytes.size());
 }
 
 Program Assembler::assemble() {
@@ -128,9 +137,38 @@ Program Assembler::assemble() {
   }
   Program prog(code_, code_base_);
   for (const auto& [name, pc] : labels_) prog.set_label(name, pc);
-  for (auto& [addr, bytes] : data_init_) {
-    prog.add_data(DataSegment{addr, bytes});
+
+  // One segment per maximal run of written bytes: a Program is copied into
+  // every Simulator, so thousands of 8-byte segments would be thousands of
+  // allocations per unit. Overlapping and touching writes merge into one
+  // run; the writes then land in program order, so a later write to a byte
+  // wins exactly as when each was applied on its own.
+  std::vector<const DataWrite*> by_addr;
+  by_addr.reserve(data_writes_.size());
+  for (const DataWrite& w : data_writes_) by_addr.push_back(&w);
+  std::stable_sort(by_addr.begin(), by_addr.end(),
+                   [](const DataWrite* a, const DataWrite* b) {
+                     return a->addr < b->addr;
+                   });
+  std::vector<DataSegment> runs;
+  for (const DataWrite* w : by_addr) {
+    if (!runs.empty() &&
+        w->addr <= runs.back().addr + runs.back().bytes.size()) {
+      DataSegment& run = runs.back();
+      run.bytes.resize(std::max<uint64_t>(run.bytes.size(),
+                                          w->addr + w->size - run.addr));
+    } else {
+      runs.push_back({w->addr, std::vector<uint8_t>(w->size)});
+    }
   }
+  for (const DataWrite& w : data_writes_) {
+    const auto run = std::prev(std::upper_bound(
+        runs.begin(), runs.end(), w.addr,
+        [](uint64_t addr, const DataSegment& s) { return addr < s.addr; }));
+    std::memcpy(run->bytes.data() + (w.addr - run->addr),
+                data_bytes_.data() + w.offset, w.size);
+  }
+  for (DataSegment& run : runs) prog.add_data(std::move(run));
   return prog;
 }
 

@@ -90,7 +90,9 @@ class Assembler {
   void init_word(uint64_t addr, uint64_t value);
   void init_bytes(uint64_t addr, const std::vector<uint8_t>& bytes);
 
-  /// Resolves all pending label references and produces the Program.
+  /// Resolves all pending label references and produces the Program. Its
+  /// data image holds one segment per maximal run of written bytes, in
+  /// address order, and a byte written twice keeps the later write.
   [[nodiscard]] Program assemble();
 
  private:
@@ -98,7 +100,15 @@ class Assembler {
     size_t inst_index;
     std::string label;
   };
+  /// One init_word / init_bytes call: `size` bytes for `addr`, kept at
+  /// `offset` in data_bytes_.
+  struct DataWrite {
+    uint64_t addr = 0;
+    size_t offset = 0;
+    size_t size = 0;
+  };
   void emit(Instruction inst);
+  void write_data(uint64_t addr, const uint8_t* bytes, size_t n);
 
   uint64_t code_base_;
   uint64_t data_cursor_;
@@ -106,7 +116,8 @@ class Assembler {
   std::unordered_map<std::string, uint64_t> labels_;
   std::unordered_map<std::string, uint64_t> data_labels_;
   std::vector<Fixup> fixups_;
-  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> data_init_;
+  std::vector<uint8_t> data_bytes_;  ///< every write's bytes, in program order
+  std::vector<DataWrite> data_writes_;
 };
 
 /// Parses a textual assembly listing into a Program.

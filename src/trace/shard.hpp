@@ -3,13 +3,17 @@
 // (docs/sharding.md; trace/manifest.hpp is the plan layer).
 //
 // A ShardSelection names the subset of a plan's intervals one worker runs:
-// shard i of N takes every interval whose plan index ≡ i (mod N), so
-// consecutive (expensive) intervals spread across shards. run_shard
+// shard i of N takes a contiguous range of plan indices. A shard's warm
+// capture streams the committed prefix up to its own last interval, so
+// contiguous ranges keep that prefix short for every shard but the last
+// (round-robin shards each streamed nearly the whole run). run_shard
 // executes that subset for a whole grid of ConfigBindings — the plan's
 // intervals and checkpoints are config-independent, so one shard simulates
 // every bound config per interval, streaming each functional-warming gap
 // ONCE and fanning the committed records out to every config's Warmable
-// components (warming cost O(gap), not O(gap × configs)). The result is a
+// components (warming cost O(gap), not O(gap × configs)). Each interval's
+// detailed units start on idle pool workers as soon as its warm state
+// lands, while the capture streams on. The result is a
 // ShardResult: per-interval stats with one column per config, plus
 // everything the merge layer needs to validate and fold them. Results
 // serialize as CFIRSHD2 blobs, so N workers on N machines each run one
@@ -58,14 +62,20 @@ inline constexpr char kShardMagicV2[8] = {'C', 'F', 'I', 'R',
                                           'S', 'H', 'D', '2'};
 inline constexpr uint32_t kShardVersion = 3;
 
-/// Shard `index` of `count`: the intervals whose plan index ≡ index
-/// (mod count). The default selection {0, 1} is the whole plan.
+/// Shard `index` of `count` of a k-interval plan: the contiguous plan
+/// indices [begin(k), end(k)) = [⌊index·k/count⌋, ⌊(index+1)·k/count⌋),
+/// so shard sizes differ by at most one and a shard with count > k may be
+/// empty. The default selection {0, 1} is the whole plan.
 struct ShardSelection {
   uint32_t index = 0;
   uint32_t count = 1;
 
-  [[nodiscard]] bool covers(size_t plan_index) const {
-    return plan_index % count == index;
+  // In 64 bits: index < 2^32 and a plan holds fewer than 2^32 intervals.
+  [[nodiscard]] size_t begin(size_t k) const {
+    return static_cast<size_t>(uint64_t{index} * k / count);
+  }
+  [[nodiscard]] size_t end(size_t k) const {
+    return static_cast<size_t>((uint64_t{index} + 1) * k / count);
   }
 };
 

@@ -1,6 +1,7 @@
 #include "trace/warming.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -92,10 +93,63 @@ WarmPosition decode_warm_state(const std::vector<uint8_t>& blob,
   return pos;
 }
 
-/// Trains a stride-training policy's (trains_stride) predictor on one
-/// committed load.
+/// An engine event from a trace record: the two carry the same fields.
+isa::StepEvent to_step_event(const TraceRecord& rec) {
+  isa::StepEvent ev;
+  ev.pc = rec.pc;
+  ev.next_pc = rec.next_pc;
+  ev.addr = rec.addr;
+  ev.kind = static_cast<isa::EventKind>(rec.kind);
+  ev.taken = rec.taken;
+  ev.size = rec.size;
+  return ev;
+}
+
+// The per-component trainers: the one place each training rule lives.
+// SharedWarmState::train (the solo FunctionalWarmer) calls them in turn;
+// a grid capture calls each on its own lane. The components they touch
+// are disjoint, so each sees the committed stream in order either way.
+
+/// The cache hierarchy on one committed instruction. Instruction fetch is
+/// one L1I access per line transition, mirroring the core's fetch stage
+/// (last_fetch_line_ there, `last_fetch_line` here).
+void train_memory(SharedWarmState& s, const isa::StepEvent& ev) {
+  const uint64_t line = s.hier.l1i().line_of(ev.pc);
+  if (line != s.last_fetch_line) {
+    s.hier.warm_inst(ev.pc);
+    s.last_fetch_line = line;
+  }
+  if (ev.kind == isa::EventKind::kLoad) {
+    s.hier.warm_data(ev.addr, /*is_write=*/false);
+  } else if (ev.kind == isa::EventKind::kStore) {
+    s.hier.warm_data(ev.addr, /*is_write=*/true);
+  }
+}
+
+/// gshare and MBS on conditional branches, the RAS on CALL/RET.
+void train_predictors(SharedWarmState& s, const isa::StepEvent& ev) {
+  if (ev.kind == isa::EventKind::kBranch) {
+    s.gshare.warm_commit(ev.pc, ev.taken);
+    s.mbs.update(ev.pc, ev.taken);
+  } else if (ev.kind == isa::EventKind::kPlain) {
+    // CALL/RET drive the return address stack; recovery snapshots make
+    // the detailed core's final RAS equal the committed push/pop stream.
+    const isa::Instruction* ip = s.program->try_at(ev.pc);
+    if (ip != nullptr) {
+      if (ip->op == isa::Opcode::kCall) {
+        s.ras.push(ev.pc + isa::kInstBytes);
+      } else if (ip->op == isa::Opcode::kRet) {
+        s.ras.pop();
+      }
+    }
+  }
+}
+
+/// A stride-training policy's (trains_stride) predictor on one committed
+/// instruction; only loads train it.
 void train_stride(ci::StridePredictor& stride, core::Policy policy,
-                  const TraceRecord& rec) {
+                  const isa::StepEvent& ev) {
+  if (ev.kind != isa::EventKind::kLoad) return;
   if (policy == core::Policy::kVect) {
     // The vect policy's commit rule (ci/mechanism.cpp on_commit): every
     // confident, non-zero-stride load is selected. Purely commit-driven,
@@ -104,30 +158,31 @@ void train_stride(ci::StridePredictor& stride, core::Policy policy,
     // and deliberately stay cold: pre-selecting every strided load was
     // tried and over-drives the replica engine in short windows (twolf IPC
     // +45%), a worse bias than the cold-selection ramp it removes.
-    stride.train_and_select(rec.pc, rec.addr);
+    stride.train_and_select(ev.pc, ev.addr);
   } else {
-    stride.train(rec.pc, rec.addr);
+    stride.train(ev.pc, ev.addr);
   }
 }
 
-/// The sections of a WRM2 blob that every policy of one warm geometry
-/// shares, serialized once per snapshot.
-struct SharedSections {
-  std::vector<uint8_t> predictors;  ///< gshare, MBS, RAS
-  std::vector<uint8_t> hier;
-};
+// The sections of a WRM2 blob. A grid capture serializes each once per
+// snapshot, on the lane that trains it, however many configs read it.
 
-SharedSections serialize_shared(const SharedWarmState& s) {
-  util::ByteWriter predictors;
-  s.gshare.serialize(predictors);
-  s.mbs.serialize(predictors);
-  s.ras.serialize(predictors);
-  util::ByteWriter hier;
-  s.hier.serialize(hier);
-  return {predictors.take(), hier.take()};
+/// gshare, MBS and RAS.
+std::vector<uint8_t> predictor_section(const SharedWarmState& s) {
+  util::ByteWriter out;
+  s.gshare.serialize(out);
+  s.mbs.serialize(out);
+  s.ras.serialize(out);
+  return out.take();
 }
 
-std::vector<uint8_t> serialize_stride(const ci::StridePredictor& stride) {
+std::vector<uint8_t> hierarchy_section(const SharedWarmState& s) {
+  util::ByteWriter out;
+  s.hier.serialize(out);
+  return out.take();
+}
+
+std::vector<uint8_t> stride_section(const ci::StridePredictor& stride) {
   util::ByteWriter out;
   stride.serialize(out);
   return out.take();
@@ -135,34 +190,48 @@ std::vector<uint8_t> serialize_stride(const ci::StridePredictor& stride) {
 
 /// One WRM2 blob: header, gshare, MBS, RAS, the stride section (exactly
 /// for trains_stride policies) and the hierarchy. The one place the layout
-/// is assembled, for solo warmers and grid groups alike.
-std::vector<uint8_t> assemble_blob(core::Policy policy,
-                                   const SharedWarmState& s,
-                                   const SharedSections& shared,
-                                   const std::vector<uint8_t>* stride) {
-  util::ByteWriter out;
-  out.u32(kWarmStateMagic);
-  out.u8(static_cast<uint8_t>(policy));
-  out.u64(s.warmed);
-  out.u64(s.last_fetch_line);
-  out.bytes(shared.predictors.data(), shared.predictors.size());
-  if (stride != nullptr) out.bytes(stride->data(), stride->size());
-  out.bytes(shared.hier.data(), shared.hier.size());
+/// is assembled, for solo warmers and grid groups alike: sized once, then
+/// filled in order (little-endian, as util::ByteWriter writes).
+std::vector<uint8_t> assemble_blob(core::Policy policy, uint64_t warmed,
+                                   uint64_t last_fetch_line,
+                                   const std::vector<uint8_t>& predictors,
+                                   const std::vector<uint8_t>* stride,
+                                   const std::vector<uint8_t>& hier) {
+  std::vector<uint8_t> blob(kWarmHeaderBytes + predictors.size() +
+                            (stride != nullptr ? stride->size() : 0) +
+                            hier.size());
+  uint8_t* at = blob.data();
+  const auto put = [&at](const void* bytes, size_t n) {
+    if (n > 0) std::memcpy(at, bytes, n);
+    at += n;
+  };
+  const uint8_t policy_byte = static_cast<uint8_t>(policy);
+  put(&kWarmStateMagic, sizeof kWarmStateMagic);
+  put(&policy_byte, 1);
+  put(&warmed, sizeof warmed);
+  put(&last_fetch_line, sizeof last_fetch_line);
+  put(predictors.data(), predictors.size());
+  if (stride != nullptr) put(stride->data(), stride->size());
+  put(hier.data(), hier.size());
   static obs::Counter& snapshot_bytes =
       obs::Registry::instance().counter("warming.snapshot_bytes");
-  snapshot_bytes.add(out.data().size());
-  return out.take();
+  snapshot_bytes.add(blob.size());
+  return blob;
 }
 
-using Grid = std::vector<std::vector<std::vector<uint8_t>>>;
+/// One round's snapshots of one section, in target order.
+using Sections = std::vector<std::vector<uint8_t>>;
 
 /// One shared warm geometry of a grid capture: the state its configs
 /// train alike, one stride predictor per distinct stride-training policy
-/// among them, and which config reads which.
+/// among them, which config reads which, and the sections the current
+/// round snapshotted. Each stride predictor and the hierarchy start on
+/// their own cache line, so lanes on different threads share none.
 struct WarmGroup {
-  struct Stride {
+  struct alignas(64) Stride {
     core::Policy policy;
     ci::StridePredictor predictor;
+    Sections sections;
   };
   struct Member {
     size_t config;       ///< index into the grid's configs
@@ -173,30 +242,9 @@ struct WarmGroup {
   SharedWarmState shared;
   std::vector<Stride> strides;
   std::vector<Member> members;
-
-  void train(const TraceRecord& rec) {
-    shared.train(rec);
-    if (rec.kind == RecordKind::kLoad) {
-      for (Stride& s : strides) train_stride(s.predictor, s.policy, rec);
-    }
-  }
-
-  /// Every member's blob for target `t`, from shared sections serialized
-  /// once.
-  void snapshot(size_t t, Grid& out) const {
-    const SharedSections sections = serialize_shared(shared);
-    std::vector<std::vector<uint8_t>> stride_bytes;
-    stride_bytes.reserve(strides.size());
-    for (const Stride& s : strides) {
-      stride_bytes.push_back(serialize_stride(s.predictor));
-    }
-    for (const Member& m : members) {
-      out[m.config][t] = assemble_blob(
-          m.policy, shared, sections,
-          m.stride >= 0 ? &stride_bytes[static_cast<size_t>(m.stride)]
-                        : nullptr);
-    }
-  }
+  Sections predictor_sections;
+  Sections hier_sections;
+  std::vector<uint64_t> fetch_lines;  ///< last_fetch_line at each snapshot
 };
 
 /// warm_digest() without the policy byte: configs that agree on it train
@@ -215,7 +263,9 @@ std::vector<WarmGroup> make_groups(const std::vector<core::CoreConfig>& configs,
     const core::CoreConfig& config = configs[c];
     const auto [it, fresh] =
         group_of.emplace(shared_warm_digest(config), groups.size());
-    if (fresh) groups.push_back({SharedWarmState(config, program), {}, {}});
+    if (fresh) {
+      groups.push_back({SharedWarmState(config, program), {}, {}, {}, {}, {}});
+    }
     WarmGroup& group = groups[it->second];
     int stride = -1;
     if (trains_stride(config.policy)) {
@@ -226,7 +276,8 @@ std::vector<WarmGroup> make_groups(const std::vector<core::CoreConfig>& configs,
       if (same == group.strides.end()) {
         group.strides.push_back(
             {config.policy,
-             ci::StridePredictor(config.stride_sets, config.stride_ways)});
+             ci::StridePredictor(config.stride_sets, config.stride_ways),
+             {}});
       }
     }
     group.members.push_back({c, config.policy, stride});
@@ -235,72 +286,109 @@ std::vector<WarmGroup> make_groups(const std::vector<core::CoreConfig>& configs,
   return groups;
 }
 
-/// Fan-out batch: 16Ki records (640 KiB of TraceRecords), a quarter of a
-/// default trace block. sim::run_all runs one capture per plan chain
-/// concurrently, so up to one per pool thread is in flight; at a whole
-/// 64Ki-record block each buffer was 2.6 MB, and four of them raised a
-/// sampled grid's peak RSS by about a third. Alone, a 16Ki capture runs
-/// within noise of a 64Ki one (bench/micro_warming), while 4Ki batches
-/// pay for their extra fan-out rounds.
-constexpr size_t kEngineBatch = 16 * 1024;
+/// One training lane of a group: components no other lane touches — the
+/// cache hierarchy with its fetch-line state, the branch predictors
+/// (gshare, MBS, RAS), or one stride predictor.
+struct Lane {
+  enum Kind : uint8_t { kMemory, kPredictors, kStride };
+  WarmGroup* group = nullptr;
+  Kind kind = kMemory;
+  size_t stride = 0;  ///< kStride: index into group->strides
+};
 
-/// Pool workers one fan-out may borrow: with the calling thread, a batch
-/// runs on at most the shared pool's size (CFIR_THREADS / hardware
-/// concurrency) — so a 1-worker pool trains every config on the caller.
-int fan_out_helpers() { return sim::ThreadPool::shared().size() - 1; }
-
-/// Per-group fan-out of one engine batch: one task per group, each
-/// walking the identical record span in stream order on its own (single
-/// threaded) trainers and assembling snapshot blobs for the targets that
-/// land inside the span — so serialization happens off the engine's
-/// thread, inside the task that owns the group. Targets are consumed when
-/// `pos` reaches them BEFORE the record at `pos` trains, so a blob covers
-/// exactly [0, target); a target equal to the batch's end position is
-/// deliberately left to the next batch (or the caller's finalization),
-/// keeping the consumption point unambiguous. Returns the target index the
-/// caller should resume from.
-size_t feed_batch_grid(std::vector<WarmGroup>& groups,
-                       const std::vector<TraceRecord>& batch,
-                       uint64_t first_record,
-                       const std::vector<uint64_t>& targets, size_t ti,
-                       Grid& out) {
-  obs::Registry& reg = obs::Registry::instance();
-  const obs::Stopwatch feed_clock;
-  const size_t nt = targets.size();
-  sim::ThreadPool::shared().run(
-      groups.size(),
-      [&](size_t g) {
-        WarmGroup& group = groups[g];
-        size_t t = ti;
-        uint64_t pos = first_record;
-        for (const TraceRecord& rec : batch) {
-          while (t < nt && targets[t] == pos) group.snapshot(t++, out);
-          group.train(rec);
-          ++pos;
-        }
-      },
-      fan_out_helpers());
-  reg.counter("warming.feed_us").add(feed_clock.elapsed_us());
-  reg.counter("warming.batches").add(1);
-  const uint64_t end = first_record + batch.size();
-  while (ti < nt && targets[ti] < end) ++ti;
-  return ti;
+std::vector<Lane> make_lanes(std::vector<WarmGroup>& groups) {
+  std::vector<Lane> lanes;
+  for (WarmGroup& g : groups) {
+    lanes.push_back({&g, Lane::kMemory});
+    lanes.push_back({&g, Lane::kPredictors});
+    for (size_t s = 0; s < g.strides.size(); ++s) {
+      lanes.push_back({&g, Lane::kStride, s});
+    }
+  }
+  return lanes;
 }
 
-/// Snapshots targets [ti, nt) — all sitting exactly at the current
-/// stream position — in parallel across groups.
-void snapshot_tail_grid(const std::vector<WarmGroup>& groups,
-                        const std::vector<uint64_t>& targets, size_t ti,
-                        Grid& out) {
-  if (ti >= targets.size()) return;
-  sim::ThreadPool::shared().run(
-      groups.size(),
-      [&](size_t g) {
-        for (size_t t = ti; t < targets.size(); ++t) {
-          groups[g].snapshot(t, out);
-        }
-      },
-      fan_out_helpers());
+/// Events per batch: 16Ki (512 KiB of StepEvents) per buffer, a quarter
+/// of a default trace block. A capture holds two buffers, and
+/// sim::run_all runs one capture per plan chain concurrently, so up to one
+/// per pool thread is in flight. A sharded run's shard phase ran no
+/// faster with 8Ki or 32Ki batches: smaller ones pay for more rounds,
+/// larger ones for the first and last rounds, where the engine and the
+/// lanes do not overlap.
+constexpr size_t kEngineBatch = 16 * 1024;
+
+/// Pool workers one round may borrow: with the calling thread, a round
+/// runs on at most the shared pool's size (CFIR_THREADS / hardware
+/// concurrency) — so a 1-worker pool runs the engine and every lane on
+/// the caller.
+int fan_out_helpers() { return sim::ThreadPool::shared().size() - 1; }
+
+/// The events one round's lanes train on: `n` of them, the first at
+/// stream position `first`. Lanes read these bounds once: the engine keeps
+/// growing the other buffer, whose header may share a cache line with
+/// this one's.
+struct EventSpan {
+  const isa::StepEvent* events = nullptr;
+  size_t n = 0;
+  uint64_t first = 0;
+};
+
+/// Walks `span` in stream order on one lane: `train` on each event, and
+/// `snapshot` for each of targets [ti, tj) when the stream reaches it,
+/// BEFORE the event there trains, so a section covers exactly
+/// [0, target). Targets the span does not reach (the end-of-stream round,
+/// whose span is empty) snapshot after it.
+template <class Train, class Snapshot>
+void walk(EventSpan span, const uint64_t* targets, size_t ti, size_t tj,
+          Train train, Snapshot snapshot) {
+  size_t t = ti;
+  for (size_t i = 0; i < span.n; ++i) {
+    while (t < tj && targets[t] == span.first + i) {
+      snapshot();
+      ++t;
+    }
+    train(span.events[i]);
+  }
+  for (; t < tj; ++t) snapshot();
+}
+
+/// One lane's share of a round: trains its components on `span` and
+/// serializes its section at each of the round's targets [ti, tj).
+void run_lane(const Lane& lane, EventSpan span, const uint64_t* targets,
+              size_t ti, size_t tj) {
+  WarmGroup& g = *lane.group;
+  SharedWarmState& s = g.shared;
+  switch (lane.kind) {
+    case Lane::kMemory:
+      g.hier_sections.clear();
+      g.fetch_lines.clear();
+      walk(
+          span, targets, ti, tj,
+          [&](const isa::StepEvent& ev) { train_memory(s, ev); },
+          [&] {
+            g.hier_sections.push_back(hierarchy_section(s));
+            g.fetch_lines.push_back(s.last_fetch_line);
+          });
+      break;
+    case Lane::kPredictors:
+      g.predictor_sections.clear();
+      walk(
+          span, targets, ti, tj,
+          [&](const isa::StepEvent& ev) { train_predictors(s, ev); },
+          [&] { g.predictor_sections.push_back(predictor_section(s)); });
+      break;
+    case Lane::kStride: {
+      WarmGroup::Stride& st = g.strides[lane.stride];
+      st.sections.clear();
+      walk(
+          span, targets, ti, tj,
+          [&](const isa::StepEvent& ev) {
+            train_stride(st.predictor, st.policy, ev);
+          },
+          [&] { st.sections.push_back(stride_section(st.predictor)); });
+      break;
+    }
+  }
 }
 }  // namespace
 
@@ -332,40 +420,9 @@ SharedWarmState::SharedWarmState(const core::CoreConfig& config,
       mbs(config.mbs_sets, config.mbs_ways),
       hier(config.memory) {}
 
-void SharedWarmState::train(const TraceRecord& rec) {
-  // Instruction fetch: one L1I access per line transition, mirroring the
-  // core's fetch stage (last_fetch_line_ there, last_fetch_line here).
-  const uint64_t line = hier.l1i().line_of(rec.pc);
-  if (line != last_fetch_line) {
-    hier.warm_inst(rec.pc);
-    last_fetch_line = line;
-  }
-
-  switch (rec.kind) {
-    case RecordKind::kBranch:
-      gshare.warm_commit(rec.pc, rec.taken);
-      mbs.update(rec.pc, rec.taken);
-      break;
-    case RecordKind::kLoad:
-      hier.warm_data(rec.addr, /*is_write=*/false);
-      break;
-    case RecordKind::kStore:
-      hier.warm_data(rec.addr, /*is_write=*/true);
-      break;
-    case RecordKind::kPlain: {
-      // CALL/RET drive the return address stack; recovery snapshots make
-      // the detailed core's final RAS equal the committed push/pop stream.
-      const isa::Instruction* ip = program->try_at(rec.pc);
-      if (ip != nullptr) {
-        if (ip->op == isa::Opcode::kCall) {
-          ras.push(rec.pc + isa::kInstBytes);
-        } else if (ip->op == isa::Opcode::kRet) {
-          ras.pop();
-        }
-      }
-      break;
-    }
-  }
+void SharedWarmState::train(const isa::StepEvent& ev) {
+  train_memory(*this, ev);
+  train_predictors(*this, ev);
   ++warmed;
 }
 
@@ -376,10 +433,9 @@ FunctionalWarmer::FunctionalWarmer(const core::CoreConfig& config,
       stride_(config.stride_sets, config.stride_ways) {}
 
 void FunctionalWarmer::on_record(const TraceRecord& rec) {
-  shared_.train(rec);
-  if (rec.kind == RecordKind::kLoad && trains_stride(policy_)) {
-    train_stride(stride_, policy_, rec);
-  }
+  const isa::StepEvent ev = to_step_event(rec);
+  shared_.train(ev);
+  if (trains_stride(policy_)) train_stride(stride_, policy_, ev);
 }
 
 void FunctionalWarmer::advance_on_trace(TraceReader& reader,
@@ -419,9 +475,11 @@ void FunctionalWarmer::apply_to(sim::Simulator& sim) const {
 std::vector<uint8_t> FunctionalWarmer::serialize_state() const {
   const bool stride = trains_stride(policy_);
   const std::vector<uint8_t> stride_bytes =
-      stride ? serialize_stride(stride_) : std::vector<uint8_t>{};
-  return assemble_blob(policy_, shared_, serialize_shared(shared_),
-                       stride ? &stride_bytes : nullptr);
+      stride ? stride_section(stride_) : std::vector<uint8_t>{};
+  return assemble_blob(policy_, shared_.warmed, shared_.last_fetch_line,
+                       predictor_section(shared_),
+                       stride ? &stride_bytes : nullptr,
+                       hierarchy_section(shared_));
 }
 
 void FunctionalWarmer::deserialize_state(const std::vector<uint8_t>& blob) {
@@ -449,9 +507,19 @@ std::vector<std::vector<uint8_t>> capture_warm_states(
   return capture_warm_states_grid({config}, program, targets)[0];
 }
 
-std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets) {
+WarmGrid capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
+                                  const isa::Program& program,
+                                  const std::vector<uint64_t>& targets) {
+  WarmGrid grid;
+  capture_warm_states_grid(configs, program, targets, grid, nullptr);
+  return grid;
+}
+
+void capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
+                              const isa::Program& program,
+                              const std::vector<uint64_t>& targets,
+                              WarmGrid& out,
+                              const WarmTargetReady& on_target) {
   if (configs.empty()) {
     throw std::runtime_error("capture_warm_states_grid: no configs");
   }
@@ -461,37 +529,85 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
   obs::Span span("warming.capture", targets.size());
   const obs::Stopwatch clock;
   std::vector<WarmGroup> groups = make_groups(configs, program);
-  Grid out(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
+  const std::vector<Lane> lanes = make_lanes(groups);
+  out.assign(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
 
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  // One persistent batch buffer: the sink fills it, the fan-out reads it,
-  // clear() keeps the capacity across batches.
-  std::vector<TraceRecord> batch;
-  engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) batch.push_back(to_trace_record(ev[i]));
+  // Two batch buffers: while the lanes train on one, the engine fills the
+  // other. clear() keeps their capacity across rounds.
+  std::vector<isa::StepEvent> buffers[2];
+  for (std::vector<isa::StepEvent>& b : buffers) b.reserve(kEngineBatch);
+  std::vector<isa::StepEvent>* fill = &buffers[0];
+  engine.on_block = [&fill](uint64_t, const isa::StepEvent* ev, size_t n) {
+    fill->insert(fill->end(), ev, ev + n);
+  };
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Counter& engine_us = reg.counter("warming.decode_wait_us");
+  obs::Counter& round_us = reg.counter("warming.feed_us");
+  obs::Counter& rounds = reg.counter("warming.batches");
+  const uint64_t limit = targets.empty() ? 0 : targets.back();
+  const auto run_engine = [&] {
+    fill->clear();
+    const obs::Stopwatch engine_clock;
+    engine.run_to(std::min(limit, engine.executed() + kEngineBatch));
+    engine_us.add(engine_clock.elapsed_us());
   };
 
-  obs::Registry& reg = obs::Registry::instance();
-  const uint64_t limit = targets.empty() ? 0 : targets.back();
-  uint64_t pos = 0;
+  // Round r runs the engine into buffer (r+1)%2 (index 0, which the
+  // submitting thread always claims) while the lanes train on buffer r%2
+  // (indices 1 and up). A round whose buffer is empty is the end of the
+  // stream: it snapshots every remaining target at the final state.
+  run_engine();
+  uint64_t pos = 0;  // stream position of the current buffer's first event
   size_t ti = 0;
-  while (pos < limit) {
-    batch.clear();
-    const obs::Stopwatch engine_clock;
-    engine.run_to(std::min(limit, pos + kEngineBatch));
-    reg.counter("warming.decode_wait_us").add(engine_clock.elapsed_us());
-    if (batch.empty()) break;  // program halted before the last target
-    ti = feed_batch_grid(groups, batch, pos, targets, ti, out);
-    pos += batch.size();
+  for (size_t cur = 0;; cur ^= 1) {
+    const std::vector<isa::StepEvent>& batch = buffers[cur];
+    const uint64_t end = pos + batch.size();
+    size_t tj = ti;
+    while (tj < targets.size() && (batch.empty() || targets[tj] < end)) ++tj;
+    if (batch.empty() && ti == tj) break;
+    fill = &buffers[cur ^ 1];
+    const obs::Stopwatch round_clock;
+    sim::ThreadPool::shared().run(
+        1 + lanes.size(),
+        [&](size_t i) {
+          if (i == 0) {
+            if (!batch.empty()) run_engine();
+          } else {
+            run_lane(lanes[i - 1], {batch.data(), batch.size(), pos},
+                     targets.data(), ti, tj);
+          }
+        },
+        fan_out_helpers());
+    round_us.add(round_clock.elapsed_us());
+    rounds.increment();
+    // Every member's blob for each target the round reached, assembled
+    // from the sections its group's lanes serialized once.
+    for (size_t t = ti; t < tj; ++t) {
+      const size_t k = t - ti;
+      for (const WarmGroup& g : groups) {
+        for (const WarmGroup::Member& m : g.members) {
+          out[m.config][t] = assemble_blob(
+              m.policy, std::min(targets[t], end), g.fetch_lines[k],
+              g.predictor_sections[k],
+              m.stride >= 0
+                  ? &g.strides[static_cast<size_t>(m.stride)].sections[k]
+                  : nullptr,
+              g.hier_sections[k]);
+        }
+      }
+      if (on_target) on_target(t);
+    }
+    ti = tj;
+    pos = end;
+    if (batch.empty()) break;
   }
-  snapshot_tail_grid(groups, targets, ti, out);
   // The streamed prefix is counted once however many configs fanned out —
   // the same convention ShardResult::warmed_insts uses.
   reg.counter("warming.insts").add(pos);
   reg.histogram("warming.capture_us").observe(clock.elapsed_us());
-  return out;
 }
 
 }  // namespace cfir::trace

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "branch/ras.hpp"
 #include "ci/stride_predictor.hpp"
 #include "core/config.hpp"
+#include "isa/engine.hpp"
 #include "isa/program.hpp"
 #include "mem/hierarchy.hpp"
 #include "trace/trace.hpp"
@@ -75,20 +77,24 @@ enum class WarmMode : uint8_t {
 /// committed stream — gshare, MBS, RAS and the cache hierarchy — plus the
 /// position and fetch-line state a WRM2 blob header carries. A
 /// FunctionalWarmer owns one; capture_warm_states_grid trains one per
-/// shared geometry and feeds its policies' stride predictors alongside.
+/// shared geometry, the predictors and the hierarchy on separate lanes,
+/// and feeds its policies' stride predictors on lanes of their own.
 struct SharedWarmState {
   /// Components sized from `config` as the detailed core sizes its own;
   /// `program` (which must outlive this) resolves CALL/RET for the RAS.
   SharedWarmState(const core::CoreConfig& config, const isa::Program& program);
 
-  /// Trains every shared component on one committed instruction.
-  void train(const TraceRecord& rec);
+  /// Trains every shared component on one committed instruction, through
+  /// the same per-component trainers a grid capture's lanes call.
+  void train(const isa::StepEvent& ev);
 
   const isa::Program* program;
   branch::Gshare gshare;
   branch::MbsTable mbs;
   branch::ReturnAddressStack ras;
-  mem::CacheHierarchy hier;
+  /// On its own cache line: a grid capture trains it (with
+  /// last_fetch_line) on another thread than the predictors above.
+  alignas(64) mem::CacheHierarchy hier;
   uint64_t last_fetch_line = ~uint64_t{0};
   uint64_t warmed = 0;  ///< committed instructions trained so far
 };
@@ -164,6 +170,9 @@ class FunctionalWarmer {
 /// typed errors as deserialize_state().
 void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 
+/// Warm-state blobs of a grid capture: [config][target].
+using WarmGrid = std::vector<std::vector<std::vector<uint8_t>>>;
+
 /// One config's warm-state blobs at each target instruction count
 /// (`targets` must be non-decreasing — interval plans are):
 /// capture_warm_states_grid({config}, program, targets)[0]. Element i is
@@ -180,23 +189,38 @@ void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 /// the trained components differ. Configs are grouped by their
 /// warm_digest() with the policy byte left out: each group trains one
 /// SharedWarmState plus one stride predictor per distinct stride-training
-/// policy (ci, vect), and at each target serializes the shared sections
-/// once and assembles every member's blob from them. Result[c][i] is the
-/// blob for config c warmed over [0, targets[i]), bit-identical to what a
-/// solo FunctionalWarmer fed the same records produces (same training
-/// calls, same layout).
+/// policy (ci, vect), and at each target serializes each section once and
+/// assembles every member's blob from them. Result[c][i] is the blob for
+/// config c warmed over [0, targets[i]), bit-identical to what a solo
+/// FunctionalWarmer fed the same records produces (same trainers, same
+/// layout).
 ///
 /// The capture is pipelined (docs/sampling.md "Pipelined warming"): the
-/// engine emits the stream in fixed-size batches and each batch trains
-/// the groups in parallel on the shared pool, one task per group, snapshot
-/// blobs assembled inside those tasks. Every group still sees the
-/// identical record stream in order on a single thread, so the blobs do
-/// not depend on the pool's size. A program that halts before the last
-/// target snapshots the remaining targets at its final state. The
-/// warming.trainers counter adds the number of groups.
-[[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
-capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
-                         const isa::Program& program,
-                         const std::vector<uint64_t>& targets);
+/// engine fills fixed-size event batches one batch ahead of the training.
+/// Each round is one pool batch: the engine fills the next buffer while
+/// each group's lanes — the cache hierarchy, the branch predictors, and
+/// each stride predictor — walk the current one, each in stream order on
+/// one thread and serializing its own section at every target. So the
+/// blobs do not depend on the pool's size. A program that halts before
+/// the last target snapshots the remaining targets at its final state.
+/// The warming.trainers counter adds the number of groups.
+[[nodiscard]] WarmGrid capture_warm_states_grid(
+    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
+    const std::vector<uint64_t>& targets);
+
+/// Called once per target, in target order, on the capturing thread, as
+/// soon as that target's blob is final for every config.
+using WarmTargetReady = std::function<void(size_t target)>;
+
+/// capture_warm_states_grid into `grid` (resized to [config][target]),
+/// calling `on_target` as each target's blobs land, while the capture
+/// streams on toward the later targets. The caller owns the blobs, so
+/// work started from `on_target` may read them until the caller frees
+/// `grid`, even if the capture throws.
+void capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
+                              const isa::Program& program,
+                              const std::vector<uint64_t>& targets,
+                              WarmGrid& grid,
+                              const WarmTargetReady& on_target);
 
 }  // namespace cfir::trace

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "isa/interpreter.hpp"
+#include "mem/main_memory.hpp"
+#include "workloads/workloads.hpp"
+
 namespace cfir::isa {
 namespace {
 
@@ -69,6 +77,93 @@ TEST(Assembler, DataReservationAndInit) {
   EXPECT_EQ(p.data()[0].bytes.size(), 8u);
   EXPECT_EQ(p.data()[0].bytes[0], 0x88);  // little endian
   EXPECT_EQ(p.data()[0].bytes[7], 0x11);
+}
+
+/// Every resident page of `memory` as (base address, bytes).
+std::map<uint64_t, std::vector<uint8_t>> pages_of(
+    const mem::MainMemory& memory) {
+  std::map<uint64_t, std::vector<uint8_t>> pages;
+  memory.for_each_page([&](uint64_t base, const uint8_t* data) {
+    pages[base].assign(data, data + mem::MainMemory::kPageSize);
+  });
+  return pages;
+}
+
+// The data image holds one segment per maximal run of written bytes, and
+// loading it leaves the memory that applying each write on its own, in
+// program order, leaves: a later write to a byte wins, and no byte that
+// was never written is touched.
+TEST(Assembler, DataImageMatchesEachWriteAppliedAlone) {
+  Assembler as;
+  struct Write {
+    uint64_t addr;
+    std::vector<uint8_t> bytes;
+  };
+  constexpr uint64_t kPage = mem::MainMemory::kPageSize;
+  const uint64_t base = as.reserve("buf", 3 * kPage);
+  std::vector<Write> writes;
+  const auto word = [&](uint64_t addr, uint64_t value) {
+    as.init_word(addr, value);
+    std::vector<uint8_t> bytes(8);
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+    writes.push_back({addr, bytes});
+  };
+  const auto raw = [&](uint64_t addr, std::vector<uint8_t> bytes) {
+    as.init_bytes(addr, bytes);
+    writes.push_back({addr, std::move(bytes)});
+  };
+  for (uint64_t i = 0; i < 64; ++i) word(base + 8 * i, 0x0101010101010101 * i);
+  raw(base + 22, {0xAA, 0xBB, 0xCC});           // overlaps two earlier words
+  word(base + 24, 0x1122334455667788);          // overwrites its last byte
+  raw(base + kPage - 3, {1, 2, 3, 4, 5, 6});    // crosses a page boundary
+  raw(base + 1000, {7, 7});                     // a run of its own
+  raw(base + 1002, {8});                        // adjacent to it
+  raw(base + 2000, {});                         // empty: writes nothing
+  word(base + 2 * kPage + 16, 0xFEEDFACECAFEBEEF);  // interleaved, far away
+  word(base + 8, 0xDEADBEEF);                   // back into the first run
+  as.halt();
+  const Program p = as.assemble();
+
+  // Runs: sorted, non-empty, separated by at least one unwritten byte.
+  ASSERT_EQ(p.data().size(), 4u);
+  for (size_t i = 0; i < p.data().size(); ++i) {
+    EXPECT_FALSE(p.data()[i].bytes.empty()) << i;
+    if (i > 0) {
+      EXPECT_LT(p.data()[i - 1].addr + p.data()[i - 1].bytes.size(),
+                p.data()[i].addr)
+          << i;
+    }
+  }
+
+  mem::MainMemory loaded;
+  load_data_image(p, loaded);
+  mem::MainMemory applied;
+  for (const Write& w : writes) {
+    applied.write_block(w.addr, w.bytes.data(), w.bytes.size());
+  }
+  EXPECT_EQ(pages_of(loaded), pages_of(applied));
+  EXPECT_EQ(loaded.read(base + 8, 8), 0xDEADBEEFu);
+  EXPECT_EQ(loaded.read(base + 20, 4), 0xBBAA0202u);
+  EXPECT_EQ(loaded.read(base + 24, 1), 0x88u);
+}
+
+// Every workload kernel's data image is one segment per run of bytes:
+// sorted, and no two segments touch or overlap.
+TEST(Assembler, EveryKernelHasOneSegmentPerRun) {
+  for (const std::string& name : workloads::names()) {
+    const Program p = workloads::build(name, 2);
+    const auto& data = p.data();
+    for (size_t i = 0; i < data.size(); ++i) {
+      EXPECT_FALSE(data[i].bytes.empty()) << name << " segment " << i;
+      if (i > 0) {
+        EXPECT_LT(data[i - 1].addr + data[i - 1].bytes.size(), data[i].addr)
+            << name << " segment " << i;
+      }
+    }
+    EXPECT_LE(data.size(), 8u) << name;
+  }
 }
 
 TEST(Assembler, CallRetEncoding) {

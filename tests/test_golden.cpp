@@ -234,7 +234,7 @@ TEST(Golden, TwoShardRunFromManifest) {
                                m.plan_hash));
     bytes.u64(digest_of(scrubbed_bytes(shards.back())));
   }
-  EXPECT_EQ(bytes.value(), 0x467bcc7e65a2dbb4ull);
+  EXPECT_EQ(bytes.value(), 0x7ba46f646a5ffa50ull);
   const MergedGrid merged = merge_shard_grid(shards);
   ASSERT_EQ(merged.configs.size(), size_t{2});
   EXPECT_EQ(stats_digest(merged.configs[0].run.aggregate),

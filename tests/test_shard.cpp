@@ -367,9 +367,9 @@ TEST(ParseShard, AcceptsValidRejectsMalformed) {
   const ShardSelection s = parse_shard("2/5");
   EXPECT_EQ(s.index, 2u);
   EXPECT_EQ(s.count, 5u);
-  EXPECT_TRUE(s.covers(2));
-  EXPECT_TRUE(s.covers(7));
-  EXPECT_FALSE(s.covers(3));
+  // A contiguous range: of 12 intervals, 2/5 takes [4, 7).
+  EXPECT_EQ(s.begin(12), 4u);
+  EXPECT_EQ(s.end(12), 7u);
   EXPECT_THROW((void)parse_shard("5/5"), std::runtime_error);
   EXPECT_THROW((void)parse_shard("0"), std::runtime_error);
   EXPECT_THROW((void)parse_shard("a/b"), std::runtime_error);
@@ -407,24 +407,58 @@ void expect_same_run(const SampledRun& a, const SampledRun& b,
       << label;
 }
 
+// Shard i of N takes plan indices [⌊i·k/N⌋, ⌊(i+1)·k/N⌋): consecutive
+// shards tile the plan in order, each index exactly once, and their sizes
+// differ by at most one (N > k leaves some shards empty).
+TEST(ShardedRun, ContiguousRangesPartitionEveryPlan) {
+  for (size_t k = 0; k <= 70; ++k) {
+    for (uint32_t n = 1; n <= k + 3; ++n) {
+      size_t next = 0;
+      size_t smallest = k;
+      size_t largest = 0;
+      for (uint32_t i = 0; i < n; ++i) {
+        const ShardSelection sel{i, n};
+        ASSERT_EQ(sel.begin(k), next) << i << "/" << n << " of " << k;
+        ASSERT_LE(sel.begin(k), sel.end(k)) << i << "/" << n << " of " << k;
+        next = sel.end(k);
+        smallest = std::min(smallest, sel.end(k) - sel.begin(k));
+        largest = std::max(largest, sel.end(k) - sel.begin(k));
+      }
+      EXPECT_EQ(next, k) << n << " shards of " << k;
+      EXPECT_LE(largest - smallest, 1u) << n << " shards of " << k;
+    }
+  }
+  // 64-bit arithmetic: the largest index and count do not wrap.
+  const ShardSelection last{UINT32_MAX - 1, UINT32_MAX};
+  EXPECT_EQ(last.end(UINT32_MAX), size_t{UINT32_MAX});
+  EXPECT_EQ(last.begin(UINT32_MAX), size_t{UINT32_MAX} - 1);
+}
+
 TEST(ShardedRun, AnyShardCountMergesBitIdentical) {
   const core::CoreConfig config = sim::presets::ci(2, 512);
   const isa::Program program = workloads::build("bzip2", 1);
-  const IntervalPlan plan =
-      plan_intervals(program, 5, /*max_insts=*/40000, /*warmup=*/500,
-                     WarmMode::kDetailed);
-  const SampledRun reference = sampled_run(config, program, plan);
+  // Detailed warm-up, and functional warming, whose units start while the
+  // shard's capture streams on. N = 7 leaves two of the 5 intervals'
+  // shards empty.
+  for (const WarmMode mode : {WarmMode::kDetailed, WarmMode::kFunctional}) {
+    const IntervalPlan plan =
+        plan_intervals(program, 5, /*max_insts=*/40000,
+                       mode == WarmMode::kDetailed ? 500 : 0, mode,
+                       mode == WarmMode::kDetailed ? 0 : 1500);
+    const SampledRun reference = sampled_run(config, program, plan);
 
-  for (const uint32_t n : {2u, 3u, 5u}) {
-    std::vector<ShardResult> shards;
-    for (uint32_t i = 0; i < n; ++i) {
-      shards.push_back(
-          run_shard(config, program, plan, ShardSelection{i, n}));
+    for (const uint32_t n : {2u, 3u, 5u, 7u}) {
+      std::vector<ShardResult> shards;
+      for (uint32_t i = 0; i < n; ++i) {
+        shards.push_back(
+            run_shard(config, program, plan, ShardSelection{i, n}));
+      }
+      // Merge order must not matter: reverse the shard list.
+      std::reverse(shards.begin(), shards.end());
+      expect_same_run(merge_shard_results(shards), reference,
+                      std::string(warm_mode_name(mode)) +
+                          " N=" + std::to_string(n));
     }
-    // Merge order must not matter: reverse the shard list.
-    std::reverse(shards.begin(), shards.end());
-    expect_same_run(merge_shard_results(shards), reference,
-                    "N=" + std::to_string(n));
   }
 }
 
@@ -475,6 +509,17 @@ TEST(ShardedRun, MergeRejectsIncompleteDuplicateAndMismatched) {
                ConfigMismatchError);
   EXPECT_NO_THROW((void)merge_shard_results({s0, s1}));
   EXPECT_NO_THROW((void)merge_shard_results({s1, s0}));  // any order
+
+  // A shard file of the retired round-robin layout (1/2 held intervals 1
+  // and 3) next to a contiguous 0/2 (0 and 1) does not partition the plan:
+  // interval 1 twice, 2 never.
+  const ShardResult whole = run_shard(config, program, plan);
+  ShardResult round_robin = whole;
+  round_robin.shard_index = 1;
+  round_robin.shard_count = 2;
+  round_robin.intervals = {whole.intervals[1], whole.intervals[3]};
+  EXPECT_THROW((void)merge_shard_results({s0, round_robin}),
+               CorruptFileError);
 }
 
 // ---------------------------------------------------------------------------

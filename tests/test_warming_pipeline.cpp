@@ -13,9 +13,12 @@
 //    targets past HALT;
 //  - a 4-record tiny-block trace (the trace reference crosses a block
 //    boundary every few records);
-//  - run_shard grids byte-equal under one or two detail threads, after
-//    scrubbing the (intentionally nondeterministic) wall-clock telemetry,
-//    and unchanged by a path handed to run_shard's unread trace parameter;
+//  - run_shard grids byte-equal under one, two or four detail threads,
+//    with and without two stride lanes, after scrubbing the
+//    (intentionally nondeterministic) wall-clock telemetry, and unchanged
+//    by a path handed to run_shard's unread trace parameter;
+//  - the per-target callback run_shard starts units from fires once per
+//    target, in order, with every blob of that target final;
 //  - a truncated trace names the offending warm target and interval in
 //    FunctionalWarmer::advance_on_trace;
 //  - WarmingPipelineS8: the same matrix on bzip2 s8 (excluded from the
@@ -203,15 +206,54 @@ TEST(WarmingPipeline, RunShardGridBitIdenticalAcrossWarmJobs) {
   const isa::Program program = cfir::testing::figure1_program(512);
   const IntervalPlan plan =
       plan_intervals(program, 4, 0, 0, WarmMode::kFunctional, 500);
-  const std::vector<ConfigBinding> bindings = cfir::testing::bindings_of(
-      {{"ci", sim::presets::ci(2, 256)}, {"scal", sim::presets::scal(2, 256)}});
+  // ci + scal, and ci + vect, whose group runs two stride lanes beside
+  // the hierarchy and predictor lanes.
+  for (const auto& grid :
+       {cfir::testing::bindings_of({{"ci", sim::presets::ci(2, 256)},
+                                    {"scal", sim::presets::scal(2, 256)}}),
+        cfir::testing::bindings_of({{"ci", sim::presets::ci(2, 256)},
+                                    {"vect", sim::presets::vect(2, 512)}})}) {
+    // One, two or four detail threads: byte-equal CFIRSHD2 payloads once
+    // the wall telemetry is scrubbed, whichever thread ran which unit.
+    const std::vector<uint8_t> one =
+        scrub_wall(run_shard(grid, program, plan, {0, 1}, 1)).serialize();
+    for (const int threads : {2, 4}) {
+      EXPECT_EQ(one, scrub_wall(run_shard(grid, program, plan, {0, 1},
+                                          threads))
+                         .serialize())
+          << grid[1].name << " threads=" << threads;
+    }
+  }
+}
 
-  // One or two detail threads: byte-equal CFIRSHD2 payloads once the wall
-  // telemetry is scrubbed.
-  EXPECT_EQ(scrub_wall(run_shard(bindings, program, plan, {0, 1}, 1))
-                .serialize(),
-            scrub_wall(run_shard(bindings, program, plan, {0, 1}, 2))
-                .serialize());
+TEST(WarmingPipeline, TargetCallbackSeesEachFinalBlobInOrder) {
+  // run_shard starts each interval's units from this callback, so it must
+  // fire once per target, in target order, with every config's blob for
+  // that target already final — equal to the finished grid's.
+  const isa::Program program = workloads::build("bzip2", 1);
+  const std::vector<core::CoreConfig> configs = {
+      sim::presets::ci(2, 256), sim::presets::vect(2, 512),
+      sim::presets::scal(2, 256)};
+  const uint64_t total = isa::run_program(program, UINT64_MAX).executed;
+  ASSERT_GT(total, uint64_t{4 * 16 * 1024});  // the stream spans rounds
+  // Targets at 0, two in the first round, a duplicate, rounds apart, at
+  // the end of the stream and past HALT.
+  const std::vector<uint64_t> targets = {0,         5,         total / 3,
+                                         total / 3, total / 2, total - 1,
+                                         total,     total + 7};
+  WarmGrid grid;
+  std::vector<size_t> order;
+  Blobs seen(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
+  capture_warm_states_grid(configs, program, targets, grid, [&](size_t t) {
+    order.push_back(t);
+    for (size_t c = 0; c < configs.size(); ++c) seen[c][t] = grid[c][t];
+  });
+  std::vector<size_t> expected(targets.size());
+  for (size_t t = 0; t < expected.size(); ++t) expected[t] = t;
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(seen, grid);
+  EXPECT_EQ(grid, capture_warm_states_grid(configs, program, targets));
+  EXPECT_EQ(grid, solo_engine(configs, program, targets));
 }
 
 TEST(WarmingPipeline, RunShardIgnoresItsTracePath) {
