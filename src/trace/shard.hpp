@@ -6,7 +6,8 @@
 // shard i of N takes a contiguous range of plan indices. A shard's warm
 // capture streams the committed prefix up to its own last interval, so
 // contiguous ranges keep that prefix short for every shard but the last
-// (round-robin shards each streamed nearly the whole run). run_shard
+// (a shard holding any interval near the plan's end streams nearly the
+// whole run). run_shard
 // executes that subset for a whole grid of ConfigBindings — the plan's
 // intervals and checkpoints are config-independent, so one shard simulates
 // every bound config per interval, streaming each functional-warming gap
