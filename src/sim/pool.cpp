@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <utility>
 
 #include "obs/tracer.hpp"
 #include "sim/options.hpp"
@@ -49,41 +48,38 @@ ThreadPool::~ThreadPool() {
   for (auto& th : workers_) th.join();
 }
 
-void ThreadPool::run_one(Batch& b, std::unique_lock<std::mutex>& lk) {
-  const size_t i = b.next++;
-  ++b.in_flight;
-  lk.unlock();
-  std::exception_ptr err;
-  try {
-    (*b.fn)(i);
-  } catch (...) {
-    err = std::current_exception();
-  }
-  lk.lock();
-  --b.in_flight;
-  if (err) {
-    if (!b.first_error) b.first_error = err;
-    b.failed = true;
+void ThreadPool::drain(Batch& b, std::unique_lock<std::mutex>& lk) {
+  while (b.open()) {
+    const size_t i = b.next++;
+    ++b.in_flight;
+    lk.unlock();
+    std::exception_ptr err;
+    try {
+      (*b.fn)(i);
+    } catch (...) {
+      err = std::current_exception();
+    }
+    lk.lock();
+    --b.in_flight;
+    if (err) {
+      if (!b.first_error) b.first_error = err;
+      b.failed = true;
+    }
   }
   // No claims left (exhausted or failed): once in_flight hits 0 the
   // batch is complete. The last finisher passes through here, so one
   // notify point covers every completion order.
-  if (!b.open() && b.in_flight == 0) done_cv_.notify_all();
+  if (b.in_flight == 0) done_cv_.notify_all();
 }
 
 void ThreadPool::worker_main(int lane) {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    // One index at a time, from the first batch whose submitter waits on
-    // it (each holds a thread until it is done), else from the first batch
-    // still open: a worker busy in an open batch turns to a waited one at
-    // its next index.
     Batch* b = nullptr;
     for (Batch* cand : queue_) {
-      if (cand->open() && cand->helpers > 0 &&
-          (b == nullptr || (cand->waited && !b->waited))) {
+      if (cand->open() && cand->helpers > 0) {
         b = cand;
-        if (b->waited) break;
+        break;
       }
     }
     if (b == nullptr) {
@@ -91,74 +87,36 @@ void ThreadPool::worker_main(int lane) {
       work_cv_.wait(lk);
       continue;
     }
-    // Label this worker's lane in the trace viewer (re-applied per claim
-    // so a tracer started mid-process still sees named lanes). Done under
-    // mu_ on purpose: releasing it here would let the submitter retire
-    // the batch before run_one() claims from it.
+    --b->helpers;  // the slot is held for the rest of the batch
+    // Label this worker's lane in the trace viewer (re-applied per batch
+    // join so a tracer started mid-process still sees named lanes). Done
+    // under mu_ on purpose: releasing it here would let the submitter
+    // retire the stack-allocated batch before drain() touches it.
     if (obs::Tracer::enabled()) {
       obs::Tracer::set_thread_name("worker-" + std::to_string(lane));
     }
-    --b->helpers;  // a helper slot, held while this worker runs one index
-    run_one(*b, lk);
-    ++b->helpers;  // still under mu_, so the batch is still queued
+    drain(*b, lk);
   }
-}
-
-void ThreadPool::enqueue(Batch& b, size_t n,
-                         const std::function<void(size_t)>& fn,
-                         int max_workers) {
-  b.n = n;
-  b.fn = &fn;
-  b.next = 0;
-  b.in_flight = 0;
-  b.failed = false;
-  b.first_error = nullptr;
-  const int cap = max_workers < 0 ? size() : std::min(max_workers, size());
-  b.helpers = std::min<int>(cap, static_cast<int>(n));
-  b.queued = true;
-  queue_.push_back(&b);
-  if (b.helpers > 0) work_cv_.notify_all();
-}
-
-void ThreadPool::complete(Batch& b, std::unique_lock<std::mutex>& lk) {
-  if (!b.queued) {
-    lk.unlock();
-    return;
-  }
-  b.waited = true;
-  // The submitter is always one of the batch's executors.
-  while (b.open()) run_one(b, lk);
-  done_cv_.wait(lk, [&] { return b.in_flight == 0; });
-  queue_.erase(std::find(queue_.begin(), queue_.end(), &b));
-  b.queued = false;
-  b.waited = false;
-  const std::exception_ptr err = std::exchange(b.first_error, nullptr);
-  lk.unlock();
-  if (err) std::rethrow_exception(err);
-}
-
-void ThreadPool::start(Batch& batch, size_t n,
-                       const std::function<void(size_t)>& fn,
-                       int max_workers) {
-  if (n == 0) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  enqueue(batch, n, fn, max_workers);
-}
-
-void ThreadPool::finish(Batch& batch) {
-  std::unique_lock<std::mutex> lk(mu_);
-  complete(batch, lk);
 }
 
 void ThreadPool::run(size_t n, const std::function<void(size_t)>& fn,
                      int max_workers) {
   if (n == 0) return;
   Batch b;
-  // start() and finish() under one hold of mu_: no worker can claim an
-  // index between the two, so the submitter claims index 0.
+  b.n = n;
+  b.fn = &fn;
+  const int cap = max_workers < 0 ? size() : std::min(max_workers, size());
+  b.helpers = std::min<int>(cap, static_cast<int>(n));
+
   std::unique_lock<std::mutex> lk(mu_);
-  enqueue(b, n, fn, max_workers);
-  complete(b, lk);
+  queue_.push_back(&b);
+  if (b.helpers > 0) work_cv_.notify_all();
+  drain(b, lk);  // the submitter is always one of the batch's executors
+  done_cv_.wait(lk, [&] { return b.in_flight == 0; });
+  queue_.erase(std::find(queue_.begin(), queue_.end(), &b));
+  const std::exception_ptr err = b.first_error;
+  lk.unlock();
+  if (err) std::rethrow_exception(err);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -12,18 +12,13 @@
 // rethrown on the submitting thread after the batch drains
 // (tests/test_sweep.cpp locks this). The submitting thread participates
 // in draining its own batch, which both bounds a batch's concurrency at
-// `max_workers + 1` and makes nested batches (a task submitting its own)
-// deadlock-free: the innermost submitter always makes progress on its own
-// indices even when every pool worker is busy. A batch may also stay open
-// while its submitter does other work: start() queues it and idle workers
-// join at once, and finish() drains what no worker claimed, waits and
-// rethrows. run() is start() plus finish(). Batches may be submitted
-// concurrently from any number of threads, which is what lets
-// sim::run_all's plan chains, their unit batches and their warm captures'
-// rounds overlap on one pool. Workers claim one index at a time: from the
-// oldest batch whose submitter is blocked on it (in run() or finish()),
-// else from the oldest open batch, so a capture's round never queues
-// behind another batch's backlog of units.
+// `max_workers + 1` and makes nested run() calls (a task submitting its
+// own batch) deadlock-free: the innermost submitter always makes
+// progress on its own indices even when every pool worker is busy.
+// run() may be called concurrently from any number of threads — open
+// batches share the workers FIFO — which is what lets sim::run_all's plan
+// chains, their unit batches and their warm captures' rounds
+// overlap on one pool.
 #pragma once
 
 #include <condition_variable>
@@ -47,48 +42,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// One batch of indices. The submitter owns it (on its stack, say); it
-  /// must stay in place, with the `fn` it was started with, until finish()
-  /// returns.
-  class Batch {
-   public:
-    Batch() = default;
-    Batch(const Batch&) = delete;
-    Batch& operator=(const Batch&) = delete;
-
-   private:
-    friend class ThreadPool;
-    // All fields are guarded by the pool-wide mu_ except fn execution
-    // itself (mu_ is released around it; tasks here are coarse — block
-    // decodes, lane rounds, interval sims — so one pool-wide mutex for
-    // claim bookkeeping is not a bottleneck).
-    size_t n = 0;
-    const std::function<void(size_t)>* fn = nullptr;
-    size_t next = 0;       ///< first unclaimed index
-    size_t in_flight = 0;  ///< claimed but not yet finished
-    bool failed = false;   ///< stop handing out further indices
-    bool queued = false;   ///< started and not yet finished
-    bool waited = false;   ///< the submitter is in finish(), blocked on it
-    int helpers = 0;       ///< pool workers that may run an index now
-    std::exception_ptr first_error;
-
-    [[nodiscard]] bool open() const { return !failed && next < n; }
-  };
-
-  /// Opens `batch` over fn(0..n-1): it is queued, and up to `max_workers`
-  /// pool workers (max_workers < 0 means "any") join it at once. Returns
-  /// without running anything on the calling thread.
-  void start(Batch& batch, size_t n, const std::function<void(size_t)>& fn,
-             int max_workers = -1);
-  /// Closes a started batch: runs every index no worker claimed on the
-  /// calling thread, waits for the claimed ones, then rethrows the first
-  /// exception a task threw. A batch that was never started, or is already
-  /// finished, returns at once. Safe to call from inside a task.
-  void finish(Batch& batch);
-
-  /// start() plus finish(): fn(0..n-1), each index exactly once, on up to
-  /// `max_workers` pool workers plus the calling thread, which always
-  /// claims index 0. Safe to call concurrently and from inside a task.
+  /// Invokes fn(0..n-1), each index exactly once, on up to
+  /// `max_workers` pool workers plus the calling thread (max_workers < 0
+  /// means "any"). Blocks until every claimed index finished, then
+  /// rethrows the first exception a task threw. Safe to call
+  /// concurrently and from inside a task.
   void run(size_t n, const std::function<void(size_t)>& fn,
            int max_workers = -1);
 
@@ -101,18 +59,28 @@ class ThreadPool {
   static ThreadPool& shared();
 
  private:
-  /// Queues `b`; `lk` holds mu_. A queued batch leaves queue_ only in
-  /// complete(), after in_flight drops to 0 and no claims remain, so
-  /// workers never touch a dead batch.
-  void enqueue(Batch& b, size_t n, const std::function<void(size_t)>& fn,
-               int max_workers);
-  /// Drains a queued `b` on the caller, waits for it, dequeues it and
-  /// rethrows its first error. `lk` holds mu_ on entry; released on exit.
-  void complete(Batch& b, std::unique_lock<std::mutex>& lk);
+  // One run() call. Lives on the submitter's stack; run() removes it
+  // from queue_ only after in_flight drops to 0 and no claims remain, so
+  // workers never touch a dead batch. All fields are guarded by the
+  // pool-wide mu_ except fn execution itself (mu_ is released around it;
+  // tasks here are coarse — block decodes, config feeds, interval sims —
+  // so one pool-wide mutex for claim bookkeeping is not a bottleneck).
+  struct Batch {
+    size_t n = 0;
+    const std::function<void(size_t)>* fn = nullptr;
+    size_t next = 0;       ///< first unclaimed index
+    size_t in_flight = 0;  ///< claimed but not yet finished
+    bool failed = false;   ///< stop handing out further indices
+    int helpers = 0;       ///< pool workers still allowed to join
+    std::exception_ptr first_error;
+
+    [[nodiscard]] bool open() const { return !failed && next < n; }
+  };
+
   void worker_main(int lane);
-  /// Claims and runs the next index of open batch `b`. `lk` must hold
-  /// mu_ on entry and holds it again on return.
-  void run_one(Batch& b, std::unique_lock<std::mutex>& lk);
+  /// Claims and runs indices of `b` until it has none left to hand out.
+  /// `lk` must hold mu_ on entry and holds it again on return.
+  void drain(Batch& b, std::unique_lock<std::mutex>& lk);
 
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers: a batch may need help

@@ -133,10 +133,10 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
 
   // One pool task per plan runs its whole chain: build the program once,
   // plan it, then run_shard all of its columns. Chains of different
-  // kernels overlap, and each run_shard's warm-capture rounds and the unit
-  // batches it opens as warm state lands nest on the same pool, picking
-  // up workers as other chains finish. Every task writes only its own
-  // members' outcomes, so no result depends on the schedule.
+  // kernels overlap, and each run_shard's unit batch and warm fan-out nest
+  // on the same pool, picking up workers as other chains finish. Every
+  // task writes only its own members' outcomes, so no result depends on
+  // the schedule.
   obs::Histogram& chain_hist =
       obs::Registry::instance().histogram("sweep.chain_us");
   parallel_for(

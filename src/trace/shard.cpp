@@ -4,14 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
-#include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "trace/blob.hpp"
@@ -26,43 +24,6 @@ namespace {
 /// Magic of the retired single-column layout, recognised only to reject it.
 constexpr char kRetiredShardMagic[8] = {'C', 'F', 'I', 'R',
                                         'S', 'H', 'D', '1'};
-
-/// The unit batches run_shard starts as warm state lands, one slot per
-/// interval. They point into run_shard's frame, so every started batch is
-/// finished before that frame unwinds, on success and on an exception.
-class UnitBatches {
- public:
-  explicit UnitBatches(size_t n) : batches_(n), tasks_(n) {}
-  UnitBatches(const UnitBatches&) = delete;
-  UnitBatches& operator=(const UnitBatches&) = delete;
-  ~UnitBatches() {
-    for (sim::ThreadPool::Batch& b : batches_) {
-      try {
-        pool_.finish(b);
-      } catch (...) {
-        // Only reached while an earlier error unwinds run_shard: that one
-        // is the error finish() promises, so a later batch's adds nothing.
-      }
-    }
-  }
-
-  /// Starts slot `j`'s batch of `n` indices on the shared pool.
-  void start(size_t j, size_t n, std::function<void(size_t)> task,
-             int max_workers) {
-    tasks_[j] = std::move(task);
-    pool_.start(batches_[j], n, tasks_[j], max_workers);
-  }
-
-  /// Finishes every batch in slot order; rethrows the first error.
-  void finish() {
-    for (sim::ThreadPool::Batch& b : batches_) pool_.finish(b);
-  }
-
- private:
-  sim::ThreadPool& pool_ = sim::ThreadPool::shared();
-  std::vector<sim::ThreadPool::Batch> batches_;
-  std::vector<std::function<void(size_t)>> tasks_;
-};
 }  // namespace
 
 ShardSelection parse_shard(std::string_view spec) {
@@ -277,92 +238,18 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     iv.wall_us.assign(nc, 0);
   }
 
-  // Under functional warming, config c's unit of interval j installs
-  // captured[capture_slot[c]][j], which the capture writes before it
-  // starts that interval's units. Both outlive every unit batch below.
-  const bool functional = warm_mode_has_functional_prefix(plan.warm_mode);
-  std::vector<size_t> capture_slot(nc);
-  WarmGrid captured;
-
-  // One detailed unit: interval j of this shard under config c. An
-  // interval whose measured window reaches the end of a halting run
-  // executes unbounded so the core retires HALT and reports `halted` like
-  // a monolithic run — even when the window is empty (a program that
-  // halts at instruction 0).
+  // Functional warm state: stream the committed prefix up to THIS shard's
+  // last interval in ONE pass, fanning the records out to every config's
+  // warmer, because the committed stream is config-independent.
+  // A subset capture matches the full one bit for bit (warm state at
+  // instruction N does not depend on which other snapshots the pass
+  // takes). `warmed_insts` records the coverage once, however many
+  // configs shared the stream.
   obs::Registry& reg = obs::Registry::instance();
-  obs::Histogram& unit_hist = reg.histogram("shard.unit_us");
-  obs::Histogram& restore_hist = reg.histogram("shard.restore_us");
-  obs::Histogram& install_hist = reg.histogram("shard.install_us");
-  obs::Histogram& detail_hist = reg.histogram("shard.detail_us");
-  obs::Counter& detail_units = reg.counter("shard.detail_units");
-  obs::Counter& detail_insts = reg.counter("shard.detail_insts");
-  const auto run_unit = [&](size_t j, size_t c) {
-    const size_t i = first + j;
-    ShardResult::Interval& interval = result.intervals[j];
-    const bool run_to_halt =
-        plan.ran_to_halt &&
-        interval.start_inst + interval.length == plan.total_insts;
-    if (interval.length == 0 && !run_to_halt) return;
-    const obs::Stopwatch unit_clock;
-    const core::CoreConfig& config = configs[c].config;
-    std::unique_ptr<sim::Simulator> sim;
-    {
-      obs::Span restore_span("checkpoint.restore", static_cast<uint64_t>(i));
-      sim = std::make_unique<sim::Simulator>(config, program,
-                                             plan.checkpoints[i]);
-    }
-    const uint64_t restored_us = unit_clock.elapsed_us();
-    uint64_t installed_us = restored_us;
-    if (functional) {
-      obs::Span warm_span("warming", static_cast<uint64_t>(i));
-      install_warm_state(captured[capture_slot[c]][j], *sim);
-      installed_us = unit_clock.elapsed_us();
-    }
-    stats::SimStats warm_stats;
-    if (interval.warmup > 0) {
-      obs::Span warm_span("warming", static_cast<uint64_t>(i));
-      warm_stats = sim->run(interval.warmup);
-    }
-    stats::SimStats& s = interval.stats[c];
-    {
-      obs::Span detail_span("detail", static_cast<uint64_t>(i));
-      s = sim->run(run_to_halt ? UINT64_MAX
-                               : interval.warmup + interval.length);
-    }
-    s.subtract(warm_stats);
-    // Episode counters are only hierarchical (total >= selected >=
-    // reused, a ci::CiMechanism invariant) within one contiguous run.
-    // The warm-up boundary can split an episode — selected during the
-    // warm-up slice, reused in the measured window — so re-clamp the
-    // measured slice: credit that belongs to warm-up state is discarded
-    // with the rest of the warm-up.
-    s.ep_ci_selected = std::min(s.ep_ci_selected, s.ep_total);
-    s.ep_ci_reused = std::min(s.ep_ci_reused, s.ep_ci_selected);
-
-    // Telemetry for this (interval, config) unit. wall_us is written by
-    // exactly one worker (this unit's), so no lock is needed.
-    const uint64_t unit_us = unit_clock.elapsed_us();
-    interval.wall_us[c] = unit_us;
-    unit_hist.observe(unit_us);
-    restore_hist.observe(restored_us);
-    if (functional) install_hist.observe(installed_us - restored_us);
-    detail_hist.observe(unit_us - installed_us);
-    detail_units.increment();
-    detail_insts.add(s.committed + interval.warmup);
-  };
-
-  if (!functional) {
-    sim::parallel_for(
-        result.intervals.size() * nc,
-        [&](size_t p) { run_unit(p / nc, p % nc); }, threads);
-  } else {
-    // Functional warm state: stream the committed prefix up to THIS
-    // shard's last interval in ONE pass, fanning the records out to every
-    // config's warmer, because the committed stream is config-independent.
-    // A subset capture matches the full one bit for bit (warm state at
-    // instruction N does not depend on which other snapshots the pass
-    // takes). `warmed_insts` records the coverage once, however many
-    // configs shared the stream.
+  const bool functional = warm_mode_has_functional_prefix(plan.warm_mode);
+  std::vector<size_t> capture_slot(nc);  // index into `captured`
+  std::vector<std::vector<std::vector<uint8_t>>> captured;  // [slot][j]
+  if (functional) {
     std::vector<core::CoreConfig> need;
     // Configs with coinciding warm-relevant geometry (warm_digest) train
     // byte-identical warm state from the same committed stream, so they
@@ -382,20 +269,83 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
       targets.push_back(at);
       result.warmed_insts += at;
     }
-    // Each interval's units start on idle workers as soon as its blobs
-    // land, while the capture streams on; then this thread finishes the
-    // batches in plan order.
-    UnitBatches batches(result.intervals.size());
-    const int helpers = threads <= 0 ? -1 : threads - 1;
     const obs::Stopwatch warm_clock;
-    capture_warm_states_grid(need, program, targets, captured, [&](size_t j) {
-      batches.start(j, nc, [&run_unit, j](size_t c) { run_unit(j, c); },
-                    helpers);
-    });
+    captured = capture_warm_states_grid(need, program, targets);
     result.warm_wall_us = warm_clock.elapsed_us();
     reg.histogram("shard.warm_capture_us").observe(result.warm_wall_us);
-    batches.finish();
   }
+
+  // Detailed-simulate the (interval × config) grid in parallel. An
+  // interval whose measured window reaches the end of a halting run
+  // executes unbounded so the core retires HALT and reports `halted` like
+  // a monolithic run — even when the window is empty (a program that
+  // halts at instruction 0).
+  obs::Histogram& unit_hist = reg.histogram("shard.unit_us");
+  obs::Histogram& restore_hist = reg.histogram("shard.restore_us");
+  obs::Histogram& install_hist = reg.histogram("shard.install_us");
+  obs::Histogram& detail_hist = reg.histogram("shard.detail_us");
+  obs::Counter& detail_units = reg.counter("shard.detail_units");
+  obs::Counter& detail_insts = reg.counter("shard.detail_insts");
+  sim::parallel_for(
+      result.intervals.size() * nc,
+      [&](size_t p) {
+        const size_t j = p / nc;
+        const size_t c = p % nc;
+        const size_t i = first + j;
+        ShardResult::Interval& interval = result.intervals[j];
+        const bool run_to_halt =
+            plan.ran_to_halt &&
+            interval.start_inst + interval.length == plan.total_insts;
+        if (interval.length == 0 && !run_to_halt) return;
+        const obs::Stopwatch unit_clock;
+        const core::CoreConfig& config = configs[c].config;
+        std::unique_ptr<sim::Simulator> sim;
+        {
+          obs::Span restore_span("checkpoint.restore",
+                                 static_cast<uint64_t>(i));
+          sim = std::make_unique<sim::Simulator>(config, program,
+                                                 plan.checkpoints[i]);
+        }
+        const uint64_t restored_us = unit_clock.elapsed_us();
+        uint64_t installed_us = restored_us;
+        if (functional) {
+          obs::Span warm_span("warming", static_cast<uint64_t>(i));
+          install_warm_state(captured[capture_slot[c]][j], *sim);
+          installed_us = unit_clock.elapsed_us();
+        }
+        stats::SimStats warm_stats;
+        if (interval.warmup > 0) {
+          obs::Span warm_span("warming", static_cast<uint64_t>(i));
+          warm_stats = sim->run(interval.warmup);
+        }
+        stats::SimStats& s = interval.stats[c];
+        {
+          obs::Span detail_span("detail", static_cast<uint64_t>(i));
+          s = sim->run(run_to_halt ? UINT64_MAX
+                                   : interval.warmup + interval.length);
+        }
+        s.subtract(warm_stats);
+        // Episode counters are only hierarchical (total >= selected >=
+        // reused, a ci::CiMechanism invariant) within one contiguous run.
+        // The warm-up boundary can split an episode — selected during the
+        // warm-up slice, reused in the measured window — so re-clamp the
+        // measured slice: credit that belongs to warm-up state is
+        // discarded with the rest of the warm-up.
+        s.ep_ci_selected = std::min(s.ep_ci_selected, s.ep_total);
+        s.ep_ci_reused = std::min(s.ep_ci_reused, s.ep_ci_selected);
+
+        // Telemetry for this (interval, config) unit. wall_us is written
+        // by exactly one worker (this unit's), so no lock is needed.
+        const uint64_t unit_us = unit_clock.elapsed_us();
+        interval.wall_us[c] = unit_us;
+        unit_hist.observe(unit_us);
+        restore_hist.observe(restored_us);
+        if (functional) install_hist.observe(installed_us - restored_us);
+        detail_hist.observe(unit_us - installed_us);
+        detail_units.increment();
+        detail_insts.add(s.committed + interval.warmup);
+      },
+      threads);
 
   for (const ShardResult::Interval& interval : result.intervals) {
     for (size_t c = 0; c < nc; ++c) {

@@ -12,9 +12,7 @@
 // intervals and checkpoints are config-independent, so one shard simulates
 // every bound config per interval, streaming each functional-warming gap
 // ONCE and fanning the committed records out to every config's Warmable
-// components (warming cost O(gap), not O(gap × configs)). Each interval's
-// detailed units start on idle pool workers as soon as its warm state
-// lands, while the capture streams on. The result is a
+// components (warming cost O(gap), not O(gap × configs)). The result is a
 // ShardResult: per-interval stats with one column per config, plus
 // everything the merge layer needs to validate and fold them. Results
 // serialize as CFIRSHD2 blobs, so N workers on N machines each run one

@@ -507,19 +507,9 @@ std::vector<std::vector<uint8_t>> capture_warm_states(
   return capture_warm_states_grid({config}, program, targets)[0];
 }
 
-WarmGrid capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
-                                  const isa::Program& program,
-                                  const std::vector<uint64_t>& targets) {
-  WarmGrid grid;
-  capture_warm_states_grid(configs, program, targets, grid, nullptr);
-  return grid;
-}
-
-void capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
-                              const isa::Program& program,
-                              const std::vector<uint64_t>& targets,
-                              WarmGrid& out,
-                              const WarmTargetReady& on_target) {
+std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
+    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
+    const std::vector<uint64_t>& targets) {
   if (configs.empty()) {
     throw std::runtime_error("capture_warm_states_grid: no configs");
   }
@@ -530,7 +520,8 @@ void capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
   const obs::Stopwatch clock;
   std::vector<WarmGroup> groups = make_groups(configs, program);
   const std::vector<Lane> lanes = make_lanes(groups);
-  out.assign(configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
+  std::vector<std::vector<std::vector<uint8_t>>> out(
+      configs.size(), std::vector<std::vector<uint8_t>>(targets.size()));
 
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
@@ -598,7 +589,6 @@ void capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
               g.hier_sections[k]);
         }
       }
-      if (on_target) on_target(t);
     }
     ti = tj;
     pos = end;
@@ -608,6 +598,7 @@ void capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
   // the same convention ShardResult::warmed_insts uses.
   reg.counter("warming.insts").add(pos);
   reg.histogram("warming.capture_us").observe(clock.elapsed_us());
+  return out;
 }
 
 }  // namespace cfir::trace

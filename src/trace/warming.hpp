@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -170,9 +169,6 @@ class FunctionalWarmer {
 /// typed errors as deserialize_state().
 void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 
-/// Warm-state blobs of a grid capture: [config][target].
-using WarmGrid = std::vector<std::vector<std::vector<uint8_t>>>;
-
 /// One config's warm-state blobs at each target instruction count
 /// (`targets` must be non-decreasing — interval plans are):
 /// capture_warm_states_grid({config}, program, targets)[0]. Element i is
@@ -204,23 +200,9 @@ using WarmGrid = std::vector<std::vector<std::vector<uint8_t>>>;
 /// blobs do not depend on the pool's size. A program that halts before
 /// the last target snapshots the remaining targets at its final state.
 /// The warming.trainers counter adds the number of groups.
-[[nodiscard]] WarmGrid capture_warm_states_grid(
-    const std::vector<core::CoreConfig>& configs, const isa::Program& program,
-    const std::vector<uint64_t>& targets);
-
-/// Called once per target, in target order, on the capturing thread, as
-/// soon as that target's blob is final for every config.
-using WarmTargetReady = std::function<void(size_t target)>;
-
-/// capture_warm_states_grid into `grid` (resized to [config][target]),
-/// calling `on_target` as each target's blobs land, while the capture
-/// streams on toward the later targets. The caller owns the blobs, so
-/// work started from `on_target` may read them until the caller frees
-/// `grid`, even if the capture throws.
-void capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
-                              const isa::Program& program,
-                              const std::vector<uint64_t>& targets,
-                              WarmGrid& grid,
-                              const WarmTargetReady& on_target);
+[[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
+capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
+                         const isa::Program& program,
+                         const std::vector<uint64_t>& targets);
 
 }  // namespace cfir::trace

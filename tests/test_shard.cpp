@@ -437,9 +437,9 @@ TEST(ShardedRun, ContiguousRangesPartitionEveryPlan) {
 TEST(ShardedRun, AnyShardCountMergesBitIdentical) {
   const core::CoreConfig config = sim::presets::ci(2, 512);
   const isa::Program program = workloads::build("bzip2", 1);
-  // Detailed warm-up, and functional warming, whose units start while the
-  // shard's capture streams on. N = 7 leaves two of the 5 intervals'
-  // shards empty.
+  // Detailed warm-up, and functional warming, whose capture each shard
+  // streams only up to its own last interval. N = 7 leaves two of the 5
+  // intervals' shards empty.
   for (const WarmMode mode : {WarmMode::kDetailed, WarmMode::kFunctional}) {
     const IntervalPlan plan =
         plan_intervals(program, 5, /*max_insts=*/40000,

@@ -307,86 +307,6 @@ TEST(Pool, MaxWorkersBoundsConcurrency) {
   EXPECT_GE(high.load(), 1);
 }
 
-// An open batch: start() returns at once, idle workers join it, and
-// finish() leaves every index run exactly once — also while the caller
-// does other work in between.
-TEST(Pool, OpenBatchRunsEachIndexOnce) {
-  ThreadPool& pool = ThreadPool::shared();
-  std::vector<std::atomic<int>> hits(64);
-  const std::function<void(size_t)> fn = [&](size_t i) {
-    hits[i].fetch_add(1);
-  };
-  ThreadPool::Batch batch;
-  pool.start(batch, hits.size(), fn);
-  std::atomic<int> other{0};
-  pool.run(16, [&](size_t) { other.fetch_add(1); });
-  pool.finish(batch);
-  pool.finish(batch);  // a finished batch returns at once
-  EXPECT_EQ(other.load(), 16);
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-// finish() rethrows the first error a task threw, after every claimed
-// index finished, and the pool keeps working afterwards.
-TEST(Pool, FinishRethrowsFirstError) {
-  ThreadPool& pool = ThreadPool::shared();
-  std::atomic<size_t> ran{0};
-  const std::function<void(size_t)> fn = [&](size_t i) {
-    ran.fetch_add(1);
-    if (i == 5) throw std::runtime_error("task 5 exploded");
-  };
-  ThreadPool::Batch batch;
-  pool.start(batch, 32, fn);
-  try {
-    pool.finish(batch);
-    FAIL() << "finish swallowed the task exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 5 exploded");
-  }
-  EXPECT_GE(ran.load(), 6u);
-  EXPECT_LE(ran.load(), 32u);
-  std::atomic<int> after{0};
-  pool.run(8, [&](size_t) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 8);
-}
-
-// A batch no worker may join stays untouched until finish(), which then
-// runs every index on the calling thread.
-TEST(Pool, UnclaimedBatchRunsOnCallerAtFinish) {
-  ThreadPool pool(2);
-  std::vector<std::thread::id> ran_on(16);
-  std::atomic<int> ran{0};
-  const std::function<void(size_t)> fn = [&](size_t i) {
-    ran_on[i] = std::this_thread::get_id();
-    ran.fetch_add(1);
-  };
-  ThreadPool::Batch batch;
-  pool.start(batch, ran_on.size(), fn, /*max_workers=*/0);
-  pool.run(4, [](size_t) {});  // the workers pass the open batch by
-  EXPECT_EQ(ran.load(), 0);
-  pool.finish(batch);
-  EXPECT_EQ(ran.load(), 16);
-  for (const std::thread::id id : ran_on) {
-    EXPECT_EQ(id, std::this_thread::get_id());
-  }
-}
-
-// A task may open and close a batch of its own (run_shard does, inside
-// run_all's chain tasks), even when every worker is busy.
-TEST(Pool, TaskStartsAndFinishesItsOwnBatch) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.run(4, [&](size_t) {
-    const std::function<void(size_t)> inner = [&](size_t) {
-      total.fetch_add(1);
-    };
-    ThreadPool::Batch batch;
-    pool.start(batch, 8, inner);
-    pool.finish(batch);
-  });
-  EXPECT_EQ(total.load(), 32);
-}
-
 TEST(Sweep, BenchMaxInstsDefaultsOnlyWhenUnset) {
   // README: CFIR_MAX_INSTS=0 runs every bench cell to HALT (RunSpec
   // max_insts 0); only an unset or empty variable leaves the binary's own
