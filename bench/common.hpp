@@ -60,7 +60,7 @@ inline void dump_json(const std::vector<sim::RunOutcome>& outcomes) {
     // own).
     const double secs = o.wall_ms / 1000.0;
     const double ips =
-        secs > 0 ? static_cast<double>(o.detailed_insts) / secs : 0.0;
+        secs > 0 ? static_cast<double>(o.simulated_insts()) / secs : 0.0;
     std::printf("{\"workload\":\"%s\",\"config\":\"%s\",\"scale\":%u,"
                 "\"intervals\":%u,\"wall_ms\":%.3f,\"insts_per_sec\":%.0f,"
                 "\"stats\":%s",
@@ -90,22 +90,27 @@ inline void dump_json(const std::vector<sim::RunOutcome>& outcomes) {
 
 /// One machine-readable `telemetry` line: total detailed-simulation wall
 /// and throughput for the whole figure plus a snapshot of every
-/// obs::Registry instrument. Telemetry is host-side (nondeterministic), so
-/// it rides in its own line that diff-based consumers can drop.
+/// obs::Registry instrument. `detailed_insts` sums every grid point's
+/// count; `insts_per_sec` divides only the simulated part by the wall, so
+/// cells and units reused from a covering run (wall 0) do not inflate it.
+/// Telemetry is host-side (nondeterministic), so it rides in its own line
+/// that diff-based consumers can drop.
 inline void dump_telemetry_json(const std::vector<sim::RunOutcome>& outcomes) {
   if (!options().json) return;
   double wall_ms = 0;
   unsigned long long insts = 0;
+  unsigned long long simulated = 0;
   for (const sim::RunOutcome& o : outcomes) {
     wall_ms += o.wall_ms;
     insts += o.detailed_insts;
+    simulated += o.simulated_insts();
   }
   const double secs = wall_ms / 1000.0;
   std::printf("{\"telemetry\":true,\"wall_ms\":%.3f,"
               "\"detailed_insts\":%llu,\"insts_per_sec\":%.0f,"
               "\"metrics\":%s}\n",
               wall_ms, insts,
-              secs > 0 ? static_cast<double>(insts) / secs : 0.0,
+              secs > 0 ? static_cast<double>(simulated) / secs : 0.0,
               obs::Registry::instance().to_json().c_str());
 }
 

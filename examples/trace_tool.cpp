@@ -613,15 +613,17 @@ int cmd_merge(int argc, char** argv) {
       }
       // Host-side telemetry (nondeterministic) stays in the --per-phase
       // report only: plain merge output must remain byte-identical to
-      // `trace_tool sample`.
+      // `trace_tool sample`. The rate counts only the units that took
+      // wall time, not those reused from a covering unit.
       const double wall_s = static_cast<double>(run.wall_us) / 1e6;
       std::printf("{\"telemetry\":true,\"wall_ms\":%.3f,"
                   "\"warm_wall_ms\":%.3f,\"insts_per_sec\":%.0f}\n",
                   static_cast<double>(run.wall_us) / 1000.0,
                   static_cast<double>(run.warm_wall_us) / 1000.0,
-                  wall_s > 0
-                      ? static_cast<double>(run.detailed_insts) / wall_s
-                      : 0.0);
+                  wall_s > 0 ? static_cast<double>(
+                                   trace::simulated_insts(run.intervals)) /
+                                   wall_s
+                             : 0.0);
     }
     print_run(column->run, manifest.mode, manifest.warm_mode);
   }

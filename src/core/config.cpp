@@ -91,6 +91,21 @@ uint64_t CoreConfig::warm_digest() const {
   return d.value();
 }
 
+uint64_t CoreConfig::family_digest() const {
+  CoreConfig masked = *this;
+  masked.num_phys_regs = 0;
+  masked.rob_size = 0;
+  return masked.digest();
+}
+
+bool CoreConfig::covers(const CoreConfig& other, bool hit_capacity) const {
+  if (family_digest() != other.family_digest()) return false;
+  if (hit_capacity) {
+    return other.num_phys_regs == num_phys_regs && other.rob_size == rob_size;
+  }
+  return other.num_phys_regs >= num_phys_regs && other.rob_size >= rob_size;
+}
+
 std::vector<CoreConfig::NamedValue> CoreConfig::fields() const {
   std::vector<NamedValue> out;
 #define X(kind, field) out.push_back({#field, CFIR_CFG_VAL_##kind(field)});

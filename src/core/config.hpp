@@ -112,6 +112,21 @@ struct CoreConfig {
   /// NOT part of CFIR_CORECONFIG_FIELDS: it is derived, not configuration.
   [[nodiscard]] uint64_t warm_digest() const;
 
+  /// Digest of this config's capacity family: digest() with exactly
+  /// num_phys_regs and rob_size masked. Configs of one family differ only
+  /// in those two capacities, which the register sweeps (Figures 9, 11,
+  /// 13, 14) vary together (scale_window_to_regs).
+  [[nodiscard]] uint64_t family_digest() const;
+
+  /// The cover rule of capacity-family reuse. A run of *this that ended
+  /// with `hit_capacity` false (core::Core::hit_capacity) reproduces, byte
+  /// for byte, the run of `other` from the same start and instruction cap
+  /// when `other` is in the same family and has at least as many
+  /// registers and ROB entries; a run that did hit capacity reproduces
+  /// only its own config. docs/architecture.md "Concurrency model" gives
+  /// the argument and the audit of every capacity read behind it.
+  [[nodiscard]] bool covers(const CoreConfig& other, bool hit_capacity) const;
+
   /// Byte codec over the same field list and order as digest(): a config
   /// embedded in a CFIRMAN2 manifest rebuilds on any machine without that
   /// machine knowing the preset it came from. deserialize() throws

@@ -298,7 +298,10 @@ void Core::fetch_stage() {
   if (halted_ || fetch_stalled_ || cycle_ < fetch_resume_cycle_) return;
   uint32_t fetched = 0;
   while (fetched < cfg_.fetch_width) {
-    if (rob_count_ >= cfg_.rob_size) break;
+    if (rob_count_ >= cfg_.rob_size) {
+      capacity_hit_ = true;
+      break;
+    }
     const isa::Instruction* ip = program_.try_at(fetch_pc_);
     if (ip == nullptr) {
       // Wrong-path fetch ran off the image (or the program ended): stall
@@ -324,6 +327,7 @@ void Core::fetch_stage() {
     if ((attrs.bits & isa::kOpDest) != 0 && regfile_.free_count() == 0) {
       // Rename starvation; the watchdog eventually reclaims speculative
       // registers so that replica hoarding can never wedge the machine.
+      capacity_hit_ = true;
       ++stats_.rename_stall_cycles;
       if (rename_starved_since_ == 0) rename_starved_since_ = cycle_;
       if (cycle_ - rename_starved_since_ >= cfg_.watchdog_cycles &&

@@ -79,6 +79,16 @@ class Core {
 
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] uint64_t cycle() const { return cycle_; }
+  /// Whether this core ever reached its register or ROB capacity: fetch
+  /// stopped on a full ROB, rename starved for a free register, or the
+  /// register file refused an allocation (a replica's reserve check
+  /// included). A run that never did is reproduced exactly by every
+  /// larger member of its capacity family (CoreConfig::covers; the
+  /// argument is in docs/architecture.md "Concurrency model"). Host-side
+  /// bookkeeping for the sweeps, never a SimStats field.
+  [[nodiscard]] bool hit_capacity() const {
+    return capacity_hit_ || regfile_.refused();
+  }
   [[nodiscard]] const stats::SimStats& stats() const { return stats_; }
   [[nodiscard]] stats::SimStats& stats() { return stats_; }
 
@@ -333,6 +343,7 @@ class Core {
   uint64_t fetch_pc_ = 0;
   uint64_t fetch_resume_cycle_ = 0;
   bool fetch_stalled_ = false;  ///< ran off the image / hit HALT; waits redirect
+  bool capacity_hit_ = false;   ///< fetch stopped on a full ROB or starved rename
   uint64_t last_fetch_line_ = ~uint64_t{0};
   uint64_t next_seq_ = 1;
 

@@ -17,7 +17,10 @@ class PhysRegFile {
 
   /// Allocates for a scalar rename. Returns -1 when the free list is empty.
   [[nodiscard]] int alloc() {
-    if (free_.empty()) return -1;
+    if (free_.empty()) {
+      refused_ = true;
+      return -1;
+    }
     const int r = free_.back();
     free_.pop_back();
     regs_[static_cast<size_t>(r)].ready = false;
@@ -26,7 +29,10 @@ class PhysRegFile {
   /// Allocates for a replica only when more than `reserve` registers would
   /// remain free. Returns -1 otherwise.
   [[nodiscard]] int alloc_replica(uint32_t reserve) {
-    if (free_.size() <= reserve) return -1;
+    if (free_.size() <= reserve) {
+      refused_ = true;
+      return -1;
+    }
     return alloc();
   }
   void free_reg(int r) {
@@ -46,6 +52,9 @@ class PhysRegFile {
   [[nodiscard]] uint32_t size() const { return static_cast<uint32_t>(regs_.size()); }
   [[nodiscard]] uint32_t free_count() const { return static_cast<uint32_t>(free_.size()); }
   [[nodiscard]] uint32_t in_use() const { return size() - free_count(); }
+  /// Whether alloc() or alloc_replica() ever returned -1: a file with
+  /// more registers would have answered differently (Core::hit_capacity).
+  [[nodiscard]] bool refused() const { return refused_; }
 
  private:
   struct Reg {
@@ -54,6 +63,7 @@ class PhysRegFile {
   };
   std::vector<Reg> regs_;
   std::vector<int> free_;
+  bool refused_ = false;
 };
 
 }  // namespace cfir::core

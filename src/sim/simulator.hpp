@@ -51,6 +51,9 @@ class Simulator {
   }
   [[nodiscard]] uint64_t memory_digest() const { return memory_.digest(); }
   [[nodiscard]] uint64_t arch_reg(int r) const { return core_->arch_reg(r); }
+  /// Whether any run() of this Simulator, a detailed warm-up included,
+  /// reached the register or ROB capacity (core::Core::hit_capacity).
+  [[nodiscard]] bool hit_capacity() const { return core_->hit_capacity(); }
 
  private:
   isa::Program program_;

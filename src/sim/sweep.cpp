@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -37,6 +38,38 @@ trace::IntervalPlan plan_for(const RunSpec& spec, const isa::Program& program) {
 }
 }  // namespace
 
+uint64_t RunOutcome::simulated_insts() const {
+  if (phases.empty()) return wall_ms > 0 ? detailed_insts : 0;
+  return trace::simulated_insts(phases);
+}
+
+void run_family(std::vector<size_t> members,
+                const std::function<const core::CoreConfig&(size_t)>& config,
+                const std::function<bool(size_t)>& simulate,
+                const std::function<void(size_t, size_t)>& reuse) {
+  std::stable_sort(members.begin(), members.end(), [&](size_t a, size_t b) {
+    const core::CoreConfig& x = config(a);
+    const core::CoreConfig& y = config(b);
+    return std::tie(x.num_phys_regs, x.rob_size) <
+           std::tie(y.num_phys_regs, y.rob_size);
+  });
+  struct Ran {
+    size_t member;
+    bool hit_capacity;
+  };
+  std::vector<Ran> ran;
+  for (const size_t m : members) {
+    const auto cover = std::find_if(ran.begin(), ran.end(), [&](const Ran& r) {
+      return config(r.member).covers(config(m), r.hit_capacity);
+    });
+    if (cover != ran.end()) {
+      reuse(m, cover->member);
+    } else {
+      ran.push_back({m, simulate(m)});
+    }
+  }
+}
+
 void parallel_for(size_t n, const std::function<void(size_t)>& fn,
                   int threads) {
   if (threads <= 0 && n > 1) threads = ThreadPool::shared().size();
@@ -70,37 +103,68 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
   std::vector<RunOutcome> out(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) out[i].spec = specs[i];
 
-  // Monolithic grid points are embarrassingly parallel: one pool item each.
-  std::vector<size_t> mono;
+  // Monolithic grid points: one pool task per capacity family, which
+  // builds the program once (inside the try, so an unknown workload names
+  // its spec) and runs the family through run_family. Every task writes
+  // only its own members' outcomes.
+  using FamilyKey = std::tuple<std::string, uint32_t, uint64_t, uint64_t>;
+  std::map<FamilyKey, size_t> family_of;
+  std::vector<std::vector<size_t>> families;
   for (size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].intervals <= 1) mono.push_back(i);
+    const RunSpec& spec = specs[i];
+    if (spec.intervals > 1) continue;
+    const auto [it, fresh] = family_of.emplace(
+        FamilyKey{spec.workload, spec.scale, spec.max_insts,
+                  spec.config.family_digest()},
+        families.size());
+    if (fresh) families.emplace_back();
+    families[it->second].push_back(i);
   }
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Histogram& mono_hist = reg.histogram("sweep.mono_us");
+  obs::Counter& detail_insts = reg.counter("shard.detail_insts");
+  obs::Counter& cells_reused = reg.counter("sweep.cells_reused");
   parallel_for(
-      mono.size(),
-      [&](size_t m) {
-        const size_t i = mono[m];
-        const RunSpec& spec = specs[i];
-        try {
-          isa::Program program = workloads::build(spec.workload, spec.scale);
-          const uint64_t cap =
-              spec.max_insts == 0 ? UINT64_MAX : spec.max_insts;
-          Simulator sim(spec.config, std::move(program));
-          const obs::Stopwatch clock;
-          {
-            obs::Span detail_span("detail", i);
-            out[i].stats = sim.run(cap);
-          }
-          const uint64_t wall_us = clock.elapsed_us();
-          out[i].wall_ms = static_cast<double>(wall_us) / 1000.0;
-          out[i].detailed_insts = out[i].stats.committed;
-          obs::Registry& reg = obs::Registry::instance();
-          reg.histogram("sweep.mono_us").observe(wall_us);
-          reg.counter("shard.detail_insts").add(out[i].stats.committed);
-        } catch (const std::exception& e) {
-          throw std::runtime_error(std::string("run '") + spec.workload +
-                                   "/" + spec.config_name +
-                                   "' failed: " + e.what());
-        }
+      families.size(),
+      [&](size_t f) {
+        std::optional<isa::Program> program;
+        run_family(
+            families[f],
+            [&](size_t i) -> const core::CoreConfig& {
+              return specs[i].config;
+            },
+            [&](size_t i) {
+              const RunSpec& spec = specs[i];
+              try {
+                if (!program) {
+                  program = workloads::build(spec.workload, spec.scale);
+                }
+                const uint64_t cap =
+                    spec.max_insts == 0 ? UINT64_MAX : spec.max_insts;
+                Simulator sim(spec.config, *program);
+                const obs::Stopwatch clock;
+                {
+                  obs::Span detail_span("detail", i);
+                  out[i].stats = sim.run(cap);
+                }
+                const uint64_t wall_us = clock.elapsed_us();
+                out[i].wall_ms = static_cast<double>(wall_us) / 1000.0;
+                out[i].detailed_insts = out[i].stats.committed;
+                mono_hist.observe(wall_us);
+                detail_insts.add(out[i].stats.committed);
+                return sim.hit_capacity();
+              } catch (const std::exception& e) {
+                throw std::runtime_error(std::string("run '") +
+                                         spec.workload + "/" +
+                                         spec.config_name +
+                                         "' failed: " + e.what());
+              }
+            },
+            [&](size_t i, size_t from) {
+              out[i].stats = out[from].stats;
+              out[i].detailed_insts = out[i].stats.committed;
+              cells_reused.increment();
+            });
       },
       threads);
 
@@ -137,8 +201,7 @@ std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
   // on the same pool, picking up workers as other chains finish. Every
   // task writes only its own members' outcomes, so no result depends on
   // the schedule.
-  obs::Histogram& chain_hist =
-      obs::Registry::instance().histogram("sweep.chain_us");
+  obs::Histogram& chain_hist = reg.histogram("sweep.chain_us");
   parallel_for(
       chains.size(),
       [&](size_t p) {

@@ -1,6 +1,8 @@
-// Thread-pooled experiment runner: the figure benches enqueue one job per
-// (workload, configuration) grid point and collect SimStats. Simulations
-// are embarrassingly parallel, so this scales to the shared pool's size
+// Thread-pooled experiment runner: the figure benches hand it their
+// (workload, configuration) grid points and collect SimStats. Grid points
+// that differ only in register and ROB capacity run as one job that
+// reuses the results of points that never bind (run_family); the jobs are
+// embarrassingly parallel, so this scales to the shared pool's size
 // (sim/pool.hpp).
 #pragma once
 
@@ -41,16 +43,30 @@ struct RunOutcome {
   /// per-phase columns next to the weighted aggregate; empty for
   /// monolithic runs.
   std::vector<trace::SampledRun::Interval> phases;
-  /// Host wall-clock spent in detailed simulation for this grid point
-  /// (mono: the whole run; sampled: sum of this column's interval walls).
+  /// Host wall-clock this grid point spent in detailed simulation (mono:
+  /// the whole run; sampled: sum of this column's interval walls). A cell
+  /// or unit taken from a covering run of its capacity family
+  /// (run_family) simulated nothing and adds 0.
   double wall_ms = 0.0;
-  /// Instructions the detailed core actually committed — with wall_ms this
-  /// yields the insts/sec throughput the bench JSON reports.
+  /// Instructions the detailed core committed for `stats` (mono: the
+  /// run's committed count; sampled: each interval's measured slice plus
+  /// its warm-up), whether this grid point simulated them or took them
+  /// from a covering run. Host rates divide simulated_insts() instead.
   uint64_t detailed_insts = 0;
+
+  /// The part of detailed_insts this grid point simulated itself: the
+  /// cell, or the intervals, with nonzero wall time. Divided by wall_ms it
+  /// is a host rate that reused results do not inflate.
+  [[nodiscard]] uint64_t simulated_insts() const;
 };
 
 /// Runs every spec (order preserved in the result). `threads` <= 0 takes
-/// the shared pool's size. Specs with `intervals > 1` run through the
+/// the shared pool's size. Monolithic specs run one pool task per
+/// capacity family: the cells of one workload, scale and cap whose configs
+/// differ only in registers and ROB (CoreConfig::family_digest). The task
+/// builds the program once and runs the family through run_family, so a
+/// cell that a smaller unbound cell covers reuses its stats
+/// (`sweep.cells_reused`). Specs with `intervals > 1` run through the
 /// checkpointed interval sampler: specs sharing one plan (same
 /// workload/scale/cap/plan knobs) execute as ONE multi-config
 /// trace::run_shard over the whole plan — the plan and its checkpoints are
@@ -63,6 +79,23 @@ struct RunOutcome {
 /// depends on the thread count or the schedule.
 [[nodiscard]] std::vector<RunOutcome> run_all(const std::vector<RunSpec>& specs,
                                               int threads = 0);
+
+/// Runs one capacity family, the loop behind run_all's monolithic cells
+/// and trace::run_shard's units. `members` index grid points that start
+/// from the same state, run to the same cap and whose configs
+/// (`config(m)`) share one CoreConfig::family_digest(). They run in
+/// ascending (num_phys_regs, rob_size) order: `simulate(m)` runs member m
+/// and returns its Simulator::hit_capacity(), unless a member that already
+/// ran covers m (CoreConfig::covers); then `reuse(m, from)` takes member
+/// `from`'s result instead. A member with more registers but a smaller
+/// ROB than every unbound member still runs. An exception from `simulate`
+/// stops the family and propagates. Which members run, and which result
+/// each reused member takes, depends only on the configs and on what each
+/// run reports, never on the schedule.
+void run_family(std::vector<size_t> members,
+                const std::function<const core::CoreConfig&(size_t)>& config,
+                const std::function<bool(size_t)>& simulate,
+                const std::function<void(size_t, size_t)>& reuse);
 
 /// The fan-out primitive behind run_all and trace::SampledRun: invokes
 /// `fn(0..n)` across `threads` workers (`threads` <= 0 takes the shared

@@ -158,6 +158,14 @@ IntervalPlan plan_cluster_intervals(const isa::Program& program,
   return plan;
 }
 
+uint64_t simulated_insts(const std::vector<SampledRun::Interval>& intervals) {
+  uint64_t n = 0;
+  for (const SampledRun::Interval& iv : intervals) {
+    if (iv.wall_us > 0) n += iv.stats.committed + iv.warmup;
+  }
+  return n;
+}
+
 SampledRun sampled_run(const core::CoreConfig& config,
                        const isa::Program& program, const IntervalPlan& plan,
                        int threads) {

@@ -73,14 +73,17 @@ struct SampledRun {
     double weight = 1.0;      ///< population this interval stands in for
     stats::SimStats stats;    ///< measured slice only (warm-up subtracted)
     /// Host wall-clock of this interval's detail simulation (telemetry —
-    /// never part of the simulated result; 0 when the shard result was
+    /// never part of the simulated result; 0 when the unit reused a
+    /// covering unit's stats (sim::run_family) or the shard result was
     /// scrubbed, e.g. by `trace_tool run-shard --scrub-wall`).
     uint64_t wall_us = 0;
   };
   std::vector<Interval> intervals;
   uint64_t total_insts = 0;    ///< instructions the plan covers
-  uint64_t detailed_insts = 0; ///< instructions actually detail-simulated
-                               ///< (measured + detailed warm-up; the cost)
+  uint64_t detailed_insts = 0; ///< detailed instructions behind the stats
+                               ///< (measured + detailed warm-up), reused
+                               ///< units included; simulated_insts() is
+                               ///< the part that took wall time
   uint64_t warmed_insts = 0;   ///< instructions functionally warmed
                                ///< (functional-engine speed; ~free by
                                ///< comparison)
@@ -90,6 +93,12 @@ struct SampledRun {
   uint64_t warm_wall_us = 0;
   stats::SimStats aggregate;   ///< weighted merge of every interval
 };
+
+/// Detailed instructions (measured + warm-up) of the intervals with
+/// nonzero wall time: the work a host rate divides by the summed wall,
+/// without the units that reused a covering unit's stats.
+[[nodiscard]] uint64_t simulated_insts(
+    const std::vector<SampledRun::Interval>& intervals);
 
 /// The sampling schedule for one workload. Planning uses only the
 /// functional engine and depends on the workload — never the core config —

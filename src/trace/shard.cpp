@@ -275,75 +275,102 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
     reg.histogram("shard.warm_capture_us").observe(result.warm_wall_us);
   }
 
-  // Detailed-simulate the (interval × config) grid in parallel. An
+  // Detailed-simulate the grid in parallel, one pool task per (interval
+  // × capacity family): the columns whose configs differ only in
+  // registers and ROB (CoreConfig::family_digest) start from one
+  // checkpoint and warm blob, so sim::run_family runs them from the
+  // smallest up and a unit that an unbound unit of the same interval
+  // covers takes that unit's stats and reports zero wall time. An
   // interval whose measured window reaches the end of a halting run
   // executes unbounded so the core retires HALT and reports `halted` like
   // a monolithic run — even when the window is empty (a program that
   // halts at instruction 0).
+  std::vector<std::vector<size_t>> families;
+  std::unordered_map<uint64_t, size_t> family_of;
+  for (size_t c = 0; c < nc; ++c) {
+    const auto [it, fresh] = family_of.emplace(
+        configs[c].config.family_digest(), families.size());
+    if (fresh) families.emplace_back();
+    families[it->second].push_back(c);
+  }
+  const size_t nf = families.size();
   obs::Histogram& unit_hist = reg.histogram("shard.unit_us");
   obs::Histogram& restore_hist = reg.histogram("shard.restore_us");
   obs::Histogram& install_hist = reg.histogram("shard.install_us");
   obs::Histogram& detail_hist = reg.histogram("shard.detail_us");
   obs::Counter& detail_units = reg.counter("shard.detail_units");
   obs::Counter& detail_insts = reg.counter("shard.detail_insts");
+  obs::Counter& units_reused = reg.counter("shard.units_reused");
   sim::parallel_for(
-      result.intervals.size() * nc,
+      result.intervals.size() * nf,
       [&](size_t p) {
-        const size_t j = p / nc;
-        const size_t c = p % nc;
+        const size_t j = p / nf;
         const size_t i = first + j;
         ShardResult::Interval& interval = result.intervals[j];
         const bool run_to_halt =
             plan.ran_to_halt &&
             interval.start_inst + interval.length == plan.total_insts;
         if (interval.length == 0 && !run_to_halt) return;
-        const obs::Stopwatch unit_clock;
-        const core::CoreConfig& config = configs[c].config;
-        std::unique_ptr<sim::Simulator> sim;
-        {
-          obs::Span restore_span("checkpoint.restore",
-                                 static_cast<uint64_t>(i));
-          sim = std::make_unique<sim::Simulator>(config, program,
-                                                 plan.checkpoints[i]);
-        }
-        const uint64_t restored_us = unit_clock.elapsed_us();
-        uint64_t installed_us = restored_us;
-        if (functional) {
-          obs::Span warm_span("warming", static_cast<uint64_t>(i));
-          install_warm_state(captured[capture_slot[c]][j], *sim);
-          installed_us = unit_clock.elapsed_us();
-        }
-        stats::SimStats warm_stats;
-        if (interval.warmup > 0) {
-          obs::Span warm_span("warming", static_cast<uint64_t>(i));
-          warm_stats = sim->run(interval.warmup);
-        }
-        stats::SimStats& s = interval.stats[c];
-        {
-          obs::Span detail_span("detail", static_cast<uint64_t>(i));
-          s = sim->run(run_to_halt ? UINT64_MAX
-                                   : interval.warmup + interval.length);
-        }
-        s.subtract(warm_stats);
-        // Episode counters are only hierarchical (total >= selected >=
-        // reused, a ci::CiMechanism invariant) within one contiguous run.
-        // The warm-up boundary can split an episode — selected during the
-        // warm-up slice, reused in the measured window — so re-clamp the
-        // measured slice: credit that belongs to warm-up state is
-        // discarded with the rest of the warm-up.
-        s.ep_ci_selected = std::min(s.ep_ci_selected, s.ep_total);
-        s.ep_ci_reused = std::min(s.ep_ci_reused, s.ep_ci_selected);
+        const auto simulate = [&](size_t c) {
+          const obs::Stopwatch unit_clock;
+          std::unique_ptr<sim::Simulator> sim;
+          {
+            obs::Span restore_span("checkpoint.restore",
+                                   static_cast<uint64_t>(i));
+            sim = std::make_unique<sim::Simulator>(configs[c].config, program,
+                                                   plan.checkpoints[i]);
+          }
+          const uint64_t restored_us = unit_clock.elapsed_us();
+          uint64_t installed_us = restored_us;
+          if (functional) {
+            obs::Span warm_span("warming", static_cast<uint64_t>(i));
+            install_warm_state(captured[capture_slot[c]][j], *sim);
+            installed_us = unit_clock.elapsed_us();
+          }
+          stats::SimStats warm_stats;
+          if (interval.warmup > 0) {
+            obs::Span warm_span("warming", static_cast<uint64_t>(i));
+            warm_stats = sim->run(interval.warmup);
+          }
+          stats::SimStats& s = interval.stats[c];
+          {
+            obs::Span detail_span("detail", static_cast<uint64_t>(i));
+            s = sim->run(run_to_halt ? UINT64_MAX
+                                     : interval.warmup + interval.length);
+          }
+          s.subtract(warm_stats);
+          // Episode counters are only hierarchical (total >= selected >=
+          // reused, a ci::CiMechanism invariant) within one contiguous
+          // run. The warm-up boundary can split an episode — selected
+          // during the warm-up slice, reused in the measured window — so
+          // re-clamp the measured slice: credit that belongs to warm-up
+          // state is discarded with the rest of the warm-up.
+          s.ep_ci_selected = std::min(s.ep_ci_selected, s.ep_total);
+          s.ep_ci_reused = std::min(s.ep_ci_reused, s.ep_ci_selected);
 
-        // Telemetry for this (interval, config) unit. wall_us is written
-        // by exactly one worker (this unit's), so no lock is needed.
-        const uint64_t unit_us = unit_clock.elapsed_us();
-        interval.wall_us[c] = unit_us;
-        unit_hist.observe(unit_us);
-        restore_hist.observe(restored_us);
-        if (functional) install_hist.observe(installed_us - restored_us);
-        detail_hist.observe(unit_us - installed_us);
-        detail_units.increment();
-        detail_insts.add(s.committed + interval.warmup);
+          // Telemetry for this (interval, config) unit. wall_us is
+          // written by exactly one worker (this unit's), so no lock is
+          // needed.
+          const uint64_t unit_us = unit_clock.elapsed_us();
+          interval.wall_us[c] = unit_us;
+          unit_hist.observe(unit_us);
+          restore_hist.observe(restored_us);
+          if (functional) install_hist.observe(installed_us - restored_us);
+          detail_hist.observe(unit_us - installed_us);
+          detail_units.increment();
+          detail_insts.add(s.committed + interval.warmup);
+          return sim->hit_capacity();
+        };
+        sim::run_family(
+            families[p % nf],
+            [&](size_t c) -> const core::CoreConfig& {
+              return configs[c].config;
+            },
+            simulate,
+            [&](size_t c, size_t from) {
+              interval.stats[c] = interval.stats[from];
+              units_reused.increment();
+            });
       },
       threads);
 

@@ -135,8 +135,11 @@ struct ShardResult {
 
 /// Execute layer, grid form: detail-simulates `shard`'s subset of `plan`'s
 /// intervals under EVERY binding in `configs`, in parallel over
-/// (interval × config) pairs (`threads` <= 0 picks CFIR_THREADS / hardware
-/// concurrency), warming per the plan's WarmMode. Functional warm state
+/// (interval × capacity family) tasks (`threads` <= 0 picks CFIR_THREADS /
+/// hardware concurrency), warming per the plan's WarmMode. Each task runs
+/// its family's units through sim::run_family, so a unit that a smaller
+/// unbound unit of its interval covers reuses that unit's stats, wall 0
+/// (`shard.units_reused`); the result's bytes are the same either way. Functional warm state
 /// comes from ONE streaming pass over the prefix up to the shard's last
 /// interval, fanning the committed records out to every config's warmer
 /// (capture_warm_states_grid). `plan_hash` is stamped into the result for

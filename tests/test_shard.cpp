@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "sim/presets.hpp"
 #include "trace/blob.hpp"
 #include "trace/errors.hpp"
@@ -459,6 +460,60 @@ TEST(ShardedRun, AnyShardCountMergesBitIdentical) {
                       std::string(warm_mode_name(mode)) +
                           " N=" + std::to_string(n));
     }
+  }
+}
+
+TEST(ShardedRun, CapacityFamiliesMatchSingleConfigRuns) {
+  // A register-swept ci + vect grid runs one task per (interval ×
+  // capacity family), and a unit that a smaller unbound unit of its
+  // interval covers reuses that unit's stats. Every column must still
+  // equal its config's single-config sampled_run, whose one-member
+  // families simulate every unit, under functional warming and under
+  // detailed warming with a warm-up.
+  const isa::Program program = workloads::build("gap", 1);
+  std::vector<std::pair<std::string, core::CoreConfig>> points;
+  for (const char* policy : {"ci", "vect"}) {
+    for (const uint32_t regs : {72u, 96u, 256u, 512u, 8192u}) {
+      const std::string spec =
+          std::string(policy) + ":2:" + std::to_string(regs);
+      points.emplace_back(spec, sim::presets::from_spec(spec));
+    }
+  }
+  obs::Counter& reused =
+      obs::Registry::instance().counter("shard.units_reused");
+  obs::Counter& simulated =
+      obs::Registry::instance().counter("shard.detail_insts");
+  for (const WarmMode mode : {WarmMode::kFunctional, WarmMode::kDetailed}) {
+    const bool detailed = mode == WarmMode::kDetailed;
+    const IntervalPlan plan =
+        plan_intervals(program, 6, /*max_insts=*/40000, detailed ? 2000 : 0,
+                       mode, detailed ? 0 : 1500);
+    const uint64_t before = reused.value();
+    const uint64_t simulated_before = simulated.value();
+    const ShardResult grid =
+        run_shard(cfir::testing::bindings_of(points), program, plan, {}, 4);
+    const uint64_t units_reused = reused.value() - before;
+    const uint64_t counted = simulated.value() - simulated_before;
+    EXPECT_GT(units_reused, 0u) << warm_mode_name(mode);
+    size_t zero_wall = 0;
+    for (const ShardResult::Interval& iv : grid.intervals) {
+      for (const uint64_t us : iv.wall_us) zero_wall += us == 0 ? 1 : 0;
+    }
+    EXPECT_GE(zero_wall, units_reused) << warm_mode_name(mode);
+
+    // Host rates divide only what the core simulated: the units with wall
+    // time, whose instructions the registry counted as they ran.
+    const MergedGrid merged = merge_shard_grid({grid});
+    ASSERT_EQ(merged.configs.size(), points.size());
+    uint64_t rate_insts = 0;
+    for (size_t c = 0; c < points.size(); ++c) {
+      rate_insts += simulated_insts(merged.configs[c].run.intervals);
+      expect_same_run(merged.configs[c].run,
+                      sampled_run(points[c].second, program, plan),
+                      std::string(warm_mode_name(mode)) + " " +
+                          points[c].first);
+    }
+    EXPECT_EQ(rate_insts, counted) << warm_mode_name(mode);
   }
 }
 

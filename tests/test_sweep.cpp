@@ -13,13 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "sim/options.hpp"
 #include "sim/pool.hpp"
 #include "sim/presets.hpp"
+#include "sim/simulator.hpp"
 #include "stats/stats.hpp"
 #include "util/parse.hpp"
 #include "util/warmable.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cfir::sim {
 namespace {
@@ -49,6 +52,46 @@ void expect_rejected(const std::vector<std::string>& parts) {
       EXPECT_NE(what.find(part), std::string::npos) << what;
     }
   }
+}
+
+std::vector<uint8_t> stats_bytes(const stats::SimStats& s) {
+  util::ByteWriter w;
+  stats::serialize(s, w);
+  return w.take();
+}
+
+/// A grid point simulated alone: a fresh Simulator run to `max_insts`
+/// (0 = to HALT), and whether it reached its register or ROB capacity.
+struct OwnRun {
+  std::vector<uint8_t> stats;
+  bool hit_capacity = false;
+};
+OwnRun own_run(const core::CoreConfig& config, const isa::Program& program,
+               uint64_t max_insts) {
+  Simulator sim(config, program);
+  const stats::SimStats s = sim.run(max_insts == 0 ? UINT64_MAX : max_insts);
+  return {stats_bytes(s), sim.hit_capacity()};
+}
+
+/// The cover rule on own runs alone: whenever a member's own run never
+/// reached capacity, every member it covers must have produced the same
+/// stats bytes when run alone. Returns how many covered pairs it checked.
+size_t expect_unbound_runs_cover(const std::vector<core::CoreConfig>& configs,
+                                 const std::vector<OwnRun>& runs,
+                                 const std::string& what) {
+  size_t pairs = 0;
+  for (size_t a = 0; a < configs.size(); ++a) {
+    if (runs[a].hit_capacity) continue;
+    for (size_t b = 0; b < configs.size(); ++b) {
+      if (b == a || !configs[a].covers(configs[b], false)) continue;
+      ++pairs;
+      EXPECT_EQ(runs[a].stats, runs[b].stats)
+          << what << ": unbound " << configs[a].label() << " (rob "
+          << configs[a].rob_size << ") covers " << configs[b].label()
+          << " (rob " << configs[b].rob_size << ")";
+    }
+  }
+  return pairs;
 }
 
 TEST(Sweep, RunsGridInOrder) {
@@ -218,11 +261,6 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
     }
   }
   const size_t plans = 4;
-  const auto stats_bytes = [](const stats::SimStats& s) {
-    util::ByteWriter w;
-    stats::serialize(s, w);
-    return w.take();
-  };
   obs::Histogram& chains =
       obs::Registry::instance().histogram("sweep.chain_us");
 
@@ -252,6 +290,218 @@ TEST(Sweep, SampledGridIdenticalAcrossThreadCounts) {
           << cell << " phase " << ph;
     }
   }
+}
+
+TEST(Sweep, CapacityFamiliesMatchEveryMemberRunAlone) {
+  // Every kernel under ci, vect and scal, swept from a register file that
+  // binds to one that cannot: run_all (which reuses covered cells) must
+  // equal each cell's own Simulator run at 1 and 4 threads, and the cover
+  // rule must hold on the own runs themselves.
+  // 72 is the smallest file the Core accepts: the 64 logical registers
+  // plus 8 to rename into. At this cap the first member that never binds
+  // lies anywhere from 256 to 8192 registers, by kernel and policy.
+  const std::vector<uint32_t> regs = {72, 128, 256, 288, 320, 384, 512, 8192};
+  const uint64_t cap = 10000;
+  std::vector<RunSpec> specs;
+  for (const std::string& wl : workloads::names()) {
+    for (const char* policy : {"ci", "vect", "scal"}) {
+      for (const uint32_t r : regs) {
+        RunSpec s;
+        s.workload = wl;
+        s.config_name = std::string(policy) + "/" + std::to_string(r);
+        s.config = presets::from_spec(std::string(policy) + ":2:" +
+                                      std::to_string(r));
+        s.max_insts = cap;
+        specs.push_back(std::move(s));
+      }
+    }
+  }
+  std::vector<isa::Program> programs;
+  for (const std::string& wl : workloads::names()) {
+    programs.push_back(workloads::build(wl, 1));
+  }
+  const size_t per_workload = specs.size() / programs.size();
+  std::vector<OwnRun> own(specs.size());
+  parallel_for(
+      specs.size(),
+      [&](size_t i) {
+        own[i] = own_run(specs[i].config, programs[i / per_workload], cap);
+      },
+      4);
+  size_t covered_pairs = 0;
+  for (size_t f = 0; f < specs.size(); f += regs.size()) {
+    const auto first = own.begin() + static_cast<std::ptrdiff_t>(f);
+    const auto last = first + static_cast<std::ptrdiff_t>(regs.size());
+    std::vector<core::CoreConfig> family;
+    for (size_t m = f; m < f + regs.size(); ++m) {
+      family.push_back(specs[m].config);
+    }
+    const std::string name = specs[f].workload + "/" + specs[f].config_name;
+    // Each family crosses from bound to unbound.
+    EXPECT_TRUE(first->hit_capacity) << name;
+    EXPECT_FALSE((last - 1)->hit_capacity) << name;
+    covered_pairs += expect_unbound_runs_cover(family, {first, last}, name);
+  }
+  EXPECT_GE(covered_pairs, specs.size() / regs.size());
+
+  obs::Counter& reused = obs::Registry::instance().counter("sweep.cells_reused");
+  for (const int threads : {1, 4}) {
+    const uint64_t reused_before = reused.value();
+    const std::vector<RunOutcome> out = run_all(specs, threads);
+    ASSERT_EQ(out.size(), specs.size());
+    size_t zero_wall = 0;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(stats_bytes(out[i].stats), own[i].stats)
+          << specs[i].workload << "/" << specs[i].config_name << " threads "
+          << threads;
+      EXPECT_EQ(out[i].detailed_insts, out[i].stats.committed);
+      if (out[i].wall_ms == 0) ++zero_wall;
+    }
+    EXPECT_GT(reused.value() - reused_before, 0u) << "threads " << threads;
+    EXPECT_GE(zero_wall, reused.value() - reused_before);
+  }
+
+  // The same invariant on random programs with 8 to 64 registers to
+  // rename into, at the default window and at a 32-entry one that fills.
+  parallel_for(
+      12,
+      [&](size_t seed) {
+        const isa::Program program = cfir::testing::random_program(seed + 1);
+        for (const char* policy : {"ci", "vect", "scal"}) {
+          for (const uint32_t rob : {32u, 256u}) {
+            std::vector<core::CoreConfig> family;
+            std::vector<OwnRun> runs;
+            for (const uint32_t r : {72u, 80u, 88u, 104u, 128u}) {
+              core::CoreConfig config = presets::from_spec(
+                  std::string(policy) + ":2:" + std::to_string(r));
+              config.rob_size = rob;
+              family.push_back(config);
+              runs.push_back(own_run(config, program, 0));
+            }
+            expect_unbound_runs_cover(
+                family, runs,
+                "random_program(" + std::to_string(seed + 1) + ") " + policy +
+                    " rob " + std::to_string(rob));
+          }
+        }
+      },
+      4);
+}
+
+TEST(Sweep, RegisterFileRefusalsMarkTheRunBound) {
+  // A refused replica allocation leaves rename enough registers, so the
+  // run may never stall, yet a larger file would have granted it: the
+  // refusal alone must mark the run as having hit capacity.
+  core::PhysRegFile file(72);
+  for (int i = 0; i < 56; ++i) ASSERT_GE(file.alloc(), 0);
+  EXPECT_FALSE(file.refused());
+  EXPECT_EQ(file.alloc_replica(16), -1);
+  EXPECT_TRUE(file.refused());
+
+  core::PhysRegFile empty(72);
+  for (int i = 0; i < 72; ++i) ASSERT_GE(empty.alloc(), 0);
+  EXPECT_FALSE(empty.refused());
+  EXPECT_EQ(empty.alloc(), -1);
+  EXPECT_TRUE(empty.refused());
+}
+
+TEST(Sweep, LargerFileWithSmallerRobStillRuns) {
+  // Sorted by registers, the 2048-register, 512-entry point comes after
+  // the unbound 1024/1024 one but has the smaller ROB, so it is not
+  // covered and runs; the 2048/2048 point is covered and reuses.
+  const auto point = [](uint32_t regs, uint32_t rob) {
+    core::CoreConfig config = presets::scal(2, regs);
+    config.rob_size = rob;
+    return config;
+  };
+  const core::CoreConfig unbound = point(1024, 1024);
+  const core::CoreConfig smaller_rob = point(2048, 512);
+  const core::CoreConfig covered = point(2048, 2048);
+  EXPECT_FALSE(unbound.covers(smaller_rob, false));
+  EXPECT_TRUE(unbound.covers(covered, false));
+  EXPECT_FALSE(unbound.covers(covered, true));
+
+  const isa::Program program = workloads::build("gap", 1);
+  ASSERT_FALSE(own_run(unbound, program, 20000).hit_capacity);
+  std::vector<RunSpec> specs;
+  for (const core::CoreConfig& config : {covered, smaller_rob, unbound}) {
+    RunSpec s;
+    s.workload = "gap";
+    s.config_name = std::to_string(config.num_phys_regs) + "/" +
+                    std::to_string(config.rob_size);
+    s.config = config;
+    s.max_insts = 20000;
+    specs.push_back(std::move(s));
+  }
+  obs::Registry& reg = obs::Registry::instance();
+  const uint64_t reused_before = reg.counter("sweep.cells_reused").value();
+  const uint64_t ran_before = reg.histogram("sweep.mono_us").count();
+  const std::vector<RunOutcome> out = run_all(specs, 1);
+  EXPECT_EQ(reg.counter("sweep.cells_reused").value() - reused_before, 1u);
+  EXPECT_EQ(reg.histogram("sweep.mono_us").count() - ran_before, 2u);
+  EXPECT_EQ(out[0].wall_ms, 0.0);
+  EXPECT_GT(out[1].wall_ms, 0.0);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(stats_bytes(out[i].stats),
+              own_run(specs[i].config, program, 20000).stats)
+        << specs[i].config_name;
+  }
+}
+
+TEST(Sweep, TwoNamesForOneConfigShareOneRun) {
+  // An identical config is covered whether or not its run hit capacity:
+  // ci at 80 registers binds, and its second name still reuses the run.
+  RunSpec a;
+  a.workload = "bzip2";
+  a.config_name = "first";
+  a.config = presets::ci(2, 80);
+  a.max_insts = 10000;
+  RunSpec b = a;
+  b.config_name = "second";
+  const isa::Program program = workloads::build("bzip2", 1);
+  ASSERT_TRUE(own_run(a.config, program, a.max_insts).hit_capacity);
+
+  obs::Counter& reused = obs::Registry::instance().counter("sweep.cells_reused");
+  const uint64_t before = reused.value();
+  const std::vector<RunOutcome> out = run_all({a, b}, 4);
+  EXPECT_EQ(reused.value() - before, 1u);
+  EXPECT_EQ(out[0].spec.config_name, "first");
+  EXPECT_EQ(out[1].spec.config_name, "second");
+  EXPECT_EQ(stats_bytes(out[0].stats), stats_bytes(out[1].stats));
+  EXPECT_EQ(out[0].detailed_insts, out[1].detailed_insts);
+  EXPECT_GT(out[0].wall_ms, 0.0);
+  EXPECT_EQ(out[1].wall_ms, 0.0);
+  EXPECT_EQ(out[0].simulated_insts(), out[0].detailed_insts);
+  EXPECT_EQ(out[1].simulated_insts(), 0u);
+}
+
+TEST(Sweep, ThrowingMemberNamesItsSpecAndStopsItsFamily) {
+  // The family's smallest member cannot hold the logical file, so the
+  // Core refuses it; the error names that spec, and the larger member,
+  // which would otherwise run next, never runs.
+  RunSpec tiny;
+  tiny.workload = "bzip2";
+  tiny.config_name = "tiny";
+  tiny.config = presets::scal(1, 64);
+  tiny.max_insts = 1000;
+  RunSpec big = tiny;
+  big.config_name = "big";
+  big.config = presets::scal(1, 256);
+  obs::Registry& reg = obs::Registry::instance();
+  const uint64_t ran_before = reg.histogram("sweep.mono_us").count();
+  const uint64_t reused_before = reg.counter("sweep.cells_reused").value();
+  try {
+    (void)run_all({big, tiny}, 1);
+    FAIL() << "a spec the Core refuses did not throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("run 'bzip2/tiny' failed"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("num_phys_regs too small"), std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(reg.histogram("sweep.mono_us").count(), ran_before);
+  EXPECT_EQ(reg.counter("sweep.cells_reused").value(), reused_before);
 }
 
 // The memoized worker pool behind parallel_for and the warming pipeline:
