@@ -114,6 +114,36 @@ inline void dump_telemetry_json(const std::vector<sim::RunOutcome>& outcomes) {
               obs::Registry::instance().to_json().c_str());
 }
 
+/// The run length a figure header names: "max N <insts>/run", or "runs to
+/// HALT" when CFIR_MAX_INSTS=0 (RunSpec::max_insts 0).
+inline std::string run_length(const char* insts) {
+  const uint64_t max = options().max_insts.value_or(kBenchMaxInsts);
+  if (max == 0) return "runs to HALT";
+  return "max " + std::to_string(max) + " " + insts + "/run";
+}
+
+/// Prints a figure's title and the parenthesized `note` under it, which
+/// names the run length through run_length(). A sampled grid
+/// (CFIR_INTERVALS > 1) gets one more line naming the sample mode, the
+/// interval or window count, the warm mode, the warm-up and the
+/// CFIR_DETAIL_LEN slice cap. A blank line ends the header.
+inline void print_header(const std::string& title, const std::string& note) {
+  const sim::Options& opts = options();
+  std::printf("%s\n(%s)\n", title.c_str(), note.c_str());
+  if (opts.intervals > 1) {
+    const bool cluster = opts.sample_mode == trace::SampleMode::kCluster;
+    const std::string cap =
+        opts.detail_len == 0 ? "no slice cap"
+                             : "slice cap " + std::to_string(opts.detail_len);
+    std::printf("(sampled: %s mode, %u %s, %s warming, warm-up %llu, %s)\n",
+                trace::sample_mode_name(opts.sample_mode), opts.intervals,
+                cluster ? "windows" : "intervals",
+                trace::warm_mode_name(opts.warm_mode),
+                static_cast<unsigned long long>(opts.warmup), cap.c_str());
+  }
+  std::printf("\n");
+}
+
 /// The grid point (`workload`, `nc`) with the run length, scale and
 /// sampling knobs of options() — the one spec builder every figure uses,
 /// so all of them honour the same CFIR_* knobs.
@@ -179,14 +209,14 @@ inline std::vector<sim::RunOutcome> run_figure(
     }
     table.add_row("TOTAL", sums, precision);
   }
-  std::printf("%s\n", title.c_str());
-  std::printf("(max %llu committed insts/run, scale %u, intervals %u; set "
-              "CFIR_MAX_INSTS / CFIR_SCALE / CFIR_THREADS / CFIR_INTERVALS / "
-              "CFIR_SAMPLE_MODE / CFIR_WARMUP / CFIR_WARM_MODE to change — "
-              "see README \"Environment knobs\")\n\n",
-              static_cast<unsigned long long>(
-                  opts.max_insts.value_or(kBenchMaxInsts)),
-              opts.scale, opts.intervals);
+  print_header(title,
+               run_length("committed insts") + ", scale " +
+                   std::to_string(opts.scale) + ", intervals " +
+                   std::to_string(opts.intervals) +
+                   "; set CFIR_MAX_INSTS / CFIR_SCALE / CFIR_THREADS / "
+                   "CFIR_INTERVALS / CFIR_SAMPLE_MODE / CFIR_WARMUP / "
+                   "CFIR_WARM_MODE to change — see README \"Environment "
+                   "knobs\"");
   std::printf("%s\n", table.to_text().c_str());
   dump_json(outcomes);
   dump_telemetry_json(outcomes);
@@ -230,11 +260,8 @@ inline std::vector<sim::RunOutcome> run_register_sweep(
     }
     table.add_row(sim::presets::reg_label(regs) + " regs", row, precision);
   }
-  std::printf("%s\n", title.c_str());
-  std::printf("(harmonic-mean IPC over %zu workloads; max %llu insts/run)\n\n",
-              wls.size(),
-              static_cast<unsigned long long>(
-                  opts.max_insts.value_or(kBenchMaxInsts)));
+  print_header(title, "harmonic-mean IPC over " + std::to_string(wls.size()) +
+                          " workloads; " + run_length("insts"));
   std::printf("%s\n", table.to_text().c_str());
   dump_json(outcomes);
   dump_telemetry_json(outcomes);

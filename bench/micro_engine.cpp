@@ -5,9 +5,9 @@
 //
 //   bare    no sink attached — pure architectural fast-forward, the
 //           checkpoint / planning path
-//   stream  per-block event sink attached — every branch/mem/step event
-//           is delivered, batched per block: the warming / trace-record
-//           path
+//   stream  run_into in 16Ki-event batches — every retired instruction's
+//           StepEvent written into one reused buffer: the warming /
+//           trace-record path
 //   slices  slice sink feeding a trace::BbvBuilder — the cluster
 //           planner's BBV pass, minus its snapshots (one slice per
 //           executed block, no events written)
@@ -64,6 +64,9 @@ const char* mode_name(Mode mode) {
   return "?";
 }
 
+/// Events per run_into batch in mode stream: the warm capture's batch.
+constexpr size_t kStreamBatch = 16 * 1024;
+
 /// One full run to HALT on a fresh memory image per repetition; keeps the
 /// best wall time. `Engine` is FunctionalEngine or, in mode bare only, the
 /// Interpreter. Engine state (including the block cache) is rebuilt every
@@ -75,23 +78,27 @@ Cell run_engine(const isa::Program& program, Mode mode, int repeats) {
   Cell cell;
   cell.best_us = 1e18;
   uint64_t observed = 0;
+  std::vector<isa::StepEvent> batch(mode == Mode::kStream ? kStreamBatch : 0);
   for (int r = 0; r < repeats; ++r) {
     mem::MainMemory memory;
     isa::load_data_image(program, memory);
     Engine engine(program, memory);
     trace::BbvBuilder runs;
     if constexpr (std::is_same_v<Engine, isa::FunctionalEngine>) {
-      if (mode == Mode::kStream) {
-        engine.on_block = [&observed](uint64_t, const isa::StepEvent*,
-                                      size_t n) { observed += n; };
-      } else if (mode == Mode::kSlices) {
+      if (mode == Mode::kSlices) {
         engine.on_slice = [&runs](uint64_t pc, uint32_t n, bool branch) {
           runs.add(pc, n, branch);
         };
       }
     }
     const obs::Stopwatch clock;
-    engine.run(UINT64_MAX);
+    if (mode != Mode::kStream) {
+      engine.run(UINT64_MAX);
+    } else if constexpr (std::is_same_v<Engine, isa::FunctionalEngine>) {
+      while (const uint64_t n = engine.run_into(batch.data(), batch.size())) {
+        observed += n;
+      }
+    }
     const double us = static_cast<double>(clock.elapsed_us());
     cell.insts = engine.executed();
     cell.best_us = std::min(cell.best_us, us);

@@ -230,16 +230,16 @@ int cmd_info(int argc, char** argv) {
               static_cast<unsigned long long>(payload));
 
   uint64_t branches = 0, taken = 0, loads = 0, stores = 0;
-  trace::TraceRecord rec;
-  while (reader.next(rec)) {
-    switch (rec.kind) {
-      case trace::RecordKind::kBranch:
+  isa::StepEvent ev;
+  while (reader.next(ev)) {
+    switch (ev.kind) {
+      case isa::EventKind::kBranch:
         ++branches;
-        if (rec.taken) ++taken;
+        if (ev.taken) ++taken;
         break;
-      case trace::RecordKind::kLoad: ++loads; break;
-      case trace::RecordKind::kStore: ++stores; break;
-      case trace::RecordKind::kPlain: break;
+      case isa::EventKind::kLoad: ++loads; break;
+      case isa::EventKind::kStore: ++stores; break;
+      case isa::EventKind::kPlain: break;
     }
   }
   std::printf("branches: %llu (%llu taken)  loads: %llu  stores: %llu\n",

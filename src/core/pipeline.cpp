@@ -773,16 +773,17 @@ bool Core::commit_check(DynInst& di) {
 }
 
 void Core::record_commit(const DynInst& di) {
-  CommitRecord& r = commit_buf_[commit_buf_n_++];
-  r.pc = di.pc;
-  r.mem_addr = di.mem_addr;
-  r.actual_target = di.actual_target;
-  r.op = di.inst.op;
-  r.mem_size = static_cast<uint8_t>(di.mem_size);
-  r.is_cond_branch = di.is_cond_branch;
-  r.is_load = di.is_load;
-  r.is_store = di.is_store;
-  r.actual_taken = di.actual_taken;
+  isa::StepEvent& ev = commit_buf_[commit_buf_n_++];
+  ev = isa::StepEvent{.pc = di.pc};
+  if (di.is_cond_branch) {
+    ev.kind = isa::EventKind::kBranch;
+    ev.taken = di.actual_taken;
+    ev.next_pc = di.actual_target;
+  } else if (di.is_load || di.is_store) {
+    ev.kind = di.is_load ? isa::EventKind::kLoad : isa::EventKind::kStore;
+    ev.addr = di.mem_addr;
+    ev.size = static_cast<uint8_t>(di.mem_size);
+  }
   if (commit_buf_n_ == kCommitSpan) flush_commit_span();
 }
 
@@ -823,7 +824,7 @@ void Core::apply_commit(DynInst& di) {
   if (di.mech.reused) ++stats_.reused_committed;
   if (mech_ != nullptr) mech_->on_commit(di);
   if (di.has_dest && di.prev_pd >= 0) regfile_.free_reg(di.prev_pd);
-  if (on_commit_span) record_commit(di);
+  if (on_commit_span && op != Opcode::kHalt) record_commit(di);
   last_commit_cycle_ = cycle_;
   if (op == Opcode::kHalt) {
     // HALT retires the machine but is not an architectural instruction;

@@ -46,22 +46,6 @@ class Histogram;
 
 namespace cfir::core {
 
-/// One architecturally committed instruction, as delivered to the batched
-/// commit observer. Carries exactly what downstream consumers (the trace
-/// recorder, tests) rebuild their records from; field semantics match the
-/// committing DynInst.
-struct CommitRecord {
-  uint64_t pc = 0;
-  uint64_t mem_addr = 0;       ///< loads/stores only
-  uint64_t actual_target = 0;  ///< conditional branches only
-  isa::Opcode op = isa::Opcode::kNop;
-  uint8_t mem_size = 0;        ///< loads/stores only: access bytes
-  bool is_cond_branch = false;
-  bool is_load = false;
-  bool is_store = false;
-  bool actual_taken = false;   ///< conditional branches only
-};
-
 class Core {
  public:
   /// `mechanism` may be null (plain superscalar). `memory` must already hold
@@ -104,16 +88,17 @@ class Core {
   void set_arch_state(const std::array<uint64_t, isa::kNumLogicalRegs>& regs,
                       uint64_t pc);
 
-  /// Batched commit observer (same contract as
-  /// isa::FunctionalEngine::on_block): spans of architecturally committed
-  /// instructions (HALT included), in commit order. Spans are delivered
-  /// when the fixed internal buffer fills and flushed at the end of every
-  /// run() call; leave empty for zero overhead beyond one branch per
-  /// commit. Callers driving step_cycle() directly call flush_commit_span()
-  /// to drain the tail.
-  std::function<void(const CommitRecord* records, size_t n)> on_commit_span;
+  /// Batched commit observer: spans of the StepEvents of architecturally
+  /// committed instructions, in commit order — the stream
+  /// isa::FunctionalEngine::run_into writes, event for event (HALT commits
+  /// but, as there, retires no event). Spans are delivered when the fixed
+  /// internal buffer fills and flushed at the end of every run() call;
+  /// leave empty for zero overhead beyond one branch per commit. Callers
+  /// driving step_cycle() directly call flush_commit_span() to drain the
+  /// tail.
+  std::function<void(const isa::StepEvent* events, size_t n)> on_commit_span;
 
-  /// Delivers any buffered commit records to on_commit_span now. run()
+  /// Delivers any buffered commit events to on_commit_span now. run()
   /// calls this before returning; only direct step_cycle() drivers need it.
   void flush_commit_span();
 
@@ -328,7 +313,7 @@ class Core {
 
   // --- batched commit observer ----------------------------------------------
   static constexpr size_t kCommitSpan = 256;
-  std::array<CommitRecord, kCommitSpan> commit_buf_;
+  std::array<isa::StepEvent, kCommitSpan> commit_buf_;
   size_t commit_buf_n_ = 0;
 
   // --- observability (obs::Registry; host telemetry, never SimStats) --------

@@ -10,10 +10,9 @@
 
 namespace cfir::isa {
 
-// Decode stops after kMaxBlockOps micro-ops (the events_ buffer size) even
-// without a terminator, so one pathological straight-line region cannot
-// produce an unbounded block (the fall-through edge chains the pieces back
-// together at full speed).
+// Decode stops after kMaxBlockOps micro-ops even without a terminator, so
+// one pathological straight-line region cannot produce an unbounded block
+// (the fall-through edge chains the pieces back together at full speed).
 
 FunctionalEngine::FunctionalEngine(const Program& program,
                                    mem::MainMemory& memory, EngineKind)
@@ -105,8 +104,12 @@ inline void FunctionalEngine::store(uint64_t addr, uint64_t value,
 template <FunctionalEngine::Report R>
 FunctionalEngine::Exit FunctionalEngine::exec_chain(int32_t& bi_inout,
                                                     uint64_t budget,
-                                                    uint64_t& next_pc_out) {
-  // Only the event report writes StepEvents and tracks the per-op pc.
+                                                    uint64_t& next_pc_out,
+                                                    StepEvent* ev) {
+  // Only the event report writes StepEvents and tracks the per-op pc. `ev`
+  // is a raw append cursor into the caller's buffer: each consumed op
+  // emits exactly one event and at most `budget` ops run, so it never
+  // needs a capacity check.
   constexpr bool kCollect = R == Report::kEvents;
   int32_t bi = bi_inout;
   uint64_t remaining = budget;  // > 0: run_loop never calls with 0 left
@@ -120,9 +123,6 @@ FunctionalEngine::Exit FunctionalEngine::exec_chain(int32_t& bi_inout,
   uint32_t slice;
   bool truncated;
   bool btaken;
-  // Raw append cursor into the fixed events_ buffer (a slice never exceeds
-  // kMaxBlockOps ops and each op emits at most one event).
-  StepEvent* ev = events_.data();
 
   // Hot path: handlers at block exits follow already-filled chain edges by
   // jumping straight back to enter_block — control returns to run_loop
@@ -141,7 +141,6 @@ enter_block:
   u = begin;
   end = begin + slice;
   pc = blk->entry_pc;
-  if constexpr (kCollect) ev = events_.data();
 
 #define CFIR_EMIT_PLAIN()                                                    \
   do {                                                                       \
@@ -358,20 +357,16 @@ h_halt:
 #undef CFIR_CUR_PC
 
 // Block-exit bookkeeping shared by every edge: retire the consumed slice
-// and report it (its event span, or its pc, length and last kind) before
-// chaining or returning. A slice's last consumed op is its only possible
-// conditional branch; HALT is never consumed.
+// and, for the slice report, report its pc, length and last kind before
+// chaining or returning (the event report already wrote its events). A
+// slice's last consumed op is its only possible conditional branch; HALT
+// is never consumed.
 #define CFIR_BLOCK_DONE()                                                    \
   do {                                                                       \
     const uint64_t consumed = static_cast<uint64_t>(u - begin);              \
     executed_ += consumed;                                                   \
     remaining -= consumed;                                                   \
-    if constexpr (kCollect) {                                                \
-      if (ev != events_.data()) {                                            \
-        on_block(blk->entry_pc, events_.data(),                              \
-                 static_cast<size_t>(ev - events_.data()));                  \
-      }                                                                      \
-    } else if constexpr (R == Report::kSlices) {                             \
+    if constexpr (R == Report::kSlices) {                                    \
       if (consumed != 0) {                                                   \
         on_slice(blk->entry_pc, static_cast<uint32_t>(consumed),             \
                  is_cond_branch(u[-1].op));                                  \
@@ -441,7 +436,7 @@ exit_budget:
 // the image; hot chained edges never leave exec_chain.
 template <FunctionalEngine::Report R>
 __attribute__((flatten))
-uint64_t FunctionalEngine::run_loop(uint64_t target) {
+uint64_t FunctionalEngine::run_loop(uint64_t target, StepEvent* out) {
   const uint64_t start = executed_;
   int32_t bi = lookup_or_decode(pc_);
   while (executed_ < target) {
@@ -450,7 +445,11 @@ uint64_t FunctionalEngine::run_loop(uint64_t target) {
       break;
     }
     uint64_t next_pc = 0;
-    const Exit ex = exec_chain<R>(bi, target - executed_, next_pc);
+    // One event per retired instruction: this chain's first event goes
+    // right after the ones the run has written so far.
+    const Exit ex = exec_chain<R>(
+        bi, target - executed_, next_pc,
+        R == Report::kEvents ? out + (executed_ - start) : nullptr);
     pc_ = next_pc;
     if (ex == Exit::kHalt) {
       halted_ = true;
@@ -479,6 +478,19 @@ uint64_t FunctionalEngine::run_loop(uint64_t target) {
 }
 
 uint64_t FunctionalEngine::run(uint64_t max_insts) {
+  return run_reported(on_slice ? Report::kSlices : Report::kNone, max_insts,
+                      nullptr);
+}
+
+uint64_t FunctionalEngine::run_into(StepEvent* out, uint64_t max_insts) {
+  if (on_slice) {
+    throw std::logic_error("FunctionalEngine::run_into: on_slice is set");
+  }
+  return run_reported(Report::kEvents, max_insts, out);
+}
+
+uint64_t FunctionalEngine::run_reported(Report report, uint64_t max_insts,
+                                        StepEvent* out) {
   if (halted_ || max_insts == 0) return 0;
   const uint64_t start = executed_;
   // Saturating target: max_insts == UINT64_MAX means "to HALT".
@@ -486,17 +498,16 @@ uint64_t FunctionalEngine::run(uint64_t max_insts) {
       max_insts > UINT64_MAX - start ? UINT64_MAX : start + max_insts;
   const obs::Stopwatch clock;
   const uint64_t blocks_before = blocks_entered_;
-  // The report is bound once per run, never checked per instruction.
-  if (on_block && on_slice) {
-    throw std::logic_error("FunctionalEngine: on_block and on_slice both set");
-  }
-  const uint64_t ran = on_block   ? run_loop<Report::kEvents>(target)
-                       : on_slice ? run_loop<Report::kSlices>(target)
-                                  : run_loop<Report::kNone>(target);
+  // The report is bound once per call, never checked per instruction.
+  const uint64_t ran =
+      report == Report::kEvents   ? run_loop<Report::kEvents>(target, out)
+      : report == Report::kSlices ? run_loop<Report::kSlices>(target, nullptr)
+                                  : run_loop<Report::kNone>(target, nullptr);
   if (ran > 0) {
-    // Telemetry once per run() call (interpreter convention): functional
-    // instructions land in the shared interp.insts counter, plus the
-    // block-cache effectiveness pair documented in docs/observability.md.
+    // Telemetry once per run() / run_into() call (interpreter convention):
+    // functional instructions land in the shared interp.insts counter, plus
+    // the block-cache effectiveness pair documented in
+    // docs/observability.md.
     obs::Registry& reg = obs::Registry::instance();
     reg.counter("interp.insts").add(ran);
     reg.counter("engine.blocks").add(blocks_entered_ - blocks_before);

@@ -5,7 +5,7 @@
 // streams committed instructions through `FunctionalEngine`. The reference
 // `Interpreter` (interpreter.hpp) pays, per instruction: an image bounds
 // check (`Program::try_at`), a cold `switch` dispatch, an out-of-line
-// `eval_alu`/`eval_branch` call, and three `std::function` observer checks.
+// `eval_alu`/`eval_branch` call, and a `std::function` observer check.
 // `FunctionalEngine` removes all four: each basic block is decoded ONCE
 // into a flat cached array of pre-resolved micro-ops (operands, immediates
 // and branch targets pre-extracted; handler selected at decode time),
@@ -15,18 +15,17 @@
 // the engine is checked against (tests/test_engine_differential.cpp,
 // sim::differential_run), not as a second path the pipeline runs on.
 //
-// Observer batching contract (see docs/functional-engine.md): instead of
-// three per-instruction callbacks, the engine exposes ONE per-block sink,
-// `on_block(entry_pc, events, n)`, invoked after each executed block slice
-// with the retired-instruction events in program order. The event stream is
-// bit-identical — instruction for instruction — to what the Interpreter's
-// on_branch/on_mem/on_step observers assemble (the differential suite locks
-// this in over adversarial random programs), so consumers pay per-block
-// callback cost, not per-instruction virtual cost. A consumer that needs
-// only where execution went — the BBV pass — sets the slice sink
-// `on_slice(entry_pc, n, ends_in_cond_branch)` instead, which writes no
-// events at all. With neither sink set, nothing is collected (the
-// fast-forward / restore-skip path).
+// Event contract (see docs/functional-engine.md): `run_into(out, n)` runs
+// like `run(n)` and writes one isa::StepEvent per retired instruction
+// straight into the caller's buffer, in program order — no callback and
+// no intermediate copy. The stream is bit-identical, instruction for
+// instruction, to what the Interpreter's on_retire observer sees and to
+// the detailed core's commit spans (the differential and observer suites
+// lock this in). A consumer that needs only where execution went — the
+// BBV pass — sets the slice sink `on_slice(entry_pc, n,
+// ends_in_cond_branch)` and calls run(), which writes no events at all;
+// run() with no sink set reports nothing (the fast-forward / restore-skip
+// path).
 #pragma once
 
 #include <array>
@@ -46,31 +45,6 @@ namespace cfir::isa {
 /// value, so it selects nothing; no other code passes it.
 enum class EngineKind : uint8_t { kCached = 1 };
 
-/// Retired-instruction event kind. Values intentionally mirror
-/// trace::RecordKind so conversion is a cast, but isa stays independent of
-/// the trace layer.
-enum class EventKind : uint8_t {
-  kPlain = 0,   ///< ALU / jumps / calls / rets
-  kBranch = 1,  ///< conditional branch
-  kLoad = 2,
-  kStore = 3,
-};
-
-/// One retired instruction, as observed by a per-block sink. Field
-/// semantics match the Interpreter observers: `next_pc` is the actual
-/// successor of a conditional branch (kBranch only), `addr`/`size` the
-/// access of a load/store.
-struct StepEvent {
-  uint64_t pc = 0;
-  uint64_t next_pc = 0;  ///< kBranch only
-  uint64_t addr = 0;     ///< kLoad/kStore only
-  EventKind kind = EventKind::kPlain;
-  bool taken = false;    ///< kBranch only
-  uint8_t size = 0;      ///< kLoad/kStore only: access bytes (1/2/4/8)
-
-  bool operator==(const StepEvent&) const = default;
-};
-
 class FunctionalEngine {
  public:
   /// `memory` is used in place; apply the program's data image first.
@@ -82,9 +56,14 @@ class FunctionalEngine {
   /// Executes at most `max_insts` instructions; returns the number
   /// executed. Stops earlier at HALT or when the PC leaves the code image.
   /// A budget expiring inside a block executes exactly the budgeted prefix
-  /// of that block (and delivers a partial event span), so callers can stop
-  /// at arbitrary instruction counts.
+  /// of that block, so callers can stop at arbitrary instruction counts.
+  /// Reports each executed block slice to on_slice when it is set.
   uint64_t run(uint64_t max_insts = UINT64_MAX);
+  /// run(max_insts), writing the StepEvent of each retired instruction to
+  /// out[0, n) in program order, where n (<= max_insts) is the returned
+  /// count: `out` must have room for max_insts events. Throws
+  /// std::logic_error when on_slice is set (one report per run).
+  uint64_t run_into(StepEvent* out, uint64_t max_insts);
   /// Runs forward to program-global instruction count `target` (no-op when
   /// already there or past — positions are monotonic).
   void run_to(uint64_t target) {
@@ -113,18 +92,12 @@ class FunctionalEngine {
     return regs_;
   }
 
-  /// Per-block observer: invoked once per executed block slice with the
-  /// retired events in program order. Null (the default) disables event
-  /// collection — the pure-execution fast path. May be (re)set between
-  /// run() calls at any instruction boundary.
-  std::function<void(uint64_t entry_pc, const StepEvent* events, size_t n)>
-      on_block;
-  /// Slice observer: invoked once per executed block slice with its entry
-  /// pc, its instruction count (>= 1) and whether its last instruction is
-  /// a conditional branch (only the last can be). Writes no StepEvents.
-  /// The slices are exactly those on_block would report, so a budget that
-  /// expires inside a block reports the budgeted prefix. At most one of
-  /// on_block and on_slice may be set when run() is called.
+  /// Slice observer: invoked by run() once per executed block slice with
+  /// its entry pc, its instruction count (>= 1) and whether its last
+  /// instruction is a conditional branch (only the last can be). Writes
+  /// no StepEvents. A budget that expires inside a block reports the
+  /// budgeted prefix. Null (the default) reports nothing; may be (re)set
+  /// between calls at any instruction boundary.
   std::function<void(uint64_t entry_pc, uint32_t n, bool ends_in_cond_branch)>
       on_slice;
 
@@ -171,10 +144,10 @@ class FunctionalEngine {
     kBudget,    ///< max_insts expired inside the block
   };
 
-  /// What run() reports per executed block slice; bound once per run().
+  /// What a run reports per executed block slice; bound once per call.
   enum class Report : uint8_t {
-    kNone,    ///< nothing (no sink set)
-    kEvents,  ///< on_block with the slice's StepEvents
+    kNone,    ///< nothing (run() with no sink set)
+    kEvents,  ///< run_into: the slice's StepEvents into the caller's buffer
     kSlices,  ///< on_slice with the slice's pc, length and last kind
   };
 
@@ -184,14 +157,18 @@ class FunctionalEngine {
   int32_t decode_block(uint64_t entry_pc);
   /// Executes up to `budget` micro-ops starting at block `bi_inout`,
   /// following already-filled chain edges from block to block without
-  /// leaving the dispatch loop; reports each block slice per `R`. Returns
-  /// why it stopped (HALT, budget, or a cold edge that needs a decode);
-  /// `bi_inout` becomes the last block executed and `next_pc_out` the
-  /// architectural successor PC.
+  /// leaving the dispatch loop; reports each block slice per `R` (kEvents:
+  /// one event per retired instruction through `ev`, which has room for
+  /// `budget`). Returns why it stopped (HALT, budget, or a cold edge that
+  /// needs a decode); `bi_inout` becomes the last block executed and
+  /// `next_pc_out` the architectural successor PC.
   template <Report R>
-  Exit exec_chain(int32_t& bi_inout, uint64_t budget, uint64_t& next_pc_out);
+  Exit exec_chain(int32_t& bi_inout, uint64_t budget, uint64_t& next_pc_out,
+                  StepEvent* ev);
   template <Report R>
-  uint64_t run_loop(uint64_t target);
+  uint64_t run_loop(uint64_t target, StepEvent* out);
+  /// run() and run_into(): the budget, the report and the telemetry.
+  uint64_t run_reported(Report report, uint64_t max_insts, StepEvent* out);
   /// Load/store via the 1-entry page caches below — same result as
   /// mem_.read / mem_.write, minus the per-byte hash lookup.
   uint64_t load(uint64_t addr, uint32_t bytes);
@@ -216,11 +193,10 @@ class FunctionalEngine {
   std::vector<Block> blocks_;
   std::vector<MicroOp> pool_;
   std::unordered_map<uint64_t, int32_t> block_of_pc_;
-  /// Per-slice event buffer. Fixed size (a block never exceeds
-  /// kMaxBlockOps micro-ops, and each op emits at most one event) so the
-  /// collect path appends through a raw cursor — no per-op capacity check.
+  /// Decode stops after this many micro-ops even without a terminator, so
+  /// one straight-line region cannot make an unbounded block (and so an
+  /// unbounded slice).
   static constexpr uint32_t kMaxBlockOps = 256;
-  std::array<StepEvent, kMaxBlockOps> events_;
   uint64_t blocks_entered_ = 0;
   uint64_t blocks_decoded_ = 0;
 };

@@ -17,6 +17,7 @@ bool Interpreter::step_impl() {
   }
   const Opcode op = inst->op;
   uint64_t next_pc = pc_ + kInstBytes;
+  StepEvent ev{.pc = pc_};  // what on_retire sees; dead when unobserved
   switch (op) {
     case Opcode::kNop:
       break;
@@ -37,23 +38,23 @@ bool Interpreter::step_impl() {
       if (is_cond_branch(op)) {
         const bool taken = eval_branch(op, regs_[inst->rs1], regs_[inst->rs2]);
         if (taken) next_pc = static_cast<uint64_t>(inst->imm);
-        if constexpr (Observed) {
-          if (on_branch) on_branch(pc_, taken, next_pc);
-        }
+        ev.kind = EventKind::kBranch;
+        ev.taken = taken;
+        ev.next_pc = next_pc;
       } else if (is_load(op)) {
         const uint64_t addr = regs_[inst->rs1] + static_cast<uint64_t>(inst->imm);
         const int bytes = mem_bytes(op);
         regs_[inst->rd] = mem_.read(addr, bytes);
-        if constexpr (Observed) {
-          if (on_mem) on_mem(pc_, addr, bytes, /*is_store=*/false);
-        }
+        ev.kind = EventKind::kLoad;
+        ev.addr = addr;
+        ev.size = static_cast<uint8_t>(bytes);
       } else if (is_store(op)) {
         const uint64_t addr = regs_[inst->rs1] + static_cast<uint64_t>(inst->imm);
         const int bytes = mem_bytes(op);
         mem_.write(addr, regs_[inst->rs2], bytes);
-        if constexpr (Observed) {
-          if (on_mem) on_mem(pc_, addr, bytes, /*is_store=*/true);
-        }
+        ev.kind = EventKind::kStore;
+        ev.addr = addr;
+        ev.size = static_cast<uint8_t>(bytes);
       } else {
         // ALU.
         regs_[inst->rd] =
@@ -63,7 +64,7 @@ bool Interpreter::step_impl() {
     }
   }
   if constexpr (Observed) {
-    if (on_step) on_step(pc_, next_pc);
+    if (on_retire) on_retire(ev);
   }
   pc_ = next_pc;
   ++executed_;
@@ -79,9 +80,9 @@ uint64_t Interpreter::run(uint64_t max_insts) {
   const uint64_t target =
       max_insts > UINT64_MAX - start ? UINT64_MAX : start + max_insts;
   const obs::Stopwatch clock;
-  // Bind the observer check once: with no observers attached the loop runs
-  // the specialization with every `if (on_*)` compiled out.
-  if (on_step || on_branch || on_mem) {
+  // Bind the observer check once: with no observer attached the loop runs
+  // the specialization with the `if (on_retire)` compiled out.
+  if (on_retire) {
     while (executed_ < target && step_impl<true>()) {
     }
   } else {

@@ -1,7 +1,8 @@
 // Functional reference interpreter. This is the architectural oracle: the
 // out-of-order core (with or without the paper's mechanism) must produce
-// exactly the same final register file and memory image. Also provides the
-// dynamic branch/load traces used by unit tests and workload analysis.
+// exactly the same final register file and memory image. Its on_retire
+// stream is the reference the engine's and the core's event streams are
+// checked against.
 #pragma once
 
 #include <array>
@@ -40,18 +41,15 @@ class Interpreter {
     return regs_;
   }
 
-  /// Optional observers (used by tests, workload characterization and the
-  /// trace recorder). `on_step` fires after every retired instruction with
-  /// its pc and the pc that follows it.
-  std::function<void(uint64_t pc, bool taken, uint64_t target)> on_branch;
-  std::function<void(uint64_t pc, uint64_t addr, int bytes, bool is_store)>
-      on_mem;
-  std::function<void(uint64_t pc, uint64_t next_pc)> on_step;
+  /// Optional observer (trace replay and the tests that check the other
+  /// producers against this oracle): fires after every retired
+  /// instruction with its StepEvent. HALT retires none.
+  std::function<void(const StepEvent&)> on_retire;
 
  private:
-  /// Shared step body; `Observed` compiles the observer checks in or out so
-  /// run() can bind "any observers attached?" once instead of re-testing
-  /// three std::functions per instruction.
+  /// Shared step body; `Observed` compiles the observer check in or out so
+  /// run() can bind "observer attached?" once instead of re-testing it per
+  /// instruction.
   template <bool Observed>
   bool step_impl();
 

@@ -189,4 +189,29 @@ static_assert(std::size(kOpAttrs) == static_cast<size_t>(Opcode::kOpcodeCount),
 /// Evaluates a conditional-branch predicate.
 [[nodiscard]] bool eval_branch(Opcode op, uint64_t a, uint64_t b);
 
+/// What a retired instruction did, as far as its StepEvent says.
+enum class EventKind : uint8_t {
+  kPlain = 0,   ///< ALU / jumps / calls / rets
+  kBranch = 1,  ///< conditional branch
+  kLoad = 2,
+  kStore = 3,
+};
+
+/// One retired instruction: the one record every producer (the functional
+/// engine's run_into, the Interpreter's on_retire, the detailed core's
+/// commit span) hands over and every consumer (traces, functional warming,
+/// BBVs) reads. `next_pc` is the actual successor of a conditional branch
+/// (kBranch only), `addr`/`size` the access of a load/store; every field
+/// a kind does not name stays zero. HALT retires no event.
+struct StepEvent {
+  uint64_t pc = 0;
+  uint64_t next_pc = 0;  ///< kBranch only
+  uint64_t addr = 0;     ///< kLoad/kStore only
+  EventKind kind = EventKind::kPlain;
+  bool taken = false;    ///< kBranch only
+  uint8_t size = 0;      ///< kLoad/kStore only: access bytes (1/2/4/8)
+
+  bool operator==(const StepEvent&) const = default;
+};
+
 }  // namespace cfir::isa

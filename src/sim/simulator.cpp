@@ -50,28 +50,8 @@ Simulator::Simulator(const core::CoreConfig& config, isa::Program program,
 void Simulator::attach_trace(trace::TraceWriter& writer) {
   // Spans batch the per-commit callback out of the core's hot loop; the
   // core flushes the buffer when full and at the end of run().
-  core_->on_commit_span = [&writer](const core::CommitRecord* recs,
-                                    size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      const core::CommitRecord& cr = recs[i];
-      if (cr.op == isa::Opcode::kHalt) continue;
-      trace::TraceRecord rec;
-      rec.pc = cr.pc;
-      if (cr.is_cond_branch) {
-        rec.kind = trace::RecordKind::kBranch;
-        rec.taken = cr.actual_taken;
-        rec.next_pc = cr.actual_target;
-      } else if (cr.is_load) {
-        rec.kind = trace::RecordKind::kLoad;
-        rec.addr = cr.mem_addr;
-        rec.size = cr.mem_size;
-      } else if (cr.is_store) {
-        rec.kind = trace::RecordKind::kStore;
-        rec.addr = cr.mem_addr;
-        rec.size = cr.mem_size;
-      }
-      writer.append(rec);
-    }
+  core_->on_commit_span = [&writer](const isa::StepEvent* events, size_t n) {
+    for (size_t i = 0; i < n; ++i) writer.append(events[i]);
   };
 }
 

@@ -97,14 +97,15 @@ BbvSet bbv_from_trace(TraceReader& reader, uint64_t interval_len) {
   // sequential read.
   constexpr size_t kWave = 32;
   const size_t n_blocks = reader.block_count();
-  std::vector<std::vector<TraceRecord>> decoded(std::min(kWave, n_blocks));
+  std::vector<std::vector<isa::StepEvent>> decoded(
+      std::min(kWave, n_blocks));
   for (size_t start = 0; start < n_blocks; start += kWave) {
     const size_t n = std::min(kWave, n_blocks - start);
     sim::parallel_for(
         n, [&](size_t i) { decoded[i] = reader.decode_block(start + i); });
     for (size_t i = 0; i < n; ++i) {
-      for (const TraceRecord& rec : decoded[i]) {
-        builder.add(rec.pc, 1, rec.kind == RecordKind::kBranch);
+      for (const isa::StepEvent& ev : decoded[i]) {
+        builder.add(ev.pc, 1, ev.kind == isa::EventKind::kBranch);
       }
     }
   }

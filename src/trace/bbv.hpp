@@ -16,7 +16,7 @@
 //
 // The builder takes the stream a slice at a time: a run of instructions at
 // consecutive PCs of which only the last may be a conditional branch. The
-// functional engine's per-block sink delivers exactly such slices, so a
+// functional engine's slice sink delivers exactly such slices, so a
 // program pass pays one dimension lookup and one add per executed block,
 // not per instruction; a stored trace feeds one record per slice. The
 // builder logs (dimension, instruction count) runs, merging consecutive

@@ -298,17 +298,13 @@ void verify_manifest_plan(const ShardManifest& manifest,
   // The structure hash covers only manifest fields, so for a plan
   // reloaded from this very manifest it cannot fail; the checkpoint
   // POSITIONS are what bind the plan to its sibling files. Every planner
-  // captures interval i at max(start - W, 0) (W = requested warm-up for
-  // modes with a detailed slice, 0 otherwise — trace/sampling.cpp), so a
-  // checkpoint whose `executed` sits elsewhere is a wrong or swapped
-  // .cfirckpt in the manifest directory.
-  const uint64_t w =
-      warm_mode_has_detailed_slice(manifest.warm_mode) ? manifest.warmup : 0;
-  const size_t k =
-      std::min(plan.boundaries.size(), plan.checkpoints.size());
+  // captures at checkpoint_positions (the hash above pins the warm mode
+  // and warm-up it reads), so a checkpoint whose `executed` sits
+  // elsewhere is a wrong or swapped .cfirckpt in the manifest directory.
+  const std::vector<uint64_t> positions = checkpoint_positions(plan);
+  const size_t k = std::min(positions.size(), plan.checkpoints.size());
   for (size_t i = 0; i < k; ++i) {
-    const uint64_t at =
-        plan.boundaries[i] >= w ? plan.boundaries[i] - w : 0;
+    const uint64_t at = positions[i];
     if (plan.checkpoints[i].executed != at) {
       throw CorruptFileError(
           "ShardManifest: the checkpoint file for interval " +

@@ -38,10 +38,8 @@ void apply_detail_cap(IntervalPlan& plan, uint64_t detail_len) {
   }
 }
 
-/// Where the final plan's checkpoints go: one per interval, at
-/// max(start - warmup, 0) for modes with a detailed warm-up slice (the
-/// clamp means a warm-up longer than the prefix starts at instruction 0,
-/// never underflows) and at the boundary itself otherwise.
+}  // namespace
+
 std::vector<uint64_t> checkpoint_positions(const IntervalPlan& plan) {
   const uint64_t warmup =
       warm_mode_has_detailed_slice(plan.warm_mode) ? plan.warmup : 0;
@@ -52,8 +50,6 @@ std::vector<uint64_t> checkpoint_positions(const IntervalPlan& plan) {
   }
   return warm_starts;
 }
-
-}  // namespace
 
 const char* sample_mode_name(SampleMode mode) {
   return mode == SampleMode::kCluster ? "cluster" : "uniform";

@@ -128,6 +128,15 @@ struct IntervalPlan {
   std::vector<double> bic_by_k;     ///< BIC score per swept k
 };
 
+/// Where `plan`'s checkpoints go, one per boundary: at
+/// max(start - warmup, 0) for modes with a detailed warm-up slice (the
+/// clamp means a warm-up longer than the prefix starts at instruction 0,
+/// never underflows) and at the boundary itself otherwise. Every planner
+/// captures there, and verify_manifest_plan checks loaded checkpoints
+/// against it.
+[[nodiscard]] std::vector<uint64_t> checkpoint_positions(
+    const IntervalPlan& plan);
+
 /// Uniform plan: K equal intervals with optional warm-up. Costs two
 /// functional-engine passes (count, then snapshot).
 ///

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "isa/engine.hpp"
 #include "mem/main_memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
@@ -26,8 +27,8 @@ TraceWriter::TraceWriter(const std::string& path, const TraceMeta& meta,
 // it instead of reading a truncated stream.
 TraceWriter::~TraceWriter() = default;
 
-void TraceWriter::append(const TraceRecord& rec) {
-  blocks_->append(rec);
+void TraceWriter::append(const isa::StepEvent& ev) {
+  blocks_->append(ev);
   ++records_;
 }
 
@@ -74,7 +75,7 @@ void TraceReader::drain_telemetry() {
       .observe(static_cast<uint64_t>(std::max<int64_t>(0, now_us - open_us_)));
 }
 
-bool TraceReader::next(TraceRecord& out) {
+bool TraceReader::next(isa::StepEvent& out) {
   if (read_ >= file_->record_count) {
     drain_telemetry();
     return false;
@@ -118,7 +119,7 @@ uint64_t TraceReader::block_first_record(size_t b) const {
   return file_->blocks[b].first_record;
 }
 
-std::vector<TraceRecord> TraceReader::decode_block(size_t b) const {
+std::vector<isa::StepEvent> TraceReader::decode_block(size_t b) const {
   return v2::decode_block(*file_, b);
 }
 
@@ -130,44 +131,6 @@ std::array<uint64_t, kTraceV2Columns> TraceReader::column_bytes() const {
 // Capture / replay drivers
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Wires one interpreter step into one TraceRecord. The interpreter fires
-/// on_branch / on_mem inside the step and on_step at the end, so the
-/// observers stash details and on_step emits.
-class StepRecorder {
- public:
-  explicit StepRecorder(isa::Interpreter& interp) : interp_(interp) {
-    interp_.on_branch = [this](uint64_t pc, bool taken, uint64_t target) {
-      pending_.kind = RecordKind::kBranch;
-      pending_.taken = taken;
-      pending_.next_pc = target;
-      (void)pc;
-    };
-    interp_.on_mem = [this](uint64_t pc, uint64_t addr, int bytes,
-                            bool is_store) {
-      pending_.kind = is_store ? RecordKind::kStore : RecordKind::kLoad;
-      pending_.addr = addr;
-      pending_.size = static_cast<uint8_t>(bytes);
-      (void)pc;
-    };
-    interp_.on_step = [this](uint64_t pc, uint64_t next_pc) {
-      pending_.pc = pc;
-      if (pending_.kind == RecordKind::kBranch) pending_.next_pc = next_pc;
-      if (sink) sink(pending_);
-      pending_ = TraceRecord{};
-    };
-  }
-
-  std::function<void(const TraceRecord&)> sink;
-
- private:
-  isa::Interpreter& interp_;
-  TraceRecord pending_;
-};
-
-}  // namespace
-
 isa::InterpResult record_interpreter(const isa::Program& program,
                                      const std::string& path,
                                      const TraceMeta& meta,
@@ -177,16 +140,21 @@ isa::InterpResult record_interpreter(const isa::Program& program,
   m.base_pc = program.base();
   TraceWriter writer(path, m, block_len);
 
-  // The engine emits the Interpreter's record stream per block instead of
-  // per instruction, so the trace bytes are the oracle's
-  // (Golden.RecordedTraceBytes pins them).
+  // The engine writes the Interpreter's record stream a chunk at a time,
+  // so the trace bytes are the oracle's (Golden.RecordedTraceBytes pins
+  // them). A chunk of 4Ki events (128 KiB) stays in cache while the
+  // writer copies it into its block.
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) writer.append(to_trace_record(ev[i]));
-  };
-  engine.run(max_insts);
+  constexpr uint64_t kChunk = 4096;
+  std::vector<isa::StepEvent> chunk(kChunk);
+  for (uint64_t left = max_insts; left > 0;) {
+    const uint64_t n = engine.run_into(chunk.data(), std::min(left, kChunk));
+    if (n == 0) break;
+    for (uint64_t i = 0; i < n; ++i) writer.append(chunk[i]);
+    left -= n;
+  }
 
   isa::InterpResult r;
   r.executed = engine.executed();
@@ -210,16 +178,16 @@ ReplayResult replay_trace(const isa::Program& program, TraceReader& reader) {
 
   // Replay stays on the reference Interpreter deliberately: verification
   // must stop at the exact diverging instruction (the run cap below counts
-  // consumed records), which a block-batched engine cannot guarantee.
+  // consumed records), and the trace is checked against the oracle, not
+  // against the engine that recorded it.
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::Interpreter interp(program, memory);
-  StepRecorder recorder(interp);
 
   bool diverged = false;
-  recorder.sink = [&](const TraceRecord& live) {
+  interp.on_retire = [&](const isa::StepEvent& live) {
     if (diverged) return;
-    TraceRecord stored;
+    isa::StepEvent stored;
     if (!reader.next(stored)) {
       why << "trace ended early at live instruction " << result.replayed
           << "; ";

@@ -1,6 +1,7 @@
 // Trace capture / replay: a compact, versioned binary format for the
 // committed instruction stream (PCs, branch outcomes, load/store
-// addresses) of one workload run.
+// addresses) of one workload run. A record is one isa::StepEvent; the
+// codec stores its fields, not its in-memory layout.
 //
 // Motivation (see README "Trace subsystem"): every figure bench used to
 // re-execute each workload from instruction zero. Recording the committed
@@ -31,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "isa/engine.hpp"
 #include "isa/interpreter.hpp"
 #include "isa/program.hpp"
 
@@ -56,47 +56,6 @@ struct FileView;
 class BlockWriter;
 }  // namespace v2
 
-enum class RecordKind : uint8_t {
-  kPlain = 0,   ///< ALU / jumps / calls / rets
-  kBranch = 1,  ///< conditional branch (taken + target recorded)
-  kLoad = 2,
-  kStore = 3,
-};
-
-/// One retired instruction.
-struct TraceRecord {
-  uint64_t pc = 0;
-  RecordKind kind = RecordKind::kPlain;
-  bool taken = false;     ///< kBranch only
-  uint64_t next_pc = 0;   ///< kBranch only: actual successor pc
-  uint64_t addr = 0;      ///< kLoad/kStore only
-  uint8_t size = 0;       ///< kLoad/kStore only: access bytes (1/2/4/8)
-
-  bool operator==(const TraceRecord&) const = default;
-};
-
-// The engine's retired-instruction events and trace records are the same
-// data; the enum values line up by design so conversion is a cast.
-static_assert(static_cast<int>(RecordKind::kPlain) ==
-              static_cast<int>(isa::EventKind::kPlain));
-static_assert(static_cast<int>(RecordKind::kBranch) ==
-              static_cast<int>(isa::EventKind::kBranch));
-static_assert(static_cast<int>(RecordKind::kLoad) ==
-              static_cast<int>(isa::EventKind::kLoad));
-static_assert(static_cast<int>(RecordKind::kStore) ==
-              static_cast<int>(isa::EventKind::kStore));
-
-[[nodiscard]] inline TraceRecord to_trace_record(const isa::StepEvent& ev) {
-  TraceRecord rec;
-  rec.pc = ev.pc;
-  rec.kind = static_cast<RecordKind>(ev.kind);
-  rec.taken = ev.taken;
-  rec.next_pc = ev.next_pc;
-  rec.addr = ev.addr;
-  rec.size = ev.size;
-  return rec;
-}
-
 /// Workload identity stored in the header so `replay` / `info` can rebuild
 /// the program without out-of-band knowledge.
 struct TraceMeta {
@@ -115,7 +74,7 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  void append(const TraceRecord& rec);
+  void append(const isa::StepEvent& ev);
 
   /// Patches record count, final registers and memory digest into the
   /// header, appends the block index and the CRC footer, and closes the
@@ -151,7 +110,7 @@ class TraceReader {
   final_regs() const;
 
   /// Reads the next record; returns false at end of stream.
-  bool next(TraceRecord& out);
+  bool next(isa::StepEvent& out);
 
   /// Index of the record the next next() call returns.
   [[nodiscard]] uint64_t position() const { return read_; }
@@ -171,7 +130,7 @@ class TraceReader {
   /// Decodes block `b` after verifying its CRC. Pure and thread-safe —
   /// bbv_from_trace fans block decodes out on the sim::parallel_for pool.
   /// Each call counts one `trace.blocks_read`.
-  [[nodiscard]] std::vector<TraceRecord> decode_block(size_t b) const;
+  [[nodiscard]] std::vector<isa::StepEvent> decode_block(size_t b) const;
   /// Per-column compressed payload bytes summed over all blocks
   /// (trace_tool info).
   [[nodiscard]] std::array<uint64_t, kTraceV2Columns> column_bytes() const;
@@ -181,7 +140,7 @@ class TraceReader {
 
   std::unique_ptr<v2::FileView> file_;
   uint64_t read_ = 0;
-  std::vector<TraceRecord> block_cache_;  ///< decoded current block
+  std::vector<isa::StepEvent> block_cache_;  ///< decoded current block
   size_t cur_block_ = SIZE_MAX;           ///< which block is cached
   int64_t open_us_ = 0;     ///< decode-throughput telemetry epoch
   bool telemetry_done_ = false;

@@ -437,7 +437,7 @@ FileView open_file(const std::string& path) {
   return f;
 }
 
-std::vector<TraceRecord> decode_block(const FileView& file, size_t b) {
+std::vector<isa::StepEvent> decode_block(const FileView& file, size_t b) {
   if (b >= file.blocks.size()) {
     throw std::out_of_range("decode_block: block " + std::to_string(b) +
                             " of " + std::to_string(file.blocks.size()));
@@ -506,13 +506,13 @@ std::vector<TraceRecord> decode_block(const FileView& file, size_t b) {
   VarintCursor store_deltas(cols[9]);
   CodeCursor mem_sizes(cols[10]);
 
-  std::vector<TraceRecord> out(n);
+  std::vector<isa::StepEvent> out(n);
   for (uint32_t i = 0; i < n; ++i) {
-    TraceRecord& rec = out[i];
-    rec.kind = static_cast<RecordKind>(kinds.next());
+    isa::StepEvent& rec = out[i];
+    rec.kind = static_cast<isa::EventKind>(kinds.next());
     rec.pc = pred_pc;
     if (pc_flags.next()) rec.pc += scale_decode(pc_deltas.next());
-    if (rec.kind == RecordKind::kBranch) {
+    if (rec.kind == isa::EventKind::kBranch) {
       rec.taken = taken.next();
       rec.next_pc = rec.pc + isa::kInstBytes;
       if (target_flags.next()) {
@@ -521,14 +521,14 @@ std::vector<TraceRecord> decode_block(const FileView& file, size_t b) {
       pred_pc = rec.next_pc;
     } else {
       pred_pc = rec.pc + isa::kInstBytes;
-      if (rec.kind == RecordKind::kLoad) {
+      if (rec.kind == isa::EventKind::kLoad) {
         if (load_flags.next()) {
           load_delta += static_cast<uint64_t>(unzigzag(load_deltas.next()));
         }
         load_addr += load_delta;
         rec.addr = load_addr;
         rec.size = static_cast<uint8_t>(1u << mem_sizes.next());
-      } else if (rec.kind == RecordKind::kStore) {
+      } else if (rec.kind == isa::EventKind::kStore) {
         if (store_flags.next()) {
           store_delta += static_cast<uint64_t>(unzigzag(store_deltas.next()));
         }
@@ -594,8 +594,8 @@ BlockWriter::BlockWriter(const std::string& path, const TraceMeta& meta,
              static_cast<std::streamsize>(hdr.size()));
 }
 
-void BlockWriter::append(const TraceRecord& rec) {
-  pending_.push_back(rec);
+void BlockWriter::append(const isa::StepEvent& ev) {
+  pending_.push_back(ev);
   if (pending_.size() >= block_len_) flush_block();
 }
 
@@ -622,12 +622,12 @@ void BlockWriter::flush_block() {
   std::vector<uint8_t> store_deltas;
   CodePacker mem_sizes;
 
-  for (const TraceRecord& rec : pending_) {
+  for (const isa::StepEvent& rec : pending_) {
     kinds.push(static_cast<uint8_t>(rec.kind));
     const uint64_t d = rec.pc - pred_pc_;
     pc_flags.push(d != 0);
     if (d != 0) put_varint(pc_deltas, scale_encode(d));
-    if (rec.kind == RecordKind::kBranch) {
+    if (rec.kind == isa::EventKind::kBranch) {
       taken.push(rec.taken);
       const uint64_t td = rec.next_pc - (rec.pc + isa::kInstBytes);
       target_flags.push(td != 0);
@@ -635,7 +635,7 @@ void BlockWriter::flush_block() {
       pred_pc_ = rec.next_pc;
     } else {
       pred_pc_ = rec.pc + isa::kInstBytes;
-      if (rec.kind == RecordKind::kLoad) {
+      if (rec.kind == isa::EventKind::kLoad) {
         const uint64_t delta = rec.addr - load_addr_;
         const uint64_t dd = delta - load_delta_;
         load_flags.push(dd != 0);
@@ -645,7 +645,7 @@ void BlockWriter::flush_block() {
         load_delta_ = delta;
         load_addr_ = rec.addr;
         mem_sizes.push(log2_size(rec.size));
-      } else if (rec.kind == RecordKind::kStore) {
+      } else if (rec.kind == isa::EventKind::kStore) {
         const uint64_t delta = rec.addr - store_addr_;
         const uint64_t dd = delta - store_delta_;
         store_flags.push(dd != 0);

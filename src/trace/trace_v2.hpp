@@ -65,8 +65,8 @@ struct FileView {
 /// any mismatch or malformed column). Pure function of the FileView —
 /// safe to call from parallel workers. Counts one `trace.blocks_read`
 /// plus the block's records/bytes into the decode counters.
-[[nodiscard]] std::vector<TraceRecord> decode_block(const FileView& file,
-                                                    size_t b);
+[[nodiscard]] std::vector<isa::StepEvent> decode_block(const FileView& file,
+                                                       size_t b);
 
 /// Per-column compressed payload bytes summed over every block (walks
 /// only the block headers — no payload decode). Order matches
@@ -83,7 +83,7 @@ class BlockWriter {
   BlockWriter(const std::string& path, const TraceMeta& meta,
               uint32_t block_len);
 
-  void append(const TraceRecord& rec);
+  void append(const isa::StepEvent& ev);
   void finish(const std::array<uint64_t, isa::kNumLogicalRegs>& final_regs,
               uint64_t final_digest);
 
@@ -95,7 +95,7 @@ class BlockWriter {
   TraceMeta meta_;
   uint32_t block_len_;
   uint64_t records_ = 0;
-  std::vector<TraceRecord> pending_;
+  std::vector<isa::StepEvent> pending_;
   std::vector<BlockIndexEntry> index_;
 
   // Inter-block coder state, snapshotted into each block's header so the

@@ -93,18 +93,6 @@ WarmPosition decode_warm_state(const std::vector<uint8_t>& blob,
   return pos;
 }
 
-/// An engine event from a trace record: the two carry the same fields.
-isa::StepEvent to_step_event(const TraceRecord& rec) {
-  isa::StepEvent ev;
-  ev.pc = rec.pc;
-  ev.next_pc = rec.next_pc;
-  ev.addr = rec.addr;
-  ev.kind = static_cast<isa::EventKind>(rec.kind);
-  ev.taken = rec.taken;
-  ev.size = rec.size;
-  return ev;
-}
-
 // The per-component trainers: the one place each training rule lives.
 // SharedWarmState::train (the solo FunctionalWarmer) calls them in turn;
 // a grid capture calls each on its own lane. The components they touch
@@ -324,9 +312,8 @@ constexpr size_t kEngineBatch = 16 * 1024;
 int fan_out_helpers() { return sim::ThreadPool::shared().size() - 1; }
 
 /// The events one round's lanes train on: `n` of them, the first at
-/// stream position `first`. Lanes read these bounds once: the engine keeps
-/// growing the other buffer, whose header may share a cache line with
-/// this one's.
+/// stream position `first`. The lanes get these bounds by value, fixed
+/// before the round starts; meanwhile the engine writes the other buffer.
 struct EventSpan {
   const isa::StepEvent* events = nullptr;
   size_t n = 0;
@@ -432,8 +419,7 @@ FunctionalWarmer::FunctionalWarmer(const core::CoreConfig& config,
       shared_(config, program),
       stride_(config.stride_sets, config.stride_ways) {}
 
-void FunctionalWarmer::on_record(const TraceRecord& rec) {
-  const isa::StepEvent ev = to_step_event(rec);
+void FunctionalWarmer::on_record(const isa::StepEvent& ev) {
   shared_.train(ev);
   if (trains_stride(policy_)) train_stride(stride_, policy_, ev);
 }
@@ -443,9 +429,9 @@ void FunctionalWarmer::advance_on_trace(TraceReader& reader,
                                         std::string_view context) {
   if (n_insts <= shared_.warmed) return;
   reader.seek_to(shared_.warmed);
-  TraceRecord rec;
+  isa::StepEvent ev;
   while (shared_.warmed < n_insts) {
-    if (!reader.next(rec)) {
+    if (!reader.next(ev)) {
       std::string msg =
           "FunctionalWarmer::advance_on_trace: trace ends at " +
           std::to_string(shared_.warmed) + " records, warm target " +
@@ -457,7 +443,7 @@ void FunctionalWarmer::advance_on_trace(TraceReader& reader,
       }
       throw std::runtime_error(msg);
     }
-    on_record(rec);  // advances shared_.warmed
+    on_record(ev);  // advances shared_.warmed
   }
 }
 
@@ -526,23 +512,22 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  // Two batch buffers: while the lanes train on one, the engine fills the
-  // other. clear() keeps their capacity across rounds.
+  // Two batch buffers: while the lanes train on one, the engine writes the
+  // next batch straight into the other. `filled[b]` counts buffer b's
+  // events.
   std::vector<isa::StepEvent> buffers[2];
-  for (std::vector<isa::StepEvent>& b : buffers) b.reserve(kEngineBatch);
-  std::vector<isa::StepEvent>* fill = &buffers[0];
-  engine.on_block = [&fill](uint64_t, const isa::StepEvent* ev, size_t n) {
-    fill->insert(fill->end(), ev, ev + n);
-  };
+  for (std::vector<isa::StepEvent>& b : buffers) b.resize(kEngineBatch);
+  size_t filled[2] = {0, 0};
   obs::Registry& reg = obs::Registry::instance();
   obs::Counter& engine_us = reg.counter("warming.decode_wait_us");
   obs::Counter& round_us = reg.counter("warming.feed_us");
   obs::Counter& rounds = reg.counter("warming.batches");
   const uint64_t limit = targets.empty() ? 0 : targets.back();
-  const auto run_engine = [&] {
-    fill->clear();
+  const auto run_engine = [&](size_t b) {
     const obs::Stopwatch engine_clock;
-    engine.run_to(std::min(limit, engine.executed() + kEngineBatch));
+    filled[b] = engine.run_into(
+        buffers[b].data(),
+        std::min<uint64_t>(kEngineBatch, limit - engine.executed()));
     engine_us.add(engine_clock.elapsed_us());
   };
 
@@ -550,25 +535,23 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
   // submitting thread always claims) while the lanes train on buffer r%2
   // (indices 1 and up). A round whose buffer is empty is the end of the
   // stream: it snapshots every remaining target at the final state.
-  run_engine();
+  run_engine(0);
   uint64_t pos = 0;  // stream position of the current buffer's first event
   size_t ti = 0;
   for (size_t cur = 0;; cur ^= 1) {
-    const std::vector<isa::StepEvent>& batch = buffers[cur];
-    const uint64_t end = pos + batch.size();
+    const EventSpan batch{buffers[cur].data(), filled[cur], pos};
+    const uint64_t end = pos + batch.n;
     size_t tj = ti;
-    while (tj < targets.size() && (batch.empty() || targets[tj] < end)) ++tj;
-    if (batch.empty() && ti == tj) break;
-    fill = &buffers[cur ^ 1];
+    while (tj < targets.size() && (batch.n == 0 || targets[tj] < end)) ++tj;
+    if (batch.n == 0 && ti == tj) break;
     const obs::Stopwatch round_clock;
     sim::ThreadPool::shared().run(
         1 + lanes.size(),
         [&](size_t i) {
           if (i == 0) {
-            if (!batch.empty()) run_engine();
+            if (batch.n != 0) run_engine(cur ^ 1);
           } else {
-            run_lane(lanes[i - 1], {batch.data(), batch.size(), pos},
-                     targets.data(), ti, tj);
+            run_lane(lanes[i - 1], batch, targets.data(), ti, tj);
           }
         },
         fan_out_helpers());
@@ -592,7 +575,7 @@ std::vector<std::vector<std::vector<uint8_t>>> capture_warm_states_grid(
     }
     ti = tj;
     pos = end;
-    if (batch.empty()) break;
+    if (batch.n == 0) break;
   }
   // The streamed prefix is counted once however many configs fanned out —
   // the same convention ShardResult::warmed_insts uses.

@@ -35,7 +35,6 @@
 #include "branch/ras.hpp"
 #include "ci/stride_predictor.hpp"
 #include "core/config.hpp"
-#include "isa/engine.hpp"
 #include "isa/program.hpp"
 #include "mem/hierarchy.hpp"
 #include "trace/trace.hpp"
@@ -106,7 +105,7 @@ class FunctionalWarmer {
   FunctionalWarmer(const core::CoreConfig& config, const isa::Program& program);
 
   /// Feeds one committed instruction, in commit order.
-  void on_record(const TraceRecord& rec);
+  void on_record(const isa::StepEvent& ev);
 
   /// Streams the records from the warmer's position up to (program-global)
   /// instruction count `n_insts` out of a recorded trace through

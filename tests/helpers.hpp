@@ -1,9 +1,11 @@
 // Shared test utilities: the paper's Figure 1 hammock as a runnable
 // program, a structured random-program generator used by the
 // differential property tests (every generated program terminates), a
-// per-record functional-warming reference, and config-grid bindings.
+// chunked run_into driver, a per-record functional-warming reference, and
+// config-grid bindings.
 #pragma once
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <utility>
@@ -19,24 +21,36 @@
 
 namespace cfir::testing {
 
+/// Runs `engine` for at most `max_insts` more instructions through
+/// run_into, 4Ki events at a time, and hands each event to `sink` in
+/// program order.
+template <class Sink>
+void for_each_event(isa::FunctionalEngine& engine, uint64_t max_insts,
+                    Sink sink) {
+  std::vector<isa::StepEvent> chunk(4096);
+  for (uint64_t left = max_insts; left > 0;) {
+    const uint64_t n = engine.run_into(
+        chunk.data(), std::min<uint64_t>(left, chunk.size()));
+    if (n == 0) break;
+    for (uint64_t i = 0; i < n; ++i) sink(chunk[i]);
+    left -= n;
+  }
+}
+
 /// Trains `warmer` on `program`'s committed records from the warmer's
 /// position up to instruction `n_insts` (or HALT), one on_record() call
-/// per event of a fresh FunctionalEngine; the prefix the warmer already
-/// holds is executed untrained. The independent per-record reference
-/// that trace::capture_warm_states_grid's batched fan-out is checked
-/// against.
+/// per event a fresh FunctionalEngine's run_into writes; the prefix the
+/// warmer already holds is executed untrained. The independent
+/// per-record reference that trace::capture_warm_states_grid's batched
+/// fan-out is checked against.
 inline void warm_on_engine(trace::FunctionalWarmer& warmer,
                            const isa::Program& program, uint64_t n_insts) {
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
   engine.run_to(warmer.warmed());
-  engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      warmer.on_record(trace::to_trace_record(ev[i]));
-    }
-  };
-  engine.run_to(n_insts);
+  for_each_event(engine, n_insts - std::min(n_insts, engine.executed()),
+                 [&](const isa::StepEvent& ev) { warmer.on_record(ev); });
 }
 
 /// The (name, config) points of a grid as run_shard / write_manifest

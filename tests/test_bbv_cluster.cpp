@@ -150,10 +150,9 @@ BbvSet reference_bbvs(const isa::Program& program, uint64_t interval_len,
   std::unordered_map<uint64_t, uint32_t> dim_of;
   uint64_t prev_pc = 0;
   bool prev_was_branch = false;
-  bool is_branch = false;
   uint32_t dim = 0;
-  interp.on_branch = [&](uint64_t, bool, uint64_t) { is_branch = true; };
-  interp.on_step = [&](uint64_t pc, uint64_t) {
+  interp.on_retire = [&](const isa::StepEvent& ev) {
+    const uint64_t pc = ev.pc;
     if (set.total_insts % interval_len == 0) set.vectors.emplace_back();
     const bool start = set.total_insts == 0 || prev_was_branch ||
                        pc != prev_pc + isa::kInstBytes;
@@ -169,8 +168,7 @@ BbvSet reference_bbvs(const isa::Program& program, uint64_t interval_len,
     ++v[dim];
     ++set.total_insts;
     prev_pc = pc;
-    prev_was_branch = is_branch;
-    is_branch = false;
+    prev_was_branch = ev.kind == isa::EventKind::kBranch;
   };
   interp.run(max_insts == 0 ? UINT64_MAX : max_insts);
   for (auto& v : set.vectors) v.resize(set.leaders.size(), 0);

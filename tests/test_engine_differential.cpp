@@ -7,10 +7,9 @@
 // hand-built block-boundary edge cases. Warming digests, trace bytes and
 // sampled stats are all derived from this stream, so stream equality here
 // is what makes the engine safe everywhere else. The slice report
-// (on_slice) must equal the slices derived from the engine's own event
-// spans and, split per instruction, the Interpreter's stream, over the
-// same programs, at budgets that end inside blocks and across the 256-op
-// block cap.
+// (on_slice), split per instruction, must equal run_into's events and the
+// Interpreter's stream over the same programs, at budgets that end inside
+// blocks and across the 256-op block cap.
 #include <random>
 #include <string>
 #include <vector>
@@ -38,31 +37,15 @@ struct RunTrace {
   std::vector<StepEvent> events;
 };
 
-/// Runs `program` on the reference Interpreter, assembling the event stream
-/// from the three per-instruction observers exactly as the trace recorder
-/// does.
+/// Runs `program` on the reference Interpreter, collecting its on_retire
+/// stream as trace replay reads it.
 RunTrace run_interpreter(const isa::Program& program,
                          uint64_t max_insts = UINT64_MAX) {
   RunTrace out;
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::Interpreter interp(program, memory);
-  StepEvent pending;
-  interp.on_branch = [&](uint64_t, bool taken, uint64_t target) {
-    pending.kind = EventKind::kBranch;
-    pending.taken = taken;
-    pending.next_pc = target;
-  };
-  interp.on_mem = [&](uint64_t, uint64_t addr, int bytes, bool is_store) {
-    pending.kind = is_store ? EventKind::kStore : EventKind::kLoad;
-    pending.addr = addr;
-    pending.size = static_cast<uint8_t>(bytes);
-  };
-  interp.on_step = [&](uint64_t pc, uint64_t) {
-    pending.pc = pc;
-    out.events.push_back(pending);
-    pending = StepEvent{};
-  };
+  interp.on_retire = [&](const StepEvent& ev) { out.events.push_back(ev); };
   interp.run(max_insts);
   out.executed = interp.executed();
   out.halted = interp.halted();
@@ -72,18 +55,17 @@ RunTrace run_interpreter(const isa::Program& program,
   return out;
 }
 
-/// Runs `program` on FunctionalEngine, collecting the per-block event
-/// spans.
+/// Runs `program` on FunctionalEngine, collecting the events run_into
+/// writes.
 RunTrace run_engine(const isa::Program& program,
                     uint64_t max_insts = UINT64_MAX) {
   RunTrace out;
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  engine.on_block = [&](uint64_t, const StepEvent* ev, size_t n) {
-    out.events.insert(out.events.end(), ev, ev + n);
-  };
-  engine.run(max_insts);
+  testing::for_each_event(engine, max_insts, [&](const StepEvent& ev) {
+    out.events.push_back(ev);
+  });
   out.executed = engine.executed();
   out.halted = engine.halted();
   out.pc = engine.pc();
@@ -232,10 +214,9 @@ TEST(EngineDifferential, ResumeAfterBudgetMatchesStraightRun) {
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  engine.on_block = [&](uint64_t, const StepEvent* ev, size_t n) {
-    chunked.events.insert(chunked.events.end(), ev, ev + n);
-  };
-  while (engine.run(17) > 0) {
+  StepEvent installment[17];
+  while (const uint64_t n = engine.run_into(installment, 17)) {
+    chunked.events.insert(chunked.events.end(), installment, installment + n);
   }
   chunked.executed = engine.executed();
   chunked.halted = engine.halted();
@@ -370,7 +351,7 @@ TEST(FunctionalEngine, NullSinkCollectsNothingButExecutes) {
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  engine.run();  // no on_block
+  engine.run();  // no sink: writes no events
   EXPECT_EQ(engine.executed(), ref.executed);
   EXPECT_EQ(engine.regs(), ref.regs);
   EXPECT_EQ(memory.digest(), ref.mem_digest);
@@ -385,6 +366,8 @@ struct Slice {
   bool operator==(const Slice&) const = default;
 };
 
+/// What one installment-driven engine run reports: its slices, and the
+/// state it ends in.
 struct SliceRun {
   std::vector<Slice> slices;
   uint64_t executed = 0;
@@ -396,8 +379,7 @@ struct SliceRun {
 
 /// Runs `program` on the engine in installments of `chunk` instructions,
 /// reading the block slices from the slice sink or, with `from_events`,
-/// deriving them from the event sink's spans (entry pc, span length,
-/// whether the last event is kBranch).
+/// turning each event run_into writes into a one-instruction slice.
 SliceRun run_slices(const isa::Program& program, uint64_t chunk,
                     bool from_events) {
   SliceRun out;
@@ -405,16 +387,19 @@ SliceRun run_slices(const isa::Program& program, uint64_t chunk,
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
   if (from_events) {
-    engine.on_block = [&](uint64_t pc, const StepEvent* ev, size_t n) {
-      out.slices.push_back({pc, static_cast<uint32_t>(n),
-                            ev[n - 1].kind == EventKind::kBranch});
-    };
+    std::vector<StepEvent> installment(chunk);
+    while (const uint64_t n = engine.run_into(installment.data(), chunk)) {
+      for (uint64_t i = 0; i < n; ++i) {
+        out.slices.push_back({installment[i].pc, 1,
+                              installment[i].kind == EventKind::kBranch});
+      }
+    }
   } else {
     engine.on_slice = [&](uint64_t pc, uint32_t n, bool branch) {
       out.slices.push_back({pc, n, branch});
     };
-  }
-  while (engine.run(chunk) > 0) {
+    while (engine.run(chunk) > 0) {
+    }
   }
   out.executed = engine.executed();
   out.pc = engine.pc();
@@ -450,7 +435,7 @@ isa::Program over_block_cap_program() {
   return as.assemble();
 }
 
-TEST(SliceReport, MatchesEventSpansOnBothEngines) {
+TEST(SliceReport, MatchesEventStreamsOnBothEngines) {
   std::vector<std::pair<std::string, isa::Program>> programs;
   for (uint64_t seed = 0; seed < 40; ++seed) {
     programs.emplace_back("random " + std::to_string(seed),
@@ -468,13 +453,16 @@ TEST(SliceReport, MatchesEventSpansOnBothEngines) {
     for (const StepEvent& ev : run_interpreter(program).events) {
       oracle.push_back({ev.pc, 1, ev.kind == EventKind::kBranch});
     }
-    // Whole runs, and installments that end inside blocks.
-    for (const uint64_t chunk : {UINT64_MAX, uint64_t{17}, uint64_t{1}}) {
+    // Whole runs (one installment with room past HALT), and installments
+    // that end inside blocks.
+    const uint64_t whole = oracle.size() + 1;
+    for (const uint64_t chunk : {whole, uint64_t{17}, uint64_t{1}}) {
       const SliceRun slices = run_slices(program, chunk, false);
-      ASSERT_EQ(slices, run_slices(program, chunk, true))
+      SliceRun split = slices;
+      split.slices = per_instruction(slices.slices);
+      ASSERT_EQ(split, run_slices(program, chunk, true))
           << name << " chunk " << chunk;
-      ASSERT_EQ(per_instruction(slices.slices), oracle)
-          << name << " chunk " << chunk;
+      ASSERT_EQ(split.slices, oracle) << name << " chunk " << chunk;
       uint64_t total = 0;
       for (const Slice& s : slices.slices) {
         total += s.n;
@@ -486,14 +474,16 @@ TEST(SliceReport, MatchesEventSpansOnBothEngines) {
   EXPECT_TRUE(cut_by_cap) << "no slice reached the 256-op block cap";
 }
 
+// One report per run: run_into refuses to run while the slice sink is set.
 TEST(SliceReport, RejectsBothSinks) {
   const isa::Program program = testing::random_program(5);
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::FunctionalEngine engine(program, memory);
-  engine.on_block = [](uint64_t, const StepEvent*, size_t) {};
   engine.on_slice = [](uint64_t, uint32_t, bool) {};
-  EXPECT_THROW(engine.run(), std::logic_error);
+  StepEvent ev[8];
+  EXPECT_THROW(engine.run_into(ev, 8), std::logic_error);
+  EXPECT_EQ(engine.executed(), 0u);
 }
 
 TEST(FunctionalEngine, SetArchStateResumesFromASnapshot) {

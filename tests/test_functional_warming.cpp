@@ -145,8 +145,8 @@ TEST(FunctionalWarming, StridePredictorContentMatchesUnderCiPolicy) {
     mem::MainMemory mem;
     isa::load_data_image(probe, mem);
     isa::Interpreter interp(probe, mem);
-    interp.on_mem = [&](uint64_t pc, uint64_t, int, bool is_store) {
-      if (!is_store) load_pcs.push_back(pc);
+    interp.on_retire = [&](const isa::StepEvent& ev) {
+      if (ev.kind == isa::EventKind::kLoad) load_pcs.push_back(ev.pc);
     };
     interp.run();
   }

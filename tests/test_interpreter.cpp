@@ -97,9 +97,10 @@ TEST(Interpreter, BranchObserver) {
   load_data_image(p, m);
   Interpreter in(p, m);
   uint64_t branches = 0, taken = 0;
-  in.on_branch = [&](uint64_t, bool t, uint64_t) {
+  in.on_retire = [&](const StepEvent& ev) {
+    if (ev.kind != EventKind::kBranch) return;
     ++branches;
-    if (t) ++taken;
+    if (ev.taken) ++taken;
   };
   in.run();
   EXPECT_EQ(branches, 64u + 64u);  // hammock + loop-close per element
@@ -114,11 +115,12 @@ TEST(Interpreter, MemObserver) {
   uint64_t loads = 0;
   uint64_t last_addr = 0;
   int64_t stride = 0;
-  in.on_mem = [&](uint64_t, uint64_t addr, int bytes, bool is_store) {
-    EXPECT_FALSE(is_store);
-    EXPECT_EQ(bytes, 8);
-    if (loads > 0) stride = static_cast<int64_t>(addr - last_addr);
-    last_addr = addr;
+  in.on_retire = [&](const StepEvent& ev) {
+    if (ev.kind != EventKind::kLoad && ev.kind != EventKind::kStore) return;
+    EXPECT_EQ(ev.kind, EventKind::kLoad);
+    EXPECT_EQ(ev.size, 8);
+    if (loads > 0) stride = static_cast<int64_t>(ev.addr - last_addr);
+    last_addr = ev.addr;
     ++loads;
   };
   in.run();

@@ -49,37 +49,22 @@ std::vector<uint8_t> file_bytes(const std::string& path) {
                               std::istreambuf_iterator<char>());
 }
 
-std::vector<TraceRecord> capture_live(const isa::Program& program,
-                                      uint64_t max_insts = UINT64_MAX) {
-  // Reference stream straight from the interpreter observers, bypassing
+std::vector<isa::StepEvent> capture_live(const isa::Program& program,
+                                         uint64_t max_insts = UINT64_MAX) {
+  // Reference stream straight from the interpreter's observer, bypassing
   // the file format.
-  std::vector<TraceRecord> live;
+  std::vector<isa::StepEvent> live;
   mem::MainMemory memory;
   isa::load_data_image(program, memory);
   isa::Interpreter interp(program, memory);
-  TraceRecord pending;
-  interp.on_branch = [&](uint64_t, bool taken, uint64_t target) {
-    pending.kind = RecordKind::kBranch;
-    pending.taken = taken;
-    pending.next_pc = target;
-  };
-  interp.on_mem = [&](uint64_t, uint64_t addr, int bytes, bool is_store) {
-    pending.kind = is_store ? RecordKind::kStore : RecordKind::kLoad;
-    pending.addr = addr;
-    pending.size = static_cast<uint8_t>(bytes);
-  };
-  interp.on_step = [&](uint64_t pc, uint64_t) {
-    pending.pc = pc;
-    live.push_back(pending);
-    pending = TraceRecord{};
-  };
+  interp.on_retire = [&](const isa::StepEvent& ev) { live.push_back(ev); };
   interp.run(max_insts);
   return live;
 }
 
 TEST(TraceFormat, RoundTripEqualsLiveStream) {
   const isa::Program program = cfir::testing::figure1_program(256, 50, 11);
-  const std::vector<TraceRecord> live = capture_live(program);
+  const std::vector<isa::StepEvent> live = capture_live(program);
   ASSERT_FALSE(live.empty());
 
   TempFile file("roundtrip");
@@ -98,7 +83,7 @@ TEST(TraceFormat, RoundTripEqualsLiveStream) {
   EXPECT_EQ(reader.final_digest(), r.mem_digest);
   EXPECT_EQ(reader.final_regs(), r.regs);
 
-  TraceRecord rec;
+  isa::StepEvent rec;
   for (size_t i = 0; i < live.size(); ++i) {
     ASSERT_TRUE(reader.next(rec)) << "stream ended early at " << i;
     ASSERT_EQ(rec, live[i]) << "record " << i << " differs";
@@ -117,7 +102,7 @@ TEST(TraceFormat, CrcFooterRejectsBitFlips) {
   (void)record_interpreter(program, file.path(), meta);
   const auto drain = [&] {
     TraceReader reader(file.path());
-    TraceRecord rec;
+    isa::StepEvent rec;
     while (reader.next(rec)) {
     }
   };
@@ -136,7 +121,7 @@ TEST(TraceFormat, CrcFooterRejectsBitFlips) {
 TEST(TraceFormat, RandomProgramsRoundTrip) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const isa::Program program = cfir::testing::random_program(seed);
-    const std::vector<TraceRecord> live = capture_live(program);
+    const std::vector<isa::StepEvent> live = capture_live(program);
     TempFile file("rand" + std::to_string(seed));
     TraceMeta meta;
     meta.workload = "random";
@@ -144,7 +129,7 @@ TEST(TraceFormat, RandomProgramsRoundTrip) {
 
     TraceReader reader(file.path());
     ASSERT_EQ(reader.record_count(), live.size()) << "seed " << seed;
-    TraceRecord rec;
+    isa::StepEvent rec;
     for (size_t i = 0; i < live.size(); ++i) {
       ASSERT_TRUE(reader.next(rec));
       ASSERT_EQ(rec, live[i]) << "seed " << seed << " record " << i;
@@ -182,7 +167,7 @@ TEST(TraceFormat, CoreCaptureMatchesInterpreterCapture) {
   ASSERT_EQ(a.record_count(), b.record_count());
   EXPECT_EQ(a.final_digest(), b.final_digest());
   EXPECT_EQ(a.final_regs(), b.final_regs());
-  TraceRecord ra, rb;
+  isa::StepEvent ra, rb;
   for (uint64_t i = 0; i < a.record_count(); ++i) {
     ASSERT_TRUE(a.next(ra));
     ASSERT_TRUE(b.next(rb));
@@ -236,24 +221,24 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
   // space, and every kind/size combination.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     std::mt19937_64 gen(seed);
-    std::vector<TraceRecord> records;
+    std::vector<isa::StepEvent> records;
     uint64_t pc = gen();
     for (int i = 0; i < 2000; ++i) {
-      TraceRecord rec;
+      isa::StepEvent rec;
       rec.pc = pc;
       switch (gen() % 4) {
         case 0:
-          rec.kind = RecordKind::kPlain;
+          rec.kind = isa::EventKind::kPlain;
           break;
         case 1:
-          rec.kind = RecordKind::kBranch;
+          rec.kind = isa::EventKind::kBranch;
           rec.taken = (gen() & 1) != 0;
           rec.next_pc = gen();
           break;
         case 2:
         case 3:
-          rec.kind = (gen() & 1) != 0 ? RecordKind::kLoad
-                                      : RecordKind::kStore;
+          rec.kind = (gen() & 1) != 0 ? isa::EventKind::kLoad
+                                      : isa::EventKind::kStore;
           rec.addr = gen();
           rec.size = static_cast<uint8_t>(uint64_t{1} << (gen() % 4));
           break;
@@ -270,7 +255,7 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
     // A deliberately odd, small block capacity so the stream spans
     // several blocks with ragged coder-base snapshots.
     TraceWriter writer(file.path(), meta, 257);
-    for (const TraceRecord& rec : records) writer.append(rec);
+    for (const isa::StepEvent& rec : records) writer.append(rec);
     std::array<uint64_t, isa::kNumLogicalRegs> regs{};
     for (auto& r : regs) r = gen();
     const uint64_t digest = gen();
@@ -280,7 +265,7 @@ TEST(TraceFormat, FuzzRandomRecordStreamsRoundTrip) {
     ASSERT_EQ(reader.record_count(), records.size()) << "seed " << seed;
     EXPECT_EQ(reader.final_digest(), digest);
     EXPECT_EQ(reader.final_regs(), regs);
-    TraceRecord rec;
+    isa::StepEvent rec;
     for (size_t i = 0; i < records.size(); ++i) {
       ASSERT_TRUE(reader.next(rec)) << "seed " << seed << " record " << i;
       ASSERT_EQ(rec, records[i]) << "seed " << seed << " record " << i;

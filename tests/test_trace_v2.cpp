@@ -82,11 +82,11 @@ void write_bytes(const std::string& path, const std::vector<uint8_t>& bytes) {
 }
 
 /// Full sequential decode of a trace file.
-std::vector<TraceRecord> read_all(const std::string& path) {
+std::vector<isa::StepEvent> read_all(const std::string& path) {
   TraceReader reader(path);
-  std::vector<TraceRecord> out;
+  std::vector<isa::StepEvent> out;
   out.reserve(reader.record_count());
-  TraceRecord rec;
+  isa::StepEvent rec;
   while (reader.next(rec)) out.push_back(rec);
   return out;
 }
@@ -102,13 +102,13 @@ TEST(TraceV2, SeekPropertyRandomPrograms) {
     meta.workload = "random";
     record_interpreter(program, file.path(), meta, UINT64_MAX, 61);
 
-    const std::vector<TraceRecord> all = read_all(file.path());
+    const std::vector<isa::StepEvent> all = read_all(file.path());
     ASSERT_FALSE(all.empty()) << "seed " << seed;
 
     TraceReader reader(file.path());
     ASSERT_EQ(reader.record_count(), all.size());
     std::mt19937_64 gen(seed * 7919);
-    TraceRecord rec;
+    isa::StepEvent rec;
     for (int probe = 0; probe < 6; ++probe) {
       const uint64_t target = gen() % (all.size() + 1);
       reader.seek_to(target);
@@ -141,12 +141,12 @@ TEST(TraceV2, SeekEdgesOnBlockBoundaries) {
   meta.workload = "figure1";
   record_interpreter(program, file.path(), meta, UINT64_MAX, 128);
 
-  const std::vector<TraceRecord> all = read_all(file.path());
+  const std::vector<isa::StepEvent> all = read_all(file.path());
   TraceReader reader(file.path());
   ASSERT_GT(reader.block_count(), size_t{3});
   EXPECT_EQ(reader.block_len(), 128u);
 
-  TraceRecord rec;
+  isa::StepEvent rec;
   // Every block's first record, the record just before each boundary, the
   // very first and very last record, and the end-of-stream position.
   for (size_t b = 0; b < reader.block_count(); ++b) {
@@ -185,7 +185,7 @@ TEST(TraceV2, EveryBitFlipIsRejectedTyped) {
   meta.workload = "figure1";
   record_interpreter(program, file.path(), meta, UINT64_MAX, 256);
   const std::vector<uint8_t> good = file_bytes(file.path());
-  const std::vector<TraceRecord> all = read_all(file.path());
+  const std::vector<isa::StepEvent> all = read_all(file.path());
 
   std::mt19937_64 gen(1337);
   int rejected = 0;
@@ -196,7 +196,7 @@ TEST(TraceV2, EveryBitFlipIsRejectedTyped) {
     bad[byte] ^= static_cast<uint8_t>(1u << (gen() % 8));
     write_bytes(file.path(), bad);
     try {
-      const std::vector<TraceRecord> decoded = read_all(file.path());
+      const std::vector<isa::StepEvent> decoded = read_all(file.path());
       ADD_FAILURE() << "flip at byte " << byte << " was not detected";
     } catch (const BadMagicError&) {
       ++rejected;  // flip landed in the leading magic
@@ -270,7 +270,7 @@ TEST(TraceV2, UnfinishedRecordingRejected) {
   meta.workload = "figure1";
   {
     TraceWriter writer(file.path(), meta, 32);
-    TraceRecord rec;
+    isa::StepEvent rec;
     rec.pc = meta.base_pc;
     for (int i = 0; i < 100; ++i) {
       writer.append(rec);
@@ -342,13 +342,13 @@ TEST(TraceV2S8, DifferentialAgainstV1OnPaperWorkloads) {
       isa::FunctionalEngine engine(program, memory);
       uint64_t i = 0;
       bool same = true;
-      TraceRecord rec;
-      engine.on_block = [&](uint64_t, const isa::StepEvent* ev, size_t n) {
-        for (size_t k = 0; k < n && same; ++k, ++i) {
-          same = reader.next(rec) && rec == to_trace_record(ev[k]);
-        }
-      };
-      engine.run(UINT64_MAX);
+      isa::StepEvent rec;
+      cfir::testing::for_each_event(
+          engine, UINT64_MAX, [&](const isa::StepEvent& ev) {
+            if (!same) return;
+            same = reader.next(rec) && rec == ev;
+            ++i;
+          });
       EXPECT_TRUE(same) << name << " record " << i;
       EXPECT_EQ(i, r.executed) << name;
       EXPECT_FALSE(reader.next(rec)) << name;

@@ -80,16 +80,16 @@ class RecordStream {
     }
   }
 
-  TraceRecord next() {
-    TraceRecord r;
+  isa::StepEvent next() {
+    isa::StepEvent r;
     switch (gen_() % 4) {
       case 0:
-        r.kind = RecordKind::kBranch;
+        r.kind = isa::EventKind::kBranch;
         r.pc = 0x2000 + 4 * (gen_() % 64);
         r.taken = (gen_() & 1) != 0;
         break;
       case 1: {
-        r.kind = RecordKind::kLoad;
+        r.kind = isa::EventKind::kLoad;
         const size_t p = gen_() % next_addr_.size();
         r.pc = 0x3000 + 4 * p;
         r.addr = gen_() % 8 == 0 ? gen_() % 0x10000 : next_addr_[p];
@@ -98,13 +98,13 @@ class RecordStream {
         break;
       }
       case 2:
-        r.kind = RecordKind::kStore;
+        r.kind = isa::EventKind::kStore;
         r.pc = 0x4000 + 4 * (gen_() % 16);
         r.addr = gen_() % 0x10000;
         r.size = 8;
         break;
       default:
-        r.kind = RecordKind::kPlain;
+        r.kind = isa::EventKind::kPlain;
         r.pc = call_ret_pcs_[gen_() % call_ret_pcs_.size()];
         break;
     }
@@ -140,7 +140,7 @@ TEST(WarmCodec, RandomStreamsRoundTripExactlyForEveryPolicyFamily) {
     const core::CoreConfig config = small_geometry(family);
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       RecordStream stream(seed, program);
-      std::vector<TraceRecord> records;
+      std::vector<isa::StepEvent> records;
       for (size_t i = 0; i < kRecords; ++i) records.push_back(stream.next());
 
       // Snapshot at several depths, from empty tables to long-recycled
