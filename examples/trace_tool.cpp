@@ -506,8 +506,9 @@ int cmd_run_shard(int argc, char** argv) {
                std::to_string(shard.index) + "of" +
                std::to_string(shard.count) + ".cfirshd";
   }
-  // The configs travel in the manifest; refuse a manifest directory whose
-  // reloaded checkpoints no longer match its interval schedule.
+  // The configs travel in the manifest; refuse a plan whose schedule is not
+  // the manifest's. run_shard reads only this shard's checkpoint files and
+  // refuses one that no longer matches the schedule.
   trace::verify_manifest_plan(manifest, plan);
   trace::ShardResult result = trace::run_shard(
       manifest.configs, program, plan, shard, jobs, manifest.plan_hash);

@@ -1,6 +1,11 @@
 #include "trace/blob.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 
@@ -25,25 +30,34 @@ std::ifstream open_sized(const std::string& path, const char* what,
   return in;
 }
 
+/// Closes a POSIX descriptor on every path out of read_whole_file.
+struct FdCloser {
+  int fd;
+  ~FdCloser() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// The whole of regular file `path` in one buffer sized from its length,
+/// filled by one read (a loop only if the kernel returns it short).
+/// Anything that is not a readable regular file — a directory, a FIFO, a
+/// missing path — is rejected before a buffer is sized from it.
 std::vector<uint8_t> read_whole_file(const std::string& path,
                                      const char* what) {
-  std::streamoff size = 0;
-  std::ifstream in = open_sized(path, what, size);
-  // Read in chunks instead of sizing the buffer from the reported size: a
-  // directory opens fine on some platforms and reports a bogus huge size
-  // (this libstdc++ says LLONG_MAX), which must fail on the first read,
-  // not in the allocator.
-  std::vector<uint8_t> bytes;
-  std::vector<uint8_t> buf(64 * 1024);
-  for (;;) {
-    in.read(reinterpret_cast<char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-    const std::streamsize got = in.gcount();
-    bytes.insert(bytes.end(), buf.data(), buf.data() + got);
-    if (in.eof()) break;
-    if (!in) {
+  const FdCloser file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  struct stat st {};
+  if (file.fd < 0 || ::fstat(file.fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw CorruptFileError(std::string(what) + ": cannot open " + path);
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(file.fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
       throw CorruptFileError(std::string(what) + ": cannot read " + path);
     }
+    got += static_cast<size_t>(n);
   }
   return bytes;
 }
@@ -76,15 +90,33 @@ void append_footer_bytes(std::ofstream& out, uint32_t crc) {
 
 }  // namespace
 
+BlobFileWriter::BlobFileWriter(const std::string& path, const char* what)
+    : out_(path, std::ios::binary | std::ios::trunc), path_(path),
+      what_(what) {
+  if (!out_) {
+    throw std::runtime_error(std::string(what_) + ": cannot open " + path_);
+  }
+}
+
+void BlobFileWriter::write(const void* data, size_t n) {
+  out_.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
+  crc_ = util::crc32(data, n, crc_);
+}
+
+void BlobFileWriter::finish() {
+  append_footer_bytes(out_, crc_);
+  out_.close();
+  if (!out_) {
+    throw std::runtime_error(std::string(what_) + ": write failed for " +
+                             path_);
+  }
+}
+
 void write_blob_file(const std::string& path,
                      const std::vector<uint8_t>& payload) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("blob: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-  append_footer_bytes(out, util::crc32(payload.data(), payload.size()));
-  out.close();
-  if (!out) throw std::runtime_error("blob: write failed for " + path);
+  BlobFileWriter out(path, "blob");
+  out.write(payload.data(), payload.size());
+  out.finish();
 }
 
 std::vector<uint8_t> read_blob_file(const std::string& path,

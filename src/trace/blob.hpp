@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -21,13 +22,35 @@ namespace cfir::trace {
 inline constexpr char kCrcFooterMagic[4] = {'C', 'R', 'C', '1'};
 inline constexpr size_t kCrcFooterBytes = 8;  ///< magic + u32 crc
 
+/// Streams one blob file: each write() goes to the file and into a
+/// running CRC, and finish() appends the footer in the same open, so a
+/// writer that emits its payload piecewise (Checkpoint::save streams
+/// memory pages) checksums every byte once and never buffers the whole.
+/// Errors are std::runtime_error naming `what` ("Checkpoint", "blob").
+class BlobFileWriter {
+ public:
+  BlobFileWriter(const std::string& path, const char* what);
+  void write(const void* data, size_t n);
+  /// Appends the CRC footer and closes the file; throws when any write
+  /// failed.
+  void finish();
+
+ private:
+  std::ofstream out_;
+  std::string path_;
+  const char* what_;
+  uint32_t crc_ = 0;
+};
+
 /// Writes `payload` to `path` followed by the CRC footer.
 void write_blob_file(const std::string& path,
                      const std::vector<uint8_t>& payload);
 
-/// Reads `path` and verifies the CRC footer, returning the payload without
-/// it. A missing footer or a wrong CRC throws CorruptFileError. `what`
-/// names the format in error messages ("Checkpoint", "ShardManifest", ...).
+/// Reads `path` (one read into a buffer sized from the file) and verifies
+/// the CRC footer, returning the payload without it. A path that is not a
+/// readable regular file ("cannot open"), a missing footer or a wrong CRC
+/// throws CorruptFileError. `what` names the format in error messages
+/// ("Checkpoint", "ShardManifest", ...).
 [[nodiscard]] std::vector<uint8_t> read_blob_file(const std::string& path,
                                                   const char* what);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #include "isa/engine.hpp"
@@ -21,11 +20,10 @@ namespace {
 constexpr char kRetiredCheckpointMagic[8] = {'C', 'F', 'I', 'R',
                                              'C', 'K', 'P', '2'};
 
-/// Little-endian on every supported host: the raw bytes of `v`.
-template <typename T>
-void put_raw(std::ostream& s, const T& v) {
-  s.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
+/// magic | u32 version | u32 reserved | u64 pc | u64 executed | registers
+/// | u64 page_count: everything before the first page.
+constexpr size_t kHeaderBytes = sizeof(kCheckpointMagic) + 4 + 4 + 8 + 8 +
+                                8 * isa::kNumLogicalRegs + 8;
 
 bool all_zero(const uint8_t* data, size_t n) {
   for (size_t i = 0; i < n; ++i) {
@@ -47,41 +45,48 @@ Checkpoint snapshot(const isa::FunctionalEngine& engine,
 }  // namespace
 
 void Checkpoint::save(const std::string& path) const {
+  static obs::Histogram& save_us =
+      obs::Registry::instance().histogram("checkpoint.save_us");
   obs::Span span("checkpoint.save");
   const obs::Stopwatch clock;
-  // Stream pages straight to the file (memory images can be large) and
-  // append the CRC footer with the chunked helper afterwards, like
-  // TraceWriter::finish — never the whole payload in one buffer.
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("Checkpoint: cannot open " + path);
-  out.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-  put_raw(out, kCheckpointVersion);
-  put_raw(out, uint32_t{0});  // reserved
-  put_raw(out, pc);
-  put_raw(out, executed);
-  for (const uint64_t r : regs) put_raw(out, r);
-
   std::vector<std::pair<uint64_t, const uint8_t*>> pages;
   memory.for_each_page([&](uint64_t base_addr, const uint8_t* data) {
     if (!all_zero(data, mem::MainMemory::kPageSize)) {
       pages.emplace_back(base_addr, data);
     }
   });
-  put_raw(out, static_cast<uint64_t>(pages.size()));
+  // The header is assembled in place (little-endian on every supported
+  // host, the raw bytes of each field); the pages stream straight from
+  // memory (images can be large), each byte checksummed as it is written.
+  std::array<uint8_t, kHeaderBytes> header{};
+  uint8_t* at = header.data();
+  const auto put = [&at](const void* bytes, size_t n) {
+    std::memcpy(at, bytes, n);
+    at += n;
+  };
+  const uint32_t reserved = 0;
+  const uint64_t page_count = pages.size();
+  put(kCheckpointMagic, sizeof(kCheckpointMagic));
+  put(&kCheckpointVersion, sizeof(kCheckpointVersion));
+  put(&reserved, sizeof(reserved));
+  put(&pc, sizeof(pc));
+  put(&executed, sizeof(executed));
+  put(regs.data(), sizeof(regs));
+  put(&page_count, sizeof(page_count));
+
+  BlobFileWriter out(path, "Checkpoint");
+  out.write(header.data(), header.size());
   for (const auto& [base_addr, data] : pages) {
-    put_raw(out, base_addr);
-    out.write(reinterpret_cast<const char*>(data),
-              mem::MainMemory::kPageSize);
+    out.write(&base_addr, sizeof(base_addr));
+    out.write(data, mem::MainMemory::kPageSize);
   }
-  out.close();
-  if (!out) throw std::runtime_error("Checkpoint: write failed for " + path);
-  append_crc_footer(path);
-  obs::Registry::instance()
-      .histogram("checkpoint.save_us")
-      .observe(clock.elapsed_us());
+  out.finish();
+  save_us.observe(clock.elapsed_us());
 }
 
 Checkpoint Checkpoint::load(const std::string& path) {
+  static obs::Histogram& load_us =
+      obs::Registry::instance().histogram("checkpoint.load_us");
   obs::Span span("checkpoint.load");
   const obs::Stopwatch clock;
   const std::vector<uint8_t> bytes = read_blob_file(path, "Checkpoint");
@@ -112,21 +117,18 @@ Checkpoint Checkpoint::load(const std::string& path) {
     ck.executed = in.u64();
     for (auto& r : ck.regs) r = in.u64();
     const uint64_t page_count = in.u64();
-    std::vector<uint8_t> buf(mem::MainMemory::kPageSize);
     for (uint64_t p = 0; p < page_count; ++p) {
       const uint64_t base_addr = in.u64();
       // ByteReader bounds-checks every read, so a corrupt page_count fails
       // on the first out-of-range page instead of spinning.
-      in.bytes(buf.data(), buf.size());
-      ck.memory.write_block(base_addr, buf.data(), buf.size());
+      ck.memory.write_block(base_addr, in.view(mem::MainMemory::kPageSize),
+                            mem::MainMemory::kPageSize);
     }
     if (!in.done()) {
       throw CorruptFileError("Checkpoint: trailing bytes after the pages in " +
                              path);
     }
-    obs::Registry::instance()
-        .histogram("checkpoint.load_us")
-        .observe(clock.elapsed_us());
+    load_us.observe(clock.elapsed_us());
     return ck;
   } catch (const VersionError&) {
     throw;

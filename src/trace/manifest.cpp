@@ -1,11 +1,9 @@
 #include "trace/manifest.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 
-#include "sim/sweep.hpp"
 #include "trace/blob.hpp"
 #include "trace/errors.hpp"
 #include "util/warmable.hpp"
@@ -219,6 +217,12 @@ ShardManifest write_manifest(const IntervalPlan& plan,
       plan.checkpoints.size() != k) {
     throw std::runtime_error("write_manifest: malformed plan");
   }
+  if (!plan.checkpoint_files.empty()) {
+    throw std::runtime_error(
+        "write_manifest: the plan names checkpoint files instead of holding "
+        "their images (a plan rebuilt by plan_from_manifest); write the "
+        "manifest from the planner's plan");
+  }
   if (bindings.empty()) {
     throw std::runtime_error("write_manifest: no config bindings");
   }
@@ -261,21 +265,25 @@ IntervalPlan plan_from_manifest(const ShardManifest& manifest,
   plan.total_insts = manifest.total_insts;
   plan.interval_len = manifest.interval_len;
   plan.ran_to_halt = manifest.ran_to_halt;
-  plan.boundaries.reserve(manifest.intervals.size());
-  plan.lengths.reserve(manifest.intervals.size());
-  plan.weights.reserve(manifest.intervals.size());
+  const size_t k = manifest.intervals.size();
+  plan.boundaries.reserve(k);
+  plan.lengths.reserve(k);
+  plan.weights.reserve(k);
+  plan.checkpoint_files.reserve(k);
   for (const ShardManifest::IntervalRef& iv : manifest.intervals) {
     plan.boundaries.push_back(iv.start);
     plan.lengths.push_back(iv.length);
     plan.weights.push_back(iv.weight);
+    plan.checkpoint_files.push_back(
+        resolve(manifest_path, iv.checkpoint_file));
   }
-  // Each checkpoint file is an independent read + CRC + page decode, so
-  // they load side by side on the shared pool.
-  plan.checkpoints.resize(manifest.intervals.size());
-  sim::parallel_for(plan.checkpoints.size(), [&](size_t i) {
-    plan.checkpoints[i] = Checkpoint::load(
-        resolve(manifest_path, manifest.intervals[i].checkpoint_file));
-  });
+  // The images stay on disk: run_shard loads only its own range and checks
+  // each file against the position recorded here.
+  const std::vector<uint64_t> positions = checkpoint_positions(plan);
+  plan.checkpoints.resize(positions.size());
+  for (size_t i = 0; i < positions.size(); ++i) {
+    plan.checkpoints[i].executed = positions[i];
+  }
   return plan;
 }
 
@@ -294,26 +302,6 @@ void verify_manifest_plan(const ShardManifest& manifest,
         "schedule is not the one the manifest was written for (manifest "
         "has " + hex64(manifest.plan_hash) + ", this plan hashes to " +
         hex64(expected) + "); re-plan or use the matching manifest");
-  }
-  // The structure hash covers only manifest fields, so for a plan
-  // reloaded from this very manifest it cannot fail; the checkpoint
-  // POSITIONS are what bind the plan to its sibling files. Every planner
-  // captures at checkpoint_positions (the hash above pins the warm mode
-  // and warm-up it reads), so a checkpoint whose `executed` sits
-  // elsewhere is a wrong or swapped .cfirckpt in the manifest directory.
-  const std::vector<uint64_t> positions = checkpoint_positions(plan);
-  const size_t k = std::min(positions.size(), plan.checkpoints.size());
-  for (size_t i = 0; i < k; ++i) {
-    const uint64_t at = positions[i];
-    if (plan.checkpoints[i].executed != at) {
-      throw CorruptFileError(
-          "ShardManifest: the checkpoint file for interval " +
-          std::to_string(i) + " was captured at instruction " +
-          std::to_string(plan.checkpoints[i].executed) +
-          " but the schedule expects " + std::to_string(at) +
-          " — wrong or swapped .cfirckpt in the manifest directory; "
-          "re-plan it");
-    }
   }
 }
 

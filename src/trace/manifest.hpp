@@ -8,9 +8,11 @@
 //             CFIRCKP checkpoint blob per interval (shared by every
 //             config).
 //   execute — any machine loads the manifest, rebuilds the plan
-//             (plan_from_manifest), and runs a subset of its intervals
-//             under every config, capturing their warm state itself
-//             (trace/shard.hpp), into one CFIRSHD2 result blob.
+//             (plan_from_manifest, which reads no checkpoint), and runs a
+//             contiguous range of its intervals under every config,
+//             loading only that range's checkpoints and capturing their
+//             warm state itself (trace/shard.hpp), into one CFIRSHD2
+//             result blob.
 //   merge   — the result blobs fold back into one single-process answer
 //             per config (trace::merge_shard_grid / stats::merge_shards).
 //
@@ -111,16 +113,20 @@ struct ShardManifest {
 /// Plan layer driver, config grid (CFIRMAN2): writes `plan` as one
 /// manifest and one **cold** architectural checkpoint per interval (shared
 /// by every config). Every binding's config travels in the manifest, so
-/// the execute layer needs no out-of-band preset.
+/// the execute layer needs no out-of-band preset. `plan` must hold its
+/// checkpoint images: a plan rebuilt by plan_from_manifest (which names
+/// files instead) is rejected.
 ShardManifest write_manifest(const IntervalPlan& plan,
                              const std::vector<ConfigBinding>& bindings,
                              const std::string& workload, uint32_t scale,
                              const std::string& manifest_path);
 
-/// Rebuilds a runnable IntervalPlan from a manifest, loading every
-/// referenced checkpoint relative to the manifest's directory, in parallel
-/// on the shared pool. Cluster diagnostics (cluster_of, bic_by_k) are not
-/// stored and come back empty.
+/// Rebuilds a runnable IntervalPlan from a manifest without reading a
+/// checkpoint: `checkpoint_files` gets each interval's file resolved
+/// against the manifest's directory, and `checkpoints[i]` holds only
+/// `executed`, set to checkpoint_positions(plan)[i]. run_shard loads the
+/// images of its own range and rejects a file captured elsewhere. Cluster
+/// diagnostics (cluster_of, bic_by_k) are not stored and come back empty.
 [[nodiscard]] IntervalPlan plan_from_manifest(const ShardManifest& manifest,
                                               const std::string&
                                                   manifest_path);
@@ -132,14 +138,12 @@ ShardManifest write_manifest(const IntervalPlan& plan,
     const ShardManifest& manifest, const std::string&,
     ShardSelection = {});
 
-/// Recomputes plan_structure_hash for `plan` (throws
-/// ConfigMismatchError on mismatch — a plan from some other planning run)
-/// and validates that every checkpoint sits at the instruction position
-/// the schedule demands (throws CorruptFileError otherwise — a wrong or
-/// swapped .cfirckpt in the manifest directory). The position check is
-/// the half with teeth for a plan freshly reloaded from this manifest:
-/// the hash covers only manifest fields, but the checkpoints come from
-/// sibling files that can be tampered with independently.
+/// Recomputes plan_structure_hash for `plan` and throws
+/// ConfigMismatchError on mismatch — a plan from some other planning run.
+/// The hash covers only manifest fields; the sibling .cfirckpt files are
+/// checked where they are read: run_shard throws CorruptFileError for a
+/// file in its range whose position is not the one the schedule demands
+/// (a wrong or swapped file in the manifest directory).
 void verify_manifest_plan(const ShardManifest& manifest,
                           const IntervalPlan& plan);
 

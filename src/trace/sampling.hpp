@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -115,12 +116,19 @@ struct IntervalPlan {
   std::vector<uint64_t> boundaries;  ///< measured-interval start counts
   std::vector<uint64_t> lengths;     ///< measured-interval lengths
   std::vector<double> weights;       ///< per interval (uniform: all 1)
-  /// One per interval. Modes with a detailed warm-up slice (detailed,
-  /// hybrid) capture at max(start - warmup, 0) — clamped, never
-  /// underflowed — and the actual warm-up available to interval i is
-  /// boundaries[i] - checkpoints[i].executed. Modes without one (none,
-  /// functional) capture at the boundary itself.
+  /// One per interval, at checkpoint_positions: max(start - warmup, 0)
+  /// (clamped, never underflowed) for modes with a detailed warm-up slice
+  /// (detailed, hybrid), the boundary itself for the others (none,
+  /// functional). The warm-up available to interval i is boundaries[i] -
+  /// checkpoints[i].executed. A planner's plan holds every image; a plan
+  /// rebuilt from a manifest holds only each `executed` and names the
+  /// images in checkpoint_files instead.
   std::vector<Checkpoint> checkpoints;
+  /// Empty for a planner's plan. plan_from_manifest fills one resolved
+  /// .cfirckpt path per interval and leaves the images on disk: run_shard
+  /// loads only its own range of them, and rejects a file whose
+  /// `executed` is not checkpoints[i].executed.
+  std::vector<std::string> checkpoint_files;
 
   // Cluster-mode diagnostics (empty in uniform mode).
   uint64_t interval_len = 0;        ///< window length the run was chopped into
@@ -132,8 +140,8 @@ struct IntervalPlan {
 /// max(start - warmup, 0) for modes with a detailed warm-up slice (the
 /// clamp means a warm-up longer than the prefix starts at instruction 0,
 /// never underflows) and at the boundary itself otherwise. Every planner
-/// captures there, and verify_manifest_plan checks loaded checkpoints
-/// against it.
+/// captures there, and plan_from_manifest records it as the position
+/// run_shard checks each loaded checkpoint file against.
 [[nodiscard]] std::vector<uint64_t> checkpoint_positions(
     const IntervalPlan& plan);
 

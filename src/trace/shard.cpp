@@ -24,6 +24,35 @@ namespace {
 /// Magic of the retired single-column layout, recognised only to reject it.
 constexpr char kRetiredShardMagic[8] = {'C', 'F', 'I', 'R',
                                         'S', 'H', 'D', '1'};
+
+/// Loads the checkpoint files of plan intervals [first, last) side by side
+/// on the pool — each is an independent read, CRC and page decode — and
+/// rejects a file not captured at its interval's position (the plan's
+/// checkpoints[i].executed): a wrong or swapped .cfirckpt in the manifest
+/// directory.
+std::vector<Checkpoint> load_checkpoint_range(const IntervalPlan& plan,
+                                              size_t first, size_t last,
+                                              int threads) {
+  std::vector<Checkpoint> loaded(last - first);
+  sim::parallel_for(
+      loaded.size(),
+      [&](size_t j) {
+        const size_t i = first + j;
+        loaded[j] = Checkpoint::load(plan.checkpoint_files[i]);
+        const uint64_t at = plan.checkpoints[i].executed;
+        if (loaded[j].executed != at) {
+          throw CorruptFileError(
+              "ShardManifest: the checkpoint file for interval " +
+              std::to_string(i) + " was captured at instruction " +
+              std::to_string(loaded[j].executed) +
+              " but the schedule expects " + std::to_string(at) +
+              " — wrong or swapped .cfirckpt in the manifest directory; "
+              "re-plan it");
+        }
+      },
+      threads);
+  return loaded;
+}
 }  // namespace
 
 ShardSelection parse_shard(std::string_view spec) {
@@ -190,8 +219,10 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
                       ShardSelection shard, int threads, uint64_t plan_hash,
                       const std::string&) {
   const size_t k = plan.boundaries.size();
+  const bool from_files = !plan.checkpoint_files.empty();
   if (plan.lengths.size() != k || plan.weights.size() != k ||
-      plan.checkpoints.size() != k) {
+      plan.checkpoints.size() != k ||
+      (from_files && plan.checkpoint_files.size() != k)) {
     throw std::runtime_error("run_shard: malformed plan");
   }
   if (configs.empty()) {
@@ -219,9 +250,17 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
   }
 
   // This shard's contiguous range of plan indices; interval j of the
-  // result is plan interval first + j.
+  // result is plan interval first + j. A plan rebuilt from a manifest
+  // names its checkpoint files: only this range's are read.
   const size_t first = shard.begin(k);
-  result.intervals.resize(shard.end(k) - first);
+  const size_t last = shard.end(k);
+  const std::vector<Checkpoint> loaded =
+      from_files ? load_checkpoint_range(plan, first, last, threads)
+                 : std::vector<Checkpoint>{};
+  const auto checkpoint = [&](size_t j) -> const Checkpoint& {
+    return from_files ? loaded[j] : plan.checkpoints[first + j];
+  };
+  result.intervals.resize(last - first);
   for (size_t j = 0; j < result.intervals.size(); ++j) {
     const size_t i = first + j;
     if (plan.checkpoints[i].executed > plan.boundaries[i]) {
@@ -318,7 +357,7 @@ ShardResult run_shard(const std::vector<ConfigBinding>& configs,
             obs::Span restore_span("checkpoint.restore",
                                    static_cast<uint64_t>(i));
             sim = std::make_unique<sim::Simulator>(configs[c].config, program,
-                                                   plan.checkpoints[i]);
+                                                   checkpoint(j));
           }
           const uint64_t restored_us = unit_clock.elapsed_us();
           uint64_t installed_us = restored_us;

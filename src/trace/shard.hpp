@@ -144,7 +144,11 @@ struct ShardResult {
 /// interval, fanning the committed records out to every config's warmer
 /// (capture_warm_states_grid). `plan_hash` is stamped into the result for
 /// merge-time validation; pass the manifest's hash when executing a
-/// manifest-derived plan. The unnamed last parameter is read by nothing:
+/// manifest-derived plan. Such a plan names its checkpoint files
+/// (IntervalPlan::checkpoint_files): run_shard loads exactly the shard's
+/// range of them on the pool, and throws CorruptFileError for one whose
+/// `executed` is not its interval's position (a wrong or swapped file).
+/// The unnamed last parameter is read by nothing:
 /// it is kept only because perfbench (frozen with the repo benchmark)
 /// passes a recorded trace's path there.
 [[nodiscard]] ShardResult run_shard(const std::vector<ConfigBinding>& configs,

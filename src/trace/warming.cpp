@@ -213,8 +213,8 @@ using Sections = std::vector<std::vector<uint8_t>>;
 /// One shared warm geometry of a grid capture: the state its configs
 /// train alike, one stride predictor per distinct stride-training policy
 /// among them, which config reads which, and the sections the current
-/// round snapshotted. Each stride predictor and the hierarchy start on
-/// their own cache line, so lanes on different threads share none.
+/// round snapshotted. The stride predictors and the hierarchy start on
+/// cache lines of their own, so lanes on different threads share none.
 struct WarmGroup {
   struct alignas(64) Stride {
     core::Policy policy;
@@ -276,12 +276,14 @@ std::vector<WarmGroup> make_groups(const std::vector<core::CoreConfig>& configs,
 
 /// One training lane of a group: components no other lane touches — the
 /// cache hierarchy with its fetch-line state, the branch predictors
-/// (gshare, MBS, RAS), or one stride predictor.
+/// (gshare, MBS, RAS), or the group's stride predictors. The stride
+/// predictors share one lane (each trains only on loads): a lane each
+/// made a ci + vect round five tasks, one more than a 4-thread pool runs
+/// at once.
 struct Lane {
   enum Kind : uint8_t { kMemory, kPredictors, kStride };
   WarmGroup* group = nullptr;
   Kind kind = kMemory;
-  size_t stride = 0;  ///< kStride: index into group->strides
 };
 
 std::vector<Lane> make_lanes(std::vector<WarmGroup>& groups) {
@@ -289,11 +291,21 @@ std::vector<Lane> make_lanes(std::vector<WarmGroup>& groups) {
   for (WarmGroup& g : groups) {
     lanes.push_back({&g, Lane::kMemory});
     lanes.push_back({&g, Lane::kPredictors});
-    for (size_t s = 0; s < g.strides.size(); ++s) {
-      lanes.push_back({&g, Lane::kStride, s});
-    }
+    if (!g.strides.empty()) lanes.push_back({&g, Lane::kStride});
   }
   return lanes;
+}
+
+/// Busy microseconds per lane kind, summed over every lane and round
+/// (docs/observability.md): set against warming.feed_us, they say which
+/// lane bounds a round.
+obs::Counter& lane_busy_us(Lane::Kind kind) {
+  static obs::Counter* const counters[] = {
+      &obs::Registry::instance().counter("warming.lane_memory_us"),
+      &obs::Registry::instance().counter("warming.lane_predictors_us"),
+      &obs::Registry::instance().counter("warming.lane_stride_us"),
+  };
+  return *counters[kind];
 }
 
 /// Events per batch: 16Ki (512 KiB of StepEvents) per buffer, a quarter
@@ -343,6 +355,7 @@ void walk(EventSpan span, const uint64_t* targets, size_t ti, size_t tj,
 /// serializes its section at each of the round's targets [ti, tj).
 void run_lane(const Lane& lane, EventSpan span, const uint64_t* targets,
               size_t ti, size_t tj) {
+  const obs::Stopwatch busy;
   WarmGroup& g = *lane.group;
   SharedWarmState& s = g.shared;
   switch (lane.kind) {
@@ -364,18 +377,23 @@ void run_lane(const Lane& lane, EventSpan span, const uint64_t* targets,
           [&](const isa::StepEvent& ev) { train_predictors(s, ev); },
           [&] { g.predictor_sections.push_back(predictor_section(s)); });
       break;
-    case Lane::kStride: {
-      WarmGroup::Stride& st = g.strides[lane.stride];
-      st.sections.clear();
+    case Lane::kStride:
+      for (WarmGroup::Stride& st : g.strides) st.sections.clear();
       walk(
           span, targets, ti, tj,
           [&](const isa::StepEvent& ev) {
-            train_stride(st.predictor, st.policy, ev);
+            for (WarmGroup::Stride& st : g.strides) {
+              train_stride(st.predictor, st.policy, ev);
+            }
           },
-          [&] { st.sections.push_back(stride_section(st.predictor)); });
+          [&] {
+            for (WarmGroup::Stride& st : g.strides) {
+              st.sections.push_back(stride_section(st.predictor));
+            }
+          });
       break;
-    }
   }
+  lane_busy_us(lane.kind).add(busy.elapsed_us());
 }
 }  // namespace
 

@@ -76,7 +76,7 @@ enum class WarmMode : uint8_t {
 /// position and fetch-line state a WRM2 blob header carries. A
 /// FunctionalWarmer owns one; capture_warm_states_grid trains one per
 /// shared geometry, the predictors and the hierarchy on separate lanes,
-/// and feeds its policies' stride predictors on lanes of their own.
+/// and feeds its policies' stride predictors on a third lane.
 struct SharedWarmState {
   /// Components sized from `config` as the detailed core sizes its own;
   /// `program` (which must outlive this) resolves CALL/RET for the RAS.
@@ -194,11 +194,12 @@ void install_warm_state(const std::vector<uint8_t>& blob, sim::Simulator& sim);
 /// engine fills fixed-size event batches one batch ahead of the training.
 /// Each round is one pool batch: the engine fills the next buffer while
 /// each group's lanes — the cache hierarchy, the branch predictors, and
-/// each stride predictor — walk the current one, each in stream order on
-/// one thread and serializing its own section at every target. So the
-/// blobs do not depend on the pool's size. A program that halts before
-/// the last target snapshots the remaining targets at its final state.
-/// The warming.trainers counter adds the number of groups.
+/// (when any policy trains one) the stride predictors — walk the current
+/// one, each in stream order on one thread and serializing its own
+/// sections at every target. So the blobs do not depend on the pool's
+/// size. A program that halts before the last target snapshots the
+/// remaining targets at its final state. The warming.trainers counter
+/// adds the number of groups; warming.lane_*_us add each lane's busy time.
 [[nodiscard]] std::vector<std::vector<std::vector<uint8_t>>>
 capture_warm_states_grid(const std::vector<core::CoreConfig>& configs,
                          const isa::Program& program,

@@ -30,6 +30,14 @@ class ByteWriter {
   void boolean(bool v) { u8(v ? 1 : 0); }
   void bytes(const uint8_t* data, size_t n) { raw(data, n); }
 
+  /// Appends `n` zero bytes and returns where they start, for a writer that
+  /// sizes a section first and then fills it in place.
+  [[nodiscard]] uint8_t* extend(size_t n) {
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   /// Appends a zero u32 and returns its offset, for a count that is known
   /// only once the entries after it are written (see patch_u32).
   [[nodiscard]] size_t placeholder_u32() {
@@ -67,6 +75,9 @@ class ByteReader {
   int64_t i64() { return read<int64_t>(); }
   bool boolean() { return u8() != 0; }
   void bytes(uint8_t* out, size_t n) { std::memcpy(out, take(n), n); }
+  /// The next `n` bytes in place, for a caller that copies them straight
+  /// to where they belong.
+  [[nodiscard]] const uint8_t* view(size_t n) { return take(n); }
 
   [[nodiscard]] size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool done() const { return pos_ == size_; }

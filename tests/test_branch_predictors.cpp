@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <vector>
+
 #include "branch/gshare.hpp"
 #include "branch/mbs.hpp"
 #include "branch/ras.hpp"
@@ -46,6 +50,73 @@ TEST(Gshare, SpeculateAndRecover) {
   EXPECT_EQ(g.history(), (h0 << 1) & 0xFFFF);
   g.set_history(0xABC);
   EXPECT_EQ(g.history(), 0xABCu);
+}
+
+/// A gshare of `want.size()` entries whose counter table equals `want`
+/// (values 0-3; 2 is the reset value), set by training each slot from
+/// reset with history 0, so slot s is the counter of pc s << 2.
+Gshare gshare_with(const std::vector<uint8_t>& want) {
+  Gshare g(static_cast<uint32_t>(want.size()), 16);
+  for (size_t slot = 0; slot < want.size(); ++slot) {
+    const uint64_t pc = uint64_t{slot} << 2;
+    if (want[slot] == 3) g.train(pc, 0, true);
+    for (int i = 2; i > want[slot]; --i) g.train(pc, 0, false);
+  }
+  g.set_history(0xBEEF);
+  return g;
+}
+
+/// util::write_sparse's encoding of `table`: the layout Gshare::serialize
+/// must reproduce byte for byte.
+std::vector<uint8_t> generic_snapshot(const std::vector<uint8_t>& table,
+                                      uint64_t history) {
+  util::ByteWriter out;
+  out.u32(static_cast<uint32_t>(table.size()));
+  out.u64(history);
+  util::write_sparse(out, table, [](uint8_t c) { return c != 2; },
+                     [&out](uint8_t c) { out.u8(c); });
+  return out.take();
+}
+
+TEST(Gshare, SparseSnapshotMatchesGenericWriter) {
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> tables;
+  tables.emplace_back("all default", std::vector<uint8_t>(1024, 2));
+  tables.emplace_back("full", std::vector<uint8_t>(1024, 3));
+  // Trained slots at word edges with default runs between them that end
+  // inside a word, fill one, and span several.
+  std::vector<uint8_t> runs(256, 2);
+  for (const size_t slot : {0, 7, 8, 13, 14, 15, 40, 41, 63, 64, 130, 255}) {
+    runs[slot] = static_cast<uint8_t>(slot % 3 == 0 ? 0 : slot % 3 == 1 ? 1 : 3);
+  }
+  tables.emplace_back("default runs across words", runs);
+  // Tables smaller than one 8-slot word.
+  tables.emplace_back("1 entry", std::vector<uint8_t>{0});
+  tables.emplace_back("4 entries", std::vector<uint8_t>{2, 3, 2, 1});
+  std::mt19937_64 gen(7);
+  for (const size_t entries : {16u, 256u, 4096u, 65536u}) {
+    for (const unsigned percent : {1u, 30u, 100u}) {
+      std::vector<uint8_t> table(entries, 2);
+      for (uint8_t& c : table) {
+        if (gen() % 100 < percent) c = static_cast<uint8_t>(gen() % 4);
+      }
+      tables.emplace_back("random " + std::to_string(entries) + " at " +
+                              std::to_string(percent) + "%",
+                          table);
+    }
+  }
+  for (const auto& [name, want] : tables) {
+    const Gshare g = gshare_with(want);
+    util::ByteWriter out;
+    g.serialize(out);
+    const std::vector<uint8_t> bytes = out.take();
+    EXPECT_EQ(bytes, generic_snapshot(want, g.history())) << name;
+
+    Gshare back(static_cast<uint32_t>(want.size()), 16);
+    util::ByteReader in(bytes);
+    back.deserialize(in);
+    EXPECT_TRUE(in.done()) << name;
+    EXPECT_EQ(back.debug_digest(), g.debug_digest()) << name;
+  }
 }
 
 TEST(Ras, PushPopPeek) {

@@ -633,19 +633,23 @@ TEST(ConfigGrid, GridColumnsMatchSingleConfigRuns) {
   }
 }
 
-TEST(ConfigGrid, VerifyManifestPlanCatchesSwappedCheckpointFiles) {
+/// A shard result's bytes with the host wall-clock telemetry zeroed.
+std::vector<uint8_t> scrubbed_bytes(ShardResult r) {
+  r.warm_wall_us = 0;
+  for (ShardResult::Interval& iv : r.intervals) iv.wall_us.clear();
+  return r.serialize();
+}
+
+TEST(ConfigGrid, RunShardCatchesSwappedCheckpointFiles) {
   // The plan hash covers only manifest fields, so the checkpoint POSITION
-  // check is what catches a .cfirckpt overwritten with one from a
-  // different interval — before a shard silently simulates the wrong
-  // slice of the run.
+  // check, made as run_shard loads its range, is what catches a .cfirckpt
+  // overwritten with one from a different interval — before a shard
+  // silently simulates the wrong slice of the run.
   const isa::Program program = workloads::build("bzip2", 1);
   const IntervalPlan plan = plan_intervals(program, 4, 20000);
   TempManifest tm(plan, cfir::testing::bindings_of(register_grid()), "bzip2",
                   1, "swap");
   const ShardManifest manifest = ShardManifest::load(tm.path());
-
-  const IntervalPlan ok = plan_from_manifest(manifest, tm.path());
-  EXPECT_NO_THROW(verify_manifest_plan(manifest, ok));
 
   // Overwrite interval 0's checkpoint with interval 2's.
   const std::string dir = tm.path().substr(0, tm.path().find_last_of('/') + 1);
@@ -653,7 +657,118 @@ TEST(ConfigGrid, VerifyManifestPlanCatchesSwappedCheckpointFiles) {
       Checkpoint::load(dir + manifest.intervals[2].checkpoint_file);
   moved.save(dir + manifest.intervals[0].checkpoint_file);
   const IntervalPlan swapped = plan_from_manifest(manifest, tm.path());
-  EXPECT_THROW(verify_manifest_plan(manifest, swapped), CorruptFileError);
+  EXPECT_NO_THROW(verify_manifest_plan(manifest, swapped));
+
+  // Shard 0/2 (intervals 0-1) reads the swapped file and refuses it;
+  // shard 1/2 (intervals 2-3) never reads it and runs as the planner's
+  // in-memory plan runs.
+  expect_corrupt_naming(
+      [&] {
+        (void)run_shard(manifest.configs, program, swapped,
+                        ShardSelection{0, 2}, /*threads=*/0,
+                        manifest.plan_hash);
+      },
+      "wrong or swapped .cfirckpt");
+  const ShardSelection rest{1, 2};
+  EXPECT_EQ(scrubbed_bytes(run_shard(manifest.configs, program, swapped,
+                                     rest, /*threads=*/0,
+                                     manifest.plan_hash)),
+            scrubbed_bytes(run_shard(manifest.configs, program, plan, rest,
+                                     /*threads=*/0, manifest.plan_hash)));
+}
+
+TEST(ShardedRun, ShardLoadsOnlyItsOwnCheckpoints) {
+  // A machine running shard i/N needs the manifest and its own range's
+  // .cfirckpt files only: with every other checkpoint file deleted, each
+  // shard equals the planner's in-memory run of the same range, and the
+  // shards merge to each config's sampled_run. Eight intervals over three
+  // shards give ranges of 2, 3 and 3; a fourth count (N = 10 > k) leaves
+  // shards with nothing to load.
+  const isa::Program program = workloads::build("bzip2", 1);
+  const IntervalPlan plan =
+      plan_intervals(program, 8, /*max_insts=*/40000, /*warmup=*/0,
+                     WarmMode::kFunctional, /*detail_len=*/1000);
+  const std::vector<std::pair<std::string, core::CoreConfig>> points = {
+      {"ci", sim::presets::ci(2, 256)}, {"vect", sim::presets::vect(2, 256)}};
+  const std::vector<ConfigBinding> bindings =
+      cfir::testing::bindings_of(points);
+  const size_t k = plan.boundaries.size();
+  for (const uint32_t n : {3u, 10u}) {
+    std::vector<ShardResult> shards;
+    for (uint32_t i = 0; i < n; ++i) {
+      const ShardSelection sel{i, n};
+      TempManifest tm(plan, bindings, "bzip2", 1,
+                      "own" + std::to_string(i) + "of" + std::to_string(n));
+      const ShardManifest manifest = ShardManifest::load(tm.path());
+      const std::string dir =
+          tm.path().substr(0, tm.path().find_last_of('/') + 1);
+      for (size_t j = 0; j < k; ++j) {
+        if (j < sel.begin(k) || j >= sel.end(k)) {
+          ASSERT_EQ(
+              std::remove((dir + manifest.intervals[j].checkpoint_file).c_str()),
+              0);
+        }
+      }
+      const IntervalPlan reloaded = plan_from_manifest(manifest, tm.path());
+      verify_manifest_plan(manifest, reloaded);
+      shards.push_back(run_shard(manifest.configs, program, reloaded, sel,
+                                 /*threads=*/0, manifest.plan_hash));
+      EXPECT_EQ(scrubbed_bytes(shards.back()),
+                scrubbed_bytes(run_shard(bindings, program, plan, sel,
+                                         /*threads=*/0, manifest.plan_hash)))
+          << "shard " << i << "/" << n;
+    }
+    const MergedGrid merged = merge_shard_grid(shards);
+    ASSERT_EQ(merged.configs.size(), points.size());
+    for (size_t c = 0; c < points.size(); ++c) {
+      expect_same_run(merged.configs[c].run,
+                      sampled_run(points[c].second, program, plan),
+                      points[c].first + " N=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(WriteManifest, RejectsPlansItCannotWrite) {
+  // Each row is a plan write_manifest must refuse before writing a byte:
+  // its message names the problem and no manifest appears at the path.
+  const isa::Program program = workloads::build("bzip2", 1);
+  const IntervalPlan plan = plan_intervals(program, 2, 20000);
+  const std::vector<ConfigBinding> bindings =
+      cfir::testing::bindings_of({{"ci", sim::presets::ci(2, 256)}});
+  TempManifest source(plan, bindings, "bzip2", 1, "reject_source");
+  const IntervalPlan file_refs =
+      plan_from_manifest(source.manifest(), source.path());
+  IntervalPlan short_lengths = plan_intervals(program, 2, 20000);
+  short_lengths.lengths.pop_back();
+
+  struct Row {
+    const char* what;  ///< the message must contain it
+    const IntervalPlan* plan;
+    std::vector<ConfigBinding> bindings;
+  };
+  const Row rows[] = {
+      {"malformed plan", &short_lengths, bindings},
+      {"no config bindings", &plan, {}},
+      {"names checkpoint files", &file_refs, bindings},
+  };
+  const std::string dir = ::testing::TempDir();
+  const std::string path = dir + "cfir_man_rejected.cfirman";
+  std::remove(path.c_str());
+  for (const Row& row : rows) {
+    try {
+      const ShardManifest m =
+          write_manifest(*row.plan, row.bindings, "bzip2", 1, path);
+      ADD_FAILURE() << row.what << ": plan accepted";
+      std::remove(path.c_str());
+      for (const auto& iv : m.intervals) {
+        std::remove((dir + iv.checkpoint_file).c_str());
+      }
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(row.what), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(std::ifstream(path).good()) << row.what;
+  }
 }
 
 TEST(ConfigGrid, MergeRejectsColumnMixtures) {
